@@ -26,6 +26,7 @@ import time
 import tracemalloc
 from dataclasses import dataclass, field
 from collections.abc import Sequence
+from functools import partial
 
 from repro.errors import ExperimentError
 from repro.flowsim.engine import FlowLevelSimulation
@@ -108,16 +109,11 @@ class BenchResult:
         }
 
 
-def _timed_run(engine_cls, scenario: BenchScenario, quick: bool, repeat: int,
-               model_transform=None):
-    """Best-of-``repeat`` wall time; returns (elapsed, sim, metrics)."""
-    best = None
-    for _ in range(max(1, repeat)):
-        elapsed, sim, metrics = _one_run(engine_cls, scenario, quick,
-                                         model_transform)
-        if best is None or elapsed < best[0]:
-            best = (elapsed, sim, metrics)
-    return best
+def _best_of(run_once, repeat: int):
+    """The fastest of ``repeat`` (at least one) ``run_once()`` passes,
+    each returning (elapsed, sim, metrics)."""
+    return min((run_once() for _ in range(max(1, repeat))),
+               key=lambda run: run[0])
 
 
 def _one_run(engine_cls, scenario: BenchScenario, quick: bool,
@@ -133,17 +129,6 @@ def _one_run(engine_cls, scenario: BenchScenario, quick: bool,
     metrics = sim.run(flows, deadline=sim_deadline)
     elapsed = time.perf_counter() - started
     return elapsed, sim, metrics
-
-
-def _timed_packet_run(scenario: BenchScenario, quick: bool, repeat: int):
-    """Best-of-``repeat`` wall time for a packet-level scenario; returns
-    (elapsed, simulator, metrics)."""
-    best = None
-    for _ in range(max(1, repeat)):
-        elapsed, sim, metrics = _one_packet_run(scenario, quick)
-        if best is None or elapsed < best[0]:
-            best = (elapsed, sim, metrics)
-    return best
 
 
 def _one_packet_run(scenario: BenchScenario, quick: bool):
@@ -189,10 +174,10 @@ def _flow_counts(metrics) -> tuple[int, int, int]:
 def run_packet_scenario(scenario: BenchScenario, quick: bool = False,
                         repeat: int = 1,
                         measure_memory: bool = True) -> BenchResult:
-    elapsed, sim, metrics = _timed_packet_run(scenario, quick, repeat)
+    run_once = partial(_one_packet_run, scenario, quick)
+    elapsed, sim, metrics = _best_of(run_once, repeat)
     flows, completed, terminated = _flow_counts(metrics)
-    peak = (_peak_memory(lambda: _one_packet_run(scenario, quick))
-            if measure_memory else None)
+    peak = _peak_memory(run_once) if measure_memory else None
     return BenchResult(
         name=scenario.name,
         description=scenario.description,
@@ -221,13 +206,10 @@ def run_scenario(scenario: BenchScenario, quick: bool = False,
     if scenario.engine == "packet":
         return run_packet_scenario(scenario, quick=quick, repeat=repeat,
                                    measure_memory=measure_memory)
-    elapsed, sim, metrics = _timed_run(
-        FlowLevelSimulation, scenario, quick, repeat
-    )
+    run_once = partial(_one_run, FlowLevelSimulation, scenario, quick)
+    elapsed, sim, metrics = _best_of(run_once, repeat)
     flows, completed, terminated = _flow_counts(metrics)
-    peak = (_peak_memory(
-        lambda: _one_run(FlowLevelSimulation, scenario, quick))
-        if measure_memory else None)
+    peak = _peak_memory(run_once) if measure_memory else None
     result = BenchResult(
         name=scenario.name,
         description=scenario.description,
@@ -243,9 +225,10 @@ def run_scenario(scenario: BenchScenario, quick: bool = False,
     if baseline and not scenario.streaming:
         # the baseline pairs the frozen engine with the frozen models, so
         # speedups measure the whole pre-PR hot path, not just the engine
-        base_elapsed, _, base_metrics = _timed_run(
-            NaiveFlowLevelSimulation, scenario, quick, repeat,
-            model_transform=naive_model_for,
+        base_elapsed, _, base_metrics = _best_of(
+            partial(_one_run, NaiveFlowLevelSimulation, scenario, quick,
+                    naive_model_for),
+            repeat,
         )
         result.baseline_elapsed_s = base_elapsed
         result.baseline_parity = metrics.to_dict() == base_metrics.to_dict()

@@ -148,11 +148,6 @@ def sweep_panel(
     )
 
 
-def sweep_specs(*args, **kwargs) -> list[ScenarioSpec]:
-    """The default sweep grid (see :func:`sweep_panel`)."""
-    return sweep_panel(*args, **kwargs).expand()
-
-
 def _printable(value):
     """Make a panel result JSON-serializable: composite-axis cells key
     result dicts by *tuples*, which ``json.dumps`` rejects (``default=``
@@ -255,14 +250,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     mean_deadline = (
         args.deadline_ms * MSEC if args.deadline_ms is not None else None
     )
-    specs = sweep_specs(
+    specs = sweep_panel(
         protocols=args.protocols,
         patterns=args.patterns,
         n_flows=args.flows,
         seeds=args.seeds,
         mean_deadline=mean_deadline,
         sim_deadline=args.sim_deadline,
-    )
+    ).expand()
     if args.dry_run:
         print(f"sweep: {len(specs)} scenario(s)")
         for spec in specs:

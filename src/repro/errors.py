@@ -23,12 +23,6 @@ class ProtocolError(ReproError):
     """Raised on protocol state-machine violations (bugs, not packet loss)."""
 
 
-class FlowListError(ProtocolError):
-    """Raised when a per-link flow list is used inconsistently (e.g.
-    popping from an empty list — a scheduling-logic bug, so it subclasses
-    :class:`ProtocolError`)."""
-
-
 class WorkloadError(ReproError):
     """Raised for invalid workload specifications."""
 

@@ -4,13 +4,11 @@ The simulator entry points (protocol factories, the packet/flow runners
 and declarative-spec execution) live in :mod:`repro.campaign.engines`
 since the engine layer became part of the campaign subsystem; they are
 re-exported here so experiment code and downstream users keep their
-historical imports. This module adds the experiment-side analysis
-helpers (normalization, per-fid means) on top.
+historical imports. This module adds the experiment-side
+normalization helper on top.
 """
 
 from __future__ import annotations
-
-from collections.abc import Sequence
 
 from repro.campaign.engines import (  # noqa: F401 - re-exports
     PROTOCOLS,
@@ -22,7 +20,6 @@ from repro.campaign.engines import (  # noqa: F401 - re-exports
     run_packet_level,
 )
 from repro.errors import ExperimentError
-from repro.metrics.collector import MetricsCollector
 
 __all__ = [
     "PROTOCOLS",
@@ -30,16 +27,10 @@ __all__ = [
     "execute_spec",
     "make_model",
     "make_stack",
-    "mean_fct_by",
     "normalize",
     "run_flow_level",
     "run_packet_level",
 ]
-
-
-def mean_fct_by(collector: MetricsCollector,
-                fids: Sequence[int]) -> float:
-    return collector.mean_fct(only=fids)
 
 
 def normalize(series: dict[str, float], reference: str) -> dict[str, float]:

@@ -9,21 +9,27 @@ Protocol inefficiencies modeled (paper §5.5): per-packet header overhead
 (flows carry wire bytes) and flow-initialization latency (data starts
 flowing ``init_rtts`` round-trips after arrival).
 
-Hot-path structure (PR 2): paths are tuples of dense edge ids indexing a
-flat capacity list (no name-tuple hashing); the waiting set is a heap
-keyed on ``transfer_start``; completion ETAs live in a lazy min-heap
-(entries invalidated by a per-flow version bump on rate change — an
-unchanged rate means an unchanged absolute ETA) and deadline boundaries
-in a second lazy heap, so locating the next event no longer scans every
-flow. The frozen pre-optimization engine is
+There is one event loop, :meth:`FlowLevelSimulation.run`, for closed
+batches (a list), open-system arrival processes (a lazy
+:class:`~repro.workload.stream.FlowStream`) and faulted runs alike; its
+docstring states the four rules on which the input shapes could differ.
+
+Hot-path structure: paths are tuples of dense edge ids indexing a flat
+capacity list (no name-tuple hashing); the waiting set is a heap keyed
+on ``transfer_start``; completion ETAs live in a lazy min-heap (entries
+invalidated by a per-flow version bump on rate change — an unchanged
+rate means an unchanged absolute ETA) and deadline boundaries in a
+second lazy heap, so locating the next event does not scan every flow.
+The frozen pre-optimization engine is
 :class:`~repro.flowsim.naive.NaiveFlowLevelSimulation`; parity tests pin
-bit-identical metrics between the two.
+bit-identical metrics between the two for both input shapes.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections.abc import Sequence
+from itertools import chain
 
 from repro.errors import ExperimentError, FaultError, RoutingError
 from repro.flowsim.paths import GraphRouter
@@ -80,14 +86,15 @@ class FlowLevelSimulation:
         self.iterations = 0      # main-loop passes (event boundaries)
         self.pauses = 0          # flows preempted (rate driven to zero)
         self.resumes = 0         # paused flows granted rate again
-        self.stream_batches = 0  # non-empty streaming admission pulls
-        self._stream_admitted = 0  # flows admitted from a FlowStream
+        self.stream_batches = 0  # non-empty admission pulls, lazy input only
+        self._admitted = 0       # flows admitted so far (next promotion seq)
+        self._lazy = False       # the current run's input is a lazy stream
         #: per-event-boundary samplers (repro.obs.probes); empty unless a
         #: scenario requested probes, so the default run pays one truth
         #: test per iteration
         self.samplers: list = []
         #: fault injection (repro.faults.spec.FaultEvent schedule): fault
-        #: epochs splice into the streaming loop exactly like unadmitted
+        #: epochs splice into the main loop exactly like unadmitted
         #: arrivals — the advance horizon never crosses the next event,
         #: and due events reroute (or reject) flows before rates are
         #: recomputed. Mirrors the packet engine's FaultController.
@@ -154,59 +161,76 @@ class FlowLevelSimulation:
 
     def run(self, flows: Sequence[FlowSpec] | FlowStream,
             deadline: float = 60.0,
-            max_recomputations: int = 2_000_000) -> MetricsCollector:
+            max_recomputations: int | None = None) -> MetricsCollector:
+        """Run ``flows`` until every flow resolves or ``deadline`` passes.
+
+        One event loop serves both input shapes: a materialised list is
+        fed through a :class:`FlowStream` over its arrival-sorted copy,
+        so lists and lazy streams share admission, fault splicing and
+        the event mechanics. Four rules are fixed here:
+
+        1. ``stream_batches`` counts non-empty admission pulls from a
+           caller-supplied lazy stream only; it stays 0 for a list.
+        2. ``max_recomputations`` is a hard cap when given. The default
+           (``None``) budget is ``2_000_000 + 64 * admitted``, so an
+           open-ended stream never trips it by size alone.
+        3. Every flow of a list is registered and started exactly once,
+           even if it arrives after ``deadline`` (it comes back
+           unfinished). A lazy stream is admitted only up to
+           ``deadline``, so an unbounded generator cannot hang the run.
+        4. Promotion order is admission order: the arrival-sorted order
+           of the stream, and for a list a stable sort, so ties keep
+           their input order.
+
+        Each pass first applies due faults and admits the arrivals of
+        the next ``refresh_interval`` window, so a flow is in the waiting
+        heap before simulated time reaches it and memory is O(concurrent
+        flows). An idle engine never jumps past ``deadline``.
+        """
         begin_run = getattr(self.model, "begin_run", None)
         if begin_run is not None:
             # the engine honors the incremental-sort contract: the active
             # list only gains flows at its tail and sheds departed flows
             begin_run()
-        if isinstance(flows, FlowStream):
-            # open-system runs admit incrementally; the closed-batch path
-            # below stays textually untouched so its float trajectories —
-            # pinned bit-identical against the naive engine — cannot move
-            return self._run_stream(flows, deadline, max_recomputations)
-        if self.fault_events:
-            # faulted closed runs ride the streaming loop too: it is the
-            # only loop with epoch splicing, and wrapping the sorted list
-            # keeps the parity-pinned closed path textually untouched.
-            # (Admission happens at arrival time, so flows arriving after
-            # ``deadline`` are never registered — keep fault scenarios'
-            # arrivals inside the deadline.)
-            ordered = sorted(flows, key=lambda s: s.arrival)
-            stream = FlowStream(iter(ordered), expected_flows=len(ordered))
-            return self._run_stream(stream, deadline, max_recomputations)
-        pending = sorted(
-            (self._make_progress(self.metrics.register(s).spec) for s in flows),
-            key=lambda f: f.spec.arrival,
-        )
-        for flow in pending:
-            self.metrics.on_start(flow.fid, flow.spec.arrival)
-        # waiting flows keyed on transfer_start; seq is the arrival-sorted
-        # position so promoted batches can be re-ordered to match the
-        # reference engine's arrival-order promotion exactly
-        waiting: list[tuple[float, int, FlowProgress]] = [
-            (flow.transfer_start, seq, flow) for seq, flow in enumerate(pending)
-        ]
-        heapq.heapify(waiting)
+        self._lazy = isinstance(flows, FlowStream)
+        stream = flows if self._lazy else FlowStream(
+            iter(sorted(flows, key=lambda s: s.arrival)))
+        # waiting flows keyed on (transfer_start, admission seq)
+        waiting: list[tuple[float, int, FlowProgress]] = []
         active: list[FlowProgress] = []
         eta_heap: list[tuple[float, int, int, FlowProgress]] = []
         deadline_heap: list[tuple[float, int, FlowProgress]] = []
 
-        while (waiting or active) and self.now <= deadline:
+        while (waiting or active or not stream.exhausted) \
+                and self.now <= deadline:
             self.iterations += 1
+            # a fully idle engine skips straight to the next arrival
+            # (the loop condition guarantees there is one)
+            jump = self.now if active or waiting else stream.peek_arrival()
+            if jump > deadline:
+                break
+            self._jump_and_admit(jump, stream, waiting, active)
             if not active and waiting:
-                # jump to the next transfer start
-                self.now = max(self.now, waiting[0][0])
+                # then to the first transfer start, but never past an
+                # unadmitted arrival (its transfer start could come
+                # first) or a fault epoch (waiting flows may need
+                # rerouting or rejecting before they are promoted)
+                jump = min(waiting[0][0], self._next_external(stream))
+                if jump > deadline:
+                    break
+                self._jump_and_admit(jump, stream, waiting, active)
             self._promote(waiting, active, deadline_heap)
             if not active:
                 continue
 
             rates = self.model.allocate(active, self.capacities, self.now)
             self.recomputations += 1
-            if self.recomputations > max_recomputations:
+            budget = (2_000_000 + 64 * self._admitted
+                      if max_recomputations is None else max_recomputations)
+            if self.recomputations > budget:
                 raise ExperimentError(
                     "flow-level simulation did not converge "
-                    f"({max_recomputations} recomputations)"
+                    f"({budget} recomputations)"
                 )
             sending = self._apply_rates(active, rates, eta_heap)
             if len(eta_heap) > 64 and len(eta_heap) > 4 * len(active):
@@ -223,8 +247,13 @@ class FlowLevelSimulation:
             if self._terminate_flows(active, rates):
                 continue  # rates changed; recompute immediately
 
-            horizon = self._next_event_time(waiting, eta_heap, deadline_heap,
-                                            deadline)
+            # rates hold until the next event; they must not integrate
+            # across an unadmitted arrival or a fault epoch either
+            horizon = min(
+                self._next_event_time(waiting, eta_heap, deadline_heap,
+                                      deadline),
+                self._next_external(stream),
+            )
             dt = horizon - self.now
             if dt < 0:
                 raise ExperimentError("fluid engine time went backwards")
@@ -241,128 +270,43 @@ class FlowLevelSimulation:
             if self.samplers:
                 for sampler in self.samplers:
                     sampler.on_step(self, active)
+        if not self._lazy:
+            # rule 3: list flows the loop never reached (they arrive
+            # after ``deadline``) still come back as unfinished records
+            for spec in stream.materialize():
+                self.metrics.register(spec)
+                self.metrics.on_start(spec.fid, spec.arrival)
         return self.metrics
 
-    # -- streaming (open-system) main loop ---------------------------------------------
+    def _next_external(self, stream: FlowStream) -> float:
+        """Time of the next event the loop has not absorbed yet: the
+        next unadmitted arrival or the next fault epoch, whichever comes
+        first (inf when neither is left)."""
+        time = stream.peek_arrival()
+        if time is None:
+            time = _INF
+        if self._fault_idx < len(self.fault_events):
+            fault_time = self.fault_events[self._fault_idx].time
+            if fault_time < time:
+                time = fault_time
+        return time
 
-    def _run_stream(self, stream: FlowStream, deadline: float,
-                    max_recomputations: int) -> MetricsCollector:
-        """The main loop for a lazy arrival process (``begin_run`` was
-        already called by :meth:`run`).
-
-        Identical event mechanics to the closed loop, plus an admission
-        step each pass: flows are pulled from the stream in
-        ``refresh_interval``-sized windows, and the advance horizon never
-        crosses the next unadmitted arrival, so an admitted flow always
-        enters the waiting heap before simulated time reaches it. Memory
-        is O(concurrent flows): the engine never sees the whole workload.
-        Flows arriving after ``deadline`` are never admitted (the closed
-        path registers them as unfinished records instead).
-        """
-        waiting: list[tuple[float, int, FlowProgress]] = []
-        active: list[FlowProgress] = []
-        eta_heap: list[tuple[float, int, int, FlowProgress]] = []
-        deadline_heap: list[tuple[float, int, FlowProgress]] = []
-
-        while waiting or active or not stream.exhausted:
-            if self.now > deadline:
-                break
-            self.iterations += 1
-            self._apply_due_faults(waiting, active)
-            if not stream.exhausted:
-                if not active and not waiting:
-                    # idle gap: jump straight to the next arrival (due
-                    # faults are applied after the jump, before the
-                    # admitted flows compute their paths)
-                    next_arrival = stream.peek_arrival()
-                    if next_arrival is None:
-                        continue
-                    if next_arrival > deadline:
-                        break
-                    if next_arrival > self.now:
-                        self.now = next_arrival
-                        self._apply_due_faults(waiting, active)
-                self._admit_from_stream(stream, waiting)
-            if not active and waiting:
-                # jump to the next transfer start, but never past an
-                # unadmitted arrival (its transfer start could precede
-                # it) or a fault epoch (waiting flows may need rerouting
-                # or rejecting before they are promoted)
-                jump = waiting[0][0]
-                next_arrival = stream.peek_arrival()
-                if next_arrival is not None and next_arrival < jump:
-                    jump = next_arrival
-                if self._fault_idx < len(self.fault_events):
-                    fault_time = self.fault_events[self._fault_idx].time
-                    if fault_time < jump:
-                        jump = fault_time
-                if jump > self.now:
-                    self.now = jump
-                self._apply_due_faults(waiting, active)
-                if not stream.exhausted:
-                    self._admit_from_stream(stream, waiting)
-            self._promote(waiting, active, deadline_heap)
-            if not active:
-                continue
-
-            rates = self.model.allocate(active, self.capacities, self.now)
-            self.recomputations += 1
-            # open-ended runs admit without bound, so the convergence
-            # budget tracks admissions instead of staying a flat constant
-            budget = 64 * self._stream_admitted + 1024
-            if budget < max_recomputations:
-                budget = max_recomputations
-            if self.recomputations > budget:
-                raise ExperimentError(
-                    "flow-level simulation did not converge "
-                    f"({budget} recomputations)"
-                )
-            sending = self._apply_rates(active, rates, eta_heap)
-            if len(eta_heap) > 64 and len(eta_heap) > 4 * len(active):
-                eta_heap = [
-                    entry for entry in eta_heap
-                    if not entry[3].departed
-                    and entry[1] == entry[3].eta_version
-                ]
-                heapq.heapify(eta_heap)
-            if self._terminate_flows(active, rates):
-                continue  # rates changed; recompute immediately
-
-            horizon = self._next_event_time(waiting, eta_heap, deadline_heap,
-                                            deadline)
-            if not stream.exhausted:
-                next_arrival = stream.peek_arrival()
-                if next_arrival is not None and next_arrival < horizon:
-                    horizon = next_arrival
-            if self._fault_idx < len(self.fault_events):
-                # never advance past a fault epoch: rates computed under
-                # the pre-fault topology must not integrate across it
-                fault_time = self.fault_events[self._fault_idx].time
-                if fault_time < horizon:
-                    horizon = fault_time
-            dt = horizon - self.now
-            if dt < 0:
-                raise ExperimentError("fluid engine time went backwards")
-            for flow in active:
-                if flow.rate > 0:
-                    flow.remaining_wire = max(
-                        0.0, flow.remaining_wire - flow.rate * dt / 8.0
-                    )
-                else:
-                    flow.waited += dt
-            self.now = horizon
-            self._complete_finished(sending, active)
-            if self.samplers:
-                for sampler in self.samplers:
-                    sampler.on_step(self, active)
-        return self.metrics
+    def _jump_and_admit(self, time: float, stream: FlowStream,
+                        waiting: list, active: list) -> None:
+        """Move an idle engine forward to ``time`` (no-op when it is not
+        ahead of ``now``), apply the faults due by then, and only then
+        admit, so arriving flows compute their paths on the post-fault
+        topology."""
+        if time > self.now:
+            self.now = time
+        self._apply_due_faults(waiting, active)
+        if not stream.exhausted:
+            self._admit(stream, waiting)
 
     # repro: hot
-    def _admit_from_stream(self, stream: FlowStream,
-                           waiting: list) -> None:
-        """Admission step: pull every arrival inside the next refresh
-        window into the waiting heap (register + on_start, exactly what
-        the closed path does up front). Runs once per main-loop pass.
+    def _admit(self, stream: FlowStream, waiting: list) -> None:
+        """Admission step: register, start and queue every arrival
+        inside the next refresh window.
 
         Under fault injection an arrival may find its endpoints
         partitioned; it is rejected (terminated on arrival) instead of
@@ -370,31 +314,27 @@ class FlowLevelSimulation:
         batch = stream.take_until(self.now + self.refresh_interval)
         if not batch:
             return
-        self.stream_batches += 1
+        if self._lazy:
+            self.stream_batches += 1
         register = self.metrics.register
         on_start = self.metrics.on_start
         make_progress = self._make_progress
         push = heapq.heappush
-        seq = self._stream_admitted
-        faulted = bool(self.fault_events)
-        for spec in batch:
+        for seq, spec in enumerate(batch, self._admitted):
             record = register(spec)
             on_start(spec.fid, spec.arrival)
-            if faulted:
-                try:
-                    flow = make_progress(record.spec)
-                except RoutingError:
-                    self.flows_rejected += 1
-                    self.metrics.on_terminated(
-                        spec.fid, self.now, "fault: unroutable at arrival"
-                    )
-                    seq += 1
-                    continue
-            else:
+            try:
                 flow = make_progress(record.spec)
+            except RoutingError:
+                if not self.fault_events:
+                    raise  # no fault can explain it: a broken scenario
+                self.flows_rejected += 1
+                self.metrics.on_terminated(
+                    spec.fid, self.now, "fault: unroutable at arrival"
+                )
+                continue
             push(waiting, (flow.transfer_start, seq, flow))
-            seq += 1
-        self._stream_admitted = seq
+        self._admitted += len(batch)
 
     # -- fault epochs (repro.faults) ---------------------------------------------------
 
@@ -442,23 +382,16 @@ class FlowLevelSimulation:
 
     def _reroute_fluid_flows(self, waiting: list, active: list,
                              down_ids: set[int]) -> None:
-        rerouted = 0
-        rejected = 0
-        for flow in active:
-            if any(eid in down_ids for eid in flow.path):
-                rerouted, rejected = self._repath_flow(
-                    flow, rerouted, rejected
-                )
-        for _, _, flow in waiting:
-            if any(eid in down_ids for eid in flow.path):
-                rerouted, rejected = self._repath_flow(
-                    flow, rerouted, rejected
-                )
-        if not rerouted and not rejected:
+        hit = [
+            flow for flow in chain(active, (entry[2] for entry in waiting))
+            if any(eid in down_ids for eid in flow.path)
+        ]
+        if not hit:
             return
+        rerouted = sum(map(self._repath_flow, hit))
         self.fault_reroutes += rerouted
-        self.flows_rejected += rejected
-        if rejected:
+        if rerouted < len(hit):
+            self.flows_rejected += len(hit) - rerouted
             active[:] = [f for f in active if not f.departed]
             waiting[:] = [entry for entry in waiting
                           if not entry[2].departed]
@@ -470,8 +403,9 @@ class FlowLevelSimulation:
         if invalidate is not None:
             invalidate()
 
-    def _repath_flow(self, flow: FlowProgress, rerouted: int,
-                     rejected: int) -> tuple[int, int]:
+    def _repath_flow(self, flow: FlowProgress) -> bool:
+        """Re-pin ``flow`` on the surviving topology; False (and the flow
+        terminated) when no route is left."""
         spec = flow.spec
         try:
             path = self.router.flow_path_ids(spec.fid, spec.src, spec.dst)
@@ -480,12 +414,12 @@ class FlowLevelSimulation:
             self.metrics.on_terminated(
                 spec.fid, self.now, "fault: no route after failure"
             )
-            return rerouted, rejected + 1
+            return False
         capacities = self.capacities
         flow.path = path
         flow.max_rate = min(capacities[eid] for eid in path)
         flow.rtt = self._estimate_rtt(path)
-        return rerouted + 1, rejected
+        return True
 
     # -- helpers ---------------------------------------------------------------------------
 

@@ -55,6 +55,17 @@ class MetricsCollector:
         O(1): maintained incrementally by the event hooks."""
         return self._unresolved
 
+    def _fold(self, record: FlowRecord) -> None:
+        """Hook run on a flow's record the moment it resolves, before
+        observers fire; the streaming collector accumulates and evicts
+        the record here."""
+
+    def _missing(self, fid: int) -> None:
+        """A resolution hook named a flow with no record: a caller bug
+        here; the streaming collector, which evicts resolved flows,
+        counts a late event instead."""
+        raise KeyError(fid)
+
     def _resolve_one(self) -> None:
         self._unresolved -= 1
         if self._unresolved == 0:
@@ -80,16 +91,21 @@ class MetricsCollector:
         self.records[fid].bytes_delivered += n
 
     def on_complete(self, fid: int, time: float) -> None:
-        record = self.records[fid]
+        record = self.records.get(fid)
+        if record is None:
+            return self._missing(fid)
         if record.completion_time is None:
             record.completion_time = time
             if self.tracer is not None:
                 self.tracer.on_complete(fid, time)
             if not record.terminated:
+                self._fold(record)
                 self._resolve_one()
 
     def on_terminated(self, fid: int, time: float, reason: str) -> None:
-        record = self.records[fid]
+        record = self.records.get(fid)
+        if record is None:
+            return self._missing(fid)
         if not record.completed:
             newly_resolved = not record.terminated
             record.terminated = True
@@ -98,6 +114,7 @@ class MetricsCollector:
             if self.tracer is not None and newly_resolved:
                 self.tracer.on_terminated(fid, time, reason)
             if newly_resolved:
+                self._fold(record)
                 self._resolve_one()
 
     def on_retransmit(self, fid: int) -> None:

@@ -124,35 +124,6 @@ class StreamingMetricsCollector(MetricsCollector):
             return
         record.bytes_delivered += n
 
-    def on_complete(self, fid: int, time: float) -> None:
-        record = self.records.get(fid)
-        if record is None:
-            self.late_events += 1
-            return
-        if record.completion_time is None:
-            record.completion_time = time
-            if self.tracer is not None:
-                self.tracer.on_complete(fid, time)
-            if not record.terminated:
-                self._fold(record)
-                self._resolve_one()
-
-    def on_terminated(self, fid: int, time: float, reason: str) -> None:
-        record = self.records.get(fid)
-        if record is None:
-            self.late_events += 1
-            return
-        if not record.completed:
-            newly_resolved = not record.terminated
-            record.terminated = True
-            record.termination_time = time
-            record.termination_reason = reason
-            if self.tracer is not None and newly_resolved:
-                self.tracer.on_terminated(fid, time, reason)
-            if newly_resolved:
-                self._fold(record)
-                self._resolve_one()
-
     def on_retransmit(self, fid: int) -> None:
         record = self.records.get(fid)
         if record is None:
@@ -166,6 +137,10 @@ class StreamingMetricsCollector(MetricsCollector):
             self.late_events += 1
             return
         record.probes_sent += 1
+
+    def _missing(self, fid: int) -> None:
+        """``on_complete`` / ``on_terminated`` for an evicted flow."""
+        self.late_events += 1
 
     # -- folding -----------------------------------------------------------------
 

@@ -1,10 +1,9 @@
-"""Small shared utilities: EWMA estimators, seeded RNG plumbing, sorted
-containers and basic statistics helpers."""
+"""Small shared utilities: EWMA estimators, seeded RNG plumbing, quantile
+sketches and basic statistics helpers."""
 
 from repro.utils.ewma import Ewma, RttEstimator
 from repro.utils.rng import spawn_rng
 from repro.utils.sketch import QuantileSketch
-from repro.utils.sortedlist import SortedFlowList
 from repro.utils.stats import cdf_points, mean, percentile
 
 __all__ = [
@@ -12,7 +11,6 @@ __all__ = [
     "RttEstimator",
     "spawn_rng",
     "QuantileSketch",
-    "SortedFlowList",
     "cdf_points",
     "mean",
     "percentile",

@@ -5,7 +5,11 @@ an arrival *process* has no natural flow count, so open-system builders
 return a :class:`FlowStream` instead — a one-item-lookahead wrapper over
 a generator of arrival-ordered :class:`~repro.workload.flow.FlowSpec`.
 Both engines pull from it incrementally (``take_until`` per admission
-window), so at no point does the whole workload exist in memory.
+window), so at no point does the whole workload exist in memory. The
+fluid engine admits every input this way: it wraps a materialised list
+in a stream over its arrival-sorted copy and runs the same loop, except
+that list flows arriving after the run's deadline are still registered
+(a lazy stream is only read up to the deadline).
 
 A stream carries its own simulated-time ``horizon`` (last possible
 arrival plus a drain margin). The campaign layer uses it as the default

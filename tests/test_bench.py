@@ -187,7 +187,7 @@ class TestHotPathGuard:
         baseline path). Counter harvest happens once per run and tracer
         hooks are one is-None test per lifecycle transition, so anything
         beyond scheduler noise means a per-packet cost crept in."""
-        from repro.bench.harness import _timed_packet_run
+        from repro.bench.harness import _one_packet_run
         from repro.campaign.engines import run_packet_level
 
         scenario = next(s for s in SCENARIOS
@@ -196,8 +196,7 @@ class TestHotPathGuard:
         raw_best = None
         adapter_best = None
         for _ in range(3):
-            elapsed, sim, _ = _timed_packet_run(scenario, quick=True,
-                                                repeat=1)
+            elapsed, sim, _ = _one_packet_run(scenario, quick=True)
             raw = sim.processed_events / elapsed
             raw_best = max(raw_best or 0.0, raw)
 

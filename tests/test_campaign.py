@@ -19,7 +19,7 @@ from repro.campaign import (
     use_runner,
 )
 from repro.campaign.cli import main as cli_main
-from repro.campaign.cli import sweep_specs
+from repro.campaign.cli import sweep_panel
 from repro.campaign.registry import (
     build_topology,
     register_workload,
@@ -307,10 +307,10 @@ class TestParallelRunner:
     def test_sweep_parallel_matches_serial_and_resumes_warm(self, tmp_path):
         """Acceptance: a multi-protocol Fig-4-style grid on 2 workers
         persists results, and the warm run executes zero scenarios."""
-        specs = sweep_specs(
+        specs = sweep_panel(
             protocols=("PDQ(Full)", "RCP"), patterns=("Aggregation",),
             n_flows=4, seeds=(1,),
-        )
+        ).expand()
         assert len(specs) == 2
         serial = CampaignRunner(max_workers=0).run(specs)
         store = ResultStore(tmp_path)

@@ -14,6 +14,7 @@ from repro.flowsim.progress import FlowProgress
 from repro.topology import SingleBottleneck
 from repro.units import KBYTE, MBYTE
 from repro.workload.flow import FlowSpec
+from repro.workload.stream import FlowStream
 
 
 class TestRefreshBoundaryArrival:
@@ -87,6 +88,51 @@ class TestSimultaneousCompletionAndTermination:
         assert opt.to_dict() == naive.to_dict()
 
 
+class TestArrivalAfterDeadline:
+    """An idle engine never jumps past ``deadline``: a flow arriving
+    after it is left alone instead of dragging ``now`` beyond the
+    horizon cap ("fluid engine time went backwards" before the loops
+    were merged). The frozen naive engine raises on this input."""
+
+    def _flows(self):
+        return [
+            FlowSpec(fid=0, src="send0", dst="recv", size_bytes=1 * MBYTE),
+            FlowSpec(fid=1, src="send1", dst="recv", size_bytes=1 * MBYTE,
+                     arrival=5.0),
+        ]
+
+    def _sim(self):
+        return FlowLevelSimulation(SingleBottleneck(2), PdqModel())
+
+    def test_list_registers_the_late_flow_unfinished(self):
+        alone = self._sim().run(self._flows()[:1]).record(0).fct
+        metrics = self._sim().run(self._flows(), deadline=1.0)
+        assert len(metrics) == 2
+        assert metrics.record(0).fct == alone
+        late = metrics.record(1)
+        assert late.start_time == 5.0
+        assert not late.completed and not late.terminated
+        assert [r.spec.fid for r in metrics.unfinished()] == [1]
+
+    def test_stream_never_admits_the_late_flow(self):
+        sim = self._sim()
+        metrics = sim.run(FlowStream(iter(self._flows())), deadline=1.0)
+        assert [r.spec.fid for r in metrics.all_records()] == [0]
+        assert metrics.record(0).completed
+        assert sim.now <= 1.0
+
+    def test_transfer_start_after_deadline_is_not_jumped_to(self):
+        # arrives inside the deadline, but its init_rtts handshake ends
+        # beyond it: admitted and started, never promoted
+        flows = [FlowSpec(fid=0, src="send0", dst="recv",
+                          size_bytes=1 * MBYTE, arrival=0.9)]
+        sim = FlowLevelSimulation(SingleBottleneck(1), PdqModel(),
+                                  init_rtts=1e4)
+        metrics = sim.run(flows, deadline=1.0)
+        assert [r.spec.fid for r in metrics.unfinished()] == [0]
+        assert sim.now <= 1.0
+
+
 class TestMaxRecomputations:
     def test_exhaustion_raises(self):
         flows = [
@@ -96,6 +142,15 @@ class TestMaxRecomputations:
         sim = FlowLevelSimulation(SingleBottleneck(3), PdqModel())
         with pytest.raises(ExperimentError, match="did not converge"):
             sim.run(flows, max_recomputations=2)
+
+    def test_explicit_cap_is_hard_on_a_stream_too(self):
+        flows = [
+            FlowSpec(fid=i, src=f"send{i}", dst="recv", size_bytes=1 * MBYTE)
+            for i in range(3)
+        ]
+        sim = FlowLevelSimulation(SingleBottleneck(3), PdqModel())
+        with pytest.raises(ExperimentError, match=r"\(2 recomputations\)"):
+            sim.run(FlowStream(iter(flows)), max_recomputations=2)
 
     def test_limit_not_hit_counts_match_naive(self):
         flows = [

@@ -4,7 +4,9 @@ bit-identical MetricsCollector output to the frozen pre-optimization code
 
 ``to_dict()`` equality compares every per-flow float exactly, so any
 drift in the allocation arithmetic, event ordering, or completion-time
-location fails these tests.
+location fails these tests. Every case feeds the engine's one loop both
+input shapes — the materialised list and a lazy ``FlowStream`` over the
+same flows — and pins both to the reference.
 """
 
 import pytest
@@ -19,6 +21,7 @@ from repro.flowsim.naive import (
 from repro.flowsim.pdq_model import PdqModel
 from repro.flowsim.rcp_model import RcpModel
 from repro.units import KBYTE, MSEC
+from repro.workload.stream import FlowStream
 
 # importing the figure modules registers their workload kinds
 import repro.experiments.fig3  # noqa: F401
@@ -27,21 +30,27 @@ import repro.experiments.fig8  # noqa: F401
 from repro.campaign.registry import build_topology, build_workload
 
 
+def _as_stream(flows):
+    return FlowStream(iter(sorted(flows, key=lambda s: s.arrival)))
+
+
 def _run_both(topology_kind, topology_params, workload_kind, workload_params,
               model_factory, seed=1, sim_deadline=4.0, **engine_kwargs):
     """Run optimized and naive engines on the same scenario; return the
-    two metrics dicts."""
-    results = []
-    for engine_cls, wrap in (
-        (FlowLevelSimulation, lambda m: m),
-        (NaiveFlowLevelSimulation, naive_model_for),
-    ):
+    two metrics dicts. The optimized engine runs twice, over the list and
+    over a lazy stream of it, and the two must agree bit for bit, so the
+    one dict returned stands for both input shapes."""
+    def run(engine_cls, wrap, shape):
         topology = build_topology(topology_kind, topology_params)
         flows = build_workload(workload_kind, topology, seed,
                                workload_params)
         sim = engine_cls(topology, wrap(model_factory()), **engine_kwargs)
-        results.append(sim.run(flows, deadline=sim_deadline).to_dict())
-    return results
+        return sim.run(shape(flows), deadline=sim_deadline).to_dict()
+
+    opt = run(FlowLevelSimulation, lambda m: m, list)
+    streamed = run(FlowLevelSimulation, lambda m: m, _as_stream)
+    assert streamed == opt, "lazy FlowStream input diverged from the list"
+    return opt, run(NaiveFlowLevelSimulation, naive_model_for, list)
 
 
 FIG3_GRID = [

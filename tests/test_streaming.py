@@ -1,11 +1,14 @@
 """Open-system streaming: workload generators, memory-bounded metrics,
 incremental admission in both engines, and the campaign wiring.
 
-The closed-batch path is pinned elsewhere (test_flowsim_parity pins the
-fluid trajectories bit-identically); here we assert the streaming path
-(1) produces the same physics as materializing the same stream into a
-closed batch, (2) keeps memory O(concurrency) rather than O(flows), and
-(3) serializes through the existing collector schema untouched.
+The fluid engine has one loop for lists and lazy streams, and
+test_flowsim_parity pins its trajectories bit-identically against the
+naive reference for both input shapes. Here we assert what is particular
+to streaming: (1) the workload generators and the memory-bounded
+collector give the same physics as materializing the same stream into a
+list with exact metrics, (2) memory stays O(concurrency) rather than
+O(flows), and (3) payloads serialize through the existing collector
+schema untouched.
 """
 
 import json

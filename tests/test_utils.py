@@ -1,12 +1,10 @@
-"""Tests for shared utilities: EWMA, RNG plumbing, sorted list, stats."""
+"""Tests for shared utilities: EWMA, RNG plumbing, stats."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.errors import FlowListError, ProtocolError
 from repro.utils.ewma import Ewma, RttEstimator
 from repro.utils.rng import spawn_rng
-from repro.utils.sortedlist import SortedFlowList
 from repro.utils.stats import cdf_points, fraction_at_most, mean, percentile
 
 
@@ -96,67 +94,6 @@ class TestSpawnRng:
     def test_generator_passthrough(self):
         gen = spawn_rng(3)
         assert spawn_rng(gen) is gen
-
-
-class TestSortedFlowList:
-    def test_insert_keeps_order(self):
-        lst = SortedFlowList(key=lambda x: x)
-        for v in [5, 1, 3, 2, 4]:
-            lst.insert(v)
-        assert lst.as_list() == [1, 2, 3, 4, 5]
-
-    def test_insert_returns_index(self):
-        lst = SortedFlowList(key=lambda x: x)
-        assert lst.insert(5) == 0
-        assert lst.insert(1) == 0
-        assert lst.insert(3) == 1
-
-    def test_equal_keys_stable(self):
-        lst = SortedFlowList(key=lambda pair: pair[0])
-        lst.insert((1, "first"))
-        lst.insert((1, "second"))
-        assert lst.as_list() == [(1, "first"), (1, "second")]
-
-    def test_remove(self):
-        lst = SortedFlowList(key=lambda x: x)
-        lst.insert(1)
-        assert lst.remove(1) is True
-        assert lst.remove(1) is False
-
-    def test_least_critical(self):
-        lst = SortedFlowList(key=lambda x: x)
-        assert lst.least_critical() is None
-        lst.insert(2)
-        lst.insert(9)
-        assert lst.least_critical() == 9
-        assert lst.pop_least_critical() == 9
-
-    def test_empty_pop_raises_flowlist_error(self):
-        lst = SortedFlowList(key=lambda x: x)
-        with pytest.raises(FlowListError, match="empty flow list"):
-            lst.pop_least_critical()
-        # a scheduler bug, so it must be catchable as a protocol error
-        assert issubclass(FlowListError, ProtocolError)
-
-    def test_pop_drains_then_raises(self):
-        lst = SortedFlowList(key=lambda x: x)
-        lst.insert(1)
-        assert lst.pop_least_critical() == 1
-        with pytest.raises(FlowListError):
-            lst.pop_least_critical()
-
-    def test_empty_least_critical_and_index_of(self):
-        lst = SortedFlowList(key=lambda x: x)
-        assert lst.least_critical() is None
-        with pytest.raises(ValueError):
-            lst.index_of(7)
-
-    @given(st.lists(st.integers(), min_size=1, max_size=100))
-    def test_property_matches_sorted(self, values):
-        lst = SortedFlowList(key=lambda x: x)
-        for v in values:
-            lst.insert(v)
-        assert lst.as_list() == sorted(values)
 
 
 class TestStats:
