@@ -178,7 +178,8 @@ class CampaignRunner:
         outcomes: dict[str, ScenarioOutcome] = {}
         pending: list[ScenarioSpec] = []
         for key, spec in unique.items():
-            collector = self.store.get(spec) if self.store else None
+            collector = (self.store.get(spec) if self.store is not None
+                         else None)
             if collector is not None:
                 outcomes[key] = ScenarioOutcome(
                     spec=spec, key=key, collector=collector, cached=True

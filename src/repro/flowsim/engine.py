@@ -81,6 +81,12 @@ class FlowLevelSimulation:
         #: flat list indexed by dense directed-edge id (FlowProgress.path
         #: holds the matching ids); rate models copy and index it directly
         self.capacities: list[float] = self.router.capacity_vector()
+        #: path -> (max_rate, rtt): both depend on the path and the
+        #: capacity vector alone, and a streamed flow almost always rides
+        #: a path an earlier flow already priced (one entry per distinct
+        #: pinned path: host pairs on a tree). Dropped whenever a fault
+        #: epoch rewrites the capacities.
+        self._path_costs: dict[tuple[int, ...], tuple[float, float]] = {}
         self.now = 0.0
         self.recomputations = 0  # allocate() calls
         self.iterations = 0      # main-loop passes (event boundaries)
@@ -143,11 +149,22 @@ class FlowLevelSimulation:
             rtt += 2.0 * (_PER_HOP_DELAY + tx_time(self.header_bytes, rate))
         return rtt
 
-    def _make_progress(self, spec: FlowSpec) -> FlowProgress:
+    def _pinned_path(
+        self, spec: FlowSpec,
+    ) -> tuple[tuple[int, ...], float, float]:
+        """``(path, max_rate, rtt)`` of ``spec`` on the current topology."""
         path = self.router.flow_path_ids(spec.fid, spec.src, spec.dst)
-        capacities = self.capacities
-        max_rate = min(capacities[eid] for eid in path)
-        rtt = self._estimate_rtt(path)
+        costs = self._path_costs.get(path)
+        if costs is None:
+            capacities = self.capacities
+            costs = self._path_costs[path] = (
+                min(capacities[eid] for eid in path),
+                self._estimate_rtt(path),
+            )
+        return (path, *costs)
+
+    def _make_progress(self, spec: FlowSpec) -> FlowProgress:
+        path, max_rate, rtt = self._pinned_path(spec)
         return FlowProgress(
             spec=spec,
             path=path,
@@ -378,6 +395,7 @@ class FlowLevelSimulation:
         capacities = self.capacities
         for eid in range(len(capacities)):
             capacities[eid] = 0.0 if eid in down_ids else base[eid]
+        self._path_costs.clear()
         self._reroute_fluid_flows(waiting, active, down_ids)
 
     def _reroute_fluid_flows(self, waiting: list, active: list,
@@ -406,19 +424,14 @@ class FlowLevelSimulation:
     def _repath_flow(self, flow: FlowProgress) -> bool:
         """Re-pin ``flow`` on the surviving topology; False (and the flow
         terminated) when no route is left."""
-        spec = flow.spec
         try:
-            path = self.router.flow_path_ids(spec.fid, spec.src, spec.dst)
+            flow.path, flow.max_rate, flow.rtt = self._pinned_path(flow.spec)
         except RoutingError:
             flow.departed = True
             self.metrics.on_terminated(
-                spec.fid, self.now, "fault: no route after failure"
+                flow.fid, self.now, "fault: no route after failure"
             )
             return False
-        capacities = self.capacities
-        flow.path = path
-        flow.max_rate = min(capacities[eid] for eid in path)
-        flow.rtt = self._estimate_rtt(path)
         return True
 
     # -- helpers ---------------------------------------------------------------------------

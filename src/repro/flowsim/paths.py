@@ -17,13 +17,6 @@ from repro.topology.base import Topology
 #: a directed edge between named nodes
 Edge = tuple[str, str]
 
-#: pinned-path cache bound: each flow asks for its path once, so the
-#: cache only earns hits on re-launched fids; past this many entries
-#: (an open-system stream of fresh fids) it is cleared rather than
-#: allowed to grow O(flows) — kept small so the cache, not the live
-#: flow set, never dominates a streaming run's peak memory
-PATH_CACHE_LIMIT = 4096
-
 
 class GraphRouter:
     """ECMP path pinning on a topology graph (no Link objects needed)."""
@@ -45,9 +38,15 @@ class GraphRouter:
             self._out[a].append((eid, b))
         for neighbors in self._out.values():
             neighbors.sort()
+        #: edge id -> named edge (inverse of ``edge_index``)
+        self._edges: list[Edge] = sorted(
+            self.edge_index, key=self.edge_index.__getitem__)
         self._dist_cache: dict[str, dict[str, int]] = {}
-        self._path_cache: dict[tuple[int, str, str], tuple[Edge, ...]] = {}
-        self._path_ids_cache: dict[tuple[int, str, str], tuple[int, ...]] = {}
+        #: path templates: the edge ids of every ``(src, dst)`` pair whose
+        #: walk met a single next-hop candidate at each hop. Such a path
+        #: never consults the ECMP hash, so it holds for every fid; the
+        #: table is bounded by host pairs however many flows stream by.
+        self._templates: dict[tuple[str, str], tuple[int, ...]] = {}
         #: directed edge ids excluded from routing (fault injection);
         #: always populated in symmetric pairs — both directions of a
         #: failed cable — so the reversed-adjacency BFS stays correct
@@ -67,34 +66,25 @@ class GraphRouter:
             return
         self._down_edges = down
         self._dist_cache.clear()
-        self._path_cache.clear()
-        self._path_ids_cache.clear()
+        self._templates.clear()
 
     def flow_path(self, fid: int, src: str, dst: str) -> tuple[Edge, ...]:
-        key = (fid, src, dst)
-        path = self._path_cache.get(key)
-        if path is None:
-            path = self._compute(fid, src, dst)
-            if len(self._path_cache) >= PATH_CACHE_LIMIT:
-                self._path_cache.clear()
-            self._path_cache[key] = path
-        return path
+        """Same pinned path as :meth:`flow_path_ids`, as named edges (the
+        reference engine's representation)."""
+        edges = self._edges
+        return tuple(edges[eid] for eid in self.flow_path_ids(fid, src, dst))
 
     def flow_path_ids(self, fid: int, src: str, dst: str) -> tuple[int, ...]:
-        """Same pinned path as :meth:`flow_path`, as dense edge ids.
+        """Pinned path of flow ``fid`` as dense edge ids.
 
         The optimized flow-level engine stores these on
         :class:`~repro.flowsim.progress.FlowProgress` so rate models index
-        flat residual-capacity lists instead of hashing name tuples.
+        flat residual-capacity lists instead of hashing name tuples. A
+        pair with a template returns the same tuple object every time.
         """
-        key = (fid, src, dst)
-        ids = self._path_ids_cache.get(key)
+        ids = self._templates.get((src, dst))
         if ids is None:
-            index = self.edge_index
-            ids = tuple(index[edge] for edge in self.flow_path(fid, src, dst))
-            if len(self._path_ids_cache) >= PATH_CACHE_LIMIT:
-                self._path_ids_cache.clear()
-            self._path_ids_cache[key] = ids
+            ids = self._walk(fid, src, dst)
         return ids
 
     def hop_count(self, src: str, dst: str) -> int:
@@ -141,26 +131,37 @@ class GraphRouter:
         self._dist_cache[dst] = dist
         return dist
 
-    def _compute(self, fid: int, src: str, dst: str) -> tuple[Edge, ...]:
+    def _walk(self, fid: int, src: str, dst: str) -> tuple[int, ...]:
+        """Hop by hop down the distance table toward ``dst``; the ECMP
+        hash is consulted only where more than one next hop is equally
+        close. A walk that never needed it is stored as the pair's
+        template."""
         if src == dst:
             raise RoutingError("flow src equals dst")
         dist = self._distances(dst)
         if src not in dist:
             raise RoutingError(f"no route {src} -> {dst}")
         down = self._down_edges
-        path: list[Edge] = []
+        out = self._out
+        ids: list[int] = []
+        fid_free = True
         node = src
         while node != dst:
-            here = dist[node]
+            closer = dist[node] - 1
             candidates = [
-                (lid, nb) for lid, nb in self._out[node]
-                if lid not in down and dist.get(nb, here) == here - 1
+                hop for hop in out[node]
+                if hop[0] not in down and dist.get(hop[1]) == closer
             ]
             if not candidates:
                 raise RoutingError(f"routing dead-end at {node} toward {dst}")
-            pick = candidates[
-                ecmp_hash(fid, self._node_id[node]) % len(candidates)
-            ]
-            path.append((node, pick[1]))
-            node = pick[1]
-        return tuple(path)
+            if len(candidates) > 1:
+                fid_free = False
+                pick = ecmp_hash(fid, self._node_id[node]) % len(candidates)
+                eid, node = candidates[pick]
+            else:
+                eid, node = candidates[0]
+            ids.append(eid)
+        path = tuple(ids)
+        if fid_free:
+            self._templates[(src, dst)] = path
+        return path

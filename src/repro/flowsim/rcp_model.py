@@ -14,56 +14,124 @@ from __future__ import annotations
 from repro.flowsim.progress import EdgeToken, FlowProgress
 
 
+_INF = float("inf")
+
+
 def max_min_rates(flows: list[FlowProgress],
                   capacities) -> dict[int, float]:
-    """Progressive-filling max-min allocation honoring per-flow max rates."""
-    rates: dict[int, float] = {f.fid: 0.0 for f in flows}
-    residual = capacities.copy()
-    unfrozen: set[int] = {f.fid for f in flows}
-    by_fid = {f.fid: f for f in flows}
-    # flows per link (only links actually used)
-    link_flows: dict[EdgeToken, set[int]] = {}
-    for flow in flows:
-        for edge in flow.path:
-            link_flows.setdefault(edge, set()).add(flow.fid)
+    """Progressive-filling max-min allocation honoring per-flow max rates.
 
-    for _ in range(len(flows) + len(link_flows) + 1):
-        if not unfrozen:
-            break
+    Every float operation of the textbook loop
+    (:func:`repro.flowsim.naive.naive_max_min_rates`) is performed in
+    the same order, so the result is bit-identical; only the bookkeeping
+    around them differs. Unfrozen flows have all received the same
+    increments, so one scalar ``level`` is their common rate; each edge
+    in use carries a count of the unfrozen flows crossing it,
+    decremented as flows freeze, next to its residual; and a round
+    whose outcome is already decided -- one flow left, or every flow
+    left capped -- skips the bookkeeping nobody will read.
+    Paths are simple (no edge twice).
+    """
+    rates: dict[int, float] = {}
+    # per edge in use, in first-use order: [unfrozen flows crossing it,
+    # residual capacity]
+    links: dict[EdgeToken, list] = {}
+    n_flows = len(flows)
+    if n_flows > 1:
+        for flow in flows:
+            rates[flow.fid] = 0.0
+            for edge in flow.path:
+                if edge in links:
+                    links[edge][0] += 1
+                else:
+                    links[edge] = [1, capacities[edge]]
+    unfrozen = flows
+    level = 0.0
+
+    for _ in range(n_flows + len(links) + 1):
+        if len(unfrozen) < 2:
+            if not unfrozen:
+                break
+            # a lone flow is capped at its own maximum, or takes what
+            # is left of its tightest edge whole (offered alone, nothing
+            # has been subtracted yet and ``links`` was never built)
+            flow = unfrozen[0]
+            bottleneck = _INF
+            for edge in flow.path:
+                residual = links[edge][1] if links else capacities[edge]
+                if residual < bottleneck:
+                    bottleneck = residual
+            if bottleneck == _INF:
+                break
+            rates[flow.fid] = (
+                flow.max_rate
+                if flow.max_rate - level <= bottleneck + 1e-9
+                else level + bottleneck)
+            return rates
         # the tightest link determines the next increment
-        bottleneck_share = float("inf")
-        for edge, members in link_flows.items():
-            active = members & unfrozen
-            if not active:
-                continue
-            share = residual[edge] / len(active)
-            bottleneck_share = min(bottleneck_share, share)
-        if bottleneck_share == float("inf"):
+        bottleneck_share = _INF
+        for crossing, residual in links.values():
+            if crossing:
+                share = residual / crossing
+                if share < bottleneck_share:
+                    bottleneck_share = share
+        if bottleneck_share == _INF:
             break
         # flows capped below the share freeze at their cap first
-        capped = [
-            fid for fid in unfrozen
-            if by_fid[fid].max_rate - rates[fid] <= bottleneck_share + 1e-9
-        ]
+        limit = bottleneck_share + 1e-9
+        capped = []
+        still = []
+        for flow in unfrozen:
+            if flow.max_rate - level <= limit:
+                capped.append(flow)
+            else:
+                still.append(flow)
         if capped:
-            for fid in capped:
-                increment = by_fid[fid].max_rate - rates[fid]
-                rates[fid] = by_fid[fid].max_rate
-                for edge in by_fid[fid].path:
-                    residual[edge] -= increment
-                unfrozen.discard(fid)
+            if not still:
+                # last round: nobody is left to read the residuals
+                for flow in capped:
+                    rates[flow.fid] = flow.max_rate
+                return rates
+            if len(capped) > 1:
+                capped = _in_fid_set_order(capped, flows)
+            for flow in capped:
+                increment = flow.max_rate - level
+                rates[flow.fid] = flow.max_rate
+                for edge in flow.path:
+                    link = links[edge]
+                    link[0] -= 1
+                    link[1] -= increment
+            unfrozen = still
             continue
         # otherwise saturate the bottleneck link(s)
-        for fid in list(unfrozen):
-            rates[fid] += bottleneck_share
-        for edge, members in link_flows.items():
-            active = members & unfrozen
-            residual[edge] -= bottleneck_share * len(active)
-        for edge, members in link_flows.items():
-            if residual[edge] <= 1e-6:
-                for fid in members & unfrozen:
-                    unfrozen.discard(fid)
+        level += bottleneck_share
+        for link in links.values():
+            link[1] -= bottleneck_share * link[0]
+        still = []
+        for flow in unfrozen:
+            for edge in flow.path:
+                if links[edge][1] <= 1e-6:
+                    rates[flow.fid] = level
+                    for crossed in flow.path:
+                        links[crossed][0] -= 1
+                    break
+            else:
+                still.append(flow)
+        unfrozen = still
+    for flow in unfrozen:
+        rates[flow.fid] = level
     return rates
+
+
+def _in_fid_set_order(capped: list, flows: list) -> list:
+    """``capped`` in the order a set of all the fids iterates.
+
+    The reference freezes capped flows while iterating such a set, and
+    the order in which their increments leave a shared edge's residual
+    decides its last bits.
+    """
+    by_fid = {f.fid: f for f in capped}
+    return [by_fid[fid] for fid in {f.fid for f in flows} if fid in by_fid]
 
 
 class RcpModel:

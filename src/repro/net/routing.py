@@ -16,9 +16,9 @@ from repro.errors import RoutingError
 from repro.net.link import Link
 from repro.net.node import Node
 
-#: pinned-path cache bound (mirrors repro.flowsim.paths.PATH_CACHE_LIMIT):
-#: open-system streams route an unbounded sequence of fresh fids, so the
-#: cache clears instead of growing O(flows)
+#: pinned-path cache bound: open-system streams route an unbounded
+#: sequence of fresh fids, so the fid-keyed cache clears instead of
+#: growing O(flows)
 PATH_CACHE_LIMIT = 4096
 
 

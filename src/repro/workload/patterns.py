@@ -65,14 +65,15 @@ def stride_flows(hosts: Sequence[str], stride: int, sizes: Sequence[int],
                  deadlines: Sequence[float | None] | None = None,
                  arrivals: Sequence[float] | None = None,
                  fid_start: int = 0) -> list[FlowSpec]:
-    """Stride(i): host x sends to host (x + i) mod N. ``sizes`` must have
-    one entry per host (or fewer, using the first hosts)."""
+    """Stride(i): host x sends to host (x + i) mod N, one flow per entry
+    of ``sizes``; past N entries the senders wrap around."""
     n = len(hosts)
     if n < 2:
         raise WorkloadError("stride needs >= 2 hosts")
     if stride % n == 0:
         raise WorkloadError(f"stride {stride} maps hosts onto themselves")
-    pairs = [(hosts[x], hosts[(x + stride) % n]) for x in range(len(sizes))]
+    pairs = [(hosts[x % n], hosts[(x + stride) % n])
+             for x in range(len(sizes))]
     return _build(pairs, sizes, deadlines, arrivals, fid_start)
 
 

@@ -257,6 +257,27 @@ class TestSerialRunner:
         for a, b in zip(cold.collectors(), warm.collectors(), strict=True):
             assert a.to_dict() == b.to_dict()
 
+    def test_store_lookup_never_counts_the_store(self, tmp_path,
+                                                 monkeypatch):
+        """``len(store)`` globs the directory; the runner asks whether
+        it *has* a store, so a warm pass costs N reads and no glob, and
+        an empty store is still consulted."""
+        lens, gets = [], []
+        monkeypatch.setattr(ResultStore, "__len__",
+                            lambda self: lens.append(1) or 0)
+        get = ResultStore.get
+        monkeypatch.setattr(
+            ResultStore, "get",
+            lambda self, spec: gets.append(spec.key) or get(self, spec))
+        specs = [_flow_spec(seed=s) for s in (1, 2, 3)]
+        store = ResultStore(tmp_path)
+        CampaignRunner(store=store).run(specs)
+        assert gets == [spec.key for spec in specs]  # empty, yet asked
+        warm = CampaignRunner(store=store).run(specs)
+        assert warm.cached_count == 3
+        assert len(gets) == 6
+        assert not lens
+
     def test_duplicate_specs_run_once(self):
         result = CampaignRunner().run([_flow_spec(), _flow_spec()])
         assert len(result.outcomes) == 2

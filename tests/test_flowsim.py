@@ -1,9 +1,12 @@
 """Tests for the flow-level (fluid) simulator and its rate models."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.flowsim import D3Model, FlowLevelSimulation, PdqModel, RcpModel
+from repro.flowsim.naive import NaiveD3Model, naive_max_min_rates
 from repro.flowsim.progress import FlowProgress
 from repro.flowsim.rcp_model import max_min_rates
 from repro.topology import SingleBottleneck, SingleRootedTree
@@ -59,6 +62,86 @@ class TestMaxMinRates:
         assert sum(rates.values()) <= 0.5 * GBPS * (1 + 1e-6)
         for i, m in enumerate(max_rates):
             assert rates[i] <= m * (1 + 1e-9)
+
+
+def _random_allocation_case(seed):
+    """1-16 flows on random simple 2-6-edge paths over 3-8 edges of
+    mixed capacity (every third case has a fault-down, zero-capacity
+    edge). Max rates are the path's bottleneck or well under it, so
+    rounds that cap several flows of different headroom on a shared
+    edge -- where the order of subtraction shows in the last bits --
+    do occur. Every fourth flow carries a deadline (for D3)."""
+    rng = random.Random(seed)
+    caps = [rng.choice([1 * GBPS, 10 * GBPS, 0.1 * GBPS,
+                        rng.uniform(1e6, 1e10)])
+            for _ in range(rng.randint(3, 8))]
+    if seed % 3 == 0:
+        caps[rng.randrange(len(caps))] = 0.0
+    flows = []
+    for fid in rng.sample(range(100_000), rng.randint(1, 16)):
+        path = rng.sample(range(len(caps)),
+                          rng.randint(2, min(6, len(caps))))
+        max_rate = rng.choice([min(caps[e] for e in path),
+                               rng.uniform(1e5, 1e9),
+                               rng.uniform(1e5, 1e9)])
+        spec = FlowSpec(fid=fid, src="a", dst="b", size_bytes=100 * KBYTE,
+                        arrival=rng.choice([0.0, 1 * MSEC]),
+                        deadline=rng.choice([None, None, None, 20 * MSEC]))
+        flows.append(FlowProgress(spec, path, max_rate, rtt=150e-6,
+                                  wire_size=float(100 * KBYTE),
+                                  transfer_start=0.0))
+    return flows, caps
+
+
+class TestMaxMinAgainstReference:
+    """The counting allocator performs the reference's float operations
+    in the reference's order: results are equal, not approximately."""
+
+    @pytest.mark.parametrize("block", range(8))
+    def test_bit_identical_to_naive_for_both_capacity_shapes(self, block):
+        for seed in range(block * 250, (block + 1) * 250):
+            flows, caps = _random_allocation_case(seed)
+            as_dict = dict(enumerate(caps))
+            expected = naive_max_min_rates(flows, as_dict)
+            for capacities in (caps, as_dict):
+                untouched = capacities.copy()
+                assert max_min_rates(flows, capacities) == expected, seed
+                assert capacities == untouched, seed
+
+    def test_d3_leftover_pass_bit_identical_to_naive(self):
+        for seed in range(500):
+            flows, caps = _random_allocation_case(seed)
+            expected = NaiveD3Model().allocate(
+                flows, dict(enumerate(caps)), now=2 * MSEC)
+            assert D3Model().allocate(flows, caps, now=2 * MSEC) \
+                == expected, seed
+
+    def test_max_min_certificate(self):
+        """No edge over capacity, and every flow either runs at its
+        maximal rate or crosses a saturated edge on which no flow is
+        faster -- the condition that characterises max-min fairness."""
+        for seed in range(500):
+            flows, caps = _random_allocation_case(seed)
+            rates = max_min_rates(flows, caps)
+            slack = 1e-6 * max(caps)
+            load = [0.0] * len(caps)
+            fastest = [0.0] * len(caps)
+            for flow in flows:
+                for edge in flow.path:
+                    load[edge] += rates[flow.fid]
+                    fastest[edge] = max(fastest[edge], rates[flow.fid])
+            for edge, cap in enumerate(caps):
+                assert load[edge] <= cap + slack, (seed, edge)
+            for flow in flows:
+                rate = rates[flow.fid]
+                assert rate <= flow.max_rate
+                if rate == flow.max_rate:
+                    continue
+                assert any(
+                    load[edge] >= caps[edge] - slack
+                    and rate >= fastest[edge] - slack
+                    for edge in flow.path
+                ), (seed, flow.fid)
 
 
 class TestPdqModel:

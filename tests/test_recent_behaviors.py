@@ -6,11 +6,13 @@ import pytest
 
 from repro.core.stack import PdqStack
 from repro.errors import TopologyError
+from repro.experiments.fig4 import pattern_flows
 from repro.experiments.search import binary_search_max
 from repro.net.network import Network
 from repro.topology import BCube, SingleBottleneck
 from repro.transport.rcp import FEEDBACK_RTTS, floor_rate
 from repro.units import GBPS, KBYTE, MBYTE
+from repro.workload.patterns import stride_flows
 from repro.workload.vl2 import vl2_flow_sizes
 
 
@@ -149,3 +151,26 @@ class TestMpdqSourceRouting:
         coordinator, _ = net.stack.make_endpoints(net, spec, record, fwd, rev)
         first_hops = {s.path[0].dst.name for s in coordinator.senders}
         assert len(first_hops) == 4  # one NIC per subflow
+
+
+class TestStrideBeyondHostCount:
+    """Stride patterns with more flows than hosts wrap the senders
+    around (``repro run-fig 4 --jobs 0`` asks for 32 flows on the
+    12-server tree and used to die with an IndexError)."""
+
+    def test_senders_wrap_and_short_inputs_are_unchanged(self):
+        hosts = [f"h{i}" for i in range(12)]
+        flows = stride_flows(hosts, 1, [10 * KBYTE] * 32)
+        assert [(f.src, f.dst) for f in flows] == [
+            (hosts[x % 12], hosts[(x + 1) % 12]) for x in range(32)
+        ]
+        assert flows[:12] == stride_flows(hosts, 1, [10 * KBYTE] * 12)
+
+    @pytest.mark.parametrize("pattern", ["Stride(1)", "Stride(N/2)"])
+    def test_fig4_patterns_build_32_flows(self, pattern):
+        flows = pattern_flows(pattern, 32, seed=1)
+        assert [f.fid for f in flows] == list(range(32))
+        stride = 1 if pattern == "Stride(1)" else 6
+        for flow in flows:
+            src, dst = int(flow.src[1:]), int(flow.dst[1:])
+            assert dst == (src + stride) % 12

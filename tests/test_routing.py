@@ -1,13 +1,17 @@
 """Tests for ECMP routing, path pinning, and packet/flow-level agreement."""
 
+import random
+
 import pytest
 
 from repro.core.stack import PdqStack
 from repro.errors import RoutingError
+from repro.flowsim import FlowLevelSimulation, RcpModel
 from repro.flowsim.paths import GraphRouter
 from repro.net.network import Network
 from repro.net.routing import ecmp_hash
 from repro.topology import BCube, FatTree, SingleRootedTree
+from repro.topology.random_graph import RandomGraph
 
 
 @pytest.fixture(scope="module")
@@ -170,3 +174,109 @@ class TestEdgeIndex:
         assert len(vector) == len(caps)
         for edge, eid in router.edge_index.items():
             assert vector[eid] == caps[edge]
+
+
+def _random_lookups(topo, n=200, seed=14):
+    rng = random.Random(seed)
+    hosts = topo.hosts
+    return [(rng.randrange(1_000_000), *rng.sample(hosts, 2))
+            for _ in range(n)]
+
+
+class TestPathTemplates:
+    """GraphRouter keeps one path per (src, dst) pair whose walk never
+    needed the ECMP hash, and walks the rest per fid. Either way the
+    result is the per-fid walk of the packet-level Router, an
+    independent implementation of the same pinning rule."""
+
+    @staticmethod
+    def _assert_agrees(router, net, lookups):
+        for fid, src, dst in lookups:
+            args = (fid, net.node(src).id, net.node(dst).id)
+            try:
+                expected = tuple(lk.link_id
+                                 for lk in net.router.flow_path(*args))
+            except RoutingError:
+                with pytest.raises(RoutingError):
+                    router.flow_path_ids(fid, src, dst)
+                continue
+            assert router.flow_path_ids(fid, src, dst) == expected
+
+    @pytest.mark.parametrize("topo_factory", [
+        lambda: SingleRootedTree(),
+        lambda: FatTree(4),
+        lambda: RandomGraph(n_switches=8, seed=3),
+    ], ids=["single_rooted", "fattree", "random_graph"])
+    def test_same_links_as_packet_router_across_a_link_flap(self,
+                                                           topo_factory):
+        topo = topo_factory()
+        net = Network(topo, PdqStack())
+        router = GraphRouter(topo)
+        lookups = _random_lookups(topo)
+        self._assert_agrees(router, net, lookups)
+
+        # fail the middle cable of one pinned path, both directions
+        ids = router.flow_path_ids(*lookups[0])
+        down = ids[len(ids) // 2]
+        cable = (net.links[down], net.links[down].reverse)
+        for link in cable:
+            link.fail()
+        net.router.invalidate_routes()
+        router.set_down_edges({link.link_id for link in cable})
+        self._assert_agrees(router, net, lookups)
+        try:
+            detour = router.flow_path_ids(*lookups[0])
+        except RoutingError:
+            detour = ()  # a tree has no second path: the pair is cut off
+        assert down not in detour
+
+        for link in cable:
+            link.restore()
+        net.router.invalidate_routes()
+        router.set_down_edges(())
+        self._assert_agrees(router, net, lookups)
+        assert router.flow_path_ids(*lookups[0]) == ids
+
+    def test_fattree_has_both_kinds_of_pair(self):
+        topo = FatTree(4)
+        router = GraphRouter(topo)
+        # h0 and h1 share an edge switch: one path, whatever the fid
+        assert router.flow_path_ids(1, "h0", "h1") \
+            is router.flow_path_ids(2, "h0", "h1")
+        # h0 -> h15 crosses pods: the fid picks among the cores
+        assert len({router.flow_path_ids(fid, "h0", "h15")
+                    for fid in range(64)}) > 1
+
+    @pytest.mark.parametrize("topo_factory", [
+        lambda: SingleRootedTree(), lambda: FatTree(4),
+    ], ids=["single_rooted", "fattree"])
+    def test_caches_are_bounded_by_host_pairs_not_by_flows(self,
+                                                           topo_factory):
+        topo = topo_factory()
+        router = GraphRouter(topo)
+        rng = random.Random(14)
+        hosts = topo.hosts
+        for fid in range(50_000):
+            router.flow_path_ids(fid, *rng.sample(hosts, 2))
+        pairs = len(hosts) * (len(hosts) - 1)
+        assert len(router._templates) <= pairs
+        assert len(router._dist_cache) <= len(hosts)
+
+    def test_stream_walks_each_host_pair_at_most_once(self, monkeypatch):
+        """A count, not a timing: on a tree a 2 000-flow stream may walk
+        the graph once per host pair and never again."""
+        from repro.bench.scenarios import build_stream_vl2
+
+        walks = []
+        walk = GraphRouter._walk
+        monkeypatch.setattr(
+            GraphRouter, "_walk",
+            lambda self, fid, src, dst: walks.append((src, dst))
+            or walk(self, fid, src, dst))
+        topo, stream = build_stream_vl2(2_000)
+        sim = FlowLevelSimulation(topo, RcpModel())
+        collector = sim.run(stream, deadline=stream.horizon)
+        assert len(collector.records) > 1_500
+        pairs = len(topo.hosts) * (len(topo.hosts) - 1)
+        assert len(walks) == len(set(walks)) <= pairs
+        assert len(sim._path_costs) <= pairs

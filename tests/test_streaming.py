@@ -333,8 +333,8 @@ class TestEngineEquivalence:
     def test_fluid_memory_is_flat_in_flow_count(self):
         """Direct O(1)-memory evidence at test scale: 4x the flows must
         cost well under 1.5x the peak traced bytes. Both cells sit past
-        the bounded path caches' fill knee (PATH_CACHE_LIMIT entries), so
-        any growth left is real per-flow retention."""
+        the point where every host pair of the tree has its path
+        template, so any growth left is real per-flow retention."""
         from repro.bench.scenarios import build_stream_vl2
 
         def peak(n):
