@@ -21,15 +21,6 @@ Subcommands::
     repro ls [--cache DIR]
         list the cached scenario results.
 
-    repro bench [--quick] [--only NAME ...] [--no-baseline] [--no-mem]
-                [--repeat N]
-                [--profile [--profile-top N] [--profile-out PATH]]
-        Time the simulation engines on canonical scenarios (flow-level
-        cells against the frozen naive baseline, packet-level cells for
-        events/sec trajectory) and write BENCH_flowsim.json.
-        ``--profile`` additionally cProfiles each benchmark and dumps the
-        top functions by cumulative time to stderr (or ``--profile-out``).
-
     repro validate [--quick] [--only FAMILY ...] [--jobs J] ...
         Run matched packet/fluid scenario pairs through the campaign
         runner, assert cross-engine agreement within declared tolerances,
@@ -106,6 +97,16 @@ def _make_runner(args: argparse.Namespace, verbose: bool) -> CampaignRunner:
         progress=_print_progress if verbose else None,
         trace_dir=getattr(args, "trace_dir", None),
     )
+
+
+def _existing_store(path: str) -> ResultStore:
+    """The store a read-only command (``ls``, ``report``) inspects.
+    ``ResultStore`` creates its root, which is right for commands that
+    write results and wrong for ones that only read: a mistyped path
+    must fail, not leave an empty directory behind."""
+    if not os.path.isdir(path):
+        raise CampaignError(f"no result store at {path}")
+    return ResultStore(path)
 
 
 # -- run-fig ------------------------------------------------------------------------
@@ -306,7 +307,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_ls(args: argparse.Namespace) -> int:
     from repro.experiments.tables import format_table
 
-    store = ResultStore(args.cache)
+    store = _existing_store(args.cache)
     entries = store.entries()
     if not entries:
         print(f"no cached results under {store.root}")
@@ -327,84 +328,6 @@ def _cmd_ls(args: argparse.Namespace) -> int:
         ["key", "scenario", "done", "flows", "mean_fct_ms", "run_s"],
         rows, title=f"{len(entries)} cached result(s) under {store.root}",
     ))
-    return 0
-
-
-# -- bench --------------------------------------------------------------------------
-
-
-def _dump_profile(profiler, name: str, top: int, path: str | None) -> None:
-    """Print one benchmark's cProfile top-``top`` by cumulative time to
-    ``path`` (append, so a multi-scenario run collects into one file) or
-    to stderr, keeping the timing table on stdout clean."""
-    import pstats
-
-    with contextlib.ExitStack() as stack:
-        stream = stack.enter_context(open(path, "a")) if path else sys.stderr
-        print(f"-- profile: {name} (top {top} by cumulative) --", file=stream)
-        stats = pstats.Stats(profiler, stream=stream)
-        stats.strip_dirs().sort_stats("cumulative").print_stats(top)
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench import SCENARIOS, run_bench, write_history, write_report
-    from repro.experiments.tables import format_table
-
-    if args.list:
-        for scenario in SCENARIOS:
-            print(f"  {scenario.name}: {scenario.description}")
-        return 0
-    known = {s.name for s in SCENARIOS}
-    unknown = set(args.only or ()) - known
-    if unknown:
-        print(f"unknown benchmark(s) {sorted(unknown)}; "
-              f"known: {sorted(known)}", file=sys.stderr)
-        return 2
-    pool = [s for s in SCENARIOS if not args.only or s.name in set(args.only)]
-    if args.profile and args.profile_out:
-        # fresh file per invocation; scenarios append to it below
-        open(args.profile_out, "w").close()
-    results = []
-    # run one at a time so progress is visible on slow scenarios
-    for scenario in pool:
-        if args.profile:
-            import cProfile
-
-            profiler = cProfile.Profile()
-            profiler.enable()
-        got = run_bench(only=[scenario.name], quick=args.quick,
-                        baseline=not args.no_baseline, repeat=args.repeat,
-                        measure_memory=not args.no_mem)
-        if args.profile:
-            profiler.disable()
-            _dump_profile(profiler, scenario.name, args.profile_top,
-                          args.profile_out)
-        results.extend(got)
-        for r in got:
-            speed = f" ({r.speedup:.2f}x vs naive)" if r.speedup else ""
-            print(f"  {r.name}: {r.elapsed_s:.3f}s, "
-                  f"{r.events_per_sec:,.0f} events/s{speed}", flush=True)
-    report = write_report(results, path=args.out, quick=args.quick)
-    rows = [
-        [r.name, r.engine, r.flows, f"{r.elapsed_s:.3f}",
-         f"{r.events_per_sec:,.0f}", f"{r.allocate_calls_per_sec:,.0f}",
-         f"{r.flows_per_sec:,.0f}",
-         (f"{r.peak_mem_bytes / 1e6:.1f}"
-          if r.peak_mem_bytes is not None else "-"),
-         f"{r.speedup:.2f}x" if r.speedup else "-",
-         {True: "ok", False: "FAIL", None: "-"}[r.baseline_parity]]
-        for r in results
-    ]
-    print(format_table(
-        ["scenario", "engine", "flows", "wall_s", "events/s", "alloc/s",
-         "flows/s", "peak_MB", "speedup", "parity"],
-        rows,
-        title=f"engine bench ({'quick' if args.quick else 'full'} scale)",
-    ))
-    print(f"wrote {args.out} ({len(report['benchmarks'])} benchmark(s))")
-    if not args.no_history and args.history:
-        write_history(results, path=args.history, quick=args.quick)
-        print(f"appended to {args.history}")
     return 0
 
 
@@ -487,7 +410,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     from repro.experiments.tables import format_table
     from repro.obs.report import build_report, write_report
 
-    store = ResultStore(args.store)
+    store = _existing_store(args.store)
     report = build_report(store, validate_path=args.validate)
 
     campaign = report["campaign"]
@@ -603,41 +526,6 @@ def build_parser() -> argparse.ArgumentParser:
     ls = sub.add_parser("ls", help="list cached scenario results")
     ls.add_argument("--cache", default=DEFAULT_CACHE)
     ls.set_defaults(func=_cmd_ls)
-
-    bench = sub.add_parser(
-        "bench",
-        help="time the flow-level engine and write BENCH_flowsim.json",
-    )
-    bench.add_argument("--quick", action="store_true",
-                       help="small scenario sizes (CI smoke)")
-    bench.add_argument("--only", nargs="+", default=None,
-                       help="run only the named benchmark scenario(s)")
-    bench.add_argument("--no-baseline", action="store_true",
-                       help="skip the naive-engine baseline/parity run")
-    bench.add_argument("--no-mem", action="store_true",
-                       help="skip the peak-memory (tracemalloc) pass")
-    bench.add_argument("--repeat", type=int, default=1,
-                       help="best-of-N wall times (default 1)")
-    bench.add_argument("--out", default="BENCH_flowsim.json",
-                       help="report path (default %(default)s)")
-    bench.add_argument("--list", action="store_true",
-                       help="list scenarios and exit")
-    bench.add_argument("--history", default="BENCH_history.jsonl",
-                       help="append one summary row per run to this JSONL "
-                            "file (default %(default)s)")
-    bench.add_argument("--no-history", action="store_true",
-                       help="do not append to the bench history file")
-    bench.add_argument("--profile", action="store_true",
-                       help="cProfile each benchmark and dump the hottest "
-                            "functions (timing numbers include profiler "
-                            "overhead; use for hot-path triage, not for "
-                            "the recorded trajectory)")
-    bench.add_argument("--profile-top", type=int, default=25,
-                       help="number of functions to show per profile "
-                            "(default: 25)")
-    bench.add_argument("--profile-out", default=None,
-                       help="write profiles to this file instead of stderr")
-    bench.set_defaults(func=_cmd_bench)
 
     report = sub.add_parser(
         "report",

@@ -215,9 +215,8 @@ class Simulator:
     def cancelled_ratio(self) -> float:
         """Fraction of the heap that is cancelled tombstones right now.
 
-        Bounded by the compaction rule at ~0.5 (plus the hysteresis
-        floor); the bench harness records it as a heap-hygiene
-        diagnostic."""
+        A heap-hygiene diagnostic, bounded by the compaction rule at
+        ~0.5 (plus the hysteresis floor)."""
         return self._tombstones / len(self._heap) if self._heap else 0.0
 
     def peek_time(self) -> float | None:

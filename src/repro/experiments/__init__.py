@@ -11,6 +11,13 @@ experiment files load through :func:`load_experiment_file` (the
 ``python -m repro run-spec`` subcommand).
 """
 
+from repro.campaign.engines import (
+    available_protocols,
+    execute_spec,
+    make_stack,
+    run_flow_level,
+    run_packet_level,
+)
 from repro.experiments.api import (
     Experiment,
     Panel,
@@ -33,13 +40,6 @@ from repro.experiments.reducers import (
     reducer_kinds,
     register_metric,
     register_reducer,
-)
-from repro.experiments.scenario import (
-    available_protocols,
-    execute_spec,
-    make_stack,
-    run_flow_level,
-    run_packet_level,
 )
 from repro.experiments.search import binary_search_max
 

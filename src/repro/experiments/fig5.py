@@ -28,8 +28,7 @@ from repro.experiments.api import (
     register_experiment,
     run_panel,
 )
-from repro.experiments.reducers import register_reducer
-from repro.experiments.scenario import normalize
+from repro.experiments.reducers import normalize, register_reducer
 from repro.topology.single_rooted import SingleRootedTree
 from repro.units import KBYTE, MSEC
 from repro.utils.rng import spawn_rng

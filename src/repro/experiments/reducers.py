@@ -162,6 +162,14 @@ def get_reducer(name: str) -> Callable:
 # -- generic reducers ---------------------------------------------------------------
 
 
+def normalize(series: dict[Any, float], reference: Any) -> dict[Any, float]:
+    """Normalize a {label: value} series to one entry (Fig 4/5 style)."""
+    base = series.get(reference)
+    if base is None or base <= 0:
+        raise ExperimentError(f"bad normalization reference {reference!r}")
+    return {k: v / base for k, v in series.items()}
+
+
 @register_reducer("series")
 def series_reducer(run, x: str, series: str | None = None,
                    metric: str = "mean_fct",
@@ -180,12 +188,7 @@ def series_reducer(run, x: str, series: str | None = None,
             for cell, value in run.cell_values((x,), metric).items()
         }
         if normalize_to is not None:
-            base = flat.get(normalize_to)
-            if base is None or base <= 0:
-                raise ExperimentError(
-                    f"bad normalization reference {normalize_to!r}"
-                )
-            flat = {k: v / base for k, v in flat.items()}
+            flat = normalize(flat, normalize_to)
         return flat
     if normalize_to is not None:
         raise ExperimentError(

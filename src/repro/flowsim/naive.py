@@ -6,8 +6,8 @@ models, kept verbatim as the golden baseline: per-event full ``sorted()``
 key recomputation, O(n) scans of the waiting/active lists, and
 string-tuple edge-capacity dicts. The optimized engine must produce
 **bit-identical** MetricsCollector output (pinned by
-``tests/test_flowsim_parity.py``), and ``python -m repro bench`` reports
-speedups against this module. Do not optimize it.
+``tests/test_flowsim_parity.py``); this module exists only as the
+reference those tests compare against. Do not optimize it.
 """
 
 from __future__ import annotations

@@ -31,17 +31,14 @@ class PdqModel:
                  comparator: FlowComparator | None = None):
         self.config = config or PdqConfig.full()
         self.comparator = comparator or FlowComparator()
-        # comparator-key cache: flow -> (remaining_wire at computation,
-        # key). Only valid while the flow's other inputs are static (see
-        # _keys_are_static); transmission progress invalidates via
-        # remaining_wire. Entries live as long as the model does (bounded
-        # by the flows of one run; models are built per scenario).
-        self._key_cache: dict[FlowProgress, tuple[float, tuple]] = {}
-        # comparator-cache telemetry: keys served from cache vs recomputed
-        # (covers both the incremental-sort reuse and the static-key cache)
+        # comparator-key telemetry: static keys reused from the previous
+        # sorted order vs recomputed
         self.cache_hits = 0
         self.cache_misses = 0
-        # incremental-sort state, only used under the begin_run() contract
+        # incremental-sort state, only used under the begin_run() contract:
+        # the previous call's sorted (key, flow, remaining_wire) entries.
+        # A key is reused while the flow's remaining_wire has not moved;
+        # only valid while its other inputs are static (_keys_are_static)
         self._incremental = False
         self._prev_keyed: list | None = None
 
@@ -58,12 +55,11 @@ class PdqModel:
         self._prev_keyed = None
 
     def invalidate_keys(self) -> None:
-        """Drop every cached comparator key and the incremental-sort
-        state. The engine calls this at fault-epoch reroutes: a flow's
+        """Drop the incremental-sort state and the comparator keys it
+        carries. The engine calls this at fault-epoch reroutes: a flow's
         ``max_rate`` (and so ``expected_tx``) can change without its
         ``remaining_wire`` moving, which is the one invalidation signal
-        the caches watch."""
-        self._key_cache.clear()
+        key reuse watches."""
         self._prev_keyed = None
 
     # -- criticality -------------------------------------------------------------
@@ -71,7 +67,7 @@ class PdqModel:
     def _criticality(self, flow: FlowProgress, now: float) -> float | None:
         """Resolve the comparator's criticality input for ``flow``.
 
-        Caching contract (relied on by the comparator-key cache):
+        Caching contract (relied on by comparator-key reuse):
 
         * a spec-provided ``criticality`` always wins and never changes;
         * ``random`` mode draws once per flow (seeded by fid) and caches
@@ -168,35 +164,14 @@ class PdqModel:
                 keyed.extend(tail)
                 keyed.sort()
             self._prev_keyed = keyed
-        elif static:
-            # recompute only keys whose inputs progressed; everything else
-            # is served from the cache (deadline/max_rate/criticality are
-            # static once the flow exists)
-            cache = self._key_cache
-            keyed = []
-            hits = 0
-            for flow in flows:
-                remaining = flow.remaining_wire
-                cached = cache.get(flow)
-                if cached is not None and cached[0] == remaining:
-                    keyed.append((cached[1], flow, remaining))
-                    hits += 1
-                else:
-                    key = comparator_key(
-                        flow.fid, flow.abs_deadline, flow.expected_tx(),
-                        self._criticality(flow, now),
-                    )
-                    cache[flow] = (remaining, key)
-                    keyed.append((key, flow, remaining))
-            self.cache_hits += hits
-            self.cache_misses += len(flows) - hits
-            keyed.sort()
-            if self._incremental:
-                self._prev_keyed = keyed
         else:
             keyed = [(self._key(flow, now), flow, flow.remaining_wire)
                      for flow in flows]
             keyed.sort()
+            if static:
+                self.cache_misses += len(flows)
+                if self._incremental:
+                    self._prev_keyed = keyed
 
         residual = capacities.copy()
         rates: dict[int, float] = {}

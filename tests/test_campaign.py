@@ -455,5 +455,17 @@ class TestCli:
         assert "RCP" in out
 
     def test_ls_empty(self, tmp_path, capsys):
+        (tmp_path / "empty").mkdir()
         assert cli_main(["ls", "--cache", str(tmp_path / "empty")]) == 0
         assert "no cached results" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [["ls", "--cache"], ["report"]])
+    def test_read_only_commands_do_not_create_the_store(self, argv, tmp_path,
+                                                        capsys):
+        """A mistyped store path must fail and leave nothing behind, not
+        print an empty listing next to a freshly made directory."""
+        missing = tmp_path / "typo_store"
+        assert cli_main([*argv, str(missing)]) == 1
+        assert (f"campaign error: no result store at {missing}"
+                in capsys.readouterr().err)
+        assert not missing.exists()

@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.experiments import binary_search_max, make_stack
+from repro.experiments import binary_search_max, make_stack, run_flow_level
 from repro.experiments.fig1 import run as run_fig1
 from repro.experiments.fig3 import run_fig3a, run_fig3d
 from repro.experiments.fig4 import pattern_flows
 from repro.experiments.fig5 import vl2_workload
 from repro.experiments.fig8 import permutation_workload, topology_for
 from repro.experiments.fig10 import run_fig10
-from repro.experiments.scenario import normalize, run_flow_level
+from repro.experiments.reducers import normalize
 from repro.experiments.tables import format_table
 from repro.errors import ExperimentError
 from repro.units import KBYTE, MSEC

@@ -286,8 +286,8 @@ class TestRunCounters:
         assert list(out["stats"]) == sorted(out["stats"])
 
     def test_direct_engine_run_keeps_legacy_payload_shape(self):
-        """Engines used directly (the bench parity path) emit exactly the
-        pre-telemetry payload: no stats/probes/trace keys."""
+        """Engines used directly (the naive-parity tests' path) emit
+        exactly the pre-telemetry payload: no stats/probes/trace keys."""
         from repro.flowsim.engine import FlowLevelSimulation
         from repro.flowsim.rcp_model import RcpModel
         from repro.workload.flow import FlowSpec
@@ -300,6 +300,54 @@ class TestRunCounters:
             deadline=1.0,
         )
         assert set(collector.to_dict()) == {"records"}
+
+    def test_default_off_telemetry_keeps_packet_event_rate(self):
+        """Hot-path guard: the campaign adapter with default-off
+        telemetry must sustain a packet event rate within noise of the
+        raw ``Network`` loop. Counter harvest happens once per run and
+        tracer hooks are one is-None test per lifecycle transition, so
+        anything beyond scheduler noise means a per-packet cost crept
+        in."""
+        import time
+
+        from repro.campaign.engines import make_stack, run_packet_level
+        from repro.net.network import Network
+        from repro.units import MSEC
+
+        # fig 3's deadline fan-in: 8 PDQ flows into h0
+        workload = WorkloadSpec("fig3.aggregation", {
+            "n_flows": 8, "mean_size": 100 * KBYTE,
+            "mean_deadline": 30 * MSEC,
+        })
+
+        def build():
+            topology = TopologySpec("single_rooted").build()
+            return topology, workload.build(topology, 1)
+
+        raw_best = adapter_best = 0.0
+        for _ in range(3):
+            topology, flows = build()
+            net = Network(topology, make_stack("PDQ(Full)"))
+            started = time.perf_counter()
+            net.launch(flows)
+            net.run_until_quiet(deadline=4.0)
+            elapsed = time.perf_counter() - started
+            raw_best = max(raw_best, net.sim.processed_events / elapsed)
+
+            topology, flows = build()
+            started = time.perf_counter()
+            collector = run_packet_level(topology, "PDQ(Full)", flows,
+                                         sim_deadline=4.0)
+            elapsed = time.perf_counter() - started
+            adapter_best = max(adapter_best,
+                               collector.stats["sim.events"] / elapsed)
+
+        # generous noise bound: CI machines jitter, but a real per-event
+        # regression (a hook in the packet path) costs far more than 2x
+        assert adapter_best >= 0.5 * raw_best, (
+            f"telemetry overhead suspected: adapter {adapter_best:,.0f} "
+            f"events/s vs raw {raw_best:,.0f} events/s"
+        )
 
 
 class TestCampaignTelemetry:

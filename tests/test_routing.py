@@ -262,18 +262,17 @@ class TestPathTemplates:
         assert len(router._templates) <= pairs
         assert len(router._dist_cache) <= len(hosts)
 
-    def test_stream_walks_each_host_pair_at_most_once(self, monkeypatch):
+    def test_stream_walks_each_host_pair_at_most_once(self, monkeypatch,
+                                                      stream_vl2):
         """A count, not a timing: on a tree a 2 000-flow stream may walk
         the graph once per host pair and never again."""
-        from repro.bench.scenarios import build_stream_vl2
-
         walks = []
         walk = GraphRouter._walk
         monkeypatch.setattr(
             GraphRouter, "_walk",
             lambda self, fid, src, dst: walks.append((src, dst))
             or walk(self, fid, src, dst))
-        topo, stream = build_stream_vl2(2_000)
+        topo, stream = stream_vl2(2_000)
         sim = FlowLevelSimulation(topo, RcpModel())
         collector = sim.run(stream, deadline=stream.horizon)
         assert len(collector.records) > 1_500

@@ -330,15 +330,13 @@ class TestEngineEquivalence:
         assert streamed.late_events == 0
         assert streamed.stats["net.stream_batches"] > 0
 
-    def test_fluid_memory_is_flat_in_flow_count(self):
+    def test_fluid_memory_is_flat_in_flow_count(self, stream_vl2):
         """Direct O(1)-memory evidence at test scale: 4x the flows must
         cost well under 1.5x the peak traced bytes. Both cells sit past
         the point where every host pair of the tree has its path
         template, so any growth left is real per-flow retention."""
-        from repro.bench.scenarios import build_stream_vl2
-
         def peak(n):
-            topo, stream = build_stream_vl2(n)
+            topo, stream = stream_vl2(n)
             sim = FlowLevelSimulation(topo, make_model("RCP"),
                                       header_bytes=44,
                                       metrics=streaming_collector(True))
