@@ -20,6 +20,10 @@ on ``transfer_start``; completion ETAs live in a lazy min-heap (entries
 invalidated by a per-flow version bump on rate change — an unchanged
 rate means an unchanged absolute ETA) and deadline boundaries in a
 second lazy heap, so locating the next event does not scan every flow.
+A rate model answers with the flows whose rate it evaluated; an absent
+flow keeps its rate, so ``_apply_rates`` touches only those, and the
+advance and completion passes run over the persistent sending set — a
+paused flow costs nothing per epoch.
 The frozen pre-optimization engine is
 :class:`~repro.flowsim.naive.NaiveFlowLevelSimulation`; parity tests pin
 bit-identical metrics between the two for both input shapes.
@@ -94,6 +98,11 @@ class FlowLevelSimulation:
         self.resumes = 0         # paused flows granted rate again
         self.stream_batches = 0  # non-empty admission pulls, lazy input only
         self._admitted = 0       # flows admitted so far (next promotion seq)
+        #: promoted, not yet departed flows by fid (rate models answer in
+        #: fids) and, of those, the ones with rate > 0 — the only flows
+        #: an advance moves or a completion check reads
+        self._by_fid: dict[int, FlowProgress] = {}
+        self._sending: dict[int, FlowProgress] = {}
         self._lazy = False       # the current run's input is a lazy stream
         #: per-event-boundary samplers (repro.obs.probes); empty unless a
         #: scenario requested probes, so the default run pays one truth
@@ -206,8 +215,8 @@ class FlowLevelSimulation:
         """
         begin_run = getattr(self.model, "begin_run", None)
         if begin_run is not None:
-            # the engine honors the incremental-sort contract: the active
-            # list only gains flows at its tail and sheds departed flows
+            # the engine honors the model's contract: the active list
+            # only gains flows at its tail and sheds departed flows
             begin_run()
         self._lazy = isinstance(flows, FlowStream)
         stream = flows if self._lazy else FlowStream(
@@ -249,7 +258,7 @@ class FlowLevelSimulation:
                     "flow-level simulation did not converge "
                     f"({budget} recomputations)"
                 )
-            sending = self._apply_rates(active, rates, eta_heap)
+            self._apply_rates(rates, eta_heap)
             if len(eta_heap) > 64 and len(eta_heap) > 4 * len(active):
                 # models that reshuffle most rates per recomputation (RCP
                 # max-min) strand stale entries below the heap top; compact
@@ -274,16 +283,13 @@ class FlowLevelSimulation:
             dt = horizon - self.now
             if dt < 0:
                 raise ExperimentError("fluid engine time went backwards")
-            for flow in active:
+            for flow in self._sending.values():
                 # inlined FlowProgress.advance (same arithmetic)
-                if flow.rate > 0:
-                    flow.remaining_wire = max(
-                        0.0, flow.remaining_wire - flow.rate * dt / 8.0
-                    )
-                else:
-                    flow.waited += dt
+                flow.remaining_wire = max(
+                    0.0, flow.remaining_wire - flow.rate * dt / 8.0
+                )
             self.now = horizon
-            self._complete_finished(sending, active)
+            self._complete_finished(active)
             if self.samplers:
                 for sampler in self.samplers:
                     sampler.on_step(self, active)
@@ -427,7 +433,7 @@ class FlowLevelSimulation:
         try:
             flow.path, flow.max_rate, flow.rtt = self._pinned_path(flow.spec)
         except RoutingError:
-            flow.departed = True
+            self._depart(flow)
             self.metrics.on_terminated(
                 flow.fid, self.now, "fault: no route after failure"
             )
@@ -448,24 +454,40 @@ class FlowLevelSimulation:
             batch.append((seq, flow))
         # arrival order within the batch, matching the reference engine
         batch.sort()
+        by_fid = self._by_fid
         for seq, flow in batch:
+            flow.seq = seq
+            by_fid[flow.fid] = flow
             active.append(flow)
             if flow.abs_deadline is not None:
                 heapq.heappush(deadline_heap, (flow.abs_deadline, seq, flow))
 
-    def _apply_rates(self, active: list[FlowProgress], rates: dict[int, float],
+    def _depart(self, flow: FlowProgress) -> None:
+        """Every departure (completion, termination, no route left after
+        a fault) goes through here; a waiting flow is in neither map."""
+        flow.departed = True
+        self._by_fid.pop(flow.fid, None)
+        self._sending.pop(flow.fid, None)
+
+    def _apply_rates(self, rates: dict[int, float],
                      eta_heap: list[tuple[float, int, int, FlowProgress]],
-                     ) -> list[FlowProgress]:
-        """Set per-flow rates, track pause spans, and return the sending
-        flows (rate > 0) in active order; flows whose rate changed get a
-        fresh ETA entry (a constant rate keeps its absolute ETA, so stale
-        entries stay valid until the next rate change bumps the version)."""
+                     ) -> None:
+        """Set the rates the model answered with, track pause spans and
+        keep the sending set (rate > 0) current. A flow absent from
+        ``rates`` is not touched: its rate, pause span and ETA stand.
+        Flows whose rate changed get a fresh ETA entry (a constant rate
+        keeps its absolute ETA, so stale entries stay valid until the
+        next rate change bumps the version)."""
         now = self.now
-        rates_get = rates.get
+        by_fid = self._by_fid
+        sending = self._sending
         tracer = self.metrics.tracer
-        sending: list[FlowProgress] = []
-        for flow in active:
-            rate = rates_get(flow.fid, 0.0)
+        entries = rates.items()
+        if tracer is not None:
+            # trace events are recorded in admission order
+            entries = sorted(entries, key=lambda item: by_fid[item[0]].seq)
+        for fid, rate in entries:
+            flow = by_fid[fid]
             if rate <= 0 and flow.paused_since is None:
                 flow.paused_since = now
                 self.pauses += 1
@@ -475,34 +497,27 @@ class FlowLevelSimulation:
                 self.resumes += 1
             if rate != flow.rate:
                 if tracer is not None:
-                    tracer.on_rate(flow.fid, now, rate)
+                    tracer.on_rate(fid, now, rate)
                 flow.rate = rate
                 flow.eta_version += 1
                 if rate > 0:
+                    sending[fid] = flow
                     heapq.heappush(eta_heap, (
                         flow.completion_eta(now), flow.eta_version,
-                        flow.fid, flow,
+                        fid, flow,
                     ))
-            if rate > 0:
-                sending.append(flow)
-        return sending
+                else:
+                    sending.pop(fid, None)
 
     def _terminate_flows(self, active: list[FlowProgress],
                          rates: dict[int, float]) -> bool:
         doomed = self.model.terminations(active, rates, self.now)
         if not doomed:
             return False
-        doomed_fids = set()
         for fid, reason in doomed:
-            doomed_fids.add(fid)
+            self._depart(self._by_fid[fid])
             self.metrics.on_terminated(fid, self.now, reason)
-        still = []
-        for flow in active:
-            if flow.fid in doomed_fids:
-                flow.departed = True
-            else:
-                still.append(flow)
-        active[:] = still
+        active[:] = [f for f in active if not f.departed]
         return True
 
     def _next_event_time(self, waiting: list[tuple[float, int, FlowProgress]],
@@ -538,16 +553,17 @@ class FlowLevelSimulation:
         end = deadline + self.refresh_interval
         return horizon if horizon < end else end
 
-    def _complete_finished(self, sending: list[FlowProgress],
-                           active: list[FlowProgress]) -> None:
+    def _complete_finished(self, active: list[FlowProgress]) -> None:
         # only flows that advanced with rate > 0 can cross the threshold
-        finished = [f for f in sending if f.remaining_wire <= 1e-6]
+        finished = [f for f in self._sending.values()
+                    if f.remaining_wire <= 1e-6]
         if not finished:
             return
-        done_fids = set()
+        if len(finished) > 1:
+            # callbacks fire in admission order
+            finished.sort(key=lambda f: f.seq)
         for flow in finished:
-            done_fids.add(flow.fid)
-            flow.departed = True
+            self._depart(flow)
             self.metrics.on_bytes(flow.fid, flow.spec.size_bytes)
             self.metrics.on_complete(flow.fid, self.now)
-        active[:] = [f for f in active if f.fid not in done_fids]
+        active[:] = [f for f in active if not f.departed]

@@ -24,13 +24,19 @@ class FlowProgress:
     the property recomputation. ``eta_version`` and ``departed`` are
     engine bookkeeping for the lazy completion-ETA heap: the version is
     bumped whenever the flow's rate changes (invalidating queued ETA
-    entries) and ``departed`` marks completion/termination.
+    entries) and ``departed`` marks completion/termination. ``seq`` is
+    the engine's admission sequence number (orders same-epoch
+    completions and trace events).
+
+    Paused time is counted once, as in the packet-level ``PdqSender``:
+    ``waited`` holds the closed pause spans and the open one is
+    ``now - paused_since``; advancing a paused flow changes nothing.
     """
 
     __slots__ = (
         "spec", "fid", "path", "max_rate", "rtt", "wire_size",
         "remaining_wire", "transfer_start", "rate", "waited", "paused_since",
-        "criticality", "abs_deadline", "eta_version", "departed",
+        "criticality", "abs_deadline", "eta_version", "departed", "seq",
     )
 
     def __init__(self, spec: FlowSpec, path: Sequence[EdgeToken],
@@ -45,12 +51,13 @@ class FlowProgress:
         self.remaining_wire = wire_size
         self.transfer_start = transfer_start
         self.rate = 0.0
-        self.waited = 0.0          # accumulated paused time (aging, §7)
+        self.waited = 0.0          # closed pause spans (aging, §7)
         self.paused_since: float | None = None
         self.criticality: float | None = spec.criticality
         self.abs_deadline: float | None = spec.absolute_deadline
         self.eta_version = 0
         self.departed = False
+        self.seq = 0
 
     @property
     def sent_wire(self) -> float:
@@ -72,5 +79,3 @@ class FlowProgress:
             self.remaining_wire = max(
                 0.0, self.remaining_wire - self.rate * dt / 8.0
             )
-        else:
-            self.waited += dt

@@ -6,9 +6,12 @@
        (b) send flow i with rate min(Rmax_i, min_{e in P_i} B_e)
        (c) B_e -= rate for each e on the path
 
-The flow-level simulator's PdqModel is this algorithm plus deadlines and
-aging; this module exposes the bare textbook version for tests and for the
-formal-property checks (distributed PDQ's equilibrium must match it).
+The flow-level simulator's PdqModel is this algorithm plus deadlines,
+aging and the crumb rule; this module exposes the bare textbook version
+for tests and for the formal-property checks (distributed PDQ's
+equilibrium must match it). ``TestCentralizedOracle`` in
+``tests/test_pdq_event_driven.py`` holds ``PdqModel.allocate`` — first
+call and event-driven calls alike — to exact equality with it.
 """
 
 from __future__ import annotations
