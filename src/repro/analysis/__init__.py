@@ -1,12 +1,10 @@
 """AST-based static analysis enforcing the repo's contracts at lint time.
 
-``python -m repro check`` runs five checkers over the library source
+``python -m repro check`` runs four checkers over the library source
 (plus ``examples/`` and ``benchmarks/``), each guarding an invariant a
 past PR paid for:
 
 ==========  ========================================================
-RPL001      pool lifecycle: no raw Packet/Header construction;
-            acquires need a reachable terminal-sink release
 RPL002      hot-path purity: ``# repro: hot`` functions stay
             closure-, logging- and allocation-free
 RPL003      registry discipline: kind/engine/reducer string literals
@@ -21,7 +19,6 @@ Importing this package populates :data:`repro.analysis.core.CHECKERS`.
 """
 
 from repro.analysis import (  # noqa: F401  (imported for registration)
-    rpl001_pool,
     rpl002_hotpath,
     rpl003_registry,
     rpl004_fingerprint,

@@ -4,7 +4,7 @@ The analysis pass walks Python ASTs with the stdlib :mod:`ast` module —
 no third-party dependency — over a declared *file set* (by default the
 library source plus ``examples/`` and ``benchmarks/``; tests are
 excluded because they violate contracts on purpose, e.g. the
-unknown-kind and pool-abuse tests). Each domain checker receives an
+unknown-kind tests). Each domain checker receives an
 :class:`AnalysisContext` and yields
 :class:`~repro.analysis.diagnostics.Diagnostic` objects.
 

@@ -17,7 +17,7 @@ from typing import Any
 class Diagnostic:
     """One finding: a repo-contract violation at a source location."""
 
-    code: str  # "RPL001" .. "RPL005"
+    code: str  # "RPL002" .. "RPL005"
     path: str  # repo-relative posix path
     line: int  # 1-based; 0 when the finding is file-scoped
     message: str

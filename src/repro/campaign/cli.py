@@ -34,11 +34,11 @@ Subcommands::
 
     repro check [PATH ...] [--out FILE] [--no-mypy]
                 [--repin-fingerprints] [--list]
-        Run the AST-based invariant linter (RPL001-RPL005: pool
-        lifecycle, hot-path purity, registry discipline, cache-key
-        fingerprint pins, event shape) plus a gated mypy pass over the
-        repo's own source. Exit 1 on any diagnostic; ``--out`` writes
-        the JSON report for CI artifact upload.
+        Run the AST-based invariant linter (RPL002-RPL005: hot-path
+        purity, registry discipline, cache-key fingerprint pins, event
+        shape) plus a gated mypy pass over the repo's own source. Exit 1
+        on any diagnostic; ``--out`` writes the JSON report for CI
+        artifact upload.
 
 Global flags: ``-v``/``-vv`` raise logging to INFO/DEBUG, ``-q`` mutes
 everything below ERROR (they precede the subcommand: ``repro -v sweep``).
@@ -562,7 +562,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser(
         "check",
-        help="run the AST invariant linter (RPL001-RPL005) and mypy gate",
+        help="run the AST invariant linter (RPL002-RPL005) and mypy gate",
     )
     from repro.analysis.cli import add_check_arguments
 

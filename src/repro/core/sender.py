@@ -90,7 +90,7 @@ class PdqSender(RateBasedSender):
 
     def make_sched_header(self, kind: PacketKind) -> PdqHeader:
         rtt = self.rtt.srtt if self.rtt.srtt is not None else self.config.default_rtt
-        return self.pool.acquire_pdq(
+        return PdqHeader(
             self.max_rate,
             self.pauseby,
             self.deadline,

@@ -211,14 +211,6 @@ class Simulator:
         O(1): a counter maintained on schedule, cancel and pop."""
         return self._live
 
-    @property
-    def cancelled_ratio(self) -> float:
-        """Fraction of the heap that is cancelled tombstones right now.
-
-        A heap-hygiene diagnostic, bounded by the compaction rule at
-        ~0.5 (plus the hysteresis floor)."""
-        return self._tombstones / len(self._heap) if self._heap else 0.0
-
     def peek_time(self) -> float | None:
         """Timestamp of the next live event, or None if none are queued.
 

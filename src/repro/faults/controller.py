@@ -3,12 +3,11 @@
 The :class:`FaultController` registers one simulator event per scheduled
 :class:`~repro.faults.spec.FaultEvent`. Applying an event updates the
 controller's down sets, syncs every :class:`~repro.net.link.Link`'s
-``up`` flag (a failed link drains its queue into the
-:class:`~repro.net.pool.PacketPool` and refuses new packets),
-invalidates the :class:`~repro.net.routing.Router` caches, and reroutes
-every live flow whose pinned path crosses a failed link — or terminates
-it when the fault partitioned its endpoints. Packets already in flight
-on a stale path are dropped (and released) at the failed link; the
+``up`` flag (a failed link drops its queued packets and refuses new
+ones), invalidates the :class:`~repro.net.routing.Router` caches, and
+reroutes every live flow whose pinned path crosses a failed link — or
+terminates it when the fault partitioned its endpoints. Packets already
+in flight on a stale path are dropped at the failed link; the
 transports' retransmission machinery recovers them on the new path.
 
 :func:`apply_loss` is the run-time half of the loss generalization: it

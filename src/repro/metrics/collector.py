@@ -61,9 +61,9 @@ class MetricsCollector:
         the record here."""
 
     def _missing(self, fid: int) -> None:
-        """A resolution hook named a flow with no record: a caller bug
-        here; the streaming collector, which evicts resolved flows,
-        counts a late event instead."""
+        """An event hook named a flow with no record: a caller bug here;
+        the streaming collector, which evicts resolved flows, counts a
+        late event instead."""
         raise KeyError(fid)
 
     def _resolve_one(self) -> None:
@@ -85,10 +85,16 @@ class MetricsCollector:
         return record
 
     def on_start(self, fid: int, time: float) -> None:
-        self.records[fid].start_time = time
+        record = self.records.get(fid)
+        if record is None:
+            return self._missing(fid)
+        record.start_time = time
 
     def on_bytes(self, fid: int, n: int) -> None:
-        self.records[fid].bytes_delivered += n
+        record = self.records.get(fid)
+        if record is None:
+            return self._missing(fid)
+        record.bytes_delivered += n
 
     def on_complete(self, fid: int, time: float) -> None:
         record = self.records.get(fid)
@@ -118,10 +124,16 @@ class MetricsCollector:
                 self._resolve_one()
 
     def on_retransmit(self, fid: int) -> None:
-        self.records[fid].retransmissions += 1
+        record = self.records.get(fid)
+        if record is None:
+            return self._missing(fid)
+        record.retransmissions += 1
 
     def on_probe(self, fid: int) -> None:
-        self.records[fid].probes_sent += 1
+        record = self.records.get(fid)
+        if record is None:
+            return self._missing(fid)
+        record.probes_sent += 1
 
     # -- serialization ------------------------------------------------------------
 

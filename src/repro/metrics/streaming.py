@@ -101,7 +101,7 @@ class StreamingMetricsCollector(MetricsCollector):
         self.reservoir: list[FlowRecord] = []
         self._resolved_seen = 0
 
-    # -- event hooks (guarded against evicted fids) -----------------------------
+    # -- event hooks (a hook for an evicted fid lands in _missing) -------------
 
     def register(self, spec: FlowSpec) -> FlowRecord:
         record = super().register(spec)
@@ -110,36 +110,8 @@ class StreamingMetricsCollector(MetricsCollector):
             self.n_deadline += 1
         return record
 
-    def on_start(self, fid: int, time: float) -> None:
-        record = self.records.get(fid)
-        if record is None:
-            self.late_events += 1
-            return
-        record.start_time = time
-
-    def on_bytes(self, fid: int, n: int) -> None:
-        record = self.records.get(fid)
-        if record is None:
-            self.late_events += 1
-            return
-        record.bytes_delivered += n
-
-    def on_retransmit(self, fid: int) -> None:
-        record = self.records.get(fid)
-        if record is None:
-            self.late_events += 1
-            return
-        record.retransmissions += 1
-
-    def on_probe(self, fid: int) -> None:
-        record = self.records.get(fid)
-        if record is None:
-            self.late_events += 1
-            return
-        record.probes_sent += 1
-
     def _missing(self, fid: int) -> None:
-        """``on_complete`` / ``on_terminated`` for an evicted flow."""
+        """Any event hook for an evicted flow."""
         self.late_events += 1
 
     # -- folding -----------------------------------------------------------------

@@ -60,17 +60,6 @@ class PdqHeader:
         self.inter_probe = inter_probe
         self.criticality = criticality
 
-    def copy(self) -> "PdqHeader":
-        return PdqHeader(
-            rate=self.rate,
-            pauseby=self.pauseby,
-            deadline=self.deadline,
-            expected_tx=self.expected_tx,
-            rtt=self.rtt,
-            inter_probe=self.inter_probe,
-            criticality=self.criticality,
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<PdqHeader R={self.rate:.3e} P={self.pauseby} "
@@ -86,9 +75,6 @@ class RcpHeader:
     def __init__(self, rate: float, rtt: float = 0.0):
         self.rate = rate
         self.rtt = rtt
-
-    def copy(self) -> "RcpHeader":
-        return RcpHeader(self.rate, self.rtt)
 
 
 class D3Header:
@@ -114,7 +100,3 @@ class D3Header:
         self.allocated = allocated
         self.rtt = rtt
         self.deadline = deadline
-
-    def copy(self) -> "D3Header":
-        return D3Header(self.desired, self.prev_alloc, self.allocated,
-                        self.rtt, self.deadline)

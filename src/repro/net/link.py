@@ -5,10 +5,8 @@ fixed propagation delay, and a per-hop processing delay charged at the
 receiving node. Random wire loss (Fig 9) is applied after transmission,
 independently in each direction.
 
-The link is a terminal sink for packets that never reach the far node:
-tail-drops and wire losses release the packet (and its scheduling
-header) back into the shared :class:`~repro.net.pool.PacketPool` so the
-hot path recycles objects instead of allocating.
+A packet that never reaches the far node -- tail-dropped, lost on the
+wire, or caught on a failed link -- is counted here and dropped.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ from repro.net.queues import DropTailQueue
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.net.node import Node
-    from repro.net.pool import PacketPool
 
 
 class Link:
@@ -52,17 +49,13 @@ class Link:
         self.link_id = link_id
         self.reverse: "Link" | None = None
 
-        # terminal sink: tail-drops and wire losses release into the pool
-        self.pool: "PacketPool" | None = None
-
         # random wire loss (Fig 9); set via Network.set_loss
         self.loss_rate: float = 0.0
         self._loss_rng: np.random.Generator | None = None
         self.wire_losses = 0
 
-        # fault state (repro.faults): a down link is a terminal sink —
-        # it refuses new packets and drops its in-flight transmission,
-        # releasing both into the pool
+        # fault state (repro.faults): a down link refuses new packets
+        # and drops its in-flight transmission
         self.up = True
         self.fault_drops = 0
 
@@ -98,19 +91,14 @@ class Link:
         """Take the link down (fault injection).
 
         New packets are refused at :meth:`enqueue` and queued packets
-        are drained here — both released into the pool, exactly like
-        tail-drops. An in-flight transmission cannot be cancelled (the
-        single-event pipeline keeps no handles); :meth:`_finish` drops
-        it when the serialization completes.
+        are drained here, both counted as fault drops. An in-flight
+        transmission cannot be cancelled (the single-event pipeline
+        keeps no handles); :meth:`_finish` drops it when the
+        serialization completes.
         """
         self.up = False
-        pool = self.pool
-        packet = self.queue.pop()
-        while packet is not None:
+        while self.queue.pop() is not None:
             self.fault_drops += 1
-            if pool is not None:
-                pool.release(packet)
-            packet = self.queue.pop()
 
     def restore(self) -> None:
         """Bring the link back up; it resumes accepting packets."""
@@ -124,22 +112,17 @@ class Link:
         (tail-drop, or the link is down)."""
         if not self.up:
             self.fault_drops += 1
-            if self.pool is not None:
-                self.pool.release(packet)
             return False
         if self._transmitting:
-            if not self.queue.offer(packet):
-                if self.pool is not None:
-                    self.pool.release(packet)
-                return False
-            return True
+            return self.queue.offer(packet)
         # idle link: the packet would be offered and popped right back, so
         # run the queue's accounting-only path and start transmitting
         # directly (byte counters, drops and peak_bytes update exactly as
-        # the offer+pop pair did)
+        # the offer+pop pair did). Going through offer + _start_next
+        # instead measured +1 % to +4 % median wall_s on
+        # packet-incast-tcp (benchmarks/perf, alternating pairs on a
+        # 2-core host; the +1 % run was inside the run-to-run spread)
         if not self.queue.touch(packet):
-            if self.pool is not None:
-                self.pool.release(packet)
             return False
         self._transmitting = True
         sim = self.sim
@@ -184,8 +167,6 @@ class Link:
             # the far end. The queue was drained by fail() and enqueue
             # refuses while down, so there is nothing to start next.
             self.fault_drops += 1
-            if self.pool is not None:
-                self.pool.release(packet)
             return
         self.bytes_sent += packet.size
         self.packets_sent += 1
@@ -196,8 +177,6 @@ class Link:
         )
         if lost:
             self.wire_losses += 1
-            if self.pool is not None:
-                self.pool.release(packet)
         else:
             heappush(sim._heap, (sim.now + self._arrival_delay, sim._seq,
                                  self._deliver_cb, (packet, self)))

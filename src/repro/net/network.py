@@ -16,7 +16,6 @@ from repro.metrics.collector import MetricsCollector
 from repro.net.link import Link
 from repro.net.monitors import LinkMonitor
 from repro.net.node import Host, Node, Switch
-from repro.net.pool import PacketPool
 from repro.net.routing import Router
 from repro.topology.base import Topology
 from repro.units import MBYTE, MSEC, USEC, tx_time
@@ -54,9 +53,6 @@ class Network:
         self.config = config or NetworkConfig()
         # explicit None test: an injected-but-empty collector is falsy
         self.metrics = MetricsCollector() if metrics is None else metrics
-        #: shared packet/header recycler; transports acquire, terminal
-        #: sinks (consuming host, tail-drop, wire loss) release
-        self.pool = PacketPool(preallocate=32)
 
         #: preemption counters (senders report pause/resume transitions)
         self.flow_pauses = 0
@@ -93,7 +89,6 @@ class Network:
             kind = graph.nodes[name]["kind"]
             cls = Host if kind == "host" else Switch
             node = cls(self.sim, node_id, name, self.config.processing_delay)
-            node.pool = self.pool
             self.nodes.append(node)
             self._by_name[name] = node
         link_id = 0
@@ -105,7 +100,6 @@ class Network:
             rev = Link(self.sim, nb, na, rate, self.config.prop_delay,
                        self.config.buffer_bytes, link_id + 1)
             link_id += 2
-            fwd.pool = rev.pool = self.pool
             fwd.reverse, rev.reverse = rev, fwd
             self.links.extend((fwd, rev))
             self._link_by_pair[(na.id, nb.id)] = fwd

@@ -46,8 +46,6 @@ class Node:
         self.name = name
         self.processing_delay = processing_delay
         self.protocol: NodeProtocol | None = None
-        #: packet pool, wired by Network; hosts release consumed packets
-        self.pool = None
         self.forwarded = 0
 
     def receive(self, packet: Packet, in_link: Link | None) -> None:
@@ -137,11 +135,6 @@ class Host(Node):
             self.stray_packets += 1
         else:
             endpoint.on_packet(packet)
-        # the destination is the packet's terminal sink: recycle it (any
-        # header transferred onto an ACK was detached in _reply first)
-        pool = self.pool
-        if pool is not None:
-            pool.release(packet)
 
     # -- endpoint registry ---------------------------------------------------------
 

@@ -18,13 +18,10 @@ class PacketKind(enum.IntEnum):
     TERM_ACK = 6
 
 
-#: kinds that travel on the forward (sender -> receiver) path
+#: kinds that travel on the forward (sender -> receiver) path; the rest
+#: travel back on the reverse path
 FORWARD_KINDS = frozenset(
     {PacketKind.SYN, PacketKind.DATA, PacketKind.PROBE, PacketKind.TERM}
-)
-#: kinds that travel on the reverse (receiver -> sender) path
-REVERSE_KINDS = frozenset(
-    {PacketKind.SYN_ACK, PacketKind.ACK, PacketKind.TERM_ACK}
 )
 
 

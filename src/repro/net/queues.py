@@ -3,21 +3,15 @@
 PDQ's whole point is to need nothing fancier than this at switches
 (paper §1: "lightweight, using only FIFO tail-drop queues").
 
-The buffer is a power-of-two ring of packet slots (head index + count)
-rather than a linked deque: offer and pop are two index stores and one
-byte-counter update each, with no per-packet node allocation, and the
-slot array is shared across the queue's lifetime. Byte accounting is
-O(1) on both ends.
+Packets wait in a :class:`collections.deque`; byte accounting is O(1) on
+both ends.
 """
 
 from __future__ import annotations
 
+from collections import deque
 
 from repro.net.packet import Packet
-
-#: initial ring size; doubles as needed (capacity is byte-bounded, so the
-#: packet count is workload-dependent)
-_MIN_SLOTS = 8
 
 
 class DropTailQueue:
@@ -25,7 +19,7 @@ class DropTailQueue:
     overflow the buffer."""
 
     __slots__ = (
-        "capacity_bytes", "_buf", "_mask", "_head", "_count", "_bytes",
+        "capacity_bytes", "_q", "_bytes",
         "drops", "dropped_bytes", "peak_bytes",
     )
 
@@ -33,17 +27,14 @@ class DropTailQueue:
         if capacity_bytes <= 0:
             raise ValueError(f"capacity must be positive, got {capacity_bytes}")
         self.capacity_bytes = capacity_bytes
-        self._buf: list[Packet | None] = [None] * _MIN_SLOTS
-        self._mask = _MIN_SLOTS - 1
-        self._head = 0
-        self._count = 0
+        self._q: deque[Packet] = deque()
         self._bytes = 0
         self.drops = 0
         self.dropped_bytes = 0
         self.peak_bytes = 0
 
     def __len__(self) -> int:
-        return self._count
+        return len(self._q)
 
     @property
     def bytes(self) -> int:
@@ -58,12 +49,7 @@ class DropTailQueue:
             self.drops += 1
             self.dropped_bytes += packet.size
             return False
-        count = self._count
-        buf = self._buf
-        if count == len(buf):
-            buf = self._grow()
-        buf[(self._head + count) & self._mask] = packet
-        self._count = count + 1
+        self._q.append(packet)
         self._bytes = nbytes
         if nbytes > self.peak_bytes:
             self.peak_bytes = nbytes
@@ -73,8 +59,8 @@ class DropTailQueue:
     def touch(self, packet: Packet) -> bool:
         """Accounting-only ``offer`` + immediate ``pop`` for a packet that
         goes straight into transmission on an idle link: identical drop
-        decision and ``peak_bytes`` update, but the ring is never written
-        (net byte change is zero)."""
+        decision and ``peak_bytes`` update, but the deque is never written
+        (net byte change is zero). ``Link.enqueue`` says why it is kept."""
         nbytes = self._bytes + packet.size
         if nbytes > self.capacity_bytes:
             self.drops += 1
@@ -87,28 +73,8 @@ class DropTailQueue:
     # repro: hot
     def pop(self) -> Packet | None:
         """Remove and return the head packet, or None when empty."""
-        count = self._count
-        if count == 0:
+        if not self._q:
             return None
-        head = self._head
-        buf = self._buf
-        packet = buf[head]
-        buf[head] = None
-        self._head = (head + 1) & self._mask
-        self._count = count - 1
+        packet = self._q.popleft()
         self._bytes -= packet.size
         return packet
-
-    def _grow(self) -> list[Packet | None]:
-        """Double the ring, unrolling it so head lands at slot 0."""
-        old = self._buf
-        n = len(old)
-        head = self._head
-        mask = self._mask
-        new: list[Packet | None] = [None] * (n * 2)
-        for i in range(self._count):
-            new[i] = old[(head + i) & mask]
-        self._buf = new
-        self._mask = n * 2 - 1
-        self._head = 0
-        return new

@@ -87,11 +87,6 @@ def harvest_packet_run(net) -> RunStats:
     c["flows.pauses"] = net.flow_pauses
     c["flows.resumes"] = net.flow_resumes
     c["net.stream_batches"] = getattr(net, "stream_batches", 0)
-    pool = getattr(net, "pool", None)
-    if pool is not None:
-        c["net.pool_hits"] = pool.hits
-        c["net.pool_misses"] = pool.misses
-        c["net.pool_size"] = pool.size
     controller = getattr(net, "fault_controller", None)
     if controller is not None:
         # only under fault injection, so fault-free stored payloads are

@@ -60,15 +60,11 @@ class EndpointBase:
                  spec: "FlowSpec", record: "FlowRecord", path):
         self.net = network
         self.sim = network.sim
-        self.pool = network.pool
         self.stack = stack
         self.spec = spec
         self.record = record
         self.path = path
         self.closed = False
-
-    def _packet(self, kind: PacketKind, **kwargs) -> Packet:
-        raise NotImplementedError
 
 
 class RateBasedSender(EndpointBase):
@@ -194,7 +190,7 @@ class RateBasedSender(EndpointBase):
         return self.wire_remaining * 8.0 / self.max_rate
 
     def _send_control(self, kind: PacketKind) -> None:
-        packet = self.pool.acquire(
+        packet = Packet(
             self.spec.fid,
             self.host.id,
             self.dst_id,
@@ -256,7 +252,7 @@ class RateBasedSender(EndpointBase):
         was_retransmit = offset in self.unacked
         if was_retransmit:
             self.net.metrics.on_retransmit(self.spec.fid)
-        packet = self.pool.acquire(
+        packet = Packet(
             self.spec.fid,
             self.host.id,
             self.dst_id,
@@ -434,18 +430,13 @@ class AckingReceiver(EndpointBase):
 
     # repro: hot
     def _reply(self, packet: Packet, kind: PacketKind, ack_range=None) -> None:
-        sched = self.make_ack_header(packet)
-        if sched is not None and sched is packet.sched:
-            # the header object moves onto the ACK; detach it from the
-            # inbound packet so its release can't free the header twice
-            packet.sched = None
-        ack = self.pool.acquire(
+        ack = Packet(
             self.spec.fid,
             self.host.id,
             self.src_id,
             kind,
             self.stack.ack_bytes,
-            sched=sched,
+            sched=self.make_ack_header(packet),
             ack_range=ack_range,
             echo_time=packet.echo_time,
             path=self.path,

@@ -193,11 +193,11 @@ class D3Sender(RateBasedSender):
         if not request_due:
             return None
         self._last_request = self.sim.now
-        return self.pool.acquire_d3(
+        return D3Header(
             self._desired_rate(),
             self.prev_alloc,
-            self._rtt_now(),
-            self.deadline,
+            rtt=self._rtt_now(),
+            deadline=self.deadline,
         )
 
     # -- feedback -----------------------------------------------------------------

@@ -117,7 +117,7 @@ class RcpSender(RateBasedSender):
 
     def make_sched_header(self, kind: PacketKind) -> RcpHeader:
         rtt = self.rtt.srtt if self.rtt.srtt is not None else DEFAULT_RTT
-        return self.pool.acquire_rcp(self.max_rate, rtt)
+        return RcpHeader(self.max_rate, rtt)
 
     def process_feedback(self, packet: Packet) -> None:
         header = packet.sched

@@ -87,7 +87,7 @@ class TcpSender(EndpointBase):
     # -- emission ------------------------------------------------------------------------
 
     def _send_control(self, kind: PacketKind) -> None:
-        packet = self.pool.acquire(
+        packet = Packet(
             self.spec.fid, self.host.id, self.dst_id,
             kind, self.stack.header_bytes,
             echo_time=self.sim.now, path=self.path,
@@ -101,7 +101,7 @@ class TcpSender(EndpointBase):
             return
         if retransmit:
             self.net.metrics.on_retransmit(self.spec.fid)
-        packet = self.pool.acquire(
+        packet = Packet(
             self.spec.fid, self.host.id, self.dst_id,
             PacketKind.DATA, chunk + self.stack.header_bytes,
             seq=offset, payload=chunk,
@@ -245,7 +245,7 @@ class TcpReceiver(AckingReceiver):
 
     # repro: hot
     def _reply(self, packet: Packet, kind: PacketKind, ack_range=None) -> None:
-        ack = self.pool.acquire(
+        ack = Packet(
             self.spec.fid, self.host.id, self.src_id,
             kind, self.stack.ack_bytes,
             ack_seq=self._cum, echo_time=packet.echo_time, path=self.path,

@@ -1,7 +1,10 @@
 """Fixtures shared across the tier-1 test modules."""
 
+import gc
+
 import pytest
 
+from repro.net.packet import Packet
 from repro.topology.single_rooted import SingleRootedTree
 from repro.workload.open_system import open_system
 
@@ -21,3 +24,16 @@ def stream_vl2():
         return topology, stream
 
     return build
+
+
+@pytest.fixture
+def live_packets():
+    """``live_packets() -> int``: how many :class:`Packet` objects are
+    alive right now, after a full collection. Packets are plain objects
+    dropped at their sink (destination host, tail-drop, wire loss, failed
+    link), so a drained run must bring the count back to where it was."""
+    def count():
+        gc.collect()
+        return sum(1 for o in gc.get_objects() if type(o) is Packet)
+
+    return count

@@ -310,15 +310,6 @@ class TestCancellationSemantics:
         sim.run()
         assert fired == ["top"]
 
-    def test_cancelled_ratio_diagnostic(self):
-        sim = Simulator()
-        assert sim.cancelled_ratio == 0.0
-        events = [sim.schedule(1.0, lambda: None) for _ in range(10)]
-        events[0].cancel()
-        assert sim.cancelled_ratio == pytest.approx(0.1)
-        sim.run()
-        assert sim.cancelled_ratio == 0.0
-
 
 class TestTimer:
     def test_fires_once(self):
@@ -380,7 +371,7 @@ class TestTimer:
         timer.start(3.0)  # push-back again
         assert timer.expiry == 3.0
         assert sim.pending() == 1
-        assert sim.cancelled_ratio == 0.0  # no tombstones from push-backs
+        assert sim._tombstones == 0  # no tombstones from push-backs
         sim.run()
         assert fired == [3.0]
         # the stale entry fired once at t=1 and chased straight to the

@@ -1,14 +1,13 @@
 """Fault injection (repro.faults): spec parsing, scheduled failures,
-reroute in both engines, pool-safe packet drops, and determinism.
+reroute in both engines, leak-free packet drops, and determinism.
 
 The subsystem's contracts, in the order the classes test them: the
 ``faults`` spec field has a strict canonical form (additive — fault-free
 specs hash exactly as before); scheduled link/switch failures reroute
 live flows onto surviving paths in the packet AND fluid engines;
-packets in flight across a failed link are released back into the
-:class:`~repro.net.pool.PacketPool` (the RPL001 lifecycle contract
-extends to the fault drop path); loss rules and the ``random_graph``
-topology are seed-deterministic.
+packets queued on or in flight across a failed link are dropped there
+and nothing keeps them alive once the run drains; loss rules and the
+``random_graph`` topology are seed-deterministic.
 """
 
 import pytest
@@ -166,30 +165,26 @@ class TestPacketFaults:
         assert collector.stats["faults.flows_rejected"] == 1
         assert collector.completed_count() == 3
 
-    def test_in_flight_drops_release_into_the_pool(self):
+    @pytest.mark.parametrize("protocol", ["PDQ(Full)", "TCP", "RCP", "D3"])
+    def test_in_flight_drops_leave_no_packet_alive(self, protocol,
+                                                   live_packets):
         from repro.net.network import Network
-        from repro.net.pool import PacketPool
         from repro.faults.controller import FaultController
         from repro.campaign.engines import make_stack
 
         topo, flows = _fattree_flows()
-        net = Network(topo, make_stack("PDQ(Full)"))
-        pool = PacketPool(debug=True)
-        net.pool = pool
-        for node in net.nodes:
-            node.pool = pool
-        for link in net.links:
-            link.pool = pool
+        net = Network(topo, make_stack(protocol))
         controller = FaultController(
             net, events_from(canonical_faults(LINK_DOWN)))
         controller.start()
+        before = live_packets()
         net.launch(flows)
         net.run_until_quiet(deadline=4.0)
         # run_until_quiet stops at the last flow's resolution with ACK/
         # TERM trailers still in flight; drain them before the audit
         net.sim.run(until=4.0)
         assert controller.packets_dropped() > 0
-        pool.assert_no_leaks()
+        assert live_packets() == before
 
 
 # -- fluid engine -------------------------------------------------------------------

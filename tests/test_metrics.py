@@ -12,6 +12,17 @@ def _spec(fid=0, deadline=None, arrival=0.0):
                     arrival=arrival, deadline=deadline)
 
 
+#: every per-flow event hook, with its arguments after the fid
+HOOK_ARGS = {
+    "on_start": (0.0,),
+    "on_bytes": (100,),
+    "on_retransmit": (),
+    "on_probe": (),
+    "on_complete": (0.5,),
+    "on_terminated": (0.5, "reason"),
+}
+
+
 class TestFlowRecord:
     def test_fct_relative_to_arrival(self):
         record = FlowRecord(spec=_spec(arrival=1.0))
@@ -102,6 +113,15 @@ class TestCollector:
         collector.register(_spec(fid=2))
         collector.on_terminated(1, 0.1, "reason")
         assert [r.spec.fid for r in collector.unfinished()] == [2]
+
+    @pytest.mark.parametrize("hook", list(HOOK_ARGS))
+    def test_hook_for_unknown_flow_raises_key_error(self, hook):
+        # the exact collector keeps every record, so a hook naming a
+        # flow it never registered is a caller bug
+        collector = MetricsCollector()
+        collector.register(_spec(fid=1))
+        with pytest.raises(KeyError):
+            getattr(collector, hook)(7, *HOOK_ARGS[hook])
 
 
 class TestSummary:

@@ -252,10 +252,13 @@ class TestStreamingCollector:
         collector.register(spec)
         collector.on_start(0, 0.0)
         collector.on_complete(0, 1.0)  # folds + evicts
+        collector.on_start(0, 1.5)
         collector.on_bytes(0, 100)
         collector.on_retransmit(0)
+        collector.on_probe(0)
+        collector.on_complete(0, 2.0)
         collector.on_terminated(0, 2.0, "late")
-        assert collector.late_events == 3
+        assert collector.late_events == 6
         assert collector.n_completed == 1
 
     def test_options_validation(self):
