@@ -1,11 +1,15 @@
 """RPL002 — hot-path purity for ``# repro: hot`` functions.
 
-The packet engine's throughput (240k-363k events/sec and climbing
-toward the ROADMAP's 1M target) rests on a handful of functions staying
-allocation- and indirection-free: ``Link._finish``, ``Simulator.run``,
-the :class:`~repro.net.queues.DropTailQueue` ring operations, and the
-transport send paths. Those functions carry a ``# repro: hot`` marker;
-this checker rejects constructs that past PRs spent effort removing:
+The engines' throughput rests on the functions that run once per event,
+packet or flow staying allocation- and indirection-free: the event loop
+(``Simulator.run``), link scheduling (``Link.enqueue`` / ``_finish``)
+and the :class:`~repro.net.queues.DropTailQueue` operations, the PDQ
+switch's per-packet path (``PdqSwitchProtocol.process``,
+``PdqLinkState.on_forward`` / ``on_reverse``,
+``PdqFlowList.reposition``), the transport send and acknowledge paths
+with the PDQ endpoint hooks, and the stream admission loops. Those
+functions carry a ``# repro: hot`` marker; this checker rejects
+constructs that past PRs spent effort removing:
 
 * closures and lambdas (PR 4 made the event loop closure-free);
 * f-string building and logging calls (PR 6's parity rule: telemetry

@@ -42,9 +42,10 @@ class FlowComparator:
     disciplines subclass and override :meth:`key`.
     """
 
-    def key(self, fid: int, deadline: float | None, expected_tx: float,
-            criticality: float | None = None) -> CriticalityKey:
-        return criticality_key(fid, deadline, expected_tx, criticality)
+    #: ``key(fid, deadline, expected_tx, criticality=None)``; the switch
+    #: builds one per forwarded packet, so the default is the key function
+    #: itself rather than a method that forwards to it
+    key = staticmethod(criticality_key)
 
     def more_critical(self, a: CriticalityKey, b: CriticalityKey) -> bool:
         return a < b

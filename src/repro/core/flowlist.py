@@ -6,14 +6,19 @@ number of currently sending flows, hard-capped at M (``hard_flow_limit``).
 
 Layout: the entries live in criticality order next to a parallel flat key
 array. Keys are unique (every comparator ends with the flow id as a
-tiebreaker), so ``bisect`` on the key array locates any entry in O(log n)
-with C-level tuple comparisons -- no linear identity scans -- and a
-refresh whose new key still fits between its neighbors repositions
-in place without touching list structure at all (the common case: a flow
-re-probing with an unchanged deadline moves monotonically through the
-SJF component). ``purge_expired`` keeps a conservative lower bound on the
-oldest ``last_update`` so the per-packet staleness sweep is one float
-compare until something could actually be stale.
+tiebreaker) and an entry's ``key`` is written only by this list, so
+``bisect_left(keys, entry.key)`` *is* the entry's index: one C-level call,
+no identity scan. A refresh whose new key still fits between its
+neighbors repositions in place without touching list structure at all
+(the common case: a flow re-probing with an unchanged deadline moves
+monotonically through the SJF component). ``min_last_update`` is a
+conservative lower bound on the oldest ``last_update``, so the
+per-packet staleness check is one float compare until something could
+actually be stale.
+
+The switch's per-packet path (:class:`~repro.core.switch.PdqLinkState`)
+reads ``entries``, ``keys``, ``by_fid`` and ``min_last_update`` directly;
+everything that changes them goes through this class.
 """
 
 from __future__ import annotations
@@ -59,38 +64,35 @@ class PdqFlowList:
     def __init__(self, config: PdqConfig, comparator: FlowComparator):
         self.config = config
         self.comparator = comparator
-        self._entries: list[FlowEntry] = []   # sorted, most critical first
-        self._keys: list[CriticalityKey] = []  # parallel: _keys[i] == _entries[i].key
-        self._by_fid: dict[int, FlowEntry] = {}
+        self.entries: list[FlowEntry] = []   # sorted, most critical first
+        self.keys: list[CriticalityKey] = []  # parallel: keys[i] == entries[i].key
+        self.by_fid: dict[int, FlowEntry] = {}
         self.evictions = 0
         #: conservative lower bound on min(entry.last_update); refreshes
         #: only raise the true minimum, so a stale bound just means one
         #: wasted scan, never a missed purge
-        self._min_last_update: float = _INF
+        self.min_last_update: float = _INF
 
     # -- basic container ----------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.entries)
 
     def __iter__(self):
-        return iter(self._entries)
+        return iter(self.entries)
 
     def get(self, fid: int) -> FlowEntry | None:
-        return self._by_fid.get(fid)
-
-    def entry_at(self, index: int) -> FlowEntry:
-        return self._entries[index]
+        return self.by_fid.get(fid)
 
     def index_of(self, fid: int) -> int:
-        return self._locate(self._by_fid[fid])
+        return bisect_left(self.keys, self.by_fid[fid].key)
 
     # -- sizing ----------------------------------------------------------------------
 
     @property
     def kappa(self) -> int:
         """Number of currently sending flows in the list."""
-        return sum(1 for e in self._entries if e.sending)
+        return sum(1 for e in self.entries if e.sending)
 
     @property
     def capacity(self) -> int:
@@ -107,8 +109,8 @@ class PdqFlowList:
         there is room or the flow beats the least critical entry. Returns
         the new entry, or None if the flow must use the RCP fallback."""
         capacity = self.capacity
-        entries = self._entries
-        keys = self._keys
+        entries = self.entries
+        keys = self.keys
         if len(entries) >= capacity and \
                 not self.comparator.more_critical(key, keys[-1]):
             return None
@@ -117,31 +119,31 @@ class PdqFlowList:
         pos = bisect_right(keys, key)
         entries.insert(pos, entry)
         keys.insert(pos, key)
-        self._by_fid[fid] = entry
-        if now < self._min_last_update:
-            self._min_last_update = now
+        self.by_fid[fid] = entry
+        if now < self.min_last_update:
+            self.min_last_update = now
         while len(entries) > capacity:
             gone = entries.pop()
             keys.pop()
             self.evictions += 1
-            del self._by_fid[gone.fid]
-        return entry if fid in self._by_fid else None
+            del self.by_fid[gone.fid]
+        return entry if fid in self.by_fid else None
 
     def remove(self, fid: int) -> bool:
-        entry = self._by_fid.pop(fid, None)
+        entry = self.by_fid.pop(fid, None)
         if entry is None:
             return False
-        index = self._locate(entry)
-        del self._entries[index]
-        del self._keys[index]
+        index = bisect_left(self.keys, entry.key)
+        del self.entries[index]
+        del self.keys[index]
         return True
 
+    # repro: hot
     def reposition(self, entry: FlowEntry, key: CriticalityKey) -> int:
         """Update an entry's key and restore sorted order; returns the new
         index."""
-        entries = self._entries
-        keys = self._keys
-        index = self._locate(entry)
+        keys = self.keys
+        index = bisect_left(keys, entry.key)
         last = len(keys) - 1
         if ((index == 0 or keys[index - 1] < key)
                 and (index == last or key < keys[index + 1])):
@@ -150,6 +152,7 @@ class PdqFlowList:
             entry.key = key
             keys[index] = key
             return index
+        entries = self.entries
         del entries[index]
         del keys[index]
         entry.key = key
@@ -160,28 +163,17 @@ class PdqFlowList:
 
     def purge_expired(self, now: float, horizon: float) -> list[int]:
         """Drop entries not refreshed within ``horizon`` seconds (protects
-        against lost TERMs; §5.6's loss resilience depends on it)."""
-        if now - self._min_last_update <= horizon:
-            return []  # even the oldest known refresh is still fresh
-        stale = [e for e in self._entries if now - e.last_update > horizon]
+        against lost TERMs; §5.6's loss resilience depends on it) and
+        return their flow ids. The switch calls this only once
+        ``now - min_last_update > horizon``, i.e. when some entry could
+        be stale."""
+        stale = [e for e in self.entries if now - e.last_update > horizon]
         for entry in stale:
-            index = self._locate(entry)
-            del self._entries[index]
-            del self._keys[index]
-            del self._by_fid[entry.fid]
-        self._min_last_update = min(
-            (e.last_update for e in self._entries), default=_INF
+            index = bisect_left(self.keys, entry.key)
+            del self.entries[index]
+            del self.keys[index]
+            del self.by_fid[entry.fid]
+        self.min_last_update = min(
+            (e.last_update for e in self.entries), default=_INF
         )
         return [e.fid for e in stale]
-
-    # -- internals --------------------------------------------------------------------
-
-    def _locate(self, entry: FlowEntry) -> int:
-        """Index of ``entry`` via bisect on its key (exact: keys are
-        unique). Falls back to an identity scan if the key was mutated
-        behind the list's back."""
-        keys = self._keys
-        index = bisect_left(keys, entry.key)
-        if index < len(keys) and self._entries[index] is entry:
-            return index
-        return self._entries.index(entry)

@@ -41,18 +41,20 @@ class PdqRateController:
         # the 2-RTT cadence tracks the measured RTT: each update writes
         # the next period back into the timer before it re-arms
         self._timer = PeriodicTimer(sim, self._period(), self._update)
-
-    @property
-    def running(self) -> bool:
-        return self._timer.running
+        #: whether the update timer is armed; a plain attribute because
+        #: the switch reads it on every forward packet and calls
+        #: :meth:`start` only while it is False
+        self.running = False
 
     def start(self) -> None:
-        if not self._timer.running:
+        if not self.running:
             self._timer.period = self._period()
             self._timer.start()
+            self.running = True
 
     def stop(self) -> None:
         self._timer.stop()
+        self.running = False
         self.capacity = self.r_pdq
 
     def set_pdq_rate(self, r_pdq: float) -> None:

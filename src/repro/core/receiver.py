@@ -16,8 +16,9 @@ class PdqReceiver(AckingReceiver):
         super().__init__(network, stack, spec, record, rev_path, host)
         self.max_rate = network.receiver_rate_limit(spec.dst)
 
-    def make_ack_header(self, packet: Packet):
-        header = packet.sched
-        if isinstance(header, PdqHeader) and header.rate > self.max_rate:
+    # repro: hot
+    def make_ack_header(self, packet: Packet) -> PdqHeader:
+        header = packet.sched  # every PDQ packet carries a PdqHeader
+        if header.rate > self.max_rate:
             header.rate = self.max_rate
         return header

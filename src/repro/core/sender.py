@@ -69,52 +69,56 @@ class PdqSender(RateBasedSender):
 
     # -- scheduling header -----------------------------------------------------------
 
-    def _aged_expected_tx(self) -> float:
-        expected = self.expected_tx_time()
-        if self.config.aging_rate <= 0:
-            return expected
-        waited = self._waited
-        if self._paused_since is not None:
-            waited += self.sim.now - self._paused_since
-        age_units = waited / self.config.aging_time_unit
-        return expected / (2.0 ** (self.config.aging_rate * age_units))
-
-    def _criticality_value(self) -> float | None:
-        mode = self.config.criticality_mode
-        if mode == "random" or self._random_criticality is not None:
-            return self._random_criticality
-        if mode == "estimate":
-            chunk = self.config.estimate_chunk
-            return float((self.next_offset // chunk) * chunk)
-        return None
-
+    # repro: hot
     def make_sched_header(self, kind: PacketKind) -> PdqHeader:
-        rtt = self.rtt.srtt if self.rtt.srtt is not None else self.config.default_rtt
+        """The header every packet carries. T_H is T_S, aged (§7) when
+        ``aging_rate`` is on: T_S / 2^(aging_rate * waited /
+        aging_time_unit). The §5.6 criticality field is the Random value
+        (or the spec's own), else the Estimation bytes-sent quantum in
+        ``"estimate"`` mode, else unset."""
+        config = self.config
+        expected_tx = self.expected_tx_time()
+        if config.aging_rate > 0:
+            waited = self._waited
+            if self._paused_since is not None:
+                waited += self.sim.now - self._paused_since
+            age_units = waited / config.aging_time_unit
+            expected_tx = expected_tx / (2.0 ** (config.aging_rate * age_units))
+        criticality = self._random_criticality
+        if criticality is None and config.criticality_mode == "estimate":
+            chunk = config.estimate_chunk
+            criticality = float((self.next_offset // chunk) * chunk)
+        srtt = self.rtt.srtt
         return PdqHeader(
             self.max_rate,
             self.pauseby,
             self.deadline,
-            self._aged_expected_tx(),
-            rtt,
-            self.config.probe_interval_rtts,
-            self._criticality_value(),
+            expected_tx,
+            srtt if srtt is not None else config.default_rtt,
+            config.probe_interval_rtts,
+            criticality,
         )
 
     # -- feedback ----------------------------------------------------------------------
 
+    # repro: hot
     def process_feedback(self, packet: Packet) -> None:
-        header = packet.sched
-        if not isinstance(header, PdqHeader):
-            return
+        header = packet.sched  # the receiver echoes this flow's PdqHeader
+        config = self.config
         self.pauseby = header.pauseby
-        self.inter_probe = max(
-            self.config.probe_interval_rtts, header.inter_probe
-        )
-        rate = header.rate if header.rate > self.config.min_rate else 0.0
-        self.set_rate(min(rate, self.max_rate))
+        # max(probe_interval_rtts, I_H) and min(rate, max_rate), spelled
+        # out with the builtins' operand order
+        inter_probe = header.inter_probe
+        floor = config.probe_interval_rtts
+        self.inter_probe = inter_probe if inter_probe > floor else floor
+        rate = header.rate if header.rate > config.min_rate else 0.0
+        max_rate = self.max_rate
+        self.set_rate(max_rate if max_rate < rate else rate)
 
+    # repro: hot
     def on_rate_change(self) -> None:
         now = self.sim.now
+        probe_timer = self._probe_timer
         if self.rate <= 0:
             if self._paused_since is None:
                 self._paused_since = now
@@ -123,15 +127,16 @@ class PdqSender(RateBasedSender):
                 self.handshake_done
                 and not self.term_sent
                 and not self.closed
-                and not self._probe_timer.armed
+                and probe_timer.expiry is None
             ):
-                self._probe_timer.start(self._probe_interval())
+                probe_timer.start(self._probe_interval())
         else:
             if self._paused_since is not None:
                 self._waited += now - self._paused_since
                 self._paused_since = None
                 self.net.flow_resumes += 1
-            self._probe_timer.cancel()
+            if probe_timer.expiry is not None:
+                probe_timer.cancel()
 
     def _probe_interval(self) -> float:
         rtt = self.rtt.srtt if self.rtt.srtt is not None else self.config.default_rtt
@@ -149,6 +154,7 @@ class PdqSender(RateBasedSender):
 
     # -- Early Termination (§3.1) ----------------------------------------------------------
 
+    # repro: hot
     def check_early_termination(self) -> bool:
         if not self.et_enabled or self.deadline is None:
             return False

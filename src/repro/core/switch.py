@@ -7,10 +7,19 @@ packets (SYN-ACK / ACK) run Algorithm 3 against the flow's forward-link
 state at this switch. Acceptance is two-phase: the forward pass tentatively
 grants a rate in the header, and the reverse pass commits it into switch
 state when no downstream switch pauses the flow.
+
+Every PDQ packet runs this at every hop, over flow lists that hold about
+two entries on realistic workloads, so the per-packet cost is Python
+frames, not the algorithm. A forward packet therefore costs
+:meth:`PdqSwitchProtocol.process` plus one :meth:`PdqLinkState.on_forward`
+body (Algorithm 2 and the RTT average are inline, and helpers are called
+only when their guard says there is work), and a reverse packet
+``process`` plus one :meth:`PdqLinkState.on_reverse` body.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import TYPE_CHECKING
 
 from repro.core.comparator import FlowComparator
@@ -20,11 +29,20 @@ from repro.core.rate_controller import PdqRateController
 from repro.net.headers import PdqHeader
 from repro.net.link import Link
 from repro.net.packet import Packet, PacketKind
-from repro.utils.ewma import Ewma
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.network import Network
     from repro.net.node import Switch
+
+#: kinds that run Algorithm 1 on the egress link they leave on
+_FORWARD_KINDS = frozenset((PacketKind.SYN, PacketKind.DATA, PacketKind.PROBE))
+#: kinds that run Algorithm 3 against the flow's forward-link state
+_REVERSE_KINDS = frozenset((PacketKind.SYN_ACK, PacketKind.ACK))
+
+#: weight of a new header RTT in the per-link average (an EWMA)
+_RTT_ALPHA = 0.1
+_RTT_KEEP = 1.0 - _RTT_ALPHA
+_INF = float("inf")
 
 
 class PdqLinkState:
@@ -32,202 +50,197 @@ class PdqLinkState:
 
     def __init__(self, protocol: "PdqSwitchProtocol", link: Link):
         self.protocol = protocol
+        self.sim = protocol.sim
+        self.switch_id = protocol.switch_id
         self.link = link
         config = protocol.config
         self.config = config
         self.flows = PdqFlowList(config, protocol.comparator)
-        self.rtt_avg = Ewma(alpha=0.1, default=config.default_rtt)
+        #: average of the RTTs seen in headers; ``default_rtt`` stands in
+        #: until the first sample, which replaces it rather than being
+        #: averaged with it (the :class:`~repro.utils.ewma.Ewma` contract)
+        self.rtt_avg: float = config.default_rtt
+        self._rtt_sampled = False
         self.rate_controller = PdqRateController(
             protocol.sim, link, config, self.rtt_avg_value
         )
-        self.last_accept_time = -float("inf")
+        self.last_accept_time = -_INF
         self.last_accept_fid: int | None = None
         self.last_accept_key = None
         # flows that did not fit in the list (RCP fallback, §3.3.1);
         # _outside_min is a conservative lower bound on the oldest
-        # timestamp, so the per-packet expiry sweep costs one compare
+        # timestamp, so the per-packet expiry check costs one compare
         # until something could actually be stale
         self.outside: dict[int, float] = {}
-        self._outside_min = float("inf")
+        self._outside_min = _INF
         self.pauses = 0
         self.accepts = 0
 
-    # -- helpers -------------------------------------------------------------------
-
     def rtt_avg_value(self) -> float:
-        return self.rtt_avg.value_or(self.config.default_rtt)
+        """The RTT average, for the rate controller's 2-RTT cadence."""
+        return self.rtt_avg
 
-    @property
-    def capacity(self) -> float:
-        return self.rate_controller.capacity
-
-    def _observe(self, header: PdqHeader, now: float) -> None:
-        if header.rtt > 0:
-            self.rtt_avg.update(header.rtt)
-        self.rate_controller.start()
-        horizon = self.config.entry_expiry_rtts * self.rtt_avg_value()
-        for fid in self.flows.purge_expired(now, horizon):
-            self.protocol.forget(fid, self)
-        cutoff = now - horizon
-        if self._outside_min < cutoff:
-            # only rebuild when some fallback flow is actually stale --
-            # otherwise the filtered dict would be identical
-            outside = {f: t for f, t in self.outside.items() if t >= cutoff}
-            self.outside = outside
-            self._outside_min = min(outside.values(), default=float("inf"))
-
-    # -- Algorithm 2 ------------------------------------------------------------------
-
-    def availbw(self, index: int) -> tuple[float, float]:
-        """Algorithm 2 for the flow at ``index``: returns (available
-        bandwidth, bandwidth held by more-critical flows).
-
-        Nearly-completed more-critical flows fall into the Early-Start
-        budget instead of counting their rate. A more-critical flow that is
-        sending counts its committed rate; one that is tentatively accepted
-        or paused *by this switch* counts its requested rate -- the switch
-        is holding the link for it (this is what makes the equilibrium of
-        §4 -- drivers accepted, everyone else paused -- reachable in O(1)
-        probes instead of through admission races)."""
-        config = self.config
-        early_start = config.early_start
-        k_threshold = config.K
-        early_start_budget = 0.0
-        allocated = 0.0
-        rtt = self.rtt_avg_value()
-        entries = self.flows._entries
-        for i in range(index):
-            entry = entries[i]
-            entry_rtt = entry.rtt if entry.rtt > 0 else rtt
-            ratio = entry.expected_tx / entry_rtt if entry_rtt > 0 else float("inf")
-            if (
-                early_start
-                and ratio < k_threshold
-                and early_start_budget < k_threshold
-            ):
-                early_start_budget += ratio
-            elif entry.pauseby is None and entry.rate > 0:
-                allocated += entry.rate  # committed sender
-            else:
-                # tentative accept (not yet committed) or paused by us:
-                # reserve what the flow asked for
-                allocated += entry.requested
-        capacity = self.capacity
-        if allocated >= capacity:
-            return 0.0, allocated
-        return capacity - allocated, allocated
-
-    # -- Algorithm 1 --------------------------------------------------------------------
-
-    def on_forward(self, packet: Packet) -> None:
-        header: PdqHeader = packet.sched
-        now = self.protocol.sim.now
-        my_id = self.protocol.switch_id
-        self._observe(header, now)
-
-        # paused by another switch: drop our state and pass through
-        if header.pauseby is not None and header.pauseby != my_id:
-            if self.flows.remove(packet.fid):
-                self.protocol.forget(packet.fid, self)
-            self.outside.pop(packet.fid, None)
-            self._cancel_tentative_accept(packet.fid)
-            return
-
-        entry = self.flows.get(packet.fid)
-        if entry is None:
-            key = self.protocol.comparator.key(
-                packet.fid, header.deadline, header.expected_tx,
-                header.criticality,
-            )
-            entry = self.flows.admit(packet.fid, now, key)
-            if entry is None:
-                self._rcp_fallback(packet.fid, header, now, my_id)
-                return
-            self.protocol.remember(packet.fid, self)
-            self.outside.pop(packet.fid, None)
-
-        # refresh <D_i, T_i, RTT_i> from the header and re-sort
-        entry.deadline = header.deadline
-        entry.expected_tx = header.expected_tx
-        if header.rtt > 0:
-            entry.rtt = header.rtt
-        entry.criticality = header.criticality
-        entry.requested = header.rate
-        entry.last_update = now
-        key = self.protocol.comparator.key(
-            packet.fid, entry.deadline, entry.expected_tx, entry.criticality
-        )
-        index = self.flows.reposition(entry, key)
-
-        requested = header.rate
-        available, _ = self.availbw(index)
-        grant = min(available, requested)
-        # Pause semantics (§2.2/§3.3): flows are paused, never trickled a
-        # sliver -- a paused sender probes every RTT, so pausing *is* the
-        # recovery path when capacity frees up again.
-        min_useful = max(
-            self.config.min_rate,
-            self.config.crumb_fraction
-            * min(requested, self.rate_controller.r_pdq),
-        )
-        if grant >= min_useful:
-            window_open = (
-                self.last_accept_fid not in (None, packet.fid)
-                and (now - self.last_accept_time)
-                < self.config.dampening_rtts * self.rtt_avg_value()
-            )
-            # Dampening suppresses redundant switching among peers; a flow
-            # MORE critical than the one just accepted is a preemption and
-            # must go through, or the most critical flow starves behind
-            # admission races (§4's convergence argument assumes preemption
-            # is never delayed).
-            preempts = (
-                self.config.dampening_preemption_exempt
-                and self.last_accept_key is not None
-                and entry.key < self.last_accept_key
-            )
-            dampened = (
-                self.config.dampening
-                and not entry.sending
-                and window_open
-                and not preempts
-            )
-            if dampened:
-                header.pauseby = my_id
-                header.rate = 0.0
-                entry.pauseby = my_id
-                self.pauses += 1
-            else:
-                # start the dampening window once per newly accepted flow; a
-                # tentatively-accepted flow re-confirming every packet must
-                # not keep resetting it, or it locks out more-critical
-                # preempters indefinitely
-                if not entry.sending and self.last_accept_fid != packet.fid:
-                    self.last_accept_time = now
-                    self.last_accept_fid = packet.fid
-                    self.last_accept_key = entry.key
-                header.pauseby = None
-                header.rate = grant
-                self.accepts += 1
-        else:
-            header.pauseby = my_id
-            header.rate = 0.0
-            entry.pauseby = my_id
-            self.pauses += 1
-            self._cancel_tentative_accept(packet.fid)
-
-    def _cancel_tentative_accept(self, fid: int) -> None:
+    def _close_dampening_window(self) -> None:
         """A flow this switch tentatively accepted turned out paused: close
         the dampening window it opened, or it blocks genuinely acceptable
         flows for nothing (phantom accepts on multi-hop paths otherwise
         stall convergence badly)."""
-        if self.last_accept_fid == fid:
-            self.last_accept_fid = None
-            self.last_accept_time = -float("inf")
-            self.last_accept_key = None
+        self.last_accept_fid = None
+        self.last_accept_time = -_INF
+        self.last_accept_key = None
 
-    def _rcp_fallback(self, fid: int, header: PdqHeader, now: float,
-                      my_id: int) -> None:
+    # -- Algorithms 1 and 2 -------------------------------------------------------
+
+    # repro: hot
+    def on_forward(self, packet: Packet) -> None:
+        """Algorithm 1 for one forward packet, with Algorithm 2 inline."""
+        header: PdqHeader = packet.sched
+        fid = packet.fid
+        now = self.sim.now
+        config = self.config
+        flows = self.flows
+
+        rtt = header.rtt
+        if rtt > 0:
+            if self._rtt_sampled:
+                rtt_avg = _RTT_KEEP * self.rtt_avg + _RTT_ALPHA * rtt
+            else:
+                rtt_avg = rtt
+                self._rtt_sampled = True
+            self.rtt_avg = rtt_avg
+        else:
+            rtt_avg = self.rtt_avg
+        rate_controller = self.rate_controller
+        if not rate_controller.running:
+            rate_controller.start()
+        # entries not refreshed within the horizon lost their TERM; both
+        # bounds are conservative, so each check is one compare until
+        # something could actually be stale
+        horizon = config.entry_expiry_rtts * rtt_avg
+        if now - flows.min_last_update > horizon:
+            for stale in flows.purge_expired(now, horizon):
+                self.protocol.forget(stale, self)
+        cutoff = now - horizon
+        if self._outside_min < cutoff:
+            outside = {f: t for f, t in self.outside.items() if t >= cutoff}
+            self.outside = outside
+            self._outside_min = min(outside.values(), default=_INF)
+
+        # paused by another switch: drop our state and pass through
+        my_id = self.switch_id
+        pauseby = header.pauseby
+        if pauseby is not None and pauseby != my_id:
+            if flows.remove(fid):
+                self.protocol.forget(fid, self)
+            self.outside.pop(fid, None)
+            if self.last_accept_fid == fid:
+                self._close_dampening_window()
+            return
+
+        deadline = header.deadline
+        expected_tx = header.expected_tx
+        criticality = header.criticality
+        key = flows.comparator.key(fid, deadline, expected_tx, criticality)
+        entry = flows.by_fid.get(fid)
+        if entry is None:
+            entry = flows.admit(fid, now, key)
+            if entry is None:
+                self._rcp_fallback(fid, header, now)
+                return
+            self.protocol.remember(fid, self)
+            self.outside.pop(fid, None)
+
+        # refresh <D_i, T_i, RTT_i> from the header and re-sort
+        requested = header.rate
+        entry.deadline = deadline
+        entry.expected_tx = expected_tx
+        if rtt > 0:
+            entry.rtt = rtt
+        entry.criticality = criticality
+        entry.requested = requested
+        entry.last_update = now
+        index = flows.reposition(entry, key)
+
+        # Algorithm 2: the bandwidth held by the more critical flows.
+        # Nearly-completed ones fall into the Early-Start budget instead
+        # of counting their rate. One that is sending counts its
+        # committed rate; one tentatively accepted or paused *by this
+        # switch* counts its requested rate -- the switch is holding the
+        # link for it (this is what makes the equilibrium of §4 --
+        # drivers accepted, everyone else paused -- reachable in O(1)
+        # probes instead of through admission races).
+        allocated = 0.0
+        if index:
+            early_start = config.early_start
+            k = config.K
+            early_start_budget = 0.0
+            entries = flows.entries
+            for i in range(index):
+                other = entries[i]
+                if early_start and early_start_budget < k:
+                    other_rtt = other.rtt if other.rtt > 0 else rtt_avg
+                    ratio = (other.expected_tx / other_rtt if other_rtt > 0
+                             else _INF)
+                    if ratio < k:
+                        early_start_budget += ratio
+                        continue
+                if other.pauseby is None and other.rate > 0:
+                    allocated += other.rate
+                else:
+                    allocated += other.requested
+        capacity = rate_controller.capacity
+        available = 0.0 if allocated >= capacity else capacity - allocated
+
+        # the builtin min/max spelled out, operands in the same order:
+        # grant = min(available, requested), min_useful = max(min_rate,
+        # crumb_fraction * min(requested, r_pdq))
+        grant = requested if requested < available else available
+        r_pdq = rate_controller.r_pdq
+        crumb = config.crumb_fraction * (
+            r_pdq if r_pdq < requested else requested)
+        min_useful = crumb if crumb > config.min_rate else config.min_rate
+        # Pause semantics (§2.2/§3.3): flows are paused, never trickled a
+        # sliver -- a paused sender probes every RTT, so pausing *is* the
+        # recovery path when capacity frees up again.
+        if grant >= min_useful:
+            sending = entry.rate > 0.0 and entry.pauseby is None
+            last_fid = self.last_accept_fid
+            # Dampening suppresses redundant switching among peers; a flow
+            # MORE critical than the one just accepted is a preemption and
+            # must go through when dampening_preemption_exempt is set, or
+            # the most critical flow starves behind admission races (§4's
+            # convergence argument assumes preemption is never delayed).
+            dampened = (
+                config.dampening
+                and not sending
+                and last_fid is not None
+                and last_fid != fid
+                and (now - self.last_accept_time
+                     < config.dampening_rtts * rtt_avg)
+                and not (config.dampening_preemption_exempt
+                         and key < self.last_accept_key)
+            )
+            if not dampened:
+                # start the dampening window once per newly accepted flow;
+                # a tentatively-accepted flow re-confirming every packet
+                # must not keep resetting it, or it locks out
+                # more-critical preempters indefinitely
+                if not sending and last_fid != fid:
+                    self.last_accept_time = now
+                    self.last_accept_fid = fid
+                    self.last_accept_key = key
+                header.pauseby = None
+                header.rate = grant
+                self.accepts += 1
+                return
+        elif self.last_accept_fid == fid:
+            self._close_dampening_window()
+        header.pauseby = my_id
+        header.rate = 0.0
+        entry.pauseby = my_id
+        self.pauses += 1
+
+    def _rcp_fallback(self, fid: int, header: PdqHeader, now: float) -> None:
         """Flows beyond the list get the leftover capacity, RCP-style
         (§3.3.1); zero leftover means pause. Leftover accounts for listed
         flows' reservations, not just committed rates -- a burst of listed
@@ -235,14 +248,14 @@ class PdqLinkState:
         self.outside[fid] = now
         if now < self._outside_min:
             self._outside_min = now
-        my_id_ = self.protocol.switch_id
+        my_id = self.switch_id
         listed_rate = 0.0
-        for entry in self.flows:
+        for entry in self.flows.entries:
             if entry.pauseby is None and entry.rate > 0:
                 listed_rate += entry.rate
-            elif entry.pauseby in (None, my_id_):
+            elif entry.pauseby in (None, my_id):
                 listed_rate += entry.requested
-        leftover = max(0.0, self.capacity - listed_rate)
+        leftover = max(0.0, self.rate_controller.capacity - listed_rate)
         share = leftover / max(1, len(self.outside))
         if share <= self.config.min_rate:
             header.pauseby = my_id
@@ -251,29 +264,34 @@ class PdqLinkState:
         else:
             header.rate = min(header.rate, share)
 
-    # -- Algorithm 3 ----------------------------------------------------------------------
+    # -- Algorithm 3 --------------------------------------------------------------
 
+    # repro: hot
     def on_reverse(self, packet: Packet) -> None:
+        """Algorithm 3 for one reverse packet of a flow indexed here."""
         header: PdqHeader = packet.sched
-        my_id = self.protocol.switch_id
-        if (header.pauseby is not None and header.pauseby != my_id
-                and self.flows.remove(packet.fid)):
-            self.protocol.forget(packet.fid, self)
-        if header.pauseby is not None:
+        fid = packet.fid
+        flows = self.flows
+        pauseby = header.pauseby
+        if pauseby is not None:
+            if pauseby != self.switch_id and flows.remove(fid):
+                self.protocol.forget(fid, self)
             header.rate = 0.0  # a paused flow's committed rate is zero
-            self._cancel_tentative_accept(packet.fid)
-        entry = self.flows.get(packet.fid)
+            if self.last_accept_fid == fid:
+                self._close_dampening_window()
+        entry = flows.by_fid.get(fid)
         if entry is None:
             return
-        index = self.flows.index_of(packet.fid)
-        entry.pauseby = header.pauseby
+        entry.pauseby = pauseby
         if self.config.suppressed_probing:
-            header.inter_probe = max(
-                header.inter_probe, self.config.probing_x * index
-            )
+            # I_H = max(I_H, X * index); the entry's index is where its key
+            # bisects (keys are unique and owned by the list)
+            floor = self.config.probing_x * bisect_left(flows.keys, entry.key)
+            if floor > header.inter_probe:
+                header.inter_probe = floor
         entry.rate = header.rate
 
-    # -- termination --------------------------------------------------------------------------
+    # -- termination --------------------------------------------------------------
 
     def on_term(self, packet: Packet) -> None:
         if self.flows.remove(packet.fid):
@@ -298,7 +316,7 @@ class PdqSwitchProtocol:
         self._states: dict[int, PdqLinkState] = {}
         self._flow_index: dict[int, PdqLinkState] = {}
 
-    # -- state registry --------------------------------------------------------------
+    # -- state registry -----------------------------------------------------------
 
     def state_for(self, link: Link) -> PdqLinkState:
         state = self._states.get(link.link_id)
@@ -317,25 +335,31 @@ class PdqSwitchProtocol:
     def flow_state(self, fid: int) -> PdqLinkState | None:
         return self._flow_index.get(fid)
 
-    # -- packet dispatch ----------------------------------------------------------------
+    # -- packet dispatch ----------------------------------------------------------
 
+    # repro: hot
     def process(self, packet: Packet, out_link: Link) -> None:
         header = packet.sched
         if header.__class__ is not PdqHeader:
             return
         kind = packet.kind
-        if kind in (PacketKind.SYN, PacketKind.DATA, PacketKind.PROBE):
+        if kind in _FORWARD_KINDS:
             state = self._states.get(out_link.link_id)
             if state is None:
                 state = self.state_for(out_link)
             state.on_forward(packet)
-        elif kind == PacketKind.TERM:
-            self.state_for(out_link).on_term(packet)
-        elif kind in (PacketKind.SYN_ACK, PacketKind.ACK):
+        elif kind in _REVERSE_KINDS:
             state = self._flow_index.get(packet.fid)
             if state is not None:
                 state.on_reverse(packet)
             elif header.pauseby is not None:
                 # stateless part of Algorithm 3: a paused flow's rate is 0
                 header.rate = 0.0
+        elif kind == PacketKind.TERM:
+            # no state for this link means no SYN of this flow left on it
+            # (Early Termination at start sends a bare TERM): nothing to
+            # clean up, and nothing to allocate
+            state = self._states.get(out_link.link_id)
+            if state is not None:
+                state.on_term(packet)
         # TERM_ACK needs no processing: TERM already cleaned up

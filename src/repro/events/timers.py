@@ -28,53 +28,51 @@ from repro.events.simulator import Simulator
 class Timer:
     """One-shot, restartable timeout with lazy push-back."""
 
-    __slots__ = ("_sim", "_callback", "_event", "_deadline")
+    __slots__ = ("_sim", "_callback", "_event", "expiry")
 
     def __init__(self, sim: Simulator, callback: Callable[[], Any]):
         self._sim = sim
         self._callback = callback
         # the underlying heap entry may lag behind the logical deadline:
-        # _event.time <= _deadline always holds while armed
+        # _event.time <= expiry always holds while armed
         self._event: Event | None = None
-        self._deadline: float | None = None
+        #: absolute time at which the timer will fire, or None when not
+        #: armed (read-only for callers; per-packet transport code tests
+        #: ``expiry is not None`` instead of calling :attr:`armed`)
+        self.expiry: float | None = None
 
     @property
     def armed(self) -> bool:
-        return self._deadline is not None
-
-    @property
-    def expiry(self) -> float | None:
-        """Absolute time at which the timer will fire, or None."""
-        return self._deadline
+        return self.expiry is not None
 
     def start(self, delay: float) -> None:
         """(Re)arm the timer ``delay`` seconds from now, replacing any
         previously armed expiry.
 
         Pushing the expiry *back* (the retransmission-timer common case)
-        only updates the deadline field; the heap is untouched until the
+        only updates ``expiry``; the heap is untouched until the
         stale entry fires and re-schedules itself at the real expiry.
         Pulling the expiry *earlier* cancels and re-pushes.
         """
         at = self._sim.now + delay
         event = self._event
         if event is not None and not event.cancelled and event.time <= at:
-            self._deadline = at  # lazy push-back: no heap traffic
+            self.expiry = at  # lazy push-back: no heap traffic
             self._sim.timer_pushbacks += 1
             return
         if event is not None:
             event.cancel()
-        self._deadline = at
+        self.expiry = at
         self._event = self._sim.schedule_at(at, self._fire)
 
     def cancel(self) -> None:
-        self._deadline = None
+        self.expiry = None
         if self._event is not None:
             self._event.cancel()
             self._event = None
 
     def _fire(self) -> None:
-        deadline = self._deadline
+        deadline = self.expiry
         if deadline is None:  # cancelled; stale entry only (defensive)
             self._event = None
             return
@@ -84,7 +82,7 @@ class Timer:
             self._event = self._sim.schedule_at(deadline, self._fire)
             return
         self._event = None
-        self._deadline = None
+        self.expiry = None
         self._callback()
 
 

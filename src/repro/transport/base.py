@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 from repro.errors import ProtocolError
 from repro.events.timers import Timer
 from repro.net.packet import Packet, PacketKind
-from repro.units import tx_time
+from repro.units import BITS_PER_BYTE
 from repro.utils.ewma import RttEstimator
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -180,8 +180,9 @@ class RateBasedSender(EndpointBase):
     @property
     def wire_remaining(self) -> float:
         """Remaining bytes including per-packet header overhead."""
-        packets_left = -(-self.remaining_payload // self.payload)
-        return self.remaining_payload + packets_left * self.stack.header_bytes
+        remaining = self.size - self.bytes_acked
+        packets_left = -(-remaining // self.payload)
+        return remaining + packets_left * self.stack.header_bytes
 
     def expected_tx_time(self) -> float:
         """T_S: remaining transmission time at the maximal rate (§3.1)."""
@@ -202,12 +203,14 @@ class RateBasedSender(EndpointBase):
         )
         self.host.send(packet)
 
+    # repro: hot
     def set_rate(self, rate: float) -> None:
-        self.rate = max(0.0, rate)
+        rate = rate if rate > 0.0 else 0.0  # max(0.0, rate)
+        self.rate = rate
         tracer = self.net.metrics.tracer
         if tracer is not None:
-            tracer.on_rate(self.spec.fid, self.sim.now, self.rate)
-        if self.rate > 0:
+            tracer.on_rate(self.spec.fid, self.sim.now, rate)
+        if rate > 0:
             self._schedule_send()
         else:
             self._send_timer.cancel()
@@ -216,42 +219,51 @@ class RateBasedSender(EndpointBase):
     def _pending_data(self) -> bool:
         return bool(self.resend) or self.next_offset < self.size
 
+    # repro: hot
     def _schedule_send(self) -> None:
         if self.closed or self.term_sent or not self.handshake_done:
             return
-        if self.rate <= 0:
+        rate = self.rate
+        if rate <= 0:
             return
-        if not self._pending_data():
+        if not self.resend and self.next_offset >= self.size:
+            return  # nothing pending
+        timer = self._send_timer
+        if timer.expiry is not None:
             return
-        if self._send_timer.armed:
-            return
-        gap = tx_time(self.stack.mtu, self.rate)
-        at = max(self.sim.now, self._last_emit + gap)
-        self._send_timer.start(at - self.sim.now)
-
-    def _next_offset_to_send(self) -> int | None:
-        while self.resend:
-            offset = self.resend.pop(0)
-            self._resend_set.discard(offset)
-            if offset in self.unacked:  # still outstanding
-                return offset
-        if self.next_offset < self.size:
-            offset = self.next_offset
-            self.next_offset = min(self.size, offset + self.payload)
-            return offset
-        return None
+        # pace one MTU apart: tx_time(mtu, rate), and the later of now and
+        # that gap after the last emission
+        at = self._last_emit + self.stack.mtu * BITS_PER_BYTE / rate
+        now = self.sim.now
+        if not at > now:
+            at = now
+        timer.start(at - now)
 
     # repro: hot
     def _emit(self) -> None:
         if self.closed or self.term_sent or self.rate <= 0:
             return
-        offset = self._next_offset_to_send()
-        if offset is None:
-            return
-        chunk = min(self.payload, self.size - offset)
-        was_retransmit = offset in self.unacked
-        if was_retransmit:
+        # retransmissions first, then new data
+        unacked = self.unacked
+        resend = self.resend
+        payload = self.payload
+        size = self.size
+        while resend:
+            offset = resend.pop(0)
+            self._resend_set.discard(offset)
+            if offset in unacked:  # still outstanding
+                break
+        else:
+            offset = self.next_offset
+            if offset >= size:
+                return
+            end = offset + payload
+            self.next_offset = end if end < size else size
+        rest = size - offset
+        chunk = rest if rest < payload else payload
+        if offset in unacked:
             self.net.metrics.on_retransmit(self.spec.fid)
+        now = self.sim.now
         packet = Packet(
             self.spec.fid,
             self.host.id,
@@ -261,14 +273,15 @@ class RateBasedSender(EndpointBase):
             seq=offset,
             payload=chunk,
             sched=self.make_sched_header(PacketKind.DATA),
-            echo_time=self.sim.now,
+            echo_time=now,
             path=self.path,
         )
-        self.unacked[offset] = self.sim.now
-        self._last_emit = self.sim.now
+        unacked[offset] = now
+        self._last_emit = now
         self.host.send(packet)
-        if not self._rto_timer.armed:
-            self._rto_timer.start(self.rtt.rto() * self._backoff)
+        rto_timer = self._rto_timer
+        if rto_timer.expiry is None:
+            rto_timer.start(self.rtt.rto() * self._backoff)
         self._schedule_send()
 
     # -- receiving feedback -----------------------------------------------------------------
@@ -301,17 +314,23 @@ class RateBasedSender(EndpointBase):
             return
         self._schedule_send()
 
+    # repro: hot
     def _on_ack(self, packet: Packet) -> None:
         if packet.echo_time >= 0:
             self.rtt.update(self.sim.now - packet.echo_time)
             self._backoff = 1.0
-        if packet.ack_range is not None:
-            start, end = packet.ack_range
-            if start in self.unacked:
-                del self.unacked[start]
+        ack_range = packet.ack_range
+        if ack_range is not None:
+            start, end = ack_range
+            unacked = self.unacked
+            if start in unacked:
+                del unacked[start]
                 self.bytes_acked += end - start
             self._dup_hints.pop(start, None)
-            self._detect_hole(start)
+            if unacked:
+                oldest = min(unacked)
+                if start > oldest:
+                    self._detect_hole(oldest)
         self.process_feedback(packet)
         if self.check_early_termination():
             return
@@ -329,15 +348,10 @@ class RateBasedSender(EndpointBase):
 
     # -- loss recovery ---------------------------------------------------------------------
 
-    def _detect_hole(self, acked_offset: int) -> None:
-        """If ACKs keep arriving for offsets above the oldest outstanding
-        packet, that packet is a hole: retransmit without waiting for the
-        RTO."""
-        if not self.unacked:
-            return
-        oldest = min(self.unacked)
-        if acked_offset <= oldest:
-            return
+    def _detect_hole(self, oldest: int) -> None:
+        """An ACK arrived for an offset above ``oldest``, the oldest
+        outstanding packet. If such ACKs keep arriving, that packet is a
+        hole: retransmit it without waiting for the RTO."""
         hints = self._dup_hints.get(oldest, 0) + 1
         if hints >= self.dupack_threshold:
             self._dup_hints.pop(oldest, None)
@@ -411,19 +425,19 @@ class AckingReceiver(EndpointBase):
 
     # repro: hot
     def _on_data(self, packet: Packet) -> None:
-        if packet.seq not in self.received:
-            self.received.add(packet.seq)
-            self.bytes_received += packet.payload
-            self.net.metrics.on_bytes(self.spec.fid, packet.payload)
+        seq = packet.seq
+        payload = packet.payload
+        received = self.received
+        if seq not in received:
+            received.add(seq)
+            self.bytes_received += payload
+            metrics = self.net.metrics
+            metrics.on_bytes(self.spec.fid, payload)
             if not self.complete and self.bytes_received >= self.spec.size_bytes:
                 self.complete = True
-                self.net.metrics.on_complete(self.spec.fid, self.sim.now)
+                metrics.on_complete(self.spec.fid, self.sim.now)
                 self.on_complete()
-        self._reply(
-            packet,
-            PacketKind.ACK,
-            ack_range=(packet.seq, packet.seq + packet.payload),
-        )
+        self._reply(packet, PacketKind.ACK, (seq, seq + payload))
 
     def on_complete(self) -> None:
         """Subclass hook (e.g. M-PDQ resequencing notification)."""

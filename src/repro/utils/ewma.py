@@ -15,7 +15,8 @@ class Ewma:
     ``default`` is a *fallback*, not a prior: before the first sample,
     :attr:`value` reads as ``default`` (may be None), and the first
     sample **replaces** it outright rather than decaying it. This is
-    deliberate — d3/rcp senders and the PDQ switch seed ``rtt_avg`` with
+    deliberate — d3/rcp switches seed ``rtt_avg`` (and the PDQ switch,
+    which inlines this update on its per-packet path, its own) with
     a configured RTT purely so timers have something to run on before
     any header has been observed; a configured guess must carry zero
     weight once a real measurement exists (the same contract as RFC 6298

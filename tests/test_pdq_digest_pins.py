@@ -1,0 +1,110 @@
+"""Digest pins for the PDQ packet path: every branch of the switch's
+Algorithms 1-3 and of the PDQ endpoint hooks must leave simulated output
+bit-identical.
+
+Each case runs one short ``run_packet_level`` scenario and hashes
+``canonical_json(collector.to_dict())`` with SHA-256 (the benchmark's
+``sim.digest`` recipe). The cases cover the four paper variants, aging,
+both §5.6 criticality schemes, dampening off and preemption-exempt
+dampening, a flow list small enough to force the RCP fallback, a lossy
+fabric whose lost TERMs reach the entry-expiry purge (of listed flows,
+and with the small list of fallback flows too), Early Termination
+at start (a TERM with no SYN before it), M-PDQ subflows and the rate
+tracer. A digest changes only when simulated behaviour changes; if that
+is deliberate, re-baseline by printing ``_digest(case)`` for each case.
+"""
+
+import hashlib
+
+import pytest
+
+from repro.campaign.engines import run_packet_level
+from repro.campaign.registry import build_topology, build_workload
+from repro.campaign.spec import canonical_json
+from repro.faults.spec import LossRule
+from repro.units import KBYTE, MSEC
+from repro.workload.flow import FlowSpec
+
+#: extra flows on top of the aggregation: background traffic without
+#: deadlines between other host pairs, and two flows that cannot meet
+#: their deadline even at line rate (Early Termination at start)
+_EXTRA = (
+    FlowSpec(fid=100, src="h8", dst="h1", size_bytes=400 * KBYTE),
+    FlowSpec(fid=101, src="h11", dst="h6", size_bytes=200 * KBYTE,
+             arrival=1 * MSEC),
+    FlowSpec(fid=102, src="h0", dst="h7", size_bytes=300 * KBYTE,
+             arrival=0.2 * MSEC),
+    FlowSpec(fid=103, src="h5", dst="h10", size_bytes=600 * KBYTE,
+             arrival=0.5 * MSEC, deadline=2 * MSEC),
+    FlowSpec(fid=104, src="h3", dst="h10", size_bytes=1000 * KBYTE,
+             arrival=2 * MSEC, deadline=3 * MSEC),
+)
+
+#: id -> (protocol, PdqConfig overrides, run_packet_level keywords)
+CASES = {
+    "full": ("PDQ(Full)", {}, {}),
+    "es_et": ("PDQ(ES+ET)", {}, {}),
+    "es": ("PDQ(ES)", {}, {}),
+    "basic": ("PDQ(Basic)", {}, {}),
+    "aging": ("PDQ(Full)", {"aging_rate": 4.0, "aging_time_unit": 1e-3}, {}),
+    "random": ("PDQ(Full)", {"criticality_mode": "random"}, {}),
+    "estimate": ("PDQ(Full)", {"criticality_mode": "estimate"}, {}),
+    "no_dampening": ("PDQ(Full)", {"dampening": False}, {}),
+    "preemption_exempt": ("PDQ(Full)",
+                          {"dampening_preemption_exempt": True}, {}),
+    "rcp_fallback": ("PDQ(Full)",
+                     {"hard_flow_limit": 2, "min_list_capacity": 2}, {}),
+    "lossy": ("PDQ(Full)", {},
+              {"loss": [LossRule(src="*", dst="*", rate=0.05, seed=3)]}),
+    "lossy_rcp_fallback": ("PDQ(Full)",
+                           {"hard_flow_limit": 2, "min_list_capacity": 2},
+                           {"loss": [LossRule(src="*", dst="*", rate=0.05,
+                                              seed=7)]}),
+    "mpdq": ("M-PDQ", {}, {}),
+    "traced": ("PDQ(Full)", {}, {"trace": True}),
+}
+
+PINS = {
+    "full": "afb541d91959b64204aa07f973ba067479cc5d52443d7ff8b5b35f9a6e7abf31",
+    "es_et": "ac597e40bbc98e6884c294205c5a86048859caeb63d7dad05977356c3a6e3721",
+    "es": "ea4ff5c657bd9446c09648b395d3a87b038f7ca500e9be0f0f297baff04fbe8e",
+    "basic": "8586d8e71e4a7b27ad8a44a5d067cf48792489b01c22baf2ec5d27e6ccbeb2e8",
+    "aging": "1fe996d890285275a3f1672651ec19ff173f85d1b1ce9573aad9bbfae8995c56",
+    "random": "5922c8f045b1d41f227982fef56ae47bb04521ccd4a8eb0d9a2b341646240665",
+    "estimate":
+        "65539fa95940d4591b34b26df7d31192e583a6c95069f6104e1f641e78757c44",
+    "no_dampening":
+        "6d133fd6763e455b0fac9938fa37c52c6f88cb759b3f1d6c69cf34a7d58d51c1",
+    "preemption_exempt":
+        "d773f583d2d21b5df45f12f3dafec273ab715e40e74f614a01c502e723a5e8f8",
+    "rcp_fallback":
+        "7cacda5adfb392a3f72da1b694339357ac0d0e8cc4cad26391f2b279584dbf7b",
+    "lossy": "4afc810f858f0de564c18ce2d07a547f82be03d627de3190eec80173be229699",
+    "lossy_rcp_fallback":
+        "fca6dc47415867338f1412096ddb162c950905433484adc8147b972a788af138",
+    "mpdq": "f5e34946e38c119eed966e117725466f173cd6150f87b65affdad0c194862d29",
+    "traced":
+        "6389966b90025eab9f719d1802c45be57040c385a9c8184cd30913d9913b9c12",
+}
+
+
+def _flows(topology) -> list[FlowSpec]:
+    base = build_workload("fig3.aggregation", topology, 1, {
+        "n_flows": 24, "mean_size": 150 * KBYTE, "mean_deadline": 6 * MSEC,
+    })
+    return [*base, *_EXTRA]
+
+
+def _digest(case: str) -> str:
+    protocol, overrides, keywords = CASES[case]
+    topology = build_topology("single_rooted", {})
+    collector = run_packet_level(topology, protocol, _flows(topology),
+                                 sim_deadline=1.0, **keywords, **overrides)
+    assert collector.unfinished_count() == 0
+    text = canonical_json(collector.to_dict())
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_packet_digest_is_pinned(case):
+    assert _digest(case) == PINS[case]

@@ -23,6 +23,10 @@ def make_sender(config=None, size=100 * KBYTE, deadline=None, fid=0):
     return net, sender
 
 
+def _header(sender):
+    return sender.make_sched_header(PacketKind.DATA)
+
+
 class TestSchedulingHeader:
     def test_header_carries_max_rate(self):
         net, sender = make_sender()
@@ -72,43 +76,43 @@ class TestAging:
         net, sender = make_sender(config=PdqConfig.full(aging_rate=1.0))
         base = sender.expected_tx_time()
         sender._waited = 0.2  # two aging time units
-        aged = sender._aged_expected_tx()
+        aged = _header(sender).expected_tx
         assert aged == pytest.approx(base / 4.0)
 
     def test_no_aging_by_default(self):
         net, sender = make_sender()
         sender._waited = 10.0
-        assert sender._aged_expected_tx() == sender.expected_tx_time()
+        assert _header(sender).expected_tx == sender.expected_tx_time()
 
 
 class TestCriticalityModes:
     def test_random_mode_assigns_stable_value(self):
         net, sender = make_sender(
             config=PdqConfig.full(criticality_mode="random"))
-        first = sender._criticality_value()
+        first = _header(sender).criticality
         assert first is not None
-        assert sender._criticality_value() == first
+        assert _header(sender).criticality == first
 
     def test_random_mode_is_deterministic_per_fid(self):
         a = make_sender(config=PdqConfig.full(criticality_mode="random"),
                         fid=3)[1]
         b = make_sender(config=PdqConfig.full(criticality_mode="random"),
                         fid=3)[1]
-        assert a._criticality_value() == b._criticality_value()
+        assert _header(a).criticality == _header(b).criticality
 
     def test_estimate_mode_quantizes_sent_bytes(self):
         net, sender = make_sender(
             config=PdqConfig.full(criticality_mode="estimate"),
             size=500 * KBYTE)
-        assert sender._criticality_value() == 0.0
+        assert _header(sender).criticality == 0.0
         sender.next_offset = 60 * KBYTE
-        assert sender._criticality_value() == 50 * KBYTE
+        assert _header(sender).criticality == 50 * KBYTE
         sender.next_offset = 149 * KBYTE
-        assert sender._criticality_value() == 100 * KBYTE
+        assert _header(sender).criticality == 100 * KBYTE
 
     def test_default_mode_has_no_override(self):
         net, sender = make_sender()
-        assert sender._criticality_value() is None
+        assert _header(sender).criticality is None
 
     def test_spec_criticality_passes_through(self):
         net = Network(SingleBottleneck(2), PdqStack())
@@ -119,7 +123,7 @@ class TestCriticalityModes:
         fwd = net.router.flow_path(0, src.id, dst.id)
         rev = net.router.reverse_path(fwd)
         sender, _ = net.stack.make_endpoints(net, spec, record, fwd, rev)
-        assert sender._criticality_value() == 0.42
+        assert _header(sender).criticality == 0.42
 
 
 class TestEarlyTermination:

@@ -8,7 +8,8 @@ from repro.net.headers import PdqHeader
 from repro.net.network import Network
 from repro.net.packet import Packet, PacketKind
 from repro.topology import SingleBottleneck
-from repro.units import GBPS, USEC
+from repro.units import GBPS, MBYTE, MSEC, USEC
+from repro.workload.flow import FlowSpec
 
 
 def make_env(n_senders=4, **cfg):
@@ -66,8 +67,8 @@ class TestAlgorithm1:
                       sched=pkt1.sched)
         proto.process(ack1, link.reverse)
         net.sim.run(until=1e-3)
-        # a more critical flow gets the full rate (preemption: availbw only
-        # counts flows more critical than the prober)
+        # a more critical flow gets the full rate (preemption: Algorithm 2
+        # only counts flows more critical than the prober)
         pkt2 = fwd_packet(2, expected_tx=0.5e-3)
         proto.process(pkt2, link)
         assert pkt2.sched.pauseby is None
@@ -112,27 +113,32 @@ class TestAlgorithm1:
 
 
 class TestAlgorithm2:
+    """Algorithm 2 runs inside the forward pass; what it computes shows as
+    the rate granted in the header of a less critical flow's packet
+    (dampening off, so the grant is not overridden by a pause)."""
+
     def test_availbw_subtracts_committed_rates(self):
-        net, proto, link = make_env(early_start=False)
+        net, proto, link = make_env(early_start=False, dampening=False)
         state = proto.state_for(link)
         pkt1 = fwd_packet(1, expected_tx=1e-3)
         proto.process(pkt1, link)
         state.flows.get(1).rate = 0.6 * GBPS
         pkt2 = fwd_packet(2, expected_tx=2e-3)
         proto.process(pkt2, link)
-        available, more_critical = state.availbw(state.flows.index_of(2))
-        assert more_critical == pytest.approx(0.6 * GBPS)
-        assert available == pytest.approx(0.4 * GBPS)
+        assert state.flows.index_of(2) == 1
+        assert pkt2.sched.pauseby is None
+        assert pkt2.sched.rate == pytest.approx(0.4 * GBPS)
 
     def test_early_start_ignores_nearly_completed(self):
-        net, proto, link = make_env(K=2.0)
+        net, proto, link = make_env(K=2.0, dampening=False)
         state = proto.state_for(link)
         # flow 1 sending, nearly completed (T < K*RTT)
         pkt1 = fwd_packet(1, expected_tx=100 * USEC, rtt=150 * USEC)
         proto.process(pkt1, link)
         state.flows.get(1).rate = 1 * GBPS
-        available, _ = state.availbw(1)
-        assert available == pytest.approx(1 * GBPS)
+        pkt2 = fwd_packet(2, expected_tx=1e-3)
+        proto.process(pkt2, link)
+        assert pkt2.sched.rate == pytest.approx(1 * GBPS)
 
     def test_early_start_budget_bounded_by_k(self):
         net, proto, link = make_env(K=2.0, dampening=False)
@@ -143,17 +149,20 @@ class TestAlgorithm2:
             pkt = fwd_packet(fid, expected_tx=150 * USEC, rtt=150 * USEC)
             proto.process(pkt, link)
             state.flows.get(fid).rate = 0.33 * GBPS
-        available, _ = state.availbw(3)
-        assert available == pytest.approx((1 - 0.33) * GBPS, rel=1e-6)
+        pkt4 = fwd_packet(4, expected_tx=1e-3)
+        proto.process(pkt4, link)
+        assert pkt4.sched.rate == pytest.approx((1 - 0.33) * GBPS, rel=1e-6)
 
     def test_basic_variant_has_no_early_start(self):
-        net, proto, link = make_env(early_start=False)
+        net, proto, link = make_env(early_start=False, dampening=False)
         state = proto.state_for(link)
         pkt1 = fwd_packet(1, expected_tx=100 * USEC, rtt=150 * USEC)
         proto.process(pkt1, link)
         state.flows.get(1).rate = 1 * GBPS
-        available, _ = state.availbw(1)
-        assert available == 0.0
+        pkt2 = fwd_packet(2, expected_tx=1e-3)
+        proto.process(pkt2, link)
+        assert pkt2.sched.pauseby == proto.switch_id
+        assert pkt2.sched.rate == 0.0
 
 
 class TestAlgorithm3:
@@ -254,3 +263,97 @@ class TestRateController:
         net, proto, link = make_env()
         with pytest.raises(ValueError):
             proto.state_for(link).rate_controller.set_pdq_rate(-1.0)
+
+
+class TestPerPacketGuards:
+    """The forward pass skips its helper calls when their guard says there
+    is nothing to do; these pin the cases where there is."""
+
+    def test_stale_entry_purged_after_expiry_horizon(self):
+        net, proto, link = make_env(dampening=False)
+        state = proto.state_for(link)
+        proto.process(fwd_packet(1, rtt=150 * USEC), link)
+        assert proto.flow_state(1) is state
+        # horizon = entry_expiry_rtts (50) x RTT average (150 us) = 7.5 ms
+        net.sim.run(until=7e-3)
+        proto.process(fwd_packet(2, rtt=150 * USEC), link)
+        assert state.flows.get(1) is not None
+        net.sim.run(until=8e-3)
+        proto.process(fwd_packet(2, kind=PacketKind.DATA, rtt=150 * USEC),
+                      link)
+        assert state.flows.get(1) is None
+        assert proto.flow_state(1) is None
+        assert proto.flow_state(2) is state
+
+    def test_rcp_fallback_flow_expires_from_outside(self):
+        net, proto, link = make_env(min_list_capacity=1, hard_flow_limit=1,
+                                    dampening=False)
+        state = proto.state_for(link)
+        proto.process(fwd_packet(1, expected_tx=1e-3), link)
+        proto.process(fwd_packet(2, expected_tx=5e-3), link)
+        assert state.flows.get(2) is None
+        assert 2 in state.outside
+        net.sim.run(until=7e-3)
+        proto.process(fwd_packet(1, kind=PacketKind.DATA), link)
+        assert 2 in state.outside
+        net.sim.run(until=8e-3)
+        proto.process(fwd_packet(1, kind=PacketKind.DATA), link)
+        assert state.outside == {}
+        assert state.flows.get(1) is not None
+
+    def test_first_rtt_sample_replaces_default(self):
+        net, proto, link = make_env(default_rtt=1e-3)
+        state = proto.state_for(link)
+        assert state.rtt_avg == 1e-3
+        proto.process(fwd_packet(1, rtt=0.0), link)  # no sample
+        assert state.rtt_avg == 1e-3
+        proto.process(fwd_packet(1, kind=PacketKind.DATA, rtt=150 * USEC),
+                      link)
+        assert state.rtt_avg == 150 * USEC
+        proto.process(fwd_packet(1, kind=PacketKind.DATA, rtt=250 * USEC),
+                      link)
+        assert state.rtt_avg == pytest.approx(
+            0.9 * 150 * USEC + 0.1 * 250 * USEC)
+
+    @pytest.mark.parametrize("exempt", [False, True])
+    def test_preemption_exempt_passes_open_dampening_window(self, exempt):
+        net, proto, link = make_env(dampening_preemption_exempt=exempt)
+        proto.process(fwd_packet(1, expected_tx=2e-3), link)  # opens window
+        more_critical = fwd_packet(2, expected_tx=1e-3)
+        proto.process(more_critical, link)
+        less_critical = fwd_packet(3, expected_tx=3e-3)
+        proto.process(less_critical, link)
+        if exempt:
+            assert more_critical.sched.pauseby is None
+            assert more_critical.sched.rate > 0
+        else:
+            assert more_critical.sched.pauseby == proto.switch_id
+        # a less critical flow is dampened either way
+        assert less_critical.sched.pauseby == proto.switch_id
+
+    def test_rate_controller_starts_on_first_forward_packet(self):
+        net, proto, link = make_env()
+        controller = proto.state_for(link).rate_controller
+        assert not controller.running
+        proto.process(fwd_packet(1), link)
+        assert controller.running
+        net.sim.run(until=1e-3)
+        assert controller.updates > 0
+        proto.process(fwd_packet(1, kind=PacketKind.TERM), link)
+        assert not controller.running
+
+
+class TestTermWithoutState:
+    def test_hopeless_at_start_term_allocates_no_link_state(self):
+        # Early Termination kills the flow before its SYN: only a TERM
+        # crosses the sender's NIC and the switch, and it has nothing to
+        # clean up at either
+        net = Network(SingleBottleneck(2), PdqStack(PdqConfig.full()))
+        net.launch([FlowSpec(fid=0, src="send0", dst="recv",
+                             size_bytes=10 * MBYTE, deadline=1 * MSEC)])
+        net.run(until=1 * MSEC)
+        record = net.metrics.record(0)
+        assert record.termination_reason == \
+            "early_termination:hopeless_at_start"
+        assert net.node("sw0").forwarded == 2  # the TERM and its TERM-ACK
+        assert all(node.protocol._states == {} for node in net.nodes)
