@@ -10,8 +10,17 @@ dampening, a flow list small enough to force the RCP fallback, a lossy
 fabric whose lost TERMs reach the entry-expiry purge (of listed flows,
 and with the small list of fallback flows too), Early Termination
 at start (a TERM with no SYN before it), M-PDQ subflows and the rate
-tracer. A digest changes only when simulated behaviour changes; if that
-is deliberate, re-baseline by printing ``_digest(case)`` for each case.
+tracer.
+
+The same flows pin the baselines that share ``Host.send``, ``Link`` and
+the ``Simulator`` with PDQ: TCP Reno on its own, under wire loss, behind
+12 KB buffers (tail drops, so fast retransmit and NewReno partial ACKs
+run) and across a ``tor0``-``root`` link flap (fault drops and rejected
+flows), plus RCP and D3. ``collector.stats`` is part of the digest, so
+the event, timer push-back and compaction counts are pinned as well.
+
+A digest changes only when simulated behaviour changes; if that is
+deliberate, re-baseline by printing ``_digest(case)`` for each case.
 """
 
 import hashlib
@@ -21,7 +30,8 @@ import pytest
 from repro.campaign.engines import run_packet_level
 from repro.campaign.registry import build_topology, build_workload
 from repro.campaign.spec import canonical_json
-from repro.faults.spec import LossRule
+from repro.faults.spec import FaultEvent, LossRule
+from repro.net.network import NetworkConfig
 from repro.units import KBYTE, MSEC
 from repro.workload.flow import FlowSpec
 
@@ -62,6 +72,19 @@ CASES = {
                                               seed=7)]}),
     "mpdq": ("M-PDQ", {}, {}),
     "traced": ("PDQ(Full)", {}, {"trace": True}),
+    "tcp": ("TCP", {}, {}),
+    "tcp_lossy": ("TCP", {},
+                  {"loss": [LossRule(src="*", dst="*", rate=0.05, seed=3)]}),
+    "tcp_small_buffer": ("TCP", {},
+                         {"network_config":
+                          NetworkConfig(buffer_bytes=12 * KBYTE)}),
+    "tcp_link_flap": ("TCP", {},
+                      {"faults": [FaultEvent(1 * MSEC, "link_down",
+                                             "tor0", "root"),
+                                  FaultEvent(3 * MSEC, "link_up",
+                                             "tor0", "root")]}),
+    "rcp": ("RCP", {}, {}),
+    "d3": ("D3", {}, {}),
 }
 
 PINS = {
@@ -85,6 +108,15 @@ PINS = {
     "mpdq": "f5e34946e38c119eed966e117725466f173cd6150f87b65affdad0c194862d29",
     "traced":
         "6389966b90025eab9f719d1802c45be57040c385a9c8184cd30913d9913b9c12",
+    "tcp": "6e55cf4b4574a54be8acdf94ee28d415b3b4a93a770bf527da5d571299595e0b",
+    "tcp_lossy":
+        "8ec024b0e75c149ad4059221490eb1030f5ac1a84c03ef6a9f7eeec1973a0126",
+    "tcp_small_buffer":
+        "23c35a52795347a5e83bdde76ef5888119ada077a7d99c28a5226067764b9964",
+    "tcp_link_flap":
+        "bcc36f2ca0cc8fc41cf5f2efee0655f382caf7ae22d4ed2721b862fe13dfcf87",
+    "rcp": "e7e204e95c99d6374c944b42d599dc9aba0f4a69eb8ee79f2af9b328f719950c",
+    "d3": "17b2d19087c473eaa076db9b8d0a9bbe15bd50c73b6a7157926ce5ef0265204f",
 }
 
 
