@@ -2,12 +2,15 @@
 
 The engines' throughput rests on the functions that run once per event,
 packet or flow staying allocation- and indirection-free: the event loop
-(``Simulator.run``), link scheduling (``Link.enqueue`` / ``_finish``)
-and the :class:`~repro.net.queues.DropTailQueue` operations, the PDQ
-switch's per-packet path (``PdqSwitchProtocol.process``,
-``PdqLinkState.on_forward`` / ``on_reverse``,
-``PdqFlowList.reposition``), the transport send and acknowledge paths
-with the PDQ endpoint hooks, and the stream admission loops. Those
+(``Simulator.run``), link scheduling (``Link.enqueue`` / ``_finish``,
+which run the idle-link queue accounting inline) and the busy path's
+``DropTailQueue.offer`` / ``pop``, the node hops (``Switch.receive``,
+``Host.send`` / ``receive``), the PDQ switch's per-packet path
+(``PdqSwitchProtocol.process``, ``PdqLinkState.on_forward`` /
+``on_reverse``, ``PdqFlowList.reposition``), the rate-based send and
+acknowledge paths with the PDQ endpoint hooks, the TCP endpoints
+(``TcpSender.on_packet`` / ``_pump`` / ``_send_segment``,
+``TcpReceiver.on_packet``), and the stream admission loops. Those
 functions carry a ``# repro: hot`` marker; this checker rejects
 constructs that past PRs spent effort removing:
 
@@ -19,7 +22,10 @@ constructs that past PRs spent effort removing:
   calls inside loops (per-iteration allocation);
 * capitalized constructor calls and deep (3+) attribute chains inside
   loops (per-iteration object churn / repeated bound-method lookups —
-  PR 4 and PR 7 cached exactly these).
+  the typed event core and the packet engine cached exactly these);
+* ``PacketKind.<member>`` reads anywhere in the function: an enum member
+  read is a class attribute lookup several times the cost of a module
+  global, so hot code compares against module-level constants.
 """
 
 from __future__ import annotations
@@ -44,6 +50,9 @@ _LOG_METHODS = ("debug", "info", "warning", "error", "exception",
 
 #: receiver names that identify a logger
 _LOG_RECEIVERS = ("log", "logger", "logging")
+
+#: enum whose member reads hot functions hoist to module constants
+_ENUM_CLASS = "PacketKind"
 
 _LOOP_NODES = (ast.For, ast.While, ast.AsyncFor)
 _COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp,
@@ -94,6 +103,14 @@ def _violations(fn: ast.FunctionDef) -> list[tuple[int, str]]:
                               "raise statements are exempt)"))
             if isinstance(child, ast.Call) and not is_cold:
                 _check_call(child, in_loop)
+            if not is_cold and isinstance(child, ast.Attribute) and \
+                    isinstance(child.value, ast.Name) and \
+                    child.value.id == _ENUM_CLASS:
+                found.append((child.lineno,
+                              f"{_ENUM_CLASS}.{child.attr} read in a hot "
+                              f"function (an enum class attribute lookup "
+                              f"per read; compare against a module-level "
+                              f"constant)"))
             if not is_cold and in_loop and \
                     type(child) in _LITERALS:
                 found.append((child.lineno,

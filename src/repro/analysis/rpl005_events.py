@@ -11,7 +11,10 @@ contract:
 
 * scheduling a *delivery callback* (``receive`` / ``_deliver_cb``)
   through ``call_after``/``call_at``/``schedule``/``schedule_at`` or a
-  direct heap push is allowed only inside ``Link._finish``;
+  direct heap push is allowed only inside ``Link._finish``, and only
+  once there: ``_finish`` also starts the next transmission, so any
+  delivery it schedules after the first is that tx-start push carrying
+  a delivery;
 * direct pushes onto a simulator's ``_heap`` are allowed only in the
   simulator itself and in ``net/link.py`` (the two inlined hot sites) —
   everywhere else must go through the scheduling API, which keeps the
@@ -69,6 +72,7 @@ def _enclosing_function(sf: SourceFile,
 def check(ctx: AnalysisContext) -> Iterator[Diagnostic]:
     site_file, site_fn = _DELIVERY_SITE
     for sf in ctx.files:
+        at_site: list[int] = []
         for node in ast.walk(sf.tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -104,13 +108,24 @@ def check(ctx: AnalysisContext) -> Iterator[Diagnostic]:
             in_site = (sf.relpath.endswith(site_file)
                        and enclosing is not None
                        and enclosing[0] == site_fn)
-            if not in_site:
+            if in_site:
+                at_site.append(node.lineno)
+            else:
                 where = enclosing[0] if enclosing else "<module>"
-                yield Diagnostic(
-                    "RPL005", sf.relpath, node.lineno,
-                    f"delivery callback scheduled in {where}(): link "
-                    f"deliveries may only be scheduled at the tx-finish "
-                    f"site (Link.{site_fn}). Scheduling them earlier "
-                    f"assigns an earlier heap seq and flips "
-                    f"same-timestamp tie orders (the fig3c regression)",
-                )
+                yield _misplaced(sf, node.lineno, where)
+        # the first delivery in source order is the finished packet's;
+        # any later one rides the next transmission's start
+        for lineno in sorted(at_site)[1:]:
+            yield _misplaced(sf, lineno, site_fn)
+
+
+def _misplaced(sf: SourceFile, lineno: int, where: str) -> Diagnostic:
+    site_fn = _DELIVERY_SITE[1]
+    return Diagnostic(
+        "RPL005", sf.relpath, lineno,
+        f"delivery callback scheduled in {where}(): link deliveries may "
+        f"only be scheduled at the tx-finish site (Link.{site_fn}, once, "
+        f"for the packet whose transmission finished). Scheduling them "
+        f"at tx-start assigns an earlier heap seq and flips "
+        f"same-timestamp tie orders (the fig3c regression)",
+    )

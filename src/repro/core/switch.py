@@ -38,6 +38,8 @@ if TYPE_CHECKING:  # pragma: no cover
 _FORWARD_KINDS = frozenset((PacketKind.SYN, PacketKind.DATA, PacketKind.PROBE))
 #: kinds that run Algorithm 3 against the flow's forward-link state
 _REVERSE_KINDS = frozenset((PacketKind.SYN_ACK, PacketKind.ACK))
+#: the kind that removes a flow's state from the link it leaves on
+_TERM = PacketKind.TERM
 
 #: weight of a new header RTT in the per-link average (an EWMA)
 _RTT_ALPHA = 0.1
@@ -355,7 +357,7 @@ class PdqSwitchProtocol:
             elif header.pauseby is not None:
                 # stateless part of Algorithm 3: a paused flow's rate is 0
                 header.rate = 0.0
-        elif kind == PacketKind.TERM:
+        elif kind == _TERM:
             # no state for this link means no SYN of this flow left on it
             # (Early Termination at start sends a bare TERM): nothing to
             # clean up, and nothing to allocate

@@ -30,8 +30,8 @@ class Event:
         self.callback = callback
         self.args = args
         self.cancelled = False
-        # set by the owning Simulator so its live-event counter stays
-        # exact without scanning the heap
+        # set by the owning Simulator so its tombstone count (and with it
+        # pending()) stays exact without scanning the heap
         self._cancel_hook: Any = None
 
     def cancel(self) -> None:

@@ -53,7 +53,6 @@ class Simulator:
         self.now: float = 0.0
         self._heap: list = []
         self._seq: int = 0
-        self._live: int = 0
         self._tombstones: int = 0
         self._running: bool = False
         self._stopped: bool = False
@@ -75,7 +74,6 @@ class Simulator:
         time = self.now + delay
         if delay < 0:
             raise SimulationError(f"negative delay {delay}")
-        self._live += 1
         heappush(self._heap, (time, self._seq, callback, args))
         self._seq += 1
 
@@ -87,7 +85,6 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at {time} before current time {self.now}"
             )
-        self._live += 1
         heappush(self._heap, (time, self._seq, callback, args))
         self._seq += 1
 
@@ -109,13 +106,11 @@ class Simulator:
             )
         event = Event(time, self._seq, callback, args)
         event._cancel_hook = self._note_cancelled
-        self._live += 1
         heappush(self._heap, (time, self._seq, event))
         self._seq += 1
         return event
 
     def _note_cancelled(self) -> None:
-        self._live -= 1
         self._tombstones += 1
         # bounded compaction: tombstones may never exceed half the heap
         # (past the hysteresis floor), so cancel churn stays amortized O(1)
@@ -179,15 +174,13 @@ class Simulator:
                     if event.cancelled:
                         self._tombstones -= 1
                         continue
-                    self._live -= 1
-                    # a fired event is no longer live: a late cancel()
+                    # a fired event has left the heap: a late cancel()
                     # (e.g. a timer stopped from its own callback) must
-                    # not decrement the counter a second time
+                    # not count it as a tombstone
                     event._cancel_hook = None
                     self.now = time
                     event.callback(*event.args)
                 else:
-                    self._live -= 1
                     self.now = time
                     entry[2](*args)
                 fired += 1
@@ -208,8 +201,9 @@ class Simulator:
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued.
 
-        O(1): a counter maintained on schedule, cancel and pop."""
-        return self._live
+        O(1): every heap entry is live except the cancelled tombstones,
+        which are counted as they are made and as they leave."""
+        return len(self._heap) - self._tombstones
 
     def peek_time(self) -> float | None:
         """Timestamp of the next live event, or None if none are queued.

@@ -53,6 +53,8 @@ class Timer:
         only updates ``expiry``; the heap is untouched until the
         stale entry fires and re-schedules itself at the real expiry.
         Pulling the expiry *earlier* cancels and re-pushes.
+        ``TcpSender.on_packet`` writes the push-back branch out on its
+        per-ACK path and calls this method for the rest.
         """
         at = self._sim.now + delay
         event = self._event

@@ -113,46 +113,34 @@ class Link:
         if not self.up:
             self.fault_drops += 1
             return False
+        queue = self.queue
         if self._transmitting:
-            return self.queue.offer(packet)
-        # idle link: the packet would be offered and popped right back, so
-        # run the queue's accounting-only path and start transmitting
-        # directly (byte counters, drops and peak_bytes update exactly as
-        # the offer+pop pair did). Going through offer + _start_next
-        # instead measured +1 % to +4 % median wall_s on
-        # packet-incast-tcp (benchmarks/perf, alternating pairs on a
-        # 2-core host; the +1 % run was inside the run-to-run spread)
-        if not self.queue.touch(packet):
+            return queue.offer(packet)
+        # idle link: the packet would be offered and popped right back,
+        # so only the queue's accounting runs (the same drop decision,
+        # drop counters and peak_bytes update as offer + pop; the net
+        # byte change is zero and the deque is never written), and the
+        # transmission starts here
+        size = packet.size
+        nbytes = queue._bytes + size
+        if nbytes > queue.capacity_bytes:
+            queue.drops += 1
+            queue.dropped_bytes += size
             return False
+        if nbytes > queue.peak_bytes:
+            queue.peak_bytes = nbytes
         self._transmitting = True
+        # inlined sim.call_after (like the tx-start push in _finish): same
+        # heap tuple, same seq ordering, one less Python frame. The tx
+        # time keeps the exact expression (size * 8 / rate) so timestamps
+        # stay bit-identical to the helper's
         sim = self.sim
         now = sim.now
         self._tx_started = now
-        heappush(sim._heap, (now + packet.size * 8 / self.rate_bps,
+        heappush(sim._heap, (now + size * 8 / self.rate_bps,
                              sim._seq, self._finish_cb, (packet,)))
         sim._seq += 1
-        sim._live += 1
         return True
-
-    # repro: hot
-    def _start_next(self) -> None:
-        packet = self.queue.pop()
-        if packet is None:
-            self._transmitting = False
-            return
-        self._transmitting = True
-        # inlined sim.call_after (the two hottest schedule sites in the
-        # whole engine): same heap tuple, same seq ordering, one less
-        # Python frame per transmission. The inlined tx_time keeps the
-        # exact expression (size * 8 / rate) so timestamps stay
-        # bit-identical to the helper's
-        sim = self.sim
-        now = sim.now
-        self._tx_started = now
-        heappush(sim._heap, (now + packet.size * 8 / self.rate_bps,
-                             sim._seq, self._finish_cb, (packet,)))
-        sim._seq += 1
-        sim._live += 1
 
     # repro: hot
     def _finish(self, packet: Packet) -> None:
@@ -160,12 +148,13 @@ class Link:
         # while in flight, folded into the accumulator here), so a
         # utilization window ending mid-transmission never overcounts
         sim = self.sim
-        self._busy_accum += sim.now - self._tx_started
-        self._transmitting = False
+        now = sim.now
+        self._busy_accum += now - self._tx_started
         if not self.up:
             # the link failed mid-transmission: the packet never reaches
             # the far end. The queue was drained by fail() and enqueue
             # refuses while down, so there is nothing to start next.
+            self._transmitting = False
             self.fault_drops += 1
             return
         self.bytes_sent += packet.size
@@ -178,11 +167,20 @@ class Link:
         if lost:
             self.wire_losses += 1
         else:
-            heappush(sim._heap, (sim.now + self._arrival_delay, sim._seq,
+            # the delivery takes its seq here, at tx-finish, ahead of the
+            # next transmission's (RPL005 holds this order)
+            heappush(sim._heap, (now + self._arrival_delay, sim._seq,
                                  self._deliver_cb, (packet, self)))
             sim._seq += 1
-            sim._live += 1
-        self._start_next()
+        # start the next transmission, if a packet is waiting
+        packet = self.queue.pop()
+        if packet is None:
+            self._transmitting = False
+            return
+        self._tx_started = now
+        heappush(sim._heap, (now + packet.size * 8 / self.rate_bps,
+                             sim._seq, self._finish_cb, (packet,)))
+        sim._seq += 1
 
     # -- introspection ------------------------------------------------------------
 

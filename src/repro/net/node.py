@@ -52,7 +52,10 @@ class Node:
         raise NotImplementedError
 
     def _forward(self, packet: Packet) -> bool:
-        """Advance the packet one hop along its pinned path."""
+        """Advance the packet one hop along its pinned path.
+
+        ``Switch.receive`` and ``Host.send`` carry this body inline (one
+        frame per hop); a host relaying through-traffic calls it."""
         if packet.hop >= len(packet.path):
             raise ProtocolError(
                 f"packet {packet!r} ran out of path at {self.name}"
@@ -111,12 +114,30 @@ class Host(Node):
 
     # -- outbound ---------------------------------------------------------------
 
+    # repro: hot
     def send(self, packet: Packet) -> bool:
         """Inject a locally-originated packet onto its pinned path."""
-        if not packet.path:
+        # _forward inlined: every packet a transport originates starts here
+        path = packet.path
+        if not path:
             raise ProtocolError(f"packet {packet!r} has no path")
         packet.sent_time = self.sim.now
-        return self._forward(packet)
+        hop = packet.hop
+        if hop >= len(path):
+            raise ProtocolError(
+                f"packet {packet!r} ran out of path at {self.name}"
+            )
+        out_link = path[hop]
+        packet.hop = hop + 1
+        if out_link.src is not self:
+            raise ProtocolError(
+                f"path inconsistency: link {out_link.name} does not leave "
+                f"{self.name}"
+            )
+        if self.protocol is not None:
+            self.protocol.process(packet, out_link)
+        self.forwarded += 1
+        return out_link.enqueue(packet)
 
     # -- inbound -----------------------------------------------------------------
 

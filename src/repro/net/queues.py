@@ -4,7 +4,10 @@ PDQ's whole point is to need nothing fancier than this at switches
 (paper §1: "lightweight, using only FIFO tail-drop queues").
 
 Packets wait in a :class:`collections.deque`; byte accounting is O(1) on
-both ends.
+both ends. A packet that reaches an idle link never waits here:
+``Link.enqueue`` applies the same drop test and ``peak_bytes`` update
+itself and starts transmitting it (an ``offer`` and its ``pop`` cancel
+out).
 """
 
 from __future__ import annotations
@@ -51,21 +54,6 @@ class DropTailQueue:
             return False
         self._q.append(packet)
         self._bytes = nbytes
-        if nbytes > self.peak_bytes:
-            self.peak_bytes = nbytes
-        return True
-
-    # repro: hot
-    def touch(self, packet: Packet) -> bool:
-        """Accounting-only ``offer`` + immediate ``pop`` for a packet that
-        goes straight into transmission on an idle link: identical drop
-        decision and ``peak_bytes`` update, but the deque is never written
-        (net byte change is zero). ``Link.enqueue`` says why it is kept."""
-        nbytes = self._bytes + packet.size
-        if nbytes > self.capacity_bytes:
-            self.drops += 1
-            self.dropped_bytes += packet.size
-            return False
         if nbytes > self.peak_bytes:
             self.peak_bytes = nbytes
         return True

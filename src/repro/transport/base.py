@@ -25,6 +25,10 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.net.network import Network
     from repro.workload.flow import FlowSpec
 
+# module constants: an enum member read costs a class attribute lookup
+_DATA = PacketKind.DATA
+_ACK = PacketKind.ACK
+
 
 class ProtocolStack(abc.ABC):
     """Factory bundle describing one transport protocol.
@@ -268,11 +272,11 @@ class RateBasedSender(EndpointBase):
             self.spec.fid,
             self.host.id,
             self.dst_id,
-            PacketKind.DATA,
+            _DATA,
             chunk + self.stack.header_bytes,
             seq=offset,
             payload=chunk,
-            sched=self.make_sched_header(PacketKind.DATA),
+            sched=self.make_sched_header(_DATA),
             echo_time=now,
             path=self.path,
         )
@@ -437,7 +441,7 @@ class AckingReceiver(EndpointBase):
                 self.complete = True
                 metrics.on_complete(self.spec.fid, self.sim.now)
                 self.on_complete()
-        self._reply(packet, PacketKind.ACK, (seq, seq + payload))
+        self._reply(packet, _ACK, (seq, seq + payload))
 
     def on_complete(self) -> None:
         """Subclass hook (e.g. M-PDQ resequencing notification)."""

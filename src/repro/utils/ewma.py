@@ -58,6 +58,10 @@ class RttEstimator:
     """RFC6298-style smoothed RTT + variance, used for retransmission timers.
 
     ``rto()`` is clamped to ``[rto_min, rto_max]``.
+
+    ``TcpSender.on_packet`` writes :meth:`update` and :meth:`rto` out on
+    its per-ACK path: a change here must be mirrored there (the TCP
+    digest pins in ``tests/test_pdq_digest_pins.py`` catch a drift).
     """
 
     def __init__(self, rto_min: float = 2e-3, rto_max: float = 1.0,

@@ -2,6 +2,8 @@
 
 import logging
 
+from repro.net.packet import PacketKind
+
 log = logging.getLogger(__name__)
 
 
@@ -28,4 +30,6 @@ class Engine:
             box = {"item": item}  # dict literal per iteration
             wrapped = Thing(item)  # constructor per iteration
             self.sink.stats.counters.bump(item)  # deep chain in a loop
+            if item == PacketKind.DATA:  # enum member read
+                self.count += 1
             self.count += len([helper, cb, box, wrapped])

@@ -1,5 +1,9 @@
 """RPL002 pass fixture: a hot function that keeps its hands clean."""
 
+from repro.net.packet import PacketKind
+
+_DATA = PacketKind.DATA  # hoisted: hot code compares against the constant
+
 
 class Engine:
     def __init__(self):
@@ -15,6 +19,7 @@ class Engine:
         while heap:
             item = pop(heap)
             cb(item)
-            self.count += 1
+            if item == _DATA:
+                self.count += 1
             if item is None:
                 raise ValueError(f"tombstone leaked into {heap!r}")

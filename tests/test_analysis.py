@@ -59,6 +59,7 @@ class TestRpl002HotPathPurity:
             "list literal inside a loop",
             "Thing() constructed inside a loop",
             "attribute-chained call self.sink.stats.counters.bump()",
+            "PacketKind.DATA read in a hot function",
         ):
             assert needle in blob, f"missing diagnostic for: {needle}"
         assert all(d.message.startswith("Engine.drain:") for d in diags)
@@ -174,10 +175,11 @@ class TestRpl005EventShape:
         target.write_text(reverted)
         ctx = AnalysisContext.build(REPO_ROOT, paths=[target])
         diags = run_checker("RPL005", ctx)
-        # both tx-start push sites (enqueue and _start_next) now schedule
-        # deliveries outside _finish
+        # both tx-start push sites now schedule deliveries: the one in
+        # enqueue, and the one in _finish that follows the finished
+        # packet's own delivery
         assert len(diags) == 2
-        assert {"enqueue", "_start_next"} == {
+        assert {"enqueue", "_finish"} == {
             d.message.split("(")[0].split()[-1] for d in diags
         }
 
@@ -207,8 +209,11 @@ class TestRepoIsCleanAtHead:
             ("queues.py", "DropTailQueue.offer"),
             ("queues.py", "DropTailQueue.pop"),
             ("node.py", "Switch.receive"),
+            ("node.py", "Host.send"),
             ("base.py", "RateBasedSender._emit"),
             ("tcp.py", "TcpSender._pump"),
+            ("tcp.py", "TcpSender.on_packet"),
+            ("tcp.py", "TcpReceiver.on_packet"),
         ]:
             assert expected in marked, f"missing # repro: hot on {expected}"
 

@@ -5,6 +5,11 @@ from hypothesis import given, strategies as st
 
 from repro.errors import SimulationError
 from repro.events import PeriodicTimer, Simulator, Timer
+from repro.utils.rng import spawn_rng
+
+
+def _noop():
+    pass
 
 
 class TestSimulator:
@@ -142,6 +147,44 @@ class TestSimulator:
         event.cancel()
         event.cancel()
         assert sim.pending() == 1
+
+    def test_pending_matches_heap_count_under_random_churn(self):
+        # pending() is derived (heap size minus tombstones): after every
+        # operation it must equal a brute-force count of the heap
+        # entries that can still fire
+        rng = spawn_rng(20120813, "test:pending")
+        sim = Simulator()
+        handles = []
+
+        def live_entries():
+            return sum(1 for entry in sim._heap
+                       if len(entry) == 4 or not entry[2].cancelled)
+
+        for _ in range(3000):
+            op = int(rng.integers(6))
+            if op == 0:
+                handles.append(sim.schedule(float(rng.random()), _noop))
+            elif op == 1:
+                sim.call_after(float(rng.random()), _noop)
+            elif op == 2 and handles:
+                # live, fired or already cancelled: each must be safe
+                event = handles[int(rng.integers(len(handles)))]
+                event.cancel()
+                event.cancel()
+            elif op == 3:
+                sim.peek_time()
+            elif op == 4:
+                sim.run(max_events=int(rng.integers(1, 8)))
+            elif op == 5 and rng.random() < 0.1:
+                # a cancel storm, enough tombstones to force _compact
+                storm = [sim.schedule(float(rng.random()), _noop)
+                         for _ in range(100)]
+                for event in storm:
+                    event.cancel()
+            assert sim.pending() == live_entries()
+        assert sim.compactions > 0
+        sim.run()
+        assert sim.pending() == 0 == len(sim._heap)
 
     def test_peek_time_skips_cancelled(self):
         sim = Simulator()

@@ -1,8 +1,8 @@
 """Tests for the FIFO tail-drop queue and the link's drop paths.
 
 ``DropTailQueue`` must behave exactly like the obvious deque-backed
-queue below (same FIFO order, drop decisions and byte counters), its
-accounting-only ``touch`` must equal ``offer`` + ``pop``, and every
+queue below (same FIFO order, drop decisions and byte counters), an
+idle link's inline accounting must equal ``offer`` + ``pop``, and every
 packet a link drops — tail-drop or wire loss — must be counted once and
 left with nothing holding it.
 """
@@ -92,18 +92,36 @@ class TestDropTailQueue:
         _assert_same_state(queue, ref)
         assert queue.drops == 8  # two fit, eight tail-dropped
 
-    def test_touch_matches_offer_then_pop(self):
-        # touch() must make the same drop decision and peak update as
-        # offer()+pop() without mutating occupancy
-        queue = DropTailQueue(4000)
-        queue.offer(_packet(size=1500))
-        assert queue.touch(_packet(size=2000))
-        assert queue.peak_bytes == 3500
-        assert queue.bytes == 1500 and len(queue) == 1
-        assert not queue.touch(_packet(size=3000))
-        assert queue.drops == 1
-        assert queue.dropped_bytes == 3000
-        assert queue.peak_bytes == 3500
+    def test_idle_link_enqueue_matches_offer_then_pop(self):
+        # a packet reaching an idle link starts transmitting without
+        # entering the deque: Link.enqueue must make the same drop
+        # decision and counter updates as offer() + pop() on the queue
+        sim = Simulator()
+        src = Host(sim, 0, "src", processing_delay=0.0)
+        dst = Host(sim, 1, "dst", processing_delay=0.0)
+        link = Link(sim, src, dst, 1 * GBPS, 0.1 * USEC,
+                    buffer_bytes=4000, link_id=0)
+        ref = _DequeRefQueue(4000)
+
+        first = _packet(size=2000)  # idle: starts at once
+        assert link.enqueue(first) and ref.offer(first)
+        assert ref.pop() is first
+        _assert_same_state(link.queue, ref)
+        assert link.queue.peak_bytes == 2000
+        waiting = _packet(size=1500)  # busy: waits in the deque
+        assert link.enqueue(waiting) == ref.offer(waiting)
+        _assert_same_state(link.queue, ref)
+        sim.run()
+        assert ref.pop() is waiting
+        _assert_same_state(link.queue, ref)
+
+        oversize = _packet(size=5000)  # idle again, and too big
+        assert not link.enqueue(oversize)
+        assert not ref.offer(oversize)
+        _assert_same_state(link.queue, ref)
+        assert link.queue.drops == 1
+        assert link.queue.dropped_bytes == 5000
+        assert dst.stray_packets == 2
 
 
 class TestLinkDropPaths:

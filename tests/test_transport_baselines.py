@@ -3,10 +3,23 @@
 import pytest
 
 from repro.net.network import Network
+from repro.net.packet import Packet, PacketKind
 from repro.topology import SingleBottleneck, SingleRootedTree
 from repro.transport import D3Stack, RcpStack, TcpStack
 from repro.units import GBPS, KBYTE, MBYTE, MSEC
 from repro.workload.flow import FlowSpec
+
+
+class _KeepingTcpStack(TcpStack):
+    """TcpStack that keeps every (sender, receiver) pair it makes."""
+
+    def __init__(self):
+        self.made = []
+
+    def make_endpoints(self, *args):
+        pair = super().make_endpoints(*args)
+        self.made.append(pair)
+        return pair
 
 
 def run(stack, flows, n_senders=None, deadline=2.0, loss=None):
@@ -38,6 +51,32 @@ class TestTcp:
         record = net.metrics.record(0)
         assert record.completed
         assert record.retransmissions > 0
+
+    def test_receiver_keeps_only_out_of_order_offsets(self):
+        """Losses leave holes, so segments arrive out of order; once the
+        flow completes the receiver holds no offsets (memory bounded by
+        the reordering window, not the flow), and a late duplicate below
+        the cumulative pointer delivers nothing."""
+        size = 500 * KBYTE
+        stack = _KeepingTcpStack()
+        net = run(stack, [FlowSpec(fid=0, src="send0", dst="recv",
+                                   size_bytes=size)], loss=0.02)
+        record = net.metrics.record(0)
+        assert record.completed and record.retransmissions > 0
+        sender, receiver = stack.made[0]
+        assert receiver._cum == size
+        assert receiver._got == set()
+        delivered = record.bytes_delivered
+        assert delivered == receiver.bytes_received == size
+
+        payload = stack.payload_bytes
+        duplicate = Packet(0, sender.src_id, sender.dst_id, PacketKind.DATA,
+                           payload + stack.header_bytes, payload, payload,
+                           path=sender.path)
+        receiver.on_packet(duplicate)
+        assert record.bytes_delivered == delivered
+        assert receiver.bytes_received == size
+        assert receiver._got == set()
 
     def test_fair_sharing_roughly_equal(self):
         flows = [FlowSpec(fid=i, src=f"send{i}", dst="recv",
