@@ -10,8 +10,13 @@ which run the idle-link queue accounting inline) and the busy path's
 ``on_reverse``, ``PdqFlowList.reposition``), the rate-based send and
 acknowledge paths with the PDQ endpoint hooks, the TCP endpoints
 (``TcpSender.on_packet`` / ``_pump`` / ``_send_segment``,
-``TcpReceiver.on_packet``), and the stream admission loops. Those
-functions carry a ``# repro: hot`` marker; this checker rejects
+``TcpReceiver.on_packet``), the packet engine's stream admission
+(``Network._admit_stream``) and the fluid engine's per-flow path:
+admission (``FlowLevelSimulation._admit``), the window pull
+(``FlowStream.take_until``) and the streaming collector's registration
+and completion hooks (``StreamingMetricsCollector.register`` /
+``on_complete``). Those functions carry a ``# repro: hot`` marker; this
+checker rejects
 constructs that past PRs spent effort removing:
 
 * closures and lambdas (PR 4 made the event loop closure-free);

@@ -21,8 +21,8 @@ invalidated by a per-flow version bump on rate change — an unchanged
 rate means an unchanged absolute ETA) and deadline boundaries in a
 second lazy heap, so locating the next event does not scan every flow.
 A rate model answers with the flows whose rate it evaluated; an absent
-flow keeps its rate, so ``_apply_rates`` touches only those, and the
-advance and completion passes run over the persistent sending set — a
+flow keeps its rate, so the rate pass touches only those, and the fused
+advance-and-completion pass runs over the persistent sending set — a
 paused flow costs nothing per epoch.
 The frozen pre-optimization engine is
 :class:`~repro.flowsim.naive.NaiveFlowLevelSimulation`; parity tests pin
@@ -34,6 +34,7 @@ from __future__ import annotations
 import heapq
 from collections.abc import Sequence
 from itertools import chain
+from operator import attrgetter
 
 from repro.errors import ExperimentError, FaultError, RoutingError
 from repro.flowsim.paths import GraphRouter
@@ -49,6 +50,9 @@ from repro.workload.stream import FlowStream
 _PER_HOP_DELAY = 25 * USEC + 0.1 * USEC
 
 _INF = float("inf")
+
+#: admission order of a promoted flow (orders same-epoch completions)
+_seq = attrgetter("seq")
 
 
 def _name_pair(a: str, b: str) -> tuple[str, str]:
@@ -146,10 +150,6 @@ class FlowLevelSimulation:
 
     # -- setup helpers --------------------------------------------------------------
 
-    def _wire_size(self, size_bytes: int) -> float:
-        packets = -(-size_bytes // self.payload)
-        return size_bytes + packets * self.header_bytes
-
     def _estimate_rtt(self, path: Sequence[int]) -> float:
         rtt = 0.0
         capacities = self.capacities
@@ -158,11 +158,9 @@ class FlowLevelSimulation:
             rtt += 2.0 * (_PER_HOP_DELAY + tx_time(self.header_bytes, rate))
         return rtt
 
-    def _pinned_path(
-        self, spec: FlowSpec,
-    ) -> tuple[tuple[int, ...], float, float]:
-        """``(path, max_rate, rtt)`` of ``spec`` on the current topology."""
-        path = self.router.flow_path_ids(spec.fid, spec.src, spec.dst)
+    def _price_path(self, path: tuple[int, ...]) -> tuple[float, float]:
+        """``(max_rate, rtt)`` of ``path``, cached until the next fault
+        epoch rewrites the capacities."""
         costs = self._path_costs.get(path)
         if costs is None:
             capacities = self.capacities
@@ -170,17 +168,29 @@ class FlowLevelSimulation:
                 min(capacities[eid] for eid in path),
                 self._estimate_rtt(path),
             )
-        return (path, *costs)
+        return costs
+
+    def _pinned_path(
+        self, spec: FlowSpec,
+    ) -> tuple[tuple[int, ...], float, float]:
+        """``(path, max_rate, rtt)`` of ``spec`` on the current topology."""
+        path = self.router.flow_path_ids(spec.fid, spec.src, spec.dst)
+        return (path, *self._price_path(path))
 
     def _make_progress(self, spec: FlowSpec) -> FlowProgress:
-        path, max_rate, rtt = self._pinned_path(spec)
+        """The per-flow constructor of admission: :meth:`_pinned_path`
+        and the wire size (payload plus per-packet headers), inlined for
+        the common case of an already priced path."""
+        path = self.router.flow_path_ids(spec.fid, spec.src, spec.dst)
+        costs = self._path_costs.get(path)
+        if costs is None:
+            costs = self._price_path(path)
+        max_rate, rtt = costs
+        size = spec.size_bytes
         return FlowProgress(
-            spec=spec,
-            path=path,
-            max_rate=max_rate,
-            rtt=rtt,
-            wire_size=self._wire_size(spec.size_bytes),
-            transfer_start=spec.arrival + self.init_rtts * rtt,
+            spec, path, max_rate, rtt,
+            size + -(-size // self.payload) * self.header_bytes,
+            spec.arrival + self.init_rtts * rtt,
         )
 
     # -- main loop -------------------------------------------------------------------
@@ -212,6 +222,13 @@ class FlowLevelSimulation:
         the next ``refresh_interval`` window, so a flow is in the waiting
         heap before simulated time reaches it and memory is O(concurrent
         flows). An idle engine never jumps past ``deadline``.
+
+        The body is one frame per epoch: promotion, rate application,
+        terminations, the next-event search, the advance and the
+        completion pass are inline. Builtin ``min``/``max`` calls are
+        spelled as the comparisons they make (``b if b < a else a`` is
+        ``min(a, b)``, ties and NaNs included), so every float and every
+        tie resolves as in the reference engine.
         """
         begin_run = getattr(self.model, "begin_run", None)
         if begin_run is not None:
@@ -227,38 +244,132 @@ class FlowLevelSimulation:
         eta_heap: list[tuple[float, int, int, FlowProgress]] = []
         deadline_heap: list[tuple[float, int, FlowProgress]] = []
 
-        while (waiting or active or not stream.exhausted) \
-                and self.now <= deadline:
+        allocate = self.model.allocate
+        terminations = self.model.terminations
+        capacities = self.capacities  # fault epochs rewrite it in place
+        metrics = self.metrics
+        tracer = metrics.tracer
+        by_fid = self._by_fid
+        sending = self._sending
+        samplers = self.samplers
+        refresh = self.refresh_interval
+        faults = self.fault_events
+        end = deadline + refresh
+        heappush = heapq.heappush
+        heappop = heapq.heappop
+        # the two external event sources, as times (inf when drained):
+        # the next unadmitted arrival, re-read only after an admission,
+        # and the next fault epoch, re-read only after one is applied
+        arrival = stream.peek_arrival()
+        if arrival is None:
+            arrival = _INF
+        fault_time = faults[self._fault_idx].time \
+            if self._fault_idx < len(faults) else _INF
+        budget = (2_000_000 + 64 * self._admitted
+                  if max_recomputations is None else max_recomputations)
+        now = self.now
+
+        while (waiting or active or arrival != _INF) and now <= deadline:
             self.iterations += 1
-            # a fully idle engine skips straight to the next arrival
-            # (the loop condition guarantees there is one)
-            jump = self.now if active or waiting else stream.peek_arrival()
-            if jump > deadline:
-                break
-            self._jump_and_admit(jump, stream, waiting, active)
+            if not (active or waiting):
+                # a fully idle engine skips straight to the next arrival
+                # (the loop condition guarantees there is one)
+                if arrival > deadline:
+                    break
+                if arrival > now:
+                    self.now = now = arrival
+            # due faults first, so arrivals compute their paths on the
+            # post-fault topology; then the next refresh window's arrivals
+            if fault_time <= now:
+                self._apply_due_faults(waiting, active)
+                fault_time = faults[self._fault_idx].time \
+                    if self._fault_idx < len(faults) else _INF
+            if arrival <= now + refresh:
+                self._admit(stream, waiting)
+                arrival = stream.peek_arrival()
+                if arrival is None:
+                    arrival = _INF
+                if max_recomputations is None:
+                    budget = 2_000_000 + 64 * self._admitted
             if not active and waiting:
                 # then to the first transfer start, but never past an
                 # unadmitted arrival (its transfer start could come
                 # first) or a fault epoch (waiting flows may need
                 # rerouting or rejecting before they are promoted)
-                jump = min(waiting[0][0], self._next_external(stream))
+                external = fault_time if fault_time < arrival else arrival
+                start = waiting[0][0]
+                jump = external if external < start else start
                 if jump > deadline:
                     break
-                self._jump_and_admit(jump, stream, waiting, active)
-            self._promote(waiting, active, deadline_heap)
+                if jump > now:
+                    self.now = now = jump
+                if fault_time <= now:
+                    self._apply_due_faults(waiting, active)
+                    fault_time = faults[self._fault_idx].time \
+                        if self._fault_idx < len(faults) else _INF
+                if arrival <= now + refresh:
+                    self._admit(stream, waiting)
+                    arrival = stream.peek_arrival()
+                    if arrival is None:
+                        arrival = _INF
+                    if max_recomputations is None:
+                        budget = 2_000_000 + 64 * self._admitted
+
+            # promotion: every waiting flow whose transfer has started,
+            # in admission order (matching the reference engine)
+            cutoff = now + 1e-12
+            if waiting and waiting[0][0] <= cutoff:
+                batch: list[tuple[int, FlowProgress]] = []
+                while waiting and waiting[0][0] <= cutoff:
+                    _, seq, flow = heappop(waiting)
+                    batch.append((seq, flow))
+                batch.sort()
+                for seq, flow in batch:
+                    flow.seq = seq
+                    by_fid[flow.fid] = flow
+                    active.append(flow)
+                    if flow.abs_deadline is not None:
+                        heappush(deadline_heap,
+                                 (flow.abs_deadline, seq, flow))
             if not active:
                 continue
 
-            rates = self.model.allocate(active, self.capacities, self.now)
+            rates = allocate(active, capacities, now)
             self.recomputations += 1
-            budget = (2_000_000 + 64 * self._admitted
-                      if max_recomputations is None else max_recomputations)
             if self.recomputations > budget:
                 raise ExperimentError(
                     "flow-level simulation did not converge "
                     f"({budget} recomputations)"
                 )
-            self._apply_rates(rates, eta_heap)
+            # set the rates the model answered with, track pause spans
+            # and keep the sending set (rate > 0) current. A flow absent
+            # from ``rates`` keeps its rate, pause span and ETA; a flow
+            # whose rate changed gets a fresh ETA entry (a constant rate
+            # keeps its absolute ETA, so stale entries stay valid until
+            # the next rate change bumps the version)
+            if tracer is None:
+                for fid, rate in rates.items():
+                    flow = by_fid[fid]
+                    if rate <= 0 and flow.paused_since is None:
+                        flow.paused_since = now
+                        self.pauses += 1
+                    elif rate > 0 and flow.paused_since is not None:
+                        flow.waited += now - flow.paused_since
+                        flow.paused_since = None
+                        self.resumes += 1
+                    if rate != flow.rate:
+                        flow.rate = rate
+                        flow.eta_version += 1
+                        if rate > 0:
+                            sending[fid] = flow
+                            heappush(eta_heap, (
+                                now + flow.remaining_wire * 8.0 / rate,
+                                flow.eta_version, fid, flow,
+                            ))
+                        else:
+                            sending.pop(fid, None)
+            else:
+                self._apply_traced_rates(rates, eta_heap)
             if len(eta_heap) > 64 and len(eta_heap) > 4 * len(active):
                 # models that reshuffle most rates per recomputation (RCP
                 # max-min) strand stale entries below the heap top; compact
@@ -270,66 +381,93 @@ class FlowLevelSimulation:
                     and entry[1] == entry[3].eta_version
                 ]
                 heapq.heapify(eta_heap)
-            if self._terminate_flows(active, rates):
+            doomed = terminations(active, rates, now)
+            if doomed:
+                for fid, reason in doomed:
+                    self._depart(by_fid[fid])
+                    metrics.on_terminated(fid, now, reason)
+                active[:] = [f for f in active if not f.departed]
                 continue  # rates changed; recompute immediately
 
-            # rates hold until the next event; they must not integrate
-            # across an unadmitted arrival or a fault epoch either
-            horizon = min(
-                self._next_event_time(waiting, eta_heap, deadline_heap,
-                                      deadline),
-                self._next_external(stream),
-            )
-            dt = horizon - self.now
+            # rates hold until the next event: a refresh, a transfer
+            # start, a completion or a deadline boundary (ET conditions
+            # warrant a recomputation), never past ``deadline`` by more
+            # than one refresh, and they must not integrate across an
+            # unadmitted arrival or a fault epoch either
+            horizon = now + refresh
+            if waiting:
+                start = waiting[0][0]
+                if start < horizon:
+                    horizon = start
+            while eta_heap:
+                _, version, _, flow = eta_heap[0]
+                if flow.departed or version != flow.eta_version:
+                    heappop(eta_heap)  # stale: rate changed or flow gone
+                    continue
+                # recompute at current time: FP-identical to the
+                # reference engine's per-iteration scan value
+                rate = flow.rate
+                eta = _INF if rate <= 0 \
+                    else now + flow.remaining_wire * 8.0 / rate
+                if eta < horizon:
+                    horizon = eta
+                break
+            while deadline_heap:
+                dl, _, flow = deadline_heap[0]
+                if flow.departed or dl <= now:
+                    heappop(deadline_heap)  # boundary passed for good
+                    continue
+                if dl < horizon:
+                    horizon = dl
+                break
+            if not horizon < end:
+                horizon = end
+            external = fault_time if fault_time < arrival else arrival
+            if external < horizon:
+                horizon = external
+            dt = horizon - now
             if dt < 0:
                 raise ExperimentError("fluid engine time went backwards")
-            for flow in self._sending.values():
-                # inlined FlowProgress.advance (same arithmetic)
-                flow.remaining_wire = max(
-                    0.0, flow.remaining_wire - flow.rate * dt / 8.0
-                )
-            self.now = horizon
-            self._complete_finished(active)
-            if self.samplers:
-                for sampler in self.samplers:
+            # advance (FlowProgress.advance, same arithmetic) and collect
+            # the flows that crossed the completion threshold; only flows
+            # that advanced with rate > 0 can cross it
+            finished = []
+            for flow in sending.values():
+                remaining = flow.remaining_wire - flow.rate * dt / 8.0
+                if not remaining > 0.0:
+                    remaining = 0.0
+                flow.remaining_wire = remaining
+                if remaining <= 1e-6:
+                    finished.append(flow)
+            self.now = now = horizon
+            if finished:
+                if len(finished) > 1:
+                    # callbacks fire in admission order
+                    finished.sort(key=_seq)
+                for flow in finished:
+                    fid = flow.fid
+                    flow.departed = True
+                    del by_fid[fid]
+                    del sending[fid]
+                    metrics.on_bytes(fid, flow.spec.size_bytes)
+                    metrics.on_complete(fid, now)
+                active[:] = [f for f in active if not f.departed]
+            if samplers:
+                for sampler in samplers:
                     sampler.on_step(self, active)
         if not self._lazy:
             # rule 3: list flows the loop never reached (they arrive
             # after ``deadline``) still come back as unfinished records
             for spec in stream.materialize():
-                self.metrics.register(spec)
-                self.metrics.on_start(spec.fid, spec.arrival)
-        return self.metrics
-
-    def _next_external(self, stream: FlowStream) -> float:
-        """Time of the next event the loop has not absorbed yet: the
-        next unadmitted arrival or the next fault epoch, whichever comes
-        first (inf when neither is left)."""
-        time = stream.peek_arrival()
-        if time is None:
-            time = _INF
-        if self._fault_idx < len(self.fault_events):
-            fault_time = self.fault_events[self._fault_idx].time
-            if fault_time < time:
-                time = fault_time
-        return time
-
-    def _jump_and_admit(self, time: float, stream: FlowStream,
-                        waiting: list, active: list) -> None:
-        """Move an idle engine forward to ``time`` (no-op when it is not
-        ahead of ``now``), apply the faults due by then, and only then
-        admit, so arriving flows compute their paths on the post-fault
-        topology."""
-        if time > self.now:
-            self.now = time
-        self._apply_due_faults(waiting, active)
-        if not stream.exhausted:
-            self._admit(stream, waiting)
+                metrics.register(spec)
+                metrics.on_start(spec.fid, spec.arrival)
+        return metrics
 
     # repro: hot
     def _admit(self, stream: FlowStream, waiting: list) -> None:
         """Admission step: register, start and queue every arrival
-        inside the next refresh window.
+        inside the next refresh window. :meth:`run` calls it only when
+        the stream's next arrival falls inside that window.
 
         Under fault injection an arrival may find its endpoints
         partitioned; it is rejected (terminated on arrival) instead of
@@ -362,7 +500,8 @@ class FlowLevelSimulation:
     # -- fault epochs (repro.faults) ---------------------------------------------------
 
     def _apply_due_faults(self, waiting: list, active: list) -> None:
-        """Apply every fault event scheduled at or before ``now``.
+        """Apply every fault event scheduled at or before ``now``
+        (:meth:`run` calls it only when at least one is due).
 
         Updates the down sets, rebuilds the router's excluded-edge set
         and the capacity vector, then re-pins the path of every admitted
@@ -373,8 +512,6 @@ class FlowLevelSimulation:
         """
         events = self.fault_events
         idx = self._fault_idx
-        if idx >= len(events) or events[idx].time > self.now:
-            return
         while idx < len(events) and events[idx].time <= self.now:
             event = events[idx]
             idx += 1
@@ -442,51 +579,27 @@ class FlowLevelSimulation:
 
     # -- helpers ---------------------------------------------------------------------------
 
-    def _promote(self, waiting: list[tuple[float, int, FlowProgress]],
-                 active: list[FlowProgress],
-                 deadline_heap: list[tuple[float, int, FlowProgress]]) -> None:
-        cutoff = self.now + 1e-12
-        if not waiting or waiting[0][0] > cutoff:
-            return
-        batch: list[tuple[int, FlowProgress]] = []
-        while waiting and waiting[0][0] <= cutoff:
-            _, seq, flow = heapq.heappop(waiting)
-            batch.append((seq, flow))
-        # arrival order within the batch, matching the reference engine
-        batch.sort()
-        by_fid = self._by_fid
-        for seq, flow in batch:
-            flow.seq = seq
-            by_fid[flow.fid] = flow
-            active.append(flow)
-            if flow.abs_deadline is not None:
-                heapq.heappush(deadline_heap, (flow.abs_deadline, seq, flow))
-
     def _depart(self, flow: FlowProgress) -> None:
-        """Every departure (completion, termination, no route left after
-        a fault) goes through here; a waiting flow is in neither map."""
+        """Every departure other than a completion (termination, no
+        route left after a fault) goes through here; a waiting flow is
+        in neither map."""
         flow.departed = True
         self._by_fid.pop(flow.fid, None)
         self._sending.pop(flow.fid, None)
 
-    def _apply_rates(self, rates: dict[int, float],
-                     eta_heap: list[tuple[float, int, int, FlowProgress]],
-                     ) -> None:
-        """Set the rates the model answered with, track pause spans and
-        keep the sending set (rate > 0) current. A flow absent from
-        ``rates`` is not touched: its rate, pause span and ETA stand.
-        Flows whose rate changed get a fresh ETA entry (a constant rate
-        keeps its absolute ETA, so stale entries stay valid until the
-        next rate change bumps the version)."""
+    def _apply_traced_rates(
+        self, rates: dict[int, float],
+        eta_heap: list[tuple[float, int, int, FlowProgress]],
+    ) -> None:
+        """The rate application of :meth:`run` for a traced run: the
+        same updates, visited in admission order so that trace events
+        are recorded in that order."""
         now = self.now
         by_fid = self._by_fid
         sending = self._sending
         tracer = self.metrics.tracer
-        entries = rates.items()
-        if tracer is not None:
-            # trace events are recorded in admission order
-            entries = sorted(entries, key=lambda item: by_fid[item[0]].seq)
-        for fid, rate in entries:
+        for fid, rate in sorted(rates.items(),
+                                key=lambda item: by_fid[item[0]].seq):
             flow = by_fid[fid]
             if rate <= 0 and flow.paused_since is None:
                 flow.paused_since = now
@@ -496,8 +609,7 @@ class FlowLevelSimulation:
                 flow.paused_since = None
                 self.resumes += 1
             if rate != flow.rate:
-                if tracer is not None:
-                    tracer.on_rate(fid, now, rate)
+                tracer.on_rate(fid, now, rate)
                 flow.rate = rate
                 flow.eta_version += 1
                 if rate > 0:
@@ -508,62 +620,3 @@ class FlowLevelSimulation:
                     ))
                 else:
                     sending.pop(fid, None)
-
-    def _terminate_flows(self, active: list[FlowProgress],
-                         rates: dict[int, float]) -> bool:
-        doomed = self.model.terminations(active, rates, self.now)
-        if not doomed:
-            return False
-        for fid, reason in doomed:
-            self._depart(self._by_fid[fid])
-            self.metrics.on_terminated(fid, self.now, reason)
-        active[:] = [f for f in active if not f.departed]
-        return True
-
-    def _next_event_time(self, waiting: list[tuple[float, int, FlowProgress]],
-                         eta_heap: list[tuple[float, int, int, FlowProgress]],
-                         deadline_heap: list[tuple[float, int, FlowProgress]],
-                         deadline: float) -> float:
-        now = self.now
-        horizon = now + self.refresh_interval
-        if waiting:
-            start = waiting[0][0]
-            if start < horizon:
-                horizon = start
-        while eta_heap:
-            _, version, _, flow = eta_heap[0]
-            if flow.departed or version != flow.eta_version:
-                heapq.heappop(eta_heap)  # stale: rate changed or flow gone
-                continue
-            # recompute at current time: FP-identical to the reference
-            # engine's per-iteration scan value
-            eta = flow.completion_eta(now)
-            if eta < horizon:
-                horizon = eta
-            break
-        while deadline_heap:
-            dl, _, flow = deadline_heap[0]
-            if flow.departed or dl <= now:
-                heapq.heappop(deadline_heap)  # boundary passed for good
-                continue
-            # ET condition boundaries also warrant a recomputation
-            if dl < horizon:
-                horizon = dl
-            break
-        end = deadline + self.refresh_interval
-        return horizon if horizon < end else end
-
-    def _complete_finished(self, active: list[FlowProgress]) -> None:
-        # only flows that advanced with rate > 0 can cross the threshold
-        finished = [f for f in self._sending.values()
-                    if f.remaining_wire <= 1e-6]
-        if not finished:
-            return
-        if len(finished) > 1:
-            # callbacks fire in admission order
-            finished.sort(key=lambda f: f.seq)
-        for flow in finished:
-            self._depart(flow)
-            self.metrics.on_bytes(flow.fid, flow.spec.size_bytes)
-            self.metrics.on_complete(flow.fid, self.now)
-        active[:] = [f for f in active if not f.departed]

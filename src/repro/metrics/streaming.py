@@ -36,6 +36,9 @@ from repro.workload.flow import FlowSpec
 #: serialization version of the "streaming" block
 STREAMING_SCHEMA = 1
 
+#: the keys a ``streaming_metrics`` options dict may carry
+STREAMING_OPTIONS = ("reservoir", "reference_rate_bps", "sketch_k")
+
 
 def streaming_collector(options, seed: int = 0) -> "StreamingMetricsCollector":
     """Build a streaming collector from a spec's ``streaming_metrics``
@@ -48,6 +51,12 @@ def streaming_collector(options, seed: int = 0) -> "StreamingMetricsCollector":
             "streaming_metrics must be true or an options dict, "
             f"got {options!r}"
         )
+    for key in options:
+        if key not in STREAMING_OPTIONS:
+            raise ExperimentError(
+                f"unknown streaming_metrics option {key!r} (valid: "
+                f"{', '.join(STREAMING_OPTIONS)})"
+            )
     return StreamingMetricsCollector(
         reservoir_size=options.get("reservoir", 1000),
         seed=seed,
@@ -103,12 +112,49 @@ class StreamingMetricsCollector(MetricsCollector):
 
     # -- event hooks (a hook for an evicted fid lands in _missing) -------------
 
+    # repro: hot
     def register(self, spec: FlowSpec) -> FlowRecord:
-        record = super().register(spec)
+        """The base hook and the registration counters, in one frame."""
+        fid = spec.fid
+        records = self.records
+        if fid in records:
+            raise ExperimentError(f"flow {fid} registered twice")
+        record = records[fid] = FlowRecord(spec=spec)
+        self._unresolved += 1
+        if self.tracer is not None:
+            self.tracer.on_arrival(fid, spec.arrival)
         self.n_registered += 1
-        if spec.has_deadline:
+        if spec.deadline is not None:
             self.n_deadline += 1
         return record
+
+    # repro: hot
+    def on_complete(self, fid: int, time: float) -> None:
+        """The base hook with the completed-flow fold inline: FCT and
+        slowdown accumulators, then :meth:`_retire`."""
+        record = self.records.get(fid)
+        if record is None:
+            return self._missing(fid)
+        if record.completion_time is None:
+            record.completion_time = time
+            if self.tracer is not None:
+                self.tracer.on_complete(fid, time)
+            if not record.terminated:
+                spec = record.spec
+                self.n_completed += 1
+                fct = time - spec.arrival
+                self.fct_sum += fct
+                if fct > self.fct_max:
+                    self.fct_max = fct
+                self.fct_sketch.add(fct)
+                ideal = spec.size_bytes * 8.0 / self.reference_rate_bps
+                if ideal > 0:
+                    self.slowdown_sketch.add(fct / ideal)
+                if spec.deadline is not None \
+                        and time <= spec.arrival + spec.deadline + 1e-12:
+                    self.n_deadline_met += 1
+                self._retire(record)
+                self._resolve_one()
 
     def _missing(self, fid: int) -> None:
         """Any event hook for an evicted flow."""
@@ -117,41 +163,29 @@ class StreamingMetricsCollector(MetricsCollector):
     # -- folding -----------------------------------------------------------------
 
     def _fold(self, record: FlowRecord) -> None:
-        """Accumulate a freshly resolved flow and evict its record."""
-        if record.completed:
-            self.n_completed += 1
-            fct = record.fct
-            self.fct_sum += fct
-            if fct > self.fct_max:
-                self.fct_max = fct
-            self.fct_sketch.add(fct)
-            ideal = record.spec.size_bytes * 8.0 / self.reference_rate_bps
-            if ideal > 0:
-                self.slowdown_sketch.add(fct / ideal)
-            if record.met_deadline:
-                self.n_deadline_met += 1
-        else:
-            self.n_terminated += 1
+        """Accumulate a flow resolved by termination and evict its
+        record (completions fold in :meth:`on_complete`)."""
+        self.n_terminated += 1
+        self._retire(record)
+
+    def _retire(self, record: FlowRecord) -> None:
+        """Fold what every resolved flow contributes, offer its record to
+        the reservoir and evict it.
+
+        Algorithm R: every resolved record has equal probability
+        ``reservoir_size / resolved_seen`` of being in the sample."""
         self.bytes_total += record.bytes_delivered
         self.retransmissions_total += record.retransmissions
         self.probes_total += record.probes_sent
-        self._sample(record)
-        del self.records[record.spec.fid]
-
-    def _sample(self, record: FlowRecord) -> None:
-        """Algorithm R: every resolved record has equal probability
-        ``reservoir_size / resolved_seen`` of being in the sample."""
-        if self.reservoir_size == 0:
-            self._resolved_seen += 1
-            return
         i = self._resolved_seen
         self._resolved_seen = i + 1
         if i < self.reservoir_size:
             self.reservoir.append(record)
-            return
-        j = int(self._rng.integers(0, i + 1))
-        if j < self.reservoir_size:
-            self.reservoir[j] = record
+        elif self.reservoir_size:
+            j = int(self._rng.integers(0, i + 1))
+            if j < self.reservoir_size:
+                self.reservoir[j] = record
+        del self.records[record.spec.fid]
 
     # -- serialization -----------------------------------------------------------
 

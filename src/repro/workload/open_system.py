@@ -135,6 +135,19 @@ def open_system(
         raise WorkloadError(
             f"size tail index must be > 1, got {size_tail_index}"
         )
+    if sizes == "uniform" and mean_size_bytes < 2 * KBYTE:
+        raise WorkloadError(
+            f"mean_size_bytes must be >= {2 * KBYTE} for uniform sizes "
+            f"(the 2 KB floor), got {mean_size_bytes}"
+        )
+    if cap_bytes is not None and cap_bytes <= 0:
+        raise WorkloadError(f"cap_bytes must be positive, got {cap_bytes}")
+    if mean_deadline is not None and mean_deadline <= 0:
+        raise WorkloadError(
+            f"mean_deadline must be positive, got {mean_deadline}"
+        )
+    if drain < 0:
+        raise WorkloadError(f"drain must be >= 0, got {drain}")
     if sizes == "vl2":
         mean_size = vl2_mixture_mean(scale=size_scale, cap_bytes=cap_bytes)
     else:
@@ -206,6 +219,9 @@ def _generate(hosts: list[str], rng: np.random.Generator, end: float,
             t += gap_xm * (1.0 + float(rng.pareto(arrival_shape)))
         if t >= end:
             return
+        # a uniform draw on [lo, hi) is numpy's own
+        # ``lo + (hi - lo) * random()``, spelled out to skip the
+        # argument handling of ``Generator.uniform``
         if sizes == "vl2":
             u = float(rng.random())
             log_lo, log_hi = cum[-1][1], cum[-1][2]
@@ -213,11 +229,11 @@ def _generate(hosts: list[str], rng: np.random.Generator, end: float,
                 if u <= threshold:
                     log_lo, log_hi = band_lo, band_hi
                     break
-            size = math.exp(float(rng.uniform(log_lo, log_hi)))
+            size = math.exp(log_lo + (log_hi - log_lo) * rng.random())
             if cap_bytes is not None and size > cap_bytes:
                 size = cap_bytes
         elif sizes == "uniform":
-            size = float(rng.uniform(uni_lo, uni_hi))
+            size = uni_lo + (uni_hi - uni_lo) * rng.random()
         else:
             size = pareto_xm * (1.0 + float(rng.pareto(size_tail_index)))
         size_bytes = max(1, int(size))
@@ -228,6 +244,6 @@ def _generate(hosts: list[str], rng: np.random.Generator, end: float,
         deadline = None
         if mean_deadline is not None and size_bytes < deadline_cutoff:
             deadline = float(rng.exponential(mean_deadline))
-        yield FlowSpec(fid=fid, src=hosts[src_i], dst=hosts[dst_i],
-                       size_bytes=size_bytes, arrival=t, deadline=deadline)
+        yield FlowSpec(fid, hosts[src_i], hosts[dst_i], size_bytes, t,
+                       deadline)
         fid += 1

@@ -76,13 +76,40 @@ class FlowStream:
     # repro: hot
     def take_until(self, cutoff: float) -> list[FlowSpec]:
         """Pop every flow arriving at or before ``cutoff`` (engine
-        admission windows call this each tick)."""
-        out = []
+        admission windows call this each tick).
+
+        One pass over the generator with the arrival-order check of
+        :meth:`_advance` inline; the stream is left as the flow-by-flow
+        walk would leave it, also when the check or the generator
+        raises (the last flow handed out is then still the next one)."""
         spec = self._next
-        while spec is not None and spec.arrival <= cutoff:
-            out.append(spec)
-            self._advance()
-            spec = self._next
+        if spec is None or not spec.arrival <= cutoff:
+            return []
+        out = [spec]
+        last = self._last_arrival
+        try:
+            for spec in self._it:
+                arrival = spec.arrival
+                if arrival < last:
+                    raise WorkloadError(
+                        f"flow stream arrivals must be non-decreasing: "
+                        f"flow {spec.fid} arrives at {arrival} after "
+                        f"{last}"
+                    )
+                last = arrival
+                if arrival <= cutoff:
+                    out.append(spec)
+                    continue
+                self._next = spec
+                self._last_arrival = arrival
+                self.emitted += len(out)
+                return out
+        except BaseException:
+            self._next = out[-1]
+            self._last_arrival = last
+            raise
+        self._next = None
+        self._last_arrival = last
         self.emitted += len(out)
         return out
 

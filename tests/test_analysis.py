@@ -214,6 +214,10 @@ class TestRepoIsCleanAtHead:
             ("tcp.py", "TcpSender._pump"),
             ("tcp.py", "TcpSender.on_packet"),
             ("tcp.py", "TcpReceiver.on_packet"),
+            ("engine.py", "FlowLevelSimulation._admit"),
+            ("stream.py", "FlowStream.take_until"),
+            ("streaming.py", "StreamingMetricsCollector.register"),
+            ("streaming.py", "StreamingMetricsCollector.on_complete"),
         ]:
             assert expected in marked, f"missing # repro: hot on {expected}"
 

@@ -9,12 +9,17 @@ from repro.flowsim import (
     NaiveFlowLevelSimulation,
     PdqModel,
 )
+from repro.faults.spec import FaultEvent
 from repro.flowsim.naive import naive_model_for
 from repro.flowsim.progress import FlowProgress
+from repro.flowsim.rcp_model import RcpModel
+from repro.metrics.collector import MetricsCollector
 from repro.topology import SingleBottleneck
+from repro.topology.single_rooted import SingleRootedTree
 from repro.units import KBYTE, MBYTE
 from repro.workload.flow import FlowSpec
 from repro.workload.stream import FlowStream
+from test_flowsim_parity import _run_both_built
 
 
 class TestRefreshBoundaryArrival:
@@ -62,7 +67,8 @@ class TestSimultaneousCompletionAndTermination:
         # trips exactly when the short flow's completion recomputation
         # runs (deadline just inside now + expected_tx at that instant)
         sim = FlowLevelSimulation(SingleBottleneck(2), PdqModel())
-        expected_tx = sim._wire_size(1 * MBYTE) * 8.0 / 1e9
+        packets = -(-MBYTE // sim.payload)
+        expected_tx = (MBYTE + packets * sim.header_bytes) * 8.0 / 1e9
         flows = [
             short,
             FlowSpec(fid=1, src="send1", dst="recv", size_bytes=1 * MBYTE,
@@ -164,6 +170,188 @@ class TestMaxRecomputations:
         )
         naive.run(flows)
         assert opt.recomputations == naive.recomputations
+
+
+def _transfer_start(topology, spec, **engine_kwargs) -> float:
+    """When ``spec``'s transfer starts (arrival plus ``init_rtts`` RTTs
+    on its pinned path)."""
+    sim = FlowLevelSimulation(topology, RcpModel(), **engine_kwargs)
+    return sim._make_progress(spec).transfer_start
+
+
+class _Clock:
+    """Sampler recording ``sim.now`` after every epoch."""
+
+    def __init__(self, times: list[float]) -> None:
+        self.times = times
+
+    def on_step(self, sim, active) -> None:
+        self.times.append(sim.now)
+
+
+class _CompletionOrder(MetricsCollector):
+    """Records the fids of ``on_complete`` calls in call order."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.order: list[int] = []
+
+    def on_complete(self, fid: int, time: float) -> None:
+        self.order.append(fid)
+        super().on_complete(fid, time)
+
+
+class TestFlattenedLoopBoundaries:
+    """The boundaries of :meth:`FlowLevelSimulation.run`'s inline
+    passes: each case sits exactly on a tie the loop resolves, and the
+    result must match the naive reference engine bit for bit."""
+
+    def test_arrival_exactly_at_the_admission_window_edge(self):
+        # a lone 1 MB flow runs in refresh-long epochs; flow 1 arrives
+        # exactly at the edge of one epoch's admission window, so that
+        # epoch admits it on its own and flow 2 comes in a later pull
+        long = FlowSpec(fid=0, src="send0", dst="recv", size_bytes=MBYTE)
+        probe = FlowLevelSimulation(SingleBottleneck(3), RcpModel())
+        times = []
+        probe.samplers.append(_Clock(times))
+        probe.run([long])
+        edge = times[3] + probe.refresh_interval
+        flows = [
+            long,
+            FlowSpec(fid=1, src="send1", dst="recv", size_bytes=100 * KBYTE,
+                     arrival=edge),
+            FlowSpec(fid=2, src="send2", dst="recv", size_bytes=100 * KBYTE,
+                     arrival=edge + 5e-4),
+        ]
+        opt, naive = _run_both_built(
+            lambda: (SingleBottleneck(3), flows), RcpModel)
+        assert opt == naive
+        sim = FlowLevelSimulation(SingleBottleneck(3), RcpModel())
+        sim.run(FlowStream(iter(flows)))
+        assert sim.stream_batches == 3
+
+    def test_waiting_engine_stops_at_an_earlier_starting_arrival(self):
+        # with a long handshake, a flow arriving on a short path after
+        # the first admission window starts before the waiting
+        # cross-tree flow; the engine must stop at its arrival
+        flows = [
+            FlowSpec(fid=0, src="h0", dst="h11", size_bytes=100 * KBYTE),
+            FlowSpec(fid=1, src="h3", dst="h4", size_bytes=100 * KBYTE,
+                     arrival=2e-3),
+        ]
+        topology = SingleRootedTree(n_tors=4, servers_per_tor=3)
+        assert _transfer_start(topology, flows[1], init_rtts=50.0) < \
+            _transfer_start(topology, flows[0], init_rtts=50.0)
+        opt, naive = _run_both_built(
+            lambda: (SingleRootedTree(n_tors=4, servers_per_tor=3), flows),
+            RcpModel, init_rtts=50.0)
+        assert opt == naive
+
+    def _fault_flows(self, topology):
+        arrival = 0.05  # the first flow is long done: the engine is idle
+        flows = [
+            FlowSpec(fid=0, src="send0", dst="recv", size_bytes=200 * KBYTE),
+            FlowSpec(fid=1, src="send1", dst="recv", size_bytes=200 * KBYTE,
+                     arrival=arrival),
+            FlowSpec(fid=2, src="send0", dst="recv", size_bytes=100 * KBYTE,
+                     arrival=arrival + 1e-4),
+        ]
+        return arrival, flows
+
+    def test_fault_epochs_on_an_arrival_and_on_a_transfer_start(self):
+        # the faults flap a link no flow uses, at an arrival (idle jump)
+        # and at two transfer starts (both already event boundaries), so
+        # the splice must not move a single number
+        topology = SingleBottleneck(3)
+        arrival, flows = self._fault_flows(topology)
+        faults = [
+            FaultEvent(arrival, "link_down", "send2", "sw0"),
+            FaultEvent(_transfer_start(topology, flows[1]),
+                       "link_up", "send2", "sw0"),
+            FaultEvent(_transfer_start(topology, flows[2]),
+                       "link_down", "send2", "sw0"),
+        ]
+        opt, naive = _run_both_built(
+            lambda: (SingleBottleneck(3), flows), RcpModel)
+        assert opt == naive
+        for shape in (list, lambda f: FlowStream(iter(f))):
+            sim = FlowLevelSimulation(SingleBottleneck(3), RcpModel(),
+                                      faults=faults)
+            assert sim.run(shape(flows)).to_dict() == naive
+            assert sim.fault_events_applied == 3
+
+    def test_faults_apply_before_a_same_time_arrival_and_promotion(self):
+        # send1's only link goes down exactly when flow 1 arrives (it is
+        # rejected on arrival, not admitted) and send0's exactly when
+        # flow 2's transfer starts (it never gets a rate)
+        topology = SingleBottleneck(3)
+        arrival, flows = self._fault_flows(topology)
+        faults = [
+            FaultEvent(arrival, "link_down", "send1", "sw0"),
+            FaultEvent(_transfer_start(topology, flows[2]),
+                       "link_down", "send0", "sw0"),
+        ]
+        sim = FlowLevelSimulation(topology, RcpModel(), faults=faults)
+        metrics = sim.run(flows)
+        assert metrics.record(0).completed
+        assert metrics.record(1).termination_reason == \
+            "fault: unroutable at arrival"
+        late = metrics.record(2)
+        assert late.termination_reason == "fault: no route after failure"
+        assert late.bytes_delivered == 0
+        assert sim.flows_rejected == 2
+
+    def test_same_epoch_completions_in_admission_order(self):
+        # identical flows admitted in reverse fid order finish together;
+        # both engines call back in admission order, not fid order
+        flows = [
+            FlowSpec(fid=1, src="send0", dst="recv", size_bytes=150 * KBYTE),
+            FlowSpec(fid=0, src="send1", dst="recv", size_bytes=150 * KBYTE),
+        ]
+        opt, naive = _run_both_built(
+            lambda: (SingleBottleneck(2), flows), RcpModel)
+        assert opt == naive
+        done = opt["records"][0]["completion_time"]
+        assert opt["records"][1]["completion_time"] == done
+        orders = []
+        for shape in (list, lambda f: FlowStream(iter(f))):
+            metrics = _CompletionOrder()
+            FlowLevelSimulation(SingleBottleneck(2), RcpModel(),
+                                metrics=metrics).run(shape(flows))
+            orders.append(metrics.order)
+        naive_sim = NaiveFlowLevelSimulation(SingleBottleneck(2),
+                                             naive_model_for(RcpModel()))
+        # set after construction: the naive engine replaces an empty
+        # (falsy) collector passed in
+        naive_sim.metrics = metrics = _CompletionOrder()
+        naive_sim.run(flows)
+        assert orders == [[1, 0], [1, 0]]
+        assert metrics.order == [1, 0]
+
+    def test_last_advance_overshooting_below_zero_is_clamped(self):
+        # one flow alone at line rate, one epoch from its transfer start
+        # to its ETA: for this size ``remaining - rate * dt / 8``
+        # rounds below zero, and the advance clamps it to 0.0
+        spec = FlowSpec(fid=0, src="send0", dst="recv", size_bytes=100_001)
+        probe = FlowLevelSimulation(SingleBottleneck(1), RcpModel(),
+                                    refresh_interval=10.0)
+        flow = probe._make_progress(spec)
+        rate, start, wire = flow.max_rate, flow.transfer_start, flow.wire_size
+        dt = (start + wire * 8.0 / rate) - start
+        assert wire - rate * dt / 8.0 < 0.0
+        seen = []
+
+        class Keeping(RcpModel):
+            def allocate(self, flows, capacities, now):
+                seen.extend(flows)
+                return super().allocate(flows, capacities, now)
+
+        opt, naive = _run_both_built(
+            lambda: (SingleBottleneck(1), [spec]), Keeping,
+            refresh_interval=10.0)
+        assert opt == naive
+        assert opt["records"][0]["completion_time"] == start + dt
+        assert seen and all(f.remaining_wire == 0.0 for f in seen)
 
 
 class TestCriticalityCachingContract:

@@ -96,6 +96,32 @@ class TestFlowStream:
         with pytest.raises(WorkloadError, match="non-decreasing"):
             stream.take_until(2.0)
 
+    @staticmethod
+    def _flows(*arrivals):
+        for fid, arrival in enumerate(arrivals):
+            yield FlowSpec(fid=fid, src="h0", dst="h1", size_bytes=KBYTE,
+                           arrival=arrival)
+
+    def test_decreasing_arrival_mid_window_names_the_flow(self):
+        stream = FlowStream(self._flows(0.1, 0.2, 0.3, 0.25, 0.4))
+        with pytest.raises(WorkloadError, match="flow 3 arrives at 0.25 "
+                                                "after 0.3"):
+            stream.take_until(1.0)
+        # left as the flow-by-flow walk leaves it: nothing counted, and
+        # the last flow handed out is still the next one
+        assert stream.emitted == 0
+        assert stream.peek_arrival() == 0.3
+
+    def test_running_out_mid_window(self):
+        stream = FlowStream(self._flows(0.1, 0.2, 0.3))
+        assert [s.fid for s in stream.take_until(0.15)] == [0]
+        assert not stream.exhausted
+        assert [s.fid for s in stream.take_until(5.0)] == [1, 2]
+        assert stream.exhausted and stream.peek_arrival() is None
+        assert stream.emitted == 3
+        assert stream.take_until(10.0) == []
+        assert stream.emitted == 3
+
 
 # -- open_system generator ----------------------------------------------------------
 
@@ -166,6 +192,24 @@ class TestOpenSystem:
         with pytest.raises(WorkloadError):
             open_system(topo, 1, duration=0.1, rate_per_sec=10.0,
                         sizes="cauchy")
+        for params, name in [
+            ({"mean_deadline": 0.0}, "mean_deadline"),
+            ({"mean_deadline": -0.01}, "mean_deadline"),
+            ({"drain": -5.0}, "drain"),
+            ({"sizes": "uniform", "mean_size_bytes": 2 * KBYTE - 1},
+             "mean_size_bytes"),
+            ({"cap_bytes": 0}, "cap_bytes"),
+        ]:
+            with pytest.raises(WorkloadError, match=name):
+                open_system(topo, 1, duration=0.1, rate_per_sec=10.0,
+                            **params)
+        # the boundary values are valid: a zero drain, a 2 KB uniform mean
+        assert open_system(topo, 1, duration=0.1, rate_per_sec=100.0,
+                           drain=0.0).horizon == pytest.approx(0.1)
+        flows = open_system(topo, 1, duration=0.1, rate_per_sec=100.0,
+                            sizes="uniform",
+                            mean_size_bytes=2 * KBYTE).materialize()
+        assert flows and all(f.size_bytes == 2 * KBYTE for f in flows)
 
     def test_band_mean_closed_forms(self):
         # E[X] for X ~ log-uniform on [lo, hi] is (hi-lo)/ln(hi/lo)
@@ -266,6 +310,15 @@ class TestStreamingCollector:
             streaming_collector("yes", seed=1)
         with pytest.raises(ExperimentError):
             StreamingMetricsCollector(reservoir_size=-1)
+        with pytest.raises(ExperimentError,
+                           match="'resevoir'.*reservoir, "
+                                 "reference_rate_bps, sketch_k"):
+            streaming_collector({"resevoir": 10}, seed=1)
+        collector = streaming_collector(
+            {"reservoir": 5, "reference_rate_bps": 1e8, "sketch_k": 50},
+            seed=1)
+        assert collector.reservoir_size == 5
+        assert collector.reference_rate_bps == 1e8
 
 
 class TestSerialization:
