@@ -19,6 +19,12 @@ run) and across a ``tor0``-``root`` link flap (fault drops and rejected
 flows), plus RCP and D3. ``collector.stats`` is part of the digest, so
 the event, timer push-back and compaction counts are pinned as well.
 
+On ``single_rooted`` ECMP never has a choice to make, so a second set
+runs cross-pod flows on the 16-server fat-tree, where every flow's core
+switch comes from the ECMP hash: PDQ(Full), M-PDQ (whose subflows hash
+over the cores), TCP across an ``agg0_0`` switch flap and RCP across a
+core link flap (fault reroutes pick their detours by the same hash).
+
 A digest changes only when simulated behaviour changes; if that is
 deliberate, re-baseline by printing ``_digest(case)`` for each case.
 """
@@ -140,3 +146,55 @@ def _digest(case: str) -> str:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_packet_digest_is_pinned(case):
     assert _digest(case) == PINS[case]
+
+
+#: id -> (protocol, run_packet_level keywords), on the 16-server fat-tree
+FATTREE_CASES = {
+    "full": ("PDQ(Full)", {}),
+    "mpdq": ("M-PDQ", {}),
+    "tcp_switch_flap": ("TCP", {"faults": [
+        FaultEvent(1 * MSEC, "switch_down", "agg0_0"),
+        FaultEvent(3 * MSEC, "switch_up", "agg0_0")]}),
+    "rcp_link_flap": ("RCP", {"faults": [
+        FaultEvent(1 * MSEC, "link_down", "agg0_0", "core0_0"),
+        FaultEvent(3 * MSEC, "link_up", "agg0_0", "core0_0")]}),
+}
+
+FATTREE_PINS = {
+    "full": "842a0255fa816cf58b00d02e1e5f5cd7eb2ae1523801d43429526135b82d978d",
+    "mpdq": "1f539d2c9da2e9cea177333c9fe50c3d80e093cbb93dc5999e85fb8c0ce3cb4d",
+    "tcp_switch_flap":
+        "7880a007b2d53e6ad454045581572ec914b68210240efe00f9df4ef23011e319",
+    "rcp_link_flap":
+        "5bac9d002fdd420581c7965fa33a5443b8978d19cee6d4dcf795f65fa4edf3a3",
+}
+
+
+def _fattree_flows() -> list[FlowSpec]:
+    """24 cross-pod flows (hosts ``h4p`` to ``h4p+3`` share pod ``p``):
+    mixed sizes, staggered arrivals, a deadline on every third."""
+    flows = []
+    for i in range(24):
+        src = i % 16
+        dst = ((src // 4 + 1 + i % 3) % 4) * 4 + (src + i // 16) % 4
+        flows.append(FlowSpec(
+            fid=i, src=f"h{src}", dst=f"h{dst}",
+            size_bytes=(40 + 37 * (i * 7 % 11)) * KBYTE,
+            arrival=(i * 3 % 8) * 0.25 * MSEC,
+            deadline=(8 + i % 5) * MSEC if i % 3 == 0 else None))
+    return flows
+
+
+def _fattree_digest(case: str) -> str:
+    protocol, keywords = FATTREE_CASES[case]
+    topology = build_topology("fattree", {"n_servers": 16})
+    collector = run_packet_level(topology, protocol, _fattree_flows(),
+                                 sim_deadline=1.0, **keywords)
+    assert collector.unfinished_count() == 0
+    text = canonical_json(collector.to_dict())
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(FATTREE_CASES))
+def test_fattree_digest_is_pinned(case):
+    assert _fattree_digest(case) == FATTREE_PINS[case]
