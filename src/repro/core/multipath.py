@@ -126,8 +126,8 @@ class MpdqCoordinator:
             sub_spec = spec.with_(fid=fid, size_bytes=chunk)
             sub_record = FlowRecord(spec=sub_spec)  # scratch, not collected
             fwd = (source_routes[k % len(source_routes)] if source_routes
-                   else self.net.router.flow_path(fid, src.id, dst.id))
-            rev = self.net.router.reverse_path(fwd)
+                   else self.net.flow_path(fid, spec.src, spec.dst))
+            rev = self.net.reverse_path(fwd)
             sender = PdqSender(self._proxy, self.stack, sub_spec, sub_record,
                                fwd, src, self.stack.config)
             sender.et_enabled = False  # ET is the coordinator's call

@@ -25,6 +25,9 @@ class PdqSender(RateBasedSender):
         super().__init__(network, stack, spec, record, fwd_path, host)
         self.config = config
         self.pauseby: int | None = None
+        #: when the last fault reroute happened; feedback sent before it
+        #: carries the old path's state
+        self._rerouted_at = -float("inf")
         self.inter_probe: float = config.probe_interval_rtts
         self.deadline = spec.absolute_deadline
         # M-PDQ coordinators take over Early Termination for their subflows
@@ -59,6 +62,14 @@ class PdqSender(RateBasedSender):
 
     def on_close(self) -> None:
         self._probe_timer.cancel()
+
+    def reroute(self, forward, reverse) -> None:
+        """Forget the pausing switch: it may be off the new path, and no
+        switch on the new path would ever clear a ``pauseby`` naming it
+        (each passes such a flow through untouched)."""
+        super().reroute(forward, reverse)
+        self.pauseby = None
+        self._rerouted_at = self.sim.now
 
     def _hopeless_at_start(self) -> bool:
         return (
@@ -103,6 +114,11 @@ class PdqSender(RateBasedSender):
 
     # repro: hot
     def process_feedback(self, packet: Packet) -> None:
+        if packet.echo_time < self._rerouted_at:
+            # feedback from the old path would write its stale pauseby
+            # back; keep the current rate (and probing, if paused)
+            self.on_rate_change()
+            return
         header = packet.sched  # the receiver echoes this flow's PdqHeader
         config = self.config
         self.pauseby = header.pauseby

@@ -2,10 +2,13 @@
 
 The :class:`FaultController` registers one simulator event per scheduled
 :class:`~repro.faults.spec.FaultEvent`. Applying an event updates the
-controller's down sets, syncs every :class:`~repro.net.link.Link`'s
-``up`` flag (a failed link drops its queued packets and refuses new
-ones), invalidates the :class:`~repro.net.routing.Router` caches, and
-reroutes every live flow whose pinned path crosses a failed link — or
+controller's :class:`~repro.faults.spec.FaultState`, derives the failed
+directed edges from it once, flips every :class:`~repro.net.link.Link`'s
+``up`` flag from that set (a failed link drops its queued packets and
+refuses new ones) and hands the same set to the network's
+:class:`~repro.net.routing.Router` — the fluid engine derives its set
+through the same helper. It then reroutes every live flow whose pinned
+path crosses a failed link through the sender's ``reroute`` — or
 terminates it when the fault partitioned its endpoints. Packets already
 in flight on a stale path are dropped at the failed link; the
 transports' retransmission machinery recovers them on the new path.
@@ -21,18 +24,12 @@ from fnmatch import fnmatchcase
 from typing import TYPE_CHECKING
 
 from repro.errors import FaultError, RoutingError
-from repro.faults.spec import LossRule, FaultEvent
+from repro.faults.spec import FaultEvent, FaultState, LossRule, validate_events
 from repro.utils.rng import spawn_rng
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from collections.abc import Sequence
-    from repro.net.link import Link
     from repro.net.network import Network
-
-
-def _pair(a: str, b: str) -> tuple[str, str]:
-    """Order-free undirected edge key."""
-    return (a, b) if a <= b else (b, a)
 
 
 class FaultController:
@@ -42,30 +39,12 @@ class FaultController:
         self.net = net
         # stable sort: same-time events apply in declaration order
         self.events = tuple(sorted(events, key=lambda e: e.time))
-        self.down_pairs: set[tuple[str, str]] = set()
-        self.down_switches: set[str] = set()
+        self.state = FaultState()
         self.events_applied = 0
         self.reroutes = 0
         self.flows_rejected = 0
-        self._validate()
+        validate_events(self.events, net.topology)
         net.fault_controller = self
-
-    def _validate(self) -> None:
-        """Fail fast on events naming nodes/links the topology lacks."""
-        graph = self.net.topology.graph
-        for event in self.events:
-            if event.is_link:
-                if not graph.has_edge(event.a, event.b):
-                    raise FaultError(
-                        f"{event.action} at t={event.time}: no link "
-                        f"{event.a!r} -- {event.b!r} in the topology"
-                    )
-            else:
-                if event.a not in graph.nodes:
-                    raise FaultError(
-                        f"{event.action} at t={event.time}: no node "
-                        f"{event.a!r} in the topology"
-                    )
 
     def start(self) -> None:
         """Schedule every event at its simulated time."""
@@ -75,52 +54,37 @@ class FaultController:
     # -- event application ---------------------------------------------------------
 
     def _apply(self, event: FaultEvent) -> None:
-        if event.action == "link_down":
-            self.down_pairs.add(_pair(event.a, event.b))
-        elif event.action == "link_up":
-            self.down_pairs.discard(_pair(event.a, event.b))
-        elif event.action == "switch_down":
-            self.down_switches.add(event.a)
-        else:  # switch_up
-            self.down_switches.discard(event.a)
+        self.state.apply(event)
         self.events_applied += 1
         self._sync_links()
-        self.net.router.invalidate_routes()
         self._reroute_live_flows()
 
-    def _link_should_be_up(self, link: "Link") -> bool:
-        src, dst = link.src.name, link.dst.name
-        if src in self.down_switches or dst in self.down_switches:
-            return False
-        return _pair(src, dst) not in self.down_pairs
-
     def _sync_links(self) -> None:
-        """Reconcile every link's ``up`` flag with the down sets.
-
-        Derived from scratch rather than updated incrementally so
-        overlapping faults compose (a link downed both explicitly and
-        via its switch stays down until *both* are lifted).
-        """
-        for link in self.net.links:
-            should = self._link_should_be_up(link)
-            if link.up and not should:
-                link.fail()
-            elif not link.up and should:
+        """Reconcile every link's ``up`` flag and the router's down set
+        with the fault state (derived from scratch, so overlapping
+        faults compose)."""
+        net = self.net
+        down = self.state.down_edges(net.router.edge_index)
+        for link in net.links:
+            if link.link_id in down:
+                if link.up:
+                    link.fail()
+            elif not link.up:
                 link.restore()
+        net.router.set_down_edges(down)
 
     def _reroute_live_flows(self) -> None:
         """Re-pin the path of every registered flow that lost a link.
 
         The sweep walks the hosts' sender registries (which include
         M-PDQ subflows under their subflow fids), recomputes the pinned
-        forward path with the same fid-keyed ECMP hash, and mirrors the
-        exact reverse onto the receiver so scheduling state stays on the
-        round-trip path. Flows whose endpoints are now partitioned are
-        terminated — the open-system analogue of rejecting work when a
-        machine disappears.
+        forward path with the same fid-keyed ECMP hash, and hands it and
+        its exact reverse to the sender, which moves its receiver too so
+        scheduling state stays on the round-trip path. Flows whose
+        endpoints are now partitioned are terminated — the open-system
+        analogue of rejecting work when a machine disappears.
         """
         net = self.net
-        router = net.router
         for node in net.nodes:
             senders = getattr(node, "senders", None)
             if not senders:
@@ -130,15 +94,11 @@ class FaultController:
                 if path is None or all(link.up for link in path):
                     continue
                 try:
-                    forward = router.flow_path(fid, node.id, sender.dst_id)
+                    forward = net.flow_path(fid, node.name, sender.spec.dst)
                 except RoutingError:
                     self._reject(fid, sender)
                     continue
-                reverse = router.reverse_path(forward)
-                sender.path = forward
-                receiver = net.nodes[sender.dst_id].receivers.get(fid)
-                if receiver is not None:
-                    receiver.path = reverse
+                sender.reroute(forward, net.reverse_path(forward))
                 self.reroutes += 1
 
     def _reject(self, fid: int, sender) -> None:

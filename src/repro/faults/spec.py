@@ -17,16 +17,22 @@ plain-data form that :meth:`~repro.campaign.spec.ScenarioSpec.canonical`
 hashes; :func:`events_from` / :func:`loss_rules_from` turn that form
 into the typed objects the engines consume. Validation lives here — not
 in the engines — so a bad schedule fails at spec construction, before
-anything runs.
+anything runs; :func:`validate_events` checks the names against the
+topology when an engine starts. Both engines track the outage a
+schedule has produced so far in a :class:`FaultState`, the one place
+the failed directed edges are derived.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Mapping, Sequence
-from typing import Any
+from collections.abc import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any
 
 from repro.errors import FaultError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.topology.base import Topology
 
 #: every action a fault event may carry
 ACTIONS = ("link_down", "link_up", "switch_down", "switch_up")
@@ -228,3 +234,58 @@ def legacy_loss_rule(loss: tuple[str, str, float, int]) -> LossRule:
     """
     a, b, rate, seed = loss
     return LossRule(src=a, dst=b, rate=float(rate), seed=int(seed))
+
+
+# -- run-time state (both engines) ---------------------------------------------------
+
+
+def validate_events(events: Iterable[FaultEvent], topology: Topology) -> None:
+    """Fail fast on events naming links or nodes the topology lacks."""
+    graph = topology.graph
+    for event in events:
+        if event.is_link:
+            if not graph.has_edge(event.a, event.b):
+                raise FaultError(
+                    f"{event.action} at t={event.time}: no link "
+                    f"{event.a!r} -- {event.b!r} in the topology"
+                )
+        elif event.a not in graph.nodes:
+            raise FaultError(
+                f"{event.action} at t={event.time}: no node "
+                f"{event.a!r} in the topology"
+            )
+
+
+class FaultState:
+    """The cables and switches a fault schedule has taken down so far.
+
+    :meth:`down_edges` derives the failed directed edges from scratch,
+    so overlapping faults compose: an edge stays down while its cable
+    or either endpoint is down, and a link downed both explicitly and
+    via its switch comes back only once both are lifted.
+    """
+
+    def __init__(self) -> None:
+        #: down cables, stored in both orientations
+        self.down_pairs: set[tuple[str, str]] = set()
+        self.down_switches: set[str] = set()
+
+    def apply(self, event: FaultEvent) -> None:
+        a, b = event.a, event.b
+        if event.action == "link_down":
+            self.down_pairs.update(((a, b), (b, a)))
+        elif event.action == "link_up":
+            self.down_pairs.difference_update(((a, b), (b, a)))
+        elif event.action == "switch_down":
+            self.down_switches.add(a)
+        else:  # switch_up
+            self.down_switches.discard(a)
+
+    def down_edges(self, edge_index: Mapping[tuple[str, str], int]) -> set[int]:
+        """The ids in ``edge_index`` of every edge currently down."""
+        pairs = self.down_pairs
+        switches = self.down_switches
+        return {
+            eid for (a, b), eid in edge_index.items()
+            if a in switches or b in switches or (a, b) in pairs
+        }

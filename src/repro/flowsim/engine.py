@@ -36,10 +36,11 @@ from collections.abc import Sequence
 from itertools import chain
 from operator import attrgetter
 
-from repro.errors import ExperimentError, FaultError, RoutingError
-from repro.flowsim.paths import GraphRouter
+from repro.errors import ExperimentError, RoutingError
+from repro.faults.spec import FaultState, validate_events
 from repro.flowsim.progress import FlowProgress
 from repro.metrics.collector import MetricsCollector
+from repro.net.routing import Router
 from repro.topology.base import Topology
 from repro.units import USEC, tx_time
 from repro.workload.flow import FlowSpec
@@ -53,11 +54,6 @@ _INF = float("inf")
 
 #: admission order of a promoted flow (orders same-epoch completions)
 _seq = attrgetter("seq")
-
-
-def _name_pair(a: str, b: str) -> tuple[str, str]:
-    """Order-free undirected edge key (matches the FaultController's)."""
-    return (a, b) if a <= b else (b, a)
 
 
 class FlowLevelSimulation:
@@ -85,7 +81,7 @@ class FlowLevelSimulation:
         self.refresh_interval = refresh_interval
         # explicit None test: an injected-but-empty collector is falsy
         self.metrics = MetricsCollector() if metrics is None else metrics
-        self.router = GraphRouter(topology)
+        self.router = Router(topology)
         #: flat list indexed by dense directed-edge id (FlowProgress.path
         #: holds the matching ids); rate models copy and index it directly
         self.capacities: list[float] = self.router.capacity_vector()
@@ -124,29 +120,12 @@ class FlowLevelSimulation:
         self.fault_events_applied = 0
         self.fault_reroutes = 0
         self.flows_rejected = 0
-        #: name-level down state (mirrors FaultController's sets)
-        self._down_pairs: set[tuple[str, str]] = set()
-        self._down_switches: set[str] = set()
+        #: the packet FaultController's down state, same derivation
+        self._fault_state = FaultState()
         self._base_capacities: list[float] | None = (
             list(self.capacities) if self.fault_events else None
         )
-        if self.fault_events:
-            self._validate_fault_events()
-
-    def _validate_fault_events(self) -> None:
-        graph = self.topology.graph
-        for event in self.fault_events:
-            if event.is_link:
-                if not graph.has_edge(event.a, event.b):
-                    raise FaultError(
-                        f"{event.action} at t={event.time}: no link "
-                        f"{event.a!r} -- {event.b!r} in the topology"
-                    )
-            elif event.a not in graph.nodes:
-                raise FaultError(
-                    f"{event.action} at t={event.time}: no node "
-                    f"{event.a!r} in the topology"
-                )
+        validate_events(self.fault_events, topology)
 
     # -- setup helpers --------------------------------------------------------------
 
@@ -503,36 +482,23 @@ class FlowLevelSimulation:
         """Apply every fault event scheduled at or before ``now``
         (:meth:`run` calls it only when at least one is due).
 
-        Updates the down sets, rebuilds the router's excluded-edge set
-        and the capacity vector, then re-pins the path of every admitted
-        flow that lost an edge — or terminates it when no route remains
-        (the fluid analogue of the packet FaultController's reroute
-        sweep; both use the same fid-keyed ECMP hash, so surviving flows
-        land on the same repaired paths).
+        Updates the fault state, hands the down edges it derives to the
+        router and the capacity vector, then re-pins the path of every
+        admitted flow that lost an edge — or terminates it when no route
+        remains (the fluid analogue of the packet FaultController's
+        reroute sweep; both engines route through the same
+        :class:`~repro.net.routing.Router`, so surviving flows land on
+        the same repaired paths).
         """
         events = self.fault_events
         idx = self._fault_idx
         while idx < len(events) and events[idx].time <= self.now:
-            event = events[idx]
+            self._fault_state.apply(events[idx])
             idx += 1
-            if event.action == "link_down":
-                self._down_pairs.add(_name_pair(event.a, event.b))
-            elif event.action == "link_up":
-                self._down_pairs.discard(_name_pair(event.a, event.b))
-            elif event.action == "switch_down":
-                self._down_switches.add(event.a)
-            else:  # switch_up
-                self._down_switches.discard(event.a)
         self.fault_events_applied += idx - self._fault_idx
         self._fault_idx = idx
 
-        down_ids = set()
-        down_pairs = self._down_pairs
-        down_switches = self._down_switches
-        for (a, b), eid in self.router.edge_index.items():
-            if a in down_switches or b in down_switches \
-                    or _name_pair(a, b) in down_pairs:
-                down_ids.add(eid)
+        down_ids = self._fault_state.down_edges(self.router.edge_index)
         self.router.set_down_edges(down_ids)
         base = self._base_capacities
         capacities = self.capacities

@@ -17,7 +17,7 @@ from collections.abc import Sequence
 from repro.core.comparator import FlowComparator
 from repro.core.config import PdqConfig
 from repro.errors import ExperimentError
-from repro.flowsim.paths import GraphRouter
+from repro.net.routing import Router
 from repro.flowsim.progress import FlowProgress
 from repro.metrics.collector import MetricsCollector
 from repro.topology.base import Topology
@@ -55,7 +55,7 @@ class NaiveFlowLevelSimulation:
         self.init_rtts = init_rtts
         self.refresh_interval = refresh_interval
         self.metrics = metrics or MetricsCollector()
-        self.router = GraphRouter(topology)
+        self.router = Router(topology)
         self.capacities = self.router.capacities()
         self.now = 0.0
         self.recomputations = 0

@@ -3,6 +3,12 @@
 Builds hosts/switches/links from a :class:`~repro.topology.base.Topology`,
 wires per-switch protocol state, pins flow paths, and launches flows from
 :class:`~repro.workload.flow.FlowSpec` lists into the event simulator.
+
+Link ``i`` is directed edge ``i`` of the topology's
+:meth:`~repro.topology.base.Topology.directed_edge_index`, so the
+:class:`~repro.net.routing.Router` the fluid engine uses pins packet
+flows too: :meth:`Network.flow_path` maps its edge ids through
+:attr:`Network.links`.
 """
 
 from __future__ import annotations
@@ -75,10 +81,10 @@ class Network:
 
         self.nodes: list[Node] = []
         self._by_name: dict[str, Node] = {}
+        self.router = Router(topology)
+        #: indexed by link id, which is the router's directed-edge id
         self.links: list[Link] = []
-        self._link_by_pair: dict[tuple[int, int], Link] = {}
         self._build_nodes_and_links()
-        self.router = Router(self.nodes, self.links)
         self._attach_switch_protocols()
 
     # -- construction -------------------------------------------------------------
@@ -91,19 +97,15 @@ class Network:
             node = cls(self.sim, node_id, name, self.config.processing_delay)
             self.nodes.append(node)
             self._by_name[name] = node
-        link_id = 0
-        for a, b, data in sorted(graph.edges(data=True)):
-            rate = data["rate_bps"]
-            na, nb = self._by_name[a], self._by_name[b]
-            fwd = Link(self.sim, na, nb, rate, self.config.prop_delay,
-                       self.config.buffer_bytes, link_id)
-            rev = Link(self.sim, nb, na, rate, self.config.prop_delay,
-                       self.config.buffer_bytes, link_id + 1)
-            link_id += 2
-            fwd.reverse, rev.reverse = rev, fwd
-            self.links.extend((fwd, rev))
-            self._link_by_pair[(na.id, nb.id)] = fwd
-            self._link_by_pair[(nb.id, na.id)] = rev
+        links = self.links
+        for link_id, (a, b) in enumerate(self.router.edges):
+            links.append(Link(self.sim, self._by_name[a], self._by_name[b],
+                              graph.edges[a, b]["rate_bps"],
+                              self.config.prop_delay,
+                              self.config.buffer_bytes, link_id))
+        for link in links:
+            # a cable's two directions differ only in the low id bit
+            link.reverse = links[link.link_id ^ 1]
 
     def _attach_switch_protocols(self) -> None:
         # every node runs the protocol's forwarding-plane logic: switches
@@ -127,10 +129,24 @@ class Network:
         return node
 
     def link_between(self, a: str, b: str) -> Link:
-        try:
-            return self._link_by_pair[(self.node(a).id, self.node(b).id)]
-        except KeyError:
-            raise TopologyError(f"no link {a} -> {b}") from None
+        eid = self.router.edge_index.get((a, b))
+        if eid is None:
+            # an unknown name fails as such, a missing cable after it
+            self.node(a)
+            self.node(b)
+            raise TopologyError(f"no link {a} -> {b}")
+        return self.links[eid]
+
+    def flow_path(self, fid: int, src: str, dst: str) -> tuple[Link, ...]:
+        """Pinned forward path of flow ``fid`` between two hosts."""
+        links = self.links
+        return tuple([links[eid]
+                      for eid in self.router.flow_path_ids(fid, src, dst)])
+
+    def reverse_path(self, forward: Sequence[Link]) -> tuple[Link, ...]:
+        """The exact reverse of a pinned forward path."""
+        links = self.links
+        return tuple([links[link.link_id ^ 1] for link in reversed(forward)])
 
     def links_for_path(self, names: Sequence[str]) -> tuple[Link, ...]:
         """Turn a node-name walk into the Link sequence along it (used for
@@ -238,24 +254,21 @@ class Network:
             self.sim.stop()
 
     def _start_flow(self, spec: FlowSpec, record) -> None:
-        src = self.host(spec.src)
-        dst = self.host(spec.dst)
-        if self.fault_controller is not None:
+        try:
+            fwd = self.flow_path(spec.fid, spec.src, spec.dst)
+        except RoutingError:
+            if self.fault_controller is None:
+                raise  # no fault can explain it: a broken scenario
             # under fault injection a flow may arrive while the network
             # is partitioned: reject it (terminate on arrival) instead
             # of crashing the run — the scheduling-with-rejections
             # regime the fault subsystem models
-            try:
-                fwd = self.router.flow_path(spec.fid, src.id, dst.id)
-            except RoutingError:
-                self.flows_unroutable += 1
-                self.metrics.on_terminated(
-                    spec.fid, self.sim.now, "fault: unroutable at arrival"
-                )
-                return
-        else:
-            fwd = self.router.flow_path(spec.fid, src.id, dst.id)
-        rev = self.router.reverse_path(fwd)
+            self.flows_unroutable += 1
+            self.metrics.on_terminated(
+                spec.fid, self.sim.now, "fault: unroutable at arrival"
+            )
+            return
+        rev = self.reverse_path(fwd)
         sender, receiver = self.stack.make_endpoints(self, spec, record, fwd, rev)
         sender.start()
 

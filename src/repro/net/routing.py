@@ -3,23 +3,28 @@
 The paper assumes flow-level equal-cost multi-path forwarding (§3.3.1, §6).
 We reproduce that: for each flow the router picks one of the shortest paths
 by a deterministic hash of (flow id, node id) at every fan-out, pins it for
-the flow's lifetime, and routes ACKs on the exact reverse links so switch
-state sits on the round-trip path (required by PDQ's two-phase acceptance).
+the flow's lifetime, and ACKs ride the exact reverse links so switch state
+sits on the round-trip path (required by PDQ's two-phase acceptance).
+
+One :class:`Router` serves both engines. It walks the bare topology graph
+and answers in the dense directed-edge ids of
+:meth:`~repro.topology.base.Topology.directed_edge_index`: the fluid
+engine indexes its flat capacity list with them, and the packet
+:class:`~repro.net.network.Network` builds the Link of edge ``eid`` with
+link id ``eid``, so both engines pin a flow on the same path by
+construction (Fig 8's packet-vs-fluid comparison relies on it).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Sequence
+from collections.abc import Iterable
 
-from repro.errors import RoutingError
-from repro.net.link import Link
-from repro.net.node import Node
+from repro.errors import RoutingError, TopologyError
+from repro.topology.base import Topology
 
-#: pinned-path cache bound: open-system streams route an unbounded
-#: sequence of fresh fids, so the fid-keyed cache clears instead of
-#: growing O(flows)
-PATH_CACHE_LIMIT = 4096
+#: a directed edge between named nodes
+Edge = tuple[str, str]
 
 
 def ecmp_hash(fid: int, node_id: int) -> int:
@@ -31,112 +36,157 @@ def ecmp_hash(fid: int, node_id: int) -> int:
 
 
 class Router:
-    """Computes and caches pinned flow paths over the built Link objects."""
+    """ECMP path pinning on a topology graph, in dense edge ids."""
 
-    def __init__(self, nodes: Sequence[Node], links: Sequence[Link]):
-        self._nodes: dict[int, Node] = {node.id: node for node in nodes}
-        self._out_links: dict[int, list[Link]] = {node.id: [] for node in nodes}
-        for link in links:
-            self._out_links[link.src.id].append(link)
-        for out in self._out_links.values():
-            out.sort(key=lambda lk: lk.link_id)
-        # hop distance to each destination, computed lazily per destination
-        self._dist_cache: dict[int, dict[int, int]] = {}
-        self._path_cache: dict[tuple[int, int, int], tuple[Link, ...]] = {}
+    def __init__(self, topology: Topology):
+        self.topology = topology
+        graph = topology.graph
+        #: the hash's node ids: sorted node names, as the packet nodes
+        self._node_id: dict[str, int] = {
+            name: i for i, name in enumerate(sorted(graph.nodes()))
+        }
+        #: dense directed-edge ids (see Topology.directed_edge_index for the
+        #: assignment contract); the packet engine's link ids are these
+        self.edge_index: dict[Edge, int] = topology.directed_edge_index()
+        # out-adjacency, each node's edges in id order
+        self._out: dict[str, list[tuple[int, str]]] = {
+            name: [] for name in graph.nodes()
+        }
+        for (a, b), eid in self.edge_index.items():
+            self._out[a].append((eid, b))
+        for neighbors in self._out.values():
+            neighbors.sort()
+        #: edge id -> named edge (inverse of ``edge_index``)
+        self.edges: list[Edge] = sorted(
+            self.edge_index, key=self.edge_index.__getitem__)
+        self._dist_cache: dict[str, dict[str, int]] = {}
+        #: path templates: the edge ids of every ``(src, dst)`` pair whose
+        #: walk met a single next-hop candidate at each hop. Such a path
+        #: never consults the ECMP hash, so it holds for every fid; the
+        #: table is bounded by host pairs however many flows stream by.
+        self._templates: dict[Edge, tuple[int, ...]] = {}
+        #: directed edge ids excluded from routing (fault injection);
+        #: always populated in symmetric pairs — both directions of a
+        #: failed cable — so the reversed-adjacency BFS stays correct
+        self._down_edges: frozenset[int] = frozenset()
 
-    # -- public API ---------------------------------------------------------------
+    # -- public ---------------------------------------------------------------
 
-    def invalidate_routes(self) -> None:
-        """Forget cached distances and pinned paths.
+    def set_down_edges(self, edge_ids: Iterable[int]) -> None:
+        """Replace the failed-edge set and invalidate every cache.
 
-        Called by the fault controller when links go down or come back:
-        the next ``flow_path`` recomputes over the surviving links, so a
-        rerouted flow gets a fresh pin instead of a stale cached one.
+        Both engines' fault handling passes the set
+        :meth:`repro.faults.spec.FaultState.down_edges` derives; the next
+        lookup routes over the surviving edges, so a rerouted flow gets a
+        fresh pin instead of a stale template.
         """
+        down = frozenset(edge_ids)
+        if down == self._down_edges:
+            return
+        self._down_edges = down
         self._dist_cache.clear()
-        self._path_cache.clear()
+        self._templates.clear()
 
-    def flow_path(self, fid: int, src_id: int, dst_id: int) -> tuple[Link, ...]:
-        """Pinned forward path for flow ``fid`` from src to dst."""
-        key = (fid, src_id, dst_id)
-        path = self._path_cache.get(key)
-        if path is None:
-            path = self._compute_path(fid, src_id, dst_id)
-            if len(self._path_cache) >= PATH_CACHE_LIMIT:
-                self._path_cache.clear()
-            self._path_cache[key] = path
-        return path
+    def flow_path(self, fid: int, src: str, dst: str) -> tuple[Edge, ...]:
+        """Same pinned path as :meth:`flow_path_ids`, as named edges (the
+        reference engine's representation)."""
+        edges = self.edges
+        return tuple(edges[eid] for eid in self.flow_path_ids(fid, src, dst))
 
-    def reverse_path(self, forward: Sequence[Link]) -> tuple[Link, ...]:
-        """The exact reverse of a pinned forward path."""
-        reverse = []
-        for link in reversed(forward):
-            if link.reverse is None:
-                raise RoutingError(f"link {link.name} has no reverse twin")
-            reverse.append(link.reverse)
-        return tuple(reverse)
+    def flow_path_ids(self, fid: int, src: str, dst: str) -> tuple[int, ...]:
+        """Pinned path of flow ``fid`` between two hosts, as dense edge
+        ids. A pair with a template returns the same tuple object every
+        time."""
+        ids = self._templates.get((src, dst))
+        if ids is None:
+            ids = self._walk(fid, src, dst)
+        return ids
 
-    def equal_cost_paths(self, src_id: int, dst_id: int) -> int:
-        """Number of distinct next-hop choices at the source (diagnostics)."""
-        dist = self._distances(dst_id)
-        return len(self._candidates(src_id, dist))
+    def hop_count(self, src: str, dst: str) -> int:
+        dist = self._distances(dst)
+        if src not in dist:
+            raise RoutingError(f"no route {src} -> {dst}")
+        return dist[src]
 
-    def hop_count(self, src_id: int, dst_id: int) -> int:
-        dist = self._distances(dst_id)
-        if src_id not in dist:
-            raise RoutingError(f"no route {src_id} -> {dst_id}")
-        return dist[src_id]
+    def capacities(self) -> dict[Edge, float]:
+        """Directed capacity map for every link in the topology."""
+        caps: dict[Edge, float] = {}
+        for a, b, data in self.topology.graph.edges(data=True):
+            caps[(a, b)] = data["rate_bps"]
+            caps[(b, a)] = data["rate_bps"]
+        return caps
 
-    # -- internals -----------------------------------------------------------------
+    def capacity_vector(self) -> list[float]:
+        """Flat capacity list indexed by dense directed-edge id."""
+        edges = self.topology.graph.edges
+        caps = [0.0] * len(self.edge_index)
+        for (a, b), eid in self.edge_index.items():
+            caps[eid] = edges[a, b]["rate_bps"]
+        return caps
 
-    def _distances(self, dst_id: int) -> dict[int, int]:
-        dist = self._dist_cache.get(dst_id)
+    # -- internals ----------------------------------------------------------------
+
+    def _distances(self, dst: str) -> dict[str, int]:
+        dist = self._dist_cache.get(dst)
         if dist is not None:
             return dist
-        if dst_id not in self._nodes:
-            raise RoutingError(f"unknown destination node {dst_id}")
-        # BFS over reversed adjacency: dist[n] = hops from n to dst
-        incoming: dict[int, list[int]] = {nid: [] for nid in self._nodes}
-        for nid, links in self._out_links.items():
-            for link in links:
-                if link.up:  # failed links carry no routes
-                    incoming[link.dst.id].append(nid)
-        dist = {dst_id: 0}
-        frontier = deque([dst_id])
+        down = self._down_edges
+        dist = {dst: 0}
+        frontier = deque([dst])
         while frontier:
             node = frontier.popleft()
-            for prev in incoming[node]:
-                if prev not in dist:
-                    dist[prev] = dist[node] + 1
-                    frontier.append(prev)
-        self._dist_cache[dst_id] = dist
+            for eid, neighbor in self._out[node]:
+                if eid in down:
+                    # down sets are symmetric, so skipping the forward
+                    # id here equals skipping the reversed traversal
+                    continue
+                if neighbor not in dist:
+                    dist[neighbor] = dist[node] + 1
+                    frontier.append(neighbor)
+        self._dist_cache[dst] = dist
         return dist
 
-    def _candidates(self, node_id: int, dist: dict[int, int]) -> list[Link]:
-        here = dist.get(node_id)
-        if here is None:
-            return []
-        return [
-            link
-            for link in self._out_links[node_id]
-            if link.up and dist.get(link.dst.id, here) == here - 1
-        ]
+    def _require_host(self, name: str) -> None:
+        data = self.topology.graph.nodes.get(name)
+        if data is None:
+            raise TopologyError(f"unknown node {name!r}")
+        if data["kind"] != "host":
+            raise TopologyError(f"{name!r} is not a host")
 
-    def _compute_path(self, fid: int, src_id: int, dst_id: int) -> tuple[Link, ...]:
-        if src_id == dst_id:
+    def _walk(self, fid: int, src: str, dst: str) -> tuple[int, ...]:
+        """Hop by hop down the distance table toward ``dst``; the ECMP
+        hash is consulted only where more than one next hop is equally
+        close. A walk that never needed it is stored as the pair's
+        template. Endpoints are checked here, off the template hit: a
+        pair naming a non-host never gets a template."""
+        self._require_host(src)
+        self._require_host(dst)
+        if src == dst:
             raise RoutingError("flow src equals dst")
-        dist = self._distances(dst_id)
-        if src_id not in dist:
-            raise RoutingError(f"no route {src_id} -> {dst_id}")
-        path: list[Link] = []
-        node_id = src_id
-        while node_id != dst_id:
-            candidates = self._candidates(node_id, dist)
+        dist = self._distances(dst)
+        if src not in dist:
+            raise RoutingError(f"no route {src} -> {dst}")
+        down = self._down_edges
+        out = self._out
+        ids: list[int] = []
+        fid_free = True
+        node = src
+        while node != dst:
+            closer = dist[node] - 1
+            candidates = [
+                hop for hop in out[node]
+                if hop[0] not in down and dist.get(hop[1]) == closer
+            ]
             if not candidates:
-                raise RoutingError(
-                    f"routing dead-end at node {node_id} toward {dst_id}"
-                )
-            choice = candidates[ecmp_hash(fid, node_id) % len(candidates)]
-            path.append(choice)
-            node_id = choice.dst.id
-        return tuple(path)
+                raise RoutingError(f"routing dead-end at {node} toward {dst}")
+            if len(candidates) > 1:
+                fid_free = False
+                pick = ecmp_hash(fid, self._node_id[node]) % len(candidates)
+                eid, node = candidates[pick]
+            else:
+                eid, node = candidates[0]
+            ids.append(eid)
+        path = tuple(ids)
+        if fid_free:
+            self._templates[(src, dst)] = path
+        return path

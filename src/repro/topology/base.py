@@ -60,15 +60,15 @@ class Topology:
     def directed_edge_index(self) -> dict[tuple[str, str], int]:
         """Dense integer id for every *directed* edge.
 
-        Contract (relied on by :class:`~repro.flowsim.paths.GraphRouter`
-        and the flow-level engine's flat capacity vectors):
+        Contract (relied on by :class:`~repro.net.routing.Router` and the
+        flow-level engine's flat capacity vectors):
 
         * ids are dense in ``[0, 2 * |E|)``;
         * undirected edges are visited in ``sorted(graph.edges())`` order;
           the edge's stored orientation ``(a, b)`` gets the even id ``2k``
-          and the reverse ``(b, a)`` gets ``2k + 1`` — exactly the link-id
-          assignment the packet-level :class:`~repro.net.network.Network`
-          uses, so edge ids and Link ids coincide;
+          and the reverse ``(b, a)`` gets ``2k + 1``. The packet-level
+          :class:`~repro.net.network.Network` reads this assignment to
+          number its Links, so edge ids and Link ids coincide;
         * the mapping is deterministic for a given topology and cached;
           :meth:`add_link` invalidates the cache, so ids are only stable
           once the topology stops being mutated.

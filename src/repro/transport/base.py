@@ -70,6 +70,15 @@ class EndpointBase:
         self.path = path
         self.closed = False
 
+    def reroute(self, forward, reverse) -> None:
+        """Re-pin a sender onto ``forward`` and its receiver onto the
+        exact ``reverse`` (the fault controller's reroute of a live
+        flow)."""
+        self.path = forward
+        receiver = self.net.host(self.spec.dst).receivers.get(self.spec.fid)
+        if receiver is not None:
+            receiver.path = reverse
+
 
 class RateBasedSender(EndpointBase):
     """Paced sender with SYN handshake, selective per-packet ACKs, RTO

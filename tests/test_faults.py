@@ -13,6 +13,7 @@ and nothing keeps them alive once the run drains; loss rules and the
 import pytest
 
 from repro.campaign.engines import run_flow_level, run_packet_level
+from repro.campaign.registry import build_workload
 from repro.campaign.spec import ScenarioSpec, TopologySpec, WorkloadSpec
 from repro.errors import CampaignError, FaultError, TopologyError
 from repro.faults import (
@@ -164,6 +165,20 @@ class TestPacketFaults:
                                      sim_deadline=4.0, faults=events)
         assert collector.stats["faults.flows_rejected"] == 1
         assert collector.completed_count() == 3
+
+    @pytest.mark.parametrize("protocol", ["PDQ(Full)", "PDQ(ES)"])
+    def test_rerouted_pdq_flows_do_not_stall(self, protocol):
+        # a flow paused by agg1_1 kept that switch's id in pauseby after
+        # its reroute; every switch on the new path passes such a flow
+        # through untouched, so it probed forever and never sent
+        topo = FatTree.for_servers(16)
+        flows = build_workload("fig8.permutation", topo, 1,
+                               {"flows_per_server": 1})
+        events = (FaultEvent(0.001, "switch_down", "agg1_1"),)
+        collector = run_packet_level(topo, protocol, flows,
+                                     sim_deadline=1.0, faults=events)
+        assert collector.stats["faults.reroutes"] > 0
+        assert collector.unfinished_count() == 0
 
     @pytest.mark.parametrize("protocol", ["PDQ(Full)", "TCP", "RCP", "D3"])
     def test_in_flight_drops_leave_no_packet_alive(self, protocol,

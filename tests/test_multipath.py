@@ -42,11 +42,10 @@ class TestMpdqDelivery:
     def test_subflows_use_distinct_paths(self):
         topo = BCube(2, 3)
         net = Network(topo, MpdqStack(n_subflows=4))
-        src, dst = net.node("h0"), net.node("h15")
         first_links = set()
         for k in range(4):
             fid = subflow_fid(0, k)
-            path = net.router.flow_path(fid, src.id, dst.id)
+            path = net.flow_path(fid, "h0", "h15")
             first_links.add(path[0].dst.name)
         # h0 and h15 differ in all 4 digits: 4 NICs usable
         assert len(first_links) >= 2

@@ -62,8 +62,7 @@ class TestRttEstimate:
     def test_two_hop_rtt_is_paperish(self):
         """The paper quotes ~150us datacenter RTTs for this setup."""
         net = Network(SingleBottleneck(2), PdqStack())
-        src, dst = net.node("send0"), net.node("recv")
-        fwd = net.router.flow_path(0, src.id, dst.id)
+        fwd = net.flow_path(0, "send0", "recv")
         rtt = net.estimate_rtt(fwd)
         assert 80 * USEC < rtt < 160 * USEC
 

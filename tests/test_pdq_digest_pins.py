@@ -24,6 +24,9 @@ runs cross-pod flows on the 16-server fat-tree, where every flow's core
 switch comes from the ECMP hash: PDQ(Full), M-PDQ (whose subflows hash
 over the cores), TCP across an ``agg0_0`` switch flap and RCP across a
 core link flap (fault reroutes pick their detours by the same hash).
+PDQ(Full) across an ``agg0_0`` outage pins the reroute of paused flows:
+a rerouted sender forgets the switch that paused it on the old path,
+so every flow resolves.
 
 A digest changes only when simulated behaviour changes; if that is
 deliberate, re-baseline by printing ``_digest(case)`` for each case.
@@ -151,6 +154,8 @@ def test_packet_digest_is_pinned(case):
 #: id -> (protocol, run_packet_level keywords), on the 16-server fat-tree
 FATTREE_CASES = {
     "full": ("PDQ(Full)", {}),
+    "full_switch_down": ("PDQ(Full)", {"faults": [
+        FaultEvent(1 * MSEC, "switch_down", "agg0_0")]}),
     "mpdq": ("M-PDQ", {}),
     "tcp_switch_flap": ("TCP", {"faults": [
         FaultEvent(1 * MSEC, "switch_down", "agg0_0"),
@@ -162,6 +167,8 @@ FATTREE_CASES = {
 
 FATTREE_PINS = {
     "full": "842a0255fa816cf58b00d02e1e5f5cd7eb2ae1523801d43429526135b82d978d",
+    "full_switch_down":
+        "1fd4409fc44bbd2bb274c07d933b15034e02d83eaf8a0336c55fa09163b86ed2",
     "mpdq": "1f539d2c9da2e9cea177333c9fe50c3d80e093cbb93dc5999e85fb8c0ce3cb4d",
     "tcp_switch_flap":
         "7880a007b2d53e6ad454045581572ec914b68210240efe00f9df4ef23011e319",

@@ -5,7 +5,7 @@ import pytest
 from repro.core.config import PdqConfig
 from repro.core.stack import PdqStack
 from repro.net.network import Network
-from repro.net.packet import PacketKind
+from repro.net.packet import Packet, PacketKind
 from repro.topology import SingleBottleneck
 from repro.units import KBYTE, MBYTE, MSEC
 from repro.workload.flow import FlowSpec
@@ -16,9 +16,8 @@ def make_sender(config=None, size=100 * KBYTE, deadline=None, fid=0):
     spec = FlowSpec(fid=fid, src="send0", dst="recv", size_bytes=size,
                     deadline=deadline)
     record = net.metrics.register(spec)
-    src, dst = net.host("send0"), net.host("recv")
-    fwd = net.router.flow_path(spec.fid, src.id, dst.id)
-    rev = net.router.reverse_path(fwd)
+    fwd = net.flow_path(spec.fid, "send0", "recv")
+    rev = net.reverse_path(fwd)
     sender, receiver = net.stack.make_endpoints(net, spec, record, fwd, rev)
     return net, sender
 
@@ -71,6 +70,45 @@ class TestProbing:
         assert sender_a._probe_interval() == sender_b._probe_interval()
 
 
+class TestReroute:
+    def test_reroute_forgets_the_pausing_switch(self):
+        net, sender = make_sender()
+        sender.start()
+        net.run(until=1 * MSEC)
+        receiver = net.host("recv").receivers[0]
+        sender.pauseby = 7
+        fwd = sender.path
+        rev = net.reverse_path(fwd)
+        sender.reroute(fwd, rev)
+        assert sender.pauseby is None
+        assert receiver.path == rev
+
+        def feedback(echo_time):
+            header = _header(sender)
+            header.pauseby = 7
+            header.rate = 0.0
+            return Packet(0, net.host("recv").id, net.host("send0").id,
+                          PacketKind.ACK, 40, sched=header,
+                          echo_time=echo_time)
+
+        # sent before the reroute: its pauseby names an old-path switch
+        sender.process_feedback(feedback(net.sim.now - 0.1 * MSEC))
+        assert sender.pauseby is None
+        sender.process_feedback(feedback(net.sim.now))
+        assert sender.pauseby == 7
+
+    def test_stale_syn_ack_still_leads_to_a_probe(self):
+        # the SYN-ACK of a SYN sent before the reroute carries no usable
+        # rate; the handshake completes without one, so the sender must
+        # probe for it instead of waiting for feedback that never comes
+        net, sender = make_sender()
+        sender.start()
+        net.run(until=0.01 * MSEC)  # SYN still in flight
+        sender.reroute(sender.path, net.reverse_path(sender.path))
+        net.run(until=50 * MSEC)
+        assert net.metrics.record(0).completed
+
+
 class TestAging:
     def test_aging_reduces_advertised_tx_time(self):
         net, sender = make_sender(config=PdqConfig.full(aging_rate=1.0))
@@ -119,9 +157,8 @@ class TestCriticalityModes:
         spec = FlowSpec(fid=0, src="send0", dst="recv",
                         size_bytes=10 * KBYTE, criticality=0.42)
         record = net.metrics.register(spec)
-        src, dst = net.host("send0"), net.host("recv")
-        fwd = net.router.flow_path(0, src.id, dst.id)
-        rev = net.router.reverse_path(fwd)
+        fwd = net.flow_path(0, "send0", "recv")
+        rev = net.reverse_path(fwd)
         sender, _ = net.stack.make_endpoints(net, spec, record, fwd, rev)
         assert _header(sender).criticality == 0.42
 

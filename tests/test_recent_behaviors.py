@@ -145,9 +145,8 @@ class TestMpdqSourceRouting:
         net = Network(BCube(2, 3), MpdqStack(n_subflows=4))
         spec = FlowSpec(fid=0, src="h0", dst="h15", size_bytes=400 * KBYTE)
         record = net.metrics.register(spec)
-        src = net.host("h0")
-        fwd = net.router.flow_path(0, src.id, net.host("h15").id)
-        rev = net.router.reverse_path(fwd)
+        fwd = net.flow_path(0, "h0", "h15")
+        rev = net.reverse_path(fwd)
         coordinator, _ = net.stack.make_endpoints(net, spec, record, fwd, rev)
         first_hops = {s.path[0].dst.name for s in coordinator.senders}
         assert len(first_hops) == 4  # one NIC per subflow

@@ -1,17 +1,21 @@
-"""Tests for ECMP routing, path pinning, and packet/flow-level agreement."""
+"""Tests for ECMP routing, path pinning, and the link-id contract that
+lets one router serve both engines."""
 
 import random
 
 import pytest
 
+from repro.campaign.engines import run_flow_level, run_packet_level
 from repro.core.stack import PdqStack
-from repro.errors import RoutingError
+from repro.errors import RoutingError, TopologyError
+from repro.faults import FaultController, FaultEvent
 from repro.flowsim import FlowLevelSimulation, RcpModel
-from repro.flowsim.paths import GraphRouter
 from repro.net.network import Network
-from repro.net.routing import ecmp_hash
+from repro.net.routing import Router, ecmp_hash
 from repro.topology import BCube, FatTree, SingleRootedTree
 from repro.topology.random_graph import RandomGraph
+from repro.units import MBYTE, MSEC
+from repro.workload.flow import FlowSpec
 
 
 @pytest.fixture(scope="module")
@@ -35,100 +39,79 @@ class TestEcmpHash:
 class TestRouter:
     def test_path_connects_endpoints(self, fattree_net):
         net = fattree_net
-        src, dst = net.node("h0"), net.node("h15")
-        path = net.router.flow_path(1, src.id, dst.id)
-        assert path[0].src is src
-        assert path[-1].dst is dst
+        path = net.flow_path(1, "h0", "h15")
+        assert path[0].src is net.node("h0")
+        assert path[-1].dst is net.node("h15")
         for a, b in zip(path, path[1:], strict=False):
             assert a.dst is b.src
 
     def test_path_is_shortest(self, fattree_net):
         net = fattree_net
-        src, dst = net.node("h0"), net.node("h15")
         # inter-pod in a fat-tree: host-edge-agg-core-agg-edge-host = 6 links
-        assert len(net.router.flow_path(1, src.id, dst.id)) == 6
-        assert net.router.hop_count(src.id, dst.id) == 6
+        assert len(net.flow_path(1, "h0", "h15")) == 6
+        assert net.router.hop_count("h0", "h15") == 6
 
     def test_path_pinned_per_flow(self, fattree_net):
         net = fattree_net
-        src, dst = net.node("h0"), net.node("h15")
-        assert net.router.flow_path(5, src.id, dst.id) is net.router.flow_path(
-            5, src.id, dst.id
-        )
+        assert net.flow_path(5, "h0", "h15") == net.flow_path(5, "h0", "h15")
 
     def test_different_flows_spread_over_paths(self, fattree_net):
         net = fattree_net
-        src, dst = net.node("h0"), net.node("h15")
         cores = set()
         for fid in range(64):
-            path = net.router.flow_path(fid, src.id, dst.id)
+            path = net.flow_path(fid, "h0", "h15")
             cores.add(path[2].dst.name)  # the core switch
         assert len(cores) > 1  # ECMP actually uses the path diversity
 
     def test_reverse_path_is_exact_mirror(self, fattree_net):
         net = fattree_net
-        src, dst = net.node("h0"), net.node("h15")
-        fwd = net.router.flow_path(9, src.id, dst.id)
-        rev = net.router.reverse_path(fwd)
+        fwd = net.flow_path(9, "h0", "h15")
+        rev = net.reverse_path(fwd)
         assert [lk.reverse for lk in rev] == list(reversed(fwd))
 
     def test_no_route_to_self(self, fattree_net):
-        net = fattree_net
-        h0 = net.node("h0")
         with pytest.raises(RoutingError):
-            net.router.flow_path(1, h0.id, h0.id)
+            fattree_net.flow_path(1, "h0", "h0")
 
     def test_bcube_paths_may_relay_through_hosts(self):
         net = Network(BCube(2, 3), PdqStack())
-        src, dst = net.node("h0"), net.node("h3")
         # h0 (0000) to h3 (0011) differ in two digits: 4-link path via a
         # relay server
-        path = net.router.flow_path(1, src.id, dst.id)
+        path = net.flow_path(1, "h0", "h3")
         assert len(path) == 4
         relay_names = {link.dst.name for link in path[:-1]}
         assert any(name.startswith("h") for name in relay_names)
 
+    def test_endpoints_must_be_hosts(self, fattree_net):
+        with pytest.raises(TopologyError, match="'hX'"):
+            fattree_net.flow_path(1, "h0", "hX")
+        with pytest.raises(TopologyError, match="not a host"):
+            fattree_net.flow_path(1, "agg0_0", "h15")
 
-class TestGraphRouterAgreement:
-    """The flow-level GraphRouter must pick the same paths as the
-    packet-level Router (Fig 8's cross-validation relies on it)."""
 
-    @pytest.mark.parametrize("topo_factory", [
-        lambda: FatTree(4),
-        lambda: SingleRootedTree(),
-        lambda: BCube(2, 2),
-    ])
-    def test_same_paths_both_levels(self, topo_factory):
-        topo = topo_factory()
+TOPOLOGIES = {
+    "fattree": lambda: FatTree(4),
+    "single_rooted": lambda: SingleRootedTree(),
+    "bcube": lambda: BCube(2, 2),
+    "random_graph": lambda: RandomGraph(n_switches=8, seed=3),
+}
+
+
+class TestLinkIds:
+    """``Network`` numbers its links with the router's directed-edge
+    ids, so ``net.flow_path`` is the router's path by construction."""
+
+    @pytest.mark.parametrize("name", sorted(TOPOLOGIES))
+    def test_link_ids_are_edge_ids(self, name):
+        topo = TOPOLOGIES[name]()
         net = Network(topo, PdqStack())
-        graph_router = GraphRouter(topo)
-        hosts = topo.hosts
-        for fid, (src, dst) in enumerate(
-            [(hosts[0], hosts[-1]), (hosts[1], hosts[2]),
-             (hosts[0], hosts[len(hosts) // 2])]
-        ):
-            if src == dst:
-                continue
-            pkt_path = net.router.flow_path(
-                fid, net.node(src).id, net.node(dst).id
-            )
-            pkt_names = [(lk.src.name, lk.dst.name) for lk in pkt_path]
-            flow_path = graph_router.flow_path(fid, src, dst)
-            assert pkt_names == list(flow_path)
-
-    def test_hop_count_agrees(self):
-        topo = FatTree(4)
-        net = Network(topo, PdqStack())
-        graph_router = GraphRouter(topo)
-        assert graph_router.hop_count("h0", "h15") == net.router.hop_count(
-            net.node("h0").id, net.node("h15").id
-        )
-
-    def test_capacities_cover_all_directed_edges(self):
-        topo = SingleRootedTree()
-        caps = GraphRouter(topo).capacities()
-        assert len(caps) == 2 * topo.graph.number_of_edges()
-        assert all(v > 0 for v in caps.values())
+        index = topo.directed_edge_index()
+        assert len(net.links) == len(index)
+        for (a, b), eid in index.items():
+            link = net.links[eid]
+            assert link.link_id == eid
+            assert (link.src.name, link.dst.name) == (a, b)
+            assert net.links[eid ^ 1] is link.reverse
 
 
 class TestEdgeIndex:
@@ -158,7 +141,7 @@ class TestEdgeIndex:
 
     def test_flow_path_ids_match_named_paths(self):
         topo = FatTree(4)
-        router = GraphRouter(topo)
+        router = Router(topo)
         index = router.edge_index
         hosts = topo.hosts
         for fid in range(6):
@@ -168,78 +151,104 @@ class TestEdgeIndex:
 
     def test_capacity_vector_matches_capacity_dict(self):
         topo = FatTree(4)
-        router = GraphRouter(topo)
+        router = Router(topo)
         vector = router.capacity_vector()
         caps = router.capacities()
         assert len(vector) == len(caps)
         for edge, eid in router.edge_index.items():
             assert vector[eid] == caps[edge]
 
+    def test_capacities_cover_all_directed_edges(self):
+        topo = SingleRootedTree()
+        caps = Router(topo).capacities()
+        assert len(caps) == 2 * topo.graph.number_of_edges()
+        assert all(v > 0 for v in caps.values())
+
 
 def _random_lookups(topo, n=200, seed=14):
+    """``n`` distinct fids, each between a random pair of hosts."""
     rng = random.Random(seed)
     hosts = topo.hosts
-    return [(rng.randrange(1_000_000), *rng.sample(hosts, 2))
-            for _ in range(n)]
+    return [(fid, *rng.sample(hosts, 2))
+            for fid in rng.sample(range(1_000_000), n)]
+
+
+class TestFaultRouting:
+    """The FaultController derives one down set, flips ``Link.up`` from
+    it and hands the same set to the router; rerouted senders (and their
+    receivers) move off the failed cable."""
+
+    @pytest.mark.parametrize("name",
+                             ["fattree", "random_graph", "single_rooted"])
+    def test_link_flap_reroutes_around_both_ids(self, name):
+        topo = TOPOLOGIES[name]()
+        net = Network(topo, PdqStack())
+        lookups = _random_lookups(topo, n=40)
+        # fail the middle cable of one pinned path, then restore it
+        ids = net.router.flow_path_ids(*lookups[0])
+        down = ids[len(ids) // 2]
+        a, b = net.router.edges[down]
+        controller = FaultController(net, [
+            FaultEvent(0.5 * MSEC, "link_down", a, b),
+            FaultEvent(1.0 * MSEC, "link_up", b, a),
+        ])
+        controller.start()
+        net.launch([FlowSpec(fid=fid, src=src, dst=dst, size_bytes=MBYTE)
+                    for fid, src, dst in lookups])
+
+        net.run(until=0.75 * MSEC)
+        failed = {down, down ^ 1}
+        assert not net.links[down].up and not net.links[down ^ 1].up
+        for fid, src, dst in lookups:
+            try:
+                path = net.router.flow_path_ids(fid, src, dst)
+            except RoutingError:
+                continue  # a tree has no second path: the pair is cut off
+            assert failed.isdisjoint(path)
+        assert controller.reroutes + controller.flows_rejected > 0
+        live = 0
+        for fid, src, dst in lookups:
+            sender = net.host(src).senders.get(fid)
+            if sender is None or sender.term_sent:
+                continue  # rejected: its TERM went down the dead path
+            live += 1
+            assert failed.isdisjoint(link.link_id for link in sender.path)
+            receiver = net.host(dst).receivers[fid]
+            assert receiver.path == net.reverse_path(sender.path)
+        assert live > 0
+
+        net.run(until=1.25 * MSEC)
+        assert net.links[down].up and net.links[down ^ 1].up
+        assert net.router.flow_path_ids(*lookups[0]) == ids
+
+
+class TestUnknownHosts:
+    """Both engines reject a flow naming a node the topology lacks the
+    same way, with or without a fault schedule."""
+
+    @pytest.mark.parametrize("faulted", [False, True],
+                             ids=["no_faults", "faults"])
+    @pytest.mark.parametrize("end", ["src", "dst"])
+    @pytest.mark.parametrize("run", [run_packet_level, run_flow_level],
+                             ids=["packet", "fluid"])
+    def test_unknown_host_is_a_topology_error(self, run, end, faulted):
+        topo = FatTree.for_servers(16)
+        pair = {"src": "h0", "dst": "h15", end: "hX"}
+        flows = [FlowSpec(fid=0, src="h1", dst="h2", size_bytes=MBYTE),
+                 FlowSpec(fid=1, size_bytes=MBYTE, **pair)]
+        faults = ([FaultEvent(0.0, "link_down", "agg0_0", "core0_0")]
+                  if faulted else None)
+        with pytest.raises(TopologyError, match="unknown node 'hX'"):
+            run(topo, "PDQ(Full)", flows, sim_deadline=1.0, faults=faults)
 
 
 class TestPathTemplates:
-    """GraphRouter keeps one path per (src, dst) pair whose walk never
-    needed the ECMP hash, and walks the rest per fid. Either way the
-    result is the per-fid walk of the packet-level Router, an
-    independent implementation of the same pinning rule."""
-
-    @staticmethod
-    def _assert_agrees(router, net, lookups):
-        for fid, src, dst in lookups:
-            args = (fid, net.node(src).id, net.node(dst).id)
-            try:
-                expected = tuple(lk.link_id
-                                 for lk in net.router.flow_path(*args))
-            except RoutingError:
-                with pytest.raises(RoutingError):
-                    router.flow_path_ids(fid, src, dst)
-                continue
-            assert router.flow_path_ids(fid, src, dst) == expected
-
-    @pytest.mark.parametrize("topo_factory", [
-        lambda: SingleRootedTree(),
-        lambda: FatTree(4),
-        lambda: RandomGraph(n_switches=8, seed=3),
-    ], ids=["single_rooted", "fattree", "random_graph"])
-    def test_same_links_as_packet_router_across_a_link_flap(self,
-                                                           topo_factory):
-        topo = topo_factory()
-        net = Network(topo, PdqStack())
-        router = GraphRouter(topo)
-        lookups = _random_lookups(topo)
-        self._assert_agrees(router, net, lookups)
-
-        # fail the middle cable of one pinned path, both directions
-        ids = router.flow_path_ids(*lookups[0])
-        down = ids[len(ids) // 2]
-        cable = (net.links[down], net.links[down].reverse)
-        for link in cable:
-            link.fail()
-        net.router.invalidate_routes()
-        router.set_down_edges({link.link_id for link in cable})
-        self._assert_agrees(router, net, lookups)
-        try:
-            detour = router.flow_path_ids(*lookups[0])
-        except RoutingError:
-            detour = ()  # a tree has no second path: the pair is cut off
-        assert down not in detour
-
-        for link in cable:
-            link.restore()
-        net.router.invalidate_routes()
-        router.set_down_edges(())
-        self._assert_agrees(router, net, lookups)
-        assert router.flow_path_ids(*lookups[0]) == ids
+    """The router keeps one path per (src, dst) pair whose walk never
+    needed the ECMP hash, and walks the rest per fid."""
 
     def test_fattree_has_both_kinds_of_pair(self):
         topo = FatTree(4)
-        router = GraphRouter(topo)
+        router = Router(topo)
         # h0 and h1 share an edge switch: one path, whatever the fid
         assert router.flow_path_ids(1, "h0", "h1") \
             is router.flow_path_ids(2, "h0", "h1")
@@ -253,7 +262,7 @@ class TestPathTemplates:
     def test_caches_are_bounded_by_host_pairs_not_by_flows(self,
                                                            topo_factory):
         topo = topo_factory()
-        router = GraphRouter(topo)
+        router = Router(topo)
         rng = random.Random(14)
         hosts = topo.hosts
         for fid in range(50_000):
@@ -267,9 +276,9 @@ class TestPathTemplates:
         """A count, not a timing: on a tree a 2 000-flow stream may walk
         the graph once per host pair and never again."""
         walks = []
-        walk = GraphRouter._walk
+        walk = Router._walk
         monkeypatch.setattr(
-            GraphRouter, "_walk",
+            Router, "_walk",
             lambda self, fid, src, dst: walks.append((src, dst))
             or walk(self, fid, src, dst))
         topo, stream = stream_vl2(2_000)
