@@ -114,6 +114,21 @@ class TestLinkIds:
             assert net.links[eid ^ 1] is link.reverse
 
 
+class TestGraphRouterAgreement:
+    """Each engine builds its own Router; the two instances must agree
+    (Fig 8's cross-validation relies on it)."""
+
+    def test_hop_count_agrees(self):
+        topo = FatTree(4)
+        net = Network(topo, PdqStack())
+        flow_router = FlowLevelSimulation(topo, RcpModel()).router
+        assert flow_router.hop_count("h0", "h15") == net.router.hop_count(
+            "h0", "h15")
+        for fid in range(8):
+            assert len(flow_router.flow_path_ids(fid, "h0", "h15")) == len(
+                net.flow_path(fid, "h0", "h15"))
+
+
 class TestEdgeIndex:
     """The dense directed-edge index contract (see
     Topology.directed_edge_index)."""
