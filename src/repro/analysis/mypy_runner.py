@@ -21,6 +21,7 @@ MYPY_TARGETS = (
     "src/repro/net",
     "src/repro/campaign/spec.py",
     "src/repro/obs/stats.py",
+    "src/repro/flowsim/pdq_model.py",
 )
 
 

@@ -20,10 +20,12 @@ on ``transfer_start``; completion ETAs live in a lazy min-heap (entries
 invalidated by a per-flow version bump on rate change — an unchanged
 rate means an unchanged absolute ETA) and deadline boundaries in a
 second lazy heap, so locating the next event does not scan every flow.
-A rate model answers with the flows whose rate it evaluated; an absent
-flow keeps its rate, so the rate pass touches only those, and the fused
-advance-and-completion pass runs over the persistent sending set — a
-paused flow costs nothing per epoch.
+A rate model answers with the flows whose rate it computed (PDQ: only
+the few an event touched); an absent flow keeps its rate, so the rate
+pass touches only those. After a departure the active list is copied
+from the by-fid map, which holds the live flows in promotion order, and
+the fused advance-and-completion pass runs over the persistent sending
+set — a paused flow costs nothing per epoch.
 The frozen pre-optimization engine is
 :class:`~repro.flowsim.naive.NaiveFlowLevelSimulation`; parity tests pin
 bit-identical metrics between the two for both input shapes.
@@ -365,7 +367,7 @@ class FlowLevelSimulation:
                 for fid, reason in doomed:
                     self._depart(by_fid[fid])
                     metrics.on_terminated(fid, now, reason)
-                active[:] = [f for f in active if not f.departed]
+                active[:] = by_fid.values()
                 continue  # rates changed; recompute immediately
 
             # rates hold until the next event: a refresh, a transfer
@@ -430,7 +432,7 @@ class FlowLevelSimulation:
                     del sending[fid]
                     metrics.on_bytes(fid, flow.spec.size_bytes)
                     metrics.on_complete(fid, now)
-                active[:] = [f for f in active if not f.departed]
+                active[:] = by_fid.values()
             if samplers:
                 for sampler in samplers:
                     sampler.on_step(self, active)
@@ -519,7 +521,7 @@ class FlowLevelSimulation:
         self.fault_reroutes += rerouted
         if rerouted < len(hit):
             self.flows_rejected += len(hit) - rerouted
-            active[:] = [f for f in active if not f.departed]
+            active[:] = self._by_fid.values()
             waiting[:] = [entry for entry in waiting
                           if not entry[2].departed]
             heapq.heapify(waiting)

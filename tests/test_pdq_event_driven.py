@@ -2,18 +2,21 @@
 pass at every epoch, the §3 centralized algorithm is its oracle, and the
 engine honours the sparse rates dict it returns.
 
-The model under the engine's ``begin_run()`` contract evaluates only
-senders, new flows and woken parked flows, and inspects only flows inside
-their Early-Termination watch window. Every check here is pure equality
-against the stateless full pass (a fresh ``PdqModel`` given the same
-flows) — no timing.
+The model under the engine's ``begin_run()`` contract evaluates only new
+flows, woken parked flows and the senders behind a rate change, and
+inspects only flows inside their Early-Termination watch window. Every
+check here is pure equality against the stateless full pass (a fresh
+``PdqModel`` given the same flows) — no timing.
 """
 
 import random
+from dataclasses import replace
+from itertools import combinations
 from math import inf, nextafter
 
 import pytest
 
+from repro.campaign.registry import build_topology, build_workload
 from repro.core.comparator import FlowComparator
 from repro.core.config import PdqConfig
 from repro.faults import FaultEvent
@@ -38,22 +41,37 @@ class CheckedPdqModel(PdqModel):
     def __init__(self, config=None, comparator=None):
         super().__init__(config, comparator)
         self.calls = 0
-        self.evaluated = 0
         self.offered = 0
+        self.shared_departures = 0
 
     def allocate(self, flows, capacities, now):
+        gone = [s.flow.path for s in self._senders if s.flow.departed]
+        # two departing senders on one edge: one crossing list loses
+        # several records in this call
+        self.shared_departures += any(
+            set(a).intersection(b) for a, b in combinations(gone, 2))
+        evaluated = self.evaluated
         rates = super().allocate(flows, capacities, now)
+        # the answer names exactly the flows whose rate was computed
+        assert self.evaluated - evaluated == len(rates)
+        # each edge's crossing list is its senders, in key order
+        crossing = {}
+        for sender in self._senders:
+            for edge in sender.flow.path:
+                crossing.setdefault(edge, []).append(sender)
+        assert {edge: line for edge, line in self._crossing.items()
+                if line} == crossing
         full = PdqModel(self.config, self.comparator).allocate(
             flows, capacities, now)
         assert len(full) == len(flows)
         for flow in flows:
-            # absent = paused before and still paused
-            assert rates.get(flow.fid, 0.0) == full[flow.fid], \
+            # absent = unchanged: the rate the engine holds is the answer
+            assert rates.get(flow.fid, flow.rate) == full[flow.fid], \
                 (flow.fid, now, self.calls)
-            if flow.fid not in rates:
-                assert flow.rate == 0.0
+        # and the sender records hold exactly the full pass's senders
+        assert {s.flow.fid: s.rate for s in self._senders} == {
+            fid: rate for fid, rate in full.items() if rate > 0}
         self.calls += 1
-        self.evaluated += len(rates)
         self.offered += len(flows)
         self._full = full
         return rates
@@ -133,6 +151,73 @@ class TestIncrementalEqualsFromScratch:
         assert collector.unfinished_count() == 0
         # the point of the exercise: most offered flows were not evaluated
         assert model.evaluated < model.offered
+
+    @pytest.mark.parametrize("kind", sorted(TOPOLOGIES))
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_one_shared_deadline(self, kind, seed):
+        """Every flow has the same absolute deadline, so keys order by
+        ``expected_tx`` alone: senders overtake each other often, and
+        each overtaking call rebuilds the crossing lists."""
+        rng = random.Random(f"shared/{kind}/{seed}")
+        topology = TOPOLOGIES[kind](seed)
+        _skew_rates(topology, rng)
+        flows = [replace(spec, deadline=30 * MSEC)
+                 for spec in _flows(topology, rng, 90, poisson=False,
+                                    deadlines=False, elephant=False)]
+        sim, model, collector = _run_checked(topology, flows,
+                                             PdqConfig.full())
+        assert model.reorder_wakes > 2
+        assert collector.unfinished_count() == 0
+
+    def test_senders_on_one_edge_depart_together(self):
+        """Equal sizes started together: several senders on one edge
+        finish in the same advance, so one call unlinks several records
+        from one crossing list and re-evaluates the ones behind them."""
+        shared = 0
+        for seed in range(1, 5):
+            rng = random.Random(f"together/{seed}")
+            topology = FatTree.for_servers(16)
+            _skew_rates(topology, rng)
+            hosts = topology.hosts
+            flows = []
+            for fid in range(60):
+                src, dst = rng.sample(hosts, 2)
+                flows.append(FlowSpec(
+                    fid=fid, src=src, dst=dst, arrival=0.0,
+                    size_bytes=rng.choice((50, 50, 200)) * KBYTE))
+            sim, model, collector = _run_checked(topology, flows,
+                                                 PdqConfig.full())
+            assert model.reparked > 0
+            assert collector.completed_count() == len(flows)
+            shared += model.shared_departures
+        assert shared > 0
+
+    def test_departures_ahead_of_a_partial_sender(self):
+        """Four equal flows fill four of a 4.5G edge's gigabits and
+        depart in one advance; the partial-rate sender behind them on
+        that edge sits after four departed records of its crossing
+        list, and the flows parked behind them all wake."""
+        topology = Topology()
+        topology.add_switch("s1")
+        topology.add_switch("s2")
+        topology.add_link("s1", "s2", 4.5 * GBPS)
+        for i in range(6):
+            topology.add_host(f"a{i}")
+            topology.add_host(f"d{i}")
+            topology.add_link(f"a{i}", "s1", 1 * GBPS)
+            topology.add_link("s2", f"d{i}", 1 * GBPS)
+        flows = [FlowSpec(fid=i, src=f"a{i}", dst=f"d{i}", arrival=0.0,
+                          size_bytes=100 * KBYTE) for i in range(4)]
+        flows += [FlowSpec(fid=4 + i, src=f"a{4 + i}", dst=f"d{4 + i}",
+                           arrival=0.0, size_bytes=(300 + 100 * i) * KBYTE)
+                  for i in range(2)]
+        flows += [FlowSpec(fid=6 + i, src=f"a{i}", dst=f"d{(i + 1) % 4}",
+                           arrival=0.0, size_bytes=150 * KBYTE)
+                  for i in range(4)]
+        sim, model, collector = _run_checked(topology, flows,
+                                             PdqConfig.full())
+        assert model.shared_departures > 0
+        assert collector.completed_count() == len(flows)
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
     def test_fault_epoch_mid_run(self, seed):
@@ -292,6 +377,34 @@ class TestIncrementalEqualsFromScratch:
         sim, model, _ = _run_checked(topology, flows, PdqConfig.full())
         assert model.reorder_wakes == 0
         assert model.evaluated < model.offered
+
+
+class TestWorkCounters:
+    def test_a_call_evaluates_fewer_flows_than_it_has_senders(self):
+        """Host-free work on a fat-tree permutation batch with deadlines:
+        a call computes fewer rates than there are senders (a pass over
+        every sender and every woken flow computed about 1.8x as many),
+        and the blocker check sends woken flows back unevaluated."""
+        topology = build_topology("fattree", {"n_servers": 54})
+        flows = build_workload("fig8.permutation", topology, 1, {
+            "flows_per_server": 8, "mean_deadline": 40 * MSEC})
+
+        class Counting(PdqModel):
+            senders = 0
+
+            def allocate(self, flows, capacities, now):
+                rates = super().allocate(flows, capacities, now)
+                self.senders += sum(rates.get(flow.fid, flow.rate) > 0
+                                    for flow in flows)
+                return rates
+
+        model = Counting(PdqConfig.full())
+        sim = FlowLevelSimulation(topology, model)
+        collector = sim.run(flows, deadline=10.0)
+        assert sim.recomputations > len(flows) // 2
+        assert any(r.termination_reason for r in collector.all_records())
+        assert model.evaluated < model.senders
+        assert model.reparked > 0
 
 
 class TestAgingCountsThePauseOnce:
