@@ -20,6 +20,7 @@ MYPY_TARGETS = (
     "src/repro/events",
     "src/repro/net",
     "src/repro/campaign/spec.py",
+    "src/repro/campaign/store.py",
     "src/repro/obs/stats.py",
     "src/repro/flowsim/pdq_model.py",
 )

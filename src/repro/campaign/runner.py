@@ -193,8 +193,10 @@ class CampaignRunner:
             "campaign: %d scenario(s), %d cached, %d to run (workers=%d)",
             len(unique), len(outcomes), len(pending), self.max_workers,
         )
+        if self.store is not None:
+            self.store.log_outcomes(
+                [outcome.log_row() for outcome in outcomes.values()])
         for outcome in outcomes.values():
-            self._log_outcome(outcome)
             self._export_trace(outcome)
             self._report(outcome)
 
@@ -233,7 +235,14 @@ class CampaignRunner:
                 outcome: ScenarioOutcome) -> None:
         outcomes[outcome.key] = outcome
         if outcome.ok and not outcome.cached and self.store is not None:
-            self.store.put(outcome.spec, outcome.collector, outcome.elapsed)
+            try:
+                self.store.put(outcome.spec, outcome.collector,
+                               outcome.elapsed)
+            except OSError as exc:
+                # an entry path the store cannot replace (a directory in
+                # the way, a read-only root) costs the cache, not the run
+                logger.warning("scenario %s not stored: %s",
+                               outcome.spec.describe(), exc)
         if not outcome.ok:
             logger.warning("scenario %s failed (attempt %d): %s",
                            outcome.spec.describe(), outcome.attempts,
@@ -242,13 +251,10 @@ class CampaignRunner:
             logger.debug("scenario %s ok in %.3fs (worker %s)",
                          outcome.spec.describe(), outcome.elapsed,
                          outcome.worker)
-        self._log_outcome(outcome)
-        self._export_trace(outcome)
-        self._report(outcome)
-
-    def _log_outcome(self, outcome: ScenarioOutcome) -> None:
         if self.store is not None:
             self.store.log_outcome(outcome.log_row())
+        self._export_trace(outcome)
+        self._report(outcome)
 
     def _export_trace(self, outcome: ScenarioOutcome) -> None:
         """Write a scenario's flow-lifecycle trace (if it recorded one)

@@ -19,6 +19,7 @@ import json
 import os
 import tempfile
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -48,11 +49,19 @@ class StoreEntry:
 
 
 class ResultStore:
-    """Filesystem-backed result cache."""
+    """Filesystem-backed result cache plus its campaign log.
+
+    A cache hit costs one ``open`` of ``<root>/<key>.json``; a missing,
+    unreadable, truncated or foreign entry reads as a miss. Outcome rows
+    go to the log one at a time (:meth:`log_outcome`) or as one batch in
+    one append (:meth:`log_outcomes`).
+    """
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        # _load's entry-path prefix: a read builds no Path object
+        self._prefix = os.path.join(self.root, "")
 
     # -- paths --------------------------------------------------------------------
 
@@ -133,13 +142,20 @@ class ResultStore:
         return self.root / self.LOG_NAME
 
     def log_outcome(self, row: dict[str, Any]) -> None:
-        """Append one scenario-outcome row to the campaign log.
+        """Append one scenario-outcome row to the campaign log."""
+        self.log_outcomes((row,))
+
+    def log_outcomes(self, rows: Sequence[dict[str, Any]]) -> None:
+        """Append scenario-outcome rows to the campaign log, in order,
+        through one ``open`` (a runner logs a batch of cache hits so).
 
         Append-only JSONL: cheap, crash-tolerant (a torn final line is
         skipped on read), and safe for the ``*.json`` entry glob.
         """
+        if not rows:
+            return
         with self.log_path.open("a", encoding="utf-8") as fh:
-            fh.write(json.dumps(row) + "\n")
+            fh.write("".join(json.dumps(row) + "\n" for row in rows))
 
     def read_log(self) -> list[dict[str, Any]]:
         """All campaign-log rows, oldest first (corrupt lines skipped)."""
@@ -191,14 +207,13 @@ class ResultStore:
         return sorted(out, key=lambda e: e.created_at)
 
     def _load(self, key: str) -> dict[str, Any] | None:
-        path = self.path_for(key)
-        if not path.exists():
-            return None
         try:
-            with path.open() as handle:
+            with open(self._prefix + key + ".json") as handle:
                 payload = json.load(handle)
         except (OSError, ValueError):
-            # ValueError covers JSONDecodeError and UnicodeDecodeError
+            # FileNotFoundError is the plain miss; any other OSError (a
+            # directory, permissions) or ValueError (JSONDecodeError,
+            # UnicodeDecodeError) is an unreadable entry, also a miss
             return None
         if not isinstance(payload, dict):
             return None

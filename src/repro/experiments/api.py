@@ -40,6 +40,8 @@ from typing import Any
 from repro.campaign.context import run_scenarios
 from repro.campaign.spec import (
     ScenarioSpec,
+    TopologySpec,
+    WorkloadSpec,
     _axis_cells,
     canonical_json,
     expand_cells,
@@ -392,12 +394,41 @@ class PanelRun:
     ``rows`` holds ``(combo, spec, collector)`` per grid cell (in grid
     order); ``found`` holds ``(combo, value)`` per search cell. Custom
     panels never build a PanelRun.
+
+    Reducer contract: a reducer that needs a cell's inputs (an
+    omniscient-scheduler row, a normalization by the optimal FCT) reads
+    them through :meth:`flows`, never by rebuilding the spec. The memo
+    builds each distinct topology and each distinct
+    ``(topology, workload, seed)`` once per panel run, and it lives and
+    dies with this object. What it returns is shared between callers, so
+    it is read-only.
     """
 
     panel: Panel
     rows: list[tuple[dict[str, Any], ScenarioSpec, MetricsCollector]] = (
         field(default_factory=list))
     found: list[tuple[dict[str, Any], Any]] | None = None
+    _topologies: dict[TopologySpec, Any] = field(
+        default_factory=dict, init=False, repr=False)
+    _flows: dict[tuple[TopologySpec, WorkloadSpec, int], Any] = field(
+        default_factory=dict, init=False, repr=False)
+
+    def flows(self, spec: ScenarioSpec) -> Any:
+        """The workload ``spec`` ran: its builder's output on the spec's
+        topology and seed (protocol-independent)."""
+        key = (spec.topology, spec.workload, spec.seed)
+        flows = self._flows.get(key)
+        if flows is None:
+            flows = spec.workload.build(self._topology(spec.topology),
+                                        spec.seed)
+            self._flows[key] = flows
+        return flows
+
+    def _topology(self, spec: TopologySpec) -> Any:
+        topology = self._topologies.get(spec)
+        if topology is None:
+            topology = self._topologies[spec] = spec.build()
+        return topology
 
     def axis_names(self) -> list[str]:
         return [name for name, _ in self.panel.axes]
@@ -444,12 +475,6 @@ class PanelRun:
         }
 
 
-def _workload_has_deadlines(spec: ScenarioSpec) -> bool:
-    topology = spec.topology.build()
-    flows = spec.workload.build(topology, spec.seed)
-    return any(f.has_deadline for f in flows)
-
-
 def _run_grid(panel: Panel) -> PanelRun:
     cells = panel.cells()
     collectors = run_scenarios([spec for _, spec in cells])
@@ -463,6 +488,7 @@ def _run_search(panel: Panel) -> PanelRun:
     search = panel.search
     metric = collector_metric(search.metric)
     found: list[tuple[dict[str, Any], Any]] = []
+    run = PanelRun(panel, found=found)
     for combo, cell_base in panel.cells():
 
         def meets_target(n: int, _base: ScenarioSpec = cell_base) -> bool:
@@ -470,8 +496,8 @@ def _run_search(panel: Panel) -> PanelRun:
             probe_specs = []
             for seed in search.seeds:
                 spec = _base.with_(seed=seed, **{search.axis: value})
-                if search.require_deadlines and \
-                        not _workload_has_deadlines(spec):
+                if search.require_deadlines and not any(
+                        f.has_deadline for f in run.flows(spec)):
                     return True
                 probe_specs.append(spec)
             measured = [metric(c) for c in run_scenarios(probe_specs)]
@@ -482,7 +508,7 @@ def _run_search(panel: Panel) -> PanelRun:
         found.append(
             (combo, best if search.scale is None else best * search.scale)
         )
-    return PanelRun(panel, found=found)
+    return run
 
 
 def run_panel(panel: Panel) -> Any:

@@ -89,11 +89,6 @@ def _base_spec(n_flows: int, mean_size: float,
     )
 
 
-def _built_flows(spec: ScenarioSpec) -> list[FlowSpec]:
-    """The workload a grid cell ran (protocol-independent)."""
-    return spec.workload.build(spec.topology.build(), spec.seed)
-
-
 def _optimal_app_throughput(flows: Sequence[FlowSpec]) -> float:
     sizes = [f.size_bytes for f in flows]
     deadlines = [f.deadline for f in flows]
@@ -106,7 +101,7 @@ def _optimal_app_throughput(flows: Sequence[FlowSpec]) -> float:
 @register_reducer("fig3.app_tput_table")
 def _reduce_app_tput(run, x: str) -> dict:
     """{protocol: {x: mean application throughput}} plus the omniscient
-    "Optimal" scheduler row computed from the rebuilt workloads."""
+    "Optimal" scheduler row computed from the cells' workloads."""
     protocols = run.axis_values("protocol")
     seeds = run.axis_values("seed")
     results = {p: {} for p in protocols}
@@ -116,7 +111,7 @@ def _reduce_app_tput(run, x: str) -> dict:
     }
     for x_value in run.axis_values(x):
         results["Optimal"][x_value] = mean(
-            _optimal_app_throughput(_built_flows(spec_at[(x_value, s)]))
+            _optimal_app_throughput(run.flows(spec_at[(x_value, s)]))
             for s in seeds
         )
     cells = run.cell_values(("protocol", x), "application_throughput")
@@ -140,7 +135,7 @@ def _reduce_norm_fct(run, x: str) -> dict:
     by_cell = {}
     for combo, spec, metrics in run.rows:
         by_cell.setdefault((combo["protocol"], combo[x]), []).append(
-            _normalized_fct(metrics, _built_flows(spec))
+            _normalized_fct(metrics, run.flows(spec))
         )
     for (protocol, x_value), values in by_cell.items():
         results[protocol][x_value] = mean(values)

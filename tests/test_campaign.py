@@ -244,6 +244,92 @@ class TestResultStore:
         assert len(store) == 0
 
 
+def _corrupt_missing(path, payload):
+    path.unlink()
+
+
+def _corrupt_directory(path, payload):
+    path.unlink()
+    path.mkdir()
+
+
+def _corrupt_truncated(path, payload):
+    text = json.dumps(payload)
+    path.write_text(text[: len(text) // 2])
+
+
+def _corrupt_version(path, payload):
+    path.write_text(json.dumps({**payload, "version": 0}))
+
+
+def _corrupt_key(path, payload):
+    path.write_text(json.dumps({**payload, "key": "0" * 64}))
+
+
+def _corrupt_not_a_dict(path, payload):
+    path.write_text(json.dumps([payload]))
+
+
+class TestStoreRobustness:
+    """A store entry that cannot be trusted is a miss, and a warm run
+    re-executes it; the campaign log batches cached rows in order."""
+
+    @pytest.mark.parametrize("corrupt", [
+        _corrupt_missing, _corrupt_directory, _corrupt_truncated,
+        _corrupt_version, _corrupt_key, _corrupt_not_a_dict,
+    ], ids=lambda fn: fn.__name__.removeprefix("_corrupt_"))
+    def test_bad_entry_is_a_miss_and_reexecutes(self, tmp_path, corrupt):
+        spec = _flow_spec()
+        store = ResultStore(tmp_path)
+        CampaignRunner(store=store).run([spec])
+        path = store.path_for(spec.key)
+        corrupt(path, json.loads(path.read_text()))
+        assert store._load(spec.key) is None
+        assert store.get(spec) is None
+        result = CampaignRunner(store=store).run([spec])
+        assert result.executed_count == 1
+        assert result.outcomes[0].ok
+        last = store.read_log()[-1]
+        assert last["key"] == spec.key
+        assert last["ok"] and not last["cached"]
+        # a directory in the way cannot be replaced; any other bad entry is
+        assert (store.get(spec) is None) == path.is_dir()
+
+    def test_cached_cells_log_in_one_append_in_input_order(
+            self, tmp_path, monkeypatch):
+        specs = [_flow_spec(seed=s) for s in (3, 1, 2)]
+        store = ResultStore(tmp_path)
+        CampaignRunner(store=store).run(specs)
+        store.clear_log()
+        batches = []
+        log_outcomes = ResultStore.log_outcomes
+        monkeypatch.setattr(
+            ResultStore, "log_outcomes",
+            lambda self, rows: batches.append(len(rows))
+            or log_outcomes(self, rows))
+        warm = CampaignRunner(store=store).run(specs)
+        assert warm.cached_count == 3
+        assert batches == [3]
+        rows = store.read_log()
+        assert [r["key"] for r in rows] == [spec.key for spec in specs]
+        assert all(r["cached"] and r["ok"] for r in rows)
+
+    def test_log_outcomes_writes_rows_in_order(self, tmp_path):
+        store = ResultStore(tmp_path)
+        store.log_outcomes([{"key": f"k{i}", "ok": True} for i in range(5)])
+        store.log_outcomes([])
+        assert [r["key"] for r in store.read_log()] == [
+            f"k{i}" for i in range(5)]
+
+    def test_read_log_skips_a_torn_final_line(self, tmp_path):
+        store = ResultStore(tmp_path)
+        store.log_outcomes([{"key": "k1", "ok": True},
+                            {"key": "k2", "ok": True}])
+        with store.log_path.open("a") as fh:
+            fh.write('{"key": "k3", "o')
+        assert [r["key"] for r in store.read_log()] == ["k1", "k2"]
+
+
 class TestSerialRunner:
     def test_cold_then_warm(self, tmp_path):
         specs = [_flow_spec(seed=s) for s in (1, 2)]

@@ -11,17 +11,28 @@ validation pair grids must be unchanged.
 import importlib
 import importlib.util
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from repro.campaign import ScenarioSpec, TopologySpec, WorkloadSpec
+from repro.campaign import (
+    CampaignRunner,
+    ResultStore,
+    ScenarioSpec,
+    TopologySpec,
+    WorkloadSpec,
+    registry,
+    use_runner,
+)
 from repro.campaign.cli import main as cli_main
 from repro.campaign.registry import build_topology, validate_spec_kinds
 from repro.errors import CampaignError, ExperimentError
+from repro.experiments import fig3
 from repro.experiments.api import (
     Experiment,
     Panel,
+    PanelRun,
     SearchSpec,
     experiment_kinds,
     figure_numbers,
@@ -49,6 +60,7 @@ def _load_capture_module():
 _CAPTURE = _load_capture_module()
 GOLDEN = json.loads((DATA / "experiment_golden.json").read_text())
 CLI_PINS = json.loads((DATA / "cli_pins.json").read_text())
+FIG3_PINS = json.loads((DATA / "fig3_reducer_pins.json").read_text())
 
 
 def _flow_base(**overrides) -> ScenarioSpec:
@@ -348,6 +360,97 @@ class TestPanelExecution:
         ))
         result = run_experiment(experiment)
         assert list(result) == ["a"]
+
+
+# -- reducer inputs: built once per panel run -------------------------------------
+
+
+def _count_builds(monkeypatch) -> dict[str, int]:
+    """Count registry topology/workload builds from here on."""
+    calls = {"topology": 0, "workload": 0}
+    build_topology = registry.build_topology
+    build_workload = registry.build_workload
+
+    def counted_topology(*args):
+        calls["topology"] += 1
+        return build_topology(*args)
+
+    def counted_workload(*args):
+        calls["workload"] += 1
+        return build_workload(*args)
+
+    monkeypatch.setattr(registry, "build_topology", counted_topology)
+    monkeypatch.setattr(registry, "build_workload", counted_workload)
+    return calls
+
+
+def _fresh_flows(run, spec):
+    """Rebuild a cell's inputs on every call: the memo-free reference."""
+    return spec.workload.build(spec.topology.build(), spec.seed)
+
+
+def _flow_engine(panel: Panel) -> Panel:
+    return replace(panel, base=panel.base.with_(engine="flow"))
+
+
+class TestPanelInputMemo:
+    """A warm panel run builds each distinct reducer input once: one
+    topology and one workload per (x, seed), whatever the protocols."""
+
+    def test_warm_norm_fct_grid_builds_each_input_once(self, tmp_path,
+                                                        monkeypatch):
+        panel = _flow_engine(fig3.fig3d_panel(
+            flow_counts=(2, 4), protocols=("PDQ(Full)", "PDQ(Basic)", "RCP"),
+            seeds=(1, 2)))
+        store = ResultStore(tmp_path)
+        with use_runner(CampaignRunner(store=store)):
+            cold = run_panel(panel)
+            calls = _count_builds(monkeypatch)
+            warm = run_panel(panel)
+            assert calls == {"topology": 1, "workload": 4}
+            monkeypatch.setattr(PanelRun, "flows", _fresh_flows)
+            fresh = run_panel(panel)
+        assert calls == {"topology": 1 + 12, "workload": 4 + 12}
+        assert warm == cold == fresh
+
+    def test_search_deadline_probes_share_one_topology(self, monkeypatch):
+        panel = Panel(
+            name="p", base=_flow_base(),
+            axes=(("protocol", ("RCP", "D3")),),
+            search=SearchSpec(axis="workload.n_flows", seeds=(1, 2), hi=4,
+                              grow=False, require_deadlines=True),
+            reducer="series",
+            reducer_params={"x": "protocol"},
+        )
+        calls = _count_builds(monkeypatch)
+        assert run_panel(panel) == {"RCP": 4, "D3": 4}
+        # probes n=1 and n=4 per protocol; the first seed settles each
+        assert calls == {"topology": 1, "workload": 2}
+
+
+class TestFig3ReducerPins:
+    """fig3 a, b, d and e on the flow engine (one seed, every protocol
+    with a flow-level model) return exactly what they returned when the
+    reducers rebuilt every input per row: same keys in the same order,
+    same floats. ``fig3_reducer_pins.json`` was captured from these
+    panels then."""
+
+    @staticmethod
+    def _panel(name: str) -> Panel:
+        no_tcp = tuple(p for p in fig3.DEFAULT_PROTOCOLS if p != "TCP")
+        fct = ("PDQ(Full)", "PDQ(ES)", "PDQ(Basic)", "RCP")
+        build = {
+            "fig3a": lambda: fig3.fig3a_panel(protocols=no_tcp, seeds=(1,)),
+            "fig3b": lambda: fig3.fig3b_panel(protocols=no_tcp, seeds=(1,)),
+            "fig3d": lambda: fig3.fig3d_panel(protocols=fct, seeds=(1,)),
+            "fig3e": lambda: fig3.fig3e_panel(protocols=fct, seeds=(1,)),
+        }[name]
+        return _flow_engine(build())
+
+    @pytest.mark.parametrize("name", list(FIG3_PINS))
+    def test_panel_output_unchanged(self, name):
+        got = run_panel(self._panel(name))
+        assert json.dumps(got) == json.dumps(FIG3_PINS[name])
 
 
 # -- registries and errors --------------------------------------------------------
