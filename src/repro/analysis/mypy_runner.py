@@ -23,6 +23,10 @@ MYPY_TARGETS = (
     "src/repro/campaign/store.py",
     "src/repro/obs/stats.py",
     "src/repro/flowsim/pdq_model.py",
+    "src/repro/workload/open_system.py",
+    "src/repro/workload/stream.py",
+    "src/repro/metrics/streaming.py",
+    "src/repro/utils/sketch.py",
 )
 
 

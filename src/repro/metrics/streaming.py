@@ -8,10 +8,11 @@ million-flow arrival processes of :mod:`repro.workload.open_system`.
 *live* (registered but unresolved); the moment a flow completes or is
 terminated, its record is folded into constant-space accumulators —
 counts, FCT sum/max, mergeable :class:`~repro.utils.sketch.
-QuantileSketch` ladders for FCT and slowdown — plus an Algorithm-R
-reservoir of full records whose RNG is pinned by the spec seed, and then
-evicted. Peak memory tracks the number of *concurrent* flows, not the
-number of admitted ones.
+QuantileSketch` ladders for FCT and slowdown — plus a reservoir of full
+records, sampled by Algorithm L (Li 1994, "Reservoir-sampling algorithms
+of time complexity O(n(1+log(N/n)))") with an RNG pinned by the spec
+seed, and then evicted. Peak memory tracks the number of *concurrent*
+flows, not the number of admitted ones.
 
 Serialization rides the existing collector schema: ``to_dict()`` emits
 the surviving records (reservoir sample plus any still-unresolved tail)
@@ -23,6 +24,8 @@ collectors answer the paper-metric queries from the accumulators.
 """
 
 from __future__ import annotations
+
+import math
 
 from repro.errors import ExperimentError
 from repro.metrics.collector import MetricsCollector
@@ -106,9 +109,14 @@ class StreamingMetricsCollector(MetricsCollector):
         self.probes_total = 0
         #: hook calls that arrived after their flow was folded + evicted
         self.late_events = 0
-        #: Algorithm-R uniform sample of resolved FlowRecords
+        #: Algorithm-L uniform sample of resolved FlowRecords
         self.reservoir: list[FlowRecord] = []
         self._resolved_seen = 0
+        #: Algorithm L state: the sampling threshold W, and the index of
+        #: the next resolved record to keep (-1: none, the reservoir is
+        #: still filling or has no slots)
+        self._w = 1.0
+        self._next_keep = -1
 
     # -- event hooks (a hook for an evicted fid lands in _missing) -------------
 
@@ -172,20 +180,40 @@ class StreamingMetricsCollector(MetricsCollector):
         """Fold what every resolved flow contributes, offer its record to
         the reservoir and evict it.
 
-        Algorithm R: every resolved record has equal probability
-        ``reservoir_size / resolved_seen`` of being in the sample."""
+        Algorithm L (Li 1994): the first ``reservoir_size`` records fill
+        the sample, then a geometric skip names the next record to keep;
+        each keep replaces a uniform slot and draws the next skip. Every
+        resolved record has equal probability ``reservoir_size /
+        resolved_seen`` of being in the sample, for about
+        ``k * (1 + ln(n / k))`` draws instead of one per record."""
         self.bytes_total += record.bytes_delivered
         self.retransmissions_total += record.retransmissions
         self.probes_total += record.probes_sent
         i = self._resolved_seen
         self._resolved_seen = i + 1
-        if i < self.reservoir_size:
+        if i == self._next_keep:
+            slot = int(self._rng.integers(self.reservoir_size))
+            self.reservoir[slot] = record
+            self._skip()
+        elif i < self.reservoir_size:
             self.reservoir.append(record)
-        elif self.reservoir_size:
-            j = int(self._rng.integers(0, i + 1))
-            if j < self.reservoir_size:
-                self.reservoir[j] = record
+            if i + 1 == self.reservoir_size:
+                self._skip()
         del self.records[record.spec.fid]
+
+    def _skip(self) -> None:
+        """Shrink the sampling threshold ``W`` by a Beta(k, 1) factor
+        and set the index of the next record to keep one geometric skip
+        ahead. ``1.0 - random()`` lies in (0, 1], so no log sees 0."""
+        rng = self._rng
+        w = self._w * math.exp(
+            math.log(1.0 - rng.random()) / self.reservoir_size)
+        self._w = w
+        # W rounds to 1.0 only when the draw is within k ulps of 1:
+        # then the next record is kept
+        gap = (math.floor(math.log(1.0 - rng.random()) / math.log1p(-w))
+               if w < 1.0 else 0)
+        self._next_keep = self._resolved_seen + gap
 
     # -- serialization -----------------------------------------------------------
 

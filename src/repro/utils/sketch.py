@@ -16,6 +16,13 @@ compaction offset of the published KLL sketch, compactions alternate a
 parity bit, which cancels adjacent compaction biases the same way in
 every run. Merging folds another sketch's levels in pairwise and then
 re-compacts, so sharded runs can be combined without reprocessing.
+
+Queries use the definition of :func:`repro.utils.stats.percentile`:
+linear interpolation at rank ``q * (W - 1)`` of the multiset in which
+each retained value appears ``weight`` times (``W`` the total weight).
+A streaming run's ``p99_fct`` therefore means what a closed run's does,
+and is exactly equal to it until the first compaction (fewer than ``k``
+samples).
 """
 
 from __future__ import annotations
@@ -97,7 +104,15 @@ class QuantileSketch:
 
     def quantile(self, q: float) -> float:
         """Value at quantile ``q`` in [0, 1] (0 -> exact min, 1 -> exact
-        max); raises on an empty sketch."""
+        max); raises on an empty sketch.
+
+        The definition is :func:`repro.utils.stats.percentile`'s linear
+        interpolation, applied to the multiset in which each retained
+        value appears ``weight`` times: with total weight ``W`` the rank
+        is ``q * (W - 1)``, and the answer interpolates between the
+        values at the ranks either side of it. Below ``k`` samples every
+        weight is 1, so the answer is exactly ``percentile(values,
+        100 * q)``."""
         if not 0.0 <= q <= 1.0:
             raise ExperimentError(f"quantile must be in [0, 1], got {q}")
         if self.n == 0 or self.min_value is None or self.max_value is None:
@@ -115,13 +130,21 @@ class QuantileSketch:
             return self.max_value
         weighted.sort()
         total = sum(w for _, w in weighted)
-        target = q * total
+        rank = q * (total - 1)
+        lo = int(rank)
+        frac = rank - lo
+        # the values at expanded positions lo and lo + 1 (0-based); the
+        # total weight exceeds lo, so the loop always breaks
         cumulative = 0
-        for value, weight in weighted:
+        for index, (below, weight) in enumerate(weighted):
             cumulative += weight
-            if cumulative >= target:
-                return min(max(value, self.min_value), self.max_value)
-        return self.max_value
+            if cumulative > lo:
+                break
+        above = below
+        if cumulative == lo + 1 and index + 1 < len(weighted):
+            above = weighted[index + 1][0]
+        value = below * (1.0 - frac) + above * frac
+        return min(max(value, self.min_value), self.max_value)
 
     def __len__(self) -> int:
         return self.n

@@ -28,9 +28,11 @@ class FlowSpec:
     def __post_init__(self) -> None:
         if self.size_bytes <= 0:
             raise WorkloadError(f"flow {self.fid}: size must be positive")
-        if self.arrival < 0:
-            raise WorkloadError(f"flow {self.fid}: negative arrival time")
-        if self.deadline is not None and self.deadline <= 0:
+        # spelled so that NaN fails them too
+        if not self.arrival >= 0:
+            raise WorkloadError(
+                f"flow {self.fid}: negative or NaN arrival time")
+        if self.deadline is not None and not self.deadline > 0:
             raise WorkloadError(f"flow {self.fid}: deadline must be positive")
         if self.src == self.dst:
             raise WorkloadError(f"flow {self.fid}: src == dst ({self.src})")

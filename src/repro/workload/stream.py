@@ -32,7 +32,8 @@ class FlowStream:
     ``horizon`` is the absolute simulated time by which every flow has
     arrived (plus any drain margin the builder added); ``expected_flows``
     is an a-priori estimate for reporting only — the true count is
-    whatever the generator yields (``emitted`` tracks it).
+    whatever the generator yields (``emitted`` tracks it). An arrival
+    below the one before it, or a NaN one, raises :class:`WorkloadError`.
     """
 
     __slots__ = ("horizon", "expected_flows", "emitted", "_it", "_next",
@@ -55,7 +56,7 @@ class FlowStream:
         except StopIteration:
             self._next = None
             return
-        if spec.arrival < self._last_arrival:
+        if not spec.arrival >= self._last_arrival:
             raise WorkloadError(
                 f"flow stream arrivals must be non-decreasing: flow "
                 f"{spec.fid} arrives at {spec.arrival} after "
@@ -90,7 +91,7 @@ class FlowStream:
         try:
             for spec in self._it:
                 arrival = spec.arrival
-                if arrival < last:
+                if not arrival >= last:
                     raise WorkloadError(
                         f"flow stream arrivals must be non-decreasing: "
                         f"flow {spec.fid} arrives at {arrival} after "

@@ -133,26 +133,26 @@ CASES = {
 
 PINS = {
     "rcp_stream":
-        "cee07e3e87de964d131416ef43fdea3538e88b9aeeb1f3b860a782530c9d6358",
+        "d57179fdc3afd7057e3aa0e793926fc818214f5e62d039bac09e79351ff19609",
     "d3_pareto_stream":
-        "2732e4993ae38b9b2a492cedddbf3edaed1830b3cd864bd5c52da3545fb70e30",
+        "12544c39a31bbf54deffe22f89308612cca15db52b942184b6693a081279c63a",
     "pdq_uniform_stream":
-        "b9d1ae465bf3424982f6721a39062ea1bd8ddeae1307ad728c25afa9d3ac0f7f",
+        "d26afc8ea5d4eb6dd5c856e89ef52d46b092857eeb7d514eb0498e8b95e72d6f",
     "pdq_aging_list":
         "bdc1fb4845005350f95ed55069fb98db1319ed7bc997d8476b8527753f9da26e",
     "faulted_stream":
-        "7ef1a03b55e75f8c56e4a85252e3f300c453a29597c691317d4a747762e59c91",
+        "76b4972fa49594dd89a52ea1cd660b02f396d0e519e68ee89af36a31007482f2",
     "traced_with_probes":
-        "52d27dd2ca050aab86479ad146144d3c80cf2d6cfa8fb14868681e94b7066d02",
+        "029c4f48988937835a6d6fb1b9a1debaea0a36057fdaa6c80d5a1206de55e198",
 }
 
 #: size family -> SHA-256 of the materialised FlowSpec sequence
 SPEC_PINS = {
-    "vl2": "31cac713428b9b94872ade44de976c88a1e135bb00a50b9c41619abfe1c9a3d0",
+    "vl2": "b922bee95b82560545f6dfb47eb4c20dd07c5d86630f8c87b48d7020a28b5d8e",
     "uniform":
-        "d4822bd9906a36f95bd967e802b02dbd7d79572cb4d5672cf3d46fb411fec577",
+        "3b8bdc7080ba5f65c919b20ac5cc22da0e242c57b6991f7da9075b4f35e16655",
     "pareto":
-        "2bf2d30f0391b82d4dadb564c173222eaca8bbe65682c9e1d7f7606842cb183e",
+        "d96f6445ca675cafb75779bb37fadc87a7a41d023c1b8230d34401c7b4d3448d",
 }
 
 

@@ -38,15 +38,24 @@ class TestBasics:
         assert sketch.quantile(1.0) == 9_999.0
 
     def test_small_input_is_exact(self):
-        """Below the compaction threshold nothing is dropped: queries
-        return the retained value at the ceiling rank (the sketch never
-        interpolates between observations)."""
-        sketch = QuantileSketch(k=200)
-        for v in (5, 1, 9, 3, 7):
-            sketch.add(float(v))
-        expected = {0.1: 1.0, 0.25: 3.0, 0.5: 5.0, 0.75: 7.0, 0.9: 9.0}
-        for q, want in expected.items():
-            assert sketch.quantile(q) == want
+        """Below the compaction threshold nothing is dropped, and the
+        sketch interpolates exactly as ``percentile`` does, so every
+        query equals the exact percentile of the same values."""
+        rng = spawn_rng(3, "test:sketch:small")
+        inputs = [
+            [5.0, 1.0, 9.0, 3.0, 7.0],
+            [2.5, 2.5, 2.5, 1.0],
+            [4.0, 8.0],
+            rng.lognormal(mean=0.0, sigma=1.5, size=178).tolist(),
+            rng.random(199).tolist(),
+        ]
+        for values in inputs:
+            sketch = QuantileSketch(k=200)
+            for v in values:
+                sketch.add(v)
+            assert len(sketch.levels) == 1  # nothing compacted
+            for q in (0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99):
+                assert sketch.quantile(q) == percentile(values, 100 * q)
 
     def test_rejects_bad_quantile(self):
         sketch = QuantileSketch()
