@@ -1,7 +1,8 @@
 """Shared benchmark helpers.
 
 Each benchmark runs one figure's experiment at reduced scale (documented
-inline; paper-scale parameters are in EXPERIMENTS.md), prints a
+inline; the ``repro.experiments`` panel builders take the paper-scale
+ranges as arguments), prints a
 paper-vs-measured table straight to the terminal, and asserts the
 qualitative shape the paper reports.
 """

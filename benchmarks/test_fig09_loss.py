@@ -45,6 +45,6 @@ def test_fig9b_fct_under_loss(benchmark, capsys):
     assert pdq_inflation < 1.5  # paper: +11%; generous slack for our RTOs
     # PDQ's absolute FCT stays below TCP's at every loss rate (our TCP --
     # NewReno, 2 ms RTOmin, 4 MB buffers -- is more loss-tolerant than the
-    # paper's in relative terms; see EXPERIMENTS.md)
+    # paper's in relative terms)
     for loss in LOSSES:
         assert result["PDQ(Full)"][loss] < result["TCP"][loss]

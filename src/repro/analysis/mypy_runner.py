@@ -27,6 +27,8 @@ MYPY_TARGETS = (
     "src/repro/workload/stream.py",
     "src/repro/metrics/streaming.py",
     "src/repro/utils/sketch.py",
+    "src/repro/topology/graph.py",
+    "src/repro/topology/base.py",
 )
 
 

@@ -1,7 +1,12 @@
 """Topology base class.
 
-A topology is an undirected networkx graph whose nodes carry a ``kind``
-attribute (``"host"`` or ``"switch"``) and whose edges carry ``rate_bps``.
+A topology is an undirected :class:`~repro.topology.graph.Graph` whose
+nodes carry a ``kind`` attribute (``"host"`` or ``"switch"``) and whose
+edges carry ``rate_bps``. Edge orientation is part of the contract:
+``graph.edges()`` yields each edge once as ``(u, v)`` with ``u`` the
+endpoint added first, in node-insertion then edge-insertion order, and
+:meth:`Topology.directed_edge_index` numbers the sorted ``(u, v)`` tuples,
+so link ids, ECMP next-hop order and every pinned digest depend on it.
 The packet-level :class:`~repro.net.network.Network` instantiates one
 :class:`~repro.net.link.Link` per direction per edge; the flow-level
 simulator consumes the same graph directly.
@@ -9,10 +14,8 @@ simulator consumes the same graph directly.
 
 from __future__ import annotations
 
-
-import networkx as nx
-
 from repro.errors import TopologyError
+from repro.topology.graph import Graph
 from repro.units import GBPS
 
 
@@ -21,7 +24,7 @@ class Topology:
 
     def __init__(self, default_rate_bps: float = 1 * GBPS):
         self.default_rate_bps = default_rate_bps
-        self.graph = nx.Graph()
+        self.graph = Graph()
         self._edge_index: dict[tuple[str, str], int] | None = None
 
     # -- construction helpers (used by subclasses) ------------------------------
@@ -84,13 +87,13 @@ class Topology:
         return self._edge_index
 
     def degree_of(self, name: str) -> int:
-        return self.graph.degree[name]
+        return len(self.graph.adj[name])
 
     def validate(self) -> None:
         """Sanity checks shared by all topologies."""
         if not self.hosts:
             raise TopologyError("topology has no hosts")
-        if not nx.is_connected(self.graph):
+        if not self.graph.is_connected():
             raise TopologyError("topology is not connected")
         for _, _, data in self.graph.edges(data=True):
             if data["rate_bps"] <= 0:

@@ -7,8 +7,6 @@ ports, i.e. r = 16 network ports and 8 hosts per switch.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.errors import TopologyError
 from repro.topology.base import Topology
 from repro.units import GBPS
@@ -52,6 +50,8 @@ class Jellyfish(Topology):
         self.validate()
 
     def _build(self) -> None:
+        import networkx as nx  # only the seeded random draws need it
+
         degree = self.network_ports
         if degree * self.n_switches % 2 == 1:
             degree -= 1  # regular graph needs even degree * node-count

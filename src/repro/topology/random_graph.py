@@ -11,8 +11,6 @@ and every worker process build the identical graph.
 
 from __future__ import annotations
 
-import networkx as nx
-
 from repro.errors import TopologyError
 from repro.topology.base import Topology
 from repro.units import GBPS
@@ -54,6 +52,8 @@ class RandomGraph(Topology):
         self.validate()
 
     def _build(self) -> None:
+        import networkx as nx  # only the seeded random draws need it
+
         n = self.n_switches
         n_edges = max(n - 1, round(self.mean_degree * n / 2))
         n_edges = min(n_edges, n * (n - 1) // 2)

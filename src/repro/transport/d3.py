@@ -8,8 +8,9 @@ D3 is a deadline-aware, *first-come-first-reserve* explicit-rate protocol:
   adds the fair share ``fs`` of what remains; non-deadline flows receive
   ``fs`` alone. We compute the allocation as a per-interval table in
   first-seen order, which realizes the paper's "first-come first-reserve"
-  semantics deterministically (the original counter-based router
-  approximates the same thing; see DESIGN.md).
+  semantics deterministically (the original D3 router keeps only
+  aggregate allocation and demand counters, which approximate the same
+  order without per-flow state).
 * ``fs`` follows the RCP-style rate-adaptation law with the paper's
   suggested parameters alpha = 0.1, beta = 1:
 
