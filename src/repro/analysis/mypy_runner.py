@@ -23,6 +23,8 @@ MYPY_TARGETS = (
     "src/repro/campaign/store.py",
     "src/repro/obs/stats.py",
     "src/repro/flowsim/pdq_model.py",
+    "src/repro/flowsim/rcp_model.py",
+    "src/repro/flowsim/certify.py",
     "src/repro/workload/open_system.py",
     "src/repro/workload/stream.py",
     "src/repro/metrics/streaming.py",

@@ -72,8 +72,8 @@ class Simulator:
         exchange, nothing is allocated beyond the heap tuple itself.
         """
         time = self.now + delay
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
+        if not delay >= 0:  # NaN fails it too
+            raise SimulationError(f"negative or NaN delay {delay}")
         heappush(self._heap, (time, self._seq, callback, args))
         self._seq += 1
 
@@ -81,7 +81,7 @@ class Simulator:
     def call_at(self, time: float, callback: Callable[..., Any],
                 *args: Any) -> None:
         """Fast path: run ``callback(*args)`` at absolute ``time``."""
-        if time < self.now:
+        if not time >= self.now:  # NaN fails it too
             raise SimulationError(
                 f"cannot schedule at {time} before current time {self.now}"
             )
@@ -92,15 +92,15 @@ class Simulator:
                  *args: Any) -> Event:
         """Schedule ``callback(*args)`` ``delay`` seconds from now and
         return a cancellable :class:`Event` handle."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
+        if not delay >= 0:  # NaN fails it too
+            raise SimulationError(f"negative or NaN delay {delay}")
         return self.schedule_at(self.now + delay, callback, *args)
 
     def schedule_at(self, time: float, callback: Callable[..., Any],
                     *args: Any) -> Event:
         """Schedule ``callback(*args)`` at absolute simulated ``time`` and
         return a cancellable :class:`Event` handle."""
-        if time < self.now:
+        if not time >= self.now:  # NaN fails it too
             raise SimulationError(
                 f"cannot schedule at {time} before current time {self.now}"
             )

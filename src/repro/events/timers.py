@@ -99,7 +99,7 @@ class PeriodicTimer:
     __slots__ = ("_sim", "period", "_callback", "_event", "_running", "_epoch")
 
     def __init__(self, sim: Simulator, period: float, callback: Callable[[], Any]):
-        if period <= 0:
+        if not period > 0:  # NaN fails it too
             raise ValueError(f"period must be positive, got {period}")
         self._sim = sim
         self.period = period

@@ -83,8 +83,10 @@ def _require_str(value: Any, what: str) -> str:
 def _require_time(value: Any) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise FaultError(f"fault event time must be a number, got {value!r}")
-    if value < 0:
-        raise FaultError(f"fault event time must be >= 0, got {value!r}")
+    # spelled so that NaN fails it; +inf is no time either
+    if not 0 <= value < float("inf"):
+        raise FaultError(
+            f"fault event time must be finite and >= 0, got {value!r}")
     return float(value)
 
 
@@ -240,9 +242,11 @@ def legacy_loss_rule(loss: tuple[str, str, float, int]) -> LossRule:
 
 
 def validate_events(events: Iterable[FaultEvent], topology: Topology) -> None:
-    """Fail fast on events naming links or nodes the topology lacks."""
+    """Fail fast on events at no valid time, or naming links or nodes
+    the topology lacks."""
     graph = topology.graph
     for event in events:
+        _require_time(event.time)
         if event.is_link:
             if not graph.has_edge(event.a, event.b):
                 raise FaultError(

@@ -14,14 +14,12 @@ and progress is linear.
 
 from repro.flowsim.d3_model import D3Model
 from repro.flowsim.engine import FlowLevelSimulation
-from repro.flowsim.naive import NaiveFlowLevelSimulation
 from repro.flowsim.pdq_model import PdqModel
 from repro.flowsim.progress import FlowProgress
 from repro.flowsim.rcp_model import RcpModel
 
 __all__ = [
     "FlowLevelSimulation",
-    "NaiveFlowLevelSimulation",
     "FlowProgress",
     "PdqModel",
     "RcpModel",

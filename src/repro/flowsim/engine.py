@@ -26,9 +26,9 @@ pass touches only those. After a departure the active list is copied
 from the by-fid map, which holds the live flows in promotion order, and
 the fused advance-and-completion pass runs over the persistent sending
 set — a paused flow costs nothing per epoch.
-The frozen pre-optimization engine is
-:class:`~repro.flowsim.naive.NaiveFlowLevelSimulation`; parity tests pin
-bit-identical metrics between the two for both input shapes.
+Digest pins hold the collector output bit-identical for both input
+shapes, and every rate vector a model answers in those runs is checked
+by :mod:`repro.flowsim.certify`.
 """
 
 from __future__ import annotations
@@ -209,7 +209,7 @@ class FlowLevelSimulation:
         completion pass are inline. Builtin ``min``/``max`` calls are
         spelled as the comparisons they make (``b if b < a else a`` is
         ``min(a, b)``, ties and NaNs included), so every float and every
-        tie resolves as in the reference engine.
+        tie resolves as the builtins would (the digest pins hold it).
         """
         begin_run = getattr(self.model, "begin_run", None)
         if begin_run is not None:
@@ -297,7 +297,7 @@ class FlowLevelSimulation:
                         budget = 2_000_000 + 64 * self._admitted
 
             # promotion: every waiting flow whose transfer has started,
-            # in admission order (matching the reference engine)
+            # in admission order
             cutoff = now + 1e-12
             if waiting and waiting[0][0] <= cutoff:
                 batch: list[tuple[int, FlowProgress]] = []
@@ -385,8 +385,8 @@ class FlowLevelSimulation:
                 if flow.departed or version != flow.eta_version:
                     heappop(eta_heap)  # stale: rate changed or flow gone
                     continue
-                # recompute at current time: FP-identical to the
-                # reference engine's per-iteration scan value
+                # recompute at current time: FP-identical to a
+                # per-iteration scan of every flow's ETA
                 rate = flow.rate
                 eta = _INF if rate <= 0 \
                     else now + flow.remaining_wire * 8.0 / rate

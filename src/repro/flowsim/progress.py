@@ -7,7 +7,7 @@ from collections.abc import Sequence
 from repro.workload.flow import FlowSpec
 
 #: an edge token: a dense directed-edge id (optimized engine) or a
-#: ``(src, dst)`` name tuple (reference engine, hand-built tests). Rate
+#: ``(src, dst)`` name tuple (hand-built tests). Rate
 #: models only require that ``capacities[token]`` yields a capacity, so
 #: both representations work against list- and dict-shaped capacity maps.
 EdgeToken = int | tuple

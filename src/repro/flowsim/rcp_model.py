@@ -21,16 +21,17 @@ def max_min_rates(flows: list[FlowProgress],
                   capacities) -> dict[int, float]:
     """Progressive-filling max-min allocation honoring per-flow max rates.
 
-    Every float operation of the textbook loop
-    (:func:`repro.flowsim.naive.naive_max_min_rates`) is performed in
-    the same order, so the result is bit-identical; only the bookkeeping
-    around them differs. Unfrozen flows have all received the same
-    increments, so one scalar ``level`` is their common rate; each edge
-    in use carries a count of the unfrozen flows crossing it,
-    decremented as flows freeze, next to its residual; and a round
-    whose outcome is already decided -- one flow left, or every flow
-    left capped -- skips the bookkeeping nobody will read.
-    Paths are simple (no edge twice).
+    Each round either freezes the flows capped below the tightest
+    edge's fair share at their cap, or raises every unfrozen flow by
+    that share and freezes the flows crossing a saturated edge.
+    Unfrozen flows have all received the same increments, so one scalar
+    ``level`` is their common rate; each edge in use carries a count of
+    the unfrozen flows crossing it, decremented as flows freeze, next to
+    its residual; and a round whose outcome is already decided -- one
+    flow left, or every flow left capped -- skips the bookkeeping nobody
+    will read. Paths are simple (no edge twice). The answer is certified
+    by :func:`repro.flowsim.certify.check_max_min`: feasible, and every
+    flow below its cap is bottlenecked on a saturated edge.
     """
     rates: dict[int, float] = {}
     # per edge in use, in first-use order: [unfrozen flows crossing it,
@@ -92,8 +93,6 @@ def max_min_rates(flows: list[FlowProgress],
                 for flow in capped:
                     rates[flow.fid] = flow.max_rate
                 return rates
-            if len(capped) > 1:
-                capped = _in_fid_set_order(capped, flows)
             for flow in capped:
                 increment = flow.max_rate - level
                 rates[flow.fid] = flow.max_rate
@@ -121,17 +120,6 @@ def max_min_rates(flows: list[FlowProgress],
     for flow in unfrozen:
         rates[flow.fid] = level
     return rates
-
-
-def _in_fid_set_order(capped: list, flows: list) -> list:
-    """``capped`` in the order a set of all the fids iterates.
-
-    The reference freezes capped flows while iterating such a set, and
-    the order in which their increments leave a shared edge's residual
-    decides its last bits.
-    """
-    by_fid = {f.fid: f for f in capped}
-    return [by_fid[fid] for fid in {f.fid for f in flows} if fid in by_fid]
 
 
 class RcpModel:

@@ -144,7 +144,7 @@ class MetricsCollector:
         paper metric can be recomputed from a restored collector.
         Telemetry keys (``stats``, ``probes``, ``trace``) are emitted
         only when non-empty, so pre-telemetry payload shapes — and the
-        engine-parity comparisons pinned on them — are unchanged."""
+        digests pinned on them — are unchanged."""
         out: dict = {
             "records": [
                 self.records[fid].to_dict() for fid in sorted(self.records)

@@ -38,7 +38,7 @@ class Link:
         buffer_bytes: int,
         link_id: int,
     ):
-        if rate_bps <= 0:
+        if not rate_bps > 0:  # NaN fails it too
             raise ValueError(f"link rate must be positive, got {rate_bps}")
         self.sim = sim
         self.src = src

@@ -89,7 +89,7 @@ class Router:
 
     def flow_path(self, fid: int, src: str, dst: str) -> tuple[Edge, ...]:
         """Same pinned path as :meth:`flow_path_ids`, as named edges (the
-        reference engine's representation)."""
+        packet network's representation)."""
         edges = self.edges
         return tuple(edges[eid] for eid in self.flow_path_ids(fid, src, dst))
 

@@ -96,8 +96,9 @@ class Topology:
         if not self.graph.is_connected():
             raise TopologyError("topology is not connected")
         for _, _, data in self.graph.edges(data=True):
-            if data["rate_bps"] <= 0:
-                raise TopologyError("non-positive link rate")
+            if not data["rate_bps"] > 0:  # NaN fails it too
+                raise TopologyError(
+                    f"non-positive or NaN link rate {data['rate_bps']!r}")
 
     def stats(self) -> dict[str, int]:
         return {

@@ -26,9 +26,9 @@ class FlowSpec:
     criticality: float | None = None
 
     def __post_init__(self) -> None:
-        if self.size_bytes <= 0:
-            raise WorkloadError(f"flow {self.fid}: size must be positive")
         # spelled so that NaN fails them too
+        if not self.size_bytes > 0:
+            raise WorkloadError(f"flow {self.fid}: size must be positive")
         if not self.arrival >= 0:
             raise WorkloadError(
                 f"flow {self.fid}: negative or NaN arrival time")

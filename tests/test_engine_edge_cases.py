@@ -1,16 +1,12 @@
-"""Edge cases of the optimized fluid engine's event machinery."""
+"""Edge cases of the fluid engine's event machinery; the cases on a
+tie the loop resolves are certified runs pinned to their digest."""
 
 import pytest
 
 from repro.core.config import PdqConfig
 from repro.errors import ExperimentError
-from repro.flowsim import (
-    FlowLevelSimulation,
-    NaiveFlowLevelSimulation,
-    PdqModel,
-)
+from repro.flowsim import FlowLevelSimulation, PdqModel
 from repro.faults.spec import FaultEvent
-from repro.flowsim.naive import naive_model_for
 from repro.flowsim.progress import FlowProgress
 from repro.flowsim.rcp_model import RcpModel
 from repro.metrics.collector import MetricsCollector
@@ -19,7 +15,15 @@ from repro.topology.single_rooted import SingleRootedTree
 from repro.units import KBYTE, MBYTE
 from repro.workload.flow import FlowSpec
 from repro.workload.stream import FlowStream
-from test_flowsim_parity import _run_both_built
+from test_fluid_digest_pins import _sha, certified, run_both_shapes
+
+
+def _pinned(build, model, pin, deadline=4.0, **engine_kwargs):
+    """The collector of a certified run of ``build`` whose list and
+    stream runs both digest to ``pin``."""
+    collectors = run_both_shapes(build, model, deadline, **engine_kwargs)
+    assert [_sha(c.to_dict()) for c in collectors] == [pin, pin]
+    return collectors[0]
 
 
 class TestRefreshBoundaryArrival:
@@ -36,20 +40,13 @@ class TestRefreshBoundaryArrival:
         ]
 
     def test_promoted_on_the_boundary(self):
-        sim = FlowLevelSimulation(SingleBottleneck(2), PdqModel(),
-                                  init_rtts=0.0)
-        metrics = sim.run(self._flows())
+        metrics = _pinned(lambda: (SingleBottleneck(2), self._flows()),
+                          PdqModel, "6e3c3bcc41943ea6ba17483109b0d11c"
+                          "0b93b5c885e606f13bcc6ca41d108268",
+                          deadline=60.0, init_rtts=0.0)
         assert len(metrics.completed_records()) == 2
         # the short flow preempts as soon as it starts at t=1ms
         assert metrics.record(1).fct < 2e-3
-
-    def test_matches_naive_engine(self):
-        opt = FlowLevelSimulation(SingleBottleneck(2), PdqModel(),
-                                  init_rtts=0.0).run(self._flows())
-        naive = NaiveFlowLevelSimulation(
-            SingleBottleneck(2), naive_model_for(PdqModel()), init_rtts=0.0
-        ).run(self._flows())
-        assert opt.to_dict() == naive.to_dict()
 
 
 class TestSimultaneousCompletionAndTermination:
@@ -77,28 +74,23 @@ class TestSimultaneousCompletionAndTermination:
         return sim, flows
 
     def test_same_timestamp(self):
-        sim, flows = self._build()
-        metrics = sim.run(flows)
+        _, flows = self._build()
+        metrics = _pinned(lambda: (SingleBottleneck(2), flows), PdqModel,
+                          "1966b2500e9c805e081a0e9b415ca35f"
+                          "096da1d9fa24e73a951a15fec92048d2", deadline=60.0)
         short, big = metrics.record(0), metrics.record(1)
         assert short.completed
         assert big.terminated
         assert big.termination_reason == "early_termination:cannot_finish"
         assert big.termination_time == short.completion_time
 
-    def test_matches_naive_engine(self):
-        sim, flows = self._build()
-        opt = sim.run(flows)
-        naive = NaiveFlowLevelSimulation(
-            SingleBottleneck(2), naive_model_for(PdqModel())
-        ).run(flows)
-        assert opt.to_dict() == naive.to_dict()
 
 
 class TestArrivalAfterDeadline:
     """An idle engine never jumps past ``deadline``: a flow arriving
     after it is left alone instead of dragging ``now`` beyond the
     horizon cap ("fluid engine time went backwards" before the loops
-    were merged). The frozen naive engine raises on this input."""
+    were merged)."""
 
     def _flows(self):
         return [
@@ -140,36 +132,25 @@ class TestArrivalAfterDeadline:
 
 
 class TestMaxRecomputations:
+    FLOWS = [FlowSpec(fid=i, src=f"send{i}", dst="recv", size_bytes=MBYTE)
+             for i in range(3)]
+
     def test_exhaustion_raises(self):
-        flows = [
-            FlowSpec(fid=i, src=f"send{i}", dst="recv", size_bytes=1 * MBYTE)
-            for i in range(3)
-        ]
+        flows = self.FLOWS
         sim = FlowLevelSimulation(SingleBottleneck(3), PdqModel())
         with pytest.raises(ExperimentError, match="did not converge"):
             sim.run(flows, max_recomputations=2)
 
     def test_explicit_cap_is_hard_on_a_stream_too(self):
-        flows = [
-            FlowSpec(fid=i, src=f"send{i}", dst="recv", size_bytes=1 * MBYTE)
-            for i in range(3)
-        ]
+        flows = self.FLOWS
         sim = FlowLevelSimulation(SingleBottleneck(3), PdqModel())
         with pytest.raises(ExperimentError, match=r"\(2 recomputations\)"):
             sim.run(FlowStream(iter(flows)), max_recomputations=2)
 
-    def test_limit_not_hit_counts_match_naive(self):
-        flows = [
-            FlowSpec(fid=i, src=f"send{i}", dst="recv", size_bytes=1 * MBYTE)
-            for i in range(3)
-        ]
-        opt = FlowLevelSimulation(SingleBottleneck(3), PdqModel())
-        opt.run(flows)
-        naive = NaiveFlowLevelSimulation(
-            SingleBottleneck(3), naive_model_for(PdqModel())
-        )
-        naive.run(flows)
-        assert opt.recomputations == naive.recomputations
+    def test_limit_not_hit_count_is_pinned(self):
+        sim = FlowLevelSimulation(SingleBottleneck(3), certified(PdqModel()))
+        sim.run(self.FLOWS)
+        assert sim.recomputations == 27
 
 
 def _transfer_start(topology, spec, **engine_kwargs) -> float:
@@ -203,8 +184,8 @@ class _CompletionOrder(MetricsCollector):
 
 class TestFlattenedLoopBoundaries:
     """The boundaries of :meth:`FlowLevelSimulation.run`'s inline
-    passes: each case sits exactly on a tie the loop resolves, and the
-    result must match the naive reference engine bit for bit."""
+    passes: each case sits exactly on a tie the loop resolves, and is a
+    certified run pinned to its digest."""
 
     def test_arrival_exactly_at_the_admission_window_edge(self):
         # a lone 1 MB flow runs in refresh-long epochs; flow 1 arrives
@@ -223,9 +204,9 @@ class TestFlattenedLoopBoundaries:
             FlowSpec(fid=2, src="send2", dst="recv", size_bytes=100 * KBYTE,
                      arrival=edge + 5e-4),
         ]
-        opt, naive = _run_both_built(
-            lambda: (SingleBottleneck(3), flows), RcpModel)
-        assert opt == naive
+        _pinned(lambda: (SingleBottleneck(3), flows), RcpModel,
+                "958641556d81846de7e48d5b5c100ba8"
+                "198bfc335a3c728188dc545860ca6dc2")
         sim = FlowLevelSimulation(SingleBottleneck(3), RcpModel())
         sim.run(FlowStream(iter(flows)))
         assert sim.stream_batches == 3
@@ -242,10 +223,10 @@ class TestFlattenedLoopBoundaries:
         topology = SingleRootedTree(n_tors=4, servers_per_tor=3)
         assert _transfer_start(topology, flows[1], init_rtts=50.0) < \
             _transfer_start(topology, flows[0], init_rtts=50.0)
-        opt, naive = _run_both_built(
-            lambda: (SingleRootedTree(n_tors=4, servers_per_tor=3), flows),
-            RcpModel, init_rtts=50.0)
-        assert opt == naive
+        _pinned(lambda: (SingleRootedTree(n_tors=4, servers_per_tor=3),
+                         flows), RcpModel,
+                "7c960f617160271317bb9cd8826da54a"
+                "f5ef3f7f5d23dde59faeef2a0ad8770b", init_rtts=50.0)
 
     def _fault_flows(self, topology):
         arrival = 0.05  # the first flow is long done: the engine is idle
@@ -271,13 +252,13 @@ class TestFlattenedLoopBoundaries:
             FaultEvent(_transfer_start(topology, flows[2]),
                        "link_down", "send2", "sw0"),
         ]
-        opt, naive = _run_both_built(
-            lambda: (SingleBottleneck(3), flows), RcpModel)
-        assert opt == naive
+        unfaulted = _pinned(lambda: (SingleBottleneck(3), flows), RcpModel,
+                            "cda24ff7d3ff1df61673ff575558ce37"
+                            "c85374b59c52d5718b9ab35d0cd27395").to_dict()
         for shape in (list, lambda f: FlowStream(iter(f))):
-            sim = FlowLevelSimulation(SingleBottleneck(3), RcpModel(),
-                                      faults=faults)
-            assert sim.run(shape(flows)).to_dict() == naive
+            sim = FlowLevelSimulation(SingleBottleneck(3),
+                                      certified(RcpModel()), faults=faults)
+            assert sim.run(shape(flows)).to_dict() == unfaulted
             assert sim.fault_events_applied == 3
 
     def test_faults_apply_before_a_same_time_arrival_and_promotion(self):
@@ -303,30 +284,23 @@ class TestFlattenedLoopBoundaries:
 
     def test_same_epoch_completions_in_admission_order(self):
         # identical flows admitted in reverse fid order finish together;
-        # both engines call back in admission order, not fid order
+        # both input shapes call back in admission order, not fid order
         flows = [
             FlowSpec(fid=1, src="send0", dst="recv", size_bytes=150 * KBYTE),
             FlowSpec(fid=0, src="send1", dst="recv", size_bytes=150 * KBYTE),
         ]
-        opt, naive = _run_both_built(
-            lambda: (SingleBottleneck(2), flows), RcpModel)
-        assert opt == naive
-        done = opt["records"][0]["completion_time"]
-        assert opt["records"][1]["completion_time"] == done
+        opt = _pinned(lambda: (SingleBottleneck(2), flows), RcpModel,
+                      "ad7366874836d86bbcc73a36b33b47d7"
+                      "a934f9692226bde0516cb18cc0da31f7")
+        assert opt.record(0).completion_time == \
+            opt.record(1).completion_time
         orders = []
         for shape in (list, lambda f: FlowStream(iter(f))):
             metrics = _CompletionOrder()
             FlowLevelSimulation(SingleBottleneck(2), RcpModel(),
                                 metrics=metrics).run(shape(flows))
             orders.append(metrics.order)
-        naive_sim = NaiveFlowLevelSimulation(SingleBottleneck(2),
-                                             naive_model_for(RcpModel()))
-        # set after construction: the naive engine replaces an empty
-        # (falsy) collector passed in
-        naive_sim.metrics = metrics = _CompletionOrder()
-        naive_sim.run(flows)
         assert orders == [[1, 0], [1, 0]]
-        assert metrics.order == [1, 0]
 
     def test_last_advance_overshooting_below_zero_is_clamped(self):
         # one flow alone at line rate, one epoch from its transfer start
@@ -346,11 +320,11 @@ class TestFlattenedLoopBoundaries:
                 seen.extend(flows)
                 return super().allocate(flows, capacities, now)
 
-        opt, naive = _run_both_built(
-            lambda: (SingleBottleneck(1), [spec]), Keeping,
-            refresh_interval=10.0)
-        assert opt == naive
-        assert opt["records"][0]["completion_time"] == start + dt
+        opt = _pinned(lambda: (SingleBottleneck(1), [spec]), Keeping,
+                      "741a05f4ff3381491e5ae4a25f1a6143"
+                      "4c3957487ce0765ceced4cc7a31f43d3",
+                      refresh_interval=10.0)
+        assert opt.record(0).completion_time == start + dt
         assert seen and all(f.remaining_wire == 0.0 for f in seen)
 
 

@@ -1,12 +1,15 @@
 """Tests for the flow-level (fluid) simulator and its rate models."""
 
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import SimulationError
 from repro.flowsim import D3Model, FlowLevelSimulation, PdqModel, RcpModel
-from repro.flowsim.naive import NaiveD3Model, naive_max_min_rates
+from repro.flowsim.certify import check_d3, check_max_min, check_pdq
+from repro.flowsim.d3_model import _Shadow
 from repro.flowsim.progress import FlowProgress
 from repro.flowsim.rcp_model import max_min_rates
 from repro.topology import SingleBottleneck, SingleRootedTree
@@ -14,8 +17,8 @@ from repro.units import GBPS, KBYTE, MBYTE, MSEC
 from repro.workload.flow import FlowSpec
 
 
-def _progress(fid, path, max_rate=1 * GBPS, size=100 * KBYTE):
-    spec = FlowSpec(fid=fid, src="a", dst="b", size_bytes=size)
+def _progress(fid, path, max_rate=1 * GBPS, size=100 * KBYTE, **spec):
+    spec = FlowSpec(fid=fid, src="a", dst="b", size_bytes=size, **spec)
     return FlowProgress(spec, path, max_rate, rtt=150e-6,
                         wire_size=float(size), transfer_start=0.0)
 
@@ -58,10 +61,7 @@ class TestMaxMinRates:
             _progress(i, [("a", "b"), ("b", "c")], max_rate=m)
             for i, m in enumerate(max_rates)
         ]
-        rates = max_min_rates(flows, caps)
-        assert sum(rates.values()) <= 0.5 * GBPS * (1 + 1e-6)
-        for i, m in enumerate(max_rates):
-            assert rates[i] <= m * (1 + 1e-9)
+        check_max_min(flows, caps, max_min_rates(flows, caps))
 
 
 def _random_allocation_case(seed):
@@ -94,54 +94,101 @@ def _random_allocation_case(seed):
 
 
 class TestMaxMinAgainstReference:
-    """The counting allocator performs the reference's float operations
-    in the reference's order: results are equal, not approximately."""
-
-    @pytest.mark.parametrize("block", range(8))
-    def test_bit_identical_to_naive_for_both_capacity_shapes(self, block):
-        for seed in range(block * 250, (block + 1) * 250):
-            flows, caps = _random_allocation_case(seed)
-            as_dict = dict(enumerate(caps))
-            expected = naive_max_min_rates(flows, as_dict)
-            for capacities in (caps, as_dict):
-                untouched = capacities.copy()
-                assert max_min_rates(flows, capacities) == expected, seed
-                assert capacities == untouched, seed
-
-    def test_d3_leftover_pass_bit_identical_to_naive(self):
-        for seed in range(500):
-            flows, caps = _random_allocation_case(seed)
-            expected = NaiveD3Model().allocate(
-                flows, dict(enumerate(caps)), now=2 * MSEC)
-            assert D3Model().allocate(flows, caps, now=2 * MSEC) \
-                == expected, seed
+    """The reference is the definition: every answer is feasible, and
+    every flow below its cap crosses a saturated edge on which no flow
+    is faster -- the condition that characterises max-min fairness."""
 
     def test_max_min_certificate(self):
-        """No edge over capacity, and every flow either runs at its
-        maximal rate or crosses a saturated edge on which no flow is
-        faster -- the condition that characterises max-min fairness."""
+        for seed in range(2000):
+            flows, caps = _random_allocation_case(seed)
+            answers = []
+            for capacities in (caps, dict(enumerate(caps))):
+                untouched = capacities.copy()
+                answers.append(max_min_rates(flows, capacities))
+                assert capacities == untouched, seed
+                check_max_min(flows, capacities, answers[-1])
+            assert answers[0] == answers[1], seed
+
+    def test_d3_certificate(self):
         for seed in range(500):
             flows, caps = _random_allocation_case(seed)
-            rates = max_min_rates(flows, caps)
-            slack = 1e-6 * max(caps)
-            load = [0.0] * len(caps)
-            fastest = [0.0] * len(caps)
-            for flow in flows:
-                for edge in flow.path:
-                    load[edge] += rates[flow.fid]
-                    fastest[edge] = max(fastest[edge], rates[flow.fid])
-            for edge, cap in enumerate(caps):
-                assert load[edge] <= cap + slack, (seed, edge)
-            for flow in flows:
-                rate = rates[flow.fid]
-                assert rate <= flow.max_rate
-                if rate == flow.max_rate:
-                    continue
-                assert any(
-                    load[edge] >= caps[edge] - slack
-                    and rate >= fastest[edge] - slack
-                    for edge in flow.path
-                ), (seed, flow.fid)
+            check_d3(flows, caps, 2 * MSEC,
+                     D3Model().allocate(flows, caps, now=2 * MSEC))
+
+    def test_pdq_certificate(self):
+        """The §3 greedy under the crumb rule, flow by flow (event-driven
+        calls are certified in test_pdq_event_driven's engine runs)."""
+        for seed in range(500):
+            flows, caps = _random_allocation_case(seed)
+            # a flow pinned over a down edge has no rate to be keyed on
+            flows = [f for f in flows if f.max_rate > 0]
+            model = PdqModel()
+            rates = model.allocate(flows, caps, 0.0)
+            check_pdq(model, flows, caps, 0.0, rates)
+
+    def test_certificate_rejects_filling_without_the_capped_freeze(self):
+        # no flow freezes at its cap; rates are clipped to caps after:
+        # feasible, but what a capped flow leaves is never handed on
+        rejected = 0
+        for seed in range(200):
+            flows, caps = _random_allocation_case(seed)
+            right = max_min_rates(flows, caps)
+            uncapped = max_min_rates([_Shadow(f, math.inf) for f in flows],
+                                     caps)
+            wrong = {f.fid: min(uncapped[f.fid], f.max_rate) for f in flows}
+            if all(math.isclose(wrong[fid], rate, rel_tol=1e-9)
+                   for fid, rate in right.items()):
+                check_max_min(flows, caps, wrong)
+                continue
+            with pytest.raises(SimulationError, match="no bottleneck edge"):
+                check_max_min(flows, caps, wrong)
+            rejected += 1
+        assert rejected >= 40  # 44 of the 200 cases lose capacity
+
+
+class TestCertificatesReject:
+    """Hand-built bad answers: each certificate raises and names the
+    flow or the edge at fault."""
+
+    LINK = ("a", "b")
+
+    @pytest.mark.parametrize("rates,match", [
+        ({0: 0.6 * GBPS, 1: 0.3 * GBPS}, r"flow 0 .*outside \[0, max_rate"),
+        ({0: 0.5 * GBPS, 1: 0.6 * GBPS}, r"edge \('a', 'b'\) carries"),
+        ({0: 0.4 * GBPS, 1: 0.4 * GBPS},
+         r"flow 0 .*no bottleneck edge \(\('a', 'b'\): load"),
+    ], ids=["flow_over_its_cap", "edge_over_capacity", "no_bottleneck"])
+    def test_max_min(self, rates, match):
+        flows = [_progress(0, [self.LINK], max_rate=0.5 * GBPS),
+                 _progress(1, [self.LINK])]
+        with pytest.raises(SimulationError, match=match):
+            check_max_min(flows, {self.LINK: 1 * GBPS}, rates)
+
+    def test_d3_reservation_out_of_arrival_order(self):
+        # the later arrival reserved first: the early flow is left
+        # below its own reservation
+        flows = [_progress(fid, [self.LINK], size=MBYTE, deadline=10 * MSEC,
+                           arrival=arrival)
+                 for fid, arrival in ((3, 0.0), (4, 1 * MSEC))]
+        caps = {self.LINK: 1 * GBPS}
+        right = D3Model().allocate(flows, caps, now=2 * MSEC)
+        check_d3(flows, caps, 2 * MSEC, right)
+        assert right[3] > right[4]
+        with pytest.raises(SimulationError, match=r"flow 3 .*outside"):
+            check_d3(flows, caps, 2 * MSEC, {3: right[4], 4: right[3]})
+
+    def test_pdq_rate_one_ulp_off(self):
+        model = PdqModel()
+        small = _progress(0, [self.LINK], size=10 * KBYTE,
+                          max_rate=0.6 * GBPS)
+        big = _progress(1, [self.LINK], size=1 * MBYTE)
+        caps = {self.LINK: 1 * GBPS}
+        rates = model.allocate([small, big], caps, now=0.0)
+        check_pdq(model, [small, big], caps, 0.0, rates)
+        rates[1] = math.nextafter(rates[1], math.inf)
+        with pytest.raises(SimulationError,
+                           match=r"flow 1 .*on edge \('a', 'b'\)"):
+            check_pdq(model, [small, big], caps, 0.0, rates)
 
 
 class TestPdqModel:
@@ -156,10 +203,7 @@ class TestPdqModel:
     def test_deadline_beats_size(self):
         caps = {("a", "b"): 1 * GBPS}
         sized = _progress(0, [("a", "b")], size=10 * KBYTE)
-        urgent_spec = FlowSpec(fid=1, src="a", dst="b",
-                               size_bytes=1 * MBYTE, deadline=5 * MSEC)
-        urgent = FlowProgress(urgent_spec, [("a", "b")], 1 * GBPS, 150e-6,
-                              float(1 * MBYTE), 0.0)
+        urgent = _progress(1, [("a", "b")], size=MBYTE, deadline=5 * MSEC)
         rates = PdqModel().allocate([sized, urgent], caps, now=0.0)
         assert rates[1] == pytest.approx(1 * GBPS)
         assert rates[0] == 0.0
@@ -174,10 +218,7 @@ class TestPdqModel:
 
     def test_et_terminates_hopeless_deadline_flow(self):
         caps = {("a", "b"): 1 * GBPS}
-        spec = FlowSpec(fid=0, src="a", dst="b", size_bytes=10 * MBYTE,
-                        deadline=1 * MSEC)
-        flow = FlowProgress(spec, [("a", "b")], 1 * GBPS, 150e-6,
-                            float(10 * MBYTE), 0.0)
+        flow = _progress(0, [("a", "b")], size=10 * MBYTE, deadline=1 * MSEC)
         model = PdqModel()
         rates = model.allocate([flow], caps, now=0.0)
         doomed = model.terminations([flow], rates, now=0.0)
@@ -208,25 +249,17 @@ class TestD3Model:
 
     def test_arrival_order_priority(self):
         caps = {("a", "b"): 1 * GBPS}
-        early = FlowSpec(fid=0, src="a", dst="b", size_bytes=2 * MBYTE,
-                         deadline=20 * MSEC, arrival=0.0)
-        late = FlowSpec(fid=1, src="a", dst="b", size_bytes=2 * MBYTE,
-                        deadline=18 * MSEC, arrival=1 * MSEC)
-        flows = [
-            FlowProgress(s, [("a", "b")], 1 * GBPS, 150e-6,
-                         float(s.size_bytes), s.arrival)
-            for s in (early, late)
-        ]
+        flows = [_progress(0, [("a", "b")], size=2 * MBYTE,
+                           deadline=20 * MSEC),
+                 _progress(1, [("a", "b")], size=2 * MBYTE,
+                           deadline=18 * MSEC, arrival=1 * MSEC)]
         rates = D3Model().allocate(flows, caps, now=2 * MSEC)
         # the earlier arrival reserves first even though the later flow has
         # the tighter deadline (Fig 1's criticism)
         assert rates[0] > rates[1]
 
     def test_quenching(self):
-        spec = FlowSpec(fid=0, src="a", dst="b", size_bytes=1 * MBYTE,
-                        deadline=1 * MSEC)
-        flow = FlowProgress(spec, [("a", "b")], 1 * GBPS, 150e-6,
-                            float(1 * MBYTE), 0.0)
+        flow = _progress(0, [("a", "b")], size=MBYTE, deadline=1 * MSEC)
         model = D3Model()
         doomed = model.terminations([flow], {}, now=2 * MSEC)
         assert doomed and "quenching" in doomed[0][1]

@@ -286,8 +286,9 @@ class TestRunCounters:
         assert list(out["stats"]) == sorted(out["stats"])
 
     def test_direct_engine_run_keeps_legacy_payload_shape(self):
-        """Engines used directly (the naive-parity tests' path) emit
-        exactly the pre-telemetry payload: no stats/probes/trace keys."""
+        """Engines used directly (the engine-direct digest pins' path)
+        emit exactly the pre-telemetry payload: no stats/probes/trace
+        keys."""
         from repro.flowsim.engine import FlowLevelSimulation
         from repro.flowsim.rcp_model import RcpModel
         from repro.workload.flow import FlowSpec

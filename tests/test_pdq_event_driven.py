@@ -20,6 +20,7 @@ from repro.campaign.registry import build_topology, build_workload
 from repro.core.comparator import FlowComparator
 from repro.core.config import PdqConfig
 from repro.faults import FaultEvent
+from repro.flowsim.certify import check_pdq
 from repro.flowsim.engine import FlowLevelSimulation
 from repro.flowsim.pdq_model import PdqModel
 from repro.flowsim.progress import FlowProgress
@@ -36,7 +37,8 @@ from repro.workload.flow import FlowSpec
 
 
 class CheckedPdqModel(PdqModel):
-    """A ``PdqModel`` that re-derives each answer from scratch."""
+    """A ``PdqModel`` that certifies each answer and re-derives it from
+    scratch."""
 
     def __init__(self, config=None, comparator=None):
         super().__init__(config, comparator)
@@ -61,6 +63,7 @@ class CheckedPdqModel(PdqModel):
                 crossing.setdefault(edge, []).append(sender)
         assert {edge: line for edge, line in self._crossing.items()
                 if line} == crossing
+        check_pdq(self, flows, capacities, now, rates)
         full = PdqModel(self.config, self.comparator).allocate(
             flows, capacities, now)
         assert len(full) == len(flows)

@@ -2,16 +2,25 @@
 dynamics: BCube address-based routing, source-routed paths, search
 capping, elephant truncation, D3 allocation ordering, feedback floors."""
 
+import math
+
 import pytest
 
+from repro.campaign import ScenarioSpec, TopologySpec, WorkloadSpec
 from repro.core.stack import PdqStack
-from repro.errors import TopologyError
+from repro.errors import (FaultError, SimulationError, TopologyError,
+                          WorkloadError)
+from repro.events import PeriodicTimer, Simulator
+from repro.faults.spec import FaultEvent
+from repro.flowsim import FlowLevelSimulation, PdqModel
+from repro.net.link import Link
 from repro.experiments.fig4 import pattern_flows
 from repro.experiments.search import binary_search_max
 from repro.net.network import Network
 from repro.topology import BCube, SingleBottleneck
 from repro.transport.rcp import FEEDBACK_RTTS, floor_rate
 from repro.units import GBPS, KBYTE, MBYTE
+from repro.workload.flow import FlowSpec
 from repro.workload.patterns import stride_flows
 from repro.workload.vl2 import vl2_flow_sizes
 
@@ -173,3 +182,45 @@ class TestStrideBeyondHostCount:
         for flow in flows:
             src, dst = int(flow.src[1:]), int(flow.dst[1:])
             assert dst == (src + stride) % 12
+
+
+class TestNonFiniteInputs:
+    """NaN fails every guard on a time, delay, period, rate or size, and
+    a fault time must be finite: a NaN fault time used to be accepted
+    and silently change the results of both engines."""
+
+    @pytest.mark.parametrize("time", [math.nan, math.inf])
+    def test_fault_time_rejected_at_spec_construction(self, time):
+        event = {"time": time, "action": "link_down", "a": "tor0", "b": "h0"}
+        with pytest.raises(FaultError, match=f"got {time!r}"):
+            ScenarioSpec(protocol="PDQ(Full)",
+                         topology=TopologySpec("single_rooted", {}),
+                         workload=WorkloadSpec("fig3.aggregation", {}),
+                         faults={"events": [event]})
+
+    def test_fault_event_time_rejected_by_the_engine(self):
+        event = FaultEvent(math.nan, "link_down", "send0", "sw0")
+        with pytest.raises(FaultError, match="got nan"):
+            FlowLevelSimulation(SingleBottleneck(2), PdqModel(),
+                                faults=[event])
+
+    @pytest.mark.parametrize(
+        "method", ["call_at", "schedule_at", "call_after", "schedule"])
+    def test_nan_time_or_delay_is_not_scheduled(self, method):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            getattr(sim, method)(math.nan, lambda: None)
+        assert sim.now == 0.0 and sim.pending() == 0
+
+    def test_nan_period_rate_and_size(self):
+        net = Network(SingleBottleneck(1), PdqStack())
+        with pytest.raises(ValueError, match="period"):
+            PeriodicTimer(net.sim, math.nan, lambda: None)
+        with pytest.raises(ValueError, match="link rate"):
+            Link(net.sim, *net.nodes[:2], math.nan, 0.0, 1000, 0)
+        with pytest.raises(WorkloadError, match="size"):
+            FlowSpec(fid=0, src="a", dst="b", size_bytes=math.nan)
+        topology = SingleBottleneck(1)
+        topology.graph.edges["send0", "sw0"]["rate_bps"] = math.nan
+        with pytest.raises(TopologyError, match="nan"):
+            topology.validate()

@@ -2,8 +2,8 @@
 incremental admission in both engines, and the campaign wiring.
 
 The fluid engine has one loop for lists and lazy streams, and
-test_flowsim_parity pins its trajectories bit-identically against the
-naive reference for both input shapes. Here we assert what is particular
+test_fluid_digest_pins pins its trajectories to one digest for both
+input shapes, every rate vector certified. Here we assert what is particular
 to streaming: (1) the workload generators and the memory-bounded
 collector give the same physics as materializing the same stream into a
 list with exact metrics, (2) memory stays O(concurrency) rather than
