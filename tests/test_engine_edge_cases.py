@@ -40,13 +40,18 @@ class TestRefreshBoundaryArrival:
         ]
 
     def test_promoted_on_the_boundary(self):
-        metrics = _pinned(lambda: (SingleBottleneck(2), self._flows()),
-                          PdqModel, "6e3c3bcc41943ea6ba17483109b0d11c"
-                          "0b93b5c885e606f13bcc6ca41d108268",
-                          deadline=60.0, init_rtts=0.0)
+        sim = FlowLevelSimulation(SingleBottleneck(2), PdqModel(),
+                                  init_rtts=0.0)
+        metrics = sim.run(self._flows())
         assert len(metrics.completed_records()) == 2
         # the short flow preempts as soon as it starts at t=1ms
         assert metrics.record(1).fct < 2e-3
+
+    def test_certified_run_is_pinned(self):
+        _pinned(lambda: (SingleBottleneck(2), self._flows()), PdqModel,
+                "6e3c3bcc41943ea6ba17483109b0d11c"
+                "0b93b5c885e606f13bcc6ca41d108268",
+                deadline=60.0, init_rtts=0.0)
 
 
 class TestSimultaneousCompletionAndTermination:
@@ -74,16 +79,19 @@ class TestSimultaneousCompletionAndTermination:
         return sim, flows
 
     def test_same_timestamp(self):
-        _, flows = self._build()
-        metrics = _pinned(lambda: (SingleBottleneck(2), flows), PdqModel,
-                          "1966b2500e9c805e081a0e9b415ca35f"
-                          "096da1d9fa24e73a951a15fec92048d2", deadline=60.0)
+        sim, flows = self._build()
+        metrics = sim.run(flows)
         short, big = metrics.record(0), metrics.record(1)
         assert short.completed
         assert big.terminated
         assert big.termination_reason == "early_termination:cannot_finish"
         assert big.termination_time == short.completion_time
 
+    def test_certified_run_is_pinned(self):
+        _, flows = self._build()
+        _pinned(lambda: (SingleBottleneck(2), flows), PdqModel,
+                "1966b2500e9c805e081a0e9b415ca35f"
+                "096da1d9fa24e73a951a15fec92048d2", deadline=60.0)
 
 
 class TestArrivalAfterDeadline:

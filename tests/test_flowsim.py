@@ -98,8 +98,9 @@ class TestMaxMinAgainstReference:
     every flow below its cap crosses a saturated edge on which no flow
     is faster -- the condition that characterises max-min fairness."""
 
-    def test_max_min_certificate(self):
-        for seed in range(2000):
+    @pytest.mark.parametrize("block", range(8))
+    def test_certified_for_both_capacity_shapes(self, block):
+        for seed in range(block * 250, (block + 1) * 250):
             flows, caps = _random_allocation_case(seed)
             answers = []
             for capacities in (caps, dict(enumerate(caps))):
@@ -108,6 +109,33 @@ class TestMaxMinAgainstReference:
                 assert capacities == untouched, seed
                 check_max_min(flows, capacities, answers[-1])
             assert answers[0] == answers[1], seed
+
+    def test_max_min_certificate(self):
+        """The same condition checked inline, apart from
+        :func:`check_max_min`, so a fault in the certifier cannot hide
+        one in the allocator."""
+        for seed in range(500):
+            flows, caps = _random_allocation_case(seed)
+            rates = max_min_rates(flows, caps)
+            slack = 1e-6 * max(caps)
+            load = [0.0] * len(caps)
+            fastest = [0.0] * len(caps)
+            for flow in flows:
+                for edge in flow.path:
+                    load[edge] += rates[flow.fid]
+                    fastest[edge] = max(fastest[edge], rates[flow.fid])
+            for edge, cap in enumerate(caps):
+                assert load[edge] <= cap + slack, (seed, edge)
+            for flow in flows:
+                rate = rates[flow.fid]
+                assert rate <= flow.max_rate
+                if rate == flow.max_rate:
+                    continue
+                assert any(
+                    load[edge] >= caps[edge] - slack
+                    and rate >= fastest[edge] - slack
+                    for edge in flow.path
+                ), (seed, flow.fid)
 
     def test_d3_certificate(self):
         for seed in range(500):
