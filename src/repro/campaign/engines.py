@@ -133,7 +133,7 @@ def run_packet_level(
     protocol: str,
     flows: Sequence["FlowSpec"],
     sim_deadline: float = 2.0,
-    loss: "tuple[str, str, float, int] | Sequence | None" = None,
+    loss: "Sequence | None" = None,
     faults: "Sequence | None" = None,
     network_config=None,
     n_subflows: int = 3,
@@ -144,13 +144,13 @@ def run_packet_level(
 ) -> "MetricsCollector":
     """Run one packet-level scenario and return its metrics.
 
-    ``loss`` is either Fig 9's legacy (node_a, node_b, rate, seed) tuple
-    or a sequence of :class:`~repro.faults.spec.LossRule`; ``faults`` is
-    a sequence of :class:`~repro.faults.spec.FaultEvent` applied by a
-    :class:`~repro.faults.controller.FaultController` at their simulated
-    times. ``probes``/``trace`` are the telemetry options (repro.obs);
-    run counters are always harvested into ``collector.stats`` — reading
-    a handful of ints after the run is free. ``metrics`` substitutes a
+    ``loss`` is a sequence of :class:`~repro.faults.spec.LossRule`;
+    ``faults`` is a sequence of :class:`~repro.faults.spec.FaultEvent`
+    applied by a :class:`~repro.faults.controller.FaultController` at
+    their simulated times. ``probes``/``trace`` are the telemetry
+    options (repro.obs); run counters are always harvested into
+    ``collector.stats`` — reading a handful of ints after the run is
+    free. ``metrics`` substitutes a
     pre-built collector (the streaming-metrics mode rides in here).
     """
     from repro.net.network import Network
@@ -255,9 +255,7 @@ def _packet_adapter(spec: "ScenarioSpec", topology: "Topology",
                     options: Mapping[str, Any]) -> "MetricsCollector":
     """ns-2-style packet engine: Network + transport endpoints + switches."""
     options, metrics = _pop_metrics(spec, options)
-    # the legacy loss tuple and faults.loss both run through the rule
-    # engine (spec.loss_rules resolves seeds); exact-name rules are
-    # bit-identical to the tuple path they replaced
+    # spec.loss_rules resolves unseeded faults.loss rules to the spec seed
     return run_packet_level(
         topology, spec.protocol, flows, loss=spec.loss_rules() or None,
         faults=spec.fault_events() or None, metrics=metrics,

@@ -43,6 +43,32 @@ def canonical_json(data: Any) -> str:
     return json.dumps(_plain(data), sort_keys=True, separators=(",", ":"))
 
 
+def _check_fields(what: str, data: Any, allowed: Sequence[str],
+                  required: Sequence[str] = ()) -> None:
+    """Spec files are validated strictly: a misspelled field would
+    otherwise be silently dropped and its directive never applied."""
+    if not isinstance(data, Mapping):
+        raise CampaignError(f"{what} must be a mapping, got {data!r}")
+    unknown = sorted(set(data).difference(allowed))
+    if unknown:
+        import difflib
+
+        hints = []
+        for name in unknown:
+            close = difflib.get_close_matches(name, allowed, n=1, cutoff=0.6)
+            if close:
+                hints.append(f"{name!r} (did you mean {close[0]!r}?)")
+            else:
+                hints.append(repr(name))
+        raise CampaignError(
+            f"{what}: unknown field(s) {', '.join(hints)}; "
+            f"allowed: {', '.join(sorted(allowed))}"
+        )
+    for name in required:
+        if name not in data:
+            raise CampaignError(f"{what}: missing required field {name!r}")
+
+
 @dataclass(frozen=True)
 class TopologySpec:
     """A topology by registered kind name plus constructor parameters."""
@@ -67,6 +93,7 @@ class TopologySpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "TopologySpec":
+        _check_fields("topology", data, ("kind", "params"), ("kind",))
         return cls(kind=data["kind"], params=data.get("params", {}))
 
 
@@ -97,6 +124,7 @@ class WorkloadSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "WorkloadSpec":
+        _check_fields("workload", data, ("kind", "params"), ("kind",))
         return cls(kind=data["kind"], params=data.get("params", {}))
 
 
@@ -105,14 +133,13 @@ class ScenarioSpec:
     """One simulation run: protocol x topology x workload x seed x engine.
 
     ``sim_deadline=None`` means "use the engine's own default horizon".
-    ``loss`` is the legacy packet-engine (node_a, node_b, rate, seed)
-    random wire-loss tuple, kept byte-identical in ``canonical()`` for
-    hash stability; new specs should prefer ``faults`` — a mapping with
-    an ``events`` schedule (link/switch down/up at simulated times, both
-    engines) and/or glob-matched ``loss`` rules (packet engine), see
-    :mod:`repro.faults.spec`. ``options`` carries engine/protocol
-    keyword options (``n_subflows``, PDQ config overrides like
-    ``aging_rate`` or ``criticality_mode``).
+    ``faults`` is a mapping with an ``events`` schedule (link/switch
+    down/up at simulated times, both engines) and/or glob-matched
+    ``loss`` rules (packet engine), see :mod:`repro.faults.spec`.
+    ``options`` carries engine/protocol keyword options (``n_subflows``,
+    PDQ config overrides like ``aging_rate`` or ``criticality_mode``).
+    :meth:`from_dict` reads the retired top-level ``loss`` list of old
+    spec files as an exact-name ``faults.loss`` rule.
     """
 
     protocol: str
@@ -121,7 +148,6 @@ class ScenarioSpec:
     engine: str = "packet"
     seed: int = 1
     sim_deadline: float | None = None
-    loss: tuple[str, str, float, int] | None = None
     options: Mapping[str, Any] = field(default_factory=dict)
     faults: Mapping[str, Any] | None = None
 
@@ -135,17 +161,6 @@ class ScenarioSpec:
         if not isinstance(self.workload, WorkloadSpec):
             raise CampaignError("workload must be a WorkloadSpec")
         object.__setattr__(self, "options", dict(self.options))
-        if self.loss is not None:
-            if self.engine != "packet":
-                raise CampaignError(
-                    "loss injection only exists in the packet engine"
-                )
-            loss = tuple(self.loss)
-            if len(loss) != 4:
-                raise CampaignError(
-                    "loss must be (node_a, node_b, rate, seed)"
-                )
-            object.__setattr__(self, "loss", loss)
         if self.faults is not None:
             from repro.faults.spec import canonical_faults
 
@@ -167,7 +182,8 @@ class ScenarioSpec:
             "engine": self.engine,
             "seed": self.seed,
             "sim_deadline": self.sim_deadline,
-            "loss": list(self.loss) if self.loss is not None else None,
+            # the retired Fig 9 loss tuple's slot: every stored key hashes it
+            "loss": None,
             "options": _plain(self.options),
         }
         if self.faults is not None:
@@ -205,9 +221,16 @@ class ScenarioSpec:
             f" [engine={self.engine} seed={self.seed}{extras}]"
         )
 
+    _FIELDS = ("protocol", "topology", "workload", "engine", "seed",
+               "sim_deadline", "loss", "options", "faults")
+
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioSpec":
-        loss = data.get("loss")
+        _check_fields("scenario spec", data, cls._FIELDS,
+                      ("protocol", "topology", "workload"))
+        faults = data.get("faults")
+        if data.get("loss") is not None:
+            faults = _legacy_loss_faults(data["loss"], faults)
         return cls(
             protocol=data["protocol"],
             topology=TopologySpec.from_dict(data["topology"]),
@@ -215,31 +238,21 @@ class ScenarioSpec:
             engine=data.get("engine", "packet"),
             seed=data.get("seed", 1),
             sim_deadline=data.get("sim_deadline"),
-            loss=tuple(loss) if loss is not None else None,
             options=data.get("options", {}),
-            faults=data.get("faults"),
+            faults=faults,
         )
 
     # -- fault-injection views ------------------------------------------------------
 
     def loss_rules(self) -> tuple:
-        """Every wire-loss rule this spec declares, as typed
-        :class:`~repro.faults.spec.LossRule` objects: the legacy tuple
-        (as an exact-name rule) followed by ``faults.loss`` rules, with
-        unseeded rules resolved to the scenario seed. This is the single
-        path the packet adapter feeds to the engine — fig 9's legacy
-        tuple runs through it bit-identically.
-        """
-        rules: list = []
-        if self.loss is not None:
-            from repro.faults.spec import legacy_loss_rule
+        """The spec's ``faults.loss`` rules as typed
+        :class:`~repro.faults.spec.LossRule` objects, with unseeded
+        rules resolved to the scenario seed."""
+        if self.faults is None or "loss" not in self.faults:
+            return ()
+        from repro.faults.spec import loss_rules_from
 
-            rules.append(legacy_loss_rule(self.loss))
-        if self.faults is not None and "loss" in self.faults:
-            from repro.faults.spec import loss_rules_from
-
-            rules.extend(loss_rules_from(self.faults, default_seed=self.seed))
-        return tuple(rules)
+        return loss_rules_from(self.faults, default_seed=self.seed)
 
     def fault_events(self) -> tuple:
         """The spec's scheduled fault events as typed
@@ -276,6 +289,24 @@ class ScenarioSpec:
             else:
                 raise CampaignError(f"unknown spec axis {name!r}")
         return replace(spec, **flat) if flat else spec
+
+
+def _legacy_loss_faults(loss: Any, faults: Any) -> dict[str, Any]:
+    """Old spec files and stored results carry Fig 9's retired
+    ``[node_a, node_b, rate, seed]`` loss list: read it as the
+    exact-name, explicitly seeded rule it always ran as, ahead of any
+    ``faults.loss`` rules."""
+    if isinstance(loss, (str, Mapping)) or not isinstance(loss, Sequence) \
+            or len(loss) != 4:
+        raise CampaignError(
+            f"legacy loss must be [node_a, node_b, rate, seed], got {loss!r}"
+        )
+    faults = {} if faults is None else faults
+    if not isinstance(faults, Mapping):
+        raise CampaignError(f"faults must be a mapping, got {faults!r}")
+    a, b, rate, seed = loss
+    rule = {"src": a, "dst": b, "rate": rate, "seed": seed}
+    return {**faults, "loss": [rule, *(faults.get("loss") or ())]}
 
 
 def is_labeled_cell(value: Any) -> bool:

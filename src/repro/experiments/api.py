@@ -17,9 +17,9 @@ per-panel curves. This module makes that matrix *data*:
   kinds in :mod:`repro.campaign.registry`.
 
 Panels that cannot be expressed as a scenario grid (fig 1's analytic
-motivation, fig 6/7's in-run monitors, fig 9's seed-coupled loss
-tuples) register a *panel runner* — an escape hatch that keeps them on
-the same Experiment surface with full provenance.
+motivation, fig 6/7's in-run monitors) register a *panel runner* — an
+escape hatch that keeps them on the same Experiment surface with full
+provenance.
 
 Experiments canonicalize to sorted-key JSON with a stable SHA-256
 ``key`` (pinned by tests, like scenario keys), load from user-authored
@@ -43,6 +43,7 @@ from repro.campaign.spec import (
     TopologySpec,
     WorkloadSpec,
     _axis_cells,
+    _check_fields,
     canonical_json,
     expand_cells,
     is_labeled_cell,
@@ -52,27 +53,6 @@ from repro.experiments.reducers import collector_metric, get_reducer
 from repro.experiments.search import binary_search_max
 from repro.metrics.collector import MetricsCollector
 from repro.utils.stats import mean
-
-
-def _check_fields(what: str, data: Mapping[str, Any],
-                  allowed: Sequence[str]) -> None:
-    """Spec files are validated strictly: a misspelled field would
-    otherwise be silently dropped and its directive never applied."""
-    import difflib
-
-    unknown = sorted(set(data) - set(allowed))
-    if unknown:
-        hints = []
-        for name in unknown:
-            close = difflib.get_close_matches(name, allowed, n=1, cutoff=0.6)
-            if close:
-                hints.append(f"{name!r} (did you mean {close[0]!r}?)")
-            else:
-                hints.append(repr(name))
-        raise CampaignError(
-            f"{what}: unknown field(s) {', '.join(hints)}; "
-            f"allowed: {', '.join(sorted(allowed))}"
-        )
 
 
 def _axes_tuple(axes: Any) -> tuple[tuple[str, tuple[Any, ...]], ...]:
@@ -293,8 +273,9 @@ class Panel:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Panel":
+        name = data.get("name", "?") if isinstance(data, Mapping) else "?"
         _check_fields(
-            f"panel {data.get('name', '?')!r}", data,
+            f"panel {name!r}", data,
             ("name", "title", "base", "axes", "specs", "exclude",
              "search", "reducer", "reducer_params", "runner", "params"),
         )

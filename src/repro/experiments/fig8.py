@@ -7,10 +7,10 @@ flow-level cross-validation.
 (c,d) BCube / Jellyfish: mean FCT vs network size
 (e) per-flow CDF of RCP FCT / PDQ FCT (flow level, ~128 servers)
 
-Panels (a)-(d) are declarative grids/searches on the Experiment API
-(the engine is just another axis, and the ``exclude`` rule expresses
-"TCP has no flow-level model"); (e) pairs per-flow FCTs across two runs,
-so it registers a custom panel runner.
+Every panel is a declarative grid or search on the Experiment API (the
+engine is just another axis, and the ``exclude`` rule expresses "TCP has
+no flow-level model"); (e)'s reducer pairs each seed's PDQ and RCP runs
+flow by flow.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from repro.campaign import (
     TopologySpec,
     WorkloadSpec,
     register_workload,
-    run_scenarios,
 )
 from repro.campaign.registry import build_topology
 from repro.errors import ExperimentError
@@ -30,9 +29,7 @@ from repro.experiments.api import (
     Experiment,
     Panel,
     SearchSpec,
-    bind_runner_params,
     register_experiment,
-    register_panel_runner,
     run_panel,
 )
 from repro.experiments.reducers import register_reducer
@@ -183,30 +180,16 @@ def fct_vs_size_panel(family: str,
     )
 
 
-@register_panel_runner("fig8.rcp_pdq_cdf")
-def _run_cdf(n_servers: int = 128, flows_per_server: int = 2,
-             seeds: Sequence[int] = (1,)) -> dict[str, object]:
-    def spec_for(protocol: str, seed: int) -> ScenarioSpec:
-        return ScenarioSpec(
-            protocol=protocol,
-            topology=_topo_spec("fattree", n_servers),
-            workload=WorkloadSpec("fig8.permutation", {
-                "flows_per_server": flows_per_server,
-            }),
-            engine="flow",
-            seed=seed,
-            sim_deadline=10.0,
-        )
-
-    # one flat grid so all seeds' runs fan out together
-    collectors = run_scenarios(
-        spec_for(protocol, seed)
-        for seed in seeds for protocol in ("PDQ(Full)", "RCP")
-    )
+@register_reducer("fig8.rcp_pdq_cdf")
+def _reduce_rcp_pdq_cdf(run) -> dict[str, object]:
+    """CDF of per-flow RCP FCT / PDQ FCT, pairing each seed's two runs."""
+    by_seed: dict[int, dict] = {}
+    for combo, _spec, collector in run.rows:
+        by_seed.setdefault(combo["seed"], {})[combo["protocol"]] = collector
     ratios: list[float] = []
-    for i, _seed in enumerate(seeds):
-        pdq = collectors[2 * i].fct_by_fid()
-        rcp = collectors[2 * i + 1].fct_by_fid()
+    for runs in by_seed.values():
+        pdq = runs["PDQ(Full)"].fct_by_fid()
+        rcp = runs["RCP"].fct_by_fid()
         for fid, pdq_fct in pdq.items():
             rcp_fct = rcp.get(fid)
             if rcp_fct is not None and pdq_fct > 0:
@@ -226,13 +209,23 @@ def _run_cdf(n_servers: int = 128, flows_per_server: int = 2,
     }
 
 
-def fig8e_panel(*args, **params) -> Panel:
-    """Parameters: ``n_servers``, ``flows_per_server``, ``seeds``."""
+def fig8e_panel(n_servers: int = 128, flows_per_server: int = 2,
+                seeds: Sequence[int] = (1,)) -> Panel:
     return Panel(
         name="fig8e",
         title="CDF of per-flow RCP FCT / PDQ FCT (flow level)",
-        runner="fig8.rcp_pdq_cdf",
-        params=bind_runner_params(_run_cdf, args, params),
+        base=ScenarioSpec(
+            protocol="PDQ(Full)",
+            topology=_topo_spec("fattree", n_servers),
+            workload=WorkloadSpec("fig8.permutation", {
+                "flows_per_server": flows_per_server,
+            }),
+            engine="flow",
+            sim_deadline=10.0,
+        ),
+        axes=(("seed", tuple(seeds)),
+              ("protocol", ("PDQ(Full)", "RCP"))),
+        reducer="fig8.rcp_pdq_cdf",
         wraps="repro.experiments.fig8:run_fig8e",
     )
 

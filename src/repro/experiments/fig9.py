@@ -8,19 +8,10 @@ Random wire loss at the bottleneck link, both directions, 0-3 %.
 PDQ's explicit rate control should degrade mildly (paper: +11.4 % FCT at
 3 % loss) while TCP suffers (+44.7 %).
 
-Both panels register custom runners on the Experiment API surface: the
-spec's ``loss`` tuple carries the scenario *seed* (so loss draws are
-reproducible per seed), an axis coupling the declarative grid model
-does not express. The runners still execute every scenario through the
-ambient campaign runner, so they cache and fan out like any grid.
-
-The legacy 4-tuple is now sugar over :mod:`repro.faults` loss rules —
-the engine adapter turns it into one exact-name
-:class:`~repro.faults.spec.LossRule`, proven byte-identical to the
-pre-faults wire-loss path — so this figure exercises the generalized
-loss machinery on every run. New studies should prefer the spec's
-``faults`` field (glob rules, many links); the tuple stays for these
-pinned panel hashes.
+Both panels are declarative: each loss rate is a labelled axis cell
+carrying one exact-name ``faults.loss`` rule on the ``sw0``--``recv``
+link. The rule names no seed, so it draws from the scenario seed and
+every seed replica sees its own loss pattern.
 """
 
 from __future__ import annotations
@@ -32,20 +23,18 @@ from repro.campaign import (
     TopologySpec,
     WorkloadSpec,
     register_workload,
-    run_scenarios,
 )
+from repro.errors import ExperimentError
 from repro.experiments.api import (
     Experiment,
     Panel,
-    bind_runner_params,
+    SearchSpec,
     register_experiment,
-    register_panel_runner,
     run_panel,
 )
-from repro.experiments.search import binary_search_max
+from repro.experiments.reducers import register_reducer, series_reducer
 from repro.units import KBYTE, MSEC
 from repro.utils.rng import spawn_rng
-from repro.utils.stats import mean
 from repro.workload.deadlines import exponential_deadlines
 from repro.workload.flow import FlowSpec
 from repro.workload.patterns import aggregation_flows
@@ -77,85 +66,78 @@ def _build_workload(topology, seed: int, n_flows: int,
                      mean_deadline)
 
 
-def _spec(protocol: str, n_flows: int, deadline_constrained: bool,
-          loss_rate: float, seed: int) -> ScenarioSpec:
+def _base(n_flows: int, deadline_constrained: bool) -> ScenarioSpec:
     return ScenarioSpec(
-        protocol=protocol,
+        protocol="PDQ(Full)",
         topology=TOPOLOGY,
         workload=WorkloadSpec("fig9.aggregation", {
             "n_flows": n_flows,
             "deadline_constrained": deadline_constrained,
         }),
         engine="packet",
-        seed=seed,
         sim_deadline=4.0,
-        loss=("sw0", "recv", loss_rate, seed) if loss_rate > 0 else None,
     )
 
 
-@register_panel_runner("fig9.max_flows_vs_loss")
-def _run_max_flows(loss_rates: Sequence[float] = (0.0, 0.01, 0.03),
-                   protocols: Sequence[str] = ("PDQ(Full)", "TCP"),
-                   seeds: Sequence[int] = (1, 2),
-                   target: float = 0.99,
-                   hi: int = 32) -> dict[str, dict[float, int]]:
-    results: dict[str, dict[float, int]] = {p: {} for p in protocols}
-    for loss in loss_rates:
-        for protocol in protocols:
-            def ok(n: int, _p=protocol, _l=loss) -> bool:
-                collectors = run_scenarios(
-                    _spec(_p, n, True, _l, s) for s in seeds
-                )
-                return mean(
-                    m.application_throughput() for m in collectors
-                ) >= target
-
-            results[protocol][loss] = binary_search_max(ok, hi=hi)
-    return results
-
-
-@register_panel_runner("fig9.fct_vs_loss")
-def _run_fct(loss_rates: Sequence[float] = (0.0, 0.01, 0.03),
-             protocols: Sequence[str] = ("PDQ(Full)", "TCP"),
-             seeds: Sequence[int] = (1, 2),
-             n_flows: int = 8) -> dict[str, dict[float, float]]:
-    raw: dict[str, dict[float, float]] = {p: {} for p in protocols}
-    grid = [(loss, p, s)
-            for loss in loss_rates for p in protocols for s in seeds]
-    collectors = run_scenarios(
-        _spec(p, n_flows, False, loss, s) for (loss, p, s) in grid
+def _loss_axis(loss_rates: Sequence[float]) -> tuple:
+    """``loss_rate`` cells: an unseeded bottleneck-link rule per nonzero
+    rate, no faults at all for a lossless cell."""
+    return tuple(
+        (rate, {"faults": {"loss": [
+            {"src": "sw0", "dst": "recv", "rate": rate},
+        ]}} if rate > 0 else {})
+        for rate in loss_rates
     )
-    by_cell: dict[tuple, list[float]] = {}
-    for (loss, p, _s), metrics in zip(grid, collectors, strict=True):
-        by_cell.setdefault((p, loss), []).append(metrics.mean_fct())
-    for (p, loss), values in by_cell.items():
-        raw[p][loss] = mean(values)
-    base = raw["PDQ(Full)"][0.0]
+
+
+@register_reducer("fig9.fct_vs_loss")
+def _reduce_fct_vs_loss(run) -> dict:
+    """{protocol: {loss rate: mean FCT / PDQ(Full)'s lossless mean FCT}}."""
+    raw = series_reducer(run, x="loss_rate", series="protocol",
+                         metric="mean_fct")
+    base = raw.get("PDQ(Full)", {}).get(0.0)
+    if base is None:
+        raise ExperimentError(
+            "fig9b normalizes to PDQ(Full) at loss 0.0; the grid lacks it"
+        )
     return {
         p: {loss: v / base for loss, v in series.items()}
         for p, series in raw.items()
     }
 
 
-def fig9a_panel(*args, **params) -> Panel:
-    """Parameters: ``loss_rates``, ``protocols``, ``seeds``, ``target``,
-    ``hi``."""
+def fig9a_panel(loss_rates: Sequence[float] = (0.0, 0.01, 0.03),
+                protocols: Sequence[str] = ("PDQ(Full)", "TCP"),
+                seeds: Sequence[int] = (1, 2),
+                target: float = 0.99,
+                hi: int = 32) -> Panel:
     return Panel(
         name="fig9a",
         title="max deadline flows at 99 % throughput vs loss rate",
-        runner="fig9.max_flows_vs_loss",
-        params=bind_runner_params(_run_max_flows, args, params),
+        base=_base(1, True),
+        axes=(("loss_rate", _loss_axis(loss_rates)),
+              ("protocol", tuple(protocols))),
+        search=SearchSpec(axis="workload.n_flows", target=target,
+                          metric="application_throughput",
+                          seeds=tuple(seeds), hi=hi),
+        reducer="series",
+        reducer_params={"x": "loss_rate", "series": "protocol"},
         wraps="repro.experiments.fig9:run_fig9a",
     )
 
 
-def fig9b_panel(*args, **params) -> Panel:
-    """Parameters: ``loss_rates``, ``protocols``, ``seeds``, ``n_flows``."""
+def fig9b_panel(loss_rates: Sequence[float] = (0.0, 0.01, 0.03),
+                protocols: Sequence[str] = ("PDQ(Full)", "TCP"),
+                seeds: Sequence[int] = (1, 2),
+                n_flows: int = 8) -> Panel:
     return Panel(
         name="fig9b",
         title="mean FCT normalized to lossless PDQ vs loss rate",
-        runner="fig9.fct_vs_loss",
-        params=bind_runner_params(_run_fct, args, params),
+        base=_base(n_flows, False),
+        axes=(("loss_rate", _loss_axis(loss_rates)),
+              ("protocol", tuple(protocols)),
+              ("seed", tuple(seeds))),
+        reducer="fig9.fct_vs_loss",
         wraps="repro.experiments.fig9:run_fig9b",
     )
 

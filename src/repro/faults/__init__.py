@@ -14,7 +14,6 @@ from repro.faults.spec import (
     LossRule,
     canonical_faults,
     events_from,
-    legacy_loss_rule,
     loss_rules_from,
 )
 from repro.faults.controller import FaultController, apply_loss
@@ -27,6 +26,5 @@ __all__ = [
     "apply_loss",
     "canonical_faults",
     "events_from",
-    "legacy_loss_rule",
     "loss_rules_from",
 ]

@@ -15,7 +15,7 @@ transports' retransmission machinery recovers them on the new path.
 
 :func:`apply_loss` is the run-time half of the loss generalization: it
 configures random wire loss from :class:`~repro.faults.spec.LossRule`
-glob patterns (or the legacy 4-tuple, byte-identically).
+glob patterns.
 """
 
 from __future__ import annotations
@@ -128,23 +128,15 @@ class FaultController:
 # -- loss rules ---------------------------------------------------------------------
 
 
-def apply_loss(net: "Network",
-               loss: "tuple | Sequence[LossRule]") -> None:
-    """Configure random wire loss from rules or the legacy 4-tuple.
+def apply_loss(net: "Network", loss: "Sequence[LossRule]") -> None:
+    """Configure random wire loss from rules.
 
-    The legacy ``(node_a, node_b, rate, seed)`` tuple goes through
-    :meth:`Network.set_loss` unchanged. Rules are applied in order over
-    the links in link-id order, so later rules deterministically
-    override earlier ones on overlapping links; every link draws from
-    its own ``spawn_rng(seed, "loss:<link_id>")`` stream — the same
-    stream ``set_loss`` uses, which is what keeps an exact-name rule
-    bit-identical to the tuple it generalizes.
+    Rules are applied in order over the links in link-id order, so
+    later rules deterministically override earlier ones on overlapping
+    links; every link draws from its own
+    ``spawn_rng(seed, "loss:<link_id>")`` stream, so a link's loss
+    pattern does not depend on which other links a rule matched.
     """
-    if isinstance(loss, tuple) and len(loss) == 4 and \
-            isinstance(loss[0], str):
-        a, b, rate, seed = loss
-        net.set_loss(a, b, rate, seed=seed)
-        return
     for rule in loss:
         if not isinstance(rule, LossRule):
             raise FaultError(f"expected a LossRule, got {rule!r}")

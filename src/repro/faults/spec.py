@@ -9,8 +9,8 @@ A spec's ``faults`` field is a plain mapping with up to two keys:
   ``{"src": pattern, "dst": pattern, "rate": p}`` plus optional
   ``seed`` (defaults to the scenario seed at run time) and
   ``both_directions`` (defaults true, matching Fig 9). Patterns are
-  ``fnmatch``-style globs over node names, generalizing the legacy
-  single ``(node_a, node_b, rate, seed)`` tuple to whole link classes.
+  ``fnmatch``-style globs over node names; an exact name matches only
+  itself, so one rule can name a single link or a whole link class.
 
 :func:`canonical_faults` validates and normalizes the mapping into the
 plain-data form that :meth:`~repro.campaign.spec.ScenarioSpec.canonical`
@@ -211,7 +211,7 @@ def loss_rules_from(faults: Mapping[str, Any],
 
     Seed resolution happens here — not in the canonical form — so a
     seed sweep over a spec whose rules omit ``seed`` redraws the loss
-    pattern per scenario, exactly as fig 9's legacy tuple did.
+    pattern per scenario (Fig 9's seed axis relies on this).
     """
     rules = canonical_faults(faults).get("loss", ())
     return tuple(
@@ -224,18 +224,6 @@ def loss_rules_from(faults: Mapping[str, Any],
         )
         for rule in rules
     )
-
-
-def legacy_loss_rule(loss: tuple[str, str, float, int]) -> LossRule:
-    """The legacy ``ScenarioSpec.loss`` 4-tuple as an exact-name rule.
-
-    Exact node names match only themselves under ``fnmatch``, and the
-    per-link RNG streams are keyed by link id either way, so running the
-    tuple through the rule engine reproduces ``Network.set_loss``
-    bit-for-bit (fig 9's goldens pin this).
-    """
-    a, b, rate, seed = loss
-    return LossRule(src=a, dst=b, rate=float(rate), seed=int(seed))
 
 
 # -- run-time state (both engines) ---------------------------------------------------

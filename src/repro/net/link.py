@@ -49,7 +49,7 @@ class Link:
         self.link_id = link_id
         self.reverse: "Link" | None = None
 
-        # random wire loss (Fig 9); set via Network.set_loss
+        # random wire loss (Fig 9); set by repro.faults.apply_loss
         self.loss_rate: float = 0.0
         self._loss_rng: np.random.Generator | None = None
         self.wire_losses = 0

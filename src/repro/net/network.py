@@ -25,7 +25,6 @@ from repro.net.node import Host, Node, Switch
 from repro.net.routing import Router
 from repro.topology.base import Topology
 from repro.units import MBYTE, MSEC, USEC, tx_time
-from repro.utils.rng import spawn_rng
 from repro.workload.flow import FlowSpec
 from repro.workload.stream import FlowStream
 
@@ -164,15 +163,6 @@ class Network:
         return float("inf")
 
     # -- configuration helpers ----------------------------------------------------------
-
-    def set_loss(self, a: str, b: str, loss_rate: float, seed: int = 0,
-                 both_directions: bool = True) -> None:
-        """Random wire loss on the a->b link (and b->a, per Fig 9)."""
-        fwd = self.link_between(a, b)
-        fwd.set_loss(loss_rate, spawn_rng(seed, f"loss:{fwd.link_id}"))
-        if both_directions:
-            rev = fwd.reverse
-            rev.set_loss(loss_rate, spawn_rng(seed, f"loss:{rev.link_id}"))
 
     def monitor(self, a: str, b: str, interval: float) -> LinkMonitor:
         monitor = LinkMonitor(self.sim, self.link_between(a, b), interval)

@@ -234,7 +234,8 @@ class TestResultStore:
 
     def test_flow_engine_rejects_loss(self):
         with pytest.raises(CampaignError):
-            _flow_spec(loss=("sw0", "recv", 0.01, 1))
+            _flow_spec(faults={"loss": [
+                {"src": "sw0", "dst": "recv", "rate": 0.01}]})
 
     def test_clear(self, tmp_path):
         spec = _flow_spec()

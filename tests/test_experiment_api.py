@@ -38,6 +38,7 @@ from repro.experiments.api import (
     figure_numbers,
     get_experiment,
     load_experiment_file,
+    panel_runner_kinds,
     run_panel,
     validate_experiment,
 )
@@ -181,6 +182,23 @@ class TestSpecHashes:
         assert restored.key == panel.key
         assert restored.search == panel.search
 
+    def test_fig9_lossless_cells_keep_their_keys(self):
+        from repro.experiments.fig9 import fig9b_panel
+
+        panel = fig9b_panel(loss_rates=(0.0, 0.01), protocols=("PDQ(Full)",),
+                            seeds=(1,))
+        lossless, lossy = panel.expand()
+        assert lossless.key == (
+            "c509f2334e9e03090ede20f69a4da4c2"
+            "a56ce9cb651d7aaa2a863b6a14528e7f"
+        )
+        # the stored form of the same cell under the retired loss tuple
+        # reads back as the rules the declarative cell runs
+        stored = {**lossy.canonical(), "loss": ["sw0", "recv", 0.01, 1]}
+        del stored["faults"]
+        assert ScenarioSpec.from_dict(stored).loss_rules() == \
+            lossy.loss_rules()
+
 
 # -- grid expansion ---------------------------------------------------------------
 
@@ -261,9 +279,8 @@ class TestPanelGrids:
         from repro.experiments.fig9 import fig9b_panel
 
         assert fig6_panel(2).params == {"n_flows": 2}
-        assert fig9b_panel((0.0,), ("PDQ(Full)",)).params == {
-            "loss_rates": (0.0,), "protocols": ("PDQ(Full)",),
-        }
+        assert fig9b_panel((0.0,), ("PDQ(Full)",)).key == fig9b_panel(
+            loss_rates=(0.0,), protocols=("PDQ(Full)",)).key
         with pytest.raises(TypeError):
             fig6_panel(1, 2, 3, 4, 5)  # more args than the runner takes
 
@@ -484,6 +501,11 @@ class TestRegistries:
             collector_metric("mean_fc")
         with pytest.raises(CampaignError, match="Did you mean 'fig5'"):
             get_experiment("fig55")
+
+    def test_only_in_run_panels_register_runners(self):
+        assert panel_runner_kinds() == [
+            "fig1.motivation", "fig6.convergence", "fig7.burst",
+        ]
 
     def test_experiment_registry_unknown(self):
         with pytest.raises(CampaignError, match="registered"):

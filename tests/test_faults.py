@@ -10,18 +10,24 @@ and nothing keeps them alive once the run drains; loss rules and the
 ``random_graph`` topology are seed-deterministic.
 """
 
+import hashlib
+
 import pytest
 
 from repro.campaign.engines import run_flow_level, run_packet_level
 from repro.campaign.registry import build_workload
-from repro.campaign.spec import ScenarioSpec, TopologySpec, WorkloadSpec
+from repro.campaign.spec import (
+    ScenarioSpec,
+    TopologySpec,
+    WorkloadSpec,
+    canonical_json,
+)
 from repro.errors import CampaignError, FaultError, TopologyError
 from repro.faults import (
     FaultEvent,
     LossRule,
     canonical_faults,
     events_from,
-    legacy_loss_rule,
     loss_rules_from,
 )
 from repro.topology.fattree import FatTree
@@ -71,11 +77,6 @@ class TestFaultSpec:
         # ... and resolves to the spec seed when rules are built
         (rule,) = loss_rules_from(faults, default_seed=7)
         assert rule == LossRule("sw*", "*", 0.01, 7, both_directions=True)
-
-    def test_legacy_tuple_maps_to_exact_rule(self):
-        rule = legacy_loss_rule(("sw0", "recv", 0.02, 9))
-        assert rule == LossRule("sw0", "recv", 0.02, 9,
-                                both_directions=True)
 
     @pytest.mark.parametrize("bad", [
         {},  # empty faults mapping is a spec error, not a no-op
@@ -254,6 +255,19 @@ class TestFluidFaults:
 # -- determinism --------------------------------------------------------------------
 
 
+#: the run of one exact-name rule on send0--sw0 (rate 0.02, seed 5):
+#: its canonical ``to_dict()`` digest and wire-loss count, which the
+#: retired ``(node_a, node_b, rate, seed)`` tuple path produced too
+EXACT_RULE_DIGEST = (
+    "c0921aae6ba99414f25c490ee8fac1de650837c35580a5dca3a7d68acf67645c")
+EXACT_RULE_WIRE_LOSSES = 5
+
+
+def _digest(collector):
+    text = canonical_json(collector.to_dict())
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 class TestDeterminism:
     def _run(self, loss):
         topo = SingleBottleneck(4)
@@ -269,10 +283,53 @@ class TestDeterminism:
         assert a.stats["net.wire_losses"] > 0
         assert a.to_dict() == b.to_dict()
 
-    def test_exact_rule_matches_legacy_tuple_bit_for_bit(self):
-        legacy = self._run(("send0", "sw0", 0.02, 5))
-        rule = self._run((LossRule("send0", "sw0", 0.02, 5),))
-        assert legacy.to_dict() == rule.to_dict()
+    def test_exact_rule_run_is_pinned(self):
+        collector = self._run((LossRule("send0", "sw0", 0.02, 5),))
+        assert collector.stats["net.wire_losses"] == EXACT_RULE_WIRE_LOSSES
+        assert _digest(collector) == EXACT_RULE_DIGEST
+
+    def test_legacy_loss_list_reads_as_the_exact_rule(self):
+        """Old spec files and store entries carry the retired loss
+        list; it loads as one explicitly seeded exact-name rule, ahead
+        of any ``faults.loss`` rules, and runs to the same digest."""
+        data = {
+            "protocol": "TCP",
+            "topology": {"kind": "single_bottleneck",
+                         "params": {"n_senders": 4}},
+            "workload": {"kind": "fig9.aggregation",
+                         "params": {"n_flows": 4,
+                                    "deadline_constrained": False}},
+            "seed": 1,
+            "loss": ["send0", "sw0", 0.02, 5],
+        }
+        spec = ScenarioSpec.from_dict(data)
+        assert spec.faults == {"loss": [
+            {"src": "send0", "dst": "sw0", "rate": 0.02, "seed": 5}]}
+        assert spec.loss_rules() == (LossRule("send0", "sw0", 0.02, 5),)
+        collector = self._run(spec.loss_rules())
+        assert collector.stats["net.wire_losses"] == EXACT_RULE_WIRE_LOSSES
+        assert _digest(collector) == EXACT_RULE_DIGEST
+
+        both = ScenarioSpec.from_dict({**data, "faults": {"loss": [
+            {"src": "sw0", "dst": "recv", "rate": 0.01}]}})
+        assert both.loss_rules() == (LossRule("send0", "sw0", 0.02, 5),
+                                     LossRule("sw0", "recv", 0.01, 1))
+
+    @pytest.mark.parametrize("bad", [
+        ["send0", "sw0", 0.02],
+        "send0,sw0,0.02,5",
+        {"a": "send0"},
+        ["send0", "sw0", 2.0, 5],
+        ["send0", "sw0", 0.02, "five"],
+    ])
+    def test_malformed_legacy_loss_list_is_rejected(self, bad):
+        with pytest.raises(CampaignError):
+            ScenarioSpec.from_dict({
+                "protocol": "TCP",
+                "topology": {"kind": "single_bottleneck"},
+                "workload": {"kind": "fig9.aggregation"},
+                "loss": bad,
+            })
 
     def test_zero_match_rule_is_an_error(self):
         with pytest.raises(FaultError, match="match"):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.stack import PdqStack
 from repro.errors import TopologyError
+from repro.faults import LossRule, apply_loss
 from repro.net.network import Network, NetworkConfig
 from repro.topology import SingleBottleneck, SingleRootedTree
 from repro.units import GBPS, KBYTE, MBYTE, USEC
@@ -86,14 +87,14 @@ class TestReceiverRateLimits:
 class TestLossInjection:
     def test_loss_configured_both_directions(self):
         net = Network(SingleBottleneck(2), PdqStack())
-        net.set_loss("sw0", "recv", 0.02, seed=1)
+        apply_loss(net, [LossRule("sw0", "recv", 0.02, seed=1)])
         fwd = net.link_between("sw0", "recv")
         assert fwd.loss_rate == 0.02
         assert fwd.reverse.loss_rate == 0.02
 
     def test_pdq_completes_under_loss(self):
         net = Network(SingleBottleneck(2), PdqStack())
-        net.set_loss("sw0", "recv", 0.03, seed=2)
+        apply_loss(net, [LossRule("sw0", "recv", 0.03, seed=2)])
         net.launch([FlowSpec(fid=0, src="send0", dst="recv",
                              size_bytes=500 * KBYTE)])
         net.run_until_quiet(deadline=2.0)
@@ -106,7 +107,7 @@ class TestLossInjection:
         def fct_at(loss):
             net = Network(SingleBottleneck(4), PdqStack())
             if loss:
-                net.set_loss("sw0", "recv", loss, seed=3)
+                apply_loss(net, [LossRule("sw0", "recv", loss, seed=3)])
             net.launch([
                 FlowSpec(fid=i, src=f"send{i}", dst="recv",
                          size_bytes=300 * KBYTE)

@@ -8,7 +8,8 @@ import pytest
 
 from repro.campaign import ScenarioSpec, TopologySpec, WorkloadSpec
 from repro.core.stack import PdqStack
-from repro.errors import (FaultError, SimulationError, TopologyError,
+from repro.errors import (CampaignError, FaultError, SimulationError,
+                          TopologyError,
                           WorkloadError)
 from repro.events import PeriodicTimer, Simulator
 from repro.faults.spec import FaultEvent
@@ -224,3 +225,63 @@ class TestNonFiniteInputs:
         topology.graph.edges["send0", "sw0"]["rate_bps"] = math.nan
         with pytest.raises(TopologyError, match="nan"):
             topology.validate()
+
+
+class TestStrictSpecParsing:
+    """A misspelled or missing spec field is an error, not a silently
+    different run."""
+
+    CANONICAL = ScenarioSpec(
+        protocol="PDQ(Full)",
+        topology=TopologySpec("single_rooted", {}),
+        workload=WorkloadSpec("fig3.aggregation", {"n_flows": 2}),
+        sim_deadline=3.0,
+        faults={"events": [{"time": 0.001, "action": "link_down",
+                            "a": "h0", "b": "root"}]},
+    ).canonical()
+
+    def test_canonical_dict_round_trips_to_the_same_key(self):
+        spec = ScenarioSpec.from_dict(self.CANONICAL)
+        assert spec.canonical() == self.CANONICAL
+        assert spec.key == ScenarioSpec.from_dict(spec.canonical()).key
+
+    @pytest.mark.parametrize("typo, fix", [
+        ("fualts", "faults"),
+        ("sim_deadlin", "sim_deadline"),
+        ("protocl", "protocol"),
+    ])
+    def test_misspelled_key_is_rejected_with_a_hint(self, typo, fix):
+        data = dict(self.CANONICAL)
+        data[typo] = data.pop(fix)
+        with pytest.raises(CampaignError,
+                           match=f"'{typo}' \\(did you mean '{fix}'\\?\\)"):
+            ScenarioSpec.from_dict(data)
+
+    @pytest.mark.parametrize("part", ["topology", "workload"])
+    def test_misspelled_nested_key_is_rejected(self, part):
+        data = dict(self.CANONICAL)
+        data[part] = {"kind": data[part]["kind"], "parms": {}}
+        with pytest.raises(CampaignError, match="did you mean 'params'"):
+            ScenarioSpec.from_dict(data)
+
+    @pytest.mark.parametrize("path", [
+        ("protocol",), ("topology",), ("workload",),
+        ("topology", "kind"), ("workload", "kind"),
+    ])
+    def test_missing_required_field_is_named(self, path):
+        data = {k: dict(v) if isinstance(v, dict) else v
+                for k, v in self.CANONICAL.items()}
+        target = data if len(path) == 1 else data[path[0]]
+        del target[path[-1]]
+        with pytest.raises(CampaignError,
+                           match=f"missing required field '{path[-1]}'"):
+            ScenarioSpec.from_dict(data)
+
+    def test_non_mapping_part_is_rejected(self):
+        with pytest.raises(CampaignError, match="must be a mapping"):
+            ScenarioSpec.from_dict({**self.CANONICAL,
+                                    "topology": "single_rooted"})
+        from repro.experiments.api import load_experiment
+
+        with pytest.raises(CampaignError, match="must be a mapping"):
+            load_experiment({"name": "x", "panels": ["oops"]})

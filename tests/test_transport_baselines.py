@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.faults import LossRule, apply_loss
 from repro.net.network import Network
 from repro.net.packet import Packet, PacketKind
 from repro.topology import SingleBottleneck, SingleRootedTree
@@ -25,7 +26,7 @@ class _KeepingTcpStack(TcpStack):
 def run(stack, flows, n_senders=None, deadline=2.0, loss=None):
     net = Network(SingleBottleneck(n_senders or len(flows)), stack)
     if loss:
-        net.set_loss("sw0", "recv", loss, seed=1)
+        apply_loss(net, [LossRule("sw0", "recv", loss, seed=1)])
     net.launch(flows)
     net.run_until_quiet(deadline=deadline)
     return net
