@@ -205,16 +205,14 @@ def _cmd_run_fig(args: argparse.Namespace) -> int:
 def _cmd_run_spec(args: argparse.Namespace) -> int:
     experiment = load_experiment_file(args.file)
     # resolve every registry reference (topologies, workloads, engines,
-    # reducers, metrics, panel runners) before running anything
+    # reducers, metrics) before running anything
     n_scenarios = validate_experiment(experiment)
     title = f" — {experiment.title}" if experiment.title else ""
     print(f"experiment {experiment.name}{title} "
           f"[key {experiment.key[:12]}]")
     if args.dry_run:
         for panel in experiment.panels:
-            if panel.kind == "custom":
-                detail = f"custom runner {panel.runner}"
-            elif panel.kind == "search":
+            if panel.kind == "search":
                 detail = (f"search over {panel.search.axis} x "
                           f"{len(panel.cells())} cell(s), "
                           f"reducer {panel.reducer or 'table'}")

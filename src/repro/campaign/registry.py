@@ -30,7 +30,7 @@ _TOPOLOGIES: dict[str, Callable[..., Any]] = {}
 _WORKLOADS: dict[str, Callable[..., Any]] = {}
 
 #: every module that registers experiment-surface kinds on import —
-#: workloads here, experiments/reducers/panel runners in
+#: workloads here, experiments and reducers in
 #: :mod:`repro.experiments.api`. ONE list shared by both lazy loaders,
 #: so the two registries cannot drift apart when a module is added.
 EXPERIMENT_MODULES = tuple(

@@ -18,7 +18,7 @@ import hashlib
 import itertools
 import json
 from dataclasses import dataclass, field, replace
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from typing import Any
 
 from repro.campaign.engines import engine_kinds
@@ -69,6 +69,25 @@ def _check_fields(what: str, data: Any, allowed: Sequence[str],
             raise CampaignError(f"{what}: missing required field {name!r}")
 
 
+def _mapping(what: str, value: Any) -> dict[str, Any]:
+    """A spec mapping field as a fresh dict; a JSON list or scalar in
+    its place is a spec error, not a ``dict()`` traceback."""
+    if not isinstance(value, Mapping):
+        raise CampaignError(f"{what} must be a mapping, got {value!r}")
+    return dict(value)
+
+
+def _memo(spec: Any, name: str, compute: Callable[[], Any]) -> Any:
+    """``compute()`` once per frozen spec, kept on the instance like
+    ``ScenarioSpec.key``: panel input memos hash the same topology and
+    workload specs on every lookup."""
+    value = spec.__dict__.get(name)
+    if value is None:
+        value = compute()
+        object.__setattr__(spec, name, value)
+    return value
+
+
 @dataclass(frozen=True)
 class TopologySpec:
     """A topology by registered kind name plus constructor parameters."""
@@ -77,14 +96,18 @@ class TopologySpec:
     params: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "params", dict(self.params))
+        object.__setattr__(self, "params", _mapping("topology params",
+                                                    self.params))
 
     def canonical(self) -> dict[str, Any]:
-        return {"kind": self.kind, "params": _plain(self.params)}
+        return _memo(self, "_canonical", lambda: {
+            "kind": self.kind, "params": _plain(self.params)})
 
     def __hash__(self) -> int:
-        # the params dict defeats the generated frozen-dataclass hash
-        return hash(canonical_json(self.canonical()))
+        # the params dict defeats the generated frozen-dataclass hash; the
+        # text is kept, not its hash, which is salted per process
+        return hash(_memo(self, "_text",
+                          lambda: canonical_json(self.canonical())))
 
     def build(self):
         from repro.campaign.registry import build_topology
@@ -109,13 +132,16 @@ class WorkloadSpec:
     params: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "params", dict(self.params))
+        object.__setattr__(self, "params", _mapping("workload params",
+                                                    self.params))
 
     def canonical(self) -> dict[str, Any]:
-        return {"kind": self.kind, "params": _plain(self.params)}
+        return _memo(self, "_canonical", lambda: {
+            "kind": self.kind, "params": _plain(self.params)})
 
     def __hash__(self) -> int:
-        return hash(canonical_json(self.canonical()))
+        return hash(_memo(self, "_text",
+                          lambda: canonical_json(self.canonical())))
 
     def build(self, topology, seed: int):
         from repro.campaign.registry import build_workload
@@ -160,7 +186,10 @@ class ScenarioSpec:
             raise CampaignError("topology must be a TopologySpec")
         if not isinstance(self.workload, WorkloadSpec):
             raise CampaignError("workload must be a WorkloadSpec")
-        object.__setattr__(self, "options", dict(self.options))
+        if type(self.seed) is not int:
+            raise CampaignError(f"seed must be an integer, got {self.seed!r}")
+        object.__setattr__(self, "options",
+                           _mapping("options", self.options))
         if self.faults is not None:
             from repro.faults.spec import canonical_faults
 

@@ -4,9 +4,9 @@ per paper figure.
 :mod:`repro.experiments.api` defines the surface — :class:`Panel`
 (scenario grid + optional search directive + named reducer),
 :class:`Experiment` (an ordered set of panels), and the registries that
-resolve experiments, reducers, and custom panel runners by name. Each
-``figN`` module declares its figure as an Experiment and keeps thin
-``run_*`` wrappers with the historical signatures; user-authored JSON
+resolve experiments and reducers by name. Each ``figN`` module declares
+its figure as an Experiment and keeps thin ``run_*`` wrappers with the
+historical signatures; user-authored JSON
 experiment files load through :func:`load_experiment_file` (the
 ``python -m repro run-spec`` subcommand).
 """
@@ -28,7 +28,6 @@ from repro.experiments.api import (
     load_experiment,
     load_experiment_file,
     register_experiment,
-    register_panel_runner,
     run_experiment,
     run_panel,
     validate_experiment,
@@ -62,7 +61,6 @@ __all__ = [
     "reducer_kinds",
     "register_experiment",
     "register_metric",
-    "register_panel_runner",
     "register_reducer",
     "run_experiment",
     "run_flow_level",

@@ -12,14 +12,14 @@ per-panel curves. This module makes that matrix *data*:
   (see :mod:`repro.experiments.reducers`) that turns the executed
   collectors into the panel's rows;
 * an :class:`Experiment` is an ordered set of panels with metadata;
-* registries resolve experiments (``fig3`` … ``fig12``, ``validate``)
-  and custom panel runners by name, exactly like topology/workload
-  kinds in :mod:`repro.campaign.registry`.
+* a registry resolves experiments (``fig1`` … ``fig12``, ``validate``)
+  by name, exactly like topology/workload kinds in
+  :mod:`repro.campaign.registry`.
 
-Panels that cannot be expressed as a scenario grid (fig 1's analytic
-motivation, fig 6/7's in-run monitors) register a *panel runner* — an
-escape hatch that keeps them on the same Experiment surface with full
-provenance.
+Every panel is a grid or a search. In-run time series (fig 6/7's link
+utilization and per-flow throughput) are declarative probes in the
+spec's ``options`` (:mod:`repro.obs.probes`), and an analytic figure
+(fig 1) is a grid of zero cells whose reducer does the arithmetic.
 
 Experiments canonicalize to sorted-key JSON with a stable SHA-256
 ``key`` (pinned by tests, like scenario keys), load from user-authored
@@ -34,7 +34,7 @@ import hashlib
 import importlib
 import json
 from dataclasses import dataclass, field
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from typing import Any
 
 from repro.campaign.context import run_scenarios
@@ -44,6 +44,7 @@ from repro.campaign.spec import (
     WorkloadSpec,
     _axis_cells,
     _check_fields,
+    _mapping,
     canonical_json,
     expand_cells,
     is_labeled_cell,
@@ -74,6 +75,28 @@ def _axes_tuple(axes: Any) -> tuple[tuple[str, tuple[Any, ...]], ...]:
     return tuple(out)
 
 
+def _sequence(what: str, value: Any) -> Any:
+    """A spec list field; a JSON scalar or object in its place is a
+    spec error, not an iteration traceback."""
+    if isinstance(value, (str, Mapping)) or not isinstance(value, Sequence):
+        raise CampaignError(f"{what} must be a list, got {value!r}")
+    return value
+
+
+def _checked_axes(axes: Any) -> Any:
+    """Reject axes of the wrong JSON shape before :func:`_axes_tuple`
+    normalizes them: a list of ``[name, values]`` pairs (or a mapping)
+    whose values are lists."""
+    pairs = axes.items() if isinstance(axes, Mapping) else _sequence(
+        "axes", axes)
+    for pair in pairs:
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise CampaignError(
+                f"axes entries must be [name, values] pairs, got {pair!r}")
+        _sequence(f"axis {pair[0]!r} values", pair[1])
+    return axes
+
+
 @dataclass(frozen=True)
 class SearchSpec:
     """Declarative "maximal load meeting a target" directive (§5.2.1).
@@ -102,7 +125,10 @@ class SearchSpec:
     require_deadlines: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "seeds", tuple(self.seeds))
+        seeds = tuple(_sequence("search seeds", self.seeds))
+        if not all(type(s) is int for s in seeds):
+            raise CampaignError(f"search seeds must be integers, got {seeds}")
+        object.__setattr__(self, "seeds", seeds)
 
     def canonical(self) -> dict[str, Any]:
         return {
@@ -135,15 +161,12 @@ class Panel:
 
     Exactly one execution shape applies:
 
-    * *grid* — ``base`` + ``axes`` (or explicit ``specs``) expanded into
-      scenarios, executed through the ambient campaign runner, and
-      reduced by the registered ``reducer``;
+    * *grid* — ``base`` + ``axes`` (or explicit ``specs``, possibly
+      none) expanded into scenarios, executed through the ambient
+      campaign runner, and reduced by the registered ``reducer``;
     * *search* — ``base`` + ``axes`` for the outer cells plus a
       :class:`SearchSpec` run per cell; the reducer shapes the found
-      values;
-    * *custom* — a registered panel ``runner`` called with ``params``
-      (for panels that need in-run instrumentation the grid model cannot
-      express).
+      values.
 
     ``exclude`` drops grid cells whose axis display values match any of
     the given mappings (fig 8's "TCP has no flow-level model" hole).
@@ -160,34 +183,20 @@ class Panel:
     search: SearchSpec | None = None
     reducer: str | None = None
     reducer_params: Mapping[str, Any] = field(default_factory=dict)
-    runner: str | None = None
-    params: Mapping[str, Any] = field(default_factory=dict)
     wraps: str = ""
     wraps_kwargs: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "axes", _axes_tuple(self.axes))
+        object.__setattr__(self, "axes", _axes_tuple(_checked_axes(self.axes)))
         if self.specs is not None:
             object.__setattr__(self, "specs", tuple(self.specs))
-        object.__setattr__(self, "exclude",
-                           tuple(dict(e) for e in self.exclude))
-        object.__setattr__(self, "reducer_params", dict(self.reducer_params))
-        object.__setattr__(self, "params", dict(self.params))
+        object.__setattr__(self, "exclude", tuple(
+            _mapping(f"panel {self.name!r} exclude rule", e)
+            for e in _sequence(f"panel {self.name!r} exclude", self.exclude)))
+        object.__setattr__(self, "reducer_params", _mapping(
+            f"panel {self.name!r} reducer_params", self.reducer_params))
         object.__setattr__(self, "wraps_kwargs", dict(self.wraps_kwargs))
-        if self.runner is not None:
-            if (self.base is not None or self.specs is not None
-                    or self.search is not None):
-                raise CampaignError(
-                    f"panel {self.name!r}: a custom runner panel declares "
-                    "no grid or search"
-                )
-            if self.reducer is not None or self.reducer_params:
-                raise CampaignError(
-                    f"panel {self.name!r}: a custom runner returns its "
-                    "result directly; reducer/reducer_params would be "
-                    "silently ignored"
-                )
-        elif self.search is not None:
+        if self.search is not None:
             if self.base is None or self.specs is not None:
                 raise CampaignError(
                     f"panel {self.name!r}: a search panel needs a base "
@@ -195,8 +204,8 @@ class Panel:
                 )
         elif self.base is None and self.specs is None:
             raise CampaignError(
-                f"panel {self.name!r}: declare a grid (base/specs), a "
-                "search, or a custom runner"
+                f"panel {self.name!r}: declare a grid (base/specs) or a "
+                "search"
             )
         if self.exclude:
             if self.specs is not None:
@@ -216,8 +225,6 @@ class Panel:
 
     @property
     def kind(self) -> str:
-        if self.runner is not None:
-            return "custom"
         return "search" if self.search is not None else "grid"
 
     # -- grid expansion -----------------------------------------------------------
@@ -225,10 +232,6 @@ class Panel:
     def cells(self) -> list[tuple[dict[str, Any], ScenarioSpec]]:
         """``(combo, spec)`` grid cells; for search panels these are the
         outer cells the directive runs once per."""
-        if self.runner is not None:
-            raise CampaignError(
-                f"panel {self.name!r} is a custom panel; it has no grid"
-            )
         if self.specs is not None:
             return [({}, spec) for spec in self.specs]
         cells = expand_cells(self.base, dict(self.axes))
@@ -258,8 +261,9 @@ class Panel:
             "search": self.search.canonical() if self.search else None,
             "reducer": self.reducer,
             "reducer_params": dict(self.reducer_params),
-            "runner": self.runner,
-            "params": dict(self.params),
+            # the retired custom-runner slots: every experiment key hashes them
+            "runner": None,
+            "params": {},
         }
 
     @property
@@ -279,6 +283,11 @@ class Panel:
             ("name", "title", "base", "axes", "specs", "exclude",
              "search", "reducer", "reducer_params", "runner", "params"),
         )
+        if data.get("runner") is not None or data.get("params"):
+            raise CampaignError(
+                f"panel {name!r}: custom panel runners are retired; declare "
+                "a grid or a search (in-run series are 'probes' options)"
+            )
         if "name" not in data:
             raise CampaignError("every panel needs a 'name'")
         base = data.get("base")
@@ -289,15 +298,14 @@ class Panel:
             title=data.get("title", ""),
             base=ScenarioSpec.from_dict(base) if base is not None else None,
             axes=data.get("axes", ()),
-            specs=(tuple(ScenarioSpec.from_dict(s) for s in specs)
+            specs=(tuple(ScenarioSpec.from_dict(s)
+                         for s in _sequence("specs", specs))
                    if specs is not None else None),
-            exclude=tuple(data.get("exclude", ())),
+            exclude=data.get("exclude", ()),
             search=(SearchSpec.from_dict(search)
                     if search is not None else None),
             reducer=data.get("reducer"),
             reducer_params=data.get("reducer_params", {}),
-            runner=data.get("runner"),
-            params=data.get("params", {}),
         )
 
 
@@ -360,7 +368,8 @@ class Experiment:
         return cls(
             name=name,
             title=data.get("title", ""),
-            panels=tuple(Panel.from_dict(p) for p in panels),
+            panels=tuple(Panel.from_dict(p)
+                         for p in _sequence("panels", panels)),
             meta=data.get("meta", {}),
         )
 
@@ -373,8 +382,7 @@ class PanelRun:
     """One executed panel, handed to its reducer.
 
     ``rows`` holds ``(combo, spec, collector)`` per grid cell (in grid
-    order); ``found`` holds ``(combo, value)`` per search cell. Custom
-    panels never build a PanelRun.
+    order); ``found`` holds ``(combo, value)`` per search cell.
 
     Reducer contract: a reducer that needs a cell's inputs (an
     omniscient-scheduler row, a normalization by the optimal FCT) reads
@@ -410,6 +418,16 @@ class PanelRun:
         if topology is None:
             topology = self._topologies[spec] = spec.build()
         return topology
+
+    def single_cell(self) -> tuple[ScenarioSpec, MetricsCollector]:
+        """The one ``(spec, collector)`` of a one-cell grid panel."""
+        if len(self.rows) != 1:
+            raise ExperimentError(
+                f"panel {self.panel.name!r} reduces exactly one scenario, "
+                f"its grid has {len(self.rows)}"
+            )
+        _combo, spec, collector = self.rows[0]
+        return spec, collector
 
     def axis_names(self) -> list[str]:
         return [name for name, _ in self.panel.axes]
@@ -494,9 +512,7 @@ def _run_search(panel: Panel) -> PanelRun:
 
 def run_panel(panel: Panel) -> Any:
     """Execute one panel through the ambient campaign runner and return
-    its reduced result (custom panels return their runner's result)."""
-    if panel.runner is not None:
-        return panel_runner(panel.runner)(**dict(panel.params))
+    its reduced result."""
     run = _run_search(panel) if panel.search is not None else _run_grid(panel)
     reducer = get_reducer(panel.reducer or "table")
     return reducer(run, **dict(panel.reducer_params))
@@ -509,7 +525,6 @@ def run_experiment(experiment: Experiment) -> dict[str, Any]:
 
 # -- registries ---------------------------------------------------------------------
 
-_PANEL_RUNNERS: dict[str, Callable[..., Any]] = {}
 _EXPERIMENTS: dict[str, Experiment] = {}
 
 _modules_loaded = False
@@ -530,46 +545,6 @@ def load_experiment_modules() -> None:
     # only after every import succeeded: a transient failure must surface
     # again on the next call, not decay into "unknown kind"
     _modules_loaded = True
-
-
-def register_panel_runner(name: str) -> Callable:
-    """Decorator: register a custom panel runner under ``name``."""
-
-    def decorate(fn: Callable[..., Any]) -> Callable[..., Any]:
-        _PANEL_RUNNERS[name] = fn
-        return fn
-
-    return decorate
-
-
-def panel_runner_kinds() -> list[str]:
-    load_experiment_modules()
-    return sorted(_PANEL_RUNNERS)
-
-
-def panel_runner(name: str) -> Callable[..., Any]:
-    fn = _PANEL_RUNNERS.get(name)
-    if fn is None:
-        load_experiment_modules()
-        fn = _PANEL_RUNNERS.get(name)
-    if fn is None:
-        from repro.campaign.registry import unknown_kind
-
-        raise unknown_kind("panel runner", name, panel_runner_kinds())
-    return fn
-
-
-def bind_runner_params(runner: Callable[..., Any], args: Sequence[Any],
-                       kwargs: Mapping[str, Any]) -> dict[str, Any]:
-    """Map a wrapper call's positional/keyword arguments onto a panel
-    runner's named parameters (``Panel.params`` is a mapping, so custom
-    panels would otherwise lose positional-call compatibility).
-    Unfilled parameters stay absent, leaving the runner's defaults in
-    charge."""
-    import inspect
-
-    bound = inspect.signature(runner).bind_partial(*args, **kwargs)
-    return dict(bound.arguments)
 
 
 def register_experiment(experiment: Experiment) -> Experiment:
@@ -628,22 +603,22 @@ def load_experiment_file(path: str) -> Experiment:
 
 def validate_experiment(experiment: Experiment) -> int:
     """Resolve every name a declared experiment references — reducers,
-    metrics, panel runners, topology/workload/engine kinds — and expand
+    metrics, topology/workload/engine and probe kinds — and expand
     its grids, without executing anything. Returns the number of
     scenarios a (non-search) full run would submit. Raises
     :class:`CampaignError` with a close-match hint on the first unknown
     kind, which makes it the ``run-spec --dry-run`` schema check."""
     from repro.campaign.registry import validate_spec_kinds
+    from repro.obs.probes import validate_probes_option
 
     n_scenarios = 0
     for panel in experiment.panels:
-        if panel.runner is not None:
-            panel_runner(panel.runner)
-            continue
         get_reducer(panel.reducer or "table")
         cells = panel.cells()
         for _combo, spec in cells:
             validate_spec_kinds(spec)
+            if "probes" in spec.options:
+                validate_probes_option(spec.options["probes"])
         if panel.search is not None:
             search = panel.search
             collector_metric(search.metric)

@@ -1,9 +1,9 @@
 """Fig 1: the motivating example.
 
 Three flows (sizes 1/2/3, deadlines 1/4/6) on a unit bottleneck under fair
-sharing, SJF/EDF and D3 with every arrival order. Pure fluid arithmetic —
-no scenario grid — so it registers a custom panel runner on the
-Experiment API surface.
+sharing, SJF/EDF and D3 with every arrival order. Pure fluid arithmetic,
+so the panel is a grid of zero scenarios and its ``fig1.motivation``
+reducer computes every number.
 """
 
 from __future__ import annotations
@@ -14,9 +14,9 @@ from repro.experiments.api import (
     Experiment,
     Panel,
     register_experiment,
-    register_panel_runner,
     run_panel,
 )
+from repro.experiments.reducers import register_reducer
 from repro.sched.fluid import (
     d3_fluid_schedule,
     deadline_misses,
@@ -28,8 +28,8 @@ SIZES = [1.0, 2.0, 3.0]
 DEADLINES = [1.0, 4.0, 6.0]
 
 
-@register_panel_runner("fig1.motivation")
-def _run_motivation() -> dict[str, object]:
+@register_reducer("fig1.motivation")
+def _reduce_motivation(run) -> dict[str, object]:
     fair = fair_sharing_completions(SIZES)
     sjf = serial_completions(SIZES, [0, 1, 2])
     fair_misses = deadline_misses(dict(enumerate(fair)), DEADLINES)
@@ -69,7 +69,8 @@ def fig1_panel() -> Panel:
     return Panel(
         name="fig1",
         title="the motivating example (fluid arithmetic, no simulation)",
-        runner="fig1.motivation",
+        specs=(),
+        reducer="fig1.motivation",
         wraps="repro.experiments.fig1:run",
     )
 

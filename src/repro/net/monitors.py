@@ -1,15 +1,13 @@
 """Time-series monitors for the packet engine.
 
-:class:`LinkMonitor` (utilization and queue occupancy) backs the Fig 6 /
-Fig 7 dynamics experiments; :class:`FlowRateMonitor` samples per-flow
-goodput. Both are also the packet-engine half of the declarative probe
-layer (:mod:`repro.obs.probes`), which makes the same series available
-to any scenario through the ``probes`` spec option.
+:class:`LinkMonitor` samples link utilization and queue occupancy;
+:class:`FlowRateMonitor` samples per-flow goodput. They are the
+packet-engine half of the declarative probe layer
+(:mod:`repro.obs.probes`), which makes both series available to any
+scenario through the ``probes`` spec option (Fig 6 and Fig 7 use it).
 """
 
 from __future__ import annotations
-
-import math
 
 from repro.events.simulator import Simulator
 from repro.events.timers import PeriodicTimer
@@ -19,9 +17,9 @@ from repro.net.link import Link
 class LinkMonitor:
     """Samples a link every ``interval`` seconds.
 
-    Produces two series: ``utilization`` (fraction of the interval the link
-    was transmitting) and ``queue_packets`` / ``queue_bytes`` (instantaneous
-    occupancy at the sample instant).
+    Each sample is ``(t, utilization, queue_packets, queue_bytes)``:
+    the fraction of the interval the link was transmitting, then the
+    instantaneous queue occupancy at the sample instant.
     """
 
     def __init__(self, sim: Simulator, link: Link, interval: float):
@@ -40,9 +38,6 @@ class LinkMonitor:
         self._last_time = self.sim.now
         self._timer.start()
 
-    def stop(self) -> None:
-        self._timer.stop()
-
     def _sample(self) -> None:
         now = self.sim.now
         elapsed = now - self._last_time
@@ -55,30 +50,6 @@ class LinkMonitor:
         )
         self._last_busy = self.link.busy_time
         self._last_time = now
-
-    # -- series accessors -----------------------------------------------------
-
-    @property
-    def utilization(self) -> list[tuple[float, float]]:
-        return [(t, u) for t, u, _, _ in self.samples]
-
-    @property
-    def queue_packets(self) -> list[tuple[float, int]]:
-        return [(t, q) for t, _, q, _ in self.samples]
-
-    @property
-    def queue_bytes(self) -> list[tuple[float, int]]:
-        return [(t, b) for t, _, _, b in self.samples]
-
-    def mean_utilization(self, start: float = 0.0, end: float = math.inf) -> float:
-        window = [u for t, u, _, _ in self.samples if start <= t <= end]
-        if not window:
-            return 0.0
-        return sum(window) / len(window)
-
-    def max_queue_packets(self, start: float = 0.0, end: float = math.inf) -> int:
-        window = [q for t, _, q, _ in self.samples if start <= t <= end]
-        return max(window) if window else 0
 
 
 class FlowRateMonitor:
@@ -108,9 +79,6 @@ class FlowRateMonitor:
             for fid, record in self.collector.records.items()
         }
         self._timer.start()
-
-    def stop(self) -> None:
-        self._timer.stop()
 
     def _sample(self) -> None:
         rates: dict[str, float] = {}

@@ -20,7 +20,6 @@ from repro.errors import RoutingError, TopologyError
 from repro.events.simulator import Simulator
 from repro.metrics.collector import MetricsCollector
 from repro.net.link import Link
-from repro.net.monitors import LinkMonitor
 from repro.net.node import Host, Node, Switch
 from repro.net.routing import Router
 from repro.topology.base import Topology
@@ -163,11 +162,6 @@ class Network:
         return float("inf")
 
     # -- configuration helpers ----------------------------------------------------------
-
-    def monitor(self, a: str, b: str, interval: float) -> LinkMonitor:
-        monitor = LinkMonitor(self.sim, self.link_between(a, b), interval)
-        monitor.start()
-        return monitor
 
     def estimate_rtt(self, fwd_path: tuple[Link, ...],
                      control_bytes: int | None = None) -> float:

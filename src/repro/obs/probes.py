@@ -14,8 +14,8 @@ Probe kinds:
 
 ``link``
     Utilization and queue occupancy of the named directed link, sampled
-    every ``interval`` seconds — the fig6/fig7 ``LinkMonitor`` series,
-    available to any scenario. On the fluid engine utilization is the
+    every ``interval`` seconds (Fig 6 and Fig 7 read their bottleneck
+    series from this probe). On the fluid engine utilization is the
     allocated-rate sum crossing the edge over its capacity and queues
     are identically zero (the fluid model has no queues).
 
@@ -26,7 +26,8 @@ Probe kinds:
 
 Each probe materializes as ``{"kind", "params", "columns", "samples"}``
 under ``collector.probes[name]`` — already JSON-plain, so it round-trips
-through the result store byte-identically. Probes cost nothing unless
+through the result store byte-identically; :func:`probe_series` reads
+one column back as ``(t, value)`` pairs. Probes cost nothing unless
 requested: the engines only consult them when the option is present.
 """
 
@@ -81,6 +82,15 @@ def validate_probes_option(probes: Any) -> dict[str, dict]:
     return out
 
 
+def probe_series(probe: Mapping[str, Any], column: str, start: float = 0.0,
+                 end: float = math.inf) -> list[tuple[float, Any]]:
+    """``(t, value)`` pairs of one column of a materialized probe, for
+    the samples with ``start <= t <= end``."""
+    i = probe["columns"].index(column)
+    return [(row[0], row[i]) for row in probe["samples"]
+            if start <= row[0] <= end]
+
+
 def _result(kind: str, params: Mapping[str, Any], columns: list[str],
             samples: list[list]) -> dict:
     return {
@@ -98,10 +108,13 @@ class PacketLinkProbe:
     """Wraps a :class:`~repro.net.monitors.LinkMonitor` on the named link."""
 
     def __init__(self, net, name: str, params: Mapping[str, Any]):
+        from repro.net.monitors import LinkMonitor
+
         self.name = name
         self.params = params
-        a, b = params["link"]
-        self.monitor = net.monitor(a, b, params["interval"])
+        self.monitor = LinkMonitor(net.sim, net.link_between(*params["link"]),
+                                   params["interval"])
+        self.monitor.start()
 
     def result(self) -> dict:
         return _result("link", self.params, LINK_COLUMNS,

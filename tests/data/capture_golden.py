@@ -60,6 +60,8 @@ GOLDEN_CALLS = {
         "protocols": ("PDQ(Full)", "RCP"), "seeds": (1,),
         "duration": 0.02, "flows_per_second": 1000.0,
     }),
+    # fig 6 and fig 7 are one-cell probe panels: their throughput series
+    # start at the flow_rates probe's second sample
     "fig6": ("repro.experiments.fig6:run_fig6", {
         "n_flows": 2, "flow_size": 100 * KBYTE, "sim_deadline": 0.05,
     }),

@@ -269,7 +269,6 @@ UNKNOWN_KIND_CASES = [
     ("reducer", "tabel", "table"),
     ("metric", "mean_fctt", "mean_fct"),
     ("experiment", "fig33", "fig3"),
-    ("panel runner", "fig6.convergance", "fig6.convergence"),
 ]
 
 
@@ -305,10 +304,8 @@ def test_unknown_kind_hint_across_all_registries(registry, typo, suggestion):
             get_reducer(typo)
         elif registry == "metric":
             collector_metric(typo)
-        elif registry == "experiment":
-            api.get_experiment(typo)
         else:
-            api.panel_runner(typo)
+            api.get_experiment(typo)
 
     with pytest.raises(CampaignError) as err:
         trigger()

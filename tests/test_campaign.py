@@ -153,6 +153,33 @@ class TestScenarioHash:
         with pytest.raises(CampaignError):
             _flow_spec(engine="quantum")
 
+    def test_pickled_spec_hashes_like_a_fresh_one_in_another_process(self):
+        """Topology/workload specs memoize their canonical form; what
+        rides along in a pickle must not carry this process's salted
+        string hash into a worker."""
+        import pickle
+        import subprocess
+        import sys
+
+        import repro
+
+        spec = _flow_spec()
+        hash(spec.topology)  # fill the memos
+        hash(spec.workload)
+        code = (
+            "import pickle, sys\n"
+            "spec = pickle.loads(sys.stdin.buffer.read())\n"
+            "for part in (spec.topology, spec.workload):\n"
+            "    fresh = type(part)(part.kind, part.params)\n"
+            "    assert hash(part) == hash(fresh), part\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = {**os.environ, "PYTHONHASHSEED": "12345", "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", code],
+                              input=pickle.dumps(spec), env=env,
+                              capture_output=True, timeout=60)
+        assert done.returncode == 0, done.stderr.decode()
+
 
 class TestGridExpansion:
     def test_cartesian_product(self):

@@ -38,7 +38,6 @@ from repro.experiments.api import (
     figure_numbers,
     get_experiment,
     load_experiment_file,
-    panel_runner_kinds,
     run_panel,
     validate_experiment,
 )
@@ -254,8 +253,6 @@ class TestPanelGrids:
         with pytest.raises(CampaignError):
             Panel(name="nothing")
         with pytest.raises(CampaignError):
-            Panel(name="both", runner="fig1.motivation", base=_flow_base())
-        with pytest.raises(CampaignError):
             Panel(name="search-needs-base",
                   search=SearchSpec(axis="workload.n_flows"))
 
@@ -270,19 +267,27 @@ class TestPanelGrids:
             Panel(name="p", specs=(_flow_base(),),
                   exclude=({"protocol": "TCP"},))
 
-    def test_custom_panel_rejects_ignored_reducer(self):
-        with pytest.raises(CampaignError, match="silently ignored"):
-            Panel(name="p", runner="fig1.motivation", reducer="series")
-
-    def test_custom_panel_wrappers_accept_positional_args(self):
-        from repro.experiments.fig6 import fig6_panel
+    def test_panel_wrappers_accept_positional_args(self, monkeypatch):
+        from repro.experiments import fig6, fig7
         from repro.experiments.fig9 import fig9b_panel
 
-        assert fig6_panel(2).params == {"n_flows": 2}
+        panels = []
+        monkeypatch.setattr(fig6, "run_panel", panels.append)
+        monkeypatch.setattr(fig7, "run_panel", panels.append)
+        fig6.run_fig6(2, 100 * KBYTE)
+        fig6.run_fig6(n_flows=2, flow_size=100 * KBYTE)
+        fig7.run_fig7(3, 10 * KBYTE)
+        fig7.run_fig7(n_short=3, short_size=10 * KBYTE)
+        keys = [panel.key for panel in panels]
+        assert keys[0] == keys[1] != keys[2] == keys[3]
         assert fig9b_panel((0.0,), ("PDQ(Full)",)).key == fig9b_panel(
             loss_rates=(0.0,), protocols=("PDQ(Full)",)).key
         with pytest.raises(TypeError):
-            fig6_panel(1, 2, 3, 4, 5)  # more args than the runner takes
+            fig6.fig6_panel(1, 2, 3, 4, 5)  # more args than it takes
+
+    def test_retired_panel_runner_field_is_rejected(self):
+        with pytest.raises(CampaignError, match="retired"):
+            Panel.from_dict({"name": "p", "runner": "fig1.motivation"})
 
     def test_duplicate_panel_names_rejected(self):
         panel = Panel(name="p", base=_flow_base(),
@@ -295,6 +300,25 @@ class TestPanelGrids:
 
 
 class TestPanelExecution:
+    def test_probe_panel_is_served_from_the_store(self, tmp_path,
+                                                  monkeypatch):
+        from repro.campaign import engines
+        from repro.experiments.fig7 import fig7_panel
+
+        panel = fig7_panel(n_short=3, short_size=10 * KBYTE,
+                           long_size=200 * KBYTE, sim_deadline=0.1)
+        executed = []
+        real = engines.execute_spec
+        monkeypatch.setattr(engines, "execute_spec",
+                            lambda spec: executed.append(spec) or real(spec))
+        with use_runner(CampaignRunner(store=ResultStore(tmp_path))):
+            cold = run_panel(panel)
+            assert len(executed) == 1
+            warm = run_panel(panel)
+        assert len(executed) == 1
+        assert warm == cold
+        assert cold["short_completed"] == 3
+
     def test_grid_panel_series_reducer(self):
         panel = Panel(
             name="p", base=_flow_base(),
@@ -502,10 +526,10 @@ class TestRegistries:
         with pytest.raises(CampaignError, match="Did you mean 'fig5'"):
             get_experiment("fig55")
 
-    def test_only_in_run_panels_register_runners(self):
-        assert panel_runner_kinds() == [
-            "fig1.motivation", "fig6.convergence", "fig7.burst",
-        ]
+    def test_every_registered_panel_is_grid_or_search(self):
+        kinds = {panel.kind for name in experiment_kinds()
+                 for panel in get_experiment(name).panels}
+        assert kinds == {"grid", "search"}
 
     def test_experiment_registry_unknown(self):
         with pytest.raises(CampaignError, match="registered"):
@@ -603,6 +627,22 @@ class TestRunSpecFiles:
         }))
         assert cli_main(["run-spec", str(bad), "--dry-run"]) == 1
         assert "Did you mean 'series'" in capsys.readouterr().err
+
+    def test_unknown_probe_kind_caught_by_dry_run(self, capsys):
+        data = json.loads((SPECS_DIR / "fig7_burst.json").read_text())
+        data["panels"][0]["base"]["options"]["probes"]["rates"]["kind"] = (
+            "flow_rate")
+        with pytest.raises(ExperimentError, match="unknown kind 'flow_rate'"):
+            validate_experiment(Experiment.from_dict(data))
+
+    def test_probe_reducer_names_a_missing_probe(self):
+        from repro.experiments.fig7 import fig7_panel
+
+        panel = fig7_panel(n_short=1, short_size=10 * KBYTE,
+                           long_size=20 * KBYTE, sim_deadline=0.05)
+        bare = replace(panel, base=panel.base.with_(options={}))
+        with pytest.raises(ExperimentError, match="bottleneck"):
+            run_panel(bare)
 
     def test_not_json_reports_campaign_error(self, tmp_path, capsys):
         bad = tmp_path / "nope.json"

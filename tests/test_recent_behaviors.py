@@ -285,3 +285,38 @@ class TestStrictSpecParsing:
 
         with pytest.raises(CampaignError, match="must be a mapping"):
             load_experiment({"name": "x", "panels": ["oops"]})
+
+    @staticmethod
+    def _panel(**fields) -> dict:
+        base = {
+            "protocol": "RCP",
+            "topology": {"kind": "single_rooted"},
+            "workload": {"kind": "fig3.aggregation",
+                         "params": {"n_flows": 2}},
+            "engine": "flow",
+        }
+        base.update(fields.pop("base", {}))
+        return {"name": "p", "base": base, **fields}
+
+    @pytest.mark.parametrize("panel, field", [
+        ({"axes": 5}, "axes"),
+        ({"axes": [["seed", 3]]}, "axis 'seed' values"),
+        ({"axes": [["seed", [1]]],
+          "search": {"axis": "workload.n_flows", "seeds": 3}},
+         "search seeds"),
+        ({"axes": [["seed", [1]]], "exclude": 5}, "exclude"),
+        ({"base": {"options": [1]}}, "options"),
+        ({"base": {"workload": {"kind": "fig3.aggregation",
+                                "params": [1]}}}, "workload params"),
+        ({"base": {"seed": "one"}}, "seed"),
+    ], ids=["axes-int", "axis-values-int", "search-seeds-int",
+            "exclude-int", "options-list", "params-list", "seed-str"])
+    def test_wrong_json_type_is_a_campaign_error(self, panel, field):
+        """A spec field of the wrong JSON type fails the dry-run with the
+        field's name, not a Python traceback (or, for the seed, not only
+        once a cell runs)."""
+        from repro.experiments.api import load_experiment, validate_experiment
+
+        with pytest.raises(CampaignError, match=field):
+            validate_experiment(load_experiment(
+                {"name": "x", "panels": [self._panel(**panel)]}))
