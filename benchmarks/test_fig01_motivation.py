@@ -3,12 +3,14 @@
 import pytest
 
 from benchmarks.conftest import report
-from repro.experiments.fig1 import run as run_fig1
+from repro.experiments.api import run_panel
+from repro.experiments.fig1 import fig1_panel
 from repro.experiments.tables import format_table
 
 
 def test_fig1_motivation(benchmark, capsys):
-    result = benchmark.pedantic(run_fig1, rounds=1, iterations=1)
+    result = benchmark.pedantic(lambda: run_panel(fig1_panel()),
+                                rounds=1, iterations=1)
 
     rows = [
         ["fair sharing completions", str(result["paper"]["fair_sharing_completions"]),

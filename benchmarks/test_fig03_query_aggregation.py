@@ -10,12 +10,13 @@ at 99 % application throughput.
 import pytest
 
 from benchmarks.conftest import report
+from repro.experiments.api import run_panel
 from repro.experiments.fig3 import (
-    run_fig3a,
-    run_fig3b,
-    run_fig3c,
-    run_fig3d,
-    run_fig3e,
+    fig3a_panel,
+    fig3b_panel,
+    fig3c_panel,
+    fig3d_panel,
+    fig3e_panel,
 )
 from repro.experiments.tables import format_table
 from repro.units import KBYTE, MSEC
@@ -23,7 +24,7 @@ from repro.units import KBYTE, MSEC
 
 def test_fig3a_app_throughput_vs_flows(benchmark, capsys):
     result = benchmark.pedantic(
-        lambda: run_fig3a(flow_counts=(3, 10, 18), seeds=(1, 2)),
+        lambda: run_panel(fig3a_panel(flow_counts=(3, 10, 18), seeds=(1, 2))),
         rounds=1, iterations=1,
     )
     counts = sorted(next(iter(result.values())).keys())
@@ -46,7 +47,7 @@ def test_fig3a_app_throughput_vs_flows(benchmark, capsys):
 def test_fig3b_app_throughput_vs_size(benchmark, capsys):
     sizes = (100 * KBYTE, 250 * KBYTE)
     result = benchmark.pedantic(
-        lambda: run_fig3b(mean_sizes=sizes, seeds=(1, 2)),
+        lambda: run_panel(fig3b_panel(mean_sizes=sizes, seeds=(1, 2))),
         rounds=1, iterations=1,
     )
     rows = [
@@ -65,7 +66,8 @@ def test_fig3b_app_throughput_vs_size(benchmark, capsys):
 def test_fig3c_flows_at_99pct_vs_deadline(benchmark, capsys):
     deadlines = (20 * MSEC, 40 * MSEC)
     result = benchmark.pedantic(
-        lambda: run_fig3c(mean_deadlines=deadlines, seeds=(1,), hi=48),
+        lambda: run_panel(fig3c_panel(mean_deadlines=deadlines, seeds=(1,),
+                                      hi=48)),
         rounds=1, iterations=1,
     )
     rows = [
@@ -91,7 +93,7 @@ def test_fig3c_flows_at_99pct_vs_deadline(benchmark, capsys):
 
 def test_fig3d_fct_vs_flows(benchmark, capsys):
     result = benchmark.pedantic(
-        lambda: run_fig3d(flow_counts=(1, 5, 10), seeds=(1, 2)),
+        lambda: run_panel(fig3d_panel(flow_counts=(1, 5, 10), seeds=(1, 2))),
         rounds=1, iterations=1,
     )
     counts = sorted(next(iter(result.values())).keys())
@@ -111,7 +113,7 @@ def test_fig3d_fct_vs_flows(benchmark, capsys):
 def test_fig3e_fct_vs_size(benchmark, capsys):
     sizes = (100 * KBYTE, 300 * KBYTE)
     result = benchmark.pedantic(
-        lambda: run_fig3e(mean_sizes=sizes, seeds=(1, 2)),
+        lambda: run_panel(fig3e_panel(mean_sizes=sizes, seeds=(1, 2))),
         rounds=1, iterations=1,
     )
     rows = [[name] + [result[name][s] for s in sizes] for name in result]

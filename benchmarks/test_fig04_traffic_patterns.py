@@ -6,7 +6,8 @@ tied) on every pattern, for both the deadline metric and mean FCT.
 """
 
 from benchmarks.conftest import report
-from repro.experiments.fig4 import PATTERNS, run_fig4a, run_fig4b
+from repro.experiments.api import run_panel
+from repro.experiments.fig4 import PATTERNS, fig4a_panel, fig4b_panel
 from repro.experiments.tables import format_table
 
 PROTOCOLS_A = ("PDQ(Full)", "D3", "RCP")
@@ -16,8 +17,9 @@ PROTOCOLS_B = ("PDQ(Full)", "PDQ(Basic)", "RCP", "TCP")
 def test_fig4a_flows_at_99pct_by_pattern(benchmark, capsys):
     patterns = ("Aggregation", "Staggered(0.7)", "RandomPermutation")
     result = benchmark.pedantic(
-        lambda: run_fig4a(patterns=patterns, protocols=PROTOCOLS_A,
-                          seeds=(1,), hi=24),
+        lambda: run_panel(fig4a_panel(patterns=patterns,
+                                      protocols=PROTOCOLS_A, seeds=(1,),
+                                      hi=24)),
         rounds=1, iterations=1,
     )
     rows = [
@@ -37,8 +39,9 @@ def test_fig4a_flows_at_99pct_by_pattern(benchmark, capsys):
 
 def test_fig4b_fct_by_pattern(benchmark, capsys):
     result = benchmark.pedantic(
-        lambda: run_fig4b(patterns=PATTERNS, protocols=PROTOCOLS_B,
-                          seeds=(1,), n_flows=12),
+        lambda: run_panel(fig4b_panel(patterns=PATTERNS,
+                                      protocols=PROTOCOLS_B, seeds=(1,),
+                                      n_flows=12)),
         rounds=1, iterations=1,
     )
     rows = [

@@ -11,7 +11,8 @@ PDQ(Full) is the best protocol on the EDU1-like trace.
 """
 
 from benchmarks.conftest import report
-from repro.experiments.fig5 import run_fig5a, run_fig5b, run_fig5c
+from repro.experiments.api import run_panel
+from repro.experiments.fig5 import fig5a_panel, fig5b_panel, fig5c_panel
 from repro.experiments.tables import format_table
 from repro.units import MSEC
 
@@ -20,9 +21,10 @@ def test_fig5a_sustainable_arrival_rate(benchmark, capsys):
     deadlines = (20 * MSEC,)
     protocols = ("PDQ(Full)", "D3", "RCP", "TCP")
     result = benchmark.pedantic(
-        lambda: run_fig5a(mean_deadlines=deadlines, protocols=protocols,
-                          seeds=(1,), duration=0.03, rate_step=1000,
-                          hi_steps=8),
+        lambda: run_panel(fig5a_panel(mean_deadlines=deadlines,
+                                      protocols=protocols, seeds=(1,),
+                                      duration=0.03, rate_step=1000,
+                                      hi_steps=8)),
         rounds=1, iterations=1,
     )
     rows = [
@@ -49,8 +51,8 @@ def test_fig5a_sustainable_arrival_rate(benchmark, capsys):
 def test_fig5b_long_flow_fct(benchmark, capsys):
     protocols = ("PDQ(Full)", "PDQ(ES)", "RCP", "TCP")
     result = benchmark.pedantic(
-        lambda: run_fig5b(protocols=protocols, seeds=(1,),
-                          rate_per_sec=1500.0, duration=0.02),
+        lambda: run_panel(fig5b_panel(protocols=protocols, seeds=(1,),
+                                      rate_per_sec=1500.0, duration=0.02)),
         rounds=1, iterations=1,
     )
     report(capsys, format_table(
@@ -66,8 +68,9 @@ def test_fig5b_long_flow_fct(benchmark, capsys):
 def test_fig5c_edu1_trace(benchmark, capsys):
     protocols = ("PDQ(Full)", "PDQ(Basic)", "RCP", "TCP")
     result = benchmark.pedantic(
-        lambda: run_fig5c(protocols=protocols, seeds=(1,),
-                          duration=0.04, flows_per_second=1500.0),
+        lambda: run_panel(fig5c_panel(protocols=protocols, seeds=(1,),
+                                      duration=0.04,
+                                      flows_per_second=1500.0)),
         rounds=1, iterations=1,
     )
     report(capsys, format_table(

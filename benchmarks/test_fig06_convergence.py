@@ -3,12 +3,14 @@
 import pytest
 
 from benchmarks.conftest import report
-from repro.experiments.fig6 import run_fig6
+from repro.experiments.api import run_panel
+from repro.experiments.fig6 import fig6_panel
 from repro.experiments.tables import format_table
 
 
 def test_fig6_seamless_switching(benchmark, capsys):
-    result = benchmark.pedantic(run_fig6, rounds=1, iterations=1)
+    result = benchmark.pedantic(lambda: run_panel(fig6_panel()),
+                                rounds=1, iterations=1)
 
     rows = [
         ["total completion time", "~42 ms",

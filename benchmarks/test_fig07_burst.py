@@ -1,12 +1,14 @@
 """Fig 7 bench: robustness to bursty traffic."""
 
 from benchmarks.conftest import report
-from repro.experiments.fig7 import run_fig7
+from repro.experiments.api import run_panel
+from repro.experiments.fig7 import fig7_panel
 from repro.experiments.tables import format_table
 
 
 def test_fig7_burst_preemption(benchmark, capsys):
-    result = benchmark.pedantic(run_fig7, rounds=1, iterations=1)
+    result = benchmark.pedantic(lambda: run_panel(fig7_panel()),
+                                rounds=1, iterations=1)
 
     start, end = result["preemption_period"]
     rows = [

@@ -7,18 +7,20 @@ CDF shows a large fraction of flows >=2x faster under PDQ and few slower.
 """
 
 from benchmarks.conftest import report
+from repro.experiments.api import run_panel
 from repro.experiments.fig8 import (
-    run_fct_vs_size,
-    run_fig8a,
-    run_fig8e,
+    fct_vs_size_panel,
+    fig8a_panel,
+    fig8e_panel,
 )
 from repro.experiments.tables import format_table
 
 
 def test_fig8a_deadline_scale(benchmark, capsys):
     result = benchmark.pedantic(
-        lambda: run_fig8a(sizes=(16,), protocols=("PDQ(Full)", "D3", "RCP"),
-                          levels=("packet", "flow"), seeds=(1,), hi=48),
+        lambda: run_panel(fig8a_panel(
+            sizes=(16,), protocols=("PDQ(Full)", "D3", "RCP"),
+            levels=("packet", "flow"), seeds=(1,), hi=48)),
         rounds=1, iterations=1,
     )
     rows = [[key, series[16]] for key, series in sorted(result.items())]
@@ -34,10 +36,10 @@ def test_fig8a_deadline_scale(benchmark, capsys):
 def test_fig8bcd_fct_across_topologies(benchmark, capsys):
     def run_all():
         return {
-            family: run_fct_vs_size(
+            family: run_panel(fct_vs_size_panel(
                 family, sizes=(16,), protocols=("PDQ(Full)", "RCP"),
                 levels=("packet", "flow"), seeds=(1,), flows_per_server=2,
-            )
+            ))
             for family in ("fattree", "bcube", "jellyfish")
         }
 
@@ -69,7 +71,8 @@ def test_fig8bcd_fct_across_topologies(benchmark, capsys):
 
 def test_fig8e_per_flow_cdf(benchmark, capsys):
     result = benchmark.pedantic(
-        lambda: run_fig8e(n_servers=128, flows_per_server=2, seeds=(1,)),
+        lambda: run_panel(fig8e_panel(n_servers=128, flows_per_server=2,
+                                      seeds=(1,))),
         rounds=1, iterations=1,
     )
     rows = [

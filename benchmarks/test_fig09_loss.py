@@ -6,7 +6,8 @@ more (paper: +44.7 %).
 """
 
 from benchmarks.conftest import report
-from repro.experiments.fig9 import run_fig9a, run_fig9b
+from repro.experiments.api import run_panel
+from repro.experiments.fig9 import fig9a_panel, fig9b_panel
 from repro.experiments.tables import format_table
 
 LOSSES = (0.0, 0.01, 0.03)
@@ -14,7 +15,7 @@ LOSSES = (0.0, 0.01, 0.03)
 
 def test_fig9a_deadline_capacity_under_loss(benchmark, capsys):
     result = benchmark.pedantic(
-        lambda: run_fig9a(loss_rates=LOSSES, seeds=(1,), hi=24),
+        lambda: run_panel(fig9a_panel(loss_rates=LOSSES, seeds=(1,), hi=24)),
         rounds=1, iterations=1,
     )
     rows = [
@@ -32,7 +33,8 @@ def test_fig9a_deadline_capacity_under_loss(benchmark, capsys):
 
 def test_fig9b_fct_under_loss(benchmark, capsys):
     result = benchmark.pedantic(
-        lambda: run_fig9b(loss_rates=LOSSES, seeds=(1, 2), n_flows=8),
+        lambda: run_panel(fig9b_panel(loss_rates=LOSSES, seeds=(1, 2),
+                                      n_flows=8)),
         rounds=1, iterations=1,
     )
     rows = [[p] + [result[p][l] for l in LOSSES] for p in result]

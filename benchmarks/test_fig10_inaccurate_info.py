@@ -1,13 +1,14 @@
 """Fig 10 bench: resilience to inaccurate flow information (flow level)."""
 
 from benchmarks.conftest import report
-from repro.experiments.fig10 import SCHEMES, run_fig10
+from repro.experiments.api import run_panel
+from repro.experiments.fig10 import SCHEMES, fig10_panel
 from repro.experiments.tables import format_table
 
 
 def test_fig10_inaccurate_flow_information(benchmark, capsys):
     result = benchmark.pedantic(
-        lambda: run_fig10(seeds=tuple(range(1, 11))),
+        lambda: run_panel(fig10_panel(seeds=tuple(range(1, 11)))),
         rounds=1, iterations=1,
     )
     rows = []

@@ -6,14 +6,15 @@ potential); more subflows also help the deadline metric.
 """
 
 from benchmarks.conftest import report
-from repro.experiments.fig11 import run_fig11a, run_fig11b, run_fig11c
+from repro.experiments.api import run_panel
+from repro.experiments.fig11 import fig11a_panel, fig11b_panel, fig11c_panel
 from repro.experiments.tables import format_table
 
 
 def test_fig11a_load_sweep(benchmark, capsys):
     loads = (0.25, 1.0)
     result = benchmark.pedantic(
-        lambda: run_fig11a(loads=loads, seeds=(1, 2)),
+        lambda: run_panel(fig11a_panel(loads=loads, seeds=(1, 2))),
         rounds=1, iterations=1,
     )
     rows = [
@@ -34,7 +35,7 @@ def test_fig11a_load_sweep(benchmark, capsys):
 def test_fig11b_subflow_sweep(benchmark, capsys):
     counts = (1, 2, 3, 4, 8)
     result = benchmark.pedantic(
-        lambda: run_fig11b(subflow_counts=counts, seeds=(1,)),
+        lambda: run_panel(fig11b_panel(subflow_counts=counts, seeds=(1,))),
         rounds=1, iterations=1,
     )
     rows = [[k, f"{result[k] * 1e3:.2f} ms"] for k in counts]
@@ -51,7 +52,8 @@ def test_fig11b_subflow_sweep(benchmark, capsys):
 def test_fig11c_deadline_vs_subflows(benchmark, capsys):
     counts = (1, 4)
     result = benchmark.pedantic(
-        lambda: run_fig11c(subflow_counts=counts, seeds=(1,), hi=24),
+        lambda: run_panel(fig11c_panel(subflow_counts=counts, seeds=(1,),
+                                       hi=24)),
         rounds=1, iterations=1,
     )
     rows = [[k, result[k]] for k in counts]

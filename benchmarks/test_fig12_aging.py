@@ -7,7 +7,8 @@ advantage.
 """
 
 from benchmarks.conftest import report
-from repro.experiments.fig12 import run_fig12
+from repro.experiments.api import run_panel
+from repro.experiments.fig12 import fig12_panel
 from repro.experiments.tables import format_table
 
 RATES = (0.0, 2.0, 6.0, 10.0)
@@ -15,7 +16,7 @@ RATES = (0.0, 2.0, 6.0, 10.0)
 
 def test_fig12_aging(benchmark, capsys):
     result = benchmark.pedantic(
-        lambda: run_fig12(aging_rates=RATES, seeds=(1,)),
+        lambda: run_panel(fig12_panel(aging_rates=RATES, seeds=(1,))),
         rounds=1, iterations=1,
     )
     rows = [

@@ -9,7 +9,8 @@ overhead + two-RTT initialization), with only a few packets ever queued.
 Run:  python examples/convergence_timeline.py
 """
 
-from repro.experiments.fig6 import run_fig6
+from repro.experiments.api import run_panel
+from repro.experiments.fig6 import fig6_panel
 from repro.units import MSEC
 
 
@@ -19,12 +20,13 @@ def bar(value: float, scale: float, width: int = 40) -> str:
 
 
 def main() -> None:
-    result = run_fig6()
+    result = run_panel(fig6_panel())
 
     print("Per-flow throughput over time (each row = 1 ms):\n")
     print("time    flow1 flow2 flow3 flow4 flow5   bottleneck utilization")
+    # the throughput series starts at the rate probe's second sample
     for (t, rates), (_, util) in zip(
-        result["throughput_series"], result["utilization_series"],
+        result["throughput_series"], result["utilization_series"][1:],
         strict=True,
     ):
         cells = " ".join(

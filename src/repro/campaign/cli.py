@@ -60,6 +60,7 @@ from repro.campaign.store import ResultStore
 from repro.campaign.context import use_runner
 from repro.errors import CampaignError, ReproError
 from repro.experiments.api import (
+    Experiment,
     Panel,
     figure_numbers,
     get_experiment,
@@ -180,22 +181,39 @@ def _run_panels(panels: Sequence[Panel],
     return results
 
 
+def _run_declared(experiment: Experiment,
+                  args: argparse.Namespace) -> dict | None:
+    """Check a declared experiment and print its key line; then list its
+    panels (``--dry-run``, returns None) or run them (returns results)."""
+    # resolve every registry reference (topologies, workloads, engines,
+    # reducers, metrics) before running anything
+    n_scenarios = validate_experiment(experiment)
+    title = f" — {experiment.title}" if experiment.title else ""
+    print(f"experiment {experiment.name}{title} "
+          f"[key {experiment.key[:12]}]")
+    if not args.dry_run:
+        return _run_panels(experiment.panels, args)
+    for panel in experiment.panels:
+        if panel.kind == "search":
+            detail = (f"search over {panel.search.axis} x "
+                      f"{len(panel.cells())} cell(s), "
+                      f"reducer {panel.reducer or 'table'}")
+        else:
+            detail = (f"{len(panel.expand())} scenario(s), "
+                      f"reducer {panel.reducer or 'table'}")
+        print(f"  {panel.name} [{panel.kind}]: {detail}")
+    print(f"dry run: no scenarios executed "
+          f"({n_scenarios} grid scenario(s) declared)")
+    return None
+
+
 def _cmd_run_fig(args: argparse.Namespace) -> int:
     if args.figure not in figure_numbers():
         known = ", ".join(str(n) for n in figure_numbers())
         print(f"unknown figure {args.figure}; known figures: {known}",
               file=sys.stderr)
         return 2
-    experiment = get_experiment(f"fig{args.figure}")
-    if args.dry_run:
-        print(f"figure {args.figure}: {len(experiment.panels)} panel(s)")
-        for panel in experiment.panels:
-            extra = (f" {dict(panel.wraps_kwargs)}"
-                     if panel.wraps_kwargs else "")
-            print(f"  {panel.name}: {panel.wraps}{extra}")
-        print("dry run: no scenarios executed")
-        return 0
-    _run_panels(experiment.panels, args)
+    _run_declared(get_experiment(f"fig{args.figure}"), args)
     return 0
 
 
@@ -204,27 +222,8 @@ def _cmd_run_fig(args: argparse.Namespace) -> int:
 
 def _cmd_run_spec(args: argparse.Namespace) -> int:
     experiment = load_experiment_file(args.file)
-    # resolve every registry reference (topologies, workloads, engines,
-    # reducers, metrics) before running anything
-    n_scenarios = validate_experiment(experiment)
-    title = f" — {experiment.title}" if experiment.title else ""
-    print(f"experiment {experiment.name}{title} "
-          f"[key {experiment.key[:12]}]")
-    if args.dry_run:
-        for panel in experiment.panels:
-            if panel.kind == "search":
-                detail = (f"search over {panel.search.axis} x "
-                          f"{len(panel.cells())} cell(s), "
-                          f"reducer {panel.reducer or 'table'}")
-            else:
-                detail = (f"{len(panel.expand())} scenario(s), "
-                          f"reducer {panel.reducer or 'table'}")
-            print(f"  {panel.name} [{panel.kind}]: {detail}")
-        print(f"dry run: no scenarios executed "
-              f"({n_scenarios} grid scenario(s) declared)")
-        return 0
-    results = _run_panels(experiment.panels, args)
-    if args.out:
+    results = _run_declared(experiment, args)
+    if results is not None and args.out:
         payload = {
             "schema": 1,
             "experiment": experiment.name,

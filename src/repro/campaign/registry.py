@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import difflib
 import importlib
+import inspect
 from collections.abc import Callable, Mapping, Sequence
 from typing import Any
 
@@ -110,17 +111,32 @@ def build_workload(kind: str, topology, seed: int,
     return builder(topology, seed, **params)
 
 
+def _bind(what: str, kind: str, builder: Callable, *args: Any,
+          **params: Any) -> None:
+    try:
+        inspect.signature(builder).bind(*args, **params)
+    except TypeError as exc:
+        raise CampaignError(f"{what} kind {kind!r}: {exc}") from None
+
+
 def validate_spec_kinds(spec) -> None:
     """Check a :class:`~repro.campaign.spec.ScenarioSpec`'s topology and
-    workload kinds against the live registries without building anything
-    (the spec's engine is already validated at construction). Raises the
-    same close-match :class:`CampaignError` the builders would."""
-    if spec.topology.kind not in _TOPOLOGIES:
+    workload kinds against the live registries, and bind their ``params``
+    to the builders' signatures, without building anything (the spec's
+    engine is already validated at construction). Raises the same
+    close-match :class:`CampaignError` the builders would, and one
+    naming the kind and the parameter for a missing or unknown one."""
+    topology = _TOPOLOGIES.get(spec.topology.kind)
+    if topology is None:
         raise unknown_kind("topology", spec.topology.kind, topology_kinds())
     if spec.workload.kind not in _WORKLOADS:
         _load_experiment_workloads()
-    if spec.workload.kind not in _WORKLOADS:
+    workload = _WORKLOADS.get(spec.workload.kind)
+    if workload is None:
         raise unknown_kind("workload", spec.workload.kind, workload_kinds())
+    _bind("topology", spec.topology.kind, topology, **spec.topology.params)
+    _bind("workload", spec.workload.kind, workload, None, spec.seed,
+          **spec.workload.params)
 
 
 # -- builtin topology kinds ---------------------------------------------------------

@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import dataclass, field, replace
 from collections.abc import Callable, Mapping, Sequence
 from typing import Any
@@ -75,6 +76,15 @@ def _mapping(what: str, value: Any) -> dict[str, Any]:
     if not isinstance(value, Mapping):
         raise CampaignError(f"{what} must be a mapping, got {value!r}")
     return dict(value)
+
+
+def _number(what: str, value: Any) -> None:
+    """Check a spec number field: a finite int or float, never coerced
+    (keys hash it as given). A bool, a JSON string or a NaN in its place
+    is a spec error, not a ``TypeError`` once a cell runs."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise CampaignError(f"{what} must be a finite number, got {value!r}")
 
 
 def _memo(spec: Any, name: str, compute: Callable[[], Any]) -> Any:
@@ -188,6 +198,8 @@ class ScenarioSpec:
             raise CampaignError("workload must be a WorkloadSpec")
         if type(self.seed) is not int:
             raise CampaignError(f"seed must be an integer, got {self.seed!r}")
+        if self.sim_deadline is not None:
+            _number("sim_deadline", self.sim_deadline)
         object.__setattr__(self, "options",
                            _mapping("options", self.options))
         if self.faults is not None:

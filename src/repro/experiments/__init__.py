@@ -5,10 +5,10 @@ per paper figure.
 (scenario grid + optional search directive + named reducer),
 :class:`Experiment` (an ordered set of panels), and the registries that
 resolve experiments and reducers by name. Each ``figN`` module declares
-its figure as an Experiment and keeps thin ``run_*`` wrappers with the
-historical signatures; user-authored JSON
-experiment files load through :func:`load_experiment_file` (the
-``python -m repro run-spec`` subcommand).
+its figure as an Experiment of panel builders (``figNx_panel(...)``,
+run with :func:`run_panel`); user-authored JSON experiment files load
+through :func:`load_experiment_file` (the ``python -m repro run-spec``
+subcommand).
 """
 
 from repro.campaign.engines import (

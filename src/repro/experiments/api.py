@@ -45,6 +45,7 @@ from repro.campaign.spec import (
     _axis_cells,
     _check_fields,
     _mapping,
+    _number,
     canonical_json,
     expand_cells,
     is_labeled_cell,
@@ -129,6 +130,20 @@ class SearchSpec:
         if not all(type(s) is int for s in seeds):
             raise CampaignError(f"search seeds must be integers, got {seeds}")
         object.__setattr__(self, "seeds", seeds)
+        if not isinstance(self.axis, str):
+            raise CampaignError(
+                f"search axis must be a string, got {self.axis!r}")
+        for name in ("lo", "hi"):
+            if type(getattr(self, name)) is not int:
+                raise CampaignError(f"search {name} must be an integer, "
+                                    f"got {getattr(self, name)!r}")
+        for name in ("grow", "require_deadlines"):
+            if type(getattr(self, name)) is not bool:
+                raise CampaignError(f"search {name} must be true or false, "
+                                    f"got {getattr(self, name)!r}")
+        _number("search target", self.target)
+        if self.scale is not None:
+            _number("search scale", self.scale)
 
     def canonical(self) -> dict[str, Any]:
         return {
@@ -170,8 +185,6 @@ class Panel:
 
     ``exclude`` drops grid cells whose axis display values match any of
     the given mappings (fig 8's "TCP has no flow-level model" hole).
-    ``wraps``/``wraps_kwargs`` record the public wrapper function for
-    provenance and CLI listings; they do not affect the content hash.
     """
 
     name: str
@@ -183,8 +196,6 @@ class Panel:
     search: SearchSpec | None = None
     reducer: str | None = None
     reducer_params: Mapping[str, Any] = field(default_factory=dict)
-    wraps: str = ""
-    wraps_kwargs: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "axes", _axes_tuple(_checked_axes(self.axes)))
@@ -195,7 +206,6 @@ class Panel:
             for e in _sequence(f"panel {self.name!r} exclude", self.exclude)))
         object.__setattr__(self, "reducer_params", _mapping(
             f"panel {self.name!r} reducer_params", self.reducer_params))
-        object.__setattr__(self, "wraps_kwargs", dict(self.wraps_kwargs))
         if self.search is not None:
             if self.base is None or self.specs is not None:
                 raise CampaignError(
@@ -614,20 +624,21 @@ def validate_experiment(experiment: Experiment) -> int:
     n_scenarios = 0
     for panel in experiment.panels:
         get_reducer(panel.reducer or "table")
+        search = panel.search
+        if search is not None:
+            collector_metric(search.metric)
+            probe = search.lo if search.scale is None \
+                else search.lo * search.scale
         cells = panel.cells()
         for _combo, spec in cells:
+            if search is not None:
+                # a search cell runs with its axis set (which also proves
+                # the axis assignable): check the spec it runs
+                spec = spec.with_(seed=search.seeds[0],
+                                  **{search.axis: probe})
             validate_spec_kinds(spec)
             if "probes" in spec.options:
                 validate_probes_option(spec.options["probes"])
-        if panel.search is not None:
-            search = panel.search
-            collector_metric(search.metric)
-            if cells:
-                probe = search.lo if search.scale is None \
-                    else search.lo * search.scale
-                # prove the search axis is assignable on this grid
-                cells[0][1].with_(seed=search.seeds[0],
-                                  **{search.axis: probe})
-        else:
+        if search is None:
             n_scenarios += len(cells)
     return n_scenarios

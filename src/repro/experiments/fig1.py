@@ -14,7 +14,6 @@ from repro.experiments.api import (
     Experiment,
     Panel,
     register_experiment,
-    run_panel,
 )
 from repro.experiments.reducers import register_reducer
 from repro.sched.fluid import (
@@ -66,18 +65,13 @@ def _reduce_motivation(run) -> dict[str, object]:
 
 
 def fig1_panel() -> Panel:
+    """Regenerate every number quoted in §2.1."""
     return Panel(
         name="fig1",
         title="the motivating example (fluid arithmetic, no simulation)",
         specs=(),
         reducer="fig1.motivation",
-        wraps="repro.experiments.fig1:run",
     )
-
-
-def run() -> dict[str, object]:
-    """Regenerate every number quoted in §2.1."""
-    return run_panel(fig1_panel())
 
 
 register_experiment(Experiment(

@@ -27,7 +27,6 @@ from repro.experiments.api import (
     Experiment,
     Panel,
     register_experiment,
-    run_panel,
 )
 from repro.units import KBYTE
 from repro.utils.rng import spawn_rng
@@ -84,6 +83,7 @@ def fig10_panel(distributions: Sequence[str] = ("uniform", "pareto"),
                 seeds: Sequence[int] = tuple(range(1, 9)),
                 n_flows: int = 10,
                 mean_size: float = 100 * KBYTE) -> Panel:
+    """Mean FCT (seconds) per scheme per size distribution."""
     return Panel(
         name="fig10",
         title="mean FCT per scheme under inaccurate flow information",
@@ -103,13 +103,7 @@ def fig10_panel(distributions: Sequence[str] = ("uniform", "pareto"),
         reducer="series",
         reducer_params={"series": "workload.dist", "x": "scheme",
                         "metric": "mean_fct"},
-        wraps="repro.experiments.fig10:run_fig10",
     )
-
-
-def run_fig10(*args, **kwargs) -> dict[str, dict[str, float]]:
-    """Mean FCT (seconds) per scheme per size distribution."""
-    return run_panel(fig10_panel(*args, **kwargs))
 
 
 register_experiment(Experiment(

@@ -24,7 +24,6 @@ from repro.experiments.api import (
     Panel,
     SearchSpec,
     register_experiment,
-    run_panel,
 )
 from repro.topology.bcube import BCube
 from repro.units import KBYTE, MSEC
@@ -107,6 +106,7 @@ def fig11a_panel(loads: Sequence[float] = (0.25, 0.5, 1.0),
                  seeds: Sequence[int] = (1, 2),
                  mean_size: float = 1000 * KBYTE,
                  n_subflows: int = 3) -> Panel:
+    """Mean FCT (seconds) vs load for PDQ and M-PDQ."""
     return Panel(
         name="fig11a",
         title="mean FCT vs load: PDQ vs M-PDQ",
@@ -128,13 +128,14 @@ def fig11a_panel(loads: Sequence[float] = (0.25, 0.5, 1.0),
         reducer="series",
         reducer_params={"series": "scheme", "x": "workload.load",
                         "metric": "mean_fct"},
-        wraps="repro.experiments.fig11:run_fig11a",
     )
 
 
 def fig11b_panel(subflow_counts: Sequence[int] = (1, 2, 3, 4, 6, 8),
                  seeds: Sequence[int] = (1, 2),
                  mean_size: float = 1000 * KBYTE) -> Panel:
+    """Mean FCT (seconds) vs number of subflows at 100 % load; 1 subflow
+    means single-path PDQ."""
     return Panel(
         name="fig11b",
         title="mean FCT vs number of subflows at full load",
@@ -153,7 +154,6 @@ def fig11b_panel(subflow_counts: Sequence[int] = (1, 2, 3, 4, 6, 8),
               ("seed", tuple(seeds))),
         reducer="series",
         reducer_params={"x": "subflows", "metric": "mean_fct"},
-        wraps="repro.experiments.fig11:run_fig11b",
     )
 
 
@@ -163,6 +163,7 @@ def fig11c_panel(subflow_counts: Sequence[int] = (1, 2, 4),
                  mean_deadline: float = 30 * MSEC,
                  target: float = 0.99,
                  hi: int = 32) -> Panel:
+    """Max deadline flows at 99 % application throughput vs subflows."""
     # the flow count is swept by running multiple permutation rounds over
     # a random host subset (more flows than hosts reuse senders)
     return Panel(
@@ -186,24 +187,7 @@ def fig11c_panel(subflow_counts: Sequence[int] = (1, 2, 4),
                           seeds=tuple(seeds), hi=hi),
         reducer="series",
         reducer_params={"x": "subflows"},
-        wraps="repro.experiments.fig11:run_fig11c",
     )
-
-
-def run_fig11a(*args, **kwargs) -> dict[str, dict[float, float]]:
-    """Mean FCT (seconds) vs load for PDQ and M-PDQ."""
-    return run_panel(fig11a_panel(*args, **kwargs))
-
-
-def run_fig11b(*args, **kwargs) -> dict[int, float]:
-    """Mean FCT (seconds) vs number of subflows at 100 % load; 1 subflow
-    means single-path PDQ."""
-    return run_panel(fig11b_panel(*args, **kwargs))
-
-
-def run_fig11c(*args, **kwargs) -> dict[int, int]:
-    """Max deadline flows at 99 % application throughput vs subflows."""
-    return run_panel(fig11c_panel(*args, **kwargs))
 
 
 register_experiment(Experiment(

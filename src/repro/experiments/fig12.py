@@ -32,7 +32,6 @@ from repro.experiments.api import (
     Experiment,
     Panel,
     register_experiment,
-    run_panel,
 )
 from repro.experiments.fig8 import topology_for
 from repro.experiments.reducers import register_reducer
@@ -104,6 +103,7 @@ def fig12_panel(aging_rates: Sequence[float] = (0.0, 2.0, 6.0, 10.0),
                 load: float = 0.85,
                 mean_size: float = 100 * KBYTE,
                 aging_time_unit: float = 0.01) -> Panel:
+    """Max and mean FCT (seconds) vs aging rate, plus RCP references."""
     variant_axis = (("RCP", {"protocol": "RCP"}),) + tuple(
         (alpha, {"protocol": "PDQ(Full)",
                  "options.aging_rate": alpha,
@@ -126,13 +126,7 @@ def fig12_panel(aging_rates: Sequence[float] = (0.0, 2.0, 6.0, 10.0),
         ),
         axes=(("variant", variant_axis), ("seed", tuple(seeds))),
         reducer="fig12.aging_table",
-        wraps="repro.experiments.fig12:run_fig12",
     )
-
-
-def run_fig12(*args, **kwargs) -> dict[str, dict[float, float]]:
-    """Max and mean FCT (seconds) vs aging rate, plus RCP references."""
-    return run_panel(fig12_panel(*args, **kwargs))
 
 
 register_experiment(Experiment(

@@ -9,8 +9,7 @@
 Paper scale: flows up to 25, sizes 100-350 KB, deadlines 20-60 ms, many
 seeds. Benchmarks run reduced sweeps; every panel builder takes the full
 ranges. Each panel is declared through the Experiment API
-(:mod:`repro.experiments.api`); the ``run_fig3*`` functions are thin
-wrappers kept for their historical signatures.
+(:mod:`repro.experiments.api`): ``run_panel(fig3a_panel(...))`` runs one.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from repro.experiments.api import (
     Panel,
     SearchSpec,
     register_experiment,
-    run_panel,
 )
 from repro.experiments.reducers import register_reducer
 from repro.experiments.search import binary_search_max
@@ -174,6 +172,7 @@ def fig3a_panel(flow_counts: Sequence[int] = (3, 10, 18),
                 seeds: Sequence[int] = (1, 2),
                 mean_size: float = 100 * KBYTE,
                 mean_deadline: float = 20 * MSEC) -> Panel:
+    """Application throughput [0..1] per protocol per flow count."""
     return Panel(
         name="fig3a",
         title="application throughput vs number of deadline flows",
@@ -183,7 +182,6 @@ def fig3a_panel(flow_counts: Sequence[int] = (3, 10, 18),
               ("seed", tuple(seeds))),
         reducer="fig3.app_tput_table",
         reducer_params={"x": "workload.n_flows"},
-        wraps="repro.experiments.fig3:run_fig3a",
     )
 
 
@@ -193,6 +191,7 @@ def fig3b_panel(mean_sizes: Sequence[float] = (100 * KBYTE, 200 * KBYTE,
                 seeds: Sequence[int] = (1, 2),
                 n_flows: int = 3,
                 mean_deadline: float = 20 * MSEC) -> Panel:
+    """Application throughput per protocol per mean flow size (3 flows)."""
     return Panel(
         name="fig3b",
         title="application throughput vs mean flow size",
@@ -202,7 +201,6 @@ def fig3b_panel(mean_sizes: Sequence[float] = (100 * KBYTE, 200 * KBYTE,
               ("seed", tuple(seeds))),
         reducer="fig3.app_tput_table",
         reducer_params={"x": "workload.mean_size"},
-        wraps="repro.experiments.fig3:run_fig3b",
     )
 
 
@@ -212,6 +210,7 @@ def fig3c_panel(mean_deadlines: Sequence[float] = (20 * MSEC, 40 * MSEC),
                 mean_size: float = 100 * KBYTE,
                 target: float = 0.99,
                 hi: int = 48) -> Panel:
+    """Max number of flows at >= 99 % application throughput."""
     return Panel(
         name="fig3c",
         title="max flows at 99 % application throughput vs mean deadline",
@@ -222,7 +221,6 @@ def fig3c_panel(mean_deadlines: Sequence[float] = (20 * MSEC, 40 * MSEC),
                           metric="application_throughput",
                           seeds=tuple(seeds), hi=hi),
         reducer="fig3.flows_at_target",
-        wraps="repro.experiments.fig3:run_fig3c",
     )
 
 
@@ -231,6 +229,7 @@ def fig3d_panel(flow_counts: Sequence[int] = (1, 5, 10),
                                             "PDQ(Basic)", "RCP", "TCP"),
                 seeds: Sequence[int] = (1, 2),
                 mean_size: float = 100 * KBYTE) -> Panel:
+    """Mean FCT normalized to the omniscient optimal, no deadlines."""
     return Panel(
         name="fig3d",
         title="mean FCT normalized to optimal vs number of flows",
@@ -240,7 +239,6 @@ def fig3d_panel(flow_counts: Sequence[int] = (1, 5, 10),
               ("seed", tuple(seeds))),
         reducer="fig3.norm_fct_table",
         reducer_params={"x": "workload.n_flows"},
-        wraps="repro.experiments.fig3:run_fig3d",
     )
 
 
@@ -250,6 +248,7 @@ def fig3e_panel(mean_sizes: Sequence[float] = (100 * KBYTE, 200 * KBYTE,
                                             "PDQ(Basic)", "RCP", "TCP"),
                 seeds: Sequence[int] = (1, 2),
                 n_flows: int = 3) -> Panel:
+    """Mean FCT normalized to optimal vs mean flow size (3 flows)."""
     return Panel(
         name="fig3e",
         title="mean FCT normalized to optimal vs mean flow size",
@@ -259,36 +258,7 @@ def fig3e_panel(mean_sizes: Sequence[float] = (100 * KBYTE, 200 * KBYTE,
               ("seed", tuple(seeds))),
         reducer="fig3.norm_fct_table",
         reducer_params={"x": "workload.mean_size"},
-        wraps="repro.experiments.fig3:run_fig3e",
     )
-
-
-# -- public wrappers (historical signatures) --------------------------------------
-
-
-def run_fig3a(*args, **kwargs):
-    """Application throughput [0..1] per protocol per flow count."""
-    return run_panel(fig3a_panel(*args, **kwargs))
-
-
-def run_fig3b(*args, **kwargs):
-    """Application throughput per protocol per mean flow size (3 flows)."""
-    return run_panel(fig3b_panel(*args, **kwargs))
-
-
-def run_fig3c(*args, **kwargs):
-    """Max number of flows at >= 99 % application throughput."""
-    return run_panel(fig3c_panel(*args, **kwargs))
-
-
-def run_fig3d(*args, **kwargs):
-    """Mean FCT normalized to the omniscient optimal, no deadlines."""
-    return run_panel(fig3d_panel(*args, **kwargs))
-
-
-def run_fig3e(*args, **kwargs):
-    """Mean FCT normalized to optimal vs mean flow size (3 flows)."""
-    return run_panel(fig3e_panel(*args, **kwargs))
 
 
 register_experiment(Experiment(

@@ -6,8 +6,7 @@
 
 Patterns: Aggregation, Stride(1), Stride(N/2), Staggered Prob(0.7),
 Staggered Prob(0.3), Random Permutation. Both panels are declared
-through the Experiment API; ``run_fig4a``/``run_fig4b`` are thin
-wrappers kept for their historical signatures.
+through the Experiment API: ``run_panel(fig4a_panel(...))`` runs one.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from repro.experiments.api import (
     Panel,
     SearchSpec,
     register_experiment,
-    run_panel,
 )
 from repro.experiments.reducers import normalize, register_reducer
 from repro.topology.single_rooted import SingleRootedTree
@@ -138,6 +136,7 @@ def fig4a_panel(patterns: Sequence[str] = PATTERNS,
                 mean_deadline: float = 20 * MSEC,
                 target: float = 0.99,
                 hi: int = 32) -> Panel:
+    """Normalized max flows at 99 % application throughput."""
     return Panel(
         name="fig4a",
         title="normalized max flows at 99 % application throughput",
@@ -148,7 +147,6 @@ def fig4a_panel(patterns: Sequence[str] = PATTERNS,
                           metric="application_throughput",
                           seeds=tuple(seeds), hi=hi),
         reducer="fig4.normalized",
-        wraps="repro.experiments.fig4:run_fig4a",
     )
 
 
@@ -156,6 +154,7 @@ def fig4b_panel(patterns: Sequence[str] = PATTERNS,
                 protocols: Sequence[str] = DEFAULT_PROTOCOLS,
                 seeds: Sequence[int] = (1, 2),
                 n_flows: int = 12) -> Panel:
+    """Mean FCT normalized to PDQ(Full), deadline-unconstrained."""
     return Panel(
         name="fig4b",
         title="mean FCT normalized to PDQ(Full), no deadlines",
@@ -165,18 +164,7 @@ def fig4b_panel(patterns: Sequence[str] = PATTERNS,
               ("seed", tuple(seeds))),
         reducer="fig4.normalized",
         reducer_params={"metric": "mean_fct"},
-        wraps="repro.experiments.fig4:run_fig4b",
     )
-
-
-def run_fig4a(*args, **kwargs):
-    """Normalized max flows at 99 % application throughput."""
-    return run_panel(fig4a_panel(*args, **kwargs))
-
-
-def run_fig4b(*args, **kwargs):
-    """Mean FCT normalized to PDQ(Full), deadline-unconstrained."""
-    return run_panel(fig4b_panel(*args, **kwargs))
 
 
 register_experiment(Experiment(

@@ -6,9 +6,8 @@
 (c) EDU1-like workload (synthetic trace -> Bro-like summaries): FCT
     normalized to PDQ(Full)
 
-All three panels are declared through the Experiment API; the
-``run_fig5*`` functions are thin wrappers kept for their historical
-signatures.
+All three panels are declared through the Experiment API:
+``run_panel(fig5a_panel(...))`` runs one.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from repro.experiments.api import (
     Panel,
     SearchSpec,
     register_experiment,
-    run_panel,
 )
 from repro.experiments.reducers import normalize, register_reducer
 from repro.topology.single_rooted import SingleRootedTree
@@ -129,6 +127,8 @@ def fig5a_panel(mean_deadlines: Sequence[float] = (20 * MSEC, 40 * MSEC),
                 rate_step: float = 1000.0,
                 hi_steps: int = 10,
                 target: float = 0.99) -> Panel:
+    """Sustainable arrival rate (flows/sec) at 99 % application
+    throughput of the deadline-constrained short flows."""
     # the search is capped at hi_steps * rate_step (grow=False): the
     # offered load already far exceeds the fabric there. A probe whose
     # workload draws no deadline flow passes trivially
@@ -148,7 +148,6 @@ def fig5a_panel(mean_deadlines: Sequence[float] = (20 * MSEC, 40 * MSEC),
         reducer="series",
         reducer_params={"series": "protocol",
                         "x": "workload.mean_deadline"},
-        wraps="repro.experiments.fig5:run_fig5a",
     )
 
 
@@ -157,6 +156,7 @@ def fig5b_panel(protocols: Sequence[str] = DEFAULT_PROTOCOLS,
                 rate_per_sec: float = 2000.0,
                 duration: float = 0.03,
                 long_cutoff: int = 100 * KBYTE) -> Panel:
+    """Long-flow mean FCT normalized to PDQ(Full) under the VL2 mix."""
     return Panel(
         name="fig5b",
         title="long-flow FCT normalized to PDQ(Full) under the VL2 mix",
@@ -164,7 +164,6 @@ def fig5b_panel(protocols: Sequence[str] = DEFAULT_PROTOCOLS,
         axes=(("protocol", tuple(protocols)), ("seed", tuple(seeds))),
         reducer="fig5.long_fct",
         reducer_params={"long_cutoff": long_cutoff},
-        wraps="repro.experiments.fig5:run_fig5b",
     )
 
 
@@ -172,6 +171,7 @@ def fig5c_panel(protocols: Sequence[str] = DEFAULT_PROTOCOLS,
                 seeds: Sequence[int] = (1, 2),
                 duration: float = 0.05,
                 flows_per_second: float = 2000.0) -> Panel:
+    """EDU1-like trace-driven workload: mean FCT normalized to PDQ(Full)."""
     return Panel(
         name="fig5c",
         title="EDU1-like trace workload: FCT normalized to PDQ(Full)",
@@ -189,24 +189,7 @@ def fig5c_panel(protocols: Sequence[str] = DEFAULT_PROTOCOLS,
         reducer="series",
         reducer_params={"x": "protocol", "metric": "mean_fct",
                         "normalize_to": "PDQ(Full)"},
-        wraps="repro.experiments.fig5:run_fig5c",
     )
-
-
-def run_fig5a(*args, **kwargs):
-    """Sustainable arrival rate (flows/sec) at 99 % application
-    throughput of the deadline-constrained short flows."""
-    return run_panel(fig5a_panel(*args, **kwargs))
-
-
-def run_fig5b(*args, **kwargs):
-    """Long-flow mean FCT normalized to PDQ(Full) under the VL2 mix."""
-    return run_panel(fig5b_panel(*args, **kwargs))
-
-
-def run_fig5c(*args, **kwargs):
-    """EDU1-like trace-driven workload: mean FCT normalized to PDQ(Full)."""
-    return run_panel(fig5c_panel(*args, **kwargs))
 
 
 register_experiment(Experiment(

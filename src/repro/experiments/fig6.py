@@ -24,7 +24,6 @@ from repro.experiments.api import (
     Experiment,
     Panel,
     register_experiment,
-    run_panel,
 )
 from repro.experiments.reducers import register_reducer
 from repro.obs.probes import probe_series
@@ -116,6 +115,8 @@ def _reduce_convergence(run) -> dict[str, object]:
 def fig6_panel(n_flows: int = 5, flow_size: int = 1 * MBYTE,
                sample_interval: float = 1 * MSEC,
                sim_deadline: float = 0.2) -> Panel:
+    """Per-flow throughput series, utilization/queue series and the
+    headline summary values."""
     return Panel(
         name="fig6",
         title="convergence dynamics: seamless flow switching",
@@ -126,14 +127,7 @@ def fig6_panel(n_flows: int = 5, flow_size: int = 1 * MBYTE,
             sim_deadline=sim_deadline,
         ),
         reducer="fig6.convergence",
-        wraps="repro.experiments.fig6:run_fig6",
     )
-
-
-def run_fig6(*args, **params) -> dict[str, object]:
-    """Returns per-flow throughput series, utilization/queue series and
-    the headline summary values."""
-    return run_panel(fig6_panel(*args, **params))
 
 
 register_experiment(Experiment(

@@ -17,7 +17,6 @@ from repro.experiments.api import (
     Experiment,
     Panel,
     register_experiment,
-    run_panel,
 )
 from repro.experiments.fig6 import dynamics_probes, dynamics_spec
 from repro.experiments.reducers import register_reducer
@@ -91,6 +90,8 @@ def fig7_panel(n_short: int = 50, short_size: int = 20 * KBYTE,
                long_size: int = 6 * MBYTE, burst_at: float = BURST_AT,
                sample_interval: float = 1 * MSEC, sim_deadline: float = 0.3,
                seed: int = 1) -> Panel:
+    """Long-flow FCT and throughput series, bottleneck utilization and
+    queue series, and the preemption-period summary values."""
     return Panel(
         name="fig7",
         title="robustness to bursty traffic",
@@ -103,12 +104,7 @@ def fig7_panel(n_short: int = 50, short_size: int = 20 * KBYTE,
             sample_interval=sample_interval, sim_deadline=sim_deadline,
         ),
         reducer="fig7.burst",
-        wraps="repro.experiments.fig7:run_fig7",
     )
-
-
-def run_fig7(*args, **params) -> dict[str, object]:
-    return run_panel(fig7_panel(*args, **params))
 
 
 register_experiment(Experiment(

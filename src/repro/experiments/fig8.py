@@ -30,7 +30,6 @@ from repro.experiments.api import (
     Panel,
     SearchSpec,
     register_experiment,
-    run_panel,
 )
 from repro.experiments.reducers import register_reducer
 from repro.topology.base import Topology
@@ -125,6 +124,8 @@ def fig8a_panel(sizes: Sequence[int] = (16, 54),
                 mean_deadline: float = 20 * MSEC,
                 target: float = 0.99,
                 hi: int = 64) -> Panel:
+    """Max deadline flows at 99 % app throughput; keys are
+    '<protocol>/<level>'."""
     return Panel(
         name="fig8a",
         title="max deadline flows at 99 % throughput vs fat-tree size",
@@ -145,7 +146,6 @@ def fig8a_panel(sizes: Sequence[int] = (16, 54),
                           metric="application_throughput",
                           seeds=tuple(seeds), hi=hi),
         reducer="fig8.per_level",
-        wraps="repro.experiments.fig8:run_fig8a",
     )
 
 
@@ -155,6 +155,9 @@ def fct_vs_size_panel(family: str,
                       levels: Sequence[str] = ("packet", "flow"),
                       seeds: Sequence[int] = (1,),
                       flows_per_server: int = 2) -> Panel:
+    """Fig 8b/c/d: mean FCT (seconds) vs network size for one topology
+    family; keys are '<protocol>/<level>'. TCP only exists at packet
+    level."""
     return Panel(
         name=_FAMILY_PANELS.get(family, f"fig8-{family}"),
         title=f"mean FCT vs network size ({family})",
@@ -175,8 +178,6 @@ def fct_vs_size_panel(family: str,
         exclude=({"engine": "flow", "protocol": "TCP"},),
         reducer="fig8.per_level",
         reducer_params={"metric": "mean_fct"},
-        wraps="repro.experiments.fig8:run_fct_vs_size",
-        wraps_kwargs={"family": family},
     )
 
 
@@ -211,6 +212,7 @@ def _reduce_rcp_pdq_cdf(run) -> dict[str, object]:
 
 def fig8e_panel(n_servers: int = 128, flows_per_server: int = 2,
                 seeds: Sequence[int] = (1,)) -> Panel:
+    """CDF of per-flow RCP FCT / PDQ FCT ratios (flow level)."""
     return Panel(
         name="fig8e",
         title="CDF of per-flow RCP FCT / PDQ FCT (flow level)",
@@ -226,26 +228,7 @@ def fig8e_panel(n_servers: int = 128, flows_per_server: int = 2,
         axes=(("seed", tuple(seeds)),
               ("protocol", ("PDQ(Full)", "RCP"))),
         reducer="fig8.rcp_pdq_cdf",
-        wraps="repro.experiments.fig8:run_fig8e",
     )
-
-
-def run_fig8a(*args, **kwargs):
-    """Max deadline flows at 99 % app throughput; keys are
-    '<protocol>/<level>'."""
-    return run_panel(fig8a_panel(*args, **kwargs))
-
-
-def run_fct_vs_size(family: str, *args, **kwargs):
-    """Fig 8b/c/d: mean FCT (seconds) vs network size for one topology
-    family; keys are '<protocol>/<level>'. TCP only exists at packet
-    level."""
-    return run_panel(fct_vs_size_panel(family, *args, **kwargs))
-
-
-def run_fig8e(*args, **params):
-    """CDF of per-flow RCP FCT / PDQ FCT ratios (flow level)."""
-    return run_panel(fig8e_panel(*args, **params))
 
 
 register_experiment(Experiment(

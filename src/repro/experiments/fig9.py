@@ -30,7 +30,6 @@ from repro.experiments.api import (
     Panel,
     SearchSpec,
     register_experiment,
-    run_panel,
 )
 from repro.experiments.reducers import register_reducer, series_reducer
 from repro.units import KBYTE, MSEC
@@ -111,6 +110,7 @@ def fig9a_panel(loss_rates: Sequence[float] = (0.0, 0.01, 0.03),
                 seeds: Sequence[int] = (1, 2),
                 target: float = 0.99,
                 hi: int = 32) -> Panel:
+    """Max deadline flows at 99 % application throughput vs loss rate."""
     return Panel(
         name="fig9a",
         title="max deadline flows at 99 % throughput vs loss rate",
@@ -122,7 +122,6 @@ def fig9a_panel(loss_rates: Sequence[float] = (0.0, 0.01, 0.03),
                           seeds=tuple(seeds), hi=hi),
         reducer="series",
         reducer_params={"x": "loss_rate", "series": "protocol"},
-        wraps="repro.experiments.fig9:run_fig9a",
     )
 
 
@@ -130,6 +129,7 @@ def fig9b_panel(loss_rates: Sequence[float] = (0.0, 0.01, 0.03),
                 protocols: Sequence[str] = ("PDQ(Full)", "TCP"),
                 seeds: Sequence[int] = (1, 2),
                 n_flows: int = 8) -> Panel:
+    """Mean FCT normalized to PDQ(Full) at zero loss."""
     return Panel(
         name="fig9b",
         title="mean FCT normalized to lossless PDQ vs loss rate",
@@ -138,18 +138,7 @@ def fig9b_panel(loss_rates: Sequence[float] = (0.0, 0.01, 0.03),
               ("protocol", tuple(protocols)),
               ("seed", tuple(seeds))),
         reducer="fig9.fct_vs_loss",
-        wraps="repro.experiments.fig9:run_fig9b",
     )
-
-
-def run_fig9a(*args, **params):
-    """Max deadline flows at 99 % application throughput vs loss rate."""
-    return run_panel(fig9a_panel(*args, **params))
-
-
-def run_fig9b(*args, **params):
-    """Mean FCT normalized to PDQ(Full) at zero loss."""
-    return run_panel(fig9b_panel(*args, **params))
 
 
 register_experiment(Experiment(

@@ -37,7 +37,7 @@ import math
 from collections.abc import Mapping
 from typing import Any
 
-from repro.errors import ExperimentError
+from repro.errors import CampaignError, ExperimentError
 
 PROBE_KINDS = ("link", "flow_rates")
 
@@ -46,35 +46,39 @@ FLOW_RATE_COLUMNS = ["t", "rates_bps"]
 
 
 def validate_probes_option(probes: Any) -> dict[str, dict]:
-    """Check the ``probes`` option shape; returns it as a plain dict."""
+    """Check the ``probes`` option shape; returns it as a plain dict. A
+    malformed option is an invalid spec (:class:`CampaignError`)."""
     if not isinstance(probes, Mapping):
-        raise ExperimentError(
+        raise CampaignError(
             "the 'probes' option must map probe names to probe specs, "
             f"got {type(probes).__name__}"
         )
     out: dict[str, dict] = {}
     for name, params in probes.items():
         if not isinstance(params, Mapping):
-            raise ExperimentError(
+            raise CampaignError(
                 f"probe {name!r}: spec must be a mapping, "
                 f"got {type(params).__name__}"
             )
         kind = params.get("kind")
         if kind not in PROBE_KINDS:
-            raise ExperimentError(
+            raise CampaignError(
                 f"probe {name!r}: unknown kind {kind!r} "
                 f"(known: {', '.join(PROBE_KINDS)})"
             )
         interval = params.get("interval")
-        if not isinstance(interval, (int, float)) or interval <= 0:
-            raise ExperimentError(
-                f"probe {name!r}: 'interval' must be a positive number"
+        if (isinstance(interval, bool)
+                or not isinstance(interval, (int, float))
+                or not 0 < interval < math.inf):
+            raise CampaignError(
+                f"probe {name!r}: 'interval' must be a positive finite "
+                f"number, got {interval!r}"
             )
         if kind == "link":
             link = params.get("link")
             if (not isinstance(link, (list, tuple)) or len(link) != 2
                     or not all(isinstance(n, str) for n in link)):
-                raise ExperimentError(
+                raise CampaignError(
                     f"probe {name!r}: 'link' must be a [src, dst] "
                     "node-name pair"
                 )

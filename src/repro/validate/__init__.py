@@ -28,10 +28,8 @@ from repro.validate.pairs import (
     Tolerance,
     ValidationPair,
     default_pairs,
-    edge_pairs,
-    fig3_pairs,
-    fig5_pairs,
-    tolerance_for,
+    panel_pairs,
+    validation_panels,
 )
 
 __all__ = [
@@ -47,11 +45,9 @@ __all__ = [
     "ValidationReport",
     "compare_pair",
     "default_pairs",
-    "edge_pairs",
-    "fig3_pairs",
-    "fig5_pairs",
+    "panel_pairs",
     "run_validation",
     "select_pairs",
-    "tolerance_for",
+    "validation_panels",
     "write_report",
 ]

@@ -20,22 +20,24 @@ model idealizes different amounts of each protocol's machinery away:
   which is exactly why the looser bound is pinned here: a regression
   that pushes D3 past it is a real behavior change, not noise.
 
-The grids themselves are declared through the Experiment API: each pair
+The grids are declared once, through the Experiment API: each pair
 family is a :class:`~repro.experiments.api.Panel` whose axes include
-``engine`` — validation, figures, and sweeps share one declarative
-surface. ``default_pairs`` derives the :class:`ValidationPair` list the
-harness runs from those panels, and the registered ``validate``
-experiment (plus the ``validate.agreement`` reducer) makes the same
-grids runnable from ``run-spec`` files. The ``default_pairs`` grid
-covers fig3-style query aggregation and fig5-style VL2 traffic (the
-acceptance grids) plus degenerate cells (zero flows, a single flow)
-that bound the agreement analytically.
+``engine`` and whose ``reducer_params`` carry its family and any
+tolerance overrides. :func:`panel_pairs` derives the
+:class:`ValidationPair` list of any such panel, :func:`validation_panels`
+is the standard grid — fig3-style query aggregation and fig5-style VL2
+traffic (the acceptance grids), fat-tree multipath and a mid-run link
+failure, plus degenerate cells (zero flows, a single flow) that bound
+the agreement analytically — and both ``default_pairs`` (the harness,
+``repro validate``) and the registered ``validate`` experiment (its
+``validate.agreement`` reducer, ``run-spec``) read it, so the two name
+and gate every pair identically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 
 from repro.campaign.spec import ScenarioSpec, TopologySpec, WorkloadSpec
 from repro.errors import ExperimentError
@@ -105,15 +107,6 @@ SINGLE_FLOW_RTOL: dict[str, float] = {
     "RCP": 0.25,
     "D3": 0.85,
 }
-
-
-def tolerance_for(protocol: str,
-                  fct_rtol: float | None = None) -> Tolerance:
-    return Tolerance(
-        fct_rtol=fct_rtol if fct_rtol is not None else FCT_RTOL[protocol],
-        app_tput_atol=APP_TPUT_ATOL[protocol],
-        completion_atol=COMPLETION_ATOL[protocol],
-    )
 
 
 @dataclass(frozen=True)
@@ -282,7 +275,7 @@ def edge_empty_panel() -> Panel:
         ),
         axes=(("engine", ENGINES),),
         reducer="validate.agreement",
-        # the exact bounds edge_pairs() pins (Tolerance defaults)
+        # an empty pair has no protocol to take bounds from
         reducer_params={"family": "edge", "fct_rtol": 0.0,
                         "app_tput_atol": 0.25, "completion_atol": 0.15},
     )
@@ -307,8 +300,7 @@ def edge_single_panel(
         ),
         axes=(("protocol", tuple(protocols)), ("engine", ENGINES)),
         reducer="validate.agreement",
-        # uncontended single flows get the tighter startup-only bounds,
-        # exactly as edge_pairs() declares them
+        # uncontended single flows get the tighter startup-only bounds
         reducer_params={"family": "edge",
                         "fct_rtol_by_protocol": dict(SINGLE_FLOW_RTOL)},
     )
@@ -317,159 +309,101 @@ def edge_single_panel(
 # -- pairs derived from the panels --------------------------------------------------
 
 
-def pairs_from_panel(panel: Panel, family: str, name_for,
-                     tolerance_for_cell) -> list[ValidationPair]:
-    """One :class:`ValidationPair` per packet-engine grid cell of a
-    panel whose axes include ``engine``; ``name_for(combo)`` and
-    ``tolerance_for_cell(combo, spec)`` shape the pair."""
-    pairs = []
+def validation_panels(quick: bool = False) -> tuple[Panel, ...]:
+    """The standard cross-engine validation grid (CI runs ``quick``),
+    in pair order; the registered ``validate`` experiment is the full
+    grid."""
+    return (edge_empty_panel(), edge_single_panel(), fig3_panel(quick),
+            fig5_panel(quick), fattree_panel(), faults_panel())
+
+
+def _tolerance(protocol: str, fct_rtol: float | None = None,
+               app_tput_atol: float | None = None,
+               completion_atol: float | None = None,
+               fct_rtol_by_protocol: Mapping[str, float] | None = None,
+               ) -> Tolerance:
+    """A pair's bounds from its panel's ``reducer_params``: each one
+    defaults to the per-protocol table; ``fct_rtol_by_protocol`` wins
+    over the table, the flat ``fct_rtol`` over both."""
+    if fct_rtol is None and fct_rtol_by_protocol is not None:
+        fct_rtol = fct_rtol_by_protocol.get(protocol)
+    return Tolerance(
+        fct_rtol=(fct_rtol if fct_rtol is not None
+                  else FCT_RTOL.get(protocol, 0.5)),
+        app_tput_atol=(app_tput_atol if app_tput_atol is not None
+                       else APP_TPUT_ATOL.get(protocol, 0.25)),
+        completion_atol=(completion_atol if completion_atol is not None
+                         else COMPLETION_ATOL.get(protocol, 0.20)),
+    )
+
+
+def panel_pairs(panel: Panel) -> list[ValidationPair]:
+    """The :class:`ValidationPair` of every cell of a panel whose axes
+    include ``engine``: the cells that differ only in the engine pair up,
+    in grid order. The pair is named ``family/protocol-axis=value...``
+    from the cell's other axes (a panel that sweeps only the engine is
+    one cell, named by its workload kind), and its tolerance is resolved
+    from the panel's ``reducer_params`` (:func:`_tolerance`)."""
+    params = dict(panel.reducer_params)
+    family = params.pop("family", "custom")
+    swept = [name for name, _ in panel.axes if name != "engine"]
+    if len(swept) == len(panel.axes):
+        raise ExperimentError(
+            f"panel {panel.name!r}: validation needs an 'engine' axis "
+            "pairing packet and flow runs")
+    cells: dict[tuple, dict[str, ScenarioSpec]] = {}
     for combo, spec in panel.cells():
-        if combo.get("engine") != "packet":
-            continue
+        cell = tuple(combo[name] for name in swept)
+        cells.setdefault(cell, {})[combo["engine"]] = spec
+    if not cells:
+        raise ExperimentError(f"panel {panel.name!r}: no cells to pair")
+    pairs = []
+    for cell, engines in cells.items():
+        if set(engines) != set(ENGINES):
+            raise ExperimentError(
+                f"panel {panel.name!r}: cell {cell!r} must run exactly the "
+                f"engines {ENGINES}, got {sorted(engines)}")
+        packet = engines["packet"]
+        if engines["flow"].key != packet.with_(engine="flow").key:
+            raise ExperimentError(
+                f"panel {panel.name!r}: cell {cell!r} must differ between "
+                "its packet and flow runs only in the engine")
+        tags = [f"{name.rsplit('.', 1)[-1]}={value}"
+                for name, value in zip(swept, cell) if name != "protocol"]
+        label = ("-".join([packet.protocol, *tags]) if swept
+                 else packet.workload.kind)
         pairs.append(ValidationPair(
-            name=name_for(combo),
-            family=family,
-            packet=spec,
-            tolerance=tolerance_for_cell(combo, spec),
-        ))
+            name=f"{family}/{label}", family=family, packet=packet,
+            tolerance=_tolerance(packet.protocol, **params)))
     return pairs
-
-
-def fig3_pairs(quick: bool = False,
-               protocols: Sequence[str] = VALIDATION_PROTOCOLS,
-               ) -> list[ValidationPair]:
-    def name_for(combo) -> str:
-        tag = "dl" if combo["deadline"] else "nodl"
-        return (f"fig3/{combo['protocol']}-n{combo['workload.n_flows']}"
-                f"-{tag}-s{combo['seed']}")
-
-    return pairs_from_panel(
-        fig3_panel(quick, protocols), "fig3", name_for,
-        lambda combo, spec: tolerance_for(spec.protocol),
-    )
-
-
-def fig5_pairs(quick: bool = False,
-               protocols: Sequence[str] = VALIDATION_PROTOCOLS,
-               ) -> list[ValidationPair]:
-    def name_for(combo) -> str:
-        return (f"fig5/{combo['protocol']}"
-                f"-r{combo['workload.rate_per_sec']:.0f}-s{combo['seed']}")
-
-    return pairs_from_panel(
-        fig5_panel(quick, protocols), "fig5", name_for,
-        lambda combo, spec: tolerance_for(spec.protocol),
-    )
-
-
-def edge_pairs(quick: bool = False,
-               protocols: Sequence[str] = VALIDATION_PROTOCOLS,
-               ) -> list[ValidationPair]:
-    pairs = pairs_from_panel(
-        edge_empty_panel(), "edge",
-        lambda combo: "edge/empty",
-        lambda combo, spec: Tolerance(fct_rtol=0.0),
-    )
-    pairs += pairs_from_panel(
-        edge_single_panel(protocols), "edge",
-        lambda combo: f"edge/single-{combo['protocol']}",
-        lambda combo, spec: tolerance_for(
-            spec.protocol, fct_rtol=SINGLE_FLOW_RTOL[spec.protocol]
-        ),
-    )
-    return pairs
-
-
-def fattree_pairs(quick: bool = False) -> list[ValidationPair]:
-    def name_for(combo) -> str:
-        return f"fattree/PDQ(Full)-s{combo['seed']}"
-
-    return pairs_from_panel(
-        fattree_panel(), "fattree", name_for,
-        lambda combo, spec: Tolerance(
-            fct_rtol=0.6,
-            app_tput_atol=APP_TPUT_ATOL["PDQ(Full)"],
-            completion_atol=COMPLETION_ATOL["PDQ(Full)"],
-        ),
-    )
-
-
-def faults_pairs(quick: bool = False) -> list[ValidationPair]:
-    def name_for(combo) -> str:
-        return f"faults/link-down-{combo['protocol']}-s{combo['seed']}"
-
-    return pairs_from_panel(
-        faults_panel(), "faults", name_for,
-        lambda combo, spec: Tolerance(
-            fct_rtol=0.6,
-            app_tput_atol=APP_TPUT_ATOL[spec.protocol],
-            completion_atol=COMPLETION_ATOL[spec.protocol],
-        ),
-    )
 
 
 def default_pairs(quick: bool = False) -> list[ValidationPair]:
-    """The standard cross-engine validation grid (CI runs ``quick``)."""
-    return (
-        edge_pairs(quick) + fig3_pairs(quick) + fig5_pairs(quick)
-        + fattree_pairs(quick) + faults_pairs(quick)
-    )
+    """The pairs of :func:`validation_panels`, the harness's default."""
+    return [pair for panel in validation_panels(quick)
+            for pair in panel_pairs(panel)]
 
 
 # -- the agreement reducer ----------------------------------------------------------
 
 
 @register_reducer("validate.agreement")
-def _reduce_agreement(run, family: str = "custom",
-                      fct_rtol: float | None = None,
-                      app_tput_atol: float | None = None,
-                      completion_atol: float | None = None,
-                      fct_rtol_by_protocol: dict[str, float] | None = None,
-                      ) -> dict:
-    """Pair each grid cell across its ``engine`` axis and run the
-    harness tolerance checks; tolerances default to the per-protocol
-    bounds, overridable per panel (``fct_rtol_by_protocol`` wins over
-    the builtin table, the flat ``fct_rtol`` over both). This is how a
-    ``run-spec`` file declares its own cross-engine validation cells."""
+def _reduce_agreement(run, **_params) -> dict:
+    """Run the harness tolerance checks on every pair of the panel
+    (:func:`panel_pairs`, the one reader of its ``reducer_params``: the
+    same names, family and bounds ``repro validate`` gates). This is how
+    a ``run-spec`` file declares its own cross-engine validation cells."""
     from repro.validate.harness import compare_pair
 
-    cell_axes = [a for a in run.axis_names() if a != "engine"]
-    cells: dict[tuple, dict[str, tuple]] = {}
-    for combo, spec, collector in run.rows:
-        if "engine" not in combo:
-            raise ExperimentError(
-                "validate.agreement needs an 'engine' axis pairing "
-                "packet and flow runs"
-            )
-        cell = tuple(combo[a] for a in cell_axes)
-        cells.setdefault(cell, {})[combo["engine"]] = (spec, collector)
-    outcomes = []
-    for cell, engines in cells.items():
-        if set(engines) != set(ENGINES):
-            raise ExperimentError(
-                f"cell {cell!r} must run exactly the engines {ENGINES}, "
-                f"got {sorted(engines)}"
-            )
-        packet_spec, packet = engines["packet"]
-        _, fluid = engines["flow"]
-        protocol = packet_spec.protocol
-        rtol = fct_rtol
-        if rtol is None and fct_rtol_by_protocol is not None:
-            rtol = fct_rtol_by_protocol.get(protocol)
-        tolerance = Tolerance(
-            fct_rtol=(rtol if rtol is not None
-                      else FCT_RTOL.get(protocol, 0.5)),
-            app_tput_atol=(app_tput_atol if app_tput_atol is not None
-                           else APP_TPUT_ATOL.get(protocol, 0.25)),
-            completion_atol=(completion_atol if completion_atol is not None
-                             else COMPLETION_ATOL.get(protocol, 0.20)),
-        )
-        label = "-".join(str(v) for v in cell) if cell else "cell"
-        pair = ValidationPair(name=f"{family}/{label}", family=family,
-                              packet=packet_spec, tolerance=tolerance)
-        outcomes.append(compare_pair(pair, packet, fluid).to_dict())
+    collectors = {spec.key: collector for _, spec, collector in run.rows}
+    pairs = panel_pairs(run.panel)
+    outcomes = [
+        compare_pair(pair, collectors[pair.packet.key],
+                     collectors[pair.fluid.key]).to_dict()
+        for pair in pairs
+    ]
     return {
-        "family": family,
+        "family": pairs[0].family,
         "ok": all(o["ok"] for o in outcomes),
         "n_pairs": len(outcomes),
         "pairs": outcomes,
@@ -479,6 +413,5 @@ def _reduce_agreement(run, family: str = "custom",
 register_experiment(Experiment(
     name="validate",
     title="cross-engine packet/fluid agreement grids",
-    panels=(edge_empty_panel(), edge_single_panel(), fig3_panel(),
-            fig5_panel(), fattree_panel(), faults_panel()),
+    panels=validation_panels(),
 ))

@@ -520,12 +520,13 @@ class TestAmbientRunner:
         assert spec in store
 
     def test_figure_functions_hit_the_cache(self, tmp_path):
-        from repro.experiments.fig10 import run_fig10
+        from repro.experiments.api import run_panel
+        from repro.experiments.fig10 import fig10_panel
 
         store = ResultStore(tmp_path)
         kwargs = dict(distributions=("uniform",), seeds=(1,), n_flows=3)
         with use_runner(CampaignRunner(store=store)):
-            first = run_fig10(**kwargs)
+            first = run_panel(fig10_panel(**kwargs))
         assert len(store) == 4  # 4 schemes x 1 seed x 1 distribution
         executed = []
         with use_runner(CampaignRunner(
@@ -533,7 +534,7 @@ class TestAmbientRunner:
             progress=lambda o, done, total:
                 executed.append(o) if not o.cached else None,
         )):
-            second = run_fig10(**kwargs)
+            second = run_panel(fig10_panel(**kwargs))
         assert first == second
         assert executed == []  # the warm figure run re-simulates nothing
 

@@ -4,8 +4,8 @@
 The golden fixtures under ``tests/data/`` were captured from the
 pre-migration imperative ``figN`` modules (``capture_golden.py``): every
 migrated panel must reproduce those results byte-identically (after a
-canonicalizing JSON round-trip), and ``run-fig N --dry-run`` plus the
-validation pair grids must be unchanged.
+canonicalizing JSON round-trip), and the ``run-fig N --dry-run``
+listing plus the validation pair grids are pinned in ``cli_pins.json``.
 """
 
 import importlib
@@ -88,8 +88,9 @@ class TestGoldenFigureOutputs:
     def test_panel_matches_pre_migration_output(self, name):
         target, kwargs = _CAPTURE.GOLDEN_CALLS[name]
         module_name, _, attr = target.partition(":")
-        func = getattr(importlib.import_module(module_name), attr)
-        assert _CAPTURE.canonicalize(func(**kwargs)) == GOLDEN[name]
+        builder = getattr(importlib.import_module(module_name), attr)
+        assert _CAPTURE.canonicalize(run_panel(builder(**kwargs))) == \
+            GOLDEN[name]
 
 
 class TestCliPins:
@@ -110,6 +111,34 @@ class TestCliPins:
             for p in default_pairs(mode == "quick")
         ]
         assert got == CLI_PINS["pairs"][mode]
+
+    @pytest.mark.parametrize("mode", ["quick", "full"])
+    def test_select_pairs_picks_the_pinned_packet_keys(self, mode):
+        """``repro validate --only W`` picks the same cells by family and
+        by protocol name (a substring of the pair name) as before the
+        pairs were derived from the panels; the pins list each
+        selection's indices into the pinned grid."""
+        from repro.validate import VALIDATION_PROTOCOLS, default_pairs, \
+            select_pairs
+
+        pairs = default_pairs(mode == "quick")
+        pinned = [p["packet_key"] for p in CLI_PINS["pairs"][mode]]
+        select = CLI_PINS["select"][mode]
+        families = sorted({p.family for p in pairs})
+        assert sorted(select) == sorted([*families, *VALIDATION_PROTOCOLS])
+        for wanted, indices in select.items():
+            assert [p.packet.key for p in select_pairs(pairs, [wanted])] \
+                == [pinned[i] for i in indices], wanted
+
+    def test_pair_names_are_unique_and_name_the_protocol(self):
+        from repro.validate import default_pairs
+
+        for quick in (True, False):
+            pairs = default_pairs(quick)
+            assert len({p.name for p in pairs}) == len(pairs)
+            assert all(p.name.startswith(f"{p.family}/") for p in pairs)
+            assert all(p.protocol in p.name for p in pairs
+                       if p.packet.workload.kind != "empty")
 
     def test_no_figures_dict_remains(self):
         import repro.campaign.cli as cli
@@ -153,10 +182,9 @@ class TestSpecHashes:
             "58d7f72a97efd67a64fec620f3d024bf"
         )
 
-    def test_title_and_wraps_do_not_change_the_key(self):
+    def test_title_does_not_change_the_key(self):
         a = _pinned_panel()
-        b = Panel(name="pinned", title="a title", wraps="mod:func",
-                  wraps_kwargs={"x": 1}, base=a.base, axes=a.axes,
+        b = Panel(name="pinned", title="a title", base=a.base, axes=a.axes,
                   reducer=a.reducer, reducer_params=a.reducer_params)
         assert a.key == b.key
 
@@ -267,19 +295,20 @@ class TestPanelGrids:
             Panel(name="p", specs=(_flow_base(),),
                   exclude=({"protocol": "TCP"},))
 
-    def test_panel_wrappers_accept_positional_args(self, monkeypatch):
+    def test_panel_builders_accept_positional_args(self):
         from repro.experiments import fig6, fig7
+        from repro.experiments.fig8 import fct_vs_size_panel
         from repro.experiments.fig9 import fig9b_panel
 
-        panels = []
-        monkeypatch.setattr(fig6, "run_panel", panels.append)
-        monkeypatch.setattr(fig7, "run_panel", panels.append)
-        fig6.run_fig6(2, 100 * KBYTE)
-        fig6.run_fig6(n_flows=2, flow_size=100 * KBYTE)
-        fig7.run_fig7(3, 10 * KBYTE)
-        fig7.run_fig7(n_short=3, short_size=10 * KBYTE)
-        keys = [panel.key for panel in panels]
+        keys = [
+            fig6.fig6_panel(2, 100 * KBYTE).key,
+            fig6.fig6_panel(n_flows=2, flow_size=100 * KBYTE).key,
+            fig7.fig7_panel(3, 10 * KBYTE).key,
+            fig7.fig7_panel(n_short=3, short_size=10 * KBYTE).key,
+        ]
         assert keys[0] == keys[1] != keys[2] == keys[3]
+        assert fct_vs_size_panel("bcube", (16,)).key == fct_vs_size_panel(
+            family="bcube", sizes=(16,)).key
         assert fig9b_panel((0.0,), ("PDQ(Full)",)).key == fig9b_panel(
             loss_rates=(0.0,), protocols=("PDQ(Full)",)).key
         with pytest.raises(TypeError):
@@ -683,18 +712,3 @@ class TestRunSpecFiles:
         rc = cli_main(["run-spec", str(spec), "--jobs", "0", "--no-cache"])
         assert rc == 0
         assert "('RCP', 1)" in capsys.readouterr().out
-
-
-class TestValidateExperimentTolerances:
-    def test_edge_panels_declare_harness_tolerances(self):
-        """The registered validate experiment must gate edge cells with
-        the same bounds the harness path (edge_pairs) pins."""
-        from repro.validate.pairs import SINGLE_FLOW_RTOL
-
-        experiment = get_experiment("validate")
-        single = experiment.panel("edge-single-agreement")
-        assert single.reducer_params["fct_rtol_by_protocol"] == \
-            SINGLE_FLOW_RTOL
-        empty = experiment.panel("edge-empty-agreement")
-        assert empty.reducer_params["fct_rtol"] == 0.0
-        assert empty.reducer_params["completion_atol"] == 0.15

@@ -2,13 +2,18 @@
 
 import pytest
 
-from repro.experiments import binary_search_max, make_stack, run_flow_level
-from repro.experiments.fig1 import run as run_fig1
-from repro.experiments.fig3 import run_fig3a, run_fig3d
+from repro.experiments import (
+    binary_search_max,
+    make_stack,
+    run_flow_level,
+    run_panel,
+)
+from repro.experiments.fig1 import fig1_panel
+from repro.experiments.fig3 import fig3a_panel, fig3d_panel
 from repro.experiments.fig4 import pattern_flows
 from repro.experiments.fig5 import vl2_workload
 from repro.experiments.fig8 import permutation_workload, topology_for
-from repro.experiments.fig10 import run_fig10
+from repro.experiments.fig10 import fig10_panel
 from repro.experiments.reducers import normalize
 from repro.experiments.tables import format_table
 from repro.errors import ExperimentError
@@ -52,7 +57,7 @@ class TestBinarySearch:
 
 class TestFig1:
     def test_matches_paper_exactly(self):
-        result = run_fig1()
+        result = run_panel(fig1_panel())
         assert result["fair_sharing_completions"] == [3.0, 5.0, 6.0]
         assert result["sjf_completions"] == [1.0, 3.0, 6.0]
         assert result["fair_sharing_mean"] == pytest.approx(4.67, abs=0.01)
@@ -64,14 +69,14 @@ class TestFig1:
 class TestFig3Reduced:
     def test_fig3a_ordering(self):
         """At a contended load, PDQ beats the deadline-agnostic schemes."""
-        result = run_fig3a(flow_counts=(8,),
-                           protocols=("PDQ(Full)", "RCP"), seeds=(1,))
+        result = run_panel(fig3a_panel(
+            flow_counts=(8,), protocols=("PDQ(Full)", "RCP"), seeds=(1,)))
         assert result["PDQ(Full)"][8] >= result["RCP"][8]
         assert result["Optimal"][8] >= result["PDQ(Full)"][8] - 0.15
 
     def test_fig3d_pdq_closer_to_optimal_than_tcp(self):
-        result = run_fig3d(flow_counts=(5,),
-                           protocols=("PDQ(Full)", "TCP"), seeds=(1,))
+        result = run_panel(fig3d_panel(
+            flow_counts=(5,), protocols=("PDQ(Full)", "TCP"), seeds=(1,)))
         assert result["PDQ(Full)"][5] < result["TCP"][5]
         assert result["PDQ(Full)"][5] >= 1.0  # optimal is a lower bound
 
@@ -124,7 +129,8 @@ class TestFig8Helpers:
 
 class TestFig10Reduced:
     def test_perfect_beats_rcp(self):
-        result = run_fig10(distributions=("uniform",), seeds=(1, 2))
+        result = run_panel(fig10_panel(distributions=("uniform",),
+                                       seeds=(1, 2)))
         row = result["uniform"]
         assert row["PDQ perfect"] < row["RCP"]
 

@@ -15,6 +15,7 @@ from repro.events import PeriodicTimer, Simulator
 from repro.faults.spec import FaultEvent
 from repro.flowsim import FlowLevelSimulation, PdqModel
 from repro.net.link import Link
+from repro.experiments.api import SearchSpec
 from repro.experiments.fig4 import pattern_flows
 from repro.experiments.search import binary_search_max
 from repro.net.network import Network
@@ -292,7 +293,7 @@ class TestStrictSpecParsing:
             "protocol": "RCP",
             "topology": {"kind": "single_rooted"},
             "workload": {"kind": "fig3.aggregation",
-                         "params": {"n_flows": 2}},
+                         "params": {"n_flows": 2, "mean_size": 1000}},
             "engine": "flow",
         }
         base.update(fields.pop("base", {}))
@@ -309,8 +310,18 @@ class TestStrictSpecParsing:
         ({"base": {"workload": {"kind": "fig3.aggregation",
                                 "params": [1]}}}, "workload params"),
         ({"base": {"seed": "one"}}, "seed"),
+        ({"axes": [["seed", [1]]],
+          "search": {"axis": "workload.n_flows", "hi": "4"}}, "search hi"),
+        ({"base": {"sim_deadline": "2"}}, "sim_deadline"),
+        ({"base": {"options": {"probes": {
+            "r": {"kind": "flow_rates", "interval": True}}}}}, "interval"),
+        ({"base": {"options": {"probes": {
+            "r": {"kind": "flow_rates", "interval": math.nan}}}}},
+         "interval"),
     ], ids=["axes-int", "axis-values-int", "search-seeds-int",
-            "exclude-int", "options-list", "params-list", "seed-str"])
+            "exclude-int", "options-list", "params-list", "seed-str",
+            "search-hi-str", "sim-deadline-str", "probe-interval-bool",
+            "probe-interval-nan"])
     def test_wrong_json_type_is_a_campaign_error(self, panel, field):
         """A spec field of the wrong JSON type fails the dry-run with the
         field's name, not a Python traceback (or, for the seed, not only
@@ -320,3 +331,61 @@ class TestStrictSpecParsing:
         with pytest.raises(CampaignError, match=field):
             validate_experiment(load_experiment(
                 {"name": "x", "panels": [self._panel(**panel)]}))
+
+    @pytest.mark.parametrize("field, value", [
+        ("axis", 3), ("lo", 1.0), ("hi", True), ("target", "0.99"),
+        ("target", math.inf), ("scale", math.nan), ("grow", 1),
+        ("require_deadlines", "yes"),
+    ])
+    def test_search_field_of_the_wrong_type_is_named(self, field, value):
+        search = {"axis": "workload.n_flows", field: value}
+        with pytest.raises(CampaignError, match=f"search {field}"):
+            SearchSpec.from_dict(search)
+
+    def test_numbers_are_kept_as_given(self):
+        """Checked, never coerced: keys hash the values as written."""
+        search = SearchSpec.from_dict({"axis": "workload.n_flows",
+                                       "target": 1, "scale": 2})
+        assert search.canonical()["target"] == 1
+        assert type(search.canonical()["scale"]) is int
+        spec = ScenarioSpec.from_dict({**self.CANONICAL, "sim_deadline": 3})
+        assert type(spec.sim_deadline) is int
+
+    @pytest.mark.parametrize("params, message", [
+        ({"n_flows": 2}, "missing a required argument: 'mean_size'"),
+        ({"n_flows": 2, "mean_size": 1000, "mean_sise": 1},
+         "got an unexpected keyword argument 'mean_sise'"),
+    ], ids=["missing", "unknown"])
+    def test_dry_run_binds_workload_params(self, params, message):
+        """A cell whose params do not fit its builder fails the dry run
+        with the kind and the parameter, not every cell at run time."""
+        from repro.experiments.api import load_experiment, validate_experiment
+
+        experiment = load_experiment({"name": "x", "panels": [self._panel(
+            base={"workload": {"kind": "fig3.aggregation",
+                               "params": params}})]})
+        with pytest.raises(CampaignError,
+                           match=f"workload kind 'fig3.aggregation': "
+                                 f"{message}"):
+            validate_experiment(experiment)
+
+    def test_dry_run_binds_search_cells_with_the_probed_axis(self):
+        """A search panel's base may leave out the parameter it searches:
+        the dry run binds each cell as the search runs it."""
+        from repro.experiments.api import load_experiment, validate_experiment
+
+        experiment = load_experiment({"name": "x", "panels": [self._panel(
+            base={"workload": {"kind": "fig3.aggregation",
+                               "params": {"mean_size": 1000}}},
+            axes=[["seed", [1]]],
+            search={"axis": "workload.n_flows"})]})
+        assert validate_experiment(experiment) == 0
+
+    def test_dry_run_binds_topology_params(self):
+        from repro.experiments.api import load_experiment, validate_experiment
+
+        experiment = load_experiment({"name": "x", "panels": [self._panel(
+            base={"topology": {"kind": "fattree",
+                               "params": {"n_server": 16}}})]})
+        with pytest.raises(CampaignError, match="topology kind 'fattree'"):
+            validate_experiment(experiment)

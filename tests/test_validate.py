@@ -17,6 +17,7 @@ from repro.campaign import (
 )
 from repro.campaign.cli import main as cli_main
 from repro.errors import ExperimentError
+from repro.experiments.api import Panel, run_panel
 from repro.metrics.collector import MetricsCollector
 from repro.units import GBPS, KBYTE
 from repro.validate import (
@@ -24,13 +25,22 @@ from repro.validate import (
     ValidationPair,
     compare_pair,
     default_pairs,
-    edge_pairs,
-    fig3_pairs,
+    panel_pairs,
     run_validation,
     select_pairs,
     write_report,
 )
+from repro.validate.pairs import (
+    ENGINES,
+    edge_empty_panel,
+    edge_single_panel,
+    fig3_panel,
+)
 from repro.workload.flow import FlowSpec
+
+
+def _edge_pairs():
+    return panel_pairs(edge_empty_panel()) + panel_pairs(edge_single_panel())
 
 
 def _single_flow_spec(protocol="RCP", engine="packet",
@@ -123,7 +133,7 @@ class TestPacketEngineThroughCampaign:
 
 class TestPairGrids:
     def test_fluid_twin_differs_only_in_engine(self):
-        pair = fig3_pairs(quick=True)[0]
+        pair = panel_pairs(fig3_panel(quick=True))[0]
         assert pair.packet.engine == "packet"
         assert pair.fluid.engine == "flow"
         assert pair.fluid.key != pair.packet.key
@@ -244,13 +254,55 @@ class TestCompare:
 class TestRunValidation:
     def test_edge_family_passes_live(self):
         """Zero-flow and single-flow pairs agree across real engines."""
-        report = run_validation(pairs=edge_pairs(quick=True))
+        report = run_validation(pairs=_edge_pairs())
         assert report.ok
         names = {o.name for o in report.outcomes}
         assert "edge/empty" in names
         empty = next(o for o in report.outcomes if o.name == "edge/empty")
         assert empty.packet_summary["n_flows"] == 0
         assert empty.fluid_summary["n_flows"] == 0
+
+    def test_harness_and_panel_reducer_gate_pairs_identically(self):
+        """``repro validate`` (pairs through the harness) and ``run-spec``
+        (the panel through its ``validate.agreement`` reducer) give the
+        same names, checks, measured values and limits."""
+        panels = (edge_empty_panel(), edge_single_panel())
+        report = run_validation(
+            pairs=[p for panel in panels for p in panel_pairs(panel)])
+        via_reducer = [o for panel in panels
+                       for o in run_panel(panel)["pairs"]]
+        assert [o.to_dict() for o in report.outcomes] == via_reducer
+        assert [o["name"] for o in via_reducer] == [
+            "edge/empty", "edge/PDQ(Full)", "edge/D3", "edge/RCP"]
+
+    def test_panel_without_engine_axis_has_no_pairs(self):
+        panel = edge_single_panel()
+        no_engine = Panel(name="p", base=panel.base,
+                          axes=(("protocol", ("RCP",)),),
+                          reducer="validate.agreement")
+        with pytest.raises(ExperimentError, match="'engine' axis"):
+            panel_pairs(no_engine)
+        one_engine = Panel(name="p", base=panel.base,
+                           axes=(("engine", ("packet",)),),
+                           reducer="validate.agreement")
+        with pytest.raises(ExperimentError, match="exactly the engines"):
+            panel_pairs(one_engine)
+        # a labeled engine axis that moves another field too: the flow
+        # run is not the packet cell's twin, so it cannot be its pair
+        skewed = Panel(name="p", base=panel.base,
+                       axes=(("engine", (
+                           ("packet", {"engine": "packet"}),
+                           ("flow", {"engine": "flow",
+                                     "sim_deadline": 3.0}))),),
+                       reducer="validate.agreement")
+        with pytest.raises(ExperimentError, match="only in the engine"):
+            panel_pairs(skewed)
+        nothing = Panel(name="p", base=panel.base,
+                        axes=(("engine", ENGINES),),
+                        exclude=({"engine": "packet"}, {"engine": "flow"}),
+                        reducer="validate.agreement")
+        with pytest.raises(ExperimentError, match="no cells to pair"):
+            panel_pairs(nothing)
 
     def test_single_flow_fct_matches_analytic_bound(self):
         """Satellite: one uncontended flow must finish in about
@@ -281,7 +333,7 @@ class TestRunValidation:
             packet=_single_flow_spec().with_(**{"workload.src": "nope"}),
             tolerance=Tolerance(fct_rtol=1.0),
         )
-        good = edge_pairs(quick=True)[0]
+        good = _edge_pairs()[0]
         report = run_validation(pairs=[bad, good])
         assert not report.ok
         by_name = {o.name: o for o in report.outcomes}
@@ -290,7 +342,7 @@ class TestRunValidation:
 
     def test_validation_uses_ambient_runner_cache(self, tmp_path):
         store = ResultStore(tmp_path)
-        pairs = edge_pairs(quick=True)[:2]
+        pairs = _edge_pairs()[:2]
         with use_runner(CampaignRunner(store=store)):
             run_validation(pairs=pairs)
         assert len(store) == 2 * len(pairs)
@@ -305,7 +357,7 @@ class TestRunValidation:
         assert executed == []
 
     def test_report_roundtrip(self, tmp_path):
-        report = run_validation(pairs=edge_pairs(quick=True)[:1])
+        report = run_validation(pairs=_edge_pairs()[:1])
         out = tmp_path / "report.json"
         payload = write_report(report, path=str(out))
         on_disk = json.loads(out.read_text())
@@ -331,11 +383,14 @@ class TestValidateCli:
         out = tmp_path / "VALIDATE.json"
         code = cli_main([
             "validate", "--quick", "--only", "edge/empty",
-            "edge/single-RCP", "--no-cache", "--jobs", "0",
+            "edge/RCP", "--no-cache", "--jobs", "0",
             "--out", str(out),
         ])
         assert code == 0
-        assert json.loads(out.read_text())["ok"] is True
+        report = json.loads(out.read_text())
+        assert report["ok"] is True
+        # a stale selector matches nothing: both pairs must have run
+        assert report["n_pairs"] == 2
         assert "cross-engine validation" in capsys.readouterr().out
 
     def test_unknown_family_fails_cleanly(self, capsys):
