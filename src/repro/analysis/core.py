@@ -48,10 +48,6 @@ class SourceFile:
     tree: ast.Module
     hot_lines: frozenset  # 1-based lines carrying the HOT_MARKER comment
 
-    @property
-    def basename(self) -> str:
-        return self.path.name
-
     def lines(self) -> list[str]:
         return self.text.splitlines()
 
@@ -187,17 +183,6 @@ def attribute_chain(node: ast.AST) -> list[str] | None:
         parts.append(node.id)
         parts.reverse()
         return parts
-    return None
-
-
-def call_name(node: ast.Call) -> str | None:
-    """The called name: ``Packet`` for both ``Packet(...)`` and
-    ``mod.Packet(...)``."""
-    func = node.func
-    if isinstance(func, ast.Name):
-        return func.id
-    if isinstance(func, ast.Attribute):
-        return func.attr
     return None
 
 

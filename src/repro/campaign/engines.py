@@ -24,10 +24,12 @@ no weight to spec construction in driver processes.
 
 from __future__ import annotations
 
+import importlib
 from collections.abc import Callable, Mapping, Sequence
+from dataclasses import dataclass, fields
 from typing import Any, TYPE_CHECKING
 
-from repro.errors import ExperimentError
+from repro.errors import CampaignError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.campaign.spec import ScenarioSpec
@@ -35,16 +37,84 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.topology.base import Topology
     from repro.workload.flow import FlowSpec
 
-#: protocols understood by make_stack / make_model
-PROTOCOLS = (
-    "PDQ(Full)",
-    "PDQ(ES+ET)",
-    "PDQ(ES)",
-    "PDQ(Basic)",
-    "D3",
-    "RCP",
-    "TCP",
-)
+
+# -- the protocol table -------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Protocol:
+    """One protocol a spec can name: its PdqConfig ``preset``
+    (classmethod name; ``None``: it takes no PDQ option), its packet
+    ``stack`` and fluid ``model`` as ``module:Class``, imported when
+    built (``model`` ``None``: packet engine only), and the per-packet
+    ``header_bytes`` the fluid engine charges (its stack's own)."""
+
+    name: str
+    preset: str | None
+    stack: str
+    model: str | None
+    header_bytes: int
+
+
+#: the four PDQ variants share stack, model and header
+_PDQ = ("repro.core.stack:PdqStack", "repro.flowsim.pdq_model:PdqModel", 56)
+
+#: every protocol make_stack / make_model build, by paper name
+PROTOCOLS: dict[str, Protocol] = {p.name: p for p in (
+    Protocol("PDQ(Full)", "full", *_PDQ),
+    Protocol("PDQ(ES+ET)", "es_et", *_PDQ),
+    Protocol("PDQ(ES)", "es", *_PDQ),
+    Protocol("PDQ(Basic)", "basic", *_PDQ),
+    Protocol("M-PDQ", "full", "repro.core.multipath:MpdqStack", None, 56),
+    Protocol("D3", None, "repro.transport.d3:D3Stack",
+             "repro.flowsim.d3_model:D3Model", 52),
+    Protocol("RCP", None, "repro.transport.rcp:RcpStack",
+             "repro.flowsim.rcp_model:RcpModel", 44),
+    Protocol("TCP", None, "repro.transport.tcp:TcpStack", None, 40),
+)}
+
+#: the options each builtin engine's adapter reads; a PDQ protocol also
+#: takes every PdqConfig field
+ENGINE_OPTIONS = {
+    "packet": ("n_subflows", "probes", "trace", "streaming_metrics"),
+    "flow": ("probes", "trace", "streaming_metrics"),
+}
+
+
+def check_options(engine: str, protocol: str,
+                  options: Mapping[str, Any]) -> Protocol | None:
+    """The protocol's row, once the (engine, protocol, options) triple
+    checks out: an unknown protocol, one the engine cannot run, or an
+    option name outside the pair's vocabulary is a :class:`CampaignError`
+    naming it. A custom engine owns its options: ``None``, unchecked."""
+    allowed = ENGINE_OPTIONS.get(engine)
+    if allowed is None:
+        return None
+    row = PROTOCOLS.get(protocol)
+    if row is None:
+        from repro.campaign.registry import unknown_kind
+
+        raise unknown_kind("protocol", protocol, PROTOCOLS)
+    if engine == "flow" and row.model is None:
+        raise CampaignError(f"no flow-level model for {protocol!r}; it "
+                            "runs on the packet engine only")
+    if row.preset is not None:
+        from repro.core.config import PdqConfig
+
+        allowed += tuple(f.name for f in fields(PdqConfig))
+    unknown = set(options).difference(allowed)
+    if unknown:
+        from repro.campaign.spec import unknown_names
+
+        raise CampaignError(
+            f"options: {protocol} on the {engine} engine takes no option "
+            + unknown_names(unknown, allowed))
+    if "probes" in options:
+        from repro.obs.probes import validate_probes_option
+
+        validate_probes_option(options["probes"])
+    return row
+
 
 #: engine kind -> adapter(spec, topology, flows, options) -> collector
 EngineAdapter = Callable[..., "MetricsCollector"]
@@ -68,61 +138,33 @@ def engine_kinds() -> tuple[str, ...]:
     return tuple(_ENGINES)
 
 
-def available_protocols() -> tuple[str, ...]:
-    return PROTOCOLS
-
-
 # -- protocol factories -------------------------------------------------------------
+
+
+def _build(path: str, row: Protocol, pdq_overrides: Mapping[str, Any],
+           **kwargs: Any) -> Any:
+    module, _, name = path.partition(":")
+    cls = getattr(importlib.import_module(module), name)
+    if row.preset is None:
+        return cls()
+    from repro.core.config import PdqConfig
+
+    return cls(getattr(PdqConfig, row.preset)(**pdq_overrides), **kwargs)
 
 
 def make_stack(name: str, n_subflows: int = 3, **pdq_overrides):
     """Build a packet-level protocol stack from its paper name."""
-    from repro.core.config import PdqConfig
-    from repro.core.multipath import MpdqStack
-    from repro.core.stack import PdqStack
-    from repro.transport.d3 import D3Stack
-    from repro.transport.rcp import RcpStack
-    from repro.transport.tcp import TcpStack
-
-    if name == "PDQ(Full)":
-        return PdqStack(PdqConfig.full(**pdq_overrides))
-    if name == "PDQ(ES+ET)":
-        return PdqStack(PdqConfig.es_et(**pdq_overrides))
-    if name == "PDQ(ES)":
-        return PdqStack(PdqConfig.es(**pdq_overrides))
-    if name == "PDQ(Basic)":
-        return PdqStack(PdqConfig.basic(**pdq_overrides))
-    if name == "M-PDQ":
-        return MpdqStack(PdqConfig.full(**pdq_overrides), n_subflows=n_subflows)
-    if name == "D3":
-        return D3Stack()
-    if name == "RCP":
-        return RcpStack()
-    if name == "TCP":
-        return TcpStack()
-    raise ExperimentError(f"unknown protocol {name!r}")
+    row = check_options("packet", name,
+                        {"n_subflows": n_subflows, **pdq_overrides})
+    # only the multipath stack splits a flow into subflows
+    extra = {"n_subflows": n_subflows} if name == "M-PDQ" else {}
+    return _build(row.stack, row, pdq_overrides, **extra)
 
 
 def make_model(name: str, **pdq_overrides):
     """Flow-level rate model for a protocol name (TCP has none)."""
-    from repro.core.config import PdqConfig
-    from repro.flowsim.d3_model import D3Model
-    from repro.flowsim.pdq_model import PdqModel
-    from repro.flowsim.rcp_model import RcpModel
-
-    if name.startswith("PDQ"):
-        variant = {
-            "PDQ(Full)": PdqConfig.full,
-            "PDQ(ES+ET)": PdqConfig.es_et,
-            "PDQ(ES)": PdqConfig.es,
-            "PDQ(Basic)": PdqConfig.basic,
-        }.get(name, PdqConfig.full)
-        return PdqModel(variant(**pdq_overrides))
-    if name == "RCP":
-        return RcpModel()
-    if name == "D3":
-        return D3Model()
-    raise ExperimentError(f"no flow-level model for {name!r}")
+    row = check_options("flow", name, pdq_overrides)
+    return _build(row.model, row, pdq_overrides)
 
 
 # -- scenario runners ---------------------------------------------------------------
@@ -213,8 +255,8 @@ def run_flow_level(
     )
 
     model = make_model(protocol, **pdq_overrides)
-    header = {"RCP": 44, "D3": 52}.get(protocol, 56)
-    sim = FlowLevelSimulation(topology, model, header_bytes=header,
+    sim = FlowLevelSimulation(topology, model,
+                              header_bytes=PROTOCOLS[protocol].header_bytes,
                               metrics=metrics, faults=faults)
     tracer = FlowTracer() if trace else None
     sim.metrics.tracer = tracer

@@ -73,7 +73,9 @@ def register_workload(kind: str) -> Callable:
     return decorate
 
 
-def _load_experiment_workloads() -> None:
+def load_experiment_modules() -> None:
+    """Import every module that registers experiment-surface kinds, on
+    the first registry miss (importing them here would cycle)."""
     global _experiments_loaded
     if _experiments_loaded:
         return
@@ -89,7 +91,7 @@ def topology_kinds() -> list[str]:
 
 
 def workload_kinds() -> list[str]:
-    _load_experiment_workloads()
+    load_experiment_modules()
     return sorted(_WORKLOADS)
 
 
@@ -104,7 +106,7 @@ def build_workload(kind: str, topology, seed: int,
                    params: Mapping[str, Any]):
     builder = _WORKLOADS.get(kind)
     if builder is None:
-        _load_experiment_workloads()
+        load_experiment_modules()
         builder = _WORKLOADS.get(kind)
     if builder is None:
         raise unknown_kind("workload", kind, workload_kinds())
@@ -120,17 +122,21 @@ def _bind(what: str, kind: str, builder: Callable, *args: Any,
 
 
 def validate_spec_kinds(spec) -> None:
-    """Check a :class:`~repro.campaign.spec.ScenarioSpec`'s topology and
-    workload kinds against the live registries, and bind their ``params``
-    to the builders' signatures, without building anything (the spec's
-    engine is already validated at construction). Raises the same
-    close-match :class:`CampaignError` the builders would, and one
-    naming the kind and the parameter for a missing or unknown one."""
+    """Check a :class:`~repro.campaign.spec.ScenarioSpec`'s protocol and
+    options (:func:`~repro.campaign.engines.check_options`) and its
+    topology and workload kinds against the live registries, and bind
+    their ``params`` to the builders' signatures, without building
+    anything. Raises the same close-match :class:`CampaignError` the
+    builders would, and one naming the kind and the parameter for a
+    missing or unknown one."""
+    from repro.campaign.engines import check_options
+
+    check_options(spec.engine, spec.protocol, spec.options)
     topology = _TOPOLOGIES.get(spec.topology.kind)
     if topology is None:
         raise unknown_kind("topology", spec.topology.kind, topology_kinds())
     if spec.workload.kind not in _WORKLOADS:
-        _load_experiment_workloads()
+        load_experiment_modules()
     workload = _WORKLOADS.get(spec.workload.kind)
     if workload is None:
         raise unknown_kind("workload", spec.workload.kind, workload_kinds())

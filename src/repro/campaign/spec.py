@@ -14,12 +14,16 @@ and executable in worker processes.
 
 from __future__ import annotations
 
+import difflib
+import functools
 import hashlib
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, replace
-from collections.abc import Callable, Mapping, Sequence
+import types
+import typing
+from dataclasses import MISSING, dataclass, field, fields, replace
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from typing import Any
 
 from repro.campaign.engines import engine_kinds
@@ -44,47 +48,158 @@ def canonical_json(data: Any) -> str:
     return json.dumps(_plain(data), sort_keys=True, separators=(",", ":"))
 
 
-def _check_fields(what: str, data: Any, allowed: Sequence[str],
-                  required: Sequence[str] = ()) -> None:
-    """Spec files are validated strictly: a misspelled field would
-    otherwise be silently dropped and its directive never applied."""
-    if not isinstance(data, Mapping):
-        raise CampaignError(f"{what} must be a mapping, got {data!r}")
-    unknown = sorted(set(data).difference(allowed))
+class _PathError(CampaignError):
+    """A spec error at a JSON path from the failing spec's root, printed
+    space-joined: ``panel 'p' base seed: must be an integer, got 'one'``."""
+
+    def __init__(self, path: tuple[str, ...], detail: str) -> None:
+        self.path, self.detail = path, detail
+        super().__init__(f"{' '.join(path)}: {detail}")
+
+
+def unknown_names(names: Iterable[str], allowed: Iterable[str]) -> str:
+    """``'x' (did you mean 'y'?), 'z'; allowed: ...``: the close-match
+    listing of every strict name check (spec fields, engine options)."""
+    allowed = sorted(allowed)
+    hints = []
+    for name in sorted(names):
+        close = difflib.get_close_matches(name, allowed, n=1, cutoff=0.6)
+        hints.append(f"{name!r} (did you mean {close[0]!r}?)" if close
+                     else repr(name))
+    return f"{', '.join(hints)}; allowed: {', '.join(allowed)}"
+
+
+# -- the strict reader: each spec dataclass is its own JSON schema ------------------
+
+#: a field reader: ``(value, path) -> normalized value``, or a _PathError
+Reader = Callable[[Any, tuple[str, ...]], Any]
+
+
+def _check(expected: str, test: Callable[[Any], bool],
+           normalize: Callable[[Any], Any] | None = None) -> Reader:
+    def read(value: Any, path: tuple[str, ...]) -> Any:
+        if not test(value):
+            raise _PathError(path, f"must be {expected}, got {value!r}")
+        return value if normalize is None else normalize(value)
+
+    return read
+
+
+#: the reader of each plain annotation (or its generic origin). A bool
+#: is an int to Python, never to a spec; numbers are checked, not
+#: coerced: keys hash them as written
+_READERS: dict[Any, Reader] = {
+    str: _check("a string", lambda v: isinstance(v, str)),
+    bool: _check("true or false", lambda v: isinstance(v, bool)),
+    int: _check("an integer",
+                lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    float: _check("a finite number",
+                  lambda v: isinstance(v, int) and not isinstance(v, bool)
+                  or isinstance(v, float) and math.isfinite(v)),
+    Mapping: _check("a mapping", lambda v: isinstance(v, Mapping), dict),
+    Any: lambda value, path: value,
+}
+
+#: a spec list field; a JSON scalar or object in its place is a spec
+#: error, not an iteration traceback
+read_list = _check("a list", lambda v: isinstance(v, Sequence)
+                   and not isinstance(v, (str, Mapping)))
+
+
+def _reader(hint: Any) -> Reader:
+    """The JSON-type check of one resolved field annotation."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if (origin or hint) in _READERS:
+        return _READERS[origin or hint]
+    if origin is types.UnionType:  # ``X | None``
+        (inner,) = (a for a in args if a is not type(None))
+        read = _reader(inner)
+        return lambda value, path: (None if value is None
+                                    else read(value, path))
+    if origin is tuple and args[1:] == (...,):
+        item = _reader(args[0])
+        return lambda value, path: tuple(
+            item(v, path[:-1] + (f"{path[-1]}[{i}]",))
+            for i, v in enumerate(read_list(value, path)))
+    if isinstance(hint, type) and issubclass(hint, JsonSpec):
+        return lambda value, path: _nested(hint, value, path)
+    raise TypeError(f"no JSON reader for {hint!r}")
+
+
+def _nested(cls: type["JsonSpec"], value: Any,
+            path: tuple[str, ...]) -> Any:
+    """A nested spec field: an instance as given, a JSON object through
+    ``cls.from_dict``, its errors re-rooted at ``path``."""
+    if isinstance(value, cls):
+        return value
+    try:
+        return cls.from_dict(value)
+    except _PathError as exc:
+        raise _PathError(path + exc.path[1:], exc.detail) from None
+    except CampaignError as exc:  # a hand check's: its message is the detail
+        raise _PathError(path, str(exc)) from None
+
+
+@functools.cache
+def _plan(cls: type) -> tuple[tuple[str, Reader, bool, tuple[str]], ...]:
+    """``(name, reader, required, path)`` per field of a spec dataclass,
+    from ``dataclasses.fields`` and the resolved annotations; a field's
+    ``metadata["read"]`` stands in where no annotation says the shape."""
+    hints = typing.get_type_hints(cls)
+    return tuple(
+        (f.name, f.metadata.get("read") or _reader(hints[f.name]),
+         f.default is MISSING and f.default_factory is MISSING, (f.name,))
+        for f in fields(cls))
+
+
+def _root(cls: type, name: Any = None) -> str:
+    """A spec's JSON path root: its class name less ``Spec``, plus its
+    ``name`` when it has one (``scenario``, ``panel 'fig3a'``)."""
+    root = cls.__name__.removesuffix("Spec").lower()
+    return root if name is None else f"{root} {name!r}"
+
+
+class JsonSpec:
+    """Base of the spec dataclasses, each its own JSON schema: every
+    construction (direct, ``replace``, ``with_``, :meth:`from_dict`)
+    reads each field as its annotation says (:func:`_plan`) and keeps
+    the normalized value (tuples, fresh dicts, nested specs)."""
+
+    def __post_init__(self) -> None:
+        try:
+            for name, read, _, path in _plan(type(self)):
+                value = getattr(self, name)
+                checked = read(value, path)
+                if checked is not value:
+                    object.__setattr__(self, name, checked)
+        except _PathError as exc:
+            root = _root(type(self), getattr(self, "name", None))
+            raise _PathError((root, *exc.path), exc.detail) from None
+
+    @classmethod
+    def from_dict(cls, data: Any) -> Any:
+        return cls(**_document(cls, data))
+
+
+def _document(cls: type, data: Any, extra: Sequence[str] = ()) -> dict:
+    """The fields of a JSON document for ``cls``: a mapping naming only
+    its fields (and the ``extra`` legacy keys the caller reads) and
+    every required one. A misspelled field would otherwise be silently
+    dropped, and its directive never applied."""
+    name = data.get("name") if isinstance(data, Mapping) else None
+    root = (_root(cls, name),)
+    data = _READERS[Mapping](data, root)
+    plan = _plan(cls)
+    allowed = [field_name for field_name, *_ in plan] + list(extra)
+    unknown = set(data).difference(allowed)
     if unknown:
-        import difflib
-
-        hints = []
-        for name in unknown:
-            close = difflib.get_close_matches(name, allowed, n=1, cutoff=0.6)
-            if close:
-                hints.append(f"{name!r} (did you mean {close[0]!r}?)")
-            else:
-                hints.append(repr(name))
-        raise CampaignError(
-            f"{what}: unknown field(s) {', '.join(hints)}; "
-            f"allowed: {', '.join(sorted(allowed))}"
-        )
-    for name in required:
-        if name not in data:
-            raise CampaignError(f"{what}: missing required field {name!r}")
-
-
-def _mapping(what: str, value: Any) -> dict[str, Any]:
-    """A spec mapping field as a fresh dict; a JSON list or scalar in
-    its place is a spec error, not a ``dict()`` traceback."""
-    if not isinstance(value, Mapping):
-        raise CampaignError(f"{what} must be a mapping, got {value!r}")
-    return dict(value)
-
-
-def _number(what: str, value: Any) -> None:
-    """Check a spec number field: a finite int or float, never coerced
-    (keys hash it as given). A bool, a JSON string or a NaN in its place
-    is a spec error, not a ``TypeError`` once a cell runs."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value)):
-        raise CampaignError(f"{what} must be a finite number, got {value!r}")
+        raise _PathError(root, "unknown field(s) "
+                               + unknown_names(unknown, allowed))
+    for field_name, _, required, _ in plan:
+        if required and field_name not in data:
+            raise _PathError(root,
+                             f"missing required field {field_name!r}")
+    return data
 
 
 def _memo(spec: Any, name: str, compute: Callable[[], Any]) -> Any:
@@ -99,15 +214,11 @@ def _memo(spec: Any, name: str, compute: Callable[[], Any]) -> Any:
 
 
 @dataclass(frozen=True)
-class TopologySpec:
+class TopologySpec(JsonSpec):
     """A topology by registered kind name plus constructor parameters."""
 
     kind: str
     params: Mapping[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "params", _mapping("topology params",
-                                                    self.params))
 
     def canonical(self) -> dict[str, Any]:
         return _memo(self, "_canonical", lambda: {
@@ -124,14 +235,9 @@ class TopologySpec:
 
         return build_topology(self.kind, self.params)
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "TopologySpec":
-        _check_fields("topology", data, ("kind", "params"), ("kind",))
-        return cls(kind=data["kind"], params=data.get("params", {}))
-
 
 @dataclass(frozen=True)
-class WorkloadSpec:
+class WorkloadSpec(JsonSpec):
     """A workload by registered kind name plus builder parameters.
 
     The builder receives the constructed topology and the scenario seed,
@@ -140,10 +246,6 @@ class WorkloadSpec:
 
     kind: str
     params: Mapping[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "params", _mapping("workload params",
-                                                    self.params))
 
     def canonical(self) -> dict[str, Any]:
         return _memo(self, "_canonical", lambda: {
@@ -158,22 +260,18 @@ class WorkloadSpec:
 
         return build_workload(self.kind, topology, seed, self.params)
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "WorkloadSpec":
-        _check_fields("workload", data, ("kind", "params"), ("kind",))
-        return cls(kind=data["kind"], params=data.get("params", {}))
-
 
 @dataclass(frozen=True)
-class ScenarioSpec:
+class ScenarioSpec(JsonSpec):
     """One simulation run: protocol x topology x workload x seed x engine.
 
-    ``sim_deadline=None`` means "use the engine's own default horizon".
-    ``faults`` is a mapping with an ``events`` schedule (link/switch
-    down/up at simulated times, both engines) and/or glob-matched
-    ``loss`` rules (packet engine), see :mod:`repro.faults.spec`.
-    ``options`` carries engine/protocol keyword options (``n_subflows``,
-    PDQ config overrides like ``aging_rate`` or ``criticality_mode``).
+    ``sim_deadline=None`` means "use the engine's own default horizon";
+    a given one must be positive. ``faults`` is a mapping with an
+    ``events`` schedule (link/switch down/up at simulated times, both
+    engines) and/or glob-matched ``loss`` rules (packet engine), see
+    :mod:`repro.faults.spec`. ``options`` carries engine options plus,
+    on a PDQ protocol, ``PdqConfig`` fields (``aging_rate``, ...), as
+    :func:`~repro.campaign.engines.check_options` lists them.
     :meth:`from_dict` reads the retired top-level ``loss`` list of old
     spec files as an exact-name ``faults.loss`` rule.
     """
@@ -188,20 +286,14 @@ class ScenarioSpec:
     faults: Mapping[str, Any] | None = None
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.engine not in engine_kinds():
             from repro.campaign.registry import unknown_kind
 
             raise unknown_kind("engine", self.engine, engine_kinds())
-        if not isinstance(self.topology, TopologySpec):
-            raise CampaignError("topology must be a TopologySpec")
-        if not isinstance(self.workload, WorkloadSpec):
-            raise CampaignError("workload must be a WorkloadSpec")
-        if type(self.seed) is not int:
-            raise CampaignError(f"seed must be an integer, got {self.seed!r}")
-        if self.sim_deadline is not None:
-            _number("sim_deadline", self.sim_deadline)
-        object.__setattr__(self, "options",
-                           _mapping("options", self.options))
+        if self.sim_deadline is not None and self.sim_deadline <= 0:
+            raise _PathError(("scenario", "sim_deadline"),
+                             f"must be positive, got {self.sim_deadline!r}")
         if self.faults is not None:
             from repro.faults.spec import canonical_faults
 
@@ -262,26 +354,13 @@ class ScenarioSpec:
             f" [engine={self.engine} seed={self.seed}{extras}]"
         )
 
-    _FIELDS = ("protocol", "topology", "workload", "engine", "seed",
-               "sim_deadline", "loss", "options", "faults")
-
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioSpec":
-        _check_fields("scenario spec", data, cls._FIELDS,
-                      ("protocol", "topology", "workload"))
-        faults = data.get("faults")
-        if data.get("loss") is not None:
-            faults = _legacy_loss_faults(data["loss"], faults)
-        return cls(
-            protocol=data["protocol"],
-            topology=TopologySpec.from_dict(data["topology"]),
-            workload=WorkloadSpec.from_dict(data["workload"]),
-            engine=data.get("engine", "packet"),
-            seed=data.get("seed", 1),
-            sim_deadline=data.get("sim_deadline"),
-            options=data.get("options", {}),
-            faults=faults,
-        )
+    def from_dict(cls, data: Any) -> "ScenarioSpec":
+        data = _document(cls, data, extra=("loss",))
+        loss = data.pop("loss", None)
+        if loss is not None:
+            data["faults"] = _legacy_loss_faults(loss, data.get("faults"))
+        return cls(**data)
 
     # -- fault-injection views ------------------------------------------------------
 
@@ -310,26 +389,23 @@ class ScenarioSpec:
         """Functional update. Dotted names reach into the nested specs:
         ``workload.n_flows``, ``topology.n_servers``, ``options.aging_rate``.
         """
-        spec = self
+        parts: dict[str, Any] = {}
         flat: dict[str, Any] = {}
         for name, value in changes.items():
-            if "." not in name:
+            head, dot, param = name.partition(".")
+            if not dot:
                 flat[name] = value
-                continue
-            head, _, param = name.partition(".")
-            if head == "workload":
-                spec = replace(spec, workload=WorkloadSpec(
-                    spec.workload.kind, {**spec.workload.params, param: value}
-                ))
-            elif head == "topology":
-                spec = replace(spec, topology=TopologySpec(
-                    spec.topology.kind, {**spec.topology.params, param: value}
-                ))
             elif head == "options":
-                spec = replace(spec, options={**spec.options, param: value})
+                parts[head] = {**parts.get(head, self.options), param: value}
+            elif head in ("workload", "topology"):
+                part = parts.get(head, getattr(self, head))
+                parts[head] = type(part)(part.kind,
+                                         {**part.params, param: value})
             else:
                 raise CampaignError(f"unknown spec axis {name!r}")
-        return replace(spec, **flat) if flat else spec
+        # one construction; a whole field given flat wins over its parts
+        changes = {**parts, **flat}
+        return replace(self, **changes) if changes else self
 
 
 def _legacy_loss_faults(loss: Any, faults: Any) -> dict[str, Any]:
@@ -342,9 +418,8 @@ def _legacy_loss_faults(loss: Any, faults: Any) -> dict[str, Any]:
         raise CampaignError(
             f"legacy loss must be [node_a, node_b, rate, seed], got {loss!r}"
         )
-    faults = {} if faults is None else faults
-    if not isinstance(faults, Mapping):
-        raise CampaignError(f"faults must be a mapping, got {faults!r}")
+    faults = {} if faults is None else _READERS[Mapping](
+        faults, ("scenario", "faults"))
     a, b, rate, seed = loss
     rule = {"src": a, "dst": b, "rate": rate, "seed": seed}
     return {**faults, "loss": [rule, *(faults.get("loss") or ())]}

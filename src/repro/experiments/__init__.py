@@ -12,7 +12,7 @@ subcommand).
 """
 
 from repro.campaign.engines import (
-    available_protocols,
+    PROTOCOLS,
     execute_spec,
     make_stack,
     run_flow_level,
@@ -43,10 +43,10 @@ from repro.experiments.reducers import (
 from repro.experiments.search import binary_search_max
 
 __all__ = [
+    "PROTOCOLS",
     "Experiment",
     "Panel",
     "SearchSpec",
-    "available_protocols",
     "binary_search_max",
     "collector_metric",
     "execute_spec",

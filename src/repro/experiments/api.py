@@ -31,24 +31,29 @@ expansion, process fan-out, and result caching with zero new code.
 from __future__ import annotations
 
 import hashlib
-import importlib
 import json
 from dataclasses import dataclass, field
 from collections.abc import Mapping, Sequence
 from typing import Any
 
 from repro.campaign.context import run_scenarios
+from repro.campaign.registry import (
+    load_experiment_modules,
+    unknown_kind,
+    validate_spec_kinds,
+)
 from repro.campaign.spec import (
+    JsonSpec,
     ScenarioSpec,
     TopologySpec,
     WorkloadSpec,
     _axis_cells,
-    _check_fields,
-    _mapping,
-    _number,
+    _document,
+    _PathError,
     canonical_json,
     expand_cells,
     is_labeled_cell,
+    read_list,
 )
 from repro.errors import CampaignError, ExperimentError
 from repro.experiments.reducers import collector_metric, get_reducer
@@ -76,30 +81,22 @@ def _axes_tuple(axes: Any) -> tuple[tuple[str, tuple[Any, ...]], ...]:
     return tuple(out)
 
 
-def _sequence(what: str, value: Any) -> Any:
-    """A spec list field; a JSON scalar or object in its place is a
-    spec error, not an iteration traceback."""
-    if isinstance(value, (str, Mapping)) or not isinstance(value, Sequence):
-        raise CampaignError(f"{what} must be a list, got {value!r}")
-    return value
-
-
-def _checked_axes(axes: Any) -> Any:
-    """Reject axes of the wrong JSON shape before :func:`_axes_tuple`
-    normalizes them: a list of ``[name, values]`` pairs (or a mapping)
-    whose values are lists."""
-    pairs = axes.items() if isinstance(axes, Mapping) else _sequence(
-        "axes", axes)
+def _read_axes(axes: Any, path: tuple[str, ...]) -> Any:
+    """Reject axes of the wrong JSON shape, then normalize them with
+    :func:`_axes_tuple`: a list of ``[name, values]`` pairs (or a
+    mapping) whose values are lists."""
+    pairs = axes.items() if isinstance(axes, Mapping) else read_list(
+        axes, path)
     for pair in pairs:
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise CampaignError(
-                f"axes entries must be [name, values] pairs, got {pair!r}")
-        _sequence(f"axis {pair[0]!r} values", pair[1])
-    return axes
+            raise _PathError(path, "entries must be [name, values] pairs, "
+                                   f"got {pair!r}")
+        read_list(pair[1], path + (f"axis {pair[0]!r} values",))
+    return _axes_tuple(axes)
 
 
 @dataclass(frozen=True)
-class SearchSpec:
+class SearchSpec(JsonSpec):
     """Declarative "maximal load meeting a target" directive (§5.2.1).
 
     For every grid cell the executor binary-searches the largest integer
@@ -125,26 +122,6 @@ class SearchSpec:
     scale: float | None = None
     require_deadlines: bool = False
 
-    def __post_init__(self) -> None:
-        seeds = tuple(_sequence("search seeds", self.seeds))
-        if not all(type(s) is int for s in seeds):
-            raise CampaignError(f"search seeds must be integers, got {seeds}")
-        object.__setattr__(self, "seeds", seeds)
-        if not isinstance(self.axis, str):
-            raise CampaignError(
-                f"search axis must be a string, got {self.axis!r}")
-        for name in ("lo", "hi"):
-            if type(getattr(self, name)) is not int:
-                raise CampaignError(f"search {name} must be an integer, "
-                                    f"got {getattr(self, name)!r}")
-        for name in ("grow", "require_deadlines"):
-            if type(getattr(self, name)) is not bool:
-                raise CampaignError(f"search {name} must be true or false, "
-                                    f"got {getattr(self, name)!r}")
-        _number("search target", self.target)
-        if self.scale is not None:
-            _number("search scale", self.scale)
-
     def canonical(self) -> dict[str, Any]:
         return {
             "axis": self.axis,
@@ -158,20 +135,9 @@ class SearchSpec:
             "require_deadlines": self.require_deadlines,
         }
 
-    _FIELDS = ("axis", "target", "metric", "seeds", "lo", "hi", "grow",
-               "scale", "require_deadlines")
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "SearchSpec":
-        _check_fields("search directive", data, cls._FIELDS)
-        known = {f: data[f] for f in cls._FIELDS if f in data}
-        if "axis" not in known:
-            raise CampaignError("search directive needs an 'axis'")
-        return cls(**known)
-
 
 @dataclass(frozen=True)
-class Panel:
+class Panel(JsonSpec):
     """One declarative figure panel.
 
     Exactly one execution shape applies:
@@ -190,7 +156,8 @@ class Panel:
     name: str
     title: str = ""
     base: ScenarioSpec | None = None
-    axes: tuple[tuple[str, tuple[Any, ...]], ...] = ()
+    axes: tuple[tuple[str, tuple[Any, ...]], ...] = field(
+        default=(), metadata={"read": _read_axes})
     specs: tuple[ScenarioSpec, ...] | None = None
     exclude: tuple[Mapping[str, Any], ...] = ()
     search: SearchSpec | None = None
@@ -198,14 +165,7 @@ class Panel:
     reducer_params: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "axes", _axes_tuple(_checked_axes(self.axes)))
-        if self.specs is not None:
-            object.__setattr__(self, "specs", tuple(self.specs))
-        object.__setattr__(self, "exclude", tuple(
-            _mapping(f"panel {self.name!r} exclude rule", e)
-            for e in _sequence(f"panel {self.name!r} exclude", self.exclude)))
-        object.__setattr__(self, "reducer_params", _mapping(
-            f"panel {self.name!r} reducer_params", self.reducer_params))
+        super().__post_init__()
         if self.search is not None:
             if self.base is None or self.specs is not None:
                 raise CampaignError(
@@ -286,41 +246,19 @@ class Panel:
         return hash(self.key)
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Panel":
-        name = data.get("name", "?") if isinstance(data, Mapping) else "?"
-        _check_fields(
-            f"panel {name!r}", data,
-            ("name", "title", "base", "axes", "specs", "exclude",
-             "search", "reducer", "reducer_params", "runner", "params"),
-        )
-        if data.get("runner") is not None or data.get("params"):
+    def from_dict(cls, data: Any) -> "Panel":
+        data = _document(cls, data, extra=("runner", "params"))
+        if data.pop("runner", None) is not None or data.pop("params", None):
             raise CampaignError(
-                f"panel {name!r}: custom panel runners are retired; declare "
-                "a grid or a search (in-run series are 'probes' options)"
+                f"panel {data.get('name')!r}: custom panel runners are "
+                "retired; declare a grid or a search (in-run series are "
+                "'probes' options)"
             )
-        if "name" not in data:
-            raise CampaignError("every panel needs a 'name'")
-        base = data.get("base")
-        specs = data.get("specs")
-        search = data.get("search")
-        return cls(
-            name=data["name"],
-            title=data.get("title", ""),
-            base=ScenarioSpec.from_dict(base) if base is not None else None,
-            axes=data.get("axes", ()),
-            specs=(tuple(ScenarioSpec.from_dict(s)
-                         for s in _sequence("specs", specs))
-                   if specs is not None else None),
-            exclude=data.get("exclude", ()),
-            search=(SearchSpec.from_dict(search)
-                    if search is not None else None),
-            reducer=data.get("reducer"),
-            reducer_params=data.get("reducer_params", {}),
-        )
+        return cls(**data)
 
 
 @dataclass(frozen=True)
-class Experiment:
+class Experiment(JsonSpec):
     """An ordered set of panels plus metadata — one declared study."""
 
     name: str
@@ -329,8 +267,7 @@ class Experiment:
     meta: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "panels", tuple(self.panels))
-        object.__setattr__(self, "meta", dict(self.meta))
+        super().__post_init__()
         if not self.panels:
             raise CampaignError(f"experiment {self.name!r} has no panels")
         names = [p.name for p in self.panels]
@@ -364,24 +301,12 @@ class Experiment:
         return hash(self.key)
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Experiment":
-        _check_fields("experiment", data,
-                      ("name", "experiment", "title", "panels", "meta"))
-        name = data.get("name") or data.get("experiment")
-        if not name:
-            raise CampaignError(
-                "an experiment file needs a 'name' (or 'experiment') field"
-            )
-        panels = data.get("panels")
-        if not panels:
-            raise CampaignError(f"experiment {name!r} declares no panels")
-        return cls(
-            name=name,
-            title=data.get("title", ""),
-            panels=tuple(Panel.from_dict(p)
-                         for p in _sequence("panels", panels)),
-            meta=data.get("meta", {}),
-        )
+    def from_dict(cls, data: Any) -> "Experiment":
+        if isinstance(data, Mapping) and "experiment" in data:
+            # ``experiment`` is the file-level alias of ``name``
+            data = dict(data)
+            data.setdefault("name", data.pop("experiment"))
+        return super().from_dict(data)
 
 
 # -- execution ----------------------------------------------------------------------
@@ -537,26 +462,6 @@ def run_experiment(experiment: Experiment) -> dict[str, Any]:
 
 _EXPERIMENTS: dict[str, Experiment] = {}
 
-_modules_loaded = False
-
-
-def load_experiment_modules() -> None:
-    """Import every module that registers experiment-surface kinds
-    (the one module list lives in :mod:`repro.campaign.registry`;
-    loaded lazily on first registry miss — importing here would cycle).
-    """
-    from repro.campaign.registry import EXPERIMENT_MODULES
-
-    global _modules_loaded
-    if _modules_loaded:
-        return
-    for module in EXPERIMENT_MODULES:
-        importlib.import_module(module)
-    # only after every import succeeded: a transient failure must surface
-    # again on the next call, not decay into "unknown kind"
-    _modules_loaded = True
-
-
 def register_experiment(experiment: Experiment) -> Experiment:
     """Register a declared experiment under its name (latest wins)."""
     _EXPERIMENTS[experiment.name] = experiment
@@ -574,8 +479,6 @@ def get_experiment(name: str) -> Experiment:
         load_experiment_modules()
         experiment = _EXPERIMENTS.get(name)
     if experiment is None:
-        from repro.campaign.registry import unknown_kind
-
         raise unknown_kind("experiment", name, experiment_kinds())
     return experiment
 
@@ -606,8 +509,6 @@ def load_experiment_file(path: str) -> Experiment:
         raise CampaignError(f"cannot read experiment file {path}: {exc}") from exc
     except ValueError as exc:
         raise CampaignError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, Mapping):
-        raise CampaignError(f"{path}: top level must be a JSON object")
     return load_experiment(data)
 
 
@@ -618,9 +519,6 @@ def validate_experiment(experiment: Experiment) -> int:
     scenarios a (non-search) full run would submit. Raises
     :class:`CampaignError` with a close-match hint on the first unknown
     kind, which makes it the ``run-spec --dry-run`` schema check."""
-    from repro.campaign.registry import validate_spec_kinds
-    from repro.obs.probes import validate_probes_option
-
     n_scenarios = 0
     for panel in experiment.panels:
         get_reducer(panel.reducer or "table")
@@ -637,8 +535,6 @@ def validate_experiment(experiment: Experiment) -> int:
                 spec = spec.with_(seed=search.seeds[0],
                                   **{search.axis: probe})
             validate_spec_kinds(spec)
-            if "probes" in spec.options:
-                validate_probes_option(spec.options["probes"])
         if search is None:
             n_scenarios += len(cells)
     return n_scenarios

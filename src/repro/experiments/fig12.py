@@ -33,7 +33,6 @@ from repro.experiments.api import (
     Panel,
     register_experiment,
 )
-from repro.experiments.fig8 import topology_for
 from repro.experiments.reducers import register_reducer
 from repro.units import GBPS, KBYTE
 from repro.utils.rng import spawn_rng
@@ -41,14 +40,6 @@ from repro.utils.stats import mean
 from repro.workload.arrivals import poisson_arrivals
 from repro.workload.flow import FlowSpec
 from repro.workload.sizes import uniform_sizes
-
-
-def fig12_workload(n_servers: int, duration: float, load: float,
-                   seed: int, mean_size: float = 100 * KBYTE) -> list[FlowSpec]:
-    """Poisson random-pair traffic at per-host offered ``load`` (fraction
-    of the 1 Gbps access links)."""
-    topo = topology_for("fattree", n_servers)
-    return _poisson_pair_flows(topo.hosts, duration, load, seed, mean_size)
 
 
 def _poisson_pair_flows(hosts, duration: float, load: float, seed: int,

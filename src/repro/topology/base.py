@@ -57,9 +57,6 @@ class Topology:
             n for n, d in self.graph.nodes(data=True) if d["kind"] == "switch"
         )
 
-    def edge_rate(self, a: str, b: str) -> float:
-        return self.graph.edges[a, b]["rate_bps"]
-
     def directed_edge_index(self) -> dict[tuple[str, str], int]:
         """Dense integer id for every *directed* edge.
 
@@ -106,8 +103,3 @@ class Topology:
             "switches": len(self.switches),
             "links": self.graph.number_of_edges(),
         }
-
-    def host_pairs(self) -> list[tuple[str, str]]:
-        """All ordered host pairs (diagnostic helper)."""
-        hosts = self.hosts
-        return [(a, b) for a in hosts for b in hosts if a != b]

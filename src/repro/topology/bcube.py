@@ -71,10 +71,6 @@ class BCube(Topology):
         return self.n ** (self.k + 1)
 
     @property
-    def n_switches_per_level(self) -> int:
-        return self.n ** self.k
-
-    @property
     def nics_per_server(self) -> int:
         return self.k + 1
 

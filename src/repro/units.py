@@ -38,8 +38,3 @@ def tx_time(size_bytes: float, rate_bps: float) -> float:
     if rate_bps <= 0:
         raise ValueError(f"rate must be positive, got {rate_bps}")
     return size_bytes * BITS_PER_BYTE / rate_bps
-
-
-def bytes_in(duration: float, rate_bps: float) -> float:
-    """How many bytes a link at ``rate_bps`` carries in ``duration`` seconds."""
-    return duration * rate_bps / BITS_PER_BYTE

@@ -324,16 +324,25 @@ def _tolerance(protocol: str, fct_rtol: float | None = None,
                ) -> Tolerance:
     """A pair's bounds from its panel's ``reducer_params``: each one
     defaults to the per-protocol table; ``fct_rtol_by_protocol`` wins
-    over the table, the flat ``fct_rtol`` over both."""
+    over the table, the flat ``fct_rtol`` over both. A protocol with no
+    measured table entry and no explicit bound is an
+    :class:`ExperimentError`, never a guessed bound."""
     if fct_rtol is None and fct_rtol_by_protocol is not None:
         fct_rtol = fct_rtol_by_protocol.get(protocol)
+
+    def bound(name: str, given: float | None,
+              table: Mapping[str, float]) -> float:
+        if given is None and protocol not in table:
+            raise ExperimentError(
+                f"no measured {name} for {protocol!r}: declare it in the "
+                "panel's reducer_params")
+        return table[protocol] if given is None else given
+
     return Tolerance(
-        fct_rtol=(fct_rtol if fct_rtol is not None
-                  else FCT_RTOL.get(protocol, 0.5)),
-        app_tput_atol=(app_tput_atol if app_tput_atol is not None
-                       else APP_TPUT_ATOL.get(protocol, 0.25)),
-        completion_atol=(completion_atol if completion_atol is not None
-                         else COMPLETION_ATOL.get(protocol, 0.20)),
+        fct_rtol=bound("fct_rtol", fct_rtol, FCT_RTOL),
+        app_tput_atol=bound("app_tput_atol", app_tput_atol, APP_TPUT_ATOL),
+        completion_atol=bound("completion_atol", completion_atol,
+                              COMPLETION_ATOL),
     )
 
 
