@@ -16,7 +16,6 @@ from pathlib import Path
 from repro.analysis.core import CHECKERS, AnalysisBroken, AnalysisContext
 from repro.analysis.diagnostics import render_report, sort_diagnostics
 from repro.analysis.mypy_runner import run_mypy
-from repro.analysis.rpl004_fingerprint import write_pins
 
 
 def find_repo_root(start: Path | None = None) -> Path:
@@ -43,11 +42,6 @@ def add_check_arguments(parser: argparse.ArgumentParser) -> None:
         help="skip the mypy step even when mypy is installed",
     )
     parser.add_argument(
-        "--repin-fingerprints", action="store_true",
-        help="recompute and rewrite the RPL004 fingerprint pins, then "
-             "re-run the check",
-    )
-    parser.add_argument(
         "--list", action="store_true", dest="list_checkers",
         help="list the registered checkers and exit",
     )
@@ -67,9 +61,6 @@ def run_check(args: argparse.Namespace) -> int:
     paths = [Path(p) for p in args.paths] or None
     try:
         ctx = AnalysisContext.build(root, paths=paths)
-        if args.repin_fingerprints:
-            pin_path = write_pins(ctx)
-            print(f"re-pinned canonicalization fingerprints -> {pin_path}")
         diagnostics = []
         for code in sorted(CHECKERS):
             _, check = CHECKERS[code]

@@ -3,8 +3,8 @@
 The analysis pass walks Python ASTs with the stdlib :mod:`ast` module —
 no third-party dependency — over a declared *file set* (by default the
 library source plus ``examples/`` and ``benchmarks/``; tests are
-excluded because they violate contracts on purpose, e.g. the
-unknown-kind tests). Each domain checker receives an
+excluded because they build the forbidden shapes on purpose). Each
+domain checker receives an
 :class:`AnalysisContext` and yields
 :class:`~repro.analysis.diagnostics.Diagnostic` objects.
 
@@ -108,27 +108,16 @@ def discover_files(root: Path,
 
 @dataclass
 class AnalysisContext:
-    """Everything a checker may consult: the parsed file set plus the
-    pinned-fingerprint location (overridable so fixture tests can pin
-    their own)."""
+    """Everything a checker may consult: the parsed file set."""
 
     root: Path
     files: list[SourceFile] = field(default_factory=list)
-    fingerprint_path: Path | None = None
 
     @classmethod
     def build(cls, root: Path,
-              paths: Iterable[Path] | None = None,
-              fingerprint_path: Path | None = None) -> "AnalysisContext":
+              paths: Iterable[Path] | None = None) -> "AnalysisContext":
         files = [parse_source(p, root) for p in discover_files(root, paths)]
-        return cls(root=root, files=files, fingerprint_path=fingerprint_path)
-
-    def file(self, relpath_suffix: str) -> SourceFile | None:
-        """The file whose relpath ends with ``relpath_suffix``, if any."""
-        for sf in self.files:
-            if sf.relpath.endswith(relpath_suffix):
-                return sf
-        return None
+        return cls(root=root, files=files)
 
 
 # -- AST helpers shared by checkers -------------------------------------------------

@@ -15,13 +15,17 @@ acknowledge paths with the PDQ endpoint hooks, the TCP endpoints
 admission (``FlowLevelSimulation._admit``), the window pull
 (``FlowStream.take_until``) and the streaming collector's registration
 and completion hooks (``StreamingMetricsCollector.register`` /
-``on_complete``). Those functions carry a ``# repro: hot`` marker; this
-checker rejects
-constructs that past PRs spent effort removing:
+``on_complete``). Those functions carry a ``# repro: hot`` marker.
 
-* closures and lambdas (PR 4 made the event loop closure-free);
-* f-string building and logging calls (PR 6's parity rule: telemetry
-  is harvested at the adapter boundary, never per-packet) — f-strings
+No test holds this contract: a closure or a per-packet dict in a hot
+function changes no number a test reads, only the engines' speed, and
+the timed benchmark is too noisy to pin one function's allocations.
+So this checker rejects the constructs that were each removed from
+these functions for speed:
+
+* closures and lambdas (the event loop was made closure-free);
+* f-string building and logging calls (the parity rule: telemetry is
+  harvested at the adapter boundary, never per-packet) — f-strings
   inside ``raise`` statements are exempt, error paths are cold;
 * ``dict``/``list``/``set`` literals, comprehensions, or constructor
   calls inside loops (per-iteration allocation);

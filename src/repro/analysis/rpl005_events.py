@@ -1,13 +1,13 @@
 """RPL005 — event-shape guard: deliveries schedule only at tx-finish.
 
-PR 7's hardest-won lesson (the fig3c regression): the packet engine's
-two-event transmission pipeline assigns the delivery event's heap
-sequence number when serialization *finishes*. Scheduling a delivery at
-tx-*start* — the "obvious" refactor when inlining link scheduling —
-hands the delivery an earlier seq, which flips same-timestamp tie
-orders and visibly shifts high-flow-count trajectories while every
-small test stays green. This checker makes that shape a lint-time
-contract:
+The defect this rule caught is the fig3c regression: the packet
+engine's two-event transmission pipeline assigns the delivery event's
+heap sequence number when serialization *finishes*. Scheduling a
+delivery at tx-*start* — the "obvious" refactor when inlining link
+scheduling — hands the delivery an earlier seq, which flips
+same-timestamp tie orders and visibly shifts high-flow-count
+trajectories while every small test, the golden fixtures included,
+stays green. This checker makes that shape a lint-time contract:
 
 * scheduling a *delivery callback* (``receive`` / ``_deliver_cb``)
   through ``call_after``/``call_at``/``schedule``/``schedule_at`` or a

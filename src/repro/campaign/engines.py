@@ -24,6 +24,7 @@ no weight to spec construction in driver processes.
 
 from __future__ import annotations
 
+import functools
 import importlib
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, fields
@@ -84,9 +85,10 @@ ENGINE_OPTIONS = {
 def check_options(engine: str, protocol: str,
                   options: Mapping[str, Any]) -> Protocol | None:
     """The protocol's row, once the (engine, protocol, options) triple
-    checks out: an unknown protocol, one the engine cannot run, or an
-    option name outside the pair's vocabulary is a :class:`CampaignError`
-    naming it. A custom engine owns its options: ``None``, unchecked."""
+    checks out: an unknown protocol, one the engine cannot run, an
+    option name outside the pair's vocabulary, or a PDQ option value
+    :func:`_check_pdq_values` refuses is a :class:`CampaignError` naming
+    it. A custom engine owns its options: ``None``, unchecked."""
     allowed = ENGINE_OPTIONS.get(engine)
     if allowed is None:
         return None
@@ -99,9 +101,7 @@ def check_options(engine: str, protocol: str,
         raise CampaignError(f"no flow-level model for {protocol!r}; it "
                             "runs on the packet engine only")
     if row.preset is not None:
-        from repro.core.config import PdqConfig
-
-        allowed += tuple(f.name for f in fields(PdqConfig))
+        allowed += tuple(_pdq_readers())
     unknown = set(options).difference(allowed)
     if unknown:
         from repro.campaign.spec import unknown_names
@@ -109,11 +109,49 @@ def check_options(engine: str, protocol: str,
         raise CampaignError(
             f"options: {protocol} on the {engine} engine takes no option "
             + unknown_names(unknown, allowed))
+    if row.preset is not None:
+        _check_pdq_values(protocol, row.preset, options)
     if "probes" in options:
         from repro.obs.probes import validate_probes_option
 
         validate_probes_option(options["probes"])
     return row
+
+
+@functools.cache
+def _pdq_readers() -> dict[str, Callable[[Any, tuple[str, ...]], Any]]:
+    """``PdqConfig`` field -> the spec reader of its annotation."""
+    import typing
+
+    from repro.campaign.spec import _reader
+    from repro.core.config import PdqConfig
+
+    hints = typing.get_type_hints(PdqConfig)
+    return {f.name: _reader(hints[f.name]) for f in fields(PdqConfig)}
+
+
+def _check_pdq_values(protocol: str, preset: str,
+                      options: Mapping[str, Any]) -> None:
+    """Read each PDQ option as its ``PdqConfig`` annotation says, refuse
+    a variant flag the protocol's preset fixes, then build the config
+    so its own range checks speak as a :class:`CampaignError` too."""
+    from repro.core.config import PRESET_FLAGS, PdqConfig
+
+    readers = _pdq_readers()
+    pdq = {name: value for name, value in options.items()
+           if name in readers}
+    for name, value in pdq.items():
+        readers[name](value, ("options", name))
+    fixed = sorted(set(pdq).intersection(PRESET_FLAGS[preset]))
+    if fixed:
+        raise CampaignError(
+            f"options {fixed[0]}: {protocol} fixes "
+            + ", ".join(f"{f}={PRESET_FLAGS[preset][f]}" for f in fixed)
+            + "; name the PDQ variant with the flags wanted instead")
+    try:
+        getattr(PdqConfig, preset)(**pdq)
+    except ValueError as exc:
+        raise CampaignError(f"options: {protocol}: {exc}") from None
 
 
 #: engine kind -> adapter(spec, topology, flows, options) -> collector

@@ -7,6 +7,20 @@ from dataclasses import dataclass, replace
 from repro.units import KBYTE, USEC
 
 
+#: the variant flags each named preset fixes (§5.1), by classmethod
+#: name; an override may not name one. PDQ(Full) fixes none: it is the
+#: defaults, so its overrides may switch any variant off
+PRESET_FLAGS: dict[str, dict[str, bool]] = {
+    "basic": {"early_start": False, "early_termination": False,
+              "suppressed_probing": False},
+    "es": {"early_start": True, "early_termination": False,
+           "suppressed_probing": False},
+    "es_et": {"early_start": True, "early_termination": True,
+              "suppressed_probing": False},
+    "full": {},
+}
+
+
 @dataclass(frozen=True)
 class PdqConfig:
     """All PDQ knobs, defaults straight from the paper.
@@ -93,37 +107,22 @@ class PdqConfig:
     def basic(cls, **overrides) -> "PdqConfig":
         """PDQ(Basic): no Early Start, Early Termination or Suppressed
         Probing."""
-        return cls(
-            early_start=False,
-            early_termination=False,
-            suppressed_probing=False,
-            **overrides,
-        )
+        return cls(**PRESET_FLAGS["basic"], **overrides)
 
     @classmethod
     def es(cls, **overrides) -> "PdqConfig":
         """PDQ(ES): Basic + Early Start."""
-        return cls(
-            early_start=True,
-            early_termination=False,
-            suppressed_probing=False,
-            **overrides,
-        )
+        return cls(**PRESET_FLAGS["es"], **overrides)
 
     @classmethod
     def es_et(cls, **overrides) -> "PdqConfig":
         """PDQ(ES+ET): Early Start + Early Termination."""
-        return cls(
-            early_start=True,
-            early_termination=True,
-            suppressed_probing=False,
-            **overrides,
-        )
+        return cls(**PRESET_FLAGS["es_et"], **overrides)
 
     @classmethod
     def full(cls, **overrides) -> "PdqConfig":
         """PDQ(Full): everything on (the paper's headline configuration)."""
-        return cls(**overrides)
+        return cls(**PRESET_FLAGS["full"], **overrides)
 
     def with_(self, **changes) -> "PdqConfig":
         return replace(self, **changes)

@@ -55,8 +55,12 @@ from repro.campaign.spec import (
     is_labeled_cell,
     read_list,
 )
-from repro.errors import CampaignError, ExperimentError
-from repro.experiments.reducers import collector_metric, get_reducer
+from repro.errors import CampaignError, ExperimentError, ReproError
+from repro.experiments.reducers import (
+    collector_metric,
+    get_reducer,
+    reducer_check,
+)
 from repro.experiments.search import binary_search_max
 from repro.metrics.collector import MetricsCollector
 from repro.utils.stats import mean
@@ -312,6 +316,33 @@ class Experiment(JsonSpec):
 # -- execution ----------------------------------------------------------------------
 
 
+class Inputs:
+    """Each distinct topology and each distinct ``(topology, workload,
+    seed)`` built once, for as long as this object lives. What it
+    returns is shared between callers, so it is read-only."""
+
+    def __init__(self) -> None:
+        self._topologies: dict[TopologySpec, Any] = {}
+        self._flows: dict[tuple[TopologySpec, WorkloadSpec, int], Any] = {}
+
+    def topology(self, spec: TopologySpec) -> Any:
+        topology = self._topologies.get(spec)
+        if topology is None:
+            topology = self._topologies[spec] = spec.build()
+        return topology
+
+    def flows(self, spec: ScenarioSpec) -> Any:
+        """The workload ``spec`` runs: its builder's output on the
+        spec's topology and seed (protocol-independent)."""
+        key = (spec.topology, spec.workload, spec.seed)
+        flows = self._flows.get(key)
+        if flows is None:
+            flows = spec.workload.build(self.topology(spec.topology),
+                                        spec.seed)
+            self._flows[key] = flows
+        return flows
+
+
 @dataclass
 class PanelRun:
     """One executed panel, handed to its reducer.
@@ -321,38 +352,19 @@ class PanelRun:
 
     Reducer contract: a reducer that needs a cell's inputs (an
     omniscient-scheduler row, a normalization by the optimal FCT) reads
-    them through :meth:`flows`, never by rebuilding the spec. The memo
-    builds each distinct topology and each distinct
-    ``(topology, workload, seed)`` once per panel run, and it lives and
-    dies with this object. What it returns is shared between callers, so
-    it is read-only.
+    them through :meth:`flows`, never by rebuilding the spec; the
+    :class:`Inputs` memo behind it lives and dies with this object.
     """
 
     panel: Panel
     rows: list[tuple[dict[str, Any], ScenarioSpec, MetricsCollector]] = (
         field(default_factory=list))
     found: list[tuple[dict[str, Any], Any]] | None = None
-    _topologies: dict[TopologySpec, Any] = field(
-        default_factory=dict, init=False, repr=False)
-    _flows: dict[tuple[TopologySpec, WorkloadSpec, int], Any] = field(
-        default_factory=dict, init=False, repr=False)
+    _inputs: Inputs = field(default_factory=Inputs, init=False, repr=False)
 
     def flows(self, spec: ScenarioSpec) -> Any:
-        """The workload ``spec`` ran: its builder's output on the spec's
-        topology and seed (protocol-independent)."""
-        key = (spec.topology, spec.workload, spec.seed)
-        flows = self._flows.get(key)
-        if flows is None:
-            flows = spec.workload.build(self._topology(spec.topology),
-                                        spec.seed)
-            self._flows[key] = flows
-        return flows
-
-    def _topology(self, spec: TopologySpec) -> Any:
-        topology = self._topologies.get(spec)
-        if topology is None:
-            topology = self._topologies[spec] = spec.build()
-        return topology
+        """The workload ``spec`` ran (see :meth:`Inputs.flows`)."""
+        return self._inputs.flows(spec)
 
     def single_cell(self) -> tuple[ScenarioSpec, MetricsCollector]:
         """The one ``(spec, collector)`` of a one-cell grid panel."""
@@ -512,29 +524,65 @@ def load_experiment_file(path: str) -> Experiment:
     return load_experiment(data)
 
 
+#: what a topology or workload builder raises on parameters it refuses
+_BUILD_ERRORS = (ReproError, TypeError, ValueError)
+
+
+def _check_cell(spec: ScenarioSpec, inputs: Inputs) -> None:
+    """One cell's dry run: its names and options resolve and its params
+    bind (:func:`validate_spec_kinds`), then its topology and workload
+    build, each distinct one once per ``inputs``."""
+    validate_spec_kinds(spec)
+    try:
+        inputs.topology(spec.topology)
+    except _BUILD_ERRORS as exc:
+        raise CampaignError(
+            f"topology kind {spec.topology.kind!r}: {exc}") from None
+    try:
+        inputs.flows(spec)
+    except _BUILD_ERRORS as exc:
+        raise CampaignError(
+            f"workload kind {spec.workload.kind!r}: {exc}") from None
+
+
 def validate_experiment(experiment: Experiment) -> int:
     """Resolve every name a declared experiment references — reducers,
-    metrics, topology/workload/engine and probe kinds — and expand
-    its grids, without executing anything. Returns the number of
-    scenarios a (non-search) full run would submit. Raises
-    :class:`CampaignError` with a close-match hint on the first unknown
-    kind, which makes it the ``run-spec --dry-run`` schema check."""
+    metrics, topology/workload/engine and probe kinds — check every
+    cell's options, build its topology and workload, and run each
+    reducer's own panel check (:func:`~repro.experiments.reducers.
+    reducer_check`), without executing a scenario. Returns the number
+    of scenarios a (non-search) full run would submit. The first defect
+    raises a :class:`CampaignError` naming the panel and the cell, which
+    makes it the ``run-spec --dry-run`` schema check."""
+    inputs = Inputs()
     n_scenarios = 0
     for panel in experiment.panels:
-        get_reducer(panel.reducer or "table")
+        check = reducer_check(panel.reducer or "table")
         search = panel.search
         if search is not None:
             collector_metric(search.metric)
             probe = search.lo if search.scale is None \
                 else search.lo * search.scale
         cells = panel.cells()
-        for _combo, spec in cells:
-            if search is not None:
-                # a search cell runs with its axis set (which also proves
-                # the axis assignable): check the spec it runs
-                spec = spec.with_(seed=search.seeds[0],
-                                  **{search.axis: probe})
-            validate_spec_kinds(spec)
+        for i, (combo, spec) in enumerate(cells):
+            try:
+                if search is not None:
+                    # a search cell runs with its axis set (which also
+                    # proves the axis assignable): check the spec it runs
+                    spec = spec.with_(seed=search.seeds[0],
+                                      **{search.axis: probe})
+                _check_cell(spec, inputs)
+            except CampaignError as exc:
+                coords = ", ".join(f"{k}={v}" for k, v in combo.items())
+                raise CampaignError(
+                    f"panel {panel.name!r} cell {i}"
+                    + (f" ({coords})" if coords else "") + f": {exc}"
+                ) from None
+        if check is not None:
+            try:
+                check(panel)
+            except ExperimentError as exc:
+                raise CampaignError(str(exc)) from None
         if search is None:
             n_scenarios += len(cells)
     return n_scenarios

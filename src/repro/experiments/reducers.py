@@ -121,21 +121,34 @@ def _wire_losses(collector: MetricsCollector) -> float:
 # -- reducer registry ---------------------------------------------------------------
 
 _REDUCERS: dict[str, Callable] = {}
+_CHECKS: dict[str, Callable] = {}
 
 
-def register_reducer(name: str) -> Callable:
+def register_reducer(name: str, check: Callable | None = None) -> Callable:
     """Decorator: register a panel reducer under ``name``.
 
     A reducer takes the executed :class:`~repro.experiments.api.PanelRun`
     plus the panel's declared ``reducer_params`` as keywords and returns
-    plain data.
+    plain data. ``check(panel)``, when given, is the reducer's part of
+    the dry run: it raises :class:`ExperimentError` on a panel the
+    reducer would refuse once every cell has run.
     """
 
     def decorate(fn: Callable) -> Callable:
         _REDUCERS[name] = fn
+        if check is not None:
+            _CHECKS[name] = check
         return fn
 
     return decorate
+
+
+def reducer_check(name: str) -> Callable | None:
+    """The dry-run check of a registered reducer, if it has one; an
+    unknown reducer is a :class:`CampaignError`, as in
+    :func:`get_reducer`."""
+    get_reducer(name)
+    return _CHECKS.get(name)
 
 
 def reducer_kinds() -> list[str]:

@@ -381,9 +381,14 @@ def panel_pairs(panel: Panel) -> list[ValidationPair]:
                 for name, value in zip(swept, cell) if name != "protocol"]
         label = ("-".join([packet.protocol, *tags]) if swept
                  else packet.workload.kind)
+        try:
+            tolerance = _tolerance(packet.protocol, **params)
+        except (ExperimentError, TypeError) as exc:  # TypeError: a bad name
+            raise ExperimentError(
+                f"panel {panel.name!r}: cell {cell!r}: {exc}") from None
         pairs.append(ValidationPair(
             name=f"{family}/{label}", family=family, packet=packet,
-            tolerance=_tolerance(packet.protocol, **params)))
+            tolerance=tolerance))
     return pairs
 
 
@@ -396,7 +401,7 @@ def default_pairs(quick: bool = False) -> list[ValidationPair]:
 # -- the agreement reducer ----------------------------------------------------------
 
 
-@register_reducer("validate.agreement")
+@register_reducer("validate.agreement", check=panel_pairs)
 def _reduce_agreement(run, **_params) -> dict:
     """Run the harness tolerance checks on every pair of the panel
     (:func:`panel_pairs`, the one reader of its ``reducer_params``: the

@@ -1,4 +1,4 @@
-"""Tests for the ``repro check`` static-analysis pass (RPL002-RPL005).
+"""Tests for the ``repro check`` static-analysis pass (RPL002, RPL005).
 
 Each checker is pinned against pass/fail fixtures under
 ``tests/data/analysis/`` (fixture trees mimic the repo layout where a
@@ -16,10 +16,6 @@ import pytest
 import repro.analysis  # noqa: F401  (registers the checkers)
 from repro.analysis.core import CHECKERS, AnalysisContext
 from repro.analysis.diagnostics import render_report, sort_diagnostics
-from repro.analysis.rpl004_fingerprint import (
-    normalized_fingerprint,
-    write_pins,
-)
 from repro.errors import CampaignError
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -31,15 +27,15 @@ def run_checker(code, ctx):
     return sort_diagnostics(list(check(ctx)))
 
 
-def fixture_ctx(name, fingerprint_path=None):
-    return AnalysisContext.build(
-        REPO_ROOT, paths=[FIXTURES / name], fingerprint_path=fingerprint_path,
-    )
+def fixture_ctx(name):
+    return AnalysisContext.build(REPO_ROOT, paths=[FIXTURES / name])
 
 
 class TestRegistry:
-    def test_all_four_checkers_registered(self):
-        assert sorted(CHECKERS) == ["RPL002", "RPL003", "RPL004", "RPL005"]
+    def test_kept_checkers_registered(self):
+        # cache keys are held by tests/test_key_corpus.py, kind names by
+        # the dry runs of every registered experiment and example
+        assert sorted(CHECKERS) == ["RPL002", "RPL005"]
 
 
 class TestRpl002HotPathPurity:
@@ -83,67 +79,6 @@ class TestRpl002HotPathPurity:
         )
         ctx = AnalysisContext.build(REPO_ROOT, paths=[target])
         assert run_checker("RPL002", ctx) == []
-
-
-class TestRpl003RegistryDiscipline:
-    def test_pass_fixture_is_clean(self):
-        assert run_checker("RPL003", fixture_ctx("rpl003_pass")) == []
-
-    def test_typoed_kinds_are_flagged_with_hints(self):
-        diags = run_checker("RPL003", fixture_ctx("rpl003_fail"))
-        assert len(diags) == 4
-        blob = "\n".join(d.message for d in diags)
-        assert "'single_root' is not a registered topology kind" in blob
-        assert "Did you mean 'single_rooted'?" in blob
-        assert "'fig4.patern' is not a registered workload kind" in blob
-        assert "Did you mean 'fig4.pattern'?" in blob
-        assert "'packt' is not a registered engine kind" in blob
-        assert "'tables' is not a registered reducer kind" in blob
-        assert "Did you mean 'table'?" in blob
-
-
-class TestRpl004FingerprintPins:
-    def _pin(self, fixture, tmp_path):
-        pin_path = tmp_path / "fingerprints.json"
-        ctx = fixture_ctx(fixture, fingerprint_path=pin_path)
-        write_pins(ctx)
-        return pin_path
-
-    def test_pinned_fixture_is_clean(self, tmp_path):
-        pin_path = self._pin("rpl004", tmp_path)
-        ctx = fixture_ctx("rpl004", fingerprint_path=pin_path)
-        assert run_checker("RPL004", ctx) == []
-
-    def test_edit_without_repin_is_flagged(self, tmp_path):
-        # v2 differs from v1 only in ScenarioSpec.key's body (plus the
-        # module docstring, which must NOT trip the fingerprint)
-        pin_path = self._pin("rpl004", tmp_path)
-        ctx = fixture_ctx("rpl004_changed", fingerprint_path=pin_path)
-        diags = run_checker("RPL004", ctx)
-        assert len(diags) == 1
-        assert "ScenarioSpec.key changed" in diags[0].message
-        assert "--repin-fingerprints" in diags[0].message
-
-    def test_missing_pin_table_is_flagged(self, tmp_path):
-        ctx = fixture_ctx("rpl004",
-                          fingerprint_path=tmp_path / "missing.json")
-        diags = run_checker("RPL004", ctx)
-        assert len(diags) == 1
-        assert "missing" in diags[0].message
-
-    def test_fingerprint_ignores_docstrings_and_formatting(self):
-        import ast
-
-        def fn_node(source):
-            return ast.parse(source).body[0]
-
-        base = fn_node("def f(x):\n    return x + 1\n")
-        doc = fn_node('def f(x):\n    """doc"""\n    return x + 1\n')
-        spaced = fn_node("def f( x ):\n    return (x + 1)\n")
-        edited = fn_node("def f(x):\n    return x + 2\n")
-        assert normalized_fingerprint(base) == normalized_fingerprint(doc)
-        assert normalized_fingerprint(base) == normalized_fingerprint(spaced)
-        assert normalized_fingerprint(base) != normalized_fingerprint(edited)
 
 
 class TestRpl005EventShape:
@@ -228,13 +163,21 @@ class TestCheckCli:
 
         assert main(["--list"]) == 0
         out = capsys.readouterr().out
-        for code in ("RPL002", "RPL003", "RPL004", "RPL005"):
-            assert code in out
+        assert [line.split()[0] for line in out.splitlines()] == \
+            ["RPL002", "RPL005"]
+
+    def test_repin_flag_is_gone(self, capsys):
+        from repro.analysis.cli import main
+
+        with pytest.raises(SystemExit) as exit_:
+            main(["--repin-fingerprints"])
+        assert exit_.value.code == 2
+        assert "--repin-fingerprints" in capsys.readouterr().err
 
     def test_clean_fixture_exits_zero(self, capsys):
         from repro.analysis.cli import main
 
-        rc = main([str(FIXTURES / "rpl003_pass"), "--no-mypy"])
+        rc = main([str(FIXTURES / "rpl005_pass"), "--no-mypy"])
         assert rc == 0
         assert "repro check: clean" in capsys.readouterr().out
 
@@ -242,23 +185,24 @@ class TestCheckCli:
         from repro.analysis.cli import main
 
         out_file = tmp_path / "report.json"
-        rc = main([str(FIXTURES / "rpl003_fail"), "--no-mypy",
+        rc = main([str(FIXTURES / "rpl005_fail"), "--no-mypy",
                    "--out", str(out_file)])
         assert rc == 1
         report = json.loads(out_file.read_text())
         assert report["schema"] == 1
-        assert report["n_diagnostics"] == 4
-        assert report["by_code"] == {"RPL003": 4}
+        assert report["n_diagnostics"] == 1
+        assert report["by_code"] == {"RPL005": 1}
         first = report["diagnostics"][0]
-        assert first["code"] == "RPL003"
+        assert first["code"] == "RPL005"
         assert "line" in first and "path" in first and "message" in first
         text = capsys.readouterr().out
-        assert ": RPL003 " in text
+        assert ": RPL005 " in text
 
     def test_render_report_counts_by_code(self):
-        diags = run_checker("RPL003", fixture_ctx("rpl003_fail"))
+        diags = [*run_checker("RPL002", fixture_ctx("rpl002_fail")),
+                 *run_checker("RPL005", fixture_ctx("rpl005_fail"))]
         report = render_report(diags, mypy={"status": "skipped"})
-        assert report["by_code"] == {"RPL003": 4}
+        assert report["by_code"] == {"RPL002": len(diags) - 1, "RPL005": 1}
         assert report["mypy"] == {"status": "skipped"}
 
 

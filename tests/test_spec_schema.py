@@ -136,22 +136,28 @@ class TestGeneratedSchema:
 # -- the defects a spec file could reach a cell with ----------------------------------
 
 
-def _dry_run(tmp_path, capsys, **base) -> str:
-    """``run-spec --dry-run`` on a one-panel file whose base spec is a
-    small flow-engine RCP cell updated with ``base`` (and the file with
-    its ``experiment`` entry); returns stderr after asserting the dry run
-    failed."""
+def _spec_file(tmp_path, **base):
+    """A one-panel spec file whose base spec is a small flow-engine RCP
+    cell updated with ``base`` (and the file with its ``experiment``
+    entry)."""
     top = base.pop("experiment", {})
     panel = {"name": "p", "axes": [["seed", [1]]], "base": {
         "protocol": "RCP",
         "topology": {"kind": "single_rooted"},
         "workload": {"kind": "fig3.aggregation",
-                     "params": {"n_flows": 2, "mean_size": 1000}},
+                     "params": {"n_flows": 2, "mean_size": 100000}},
         "engine": "flow",
         **base}}
     doc = {"name": "x", "panels": [panel], **top}
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
+    return path
+
+
+def _dry_run(tmp_path, capsys, **base) -> str:
+    """``run-spec --dry-run`` on :func:`_spec_file`; returns stderr after
+    asserting the dry run failed."""
+    path = _spec_file(tmp_path, **base)
     assert cli_main(["run-spec", str(path), "--dry-run"]) == 1
     return capsys.readouterr().err
 
@@ -181,6 +187,46 @@ class TestDryRunRejects:
                        options={"early_terminaton": False})
         assert ("'early_terminaton' (did you mean 'early_termination'?)"
                 in err)
+
+    @pytest.mark.parametrize("protocol, options, message", [
+        # passed the dry run, then every cell died with a bare TypeError
+        # comparing the string with a number
+        ("PDQ(Basic)", {"aging_rate": "x"},
+         "options aging_rate: must be a finite number, got 'x'"),
+        # passed the dry run, then died in PdqConfig.basic with "got
+        # multiple values for keyword argument"
+        ("PDQ(Basic)", {"early_start": True},
+         "options early_start: PDQ(Basic) fixes early_start=False"),
+        ("PDQ(Full)", {"hard_flow_limit": 8.5},
+         "options hard_flow_limit: must be an integer, got 8.5"),
+        ("PDQ(Full)", {"K": -1.0}, "options: PDQ(Full): K must be >= 0"),
+        ("PDQ(ES)", {"criticality_mode": "edf"},
+         "options: PDQ(ES): unknown criticality_mode 'edf'"),
+    ])
+    def test_pdq_option_value(self, tmp_path, capsys, protocol, options,
+                              message):
+        err = _dry_run(tmp_path, capsys, protocol=protocol, options=options)
+        assert err.startswith(
+            f"campaign error: panel 'p' cell 0 (seed=1): {message}")
+
+    @pytest.mark.parametrize("part, message", [
+        # bound by name, passed the dry run, then every cell died in the
+        # builder with a WorkloadError
+        ({"workload": {"kind": "fig3.aggregation",
+                       "params": {"n_flows": 2, "mean_size": 1000}}},
+         "workload kind 'fig3.aggregation': mean 1000 must exceed the "
+         "minimum size 2000"),
+        ({"topology": {"kind": "bcube", "params": {"n": 2}}},
+         "topology kind 'bcube': bcube needs either k or n_servers"),
+    ])
+    def test_value_the_builder_refuses(self, tmp_path, capsys, part,
+                                       message):
+        err = _dry_run(tmp_path, capsys, **part)
+        assert err == f"campaign error: panel 'p' cell 0 (seed=1): {message}\n"
+
+    def test_the_unbroken_file_passes(self, tmp_path):
+        path = _spec_file(tmp_path)
+        assert cli_main(["run-spec", str(path), "--dry-run"]) == 0
 
     def test_protocol_of_the_wrong_type(self, tmp_path, capsys):
         err = _dry_run(tmp_path, capsys, protocol=5)
@@ -231,4 +277,6 @@ class TestOptionVocabulary:
             make_stack("RCP", K=1.0)
         with pytest.raises(CampaignError, match="no flow-level model"):
             make_model("M-PDQ")
+        with pytest.raises(CampaignError, match="PDQ.Basic. fixes"):
+            make_stack("PDQ(Basic)", early_termination=False)
         assert make_stack("M-PDQ", n_subflows=2).n_subflows == 2

@@ -427,8 +427,8 @@ def _stream_spec(engine="flow", seed=5, streaming=True, **options):
 
 class TestCampaignWiring:
     def test_streaming_option_is_additive_to_spec_hash(self):
-        """RPL004 guarantee: existing specs (no streaming_metrics key)
-        hash exactly as before; adding the option changes the key."""
+        """Existing specs (no streaming_metrics key) hash exactly as
+        before; adding the option changes the key."""
         plain = _stream_spec(streaming=False)
         with_option = _stream_spec(streaming=True)
         assert plain.key != with_option.key

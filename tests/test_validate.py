@@ -2,6 +2,7 @@
 engine's first-class path through the campaign runner."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -303,6 +304,31 @@ class TestRunValidation:
                         reducer="validate.agreement")
         with pytest.raises(ExperimentError, match="no cells to pair"):
             panel_pairs(nothing)
+
+    def test_unmeasured_protocol_fails_the_dry_run(self, tmp_path, capsys):
+        """A panel whose protocol has no measured bound used to run all
+        its cells, then fail in the reducer; the dry run now derives the
+        pairs, so it fails there, naming the cell and the bound."""
+        path = tmp_path / "basic.json"
+
+        def dry_run(panel: Panel) -> int:
+            path.write_text(json.dumps(
+                {"name": "basic", "panels": [panel.canonical()]}))
+            return cli_main(["run-spec", str(path), "--dry-run"])
+
+        panel = fig3_panel(True, protocols=("PDQ(Basic)",))
+        assert dry_run(panel) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("campaign error: panel 'fig3-agreement-quick'"
+                              ": cell ('PDQ(Basic)', 3, None, 1): ")
+        assert "no measured fct_rtol for 'PDQ(Basic)'" in err
+        bounds = {**panel.reducer_params, "fct_rtol": 0.5,
+                  "app_tput_atol": 0.3, "completion_atol": 0.3}
+        assert dry_run(replace(panel, reducer_params=bounds)) == 0
+        misspelt = {**bounds, "fct_rtoll": 0.5}
+        assert dry_run(replace(panel, reducer_params=misspelt)) == 1
+        assert "unexpected keyword argument 'fct_rtoll'" in \
+            capsys.readouterr().err
 
     def test_single_flow_fct_matches_analytic_bound(self):
         """Satellite: one uncontended flow must finish in about
