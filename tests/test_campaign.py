@@ -117,6 +117,22 @@ class TestScenarioHash:
         )
         assert a.key == b.key
 
+    def test_key_is_stable_across_versions(self):
+        """Pinned: changing canonicalization silently invalidates caches."""
+        spec = ScenarioSpec(
+            protocol="RCP",
+            topology=TopologySpec("single_bottleneck", {"n_senders": 4}),
+            workload=WorkloadSpec("fig3.aggregation", {
+                "n_flows": 2, "mean_size": 100000.0, "mean_deadline": None,
+            }),
+            engine="flow",
+            seed=7,
+        )
+        assert spec.key == (
+            "fbe937ba74f5f5949987170cb7e6aa2a"
+            "ef3ff937261948bfbdf380e758d513b3"
+        )
+
     def test_key_differs_per_axis(self):
         base = _flow_spec()
         assert base.key != _flow_spec(protocol="D3").key

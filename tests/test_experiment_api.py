@@ -165,8 +165,22 @@ def _pinned_panel() -> Panel:
 
 
 class TestSpecHashes:
-    # the panel's and experiment's pinned keys live in the spec-key
-    # corpus (tests/test_key_corpus.py), with their documents
+    def test_panel_key_is_stable_across_versions(self):
+        """Pinned: canonicalization changes silently break caches and
+        user spec files."""
+        assert _pinned_panel().key == (
+            "1fc9d5eec1d908b2616fdf38c05c6bac"
+            "eb2b2db82ab57427037d47ee12ddad5f"
+        )
+
+    def test_experiment_key_is_stable_across_versions(self):
+        experiment = Experiment(name="pinned-exp", title="ignored",
+                                panels=(_pinned_panel(),),
+                                meta={"note": "pin"})
+        assert experiment.key == (
+            "371fc2ce8f83f360a6b06ebf05cb97bc"
+            "58d7f72a97efd67a64fec620f3d024bf"
+        )
 
     def test_title_does_not_change_the_key(self):
         a = _pinned_panel()
