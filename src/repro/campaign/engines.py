@@ -30,7 +30,7 @@ from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, fields
 from typing import Any, TYPE_CHECKING
 
-from repro.errors import CampaignError
+from repro.errors import CampaignError, ExperimentError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.campaign.spec import ScenarioSpec
@@ -86,9 +86,10 @@ def check_options(engine: str, protocol: str,
                   options: Mapping[str, Any]) -> Protocol | None:
     """The protocol's row, once the (engine, protocol, options) triple
     checks out: an unknown protocol, one the engine cannot run, an
-    option name outside the pair's vocabulary, or a PDQ option value
-    :func:`_check_pdq_values` refuses is a :class:`CampaignError` naming
-    it. A custom engine owns its options: ``None``, unchecked."""
+    option name outside the pair's vocabulary, or an option value
+    :func:`_check_engine_values` or :func:`_check_pdq_values` refuses is
+    a :class:`CampaignError` naming it. A custom engine owns its
+    options: ``None``, unchecked."""
     allowed = ENGINE_OPTIONS.get(engine)
     if allowed is None:
         return None
@@ -109,6 +110,7 @@ def check_options(engine: str, protocol: str,
         raise CampaignError(
             f"options: {protocol} on the {engine} engine takes no option "
             + unknown_names(unknown, allowed))
+    _check_engine_values(options)
     if row.preset is not None:
         _check_pdq_values(protocol, row.preset, options)
     if "probes" in options:
@@ -116,6 +118,36 @@ def check_options(engine: str, protocol: str,
 
         validate_probes_option(options["probes"])
     return row
+
+
+def _check_engine_values(options: Mapping[str, Any]) -> None:
+    """Read the adapters' own options as they use them: ``n_subflows``
+    an integer in the multipath stack's range, ``trace`` true or false,
+    and ``streaming_metrics`` as :func:`~repro.metrics.streaming.
+    streaming_collector` takes it, but not the empty mapping, which the
+    adapters ignore."""
+    from repro.campaign.spec import _reader
+
+    if "n_subflows" in options:
+        from repro.core.multipath import MAX_SUBFLOWS
+
+        n = _reader(int)(options["n_subflows"], ("options", "n_subflows"))
+        if not 1 <= n <= MAX_SUBFLOWS:
+            raise CampaignError(f"options n_subflows: must be in "
+                                f"[1, {MAX_SUBFLOWS}], got {n}")
+    if "trace" in options:
+        _reader(bool)(options["trace"], ("options", "trace"))
+    if "streaming_metrics" in options:
+        from repro.metrics.streaming import streaming_collector
+
+        if options["streaming_metrics"] == {}:
+            # _pop_metrics reads a falsy value as "off"
+            raise CampaignError("options streaming_metrics: {} turns "
+                                "nothing on; give true for the defaults")
+        try:
+            streaming_collector(options["streaming_metrics"])
+        except ExperimentError as exc:
+            raise CampaignError(f"options: {exc}") from None
 
 
 @functools.cache

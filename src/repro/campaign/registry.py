@@ -113,8 +113,11 @@ def build_workload(kind: str, topology, seed: int,
     return builder(topology, seed, **params)
 
 
-def _bind(what: str, kind: str, builder: Callable, *args: Any,
-          **params: Any) -> None:
+def bind_params(what: str, kind: str, builder: Callable, *args: Any,
+                **params: Any) -> None:
+    """Bind ``params`` to ``builder``'s signature without calling it; a
+    missing or unknown parameter is a :class:`CampaignError` naming the
+    kind and the parameter."""
     try:
         inspect.signature(builder).bind(*args, **params)
     except TypeError as exc:
@@ -140,9 +143,10 @@ def validate_spec_kinds(spec) -> None:
     workload = _WORKLOADS.get(spec.workload.kind)
     if workload is None:
         raise unknown_kind("workload", spec.workload.kind, workload_kinds())
-    _bind("topology", spec.topology.kind, topology, **spec.topology.params)
-    _bind("workload", spec.workload.kind, workload, None, spec.seed,
-          **spec.workload.params)
+    bind_params("topology", spec.topology.kind, topology,
+                **spec.topology.params)
+    bind_params("workload", spec.workload.kind, workload, None, spec.seed,
+                **spec.workload.params)
 
 
 # -- builtin topology kinds ---------------------------------------------------------

@@ -38,6 +38,7 @@ from typing import Any
 
 from repro.campaign.context import run_scenarios
 from repro.campaign.registry import (
+    bind_params,
     load_experiment_modules,
     unknown_kind,
     validate_spec_kinds,
@@ -55,7 +56,12 @@ from repro.campaign.spec import (
     is_labeled_cell,
     read_list,
 )
-from repro.errors import CampaignError, ExperimentError, ReproError
+from repro.errors import (
+    CampaignError,
+    ExperimentError,
+    ReproError,
+    WorkloadError,
+)
 from repro.experiments.reducers import (
     collector_metric,
     get_reducer,
@@ -333,14 +339,29 @@ class Inputs:
 
     def flows(self, spec: ScenarioSpec) -> Any:
         """The workload ``spec`` runs: its builder's output on the
-        spec's topology and seed (protocol-independent)."""
+        spec's topology and seed (protocol-independent). Every flow of
+        a list workload must run between hosts of the topology (a lazy
+        stream's builder draws its own endpoints), or it is a
+        :class:`WorkloadError` naming the first flow that does not."""
         key = (spec.topology, spec.workload, spec.seed)
         flows = self._flows.get(key)
         if flows is None:
-            flows = spec.workload.build(self.topology(spec.topology),
-                                        spec.seed)
+            topology = self.topology(spec.topology)
+            flows = spec.workload.build(topology, spec.seed)
+            if isinstance(flows, list):
+                _check_endpoints(flows, topology, spec.topology.kind)
             self._flows[key] = flows
         return flows
+
+
+def _check_endpoints(flows: list, topology: Any, kind: str) -> None:
+    hosts = set(topology.hosts)
+    for flow in flows:
+        for end, node in (("src", flow.src), ("dst", flow.dst)):
+            if node not in hosts:
+                raise WorkloadError(
+                    f"flow {flow.fid} {end} {node!r} is not a host of "
+                    f"topology kind {kind!r}")
 
 
 @dataclass
@@ -531,7 +552,8 @@ _BUILD_ERRORS = (ReproError, TypeError, ValueError)
 def _check_cell(spec: ScenarioSpec, inputs: Inputs) -> None:
     """One cell's dry run: its names and options resolve and its params
     bind (:func:`validate_spec_kinds`), then its topology and workload
-    build, each distinct one once per ``inputs``."""
+    build, each distinct one once per ``inputs`` (:meth:`Inputs.flows`
+    checks a list workload's endpoints)."""
     validate_spec_kinds(spec)
     try:
         inputs.topology(spec.topology)
@@ -547,9 +569,10 @@ def _check_cell(spec: ScenarioSpec, inputs: Inputs) -> None:
 
 def validate_experiment(experiment: Experiment) -> int:
     """Resolve every name a declared experiment references — reducers,
-    metrics, topology/workload/engine and probe kinds — check every
-    cell's options, build its topology and workload, and run each
-    reducer's own panel check (:func:`~repro.experiments.reducers.
+    metrics, topology/workload/engine and probe kinds — bind each
+    panel's ``reducer_params`` to its reducer, check every cell's
+    options, build its topology and workload, and run each reducer's
+    own panel check (:func:`~repro.experiments.reducers.
     reducer_check`), without executing a scenario. Returns the number
     of scenarios a (non-search) full run would submit. The first defect
     raises a :class:`CampaignError` naming the panel and the cell, which
@@ -557,7 +580,13 @@ def validate_experiment(experiment: Experiment) -> int:
     inputs = Inputs()
     n_scenarios = 0
     for panel in experiment.panels:
-        check = reducer_check(panel.reducer or "table")
+        reducer = panel.reducer or "table"
+        check = reducer_check(reducer)
+        try:
+            bind_params("reducer", reducer, get_reducer(reducer), None,
+                        **panel.reducer_params)
+        except CampaignError as exc:
+            raise CampaignError(f"panel {panel.name!r}: {exc}") from None
         search = panel.search
         if search is not None:
             collector_metric(search.metric)

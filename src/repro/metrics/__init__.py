@@ -12,12 +12,13 @@ from repro.metrics.streaming import (
     StreamingMetricsCollector,
     streaming_collector,
 )
-from repro.metrics.summary import SummaryStats
+from repro.metrics.summary import SummaryStats, digest
 
 __all__ = [
     "MetricsCollector",
     "FlowRecord",
     "SummaryStats",
+    "digest",
     "StreamingMetricsCollector",
     "streaming_collector",
 ]

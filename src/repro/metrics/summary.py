@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import asdict, dataclass
+from typing import Any
 
 from repro.metrics.collector import MetricsCollector
 from repro.utils.stats import mean, percentile
@@ -74,3 +76,14 @@ class SummaryStats:
         if self.application_throughput is not None:
             parts.append(f"app_tput={self.application_throughput * 100:.1f}%")
         return " ".join(parts)
+
+
+def digest(data: Any) -> str:
+    """SHA-256 hex digest of ``canonical_json(data)``: the recipe of
+    every pinned run digest. A collector is hashed as its ``to_dict()``,
+    so the digest covers each flow record and ``stats``."""
+    from repro.campaign.spec import canonical_json
+
+    if isinstance(data, MetricsCollector):
+        data = data.to_dict()
+    return hashlib.sha256(canonical_json(data).encode()).hexdigest()

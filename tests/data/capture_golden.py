@@ -1,21 +1,24 @@
-#!/usr/bin/env python
-"""Capture golden figure-panel outputs at reduced scale.
+"""The generators of the panel-output pins and the CLI pins.
 
-The fixture was frozen from the imperative experiment harness that
-preceded the declarative Experiment API; ``tests/test_experiment_api.py``
-replays every call as ``run_panel(builder(**kwargs))`` and pins
-byte-identical outputs (after a canonicalizing JSON round-trip, which
-stringifies dict keys). Re-running this script rewrites the fixture
-from the current panels, so do it only to re-baseline on purpose.
+* ``experiment_golden.json`` was frozen from the imperative experiment
+  harness that preceded the declarative Experiment API;
+  ``tests/test_experiment_api.py`` replays every call as
+  ``run_panel(builder(**kwargs))`` and pins byte-identical outputs
+  (after a canonicalizing JSON round-trip, which stringifies dict keys);
+* ``fig3_reducer_pins.json`` pins fig3 a, b, d and e on the flow engine
+  as they were when the reducers rebuilt every input per row;
+* ``cli_pins.json`` pins each ``run-fig N --dry-run`` listing and the
+  validation pair grids with the pairs each ``--only`` picks.
 
-Usage:  PYTHONPATH=src python tests/data/capture_golden.py
+``tests/data/capture_pins.py`` rewrites the files from these.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
-import time
-from pathlib import Path
+from dataclasses import replace
 
 from repro.units import KBYTE, MSEC
 
@@ -121,24 +124,76 @@ def canonicalize(value):
     return json.loads(json.dumps(value, sort_keys=True, default=str))
 
 
-def main() -> None:
+def golden_output(name: str):
     import importlib
 
     from repro.experiments.api import run_panel
 
-    out = {}
-    for name, (target, kwargs) in GOLDEN_CALLS.items():
-        module_name, _, attr = target.partition(":")
-        builder = getattr(importlib.import_module(module_name), attr)
-        started = time.perf_counter()
-        result = run_panel(builder(**kwargs))
-        elapsed = time.perf_counter() - started
-        out[name] = canonicalize(result)
-        print(f"{name}: {elapsed:.2f}s")
-    path = Path(__file__).with_name("experiment_golden.json")
-    path.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {path}")
+    target, kwargs = GOLDEN_CALLS[name]
+    module_name, _, attr = target.partition(":")
+    builder = getattr(importlib.import_module(module_name), attr)
+    return canonicalize(run_panel(builder(**kwargs)))
 
 
-if __name__ == "__main__":
-    main()
+#: the fig3 reducer pins, each panel on the flow engine with one seed:
+#: a and b over every protocol with a flow-level model, d and e over
+#: PDQ(Full), PDQ(ES), PDQ(Basic) and RCP
+FIG3_PANELS = ("fig3a", "fig3b", "fig3d", "fig3e")
+
+
+def fig3_output(name: str):
+    from repro.experiments import fig3
+    from repro.experiments.api import run_panel
+
+    protocols = (tuple(p for p in fig3.DEFAULT_PROTOCOLS if p != "TCP")
+                 if name in ("fig3a", "fig3b")
+                 else ("PDQ(Full)", "PDQ(ES)", "PDQ(Basic)", "RCP"))
+    panel = getattr(fig3, f"{name}_panel")(protocols=protocols, seeds=(1,))
+    panel = replace(panel, base=panel.base.with_(engine="flow"))
+    # JSON keeps the reducer's key order and float reprs
+    return json.loads(json.dumps(run_panel(panel)))
+
+
+def dry_run(figure: str) -> str:
+    """What ``repro run-fig FIGURE --dry-run`` prints."""
+    from repro.campaign.cli import main
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        if main(["run-fig", figure, "--dry-run"]) != 0:
+            raise RuntimeError(f"run-fig {figure} --dry-run failed")
+    return out.getvalue()
+
+
+def pair_grid(mode: str) -> list[dict]:
+    """The ``quick`` or ``full`` validation pairs, by their spec keys
+    and tolerances."""
+    from repro.validate.pairs import default_pairs
+
+    return [{"name": p.name, "family": p.family, "packet_key": p.packet.key,
+             "fluid_key": p.fluid.key,
+             "tolerance": [p.tolerance.fct_rtol, p.tolerance.app_tput_atol,
+                           p.tolerance.completion_atol]}
+            for p in default_pairs(mode == "quick")]
+
+
+def selections(mode: str) -> dict[str, list[int]]:
+    """``repro validate --only W`` for every family and every validation
+    protocol: the indices of the pairs it picks in :func:`pair_grid`."""
+    from repro.validate import VALIDATION_PROTOCOLS, default_pairs, \
+        select_pairs
+
+    pairs = default_pairs(mode == "quick")
+    keys = [p.packet.key for p in pairs]
+    wanted = [*sorted({p.family for p in pairs}), *VALIDATION_PROTOCOLS]
+    return {w: [keys.index(p.packet.key) for p in select_pairs(pairs, [w])]
+            for w in wanted}
+
+
+def cli_pins() -> dict:
+    from repro.experiments.api import figure_numbers
+
+    figures = sorted(str(n) for n in figure_numbers())
+    return {"dry_run": {n: dry_run(n) for n in figures},
+            "pairs": {mode: pair_grid(mode) for mode in ("full", "quick")},
+            "select": {mode: selections(mode) for mode in ("quick", "full")}}

@@ -1,5 +1,4 @@
-#!/usr/bin/env python
-"""Capture the spec-key corpus: JSON documents and the keys they hash to.
+"""Generate the spec-key corpus: JSON documents and the keys they hash to.
 
 Every cached result is addressed by a spec key (``ScenarioSpec.key``,
 ``Panel.key``, ``Experiment.key``): a SHA-256 of the spec's canonical
@@ -23,11 +22,9 @@ from three places, drawn with a fixed seed:
   search, composite, labeled, excluded and explicit-spec panels;
 * the keys that unit tests pinned before the corpus existed, verbatim.
 
-Re-running this script rewrites the fixture from the current code, so
-do it only to re-baseline the keys on purpose (a key change strands
-every stored result).
-
-Usage:  PYTHONPATH=src python tests/data/capture_keys.py
+``tests/data/capture_pins.py keys`` rewrites the fixture from the
+current code, so run it only to re-baseline the keys on purpose (a key
+change strands every stored result).
 """
 
 from __future__ import annotations
@@ -43,7 +40,6 @@ from pathlib import Path
 SEED = 12062057
 
 ROOT = Path(__file__).resolve().parents[2]
-CORPUS = Path(__file__).with_name("key_corpus.json")
 
 #: documents whose keys unit tests pinned verbatim before the corpus
 PINNED_SCENARIO = {
@@ -497,7 +493,8 @@ def documents() -> list[tuple[str, dict]]:
     return [(shape, copy.deepcopy(doc)) for shape, doc in out]
 
 
-def main() -> None:
+def render() -> str:
+    """The corpus file: each document with the key it hashes to now."""
     classes = shapes()
     entries = []
     for shape, doc in documents():
@@ -510,11 +507,5 @@ def main() -> None:
     # one document a line, so a re-baseline diffs per document; no
     # sort_keys: the order of a mapping (axes) is part of its input
     lines = ",\n".join(json.dumps(entry) for entry in entries)
-    CORPUS.write_text(f'{{"schema": 1, "seed": {SEED}, "documents": [\n'
-                      f"{lines}\n]}}\n")
-    counts = {s: sum(e["shape"] == s for e in entries) for s in classes}
-    print(f"wrote {CORPUS}: {len(entries)} documents {counts}")
-
-
-if __name__ == "__main__":
-    main()
+    return (f'{{"schema": 1, "seed": {SEED}, "documents": [\n'
+            f"{lines}\n]}}\n")

@@ -9,20 +9,21 @@ from repro.flowsim import FlowLevelSimulation, PdqModel
 from repro.faults.spec import FaultEvent
 from repro.flowsim.progress import FlowProgress
 from repro.flowsim.rcp_model import RcpModel
+from repro.metrics import digest
 from repro.metrics.collector import MetricsCollector
 from repro.topology import SingleBottleneck
 from repro.topology.single_rooted import SingleRootedTree
 from repro.units import KBYTE, MBYTE
 from repro.workload.flow import FlowSpec
 from repro.workload.stream import FlowStream
-from test_fluid_digest_pins import _sha, certified, run_both_shapes
+from test_fluid_digest_pins import certified, run_both_shapes
 
 
 def _pinned(build, model, pin, deadline=4.0, **engine_kwargs):
     """The collector of a certified run of ``build`` whose list and
     stream runs both digest to ``pin``."""
     collectors = run_both_shapes(build, model, deadline, **engine_kwargs)
-    assert [_sha(c.to_dict()) for c in collectors] == [pin, pin]
+    assert [digest(c) for c in collectors] == [pin, pin]
     return collectors[0]
 
 

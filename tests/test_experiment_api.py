@@ -2,20 +2,21 @@
 ``run-spec``) and the figure-migration pins.
 
 The golden fixtures under ``tests/data/`` were captured from the
-pre-migration imperative ``figN`` modules (``capture_golden.py``): every
-migrated panel must reproduce those results byte-identically (after a
-canonicalizing JSON round-trip), and the ``run-fig N --dry-run``
-listing plus the validation pair grids are pinned in ``cli_pins.json``.
+pre-migration imperative ``figN`` modules: every migrated panel must
+reproduce those results byte-identically (after a canonicalizing JSON
+round-trip), and the ``run-fig N --dry-run`` listing plus the
+validation pair grids are pinned in ``cli_pins.json``. Their generators
+are in ``capture_golden.py``; a mismatch names the first differing JSON
+path (``tests/pins.py``).
 """
 
-import importlib
-import importlib.util
 import json
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import pins
 from repro.campaign import (
     CampaignRunner,
     ResultStore,
@@ -44,23 +45,10 @@ from repro.experiments.api import (
 from repro.experiments.reducers import collector_metric, get_reducer
 from repro.units import KBYTE
 
-DATA = Path(__file__).parent / "data"
 SPECS_DIR = Path(__file__).parent.parent / "examples" / "specs"
 
 
-def _load_capture_module():
-    spec = importlib.util.spec_from_file_location(
-        "capture_golden", DATA / "capture_golden.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-_CAPTURE = _load_capture_module()
-GOLDEN = json.loads((DATA / "experiment_golden.json").read_text())
-CLI_PINS = json.loads((DATA / "cli_pins.json").read_text())
-FIG3_PINS = json.loads((DATA / "fig3_reducer_pins.json").read_text())
+CAPTURE = pins.capture_module("capture_golden")
 
 
 def _flow_base(**overrides) -> ScenarioSpec:
@@ -84,33 +72,27 @@ def _flow_base(**overrides) -> ScenarioSpec:
 class TestGoldenFigureOutputs:
     """Every migrated panel reproduces the pre-migration output."""
 
-    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    @pytest.mark.parametrize("name", sorted(pins.stored("golden")))
     def test_panel_matches_pre_migration_output(self, name):
-        target, kwargs = _CAPTURE.GOLDEN_CALLS[name]
-        module_name, _, attr = target.partition(":")
-        builder = getattr(importlib.import_module(module_name), attr)
-        assert _CAPTURE.canonicalize(run_panel(builder(**kwargs))) == \
-            GOLDEN[name]
+        pins.assert_same("golden", CAPTURE.golden_output(name), name)
+
+
+def _cli_now(part: str, key: str):
+    """``cli_pins.json[part][key]`` as ``capture_pins.py cli`` would
+    write it now (generated once per run, see ``tests/test_pins.py``)."""
+    return json.loads(pins.generated("cli"))[part][key]
 
 
 class TestCliPins:
-    @pytest.mark.parametrize("figure", sorted(CLI_PINS["dry_run"], key=int))
-    def test_run_fig_dry_run_output_unchanged(self, figure, capsys):
-        assert cli_main(["run-fig", figure, "--dry-run"]) == 0
-        assert capsys.readouterr().out == CLI_PINS["dry_run"][figure]
+    @pytest.mark.parametrize("figure",
+                             sorted(pins.stored("cli")["dry_run"], key=int))
+    def test_run_fig_dry_run_output_unchanged(self, figure):
+        pins.assert_same("cli", _cli_now("dry_run", figure),
+                         "dry_run", figure)
 
     @pytest.mark.parametrize("mode", ["quick", "full"])
     def test_validation_pair_grids_unchanged(self, mode):
-        from repro.validate.pairs import default_pairs
-
-        got = [
-            {"name": p.name, "family": p.family, "packet_key": p.packet.key,
-             "fluid_key": p.fluid.key,
-             "tolerance": [p.tolerance.fct_rtol, p.tolerance.app_tput_atol,
-                           p.tolerance.completion_atol]}
-            for p in default_pairs(mode == "quick")
-        ]
-        assert got == CLI_PINS["pairs"][mode]
+        pins.assert_same("cli", _cli_now("pairs", mode), "pairs", mode)
 
     @pytest.mark.parametrize("mode", ["quick", "full"])
     def test_select_pairs_picks_the_pinned_packet_keys(self, mode):
@@ -118,17 +100,7 @@ class TestCliPins:
         by protocol name (a substring of the pair name) as before the
         pairs were derived from the panels; the pins list each
         selection's indices into the pinned grid."""
-        from repro.validate import VALIDATION_PROTOCOLS, default_pairs, \
-            select_pairs
-
-        pairs = default_pairs(mode == "quick")
-        pinned = [p["packet_key"] for p in CLI_PINS["pairs"][mode]]
-        select = CLI_PINS["select"][mode]
-        families = sorted({p.family for p in pairs})
-        assert sorted(select) == sorted([*families, *VALIDATION_PROTOCOLS])
-        for wanted, indices in select.items():
-            assert [p.packet.key for p in select_pairs(pairs, [wanted])] \
-                == [pinned[i] for i in indices], wanted
+        pins.assert_same("cli", _cli_now("select", mode), "select", mode)
 
     def test_pair_names_are_unique_and_name_the_protocol(self):
         from repro.validate import default_pairs
@@ -505,22 +477,9 @@ class TestFig3ReducerPins:
     same floats. ``fig3_reducer_pins.json`` was captured from these
     panels then."""
 
-    @staticmethod
-    def _panel(name: str) -> Panel:
-        no_tcp = tuple(p for p in fig3.DEFAULT_PROTOCOLS if p != "TCP")
-        fct = ("PDQ(Full)", "PDQ(ES)", "PDQ(Basic)", "RCP")
-        build = {
-            "fig3a": lambda: fig3.fig3a_panel(protocols=no_tcp, seeds=(1,)),
-            "fig3b": lambda: fig3.fig3b_panel(protocols=no_tcp, seeds=(1,)),
-            "fig3d": lambda: fig3.fig3d_panel(protocols=fct, seeds=(1,)),
-            "fig3e": lambda: fig3.fig3e_panel(protocols=fct, seeds=(1,)),
-        }[name]
-        return _flow_engine(build())
-
-    @pytest.mark.parametrize("name", list(FIG3_PINS))
+    @pytest.mark.parametrize("name", CAPTURE.FIG3_PANELS)
     def test_panel_output_unchanged(self, name):
-        got = run_panel(self._panel(name))
-        assert json.dumps(got) == json.dumps(FIG3_PINS[name])
+        pins.assert_same("fig3", CAPTURE.fig3_output(name), name)
 
 
 # -- registries and errors --------------------------------------------------------

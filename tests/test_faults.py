@@ -10,18 +10,12 @@ and nothing keeps them alive once the run drains; loss rules and the
 ``random_graph`` topology are seed-deterministic.
 """
 
-import hashlib
-
 import pytest
 
+import pins
 from repro.campaign.engines import run_flow_level, run_packet_level
 from repro.campaign.registry import build_workload
-from repro.campaign.spec import (
-    ScenarioSpec,
-    TopologySpec,
-    WorkloadSpec,
-    canonical_json,
-)
+from repro.campaign.spec import ScenarioSpec, TopologySpec, WorkloadSpec
 from repro.errors import CampaignError, FaultError, TopologyError
 from repro.faults import (
     FaultEvent,
@@ -255,38 +249,32 @@ class TestFluidFaults:
 # -- determinism --------------------------------------------------------------------
 
 
-#: the run of one exact-name rule on send0--sw0 (rate 0.02, seed 5):
-#: its canonical ``to_dict()`` digest and wire-loss count, which the
-#: retired ``(node_a, node_b, rate, seed)`` tuple path produced too
-EXACT_RULE_DIGEST = (
-    "c0921aae6ba99414f25c490ee8fac1de650837c35580a5dca3a7d68acf67645c")
-EXACT_RULE_WIRE_LOSSES = 5
+def _four_senders(loss):
+    """Four 200 KB TCP flows into one receiver, under ``loss``."""
+    topo = SingleBottleneck(4)
+    flows = [FlowSpec(fid=i, src=f"send{i}", dst="recv",
+                      size_bytes=200 * KBYTE, arrival=0.0)
+             for i in range(4)]
+    return run_packet_level(topo, "TCP", flows, sim_deadline=4.0, loss=loss)
 
 
-def _digest(collector):
-    text = canonical_json(collector.to_dict())
-    return hashlib.sha256(text.encode()).hexdigest()
+#: the ``faults`` family of ``tests/data/pins.json``: the run of one
+#: exact-name rule on send0--sw0 (rate 0.02, seed 5), whose digest and
+#: wire-loss count the retired ``(node_a, node_b, rate, seed)`` tuple
+#: path produced too
+PINNED = {"exact_rule": lambda: [
+    _four_senders((LossRule("send0", "sw0", 0.02, 5),))]}
 
 
 class TestDeterminism:
-    def _run(self, loss):
-        topo = SingleBottleneck(4)
-        flows = [FlowSpec(fid=i, src=f"send{i}", dst="recv",
-                          size_bytes=200 * KBYTE, arrival=0.0)
-                 for i in range(4)]
-        return run_packet_level(topo, "TCP", flows, sim_deadline=4.0,
-                                loss=loss)
-
     def test_loss_rules_are_seed_deterministic(self):
         rule = (LossRule("sw0", "*", 0.02, 5),)
-        a, b = self._run(rule), self._run(rule)
+        a, b = _four_senders(rule), _four_senders(rule)
         assert a.stats["net.wire_losses"] > 0
         assert a.to_dict() == b.to_dict()
 
     def test_exact_rule_run_is_pinned(self):
-        collector = self._run((LossRule("send0", "sw0", 0.02, 5),))
-        assert collector.stats["net.wire_losses"] == EXACT_RULE_WIRE_LOSSES
-        assert _digest(collector) == EXACT_RULE_DIGEST
+        pins.assert_pinned("faults", "exact_rule", PINNED["exact_rule"]())
 
     def test_legacy_loss_list_reads_as_the_exact_rule(self):
         """Old spec files and store entries carry the retired loss
@@ -306,9 +294,8 @@ class TestDeterminism:
         assert spec.faults == {"loss": [
             {"src": "send0", "dst": "sw0", "rate": 0.02, "seed": 5}]}
         assert spec.loss_rules() == (LossRule("send0", "sw0", 0.02, 5),)
-        collector = self._run(spec.loss_rules())
-        assert collector.stats["net.wire_losses"] == EXACT_RULE_WIRE_LOSSES
-        assert _digest(collector) == EXACT_RULE_DIGEST
+        pins.assert_pinned("faults", "exact_rule",
+                           [_four_senders(spec.loss_rules())])
 
         both = ScenarioSpec.from_dict({**data, "faults": {"loss": [
             {"src": "sw0", "dst": "recv", "rate": 0.01}]}})
@@ -333,7 +320,7 @@ class TestDeterminism:
 
     def test_zero_match_rule_is_an_error(self):
         with pytest.raises(FaultError, match="match"):
-            self._run((LossRule("no_such_node", "*", 0.01, 5),))
+            _four_senders((LossRule("no_such_node", "*", 0.01, 5),))
 
     def test_random_graph_is_seed_deterministic(self):
         def edges(seed):

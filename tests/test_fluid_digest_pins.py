@@ -1,7 +1,8 @@
 """Digest pins for the fluid (flow-level) engine, every run certified.
 
-Each case hashes ``canonical_json(collector.to_dict())`` with SHA-256
-(the benchmark's ``sim.digest`` recipe) while :func:`certified` checks
+Each case is pinned in ``tests/data/pins.json`` by its
+:func:`repro.metrics.digest` and headline statistics (see
+``tests/pins.py``) while :func:`certified` checks
 every ``allocate`` answer against the property that defines it
 (:mod:`repro.flowsim.certify`). The ``run_flow_level`` cases pin
 ``collector.stats`` -- so the ``fluid.*`` counters -- too; they cover:
@@ -23,20 +24,21 @@ engine agreed bit for bit with the frozen pre-optimization engine.
 The materialised ``FlowSpec`` sequence of each size family is pinned
 too, so the generator's draws are guarded on their own.
 
-A digest changes only when simulated behaviour changes; if that is
-deliberate, re-baseline by printing ``_digests(case)`` for each case.
-A certificate failure names the flow and the edge; it is a bug.
+A digest changes only when simulated behaviour changes; a failure names
+each headline statistic that moved. If the change is deliberate,
+re-baseline with ``tests/data/capture_pins.py fluid specs``. A
+certificate failure names the flow and the edge; it is a bug.
 """
 
-import hashlib
+from functools import partial
 from unittest import mock
 
 import pytest
 
+import pins
 from repro.campaign import engines
 from repro.campaign.engines import make_model, run_flow_level
 from repro.campaign.registry import build_topology, build_workload
-from repro.campaign.spec import canonical_json
 from repro.core.config import PdqConfig
 from repro.faults.spec import FaultEvent
 from repro.flowsim import D3Model, FlowLevelSimulation, PdqModel, RcpModel
@@ -68,10 +70,6 @@ def certified(model):
 
     model.allocate = checked
     return model
-
-
-def _sha(payload) -> str:
-    return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
 
 
 def _rcp_stream():
@@ -260,73 +258,34 @@ CASES = {
                         mean_size=200 * KBYTE),
 }
 
-PINS = {
-    "rcp_stream":
-        "d57179fdc3afd7057e3aa0e793926fc818214f5e62d039bac09e79351ff19609",
-    "d3_pareto_stream":
-        "12544c39a31bbf54deffe22f89308612cca15db52b942184b6693a081279c63a",
-    "pdq_uniform_stream":
-        "d26afc8ea5d4eb6dd5c856e89ef52d46b092857eeb7d514eb0498e8b95e72d6f",
-    "pdq_aging_list":
-        "bdc1fb4845005350f95ed55069fb98db1319ed7bc997d8476b8527753f9da26e",
-    "faulted_stream":
-        "76b4972fa49594dd89a52ea1cd660b02f396d0e519e68ee89af36a31007482f2",
-    "traced_with_probes":
-        "029c4f48988937835a6d6fb1b9a1debaea0a36057fdaa6c80d5a1206de55e198",
-}
-# the engine-direct cases
-PINS.update(row.split() for row in """
-fig3_pdq_full  b2b2a50ea671e4a5bd8d617f3c2722aab8e35dbe0e0f15b8bbf77d17a84419b0
-fig3_pdq_basic b2b2a50ea671e4a5bd8d617f3c2722aab8e35dbe0e0f15b8bbf77d17a84419b0
-fig3_pdq_es_et b2c47d9aa0e15a371b232c03f87d68554838d1179c8eb249fa733b99659c1c04
-fig3_rcp       b992fd3315be0e8d2b5eb8dc95de9fa78bd9f205472ec356bf5eb1131629ee19
-fig3_d3        7ee8e364993e50dba7aaffcd96cbe08c64409cb413ee17b87fc1b90605cc7437
-fig5_pdq       5e3636e74af1787b5ac57fe29f1c71ebab678c5d0390268144f63c8b878dc7a2
-fig5_rcp       5e3636e74af1787b5ac57fe29f1c71ebab678c5d0390268144f63c8b878dc7a2
-fig5_d3        5e3636e74af1787b5ac57fe29f1c71ebab678c5d0390268144f63c8b878dc7a2
-fig8_perm_pdq1 eb2bb7e0e28b0bf39689601714ba9445705b8658cb4b5f8bbdad064e97362edd
-fig8_perm_pdq3 93c1e985bef70df13cc2b0805312decc087dacb073ce75c84b9495aadb752090
-fig8_perm_rcp1 1fe695f78453e07cdca04afc1b0cf74e5e86ba55a0eb5bc7695e2be74c7c32f0
-fig8_pairs_pdq 5f8823346de9be1c2337799681e4c0803edc0aa4cdf797ae43cc933b93bbe870
-bottleneck_pdq dd04cde393b73babe4cc5cc7d79e0cce2148b36bc4f05b237637df0e9d6c2f74
-bottleneck_d3  7e5390c062e6644e3a2ec36bd25647276fbdff0413f3f3d2f13fecbc58938f24
-pdq_aging      dc8bb3c1e0406a8504c4def68fa91ab648f5a37d3c21012d840bc49eb3ce670c
-pdq_estimate   db5fcdf413efaba6c5d940878b89f124654b60bf48d9ff090571aed8680a656d
-pdq_random     bcf797bd12ce869683b74bf42abfb85a33295e0ddd5817858899a25b304cec20
-""".strip().splitlines())
-
-#: size family -> SHA-256 of the materialised FlowSpec sequence
-SPEC_PINS = {
-    "vl2": "b922bee95b82560545f6dfb47eb4c20dd07c5d86630f8c87b48d7020a28b5d8e",
-    "uniform":
-        "3b8bdc7080ba5f65c919b20ac5cc22da0e242c57b6991f7da9075b4f35e16655",
-    "pareto":
-        "d96f6445ca675cafb75779bb37fadc87a7a41d023c1b8230d34401c7b4d3448d",
-}
-
-
-def _digests(case: str) -> list[str]:
-    """One digest per input shape ``case`` runs, every ``allocate``
+def run(case: str) -> list:
+    """One collector per input shape ``case`` runs, every ``allocate``
     certified (``run_flow_level`` builds its model by ``make_model``)."""
     with mock.patch.object(engines, "make_model",
                            lambda *a, **k: certified(make_model(*a, **k))):
-        return [_sha(collector.to_dict()) for collector in CASES[case]()]
+        return CASES[case]()
 
 
-def _specs_digest(sizes: str) -> str:
+def run_specs(sizes: str) -> list:
+    """The materialised ``FlowSpec`` sequence of one size family."""
     topology = build_topology("single_rooted", {})
     stream = open_system(topology, 17, duration=0.05, rate_per_sec=20_000.0,
                          sizes=sizes, mean_size_bytes=30 * KBYTE,
                          size_scale=0.1, mean_deadline=3 * MSEC)
-    return _sha([spec.to_dict() for spec in stream.materialize()])
+    return [stream.materialize()]
+
+
+#: the ``fluid`` and ``specs`` families of ``tests/data/pins.json``
+PINNED = {case: partial(run, case) for case in CASES}
+SPECS_PINNED = {sizes: partial(run_specs, sizes)
+                for sizes in ("vl2", "uniform", "pareto")}
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_fluid_digest_is_pinned(case):
-    digests = _digests(case)
-    assert digests and digests == [PINS[case]] * len(digests)
+    pins.assert_pinned("fluid", case, run(case))
 
 
-@pytest.mark.parametrize("sizes", sorted(SPEC_PINS))
+@pytest.mark.parametrize("sizes", sorted(SPECS_PINNED))
 def test_open_system_specs_are_pinned(sizes):
-    assert _specs_digest(sizes) == SPEC_PINS[sizes]
+    pins.assert_pinned("specs", sizes, run_specs(sizes))

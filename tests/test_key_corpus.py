@@ -1,23 +1,22 @@
 """The spec-key contract: every corpus document still hashes to its key.
 
 ``tests/data/key_corpus.json`` holds scenario, panel and experiment
-documents with the keys they hashed to when ``capture_keys.py`` captured
+documents with the keys they hashed to when ``capture_keys.py`` generated
 them. A result store, a user's pinned experiment key and every golden
 fixture address results by these keys, so a key may move only on
-purpose: then re-run the capture script and say so. A failure lists one
-line per moved document, with its shape, what it describes and its old
-and new key.
+purpose: then re-run ``tests/data/capture_pins.py keys`` and say so. A
+failure lists one line per moved document, with its shape, what it
+describes and its old and new key.
 """
 
 import copy
-import importlib.util
 import json
 import types
 from itertools import pairwise
-from pathlib import Path
 
 import pytest
 
+import pins
 from repro.campaign import engines, registry
 from repro.campaign.engines import ENGINE_OPTIONS, PROTOCOLS
 from repro.campaign.spec import ScenarioSpec
@@ -28,17 +27,8 @@ from repro.experiments import reducers
 from repro.faults.spec import ACTIONS
 from repro.obs.probes import PROBE_KINDS
 
-DATA = Path(__file__).parent / "data"
-CORPUS = json.loads((DATA / "key_corpus.json").read_text())["documents"]
+CORPUS = pins.stored("keys")["documents"]
 SHAPES = {"scenario": ScenarioSpec, "panel": Panel, "experiment": Experiment}
-
-
-def _load_capture_module():
-    spec = importlib.util.spec_from_file_location(
-        "capture_keys", DATA / "capture_keys.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def _describe(spec) -> str:
@@ -90,8 +80,8 @@ def _declares_unsorted_events(entry) -> bool:
 def test_every_document_keeps_its_key():
     moved = moved_documents(CORPUS)
     assert not moved, (f"{len(moved)} spec key(s) moved; re-run "
-                       "tests/data/capture_keys.py only if that is meant:\n"
-                       + "\n".join(moved))
+                       "tests/data/capture_pins.py keys only if that is "
+                       "meant:\n" + "\n".join(moved))
 
 
 def test_corpus_holds_every_shape():
@@ -102,7 +92,7 @@ def test_corpus_holds_every_shape():
 
 
 def test_the_keys_unit_tests_pinned_are_in_the_corpus():
-    for shape, doc, key in _load_capture_module().PINNED:
+    for shape, doc, key in pins.capture_module("capture_keys").PINNED:
         assert {"shape": shape, "doc": doc, "key": key} in CORPUS
 
 

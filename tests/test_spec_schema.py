@@ -138,10 +138,11 @@ class TestGeneratedSchema:
 
 def _spec_file(tmp_path, **base):
     """A one-panel spec file whose base spec is a small flow-engine RCP
-    cell updated with ``base`` (and the file with its ``experiment``
-    entry)."""
+    cell updated with ``base`` (the file with its ``experiment`` entry,
+    the panel with its ``panel`` entry)."""
     top = base.pop("experiment", {})
-    panel = {"name": "p", "axes": [["seed", [1]]], "base": {
+    panel = {"name": "p", "axes": [["seed", [1]]], **base.pop("panel", {}),
+             "base": {
         "protocol": "RCP",
         "topology": {"kind": "single_rooted"},
         "workload": {"kind": "fig3.aggregation",
@@ -218,11 +219,47 @@ class TestDryRunRejects:
          "minimum size 2000"),
         ({"topology": {"kind": "bcube", "params": {"n": 2}}},
          "topology kind 'bcube': bcube needs either k or n_servers"),
+        # passed the dry run, then every cell died with "TopologyError:
+        # unknown node"
+        ({"topology": {"kind": "single_bottleneck",
+                       "params": {"n_senders": 4}}},
+         "workload kind 'fig3.aggregation': flow 0 src 'h7' is not a host "
+         "of topology kind 'single_bottleneck'"),
     ])
     def test_value_the_builder_refuses(self, tmp_path, capsys, part,
                                        message):
         err = _dry_run(tmp_path, capsys, **part)
         assert err == f"campaign error: panel 'p' cell 0 (seed=1): {message}\n"
+
+    @pytest.mark.parametrize("options, message", [
+        # failed at run time as a WorkloadError, then as a bare TypeError
+        ({"n_subflows": 0}, "options n_subflows: must be in [1, 64], got 0"),
+        ({"n_subflows": "3"},
+         "options n_subflows: must be an integer, got '3'"),
+        # truthy: it turned tracing on
+        ({"trace": "no"}, "options trace: must be true or false, got 'no'"),
+        # these failed only once the cell ran
+        ({"streaming_metrics": "x"}, "options: streaming_metrics must be "
+         "true or an options dict, got 'x'"),
+        ({"streaming_metrics": {"reservoirr": 5}},
+         "options: unknown streaming_metrics option 'reservoirr'"),
+        # falsy, so the adapters ignored it, under a key of its own
+        ({"streaming_metrics": {}}, "options streaming_metrics: {} turns "
+         "nothing on; give true for the defaults"),
+    ])
+    def test_engine_option_value(self, tmp_path, capsys, options, message):
+        err = _dry_run(tmp_path, capsys, protocol="M-PDQ", engine="packet",
+                       options=options)
+        assert err.startswith(
+            f"campaign error: panel 'p' cell 0 (seed=1): {message}")
+
+    def test_reducer_parameter_the_reducer_does_not_take(self, tmp_path,
+                                                         capsys):
+        """This ran every cell, then died with a bare ``TypeError``."""
+        err = _dry_run(tmp_path, capsys, panel={
+            "reducer": "table", "reducer_params": {"metric": "mean_fct"}})
+        assert err == ("campaign error: panel 'p': reducer kind 'table': "
+                       "got an unexpected keyword argument 'metric'\n")
 
     def test_the_unbroken_file_passes(self, tmp_path):
         path = _spec_file(tmp_path)
