@@ -1,16 +1,11 @@
-"""File discovery, AST parsing, and the checker registry for ``repro check``.
+"""File discovery, AST parsing and diagnostics for ``repro check``.
 
 The analysis pass walks Python ASTs with the stdlib :mod:`ast` module —
 no third-party dependency — over a declared *file set* (by default the
 library source plus ``examples/`` and ``benchmarks/``; tests are
-excluded because they build the forbidden shapes on purpose). Each
-domain checker receives an
-:class:`AnalysisContext` and yields
-:class:`~repro.analysis.diagnostics.Diagnostic` objects.
-
-Checkers are registered in :data:`CHECKERS` (populated by
-:mod:`repro.analysis` at import) so the CLI, the tests, and the CI gate
-all run the same registry.
+excluded because they build the forbidden shapes on purpose). The
+checker receives an :class:`AnalysisContext` and yields
+:class:`Diagnostic` objects.
 """
 
 from __future__ import annotations
@@ -19,9 +14,9 @@ import ast
 import contextlib
 import io
 import tokenize
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 
 from repro.errors import ReproError
 
@@ -39,17 +34,33 @@ class AnalysisBroken(ReproError):
 
 
 @dataclass(frozen=True)
-class SourceFile:
-    """One parsed source file plus the line-level facts checkers need."""
+class Diagnostic:
+    """One finding: a repo-contract violation at a source location,
+    rendered as ``file:line: CODE message`` (the compiler shape editors
+    and CI annotations parse)."""
 
-    path: Path  # absolute
+    code: str
+    path: str  # repo-relative posix path
+    line: int  # 1-based
+    message: str
+
+    def format(self) -> str:
+        return f"{self.path}:{self.line}: {self.code} {self.message}"
+
+
+def sort_diagnostics(diagnostics: Sequence[Diagnostic]) -> list[Diagnostic]:
+    """Stable report order: by file, then line, then code."""
+    return sorted(diagnostics, key=lambda d: (d.path, d.line, d.code))
+
+
+@dataclass(frozen=True)
+class SourceFile:
+    """One parsed source file plus the line-level facts the checker
+    needs."""
+
     relpath: str  # repo-relative, posix separators
-    text: str
     tree: ast.Module
     hot_lines: frozenset  # 1-based lines carrying the HOT_MARKER comment
-
-    def lines(self) -> list[str]:
-        return self.text.splitlines()
 
 
 def _hot_comment_lines(text: str) -> list[int]:
@@ -80,8 +91,7 @@ def parse_source(path: Path, root: Path) -> SourceFile:
         rel = path.resolve().relative_to(root.resolve()).as_posix()
     except ValueError:
         rel = path.as_posix()
-    return SourceFile(path=path, relpath=rel, text=text, tree=tree,
-                      hot_lines=hot)
+    return SourceFile(relpath=rel, tree=tree, hot_lines=hot)
 
 
 def discover_files(root: Path,
@@ -108,19 +118,18 @@ def discover_files(root: Path,
 
 @dataclass
 class AnalysisContext:
-    """Everything a checker may consult: the parsed file set."""
+    """Everything the checker may consult: the parsed file set."""
 
-    root: Path
-    files: list[SourceFile] = field(default_factory=list)
+    files: list[SourceFile]
 
     @classmethod
     def build(cls, root: Path,
               paths: Iterable[Path] | None = None) -> "AnalysisContext":
-        files = [parse_source(p, root) for p in discover_files(root, paths)]
-        return cls(root=root, files=files)
+        return cls([parse_source(path, root)
+                    for path in discover_files(root, paths)])
 
 
-# -- AST helpers shared by checkers -------------------------------------------------
+# -- AST helpers -------------------------------------------------------------------
 
 
 def iter_functions(
@@ -174,18 +183,3 @@ def attribute_chain(node: ast.AST) -> list[str] | None:
         return parts
     return None
 
-
-# -- checker registry ---------------------------------------------------------------
-
-CheckFn = Callable[[AnalysisContext], Iterator]
-
-#: code -> (one-line title, checker callable); populated by repro.analysis
-CHECKERS: dict[str, tuple[str, CheckFn]] = {}
-
-
-def register_checker(code: str, title: str) -> Callable[[CheckFn], CheckFn]:
-    def decorate(fn: CheckFn) -> CheckFn:
-        CHECKERS[code] = (title, fn)
-        return fn
-
-    return decorate

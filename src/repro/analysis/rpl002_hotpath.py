@@ -44,11 +44,10 @@ from collections.abc import Iterator
 
 from repro.analysis.core import (
     AnalysisContext,
+    Diagnostic,
     attribute_chain,
     hot_functions,
-    register_checker,
 )
-from repro.analysis.diagnostics import Diagnostic
 
 #: builtin calls that allocate a fresh container per call
 _CONTAINER_CALLS = ("dict", "list", "set", "tuple", "frozenset")
@@ -166,8 +165,6 @@ def _violations(fn: ast.FunctionDef) -> list[tuple[int, str]]:
     return found
 
 
-@register_checker("RPL002", "hot-path purity: '# repro: hot' functions "
-                            "stay closure-, logging- and allocation-free")
 def check(ctx: AnalysisContext) -> Iterator[Diagnostic]:
     for sf in ctx.files:
         if not sf.hot_lines:

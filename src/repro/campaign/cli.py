@@ -32,11 +32,10 @@ Subcommands::
         counter aggregates, and (when a validation report is present)
         the tolerance-margin table. Crashes fail; timings never do.
 
-    repro check [PATH ...] [--out FILE] [--no-mypy] [--list]
-        Run the AST-based invariant linter (RPL002 hot-path purity,
-        RPL005 event shape) plus a gated mypy pass over the repo's own
-        source. Exit 1 on any diagnostic; ``--out`` writes the JSON
-        report for CI artifact upload.
+    repro check [PATH ...]
+        Run the AST-based invariant linter (RPL002 hot-path purity) over
+        the repo's own source, or over the files and directories given.
+        Exit 1 on any diagnostic, 2 when the analysis cannot run.
 
 Global flags: ``-v``/``-vv`` raise logging to INFO/DEBUG, ``-q`` mutes
 everything below ERROR (they precede the subcommand: ``repro -v sweep``).
@@ -557,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser(
         "check",
-        help="run the AST invariant linter (RPL002, RPL005) and mypy gate",
+        help="run the AST invariant linter (RPL002 hot-path purity)",
     )
     from repro.analysis.cli import add_check_arguments
 

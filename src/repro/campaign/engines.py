@@ -398,13 +398,15 @@ def execute_spec(spec: "ScenarioSpec") -> "MetricsCollector":
     except open-system workloads, which carry their own simulated-time
     horizon (arrival window plus drain) that becomes the deadline, so
     the campaign runner's wall-clock budget never races an engine
-    default that a long stream would overrun.
+    default that a long stream would overrun. The options are checked
+    first, as the dry run checks them (:func:`check_options`).
     """
     adapter = _ENGINES.get(spec.engine)
     if adapter is None:
         from repro.campaign.registry import unknown_kind
 
         raise unknown_kind("engine", spec.engine, engine_kinds())
+    check_options(spec.engine, spec.protocol, spec.options)
     topology = spec.topology.build()
     flows = spec.workload.build(topology, spec.seed)
     options = dict(spec.options)

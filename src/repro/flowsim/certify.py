@@ -12,8 +12,9 @@ naming the flow, the edge and the numbers:
 * **D3**: the reservations re-derived in ``(arrival, fid)`` order, then
   max-min on the residual capacities with each flow capped at its
   ``max_rate`` minus its reservation;
-* **PDQ**: exact equality, flow by flow, with the §3 greedy in the
-  model's key order under the crumb rule.
+* **PDQ**: exact equality, flow by flow, with :func:`pdq_greedy` (the
+  paper's §3 centralized algorithm) in the model's key order under the
+  crumb rule.
 
 Rates are relative-tolerance checked (``1e-9`` on caps, ``1e-6`` on
 saturation) except PDQ's, whose greedy performs the model's float
@@ -21,6 +22,9 @@ operations in the model's order.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable, Iterator
+from typing import Any, NamedTuple
 
 from repro.errors import SimulationError
 from repro.flowsim.d3_model import D3Model, _Shadow
@@ -93,14 +97,32 @@ def check_d3(flows, capacities, now: float,
          if f.fid in rates})
 
 
-def check_pdq(model: PdqModel, flows, capacities, now: float,
-              rates: dict[int, float]) -> None:
-    """Certify a :class:`~repro.flowsim.pdq_model.PdqModel` answer: an
-    absent fid reads ``flow.rate``, the rate the engine keeps."""
-    min_rate = model.config.min_rate
-    crumb_fraction = model.config.crumb_fraction
+class Grant(NamedTuple):
+    """One flow's turn in :func:`pdq_greedy`."""
+
+    flow: Any
+    rate: float
+    floor: float
+    residual: float  # the least capacity left on the flow's path
+    edge: Any  # the edge that holds it (None for an empty path)
+
+
+def pdq_greedy(flows, capacities, key: Callable[[Any], Any],
+               min_rate: float = 0.0,
+               crumb_fraction: float = 0.0) -> Iterator[Grant]:
+    """The centralized scheduler PDQ approximates (paper §3): with every
+    edge's residual starting at its capacity, serve ``flows`` (each with
+    ``fid``, ``path`` and ``max_rate``) in increasing ``key`` order, each
+    at ``min(max_rate, least residual on its path)``, and take that rate
+    off every edge of the path. A rate below the crumb floor
+    ``max(min_rate, crumb_fraction * max_rate)``, or not positive, is 0.
+
+    The textbook algorithm orders by ``(expected_tx, fid)`` with floor 0;
+    :class:`~repro.flowsim.pdq_model.PdqModel` orders by its comparator
+    key and keeps the crumb floor, and its answer performs these float
+    operations in this order, so :func:`check_pdq` compares exactly."""
     residual: dict = {}
-    for key, flow in sorted((model._key(f, now), f) for f in flows):
+    for flow in sorted(flows, key=key):
         max_rate = flow.max_rate
         tight = None
         available = 0.0
@@ -109,18 +131,30 @@ def check_pdq(model: PdqModel, flows, capacities, now: float,
             if tight is None or left < available:
                 available = left
                 tight = edge
-        expected = min(max_rate, available)
+        rate = min(max_rate, available)
         floor = max(min_rate, crumb_fraction * max_rate)
-        if expected < floor or expected <= 0.0:
-            expected = 0.0
+        if rate < floor or rate <= 0.0:
+            rate = 0.0
+        for edge in flow.path:
+            residual[edge] = residual.get(edge, capacities[edge]) - rate
+        yield Grant(flow, rate, floor, available, tight)
+
+
+def check_pdq(model: PdqModel, flows, capacities, now: float,
+              rates: dict[int, float]) -> None:
+    """Certify a :class:`~repro.flowsim.pdq_model.PdqModel` answer: an
+    absent fid reads ``flow.rate``, the rate the engine keeps."""
+    config = model.config
+    for flow, expected, floor, available, tight in pdq_greedy(
+            flows, capacities, key=lambda f: model._key(f, now),
+            min_rate=config.min_rate, crumb_fraction=config.crumb_fraction):
         got = rates.get(flow.fid, flow.rate)
         if got != expected:
             raise SimulationError(
-                f"PDQ: flow {flow.fid} (key {key}) got {got!r}, the greedy "
-                f"gives {expected!r}: max_rate {max_rate!r}, floor "
-                f"{floor!r}, residual {available!r} on edge {tight}")
-        for edge in flow.path:
-            residual[edge] = residual.get(edge, capacities[edge]) - expected
+                f"PDQ: flow {flow.fid} (key {model._key(flow, now)}) got "
+                f"{got!r}, the greedy gives {expected!r}: max_rate "
+                f"{flow.max_rate!r}, floor {floor!r}, residual "
+                f"{available!r} on edge {tight}")
 
 
 def check_allocate(model, flows, capacities, now: float,

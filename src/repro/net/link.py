@@ -168,7 +168,8 @@ class Link:
             self.wire_losses += 1
         else:
             # the delivery takes its seq here, at tx-finish, ahead of the
-            # next transmission's (RPL005 holds this order)
+            # next transmission's; the packet digest pins hold this order
+            # (test_a_delivery_seq_taken_at_tx_start_moves_the_pins)
             heappush(sim._heap, (now + self._arrival_delay, sim._seq,
                                  self._deliver_cb, (packet, self)))
             sim._seq += 1

@@ -1,7 +1,5 @@
 """Reference schedulers and analytic bounds.
 
-* :mod:`repro.sched.centralized` -- the §3 centralized algorithm PDQ
-  approximates.
 * :mod:`repro.sched.optimal` -- the omniscient bounds used in Fig 3:
   EDF + Moore-Hodgson tardy-minimization for deadline flows (Pinedo
   Alg 3.3.1), SJF/SRPT fluid completion times for mean FCT.
@@ -9,7 +7,6 @@
   fair sharing, serial SJF/EDF, and D3's arrival-order reservation.
 """
 
-from repro.sched.centralized import centralized_rates
 from repro.sched.fluid import (
     d3_fluid_schedule,
     fair_sharing_completions,
@@ -23,7 +20,6 @@ from repro.sched.optimal import (
 )
 
 __all__ = [
-    "centralized_rates",
     "fair_sharing_completions",
     "serial_completions",
     "d3_fluid_schedule",

@@ -1,29 +1,25 @@
-"""Tests for the ``repro check`` static-analysis pass (RPL002, RPL005).
+"""Tests for the ``repro check`` static-analysis pass (RPL002).
 
-Each checker is pinned against pass/fail fixtures under
-``tests/data/analysis/`` (fixture trees mimic the repo layout where a
-checker keys on file names, e.g. ``net/link.py``). A regression test
-mutates the *real* ``net/link.py`` the way a plausible refactor would —
-the fig3c tx-start delivery revert — and asserts the lint catches it.
-The repo itself must stay clean at HEAD.
+The rule is pinned against pass/fail fixtures under
+``tests/data/analysis/``, and the repo itself must stay clean at HEAD.
+The packet engine's event order has no lint rule: the packet digest
+pins hold it (``tests/test_pdq_digest_pins.py``).
 """
 
-import json
 from pathlib import Path
 
 import pytest
 
-import repro.analysis  # noqa: F401  (registers the checkers)
-from repro.analysis.core import CHECKERS, AnalysisContext
-from repro.analysis.diagnostics import render_report, sort_diagnostics
+from repro.analysis import check
+from repro.analysis.cli import main
+from repro.analysis.core import AnalysisContext, sort_diagnostics
 from repro.errors import CampaignError
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = REPO_ROOT / "tests" / "data" / "analysis"
 
 
-def run_checker(code, ctx):
-    _, check = CHECKERS[code]
+def run_checker(ctx):
     return sort_diagnostics(list(check(ctx)))
 
 
@@ -31,20 +27,13 @@ def fixture_ctx(name):
     return AnalysisContext.build(REPO_ROOT, paths=[FIXTURES / name])
 
 
-class TestRegistry:
-    def test_kept_checkers_registered(self):
-        # cache keys are held by tests/test_key_corpus.py, kind names by
-        # the dry runs of every registered experiment and example
-        assert sorted(CHECKERS) == ["RPL002", "RPL005"]
-
-
 class TestRpl002HotPathPurity:
     def test_pass_fixture_is_clean(self):
         # includes an f-string inside a raise: exempt (cold error path)
-        assert run_checker("RPL002", fixture_ctx("rpl002_pass")) == []
+        assert run_checker(fixture_ctx("rpl002_pass")) == []
 
     def test_fail_fixture_flags_every_construct(self):
-        diags = run_checker("RPL002", fixture_ctx("rpl002_fail"))
+        diags = run_checker(fixture_ctx("rpl002_fail"))
         blob = "\n".join(d.message for d in diags)
         for needle in (
             "closure helper()",
@@ -68,7 +57,7 @@ class TestRpl002HotPathPurity:
         target = tmp_path / "hot.py"
         target.write_text(unmarked)
         ctx = AnalysisContext.build(REPO_ROOT, paths=[target])
-        assert run_checker("RPL002", ctx) == []
+        assert run_checker(ctx) == []
 
     def test_marker_in_string_does_not_mark_function(self, tmp_path):
         target = tmp_path / "mod.py"
@@ -78,53 +67,12 @@ class TestRpl002HotPathPurity:
             "    return [dict(x=i) for i in range(3)]\n"
         )
         ctx = AnalysisContext.build(REPO_ROOT, paths=[target])
-        assert run_checker("RPL002", ctx) == []
-
-
-class TestRpl005EventShape:
-    def test_pass_fixture_is_clean(self):
-        assert run_checker("RPL005", fixture_ctx("rpl005_pass")) == []
-
-    def test_delivery_at_tx_start_is_flagged(self):
-        diags = run_checker("RPL005", fixture_ctx("rpl005_fail"))
-        assert len(diags) == 1
-        assert "delivery callback scheduled in enqueue()" in diags[0].message
-        assert "fig3c" in diags[0].message
-
-    def test_raw_heappush_outside_link_is_flagged(self):
-        diags = run_checker("RPL005", fixture_ctx("rpl005_fail_heappush"))
-        assert len(diags) == 1
-        assert "direct push onto a simulator heap" in diags[0].message
-
-    def test_fig3c_revert_of_real_link_fails_lint(self, tmp_path):
-        # the acceptance scenario: revert the tx-finish scheduling change
-        # by making the link schedule deliveries when transmission starts
-        source = (REPO_ROOT / "src/repro/net/link.py").read_text()
-        reverted = source.replace(
-            "sim._seq, self._finish_cb, (packet,)))",
-            "sim._seq, self._deliver_cb, (packet, self)))",
-        )
-        assert reverted != source
-        target = tmp_path / "net" / "link.py"
-        target.parent.mkdir()
-        target.write_text(reverted)
-        ctx = AnalysisContext.build(REPO_ROOT, paths=[target])
-        diags = run_checker("RPL005", ctx)
-        # both tx-start push sites now schedule deliveries: the one in
-        # enqueue, and the one in _finish that follows the finished
-        # packet's own delivery
-        assert len(diags) == 2
-        assert {"enqueue", "_finish"} == {
-            d.message.split("(")[0].split()[-1] for d in diags
-        }
+        assert run_checker(ctx) == []
 
 
 class TestRepoIsCleanAtHead:
     def test_full_repo_scan_has_no_diagnostics(self):
-        ctx = AnalysisContext.build(REPO_ROOT)
-        diags = []
-        for code in sorted(CHECKERS):
-            diags.extend(run_checker(code, ctx))
+        diags = run_checker(AnalysisContext.build(REPO_ROOT))
         assert diags == [], "\n".join(d.format() for d in diags)
 
     def test_hot_markers_are_present_where_seeded(self):
@@ -158,52 +106,33 @@ class TestRepoIsCleanAtHead:
 
 
 class TestCheckCli:
-    def test_list_checkers(self, capsys):
-        from repro.analysis.cli import main
+    def test_paths_are_its_only_argument(self):
+        from repro.campaign.cli import build_parser
 
-        assert main(["--list"]) == 0
-        out = capsys.readouterr().out
-        assert [line.split()[0] for line in out.splitlines()] == \
-            ["RPL002", "RPL005"]
+        (commands,) = (a for a in build_parser()._actions
+                       if a.dest == "command")
+        check_parser = commands.choices["check"]
+        assert [a.dest for a in check_parser._actions] == ["help", "paths"]
 
     def test_repin_flag_is_gone(self, capsys):
-        from repro.analysis.cli import main
-
         with pytest.raises(SystemExit) as exit_:
             main(["--repin-fingerprints"])
         assert exit_.value.code == 2
         assert "--repin-fingerprints" in capsys.readouterr().err
 
     def test_clean_fixture_exits_zero(self, capsys):
-        from repro.analysis.cli import main
+        assert main([str(FIXTURES / "rpl002_pass")]) == 0
+        assert capsys.readouterr().out == "repro check: clean\n"
 
-        rc = main([str(FIXTURES / "rpl005_pass"), "--no-mypy"])
-        assert rc == 0
-        assert "repro check: clean" in capsys.readouterr().out
+    def test_diagnostics_exit_one(self, capsys):
+        assert main([str(FIXTURES / "rpl002_fail")]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == f"repro check: {len(lines) - 1} diagnostic(s)"
+        assert all(": RPL002 Engine.drain: " in line for line in lines[:-1])
 
-    def test_diagnostics_exit_one_and_write_report(self, tmp_path, capsys):
-        from repro.analysis.cli import main
-
-        out_file = tmp_path / "report.json"
-        rc = main([str(FIXTURES / "rpl005_fail"), "--no-mypy",
-                   "--out", str(out_file)])
-        assert rc == 1
-        report = json.loads(out_file.read_text())
-        assert report["schema"] == 1
-        assert report["n_diagnostics"] == 1
-        assert report["by_code"] == {"RPL005": 1}
-        first = report["diagnostics"][0]
-        assert first["code"] == "RPL005"
-        assert "line" in first and "path" in first and "message" in first
-        text = capsys.readouterr().out
-        assert ": RPL005 " in text
-
-    def test_render_report_counts_by_code(self):
-        diags = [*run_checker("RPL002", fixture_ctx("rpl002_fail")),
-                 *run_checker("RPL005", fixture_ctx("rpl005_fail"))]
-        report = render_report(diags, mypy={"status": "skipped"})
-        assert report["by_code"] == {"RPL002": len(diags) - 1, "RPL005": 1}
-        assert report["mypy"] == {"status": "skipped"}
+    def test_a_missing_path_exits_two(self, capsys):
+        assert main([str(FIXTURES / "no_such_dir")]) == 2
+        assert "no such file or directory" in capsys.readouterr().err
 
 
 UNKNOWN_KIND_CASES = [

@@ -31,9 +31,17 @@ so every flow resolves.
 A digest changes only when simulated behaviour changes; a failure names
 each headline statistic that moved. If the change is deliberate,
 re-baseline with ``tests/data/capture_pins.py packet``.
+
+The pins also hold the engine's event order, which no number a small
+test reads would show: a link that gives each delivery its heap seq when
+the packet's transmission starts, rather than when it finishes, keeps
+every timestamp yet flips same-timestamp ties (the fig3c defect), and
+:func:`test_a_delivery_seq_taken_at_tx_start_moves_the_pins` checks
+that the ``rcp`` pin sees it.
 """
 
 from functools import partial
+from heapq import heappush
 
 import pytest
 
@@ -41,6 +49,7 @@ import pins
 from repro.campaign.engines import run_packet_level
 from repro.campaign.registry import build_topology, build_workload
 from repro.faults.spec import FaultEvent, LossRule
+from repro.net.link import Link
 from repro.net.network import NetworkConfig
 from repro.units import KBYTE, MSEC
 from repro.workload.flow import FlowSpec
@@ -116,6 +125,54 @@ def run(case: str) -> list:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_packet_digest_is_pinned(case):
     pins.assert_pinned("packet", case, run(case))
+
+
+def _deliver_at_tx_start(monkeypatch) -> None:
+    """Patch :class:`Link` to push each delivery when its transmission
+    starts: the same timestamp as at tx-finish, but an earlier seq. Wire
+    loss and link faults are left out; the ``rcp`` case has neither."""
+
+    def start(link, packet):
+        sim = link.sim
+        link._transmitting = True
+        link._tx_started = sim.now
+        done = sim.now + packet.size * 8 / link.rate_bps
+        heappush(sim._heap, (done, sim._seq, link._finish_cb, (packet,)))
+        heappush(sim._heap, (done + link._arrival_delay, sim._seq + 1,
+                             link._deliver_cb, (packet, link)))
+        sim._seq += 2
+
+    def enqueue(link, packet):
+        if link._transmitting:
+            return link.queue.offer(packet)
+        if not link.queue.offer(packet):
+            return False
+        start(link, link.queue.pop())
+        return True
+
+    def finish(link, packet):
+        link._busy_accum += link.sim.now - link._tx_started
+        link.bytes_sent += packet.size
+        link.packets_sent += 1
+        waiting = link.queue.pop()
+        if waiting is None:
+            link._transmitting = False
+        else:
+            start(link, waiting)
+
+    monkeypatch.setattr(Link, "enqueue", enqueue)
+    monkeypatch.setattr(Link, "_finish", finish)
+
+
+def test_a_delivery_seq_taken_at_tx_start_moves_the_pins(monkeypatch):
+    """The pins, not a lint rule, hold the link's tx-finish delivery
+    order: with deliveries scheduled at tx-start the ``rcp`` digest
+    moves, and the failure names the case."""
+    assert not CASES["rcp"][2]
+    _deliver_at_tx_start(monkeypatch)
+    lines = pins.moved("packet", "rcp", run("rcp"))
+    assert lines, "the rcp pin no longer sees a tx-start delivery seq"
+    assert len(lines) == 1 and lines[0].startswith("packet rcp: digest ")
 
 
 #: id -> (protocol, run_packet_level keywords), on the 16-server fat-tree

@@ -20,13 +20,12 @@ from repro.campaign.registry import build_topology, build_workload
 from repro.core.comparator import FlowComparator
 from repro.core.config import PdqConfig
 from repro.faults import FaultEvent
-from repro.flowsim.certify import check_pdq
+from repro.flowsim.certify import check_pdq, pdq_greedy
 from repro.flowsim.engine import FlowLevelSimulation
 from repro.flowsim.pdq_model import PdqModel
 from repro.flowsim.progress import FlowProgress
 from repro.metrics.collector import MetricsCollector
 from repro.obs import FlowTracer
-from repro.sched.centralized import centralized_rates
 from repro.topology.base import Topology
 from repro.topology.fattree import FatTree
 from repro.topology.random_graph import RandomGraph
@@ -460,9 +459,11 @@ class TestAgingCountsThePauseOnce:
 
 
 class TestCentralizedOracle:
-    """``sched.centralized.centralized_rates`` (the paper's §3 algorithm)
-    is the oracle: with the crumb rule off, no deadlines and no aging,
-    ``PdqModel.allocate`` equals it exactly."""
+    """The paper's §3 algorithm in its textbook order, ``(expected_tx,
+    fid)`` with floor 0 (``certify.pdq_greedy``), is the oracle: with the
+    crumb rule off, no deadlines and no aging, ``PdqModel.allocate``
+    equals it exactly. The order is given here, not read from
+    ``PdqModel._key``."""
 
     CONFIG = PdqConfig.full(crumb_fraction=0.0, min_rate=0.0)
 
@@ -488,9 +489,8 @@ class TestCentralizedOracle:
 
     @staticmethod
     def _oracle(flows, capacities):
-        return centralized_rates(
-            [(f.fid, f.expected_tx(), f.path, f.max_rate) for f in flows],
-            capacities)
+        return {grant.flow.fid: grant.rate for grant in pdq_greedy(
+            flows, capacities, key=lambda f: (f.expected_tx(), f.fid))}
 
     def test_first_call_equals_the_textbook_algorithm(self):
         for seed in range(500):

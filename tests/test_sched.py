@@ -1,11 +1,12 @@
 """Tests for the reference schedulers and optimal bounds."""
 
 import itertools
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sched.centralized import centralized_rates
+from repro.flowsim.certify import pdq_greedy
 from repro.sched.fluid import (
     d3_fluid_schedule,
     deadline_misses,
@@ -19,6 +20,21 @@ from repro.sched.optimal import (
     srpt_mean_fct,
 )
 from repro.units import GBPS
+
+
+class _Flow(NamedTuple):
+    fid: int
+    expected_tx: float
+    path: list
+    max_rate: float
+
+
+def centralized_rates(flows, capacities):
+    """The §3 greedy in its textbook order, ``(expected_tx, fid)``, with
+    floor 0, over ``(fid, expected_tx, path, max_rate)`` tuples."""
+    return {grant.flow.fid: grant.rate for grant in pdq_greedy(
+        [_Flow(*flow) for flow in flows], capacities,
+        key=lambda f: (f.expected_tx, f.fid))}
 
 
 class TestCentralized:

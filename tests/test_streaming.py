@@ -25,7 +25,7 @@ from repro.campaign import (
 )
 from repro.campaign.engines import make_model, run_packet_level
 from repro.campaign.registry import build_workload, workload_kinds
-from repro.errors import ExperimentError, WorkloadError
+from repro.errors import CampaignError, ExperimentError, WorkloadError
 from repro.flowsim.engine import FlowLevelSimulation
 from repro.metrics import MetricsCollector, StreamingMetricsCollector
 from repro.metrics.streaming import streaming_collector
@@ -441,6 +441,17 @@ class TestCampaignWiring:
         collector = execute_spec(_stream_spec(engine=engine))
         assert isinstance(collector, StreamingMetricsCollector)
         assert collector.n_completed > 0
+
+    def test_execute_spec_refuses_an_empty_streaming_dict(self):
+        """The adapters read ``{}`` as off: this returned a plain
+        collector, cached under a key of its own beside the option-free
+        cell's. ``execute_spec`` refuses it as the dry run does."""
+        from repro.campaign.engines import execute_spec
+
+        spec = _stream_spec(streaming_metrics={})
+        with pytest.raises(CampaignError, match=r"streaming_metrics: \{\} "
+                           "turns nothing on; give true for the defaults"):
+            execute_spec(spec)
 
     def test_stream_horizon_becomes_default_deadline(self):
         """Satellite 2: without an explicit sim_deadline the spec runs to
