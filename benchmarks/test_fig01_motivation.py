@@ -8,9 +8,8 @@ from repro.experiments.fig1 import fig1_panel
 from repro.experiments.tables import format_table
 
 
-def test_fig1_motivation(benchmark, capsys):
-    result = benchmark.pedantic(lambda: run_panel(fig1_panel()),
-                                rounds=1, iterations=1)
+def test_fig1_motivation(capsys):
+    result = run_panel(fig1_panel())
 
     rows = [
         ["fair sharing completions", str(result["paper"]["fair_sharing_completions"]),

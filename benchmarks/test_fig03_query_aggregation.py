@@ -7,8 +7,6 @@ targets: PDQ(Full) tracks Optimal; the variant order Full >= ES+ET >= ES
 at 99 % application throughput.
 """
 
-import pytest
-
 from benchmarks.conftest import report
 from repro.experiments.api import run_panel
 from repro.experiments.fig3 import (
@@ -22,11 +20,8 @@ from repro.experiments.tables import format_table
 from repro.units import KBYTE, MSEC
 
 
-def test_fig3a_app_throughput_vs_flows(benchmark, capsys):
-    result = benchmark.pedantic(
-        lambda: run_panel(fig3a_panel(flow_counts=(3, 10, 18), seeds=(1, 2))),
-        rounds=1, iterations=1,
-    )
+def test_fig3a_app_throughput_vs_flows(capsys):
+    result = run_panel(fig3a_panel(flow_counts=(3, 10, 18), seeds=(1, 2)))
     counts = sorted(next(iter(result.values())).keys())
     rows = [
         [name] + [f"{result[name][n] * 100:.1f}%" for n in counts]
@@ -44,12 +39,9 @@ def test_fig3a_app_throughput_vs_flows(benchmark, capsys):
     assert result["PDQ(Full)"][heavy] > result["TCP"][heavy]
 
 
-def test_fig3b_app_throughput_vs_size(benchmark, capsys):
+def test_fig3b_app_throughput_vs_size(capsys):
     sizes = (100 * KBYTE, 250 * KBYTE)
-    result = benchmark.pedantic(
-        lambda: run_panel(fig3b_panel(mean_sizes=sizes, seeds=(1, 2))),
-        rounds=1, iterations=1,
-    )
+    result = run_panel(fig3b_panel(mean_sizes=sizes, seeds=(1, 2)))
     rows = [
         [name] + [f"{result[name][s] * 100:.1f}%" for s in sizes]
         for name in result
@@ -63,13 +55,10 @@ def test_fig3b_app_throughput_vs_size(benchmark, capsys):
     assert result["PDQ(Full)"][big] >= result["RCP"][big]
 
 
-def test_fig3c_flows_at_99pct_vs_deadline(benchmark, capsys):
+def test_fig3c_flows_at_99pct_vs_deadline(capsys):
     deadlines = (20 * MSEC, 40 * MSEC)
-    result = benchmark.pedantic(
-        lambda: run_panel(fig3c_panel(mean_deadlines=deadlines, seeds=(1,),
-                                      hi=48)),
-        rounds=1, iterations=1,
-    )
+    result = run_panel(fig3c_panel(mean_deadlines=deadlines, seeds=(1,),
+                                   hi=48))
     rows = [
         [name] + [result[name][d] for d in deadlines] for name in result
     ]
@@ -91,11 +80,8 @@ def test_fig3c_flows_at_99pct_vs_deadline(benchmark, capsys):
     assert ratio[deadlines[-1]] >= ratio[deadlines[0]]
 
 
-def test_fig3d_fct_vs_flows(benchmark, capsys):
-    result = benchmark.pedantic(
-        lambda: run_panel(fig3d_panel(flow_counts=(1, 5, 10), seeds=(1, 2))),
-        rounds=1, iterations=1,
-    )
+def test_fig3d_fct_vs_flows(capsys):
+    result = run_panel(fig3d_panel(flow_counts=(1, 5, 10), seeds=(1, 2)))
     counts = sorted(next(iter(result.values())).keys())
     rows = [[name] + [result[name][n] for n in counts] for name in result]
     report(capsys, format_table(
@@ -110,12 +96,9 @@ def test_fig3d_fct_vs_flows(benchmark, capsys):
     assert result["PDQ(Full)"][10] < 0.85 * result["RCP"][10]
 
 
-def test_fig3e_fct_vs_size(benchmark, capsys):
+def test_fig3e_fct_vs_size(capsys):
     sizes = (100 * KBYTE, 300 * KBYTE)
-    result = benchmark.pedantic(
-        lambda: run_panel(fig3e_panel(mean_sizes=sizes, seeds=(1, 2))),
-        rounds=1, iterations=1,
-    )
+    result = run_panel(fig3e_panel(mean_sizes=sizes, seeds=(1, 2)))
     rows = [[name] + [result[name][s] for s in sizes] for name in result]
     report(capsys, format_table(
         ["protocol"] + [f"{int(s / KBYTE)}KB" for s in sizes], rows,

@@ -14,14 +14,11 @@ PROTOCOLS_A = ("PDQ(Full)", "D3", "RCP")
 PROTOCOLS_B = ("PDQ(Full)", "PDQ(Basic)", "RCP", "TCP")
 
 
-def test_fig4a_flows_at_99pct_by_pattern(benchmark, capsys):
+def test_fig4a_flows_at_99pct_by_pattern(capsys):
     patterns = ("Aggregation", "Staggered(0.7)", "RandomPermutation")
-    result = benchmark.pedantic(
-        lambda: run_panel(fig4a_panel(patterns=patterns,
-                                      protocols=PROTOCOLS_A, seeds=(1,),
-                                      hi=24)),
-        rounds=1, iterations=1,
-    )
+    result = run_panel(fig4a_panel(patterns=patterns,
+                                   protocols=PROTOCOLS_A, seeds=(1,),
+                                   hi=24))
     rows = [
         [pattern] + [result[pattern][p] for p in PROTOCOLS_A]
         for pattern in patterns
@@ -37,13 +34,10 @@ def test_fig4a_flows_at_99pct_by_pattern(benchmark, capsys):
         assert result[pattern]["RCP"] <= 1.0
 
 
-def test_fig4b_fct_by_pattern(benchmark, capsys):
-    result = benchmark.pedantic(
-        lambda: run_panel(fig4b_panel(patterns=PATTERNS,
-                                      protocols=PROTOCOLS_B, seeds=(1,),
-                                      n_flows=12)),
-        rounds=1, iterations=1,
-    )
+def test_fig4b_fct_by_pattern(capsys):
+    result = run_panel(fig4b_panel(patterns=PATTERNS,
+                                   protocols=PROTOCOLS_B, seeds=(1,),
+                                   n_flows=12))
     rows = [
         [pattern] + [result[pattern][p] for p in PROTOCOLS_B]
         for pattern in PATTERNS

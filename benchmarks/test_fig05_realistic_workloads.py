@@ -17,16 +17,13 @@ from repro.experiments.tables import format_table
 from repro.units import MSEC
 
 
-def test_fig5a_sustainable_arrival_rate(benchmark, capsys):
+def test_fig5a_sustainable_arrival_rate(capsys):
     deadlines = (20 * MSEC,)
     protocols = ("PDQ(Full)", "D3", "RCP", "TCP")
-    result = benchmark.pedantic(
-        lambda: run_panel(fig5a_panel(mean_deadlines=deadlines,
-                                      protocols=protocols, seeds=(1,),
-                                      duration=0.03, rate_step=1000,
-                                      hi_steps=8)),
-        rounds=1, iterations=1,
-    )
+    result = run_panel(fig5a_panel(mean_deadlines=deadlines,
+                                   protocols=protocols, seeds=(1,),
+                                   duration=0.03, rate_step=1000,
+                                   hi_steps=8))
     rows = [
         [p] + [f"{result[p][d]:.0f}/s" for d in deadlines]
         for p in protocols
@@ -48,13 +45,10 @@ def test_fig5a_sustainable_arrival_rate(benchmark, capsys):
     assert result["PDQ(Full)"][d] >= 2000
 
 
-def test_fig5b_long_flow_fct(benchmark, capsys):
+def test_fig5b_long_flow_fct(capsys):
     protocols = ("PDQ(Full)", "PDQ(ES)", "RCP", "TCP")
-    result = benchmark.pedantic(
-        lambda: run_panel(fig5b_panel(protocols=protocols, seeds=(1,),
-                                      rate_per_sec=1500.0, duration=0.02)),
-        rounds=1, iterations=1,
-    )
+    result = run_panel(fig5b_panel(protocols=protocols, seeds=(1,),
+                                   rate_per_sec=1500.0, duration=0.02))
     report(capsys, format_table(
         ["protocol", "long-flow FCT / PDQ(Full)"],
         [[p, result[p]] for p in protocols],
@@ -65,14 +59,11 @@ def test_fig5b_long_flow_fct(benchmark, capsys):
     assert result["TCP"] > 1.0
 
 
-def test_fig5c_edu1_trace(benchmark, capsys):
+def test_fig5c_edu1_trace(capsys):
     protocols = ("PDQ(Full)", "PDQ(Basic)", "RCP", "TCP")
-    result = benchmark.pedantic(
-        lambda: run_panel(fig5c_panel(protocols=protocols, seeds=(1,),
-                                      duration=0.04,
-                                      flows_per_second=1500.0)),
-        rounds=1, iterations=1,
-    )
+    result = run_panel(fig5c_panel(protocols=protocols, seeds=(1,),
+                                   duration=0.04,
+                                   flows_per_second=1500.0))
     report(capsys, format_table(
         ["protocol", "FCT / PDQ(Full)"],
         [[p, result[p]] for p in protocols],

@@ -8,9 +8,8 @@ from repro.experiments.fig6 import fig6_panel
 from repro.experiments.tables import format_table
 
 
-def test_fig6_seamless_switching(benchmark, capsys):
-    result = benchmark.pedantic(lambda: run_panel(fig6_panel()),
-                                rounds=1, iterations=1)
+def test_fig6_seamless_switching(capsys):
+    result = run_panel(fig6_panel())
 
     rows = [
         ["total completion time", "~42 ms",

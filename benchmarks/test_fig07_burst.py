@@ -6,9 +6,8 @@ from repro.experiments.fig7 import fig7_panel
 from repro.experiments.tables import format_table
 
 
-def test_fig7_burst_preemption(benchmark, capsys):
-    result = benchmark.pedantic(lambda: run_panel(fig7_panel()),
-                                rounds=1, iterations=1)
+def test_fig7_burst_preemption(capsys):
+    result = run_panel(fig7_panel())
 
     start, end = result["preemption_period"]
     rows = [

@@ -16,13 +16,10 @@ from repro.experiments.fig8 import (
 from repro.experiments.tables import format_table
 
 
-def test_fig8a_deadline_scale(benchmark, capsys):
-    result = benchmark.pedantic(
-        lambda: run_panel(fig8a_panel(
-            sizes=(16,), protocols=("PDQ(Full)", "D3", "RCP"),
-            levels=("packet", "flow"), seeds=(1,), hi=48)),
-        rounds=1, iterations=1,
-    )
+def test_fig8a_deadline_scale(capsys):
+    result = run_panel(fig8a_panel(
+        sizes=(16,), protocols=("PDQ(Full)", "D3", "RCP"),
+        levels=("packet", "flow"), seeds=(1,), hi=48))
     rows = [[key, series[16]] for key, series in sorted(result.items())]
     report(capsys, format_table(
         ["protocol/level", "flows@99% (16 servers)"], rows,
@@ -33,17 +30,14 @@ def test_fig8a_deadline_scale(benchmark, capsys):
     assert result["PDQ(Full)/flow"][16] >= result["D3/flow"][16]
 
 
-def test_fig8bcd_fct_across_topologies(benchmark, capsys):
-    def run_all():
-        return {
-            family: run_panel(fct_vs_size_panel(
-                family, sizes=(16,), protocols=("PDQ(Full)", "RCP"),
-                levels=("packet", "flow"), seeds=(1,), flows_per_server=2,
-            ))
-            for family in ("fattree", "bcube", "jellyfish")
-        }
-
-    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
+def test_fig8bcd_fct_across_topologies(capsys):
+    results = {
+        family: run_panel(fct_vs_size_panel(
+            family, sizes=(16,), protocols=("PDQ(Full)", "RCP"),
+            levels=("packet", "flow"), seeds=(1,), flows_per_server=2,
+        ))
+        for family in ("fattree", "bcube", "jellyfish")
+    }
     rows = []
     for family, series in results.items():
         for key, by_size in sorted(series.items()):
@@ -69,12 +63,9 @@ def test_fig8bcd_fct_across_topologies(benchmark, capsys):
     assert wins >= 2
 
 
-def test_fig8e_per_flow_cdf(benchmark, capsys):
-    result = benchmark.pedantic(
-        lambda: run_panel(fig8e_panel(n_servers=128, flows_per_server=2,
-                                      seeds=(1,))),
-        rounds=1, iterations=1,
-    )
+def test_fig8e_per_flow_cdf(capsys):
+    result = run_panel(fig8e_panel(n_servers=128, flows_per_server=2,
+                                   seeds=(1,)))
     rows = [
         ["flows >=2x faster under PDQ", "~40 %",
          f"{result['fraction_pdq_2x_faster'] * 100:.1f} %"],

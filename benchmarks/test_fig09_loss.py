@@ -13,11 +13,8 @@ from repro.experiments.tables import format_table
 LOSSES = (0.0, 0.01, 0.03)
 
 
-def test_fig9a_deadline_capacity_under_loss(benchmark, capsys):
-    result = benchmark.pedantic(
-        lambda: run_panel(fig9a_panel(loss_rates=LOSSES, seeds=(1,), hi=24)),
-        rounds=1, iterations=1,
-    )
+def test_fig9a_deadline_capacity_under_loss(capsys):
+    result = run_panel(fig9a_panel(loss_rates=LOSSES, seeds=(1,), hi=24))
     rows = [
         [p] + [result[p][l] for l in LOSSES] for p in result
     ]
@@ -31,12 +28,9 @@ def test_fig9a_deadline_capacity_under_loss(benchmark, capsys):
     assert result["PDQ(Full)"][0.03] >= 0.5 * max(1, result["PDQ(Full)"][0.0])
 
 
-def test_fig9b_fct_under_loss(benchmark, capsys):
-    result = benchmark.pedantic(
-        lambda: run_panel(fig9b_panel(loss_rates=LOSSES, seeds=(1, 2),
-                                      n_flows=8)),
-        rounds=1, iterations=1,
-    )
+def test_fig9b_fct_under_loss(capsys):
+    result = run_panel(fig9b_panel(loss_rates=LOSSES, seeds=(1, 2),
+                                   n_flows=8))
     rows = [[p] + [result[p][l] for l in LOSSES] for p in result]
     report(capsys, format_table(
         ["protocol"] + [f"loss={l:.0%}" for l in LOSSES], rows,

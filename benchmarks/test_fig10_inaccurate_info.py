@@ -6,11 +6,8 @@ from repro.experiments.fig10 import SCHEMES, fig10_panel
 from repro.experiments.tables import format_table
 
 
-def test_fig10_inaccurate_flow_information(benchmark, capsys):
-    result = benchmark.pedantic(
-        lambda: run_panel(fig10_panel(seeds=tuple(range(1, 11)))),
-        rounds=1, iterations=1,
-    )
+def test_fig10_inaccurate_flow_information(capsys):
+    result = run_panel(fig10_panel(seeds=tuple(range(1, 11))))
     rows = []
     for dist in result:
         for scheme in SCHEMES:

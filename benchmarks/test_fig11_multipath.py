@@ -11,12 +11,9 @@ from repro.experiments.fig11 import fig11a_panel, fig11b_panel, fig11c_panel
 from repro.experiments.tables import format_table
 
 
-def test_fig11a_load_sweep(benchmark, capsys):
+def test_fig11a_load_sweep(capsys):
     loads = (0.25, 1.0)
-    result = benchmark.pedantic(
-        lambda: run_panel(fig11a_panel(loads=loads, seeds=(1, 2))),
-        rounds=1, iterations=1,
-    )
+    result = run_panel(fig11a_panel(loads=loads, seeds=(1, 2)))
     rows = [
         [name] + [f"{result[name][l] * 1e3:.2f} ms" for l in loads]
         for name in ("PDQ", "M-PDQ")
@@ -32,12 +29,9 @@ def test_fig11a_load_sweep(benchmark, capsys):
     assert gain[0.25] >= gain[1.0] * 0.8
 
 
-def test_fig11b_subflow_sweep(benchmark, capsys):
+def test_fig11b_subflow_sweep(capsys):
     counts = (1, 2, 3, 4, 8)
-    result = benchmark.pedantic(
-        lambda: run_panel(fig11b_panel(subflow_counts=counts, seeds=(1,))),
-        rounds=1, iterations=1,
-    )
+    result = run_panel(fig11b_panel(subflow_counts=counts, seeds=(1,)))
     rows = [[k, f"{result[k] * 1e3:.2f} ms"] for k in counts]
     report(capsys, format_table(
         ["subflows", "mean FCT"], rows,
@@ -49,13 +43,10 @@ def test_fig11b_subflow_sweep(benchmark, capsys):
     assert result[4] <= best * 1.25  # saturation by ~4 subflows
 
 
-def test_fig11c_deadline_vs_subflows(benchmark, capsys):
+def test_fig11c_deadline_vs_subflows(capsys):
     counts = (1, 4)
-    result = benchmark.pedantic(
-        lambda: run_panel(fig11c_panel(subflow_counts=counts, seeds=(1,),
-                                       hi=24)),
-        rounds=1, iterations=1,
-    )
+    result = run_panel(fig11c_panel(subflow_counts=counts, seeds=(1,),
+                                    hi=24))
     rows = [[k, result[k]] for k in counts]
     report(capsys, format_table(
         ["subflows", "flows@99%"], rows,

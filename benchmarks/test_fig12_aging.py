@@ -14,11 +14,8 @@ from repro.experiments.tables import format_table
 RATES = (0.0, 2.0, 6.0, 10.0)
 
 
-def test_fig12_aging(benchmark, capsys):
-    result = benchmark.pedantic(
-        lambda: run_panel(fig12_panel(aging_rates=RATES, seeds=(1,))),
-        rounds=1, iterations=1,
-    )
+def test_fig12_aging(capsys):
+    result = run_panel(fig12_panel(aging_rates=RATES, seeds=(1,)))
     rows = [
         [f"alpha={a:g}",
          f"{result['PDQ max'][a] * 1e3:.2f}",

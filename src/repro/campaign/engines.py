@@ -17,9 +17,9 @@ registered kinds) plus the spec's engine options, and return a collector:
 * ``flow`` — pairs the protocol's rate model with the fluid
   :class:`~repro.flowsim.engine.FlowLevelSimulation`.
 
-Heavy simulator imports stay inside the adapter bodies so this module —
-imported by :mod:`repro.campaign.spec` for engine-name validation — adds
-no weight to spec construction in driver processes.
+The simulators themselves are imported inside the adapter bodies; at
+import this module reads only the option schemas (the multipath subflow
+bound, the probe and streaming-metrics readers).
 """
 
 from __future__ import annotations
@@ -27,10 +27,14 @@ from __future__ import annotations
 import functools
 import importlib
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Any, TYPE_CHECKING
 
-from repro.errors import CampaignError, ExperimentError
+from repro.core.multipath import MAX_SUBFLOWS
+from repro.errors import CampaignError
+from repro.metrics.streaming import read_streaming
+from repro.obs.probes import read_probes
+from repro.schema import Reader, _plan, unknown_names, within
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.campaign.spec import ScenarioSpec
@@ -74,11 +78,28 @@ PROTOCOLS: dict[str, Protocol] = {p.name: p for p in (
     Protocol("TCP", None, "repro.transport.tcp:TcpStack", None, 40),
 )}
 
-#: the options each builtin engine's adapter reads; a PDQ protocol also
-#: takes every PdqConfig field
+
+@dataclass(frozen=True)
+class EngineOptions:
+    """The options the builtin adapters read, each field the schema of
+    its option (:func:`check_options` reads the ones a spec gives) and
+    its default the adapters'."""
+
+    n_subflows: int = field(default=3, metadata=within(1, MAX_SUBFLOWS))
+    probes: Mapping[str, Any] = field(default_factory=dict,
+                                      metadata={"read": read_probes})
+    trace: bool = False
+    streaming_metrics: bool | Mapping[str, Any] = field(
+        default=False, metadata={"read": read_streaming})
+
+
+#: the options each builtin engine's adapter reads (the fluid engine
+#: splits no flow into subflows); a PDQ protocol also takes every
+#: PdqConfig field
 ENGINE_OPTIONS = {
-    "packet": ("n_subflows", "probes", "trace", "streaming_metrics"),
-    "flow": ("probes", "trace", "streaming_metrics"),
+    "packet": tuple(f.name for f in fields(EngineOptions)),
+    "flow": tuple(f.name for f in fields(EngineOptions)
+                  if f.name != "n_subflows"),
 }
 
 
@@ -86,10 +107,10 @@ def check_options(engine: str, protocol: str,
                   options: Mapping[str, Any]) -> Protocol | None:
     """The protocol's row, once the (engine, protocol, options) triple
     checks out: an unknown protocol, one the engine cannot run, an
-    option name outside the pair's vocabulary, or an option value
-    :func:`_check_engine_values` or :func:`_check_pdq_values` refuses is
-    a :class:`CampaignError` naming it. A custom engine owns its
-    options: ``None``, unchecked."""
+    option name outside the pair's vocabulary, or an option value its
+    field of :class:`EngineOptions` or ``PdqConfig`` refuses (or
+    :func:`_check_pdq_values`) is a :class:`CampaignError` naming it. A
+    custom engine owns its options: ``None``, unchecked."""
     allowed = ENGINE_OPTIONS.get(engine)
     if allowed is None:
         return None
@@ -101,79 +122,39 @@ def check_options(engine: str, protocol: str,
     if engine == "flow" and row.model is None:
         raise CampaignError(f"no flow-level model for {protocol!r}; it "
                             "runs on the packet engine only")
+    readers = _readers(EngineOptions)
     if row.preset is not None:
-        allowed += tuple(_pdq_readers())
+        from repro.core.config import PdqConfig
+
+        readers = {**readers, **_readers(PdqConfig)}
+        allowed += tuple(_readers(PdqConfig))
     unknown = set(options).difference(allowed)
     if unknown:
-        from repro.campaign.spec import unknown_names
-
         raise CampaignError(
             f"options: {protocol} on the {engine} engine takes no option "
             + unknown_names(unknown, allowed))
-    _check_engine_values(options)
+    for name, value in options.items():
+        readers[name](value, ("options", name))
     if row.preset is not None:
         _check_pdq_values(protocol, row.preset, options)
-    if "probes" in options:
-        from repro.obs.probes import validate_probes_option
-
-        validate_probes_option(options["probes"])
     return row
 
 
-def _check_engine_values(options: Mapping[str, Any]) -> None:
-    """Read the adapters' own options as they use them: ``n_subflows``
-    an integer in the multipath stack's range, ``trace`` true or false,
-    and ``streaming_metrics`` as :func:`~repro.metrics.streaming.
-    streaming_collector` takes it, but not the empty mapping, which the
-    adapters ignore."""
-    from repro.campaign.spec import _reader
-
-    if "n_subflows" in options:
-        from repro.core.multipath import MAX_SUBFLOWS
-
-        n = _reader(int)(options["n_subflows"], ("options", "n_subflows"))
-        if not 1 <= n <= MAX_SUBFLOWS:
-            raise CampaignError(f"options n_subflows: must be in "
-                                f"[1, {MAX_SUBFLOWS}], got {n}")
-    if "trace" in options:
-        _reader(bool)(options["trace"], ("options", "trace"))
-    if "streaming_metrics" in options:
-        from repro.metrics.streaming import streaming_collector
-
-        if options["streaming_metrics"] == {}:
-            # _pop_metrics reads a falsy value as "off"
-            raise CampaignError("options streaming_metrics: {} turns "
-                                "nothing on; give true for the defaults")
-        try:
-            streaming_collector(options["streaming_metrics"])
-        except ExperimentError as exc:
-            raise CampaignError(f"options: {exc}") from None
-
-
 @functools.cache
-def _pdq_readers() -> dict[str, Callable[[Any, tuple[str, ...]], Any]]:
-    """``PdqConfig`` field -> the spec reader of its annotation."""
-    import typing
-
-    from repro.campaign.spec import _reader
-    from repro.core.config import PdqConfig
-
-    hints = typing.get_type_hints(PdqConfig)
-    return {f.name: _reader(hints[f.name]) for f in fields(PdqConfig)}
+def _readers(cls: type) -> dict[str, Reader]:
+    """Field name -> the spec reader of a dataclass field."""
+    return {name: read for name, read, *_ in _plan(cls)}
 
 
 def _check_pdq_values(protocol: str, preset: str,
                       options: Mapping[str, Any]) -> None:
-    """Read each PDQ option as its ``PdqConfig`` annotation says, refuse
-    a variant flag the protocol's preset fixes, then build the config
-    so its own range checks speak as a :class:`CampaignError` too."""
+    """Refuse a variant flag the protocol's preset fixes, then build the
+    config so its own range checks speak as a :class:`CampaignError`
+    too."""
     from repro.core.config import PRESET_FLAGS, PdqConfig
 
-    readers = _pdq_readers()
     pdq = {name: value for name, value in options.items()
-           if name in readers}
-    for name, value in pdq.items():
-        readers[name](value, ("options", name))
+           if name in PdqConfig.__dataclass_fields__}
     fixed = sorted(set(pdq).intersection(PRESET_FLAGS[preset]))
     if fixed:
         raise CampaignError(

@@ -14,192 +14,22 @@ and executable in worker processes.
 
 from __future__ import annotations
 
-import difflib
-import functools
 import hashlib
 import itertools
 import json
-import math
-import types
-import typing
-from dataclasses import MISSING, dataclass, field, fields, replace
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from dataclasses import dataclass, field, replace
+from collections.abc import Mapping, Sequence
 from typing import Any
 
 from repro.campaign.engines import engine_kinds
 from repro.errors import CampaignError
-
-
-def _plain(value: Any) -> Any:
-    """Normalize to JSON-safe plain data (tuples become lists)."""
-    if isinstance(value, Mapping):
-        return {str(k): _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, bool) or value is None:
-        return value
-    if isinstance(value, (str, int, float)):
-        return value
-    raise CampaignError(f"spec values must be plain data, got {value!r}")
+from repro.faults.spec import Faults
+from repro.schema import POSITIVE, JsonSpec, _document, _plain
 
 
 def canonical_json(data: Any) -> str:
     """Deterministic JSON used for content hashing (sorted keys, no ws)."""
     return json.dumps(_plain(data), sort_keys=True, separators=(",", ":"))
-
-
-class _PathError(CampaignError):
-    """A spec error at a JSON path from the failing spec's root, printed
-    space-joined: ``panel 'p' base seed: must be an integer, got 'one'``."""
-
-    def __init__(self, path: tuple[str, ...], detail: str) -> None:
-        self.path, self.detail = path, detail
-        super().__init__(f"{' '.join(path)}: {detail}")
-
-
-def unknown_names(names: Iterable[str], allowed: Iterable[str]) -> str:
-    """``'x' (did you mean 'y'?), 'z'; allowed: ...``: the close-match
-    listing of every strict name check (spec fields, engine options)."""
-    allowed = sorted(allowed)
-    hints = []
-    for name in sorted(names):
-        close = difflib.get_close_matches(name, allowed, n=1, cutoff=0.6)
-        hints.append(f"{name!r} (did you mean {close[0]!r}?)" if close
-                     else repr(name))
-    return f"{', '.join(hints)}; allowed: {', '.join(allowed)}"
-
-
-# -- the strict reader: each spec dataclass is its own JSON schema ------------------
-
-#: a field reader: ``(value, path) -> normalized value``, or a _PathError
-Reader = Callable[[Any, tuple[str, ...]], Any]
-
-
-def _check(expected: str, test: Callable[[Any], bool],
-           normalize: Callable[[Any], Any] | None = None) -> Reader:
-    def read(value: Any, path: tuple[str, ...]) -> Any:
-        if not test(value):
-            raise _PathError(path, f"must be {expected}, got {value!r}")
-        return value if normalize is None else normalize(value)
-
-    return read
-
-
-#: the reader of each plain annotation (or its generic origin). A bool
-#: is an int to Python, never to a spec; numbers are checked, not
-#: coerced: keys hash them as written
-_READERS: dict[Any, Reader] = {
-    str: _check("a string", lambda v: isinstance(v, str)),
-    bool: _check("true or false", lambda v: isinstance(v, bool)),
-    int: _check("an integer",
-                lambda v: isinstance(v, int) and not isinstance(v, bool)),
-    float: _check("a finite number",
-                  lambda v: isinstance(v, int) and not isinstance(v, bool)
-                  or isinstance(v, float) and math.isfinite(v)),
-    Mapping: _check("a mapping", lambda v: isinstance(v, Mapping), dict),
-    Any: lambda value, path: value,
-}
-
-#: a spec list field; a JSON scalar or object in its place is a spec
-#: error, not an iteration traceback
-read_list = _check("a list", lambda v: isinstance(v, Sequence)
-                   and not isinstance(v, (str, Mapping)))
-
-
-def _reader(hint: Any) -> Reader:
-    """The JSON-type check of one resolved field annotation."""
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if (origin or hint) in _READERS:
-        return _READERS[origin or hint]
-    if origin is types.UnionType:  # ``X | None``
-        (inner,) = (a for a in args if a is not type(None))
-        read = _reader(inner)
-        return lambda value, path: (None if value is None
-                                    else read(value, path))
-    if origin is tuple and args[1:] == (...,):
-        item = _reader(args[0])
-        return lambda value, path: tuple(
-            item(v, path[:-1] + (f"{path[-1]}[{i}]",))
-            for i, v in enumerate(read_list(value, path)))
-    if isinstance(hint, type) and issubclass(hint, JsonSpec):
-        return lambda value, path: _nested(hint, value, path)
-    raise TypeError(f"no JSON reader for {hint!r}")
-
-
-def _nested(cls: type["JsonSpec"], value: Any,
-            path: tuple[str, ...]) -> Any:
-    """A nested spec field: an instance as given, a JSON object through
-    ``cls.from_dict``, its errors re-rooted at ``path``."""
-    if isinstance(value, cls):
-        return value
-    try:
-        return cls.from_dict(value)
-    except _PathError as exc:
-        raise _PathError(path + exc.path[1:], exc.detail) from None
-    except CampaignError as exc:  # a hand check's: its message is the detail
-        raise _PathError(path, str(exc)) from None
-
-
-@functools.cache
-def _plan(cls: type) -> tuple[tuple[str, Reader, bool, tuple[str]], ...]:
-    """``(name, reader, required, path)`` per field of a spec dataclass,
-    from ``dataclasses.fields`` and the resolved annotations; a field's
-    ``metadata["read"]`` stands in where no annotation says the shape."""
-    hints = typing.get_type_hints(cls)
-    return tuple(
-        (f.name, f.metadata.get("read") or _reader(hints[f.name]),
-         f.default is MISSING and f.default_factory is MISSING, (f.name,))
-        for f in fields(cls))
-
-
-def _root(cls: type, name: Any = None) -> str:
-    """A spec's JSON path root: its class name less ``Spec``, plus its
-    ``name`` when it has one (``scenario``, ``panel 'fig3a'``)."""
-    root = cls.__name__.removesuffix("Spec").lower()
-    return root if name is None else f"{root} {name!r}"
-
-
-class JsonSpec:
-    """Base of the spec dataclasses, each its own JSON schema: every
-    construction (direct, ``replace``, ``with_``, :meth:`from_dict`)
-    reads each field as its annotation says (:func:`_plan`) and keeps
-    the normalized value (tuples, fresh dicts, nested specs)."""
-
-    def __post_init__(self) -> None:
-        try:
-            for name, read, _, path in _plan(type(self)):
-                value = getattr(self, name)
-                checked = read(value, path)
-                if checked is not value:
-                    object.__setattr__(self, name, checked)
-        except _PathError as exc:
-            root = _root(type(self), getattr(self, "name", None))
-            raise _PathError((root, *exc.path), exc.detail) from None
-
-    @classmethod
-    def from_dict(cls, data: Any) -> Any:
-        return cls(**_document(cls, data))
-
-
-def _document(cls: type, data: Any, extra: Sequence[str] = ()) -> dict:
-    """The fields of a JSON document for ``cls``: a mapping naming only
-    its fields (and the ``extra`` legacy keys the caller reads) and
-    every required one. A misspelled field would otherwise be silently
-    dropped, and its directive never applied."""
-    name = data.get("name") if isinstance(data, Mapping) else None
-    root = (_root(cls, name),)
-    data = _READERS[Mapping](data, root)
-    plan = _plan(cls)
-    allowed = [field_name for field_name, *_ in plan] + list(extra)
-    unknown = set(data).difference(allowed)
-    if unknown:
-        raise _PathError(root, "unknown field(s) "
-                               + unknown_names(unknown, allowed))
-    for field_name, _, required, _ in plan:
-        if required and field_name not in data:
-            raise _PathError(root,
-                             f"missing required field {field_name!r}")
-    return data
 
 
 def _memo(spec: Any, name: str, compute: Callable[[], Any]) -> Any:
@@ -266,11 +96,12 @@ class ScenarioSpec(JsonSpec):
     """One simulation run: protocol x topology x workload x seed x engine.
 
     ``sim_deadline=None`` means "use the engine's own default horizon";
-    a given one must be positive. ``faults`` is a mapping with an
-    ``events`` schedule (link/switch down/up at simulated times, both
-    engines) and/or glob-matched ``loss`` rules (packet engine), see
-    :mod:`repro.faults.spec`. ``options`` carries engine options plus,
-    on a PDQ protocol, ``PdqConfig`` fields (``aging_rate``, ...), as
+    a given one must be positive. ``faults`` is a
+    :class:`~repro.faults.spec.Faults` mapping with an ``events``
+    schedule (link/switch down/up at simulated times, both engines)
+    and/or glob-matched ``loss`` rules (packet engine). ``options``
+    carries engine options plus, on a PDQ protocol, ``PdqConfig``
+    fields (``aging_rate``, ...), as
     :func:`~repro.campaign.engines.check_options` lists them.
     :meth:`from_dict` reads the retired top-level ``loss`` list of old
     spec files as an exact-name ``faults.loss`` rule.
@@ -281,9 +112,9 @@ class ScenarioSpec(JsonSpec):
     workload: WorkloadSpec
     engine: str = "packet"
     seed: int = 1
-    sim_deadline: float | None = None
+    sim_deadline: float | None = field(default=None, metadata=POSITIVE)
     options: Mapping[str, Any] = field(default_factory=dict)
-    faults: Mapping[str, Any] | None = None
+    faults: Faults | None = None
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -291,18 +122,11 @@ class ScenarioSpec(JsonSpec):
             from repro.campaign.registry import unknown_kind
 
             raise unknown_kind("engine", self.engine, engine_kinds())
-        if self.sim_deadline is not None and self.sim_deadline <= 0:
-            raise _PathError(("scenario", "sim_deadline"),
-                             f"must be positive, got {self.sim_deadline!r}")
-        if self.faults is not None:
-            from repro.faults.spec import canonical_faults
-
-            normalized = canonical_faults(self.faults)
-            if "loss" in normalized and self.engine != "packet":
-                raise CampaignError(
-                    "loss injection only exists in the packet engine"
-                )
-            object.__setattr__(self, "faults", normalized)
+        if self.faults is not None and self.faults.loss \
+                and self.engine != "packet":
+            raise CampaignError(
+                "loss injection only exists in the packet engine"
+            )
 
     # -- identity -----------------------------------------------------------------
 
@@ -321,7 +145,7 @@ class ScenarioSpec(JsonSpec):
         }
         if self.faults is not None:
             # additive: fault-free specs keep their pre-faults key
-            data["faults"] = _plain(self.faults)
+            data["faults"] = self.faults.canonical()
         return data
 
     @property
@@ -365,23 +189,17 @@ class ScenarioSpec(JsonSpec):
     # -- fault-injection views ------------------------------------------------------
 
     def loss_rules(self) -> tuple:
-        """The spec's ``faults.loss`` rules as typed
-        :class:`~repro.faults.spec.LossRule` objects, with unseeded
-        rules resolved to the scenario seed."""
-        if self.faults is None or "loss" not in self.faults:
+        """The spec's ``faults.loss`` rules, with unseeded rules
+        resolved to the scenario seed."""
+        if self.faults is None:
             return ()
-        from repro.faults.spec import loss_rules_from
-
-        return loss_rules_from(self.faults, default_seed=self.seed)
+        return tuple(rule if rule.seed is not None
+                     else replace(rule, seed=self.seed)
+                     for rule in self.faults.loss)
 
     def fault_events(self) -> tuple:
-        """The spec's scheduled fault events as typed
-        :class:`~repro.faults.spec.FaultEvent` objects (time-sorted)."""
-        if self.faults is None or "events" not in self.faults:
-            return ()
-        from repro.faults.spec import events_from
-
-        return events_from(self.faults)
+        """The spec's scheduled fault events (time-sorted)."""
+        return () if self.faults is None else self.faults.events
 
     # -- functional updates -------------------------------------------------------
 
@@ -418,10 +236,11 @@ def _legacy_loss_faults(loss: Any, faults: Any) -> dict[str, Any]:
         raise CampaignError(
             f"legacy loss must be [node_a, node_b, rate, seed], got {loss!r}"
         )
-    faults = {} if faults is None else _READERS[Mapping](
-        faults, ("scenario", "faults"))
     a, b, rate, seed = loss
     rule = {"src": a, "dst": b, "rate": rate, "seed": seed}
+    faults = {} if faults is None else faults
+    if not isinstance(faults, Mapping):
+        return faults  # the faults reader names what it is
     return {**faults, "loss": [rule, *(faults.get("loss") or ())]}
 
 

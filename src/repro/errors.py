@@ -38,6 +38,8 @@ class CampaignError(ExperimentError):
 
 
 class FaultError(CampaignError):
-    """Raised for malformed fault schedules or loss rules, or for fault
-    events naming links/switches the topology does not have (subclasses
+    """Raised for malformed fault schedules or loss rules, which the spec
+    schema reads and names by JSON path (``scenario faults events[0]
+    time: must be >= 0, got -1``), or for fault events naming links or
+    switches the topology does not have (subclasses
     :class:`CampaignError`: a bad ``faults`` field is an invalid spec)."""

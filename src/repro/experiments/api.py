@@ -37,6 +37,7 @@ from collections.abc import Mapping, Sequence
 from typing import Any
 
 from repro.campaign.context import run_scenarios
+from repro.campaign.engines import ENGINE_OPTIONS
 from repro.campaign.registry import (
     bind_params,
     load_experiment_modules,
@@ -44,17 +45,13 @@ from repro.campaign.registry import (
     validate_spec_kinds,
 )
 from repro.campaign.spec import (
-    JsonSpec,
     ScenarioSpec,
     TopologySpec,
     WorkloadSpec,
     _axis_cells,
-    _document,
-    _PathError,
     canonical_json,
     expand_cells,
     is_labeled_cell,
-    read_list,
 )
 from repro.errors import (
     CampaignError,
@@ -68,7 +65,10 @@ from repro.experiments.reducers import (
     reducer_check,
 )
 from repro.experiments.search import binary_search_max
+from repro.faults.spec import validate_events
 from repro.metrics.collector import MetricsCollector
+from repro.obs.probes import check_probe_links
+from repro.schema import JsonSpec, _document, _PathError, read_list
 from repro.utils.stats import mean
 
 
@@ -553,10 +553,12 @@ def _check_cell(spec: ScenarioSpec, inputs: Inputs) -> None:
     """One cell's dry run: its names and options resolve and its params
     bind (:func:`validate_spec_kinds`), then its topology and workload
     build, each distinct one once per ``inputs`` (:meth:`Inputs.flows`
-    checks a list workload's endpoints)."""
+    checks a list workload's endpoints), and its fault events and link
+    probes name links and nodes of that topology, as the engines check
+    them when they start."""
     validate_spec_kinds(spec)
     try:
-        inputs.topology(spec.topology)
+        topology = inputs.topology(spec.topology)
     except _BUILD_ERRORS as exc:
         raise CampaignError(
             f"topology kind {spec.topology.kind!r}: {exc}") from None
@@ -565,6 +567,9 @@ def _check_cell(spec: ScenarioSpec, inputs: Inputs) -> None:
     except _BUILD_ERRORS as exc:
         raise CampaignError(
             f"workload kind {spec.workload.kind!r}: {exc}") from None
+    validate_events(spec.fault_events(), topology)
+    if spec.engine in ENGINE_OPTIONS:  # a custom engine owns its options
+        check_probe_links(spec.options.get("probes", {}), topology)
 
 
 def validate_experiment(experiment: Experiment) -> int:

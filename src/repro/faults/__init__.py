@@ -8,23 +8,14 @@ fluid engine's fault-epoch handling in
 splice into its one event loop like unadmitted arrivals).
 """
 
-from repro.faults.spec import (
-    ACTIONS,
-    FaultEvent,
-    LossRule,
-    canonical_faults,
-    events_from,
-    loss_rules_from,
-)
+from repro.faults.spec import ACTIONS, FaultEvent, Faults, LossRule
 from repro.faults.controller import FaultController, apply_loss
 
 __all__ = [
     "ACTIONS",
     "FaultController",
     "FaultEvent",
+    "Faults",
     "LossRule",
     "apply_loss",
-    "canonical_faults",
-    "events_from",
-    "loss_rules_from",
 ]

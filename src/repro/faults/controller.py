@@ -138,8 +138,8 @@ def apply_loss(net: "Network", loss: "Sequence[LossRule]") -> None:
     pattern does not depend on which other links a rule matched.
     """
     for rule in loss:
-        if not isinstance(rule, LossRule):
-            raise FaultError(f"expected a LossRule, got {rule!r}")
+        if not isinstance(rule, LossRule) or rule.seed is None:
+            raise FaultError(f"expected a seeded LossRule, got {rule!r}")
         matched = 0
         for link in net.links:
             src, dst = link.src.name, link.dst.name

@@ -26,11 +26,15 @@ collectors answer the paper-metric queries from the accumulators.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
+from collections.abc import Mapping
+from typing import Any
 
 from repro.errors import ExperimentError
 from repro.metrics.collector import MetricsCollector
 from repro.metrics.records import FlowRecord
 from repro.metrics.summary import SummaryStats
+from repro.schema import POSITIVE, JsonSpec, _nested, _PathError, at_least
 from repro.units import GBPS
 from repro.utils.rng import spawn_rng
 from repro.utils.sketch import QuantileSketch
@@ -39,32 +43,40 @@ from repro.workload.flow import FlowSpec
 #: serialization version of the "streaming" block
 STREAMING_SCHEMA = 1
 
-#: the keys a ``streaming_metrics`` options dict may carry
-STREAMING_OPTIONS = ("reservoir", "reference_rate_bps", "sketch_k")
+
+@dataclass(frozen=True)
+class StreamingOptions(JsonSpec):
+    """A ``streaming_metrics`` options mapping: the reservoir size, the
+    slowdown reference rate and the quantile sketches' ``k``."""
+
+    reservoir: int = field(default=1000, metadata=at_least(0))
+    reference_rate_bps: float = field(default=1 * GBPS, metadata=POSITIVE)
+    sketch_k: int = field(default=200, metadata=at_least(8))
+
+
+def read_streaming(value: Any, path: tuple[str, ...]) -> StreamingOptions:
+    """The ``streaming_metrics`` option: ``true`` for the defaults, or a
+    :class:`StreamingOptions` mapping. ``{}`` is refused: the adapters
+    read a falsy value as "off"."""
+    if value is True:
+        return StreamingOptions()
+    if not isinstance(value, Mapping):
+        raise _PathError(path, f"must be true or a mapping, got {value!r}")
+    if not value:
+        raise _PathError(path, "{} turns nothing on; give true for the "
+                               "defaults")
+    return _nested(StreamingOptions, value, path)
 
 
 def streaming_collector(options, seed: int = 0) -> "StreamingMetricsCollector":
     """Build a streaming collector from a spec's ``streaming_metrics``
-    option value: ``True`` for defaults, or a dict with ``reservoir``,
-    ``reference_rate_bps`` and ``sketch_k`` overrides."""
-    if options is True:
-        options = {}
-    elif not isinstance(options, dict):
-        raise ExperimentError(
-            "streaming_metrics must be true or an options dict, "
-            f"got {options!r}"
-        )
-    for key in options:
-        if key not in STREAMING_OPTIONS:
-            raise ExperimentError(
-                f"unknown streaming_metrics option {key!r} (valid: "
-                f"{', '.join(STREAMING_OPTIONS)})"
-            )
+    option value (:func:`read_streaming`)."""
+    options = read_streaming(options, ("streaming_metrics",))
     return StreamingMetricsCollector(
-        reservoir_size=options.get("reservoir", 1000),
+        reservoir_size=options.reservoir,
         seed=seed,
-        reference_rate_bps=options.get("reference_rate_bps", 1 * GBPS),
-        sketch_k=options.get("sketch_k", 200),
+        reference_rate_bps=options.reference_rate_bps,
+        sketch_k=options.sketch_k,
     )
 
 

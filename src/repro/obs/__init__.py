@@ -23,7 +23,6 @@ from repro.obs.probes import (
     attach_fluid_probes,
     attach_packet_probes,
     collect_probes,
-    validate_probes_option,
 )
 from repro.obs.stats import RunStats, harvest_fluid_run, harvest_packet_run
 from repro.obs.trace import FlowTracer, write_trace_jsonl
@@ -36,6 +35,5 @@ __all__ = [
     "collect_probes",
     "harvest_fluid_run",
     "harvest_packet_run",
-    "validate_probes_option",
     "write_trace_jsonl",
 ]

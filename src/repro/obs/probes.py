@@ -24,6 +24,14 @@ Probe kinds:
     interval (goodput). Fluid engine: the allocated rates — which is
     what "rate" means in that model.
 
+Each probe kind is a :class:`~repro.schema.JsonSpec` dataclass
+(:class:`LinkProbe`, :class:`FlowRatesProbe`), picked by ``kind``: the
+spec schema reads the option (:func:`read_probes`) when a cell's options
+are checked, and a malformed probe is a :class:`~repro.errors.
+CampaignError` naming its path (``options probes bottleneck interval:
+must be positive, got 0``). A link probe on a link the topology lacks
+fails :func:`check_probe_links`, in the dry run and in both engines.
+
 Each probe materializes as ``{"kind", "params", "columns", "samples"}``
 under ``collector.probes[name]`` — already JSON-plain, so it round-trips
 through the result store byte-identically; :func:`probe_series` reads
@@ -34,56 +42,87 @@ requested: the engines only consult them when the option is present.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 from collections.abc import Mapping
 from typing import Any
 
-from repro.errors import CampaignError, ExperimentError
-
-PROBE_KINDS = ("link", "flow_rates")
+from repro.schema import (
+    POSITIVE,
+    JsonSpec,
+    _nested,
+    _PathError,
+    _READERS,
+    unknown_names,
+)
 
 LINK_COLUMNS = ["t", "utilization", "queue_packets", "queue_bytes"]
 FLOW_RATE_COLUMNS = ["t", "rates_bps"]
 
 
-def validate_probes_option(probes: Any) -> dict[str, dict]:
-    """Check the ``probes`` option shape; returns it as a plain dict. A
-    malformed option is an invalid spec (:class:`CampaignError`)."""
-    if not isinstance(probes, Mapping):
-        raise CampaignError(
-            "the 'probes' option must map probe names to probe specs, "
-            f"got {type(probes).__name__}"
-        )
-    out: dict[str, dict] = {}
-    for name, params in probes.items():
-        if not isinstance(params, Mapping):
-            raise CampaignError(
-                f"probe {name!r}: spec must be a mapping, "
-                f"got {type(params).__name__}"
-            )
-        kind = params.get("kind")
+@dataclass(frozen=True)
+class Probe(JsonSpec):
+    """A probe's sampling ``interval`` in seconds; the probe's ``kind``
+    names its class (:data:`PROBE_KINDS`)."""
+
+    KIND = ""
+
+    interval: float = field(metadata=POSITIVE)
+
+
+@dataclass(frozen=True)
+class LinkProbe(Probe):
+    """``link``: utilization and queue occupancy of the directed
+    ``[src, dst]`` link."""
+
+    KIND = "link"
+
+    link: tuple[str, ...]
+
+    def _check(self) -> None:
+        if len(self.link) != 2:
+            raise _PathError(("link",), "must be a [src, dst] pair, got "
+                                        f"{list(self.link)!r}")
+
+
+@dataclass(frozen=True)
+class FlowRatesProbe(Probe):
+    """``flow_rates``: per-flow throughput."""
+
+    KIND = "flow_rates"
+
+
+#: probe kind -> its schema
+PROBE_KINDS = {cls.KIND: cls for cls in (LinkProbe, FlowRatesProbe)}
+
+
+def read_probes(value: Any, path: tuple[str, ...]) -> dict[str, Probe]:
+    """The ``probes`` option: probe names mapped to probes, each read as
+    the schema of its ``kind`` says."""
+    out = {}
+    for name, probe in _READERS[Mapping](value, path).items():
+        where = path + (str(name),)
+        params = _READERS[Mapping](probe, where)
+        kind = _READERS[str](params.pop("kind", None), where + ("kind",))
         if kind not in PROBE_KINDS:
-            raise CampaignError(
-                f"probe {name!r}: unknown kind {kind!r} "
-                f"(known: {', '.join(PROBE_KINDS)})"
-            )
-        interval = params.get("interval")
-        if (isinstance(interval, bool)
-                or not isinstance(interval, (int, float))
-                or not 0 < interval < math.inf):
-            raise CampaignError(
-                f"probe {name!r}: 'interval' must be a positive finite "
-                f"number, got {interval!r}"
-            )
-        if kind == "link":
-            link = params.get("link")
-            if (not isinstance(link, (list, tuple)) or len(link) != 2
-                    or not all(isinstance(n, str) for n in link)):
-                raise CampaignError(
-                    f"probe {name!r}: 'link' must be a [src, dst] "
-                    "node-name pair"
-                )
-        out[name] = dict(params)
+            raise _PathError(where, "unknown kind "
+                             + unknown_names([kind], PROBE_KINDS))
+        out[name] = _nested(PROBE_KINDS[kind], params, where)
     return out
+
+
+def check_probe_links(probes: Any, topology) -> list[tuple[str, Probe]]:
+    """The ``probes`` option read (:func:`read_probes`) and sorted by
+    name, once every link probe names a link of ``topology``: the one
+    check of the dry run and both engines."""
+    path = ("options", "probes")
+    read = sorted(read_probes(probes, path).items())
+    for name, probe in read:
+        if isinstance(probe, LinkProbe) \
+                and not topology.graph.has_edge(*probe.link):
+            raise _PathError(path + (str(name), "link"), "no link "
+                             f"{probe.link[0]} -> {probe.link[1]} in the "
+                             "topology")
+    return read
 
 
 def probe_series(probe: Mapping[str, Any], column: str, start: float = 0.0,
@@ -95,11 +134,10 @@ def probe_series(probe: Mapping[str, Any], column: str, start: float = 0.0,
             if start <= row[0] <= end]
 
 
-def _result(kind: str, params: Mapping[str, Any], columns: list[str],
-            samples: list[list]) -> dict:
+def _result(probe: Probe, columns: list[str], samples: list[list]) -> dict:
     return {
-        "kind": kind,
-        "params": {k: v for k, v in sorted(params.items()) if k != "kind"},
+        "kind": probe.KIND,
+        "params": dict(sorted(probe.canonical().items())),
         "columns": list(columns),
         "samples": samples,
     }
@@ -111,47 +149,41 @@ def _result(kind: str, params: Mapping[str, Any], columns: list[str],
 class PacketLinkProbe:
     """Wraps a :class:`~repro.net.monitors.LinkMonitor` on the named link."""
 
-    def __init__(self, net, name: str, params: Mapping[str, Any]):
+    def __init__(self, net, name: str, probe: LinkProbe):
         from repro.net.monitors import LinkMonitor
 
         self.name = name
-        self.params = params
-        self.monitor = LinkMonitor(net.sim, net.link_between(*params["link"]),
-                                   params["interval"])
+        self.probe = probe
+        self.monitor = LinkMonitor(net.sim, net.link_between(*probe.link),
+                                   probe.interval)
         self.monitor.start()
 
     def result(self) -> dict:
-        return _result("link", self.params, LINK_COLUMNS,
+        return _result(self.probe, LINK_COLUMNS,
                        [list(row) for row in self.monitor.samples])
 
 
 class PacketFlowRateProbe:
     """Wraps a :class:`~repro.net.monitors.FlowRateMonitor` (goodput)."""
 
-    def __init__(self, net, name: str, params: Mapping[str, Any]):
+    def __init__(self, net, name: str, probe: FlowRatesProbe):
         from repro.net.monitors import FlowRateMonitor
 
         self.name = name
-        self.params = params
-        self.monitor = FlowRateMonitor(
-            net.sim, net.metrics, params["interval"]
-        )
+        self.probe = probe
+        self.monitor = FlowRateMonitor(net.sim, net.metrics, probe.interval)
         self.monitor.start()
 
     def result(self) -> dict:
-        return _result("flow_rates", self.params, FLOW_RATE_COLUMNS,
+        return _result(self.probe, FLOW_RATE_COLUMNS,
                        [[t, rates] for t, rates in self.monitor.samples])
 
 
 def attach_packet_probes(net, probes: Any) -> list:
     """Instantiate every declared probe on a built (unrun) Network."""
-    attached = []
-    for name, params in sorted(validate_probes_option(probes).items()):
-        if params["kind"] == "link":
-            attached.append(PacketLinkProbe(net, name, params))
-        else:
-            attached.append(PacketFlowRateProbe(net, name, params))
-    return attached
+    return [(PacketLinkProbe if isinstance(probe, LinkProbe)
+             else PacketFlowRateProbe)(net, name, probe)
+            for name, probe in check_probe_links(probes, net.topology)]
 
 
 # -- fluid-engine probes ------------------------------------------------------------
@@ -162,10 +194,10 @@ class _FluidProbe:
     sample (the fluid engine has no timers; event boundaries are the
     only instants at which rates are defined)."""
 
-    def __init__(self, name: str, params: Mapping[str, Any]):
+    def __init__(self, name: str, probe: Probe):
         self.name = name
-        self.params = params
-        self.interval = params["interval"]
+        self.probe = probe
+        self.interval = probe.interval
         self._next = self.interval
         self.samples: list[list] = []
 
@@ -184,15 +216,9 @@ class FluidLinkProbe(_FluidProbe):
     """Allocated-rate utilization of one directed edge; queues are zero
     by construction in the fluid model."""
 
-    def __init__(self, sim, name: str, params: Mapping[str, Any]):
-        super().__init__(name, params)
-        a, b = params["link"]
-        try:
-            self.eid = sim.router.edge_index[(a, b)]
-        except KeyError:
-            raise ExperimentError(
-                f"probe {name!r}: no link {a} -> {b} in the topology"
-            ) from None
+    def __init__(self, sim, name: str, probe: LinkProbe):
+        super().__init__(name, probe)
+        self.eid = sim.router.edge_index[tuple(probe.link)]
         self.capacity = sim.capacities[self.eid]
 
     def _sample(self, now: float, active) -> list:
@@ -202,7 +228,7 @@ class FluidLinkProbe(_FluidProbe):
         return [now, utilization, 0, 0]
 
     def result(self) -> dict:
-        return _result("link", self.params, LINK_COLUMNS, self.samples)
+        return _result(self.probe, LINK_COLUMNS, self.samples)
 
 
 class FluidFlowRateProbe(_FluidProbe):
@@ -212,20 +238,17 @@ class FluidFlowRateProbe(_FluidProbe):
         return [now, {str(f.fid): f.rate for f in active if f.rate > 0}]
 
     def result(self) -> dict:
-        return _result("flow_rates", self.params, FLOW_RATE_COLUMNS,
-                       self.samples)
+        return _result(self.probe, FLOW_RATE_COLUMNS, self.samples)
 
 
 def attach_fluid_probes(sim, probes: Any) -> list:
     """Instantiate declared probes on a FlowLevelSimulation and register
     them as per-event-boundary samplers."""
-    attached = []
-    for name, params in sorted(validate_probes_option(probes).items()):
-        probe = (FluidLinkProbe(sim, name, params)
-                 if params["kind"] == "link"
-                 else FluidFlowRateProbe(name, params))
-        attached.append(probe)
-        sim.samplers.append(probe)
+    attached = [FluidLinkProbe(sim, name, probe)
+                if isinstance(probe, LinkProbe)
+                else FluidFlowRateProbe(name, probe)
+                for name, probe in check_probe_links(probes, sim.topology)]
+    sim.samplers.extend(attached)
     return attached
 
 

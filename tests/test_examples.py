@@ -1,4 +1,5 @@
-"""Every example script runs, and ``python -m repro`` starts.
+"""Every example script runs, and ``python -m repro`` dry-runs every
+example spec file.
 
 Each example is run as a user runs it: its own interpreter, the public
 package on ``PYTHONPATH``, a scratch working directory it must leave
@@ -17,6 +18,7 @@ import repro
 
 ROOT = Path(__file__).resolve().parent.parent
 EXAMPLES = sorted((ROOT / "examples").glob("*.py"))
+SPECS = sorted((ROOT / "examples/specs").glob("*.json"))
 SRC = str(Path(repro.__file__).resolve().parent.parent)
 
 
@@ -34,9 +36,9 @@ def test_example_runs(path, tmp_path):
     assert not list(tmp_path.iterdir())
 
 
-def test_module_entry_point_dry_runs_a_spec_file(tmp_path):
-    done = _run(["-m", "repro", "run-spec",
-                 str(ROOT / "examples/specs/aggregation_deadline_sweep.json"),
-                 "--dry-run"], tmp_path)
+@pytest.mark.parametrize("path", SPECS, ids=[p.stem for p in SPECS])
+def test_module_entry_point_dry_runs_a_spec_file(path, tmp_path):
+    done = _run(["-m", "repro", "run-spec", str(path), "--dry-run"],
+                tmp_path)
     assert done.returncode == 0, done.stderr
     assert "dry run: no scenarios executed" in done.stdout

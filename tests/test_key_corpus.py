@@ -155,21 +155,15 @@ def test_corpus_covers_every_registered_name():
 class TestTheCheckSeesKeyBreaks:
     def test_event_order_in_a_canonical_callee_names_each_moved_document(
             self, monkeypatch):
-        """``canonical_faults`` sorts fault events by time; keeping them
-        in declaration order moves exactly the documents that declare
-        them out of order, and the check names each of them."""
+        """``Faults.__post_init__`` sorts fault events by time; reading
+        them without the sort keeps them in declaration order, which
+        moves exactly the documents that declare them out of order, and
+        the check names each of them."""
         import repro.faults.spec as faults
+        from repro.schema import JsonSpec
 
-        original = faults.canonical_faults
-
-        def declaration_order(data):
-            out = original(data)
-            if "events" in out:
-                out["events"] = [faults._canonical_event(event)
-                                 for event in data["events"]]
-            return out
-
-        monkeypatch.setattr(faults, "canonical_faults", declaration_order)
+        monkeypatch.setattr(faults.Faults, "__post_init__",
+                            JsonSpec.__post_init__)
         expected = {i for i, entry in enumerate(CORPUS)
                     if _declares_unsorted_events(entry)}
         assert {CORPUS[i]["shape"] for i in expected} == set(SHAPES)

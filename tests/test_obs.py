@@ -16,14 +16,10 @@ from repro.campaign import (
     run_scenario,
 )
 from repro.campaign.cli import main as cli_main
-from repro.errors import ExperimentError
+from repro.errors import CampaignError
 from repro.metrics.collector import MetricsCollector
-from repro.obs import (
-    FlowTracer,
-    RunStats,
-    validate_probes_option,
-    write_trace_jsonl,
-)
+from repro.obs import FlowTracer, RunStats, write_trace_jsonl
+from repro.obs.probes import LinkProbe, read_probes
 from repro.obs.log import get_logger, setup_cli_logging
 from repro.obs.report import build_report, write_report
 from repro.obs.trace import read_trace_jsonl
@@ -80,32 +76,55 @@ class TestRunStats:
 
 
 class TestProbeValidation:
+    """The ``probes`` option's own shape and value checks; each probe
+    kind's wrong types, unknown keys and missing fields are
+    ``test_spec_schema``'s generated cases."""
+
+    PATH = ("options", "probes")
+
     def test_accepts_canonical_shape(self):
-        assert set(validate_probes_option(PROBES)) == {"bottleneck", "rates"}
+        probes = read_probes(PROBES, self.PATH)
+        assert set(probes) == {"bottleneck", "rates"}
+        assert probes["bottleneck"] == LinkProbe(0.0005, ("tor0", "h0"))
 
     def test_rejects_non_mapping(self):
-        with pytest.raises(ExperimentError, match="must map"):
-            validate_probes_option(["link"])
-        with pytest.raises(ExperimentError, match="must be a mapping"):
-            validate_probes_option({"p": "link"})
+        with pytest.raises(CampaignError,
+                           match="options probes: must be a mapping"):
+            read_probes(["link"], self.PATH)
+        with pytest.raises(CampaignError,
+                           match="options probes p: must be a mapping"):
+            read_probes({"p": "link"}, self.PATH)
 
     def test_rejects_unknown_kind(self):
-        with pytest.raises(ExperimentError, match="unknown kind"):
-            validate_probes_option({"p": {"kind": "queue", "interval": 1.0}})
+        with pytest.raises(CampaignError, match="options probes p: unknown "
+                           "kind 'queue'; allowed: flow_rates, link"):
+            read_probes({"p": {"kind": "queue", "interval": 1.0}}, self.PATH)
 
     def test_rejects_bad_interval(self):
-        for interval in (0, -1.0, "fast", None):
-            with pytest.raises(ExperimentError, match="interval"):
-                validate_probes_option(
-                    {"p": {"kind": "flow_rates", "interval": interval}}
-                )
+        for interval in (0, -1.0):
+            with pytest.raises(CampaignError, match="options probes p "
+                               "interval: must be positive"):
+                read_probes({"p": {"kind": "flow_rates",
+                                   "interval": interval}}, self.PATH)
 
     def test_rejects_bad_link(self):
-        for link in (None, "tor0-h0", ["tor0"], ["tor0", 3]):
-            with pytest.raises(ExperimentError, match="link"):
-                validate_probes_option(
-                    {"p": {"kind": "link", "link": link, "interval": 1.0}}
-                )
+        for link, message in ((["tor0"], r"link: must be a \[src, dst\] pair"),
+                              (["tor0", 3], r"link\[1\]: must be a string")):
+            with pytest.raises(CampaignError,
+                               match=f"options probes p {message}"):
+                read_probes({"p": {"kind": "link", "link": link,
+                                   "interval": 1.0}}, self.PATH)
+
+    @pytest.mark.parametrize("engine", ["packet", "flow"])
+    def test_both_engines_refuse_a_missing_link_alike(self, engine):
+        """The packet engine raised a TopologyError here, the fluid
+        engine an ExperimentError."""
+        spec = _telemetry_spec(engine=engine, trace=False).with_(
+            options={"probes": {"p": {"kind": "link", "link": ["h0", "nosuch"],
+                                      "interval": 0.001}}})
+        with pytest.raises(CampaignError, match="options probes p link: no "
+                           "link h0 -> nosuch in the topology"):
+            run_scenario(spec)
 
 
 class TestProbesOnEngines:

@@ -179,11 +179,11 @@ def test_a_delivery_seq_taken_at_tx_start_moves_the_pins(monkeypatch):
 FATTREE_CASES = {
     "full": ("PDQ(Full)", {}),
     "full_switch_down": ("PDQ(Full)", {"faults": [
-        FaultEvent(1 * MSEC, "switch_down", "agg0_0")]}),
+        FaultEvent(1 * MSEC, "switch_down", node="agg0_0")]}),
     "mpdq": ("M-PDQ", {}),
     "tcp_switch_flap": ("TCP", {"faults": [
-        FaultEvent(1 * MSEC, "switch_down", "agg0_0"),
-        FaultEvent(3 * MSEC, "switch_up", "agg0_0")]}),
+        FaultEvent(1 * MSEC, "switch_down", node="agg0_0"),
+        FaultEvent(3 * MSEC, "switch_up", node="agg0_0")]}),
     "rcp_link_flap": ("RCP", {"faults": [
         FaultEvent(1 * MSEC, "link_down", "agg0_0", "core0_0"),
         FaultEvent(3 * MSEC, "link_up", "agg0_0", "core0_0")]}),

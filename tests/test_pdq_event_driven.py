@@ -228,7 +228,7 @@ class TestIncrementalEqualsFromScratch:
         flows = _flows(topology, rng, 80, poisson=(seed % 2 == 0),
                        deadlines=(seed > 2), elephant=False)
         faults = (FaultEvent(0.8 * MSEC, "link_down", "agg0_0", "core0_0"),
-                  FaultEvent(2.5 * MSEC, "switch_down", "agg1_1"),
+                  FaultEvent(2.5 * MSEC, "switch_down", node="agg1_1"),
                   FaultEvent(4.0 * MSEC, "link_up", "agg0_0", "core0_0"))
         sim, model, collector = _run_checked(
             topology, flows, PdqConfig.full(), faults=faults)

@@ -201,10 +201,11 @@ class TestNonFiniteInputs:
                          faults={"events": [event]})
 
     def test_fault_event_time_rejected_by_the_engine(self):
-        event = FaultEvent(math.nan, "link_down", "send0", "sw0")
+        # the event refuses the NaN itself, before an engine sees it
         with pytest.raises(FaultError, match="got nan"):
-            FlowLevelSimulation(SingleBottleneck(2), PdqModel(),
-                                faults=[event])
+            FlowLevelSimulation(
+                SingleBottleneck(2), PdqModel(),
+                faults=[FaultEvent(math.nan, "link_down", "send0", "sw0")])
 
     @pytest.mark.parametrize(
         "method", ["call_at", "schedule_at", "call_after", "schedule"])

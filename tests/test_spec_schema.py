@@ -21,23 +21,48 @@ import pytest
 from repro.campaign.cli import main as cli_main
 from repro.campaign.engines import check_options, make_model, make_stack
 from repro.campaign.spec import ScenarioSpec, TopologySpec, WorkloadSpec
-from repro.errors import CampaignError
+from repro.errors import CampaignError, FaultError
 from repro.experiments.api import Experiment, Panel, SearchSpec
+from repro.faults.spec import FaultEvent, Faults, LossRule
+from repro.metrics.streaming import StreamingOptions
+from repro.obs.probes import FlowRatesProbe, LinkProbe
 
-#: the smallest legal document of each spec class, and its path root
-MINIMAL = {
-    TopologySpec: ({"kind": "single_rooted"}, "topology"),
-    WorkloadSpec: ({"kind": "empty"}, "workload"),
-    ScenarioSpec: ({"protocol": "RCP", "topology": {"kind": "single_rooted"},
+LOSS_RULE = {"src": "a", "dst": "b", "rate": 0.5}
+
+#: the smallest legal document of each spec shape, and its path root
+MINIMAL = [
+    (TopologySpec, {"kind": "single_rooted"}, "topology"),
+    (WorkloadSpec, {"kind": "empty"}, "workload"),
+    (ScenarioSpec, {"protocol": "RCP", "topology": {"kind": "single_rooted"},
                     "workload": {"kind": "empty"}}, "scenario"),
-    SearchSpec: ({"axis": "workload.n_flows"}, "search"),
-    Panel: ({"name": "p", "specs": []}, "panel 'p'"),
-    Experiment: ({"name": "e", "panels": [{"name": "p", "specs": []}]},
-                 "experiment 'e'"),
-}
+    (SearchSpec, {"axis": "workload.n_flows"}, "search"),
+    (Panel, {"name": "p", "specs": []}, "panel 'p'"),
+    (Experiment, {"name": "e", "panels": [{"name": "p", "specs": []}]},
+     "experiment 'e'"),
+    # a fault event in its link form and in its switch form
+    (FaultEvent, {"time": 0.0, "action": "link_down", "a": "x", "b": "y"},
+     "fault event"),
+    (FaultEvent, {"time": 0.0, "action": "switch_down", "node": "s"},
+     "fault event"),
+    (LossRule, LOSS_RULE, "loss rule"),
+    (Faults, {"loss": [LOSS_RULE]}, "faults"),
+    # a probe's kind picks its class, and is no field of it
+    (LinkProbe, {"interval": 1, "link": ["a", "b"]}, "link probe"),
+    (FlowRatesProbe, {"interval": 1}, "flow rates probe"),
+    (StreamingOptions, {}, "streaming options"),
+]
 
 #: JSON values no field of any spec class accepts
 NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+def _id(cls, doc) -> str:
+    """A shape's test id: its class name, and a fault event's action."""
+    return cls.__name__ + (f"({doc['action']})" if cls is FaultEvent else "")
+
+
+def _doc(cls) -> dict:
+    return next(doc for shape, doc, _ in MINIMAL if shape is cls)
 
 
 def _is_str(cls, name: str) -> bool:
@@ -47,7 +72,7 @@ def _is_str(cls, name: str) -> bool:
 
 def _cases(kind: str) -> list:
     out = []
-    for cls, (doc, root) in MINIMAL.items():
+    for cls, doc, root in MINIMAL:
         for f in fields(cls):
             if kind == "wrong-type":
                 values = [5 if _is_str(cls, f.name) else "x"]
@@ -60,14 +85,15 @@ def _cases(kind: str) -> list:
             for value in values:
                 out.append(pytest.param(
                     cls, doc, root, f.name, value,
-                    id=f"{cls.__name__}.{f.name}={value!r}"))
+                    id=f"{_id(cls, doc)}.{f.name}={value!r}"))
     return out
 
 
 class TestGeneratedSchema:
-    @pytest.mark.parametrize("cls", list(MINIMAL))
-    def test_minimal_document_parses_and_round_trips(self, cls):
-        spec = cls.from_dict(MINIMAL[cls][0])
+    @pytest.mark.parametrize("cls, doc", [
+        pytest.param(cls, doc, id=_id(cls, doc)) for cls, doc, _ in MINIMAL])
+    def test_minimal_document_parses_and_round_trips(self, cls, doc):
+        spec = cls.from_dict(doc)
         assert cls.from_dict(spec.canonical()) == spec
 
     @pytest.mark.parametrize("cls, doc, root, name, value",
@@ -83,20 +109,20 @@ class TestGeneratedSchema:
         with pytest.raises(CampaignError, match=message):
             replace(cls.from_dict(doc), **{name: value})
 
-    @pytest.mark.parametrize("cls, name", [
-        (cls, f.name) for cls in MINIMAL for f in fields(cls)
+    @pytest.mark.parametrize("cls, doc, root, name", [
+        pytest.param(cls, doc, root, f.name, id=f"{_id(cls, doc)}-{f.name}")
+        for cls, doc, root in MINIMAL for f in fields(cls)
         if f.default is MISSING and f.default_factory is MISSING])
-    def test_missing_required_field_is_named(self, cls, name):
-        doc, root = MINIMAL[cls]
+    def test_missing_required_field_is_named(self, cls, doc, root, name):
         if name == "name":  # a nameless document has a bare root
             root = root.split()[0]
         with pytest.raises(CampaignError, match=re.escape(
                 f"{root}: missing required field {name!r}")):
             cls.from_dict({k: v for k, v in doc.items() if k != name})
 
-    @pytest.mark.parametrize("cls", list(MINIMAL))
-    def test_unknown_key_is_named(self, cls):
-        doc, root = MINIMAL[cls]
+    @pytest.mark.parametrize("cls, doc, root", [
+        pytest.param(*entry, id=_id(*entry[:2])) for entry in MINIMAL])
+    def test_unknown_key_is_named(self, cls, doc, root):
         with pytest.raises(CampaignError,
                            match=re.escape(f"{root}: unknown field(s) "
                                            "'bogus'")):
@@ -106,17 +132,33 @@ class TestGeneratedSchema:
         required = {cls.__name__: sorted(
             f.name for f in fields(cls)
             if f.default is MISSING and f.default_factory is MISSING)
-            for cls in MINIMAL}
+            for cls, _, _ in MINIMAL}
         assert required == {
             "TopologySpec": ["kind"], "WorkloadSpec": ["kind"],
             "ScenarioSpec": ["protocol", "topology", "workload"],
             "SearchSpec": ["axis"], "Panel": ["name"], "Experiment": ["name"],
+            "FaultEvent": ["action", "time"],
+            "LossRule": ["dst", "rate", "src"], "Faults": [],
+            "LinkProbe": ["interval", "link"],
+            "FlowRatesProbe": ["interval"], "StreamingOptions": [],
         }
+
+    @pytest.mark.parametrize("cls", [FaultEvent, LossRule, Faults])
+    def test_a_fault_shape_raises_fault_errors(self, cls):
+        with pytest.raises(FaultError):
+            cls.from_dict({**_doc(cls), "bogus": 1})
+
+    def test_a_malformed_faults_field_is_a_fault_error_at_its_path(self):
+        with pytest.raises(FaultError, match=re.escape(
+                "scenario faults events[0] time: must be >= 0, got -1")):
+            ScenarioSpec.from_dict({**_doc(ScenarioSpec), "faults": {
+                "events": [{"time": -1, "action": "switch_down",
+                            "node": "s"}]}})
 
     def test_nested_error_names_the_whole_path(self):
         doc = {"name": "e", "panels": [{"name": "p", "specs": [
-            MINIMAL[ScenarioSpec][0],
-            {**MINIMAL[ScenarioSpec][0],
+            _doc(ScenarioSpec),
+            {**_doc(ScenarioSpec),
              "workload": {"kind": "empty", "params": [1]}},
         ]}]}
         with pytest.raises(CampaignError, match=re.escape(
@@ -125,7 +167,7 @@ class TestGeneratedSchema:
             Experiment.from_dict(doc)
 
     def test_with_reads_like_construction(self):
-        spec = ScenarioSpec.from_dict(MINIMAL[ScenarioSpec][0])
+        spec = ScenarioSpec.from_dict(_doc(ScenarioSpec))
         with pytest.raises(CampaignError, match="scenario seed: must be an "
                                                 "integer, got '2'"):
             spec.with_(seed="2")
@@ -239,17 +281,47 @@ class TestDryRunRejects:
         # truthy: it turned tracing on
         ({"trace": "no"}, "options trace: must be true or false, got 'no'"),
         # these failed only once the cell ran
-        ({"streaming_metrics": "x"}, "options: streaming_metrics must be "
-         "true or an options dict, got 'x'"),
+        ({"streaming_metrics": "x"}, "options streaming_metrics: must be "
+         "true or a mapping, got 'x'"),
         ({"streaming_metrics": {"reservoirr": 5}},
-         "options: unknown streaming_metrics option 'reservoirr'"),
+         "options streaming_metrics: unknown field(s) 'reservoirr' (did you "
+         "mean 'reservoir'?)"),
         # falsy, so the adapters ignored it, under a key of its own
         ({"streaming_metrics": {}}, "options streaming_metrics: {} turns "
          "nothing on; give true for the defaults"),
+        # the dry run crashed with a bare TypeError traceback
+        ({"streaming_metrics": {"reservoir": "ten"}},
+         "options streaming_metrics reservoir: must be an integer, "
+         "got 'ten'"),
+        ({"streaming_metrics": {"reservoir": 1.5}},
+         "options streaming_metrics reservoir: must be an integer, got 1.5"),
+        # passed the dry run, then both engines divided by zero
+        ({"streaming_metrics": {"reference_rate_bps": 0}},
+         "options streaming_metrics reference_rate_bps: must be positive, "
+         "got 0"),
     ])
     def test_engine_option_value(self, tmp_path, capsys, options, message):
         err = _dry_run(tmp_path, capsys, protocol="M-PDQ", engine="packet",
                        options=options)
+        assert err.startswith(
+            f"campaign error: panel 'p' cell 0 (seed=1): {message}")
+
+    @pytest.mark.parametrize("part, message", [
+        # each passed the dry run, then every cell failed
+        ({"options": {"probes": {"p": {"kind": "link",
+                                       "link": ["h0", "nosuch"],
+                                       "interval": 0.001}}}},
+         "options probes p link: no link h0 -> nosuch in the topology"),
+        ({"faults": {"events": [{"time": 0.001, "action": "switch_down",
+                                 "node": "nosuch"}]}},
+         "switch_down at t=0.001: no node 'nosuch' in the topology"),
+        # accepted silently, and hashed into the cell's key
+        ({"options": {"probes": {"p": {"kind": "flow_rates",
+                                       "interval": 0.001, "bogus": 3}}}},
+         "options probes p: unknown field(s) 'bogus'"),
+    ])
+    def test_bad_probe_or_fault_event(self, tmp_path, capsys, part, message):
+        err = _dry_run(tmp_path, capsys, **part)
         assert err.startswith(
             f"campaign error: panel 'p' cell 0 (seed=1): {message}")
 

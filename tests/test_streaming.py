@@ -311,8 +311,9 @@ class TestStreamingCollector:
         with pytest.raises(ExperimentError):
             StreamingMetricsCollector(reservoir_size=-1)
         with pytest.raises(ExperimentError,
-                           match="'resevoir'.*reservoir, "
-                                 "reference_rate_bps, sketch_k"):
+                           match=r"'resevoir' \(did you mean 'reservoir'\?\);"
+                                 " allowed: reference_rate_bps, reservoir, "
+                                 "sketch_k"):
             streaming_collector({"resevoir": 10}, seed=1)
         collector = streaming_collector(
             {"reservoir": 5, "reference_rate_bps": 1e8, "sketch_k": 50},
