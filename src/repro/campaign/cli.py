@@ -32,11 +32,6 @@ Subcommands::
         counter aggregates, and (when a validation report is present)
         the tolerance-margin table. Crashes fail; timings never do.
 
-    repro check [PATH ...]
-        Run the AST-based invariant linter (RPL002 hot-path purity) over
-        the repo's own source, or over the files and directories given.
-        Exit 1 on any diagnostic, 2 when the analysis cannot run.
-
 Global flags: ``-v``/``-vv`` raise logging to INFO/DEBUG, ``-q`` mutes
 everything below ERROR (they precede the subcommand: ``repro -v sweep``).
 """
@@ -554,22 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     # only). --cache DIR still opts in for interactive iteration.
     validate.set_defaults(func=_cmd_validate, cache=None)
 
-    check = sub.add_parser(
-        "check",
-        help="run the AST invariant linter (RPL002 hot-path purity)",
-    )
-    from repro.analysis.cli import add_check_arguments
-
-    add_check_arguments(check)
-    check.set_defaults(func=_cmd_check)
-
     return parser
-
-
-def _cmd_check(args: argparse.Namespace) -> int:
-    from repro.analysis.cli import run_check
-
-    return run_check(args)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

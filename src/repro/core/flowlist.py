@@ -4,31 +4,27 @@ Each egress link remembers ``<R_i, P_i, D_i, T_i, RTT_i>`` for the most
 critical flows -- capacity ``max(2*kappa, min_capacity)`` where kappa is the
 number of currently sending flows, hard-capped at M (``hard_flow_limit``).
 
-Layout: the entries live in criticality order next to a parallel flat key
-array. Keys are unique (every comparator ends with the flow id as a
-tiebreaker) and an entry's ``key`` is written only by this list, so
-``bisect_left(keys, entry.key)`` *is* the entry's index: one C-level call,
-no identity scan. A refresh whose new key still fits between its
-neighbors repositions in place without touching list structure at all
-(the common case: a flow re-probing with an unchanged deadline moves
-monotonically through the SJF component). ``min_last_update`` is a
-conservative lower bound on the oldest ``last_update``, so the
-per-packet staleness check is one float compare until something could
-actually be stale.
+The entries live in criticality order. Keys are unique (every
+comparator ends with the flow id as a tiebreaker), so bisecting on
+``entry.key`` finds a key's slot, and an entry's own index is
+``entries.index(entry)``: a scan of a list that holds about two entries
+on realistic workloads.
 
 The switch's per-packet path (:class:`~repro.core.switch.PdqLinkState`)
-reads ``entries``, ``keys``, ``by_fid`` and ``min_last_update`` directly;
-everything that changes them goes through this class.
+reads ``entries`` and ``by_fid`` directly; everything that changes them
+goes through this class.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
+from operator import attrgetter
 
 from repro.core.comparator import CriticalityKey, FlowComparator
 from repro.core.config import PdqConfig
 
 _INF = float("inf")
+_KEY = attrgetter("key")
 
 
 class FlowEntry:
@@ -65,13 +61,8 @@ class PdqFlowList:
         self.config = config
         self.comparator = comparator
         self.entries: list[FlowEntry] = []   # sorted, most critical first
-        self.keys: list[CriticalityKey] = []  # parallel: keys[i] == entries[i].key
         self.by_fid: dict[int, FlowEntry] = {}
         self.evictions = 0
-        #: conservative lower bound on min(entry.last_update); refreshes
-        #: only raise the true minimum, so a stale bound just means one
-        #: wasted scan, never a missed purge
-        self.min_last_update: float = _INF
 
     # -- basic container ----------------------------------------------------------
 
@@ -85,7 +76,7 @@ class PdqFlowList:
         return self.by_fid.get(fid)
 
     def index_of(self, fid: int) -> int:
-        return bisect_left(self.keys, self.by_fid[fid].key)
+        return self.entries.index(self.by_fid[fid])
 
     # -- sizing ----------------------------------------------------------------------
 
@@ -110,21 +101,15 @@ class PdqFlowList:
         the new entry, or None if the flow must use the RCP fallback."""
         capacity = self.capacity
         entries = self.entries
-        keys = self.keys
         if len(entries) >= capacity and \
-                not self.comparator.more_critical(key, keys[-1]):
+                not self.comparator.more_critical(key, entries[-1].key):
             return None
         entry = FlowEntry(fid, now)
         entry.key = key
-        pos = bisect_right(keys, key)
-        entries.insert(pos, entry)
-        keys.insert(pos, key)
+        entries.insert(bisect_right(entries, key, key=_KEY), entry)
         self.by_fid[fid] = entry
-        if now < self.min_last_update:
-            self.min_last_update = now
         while len(entries) > capacity:
             gone = entries.pop()
-            keys.pop()
             self.evictions += 1
             del self.by_fid[gone.fid]
         return entry if fid in self.by_fid else None
@@ -133,47 +118,25 @@ class PdqFlowList:
         entry = self.by_fid.pop(fid, None)
         if entry is None:
             return False
-        index = bisect_left(self.keys, entry.key)
-        del self.entries[index]
-        del self.keys[index]
+        self.entries.remove(entry)
         return True
 
-    # repro: hot
     def reposition(self, entry: FlowEntry, key: CriticalityKey) -> int:
         """Update an entry's key and restore sorted order; returns the new
         index."""
-        keys = self.keys
-        index = bisect_left(keys, entry.key)
-        last = len(keys) - 1
-        if ((index == 0 or keys[index - 1] < key)
-                and (index == last or key < keys[index + 1])):
-            # order unchanged: overwrite in place (keys are unique, so
-            # strict neighbor bounds are exact)
-            entry.key = key
-            keys[index] = key
-            return index
         entries = self.entries
-        del entries[index]
-        del keys[index]
+        entries.remove(entry)
         entry.key = key
-        pos = bisect_right(keys, key)
+        pos = bisect_right(entries, key, key=_KEY)
         entries.insert(pos, entry)
-        keys.insert(pos, key)
         return pos
 
     def purge_expired(self, now: float, horizon: float) -> list[int]:
         """Drop entries not refreshed within ``horizon`` seconds (protects
         against lost TERMs; §5.6's loss resilience depends on it) and
-        return their flow ids. The switch calls this only once
-        ``now - min_last_update > horizon``, i.e. when some entry could
-        be stale."""
+        return their flow ids."""
         stale = [e for e in self.entries if now - e.last_update > horizon]
         for entry in stale:
-            index = bisect_left(self.keys, entry.key)
-            del self.entries[index]
-            del self.keys[index]
+            self.entries.remove(entry)
             del self.by_fid[entry.fid]
-        self.min_last_update = min(
-            (e.last_update for e in self.entries), default=_INF
-        )
         return [e.fid for e in stale]

@@ -16,7 +16,6 @@ class PdqReceiver(AckingReceiver):
         super().__init__(network, stack, spec, record, rev_path, host)
         self.max_rate = network.receiver_rate_limit(spec.dst)
 
-    # repro: hot
     def make_ack_header(self, packet: Packet) -> PdqHeader:
         header = packet.sched  # every PDQ packet carries a PdqHeader
         if header.rate > self.max_rate:

@@ -80,7 +80,6 @@ class PdqSender(RateBasedSender):
 
     # -- scheduling header -----------------------------------------------------------
 
-    # repro: hot
     def make_sched_header(self, kind: PacketKind) -> PdqHeader:
         """The header every packet carries. T_H is T_S, aged (§7) when
         ``aging_rate`` is on: T_S / 2^(aging_rate * waited /
@@ -112,7 +111,6 @@ class PdqSender(RateBasedSender):
 
     # -- feedback ----------------------------------------------------------------------
 
-    # repro: hot
     def process_feedback(self, packet: Packet) -> None:
         if packet.echo_time < self._rerouted_at:
             # feedback from the old path would write its stale pauseby
@@ -131,7 +129,6 @@ class PdqSender(RateBasedSender):
         max_rate = self.max_rate
         self.set_rate(max_rate if max_rate < rate else rate)
 
-    # repro: hot
     def on_rate_change(self) -> None:
         now = self.sim.now
         probe_timer = self._probe_timer
@@ -170,7 +167,6 @@ class PdqSender(RateBasedSender):
 
     # -- Early Termination (§3.1) ----------------------------------------------------------
 
-    # repro: hot
     def check_early_termination(self) -> bool:
         if not self.et_enabled or self.deadline is None:
             return False

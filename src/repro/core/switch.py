@@ -11,15 +11,14 @@ state when no downstream switch pauses the flow.
 Every PDQ packet runs this at every hop, over flow lists that hold about
 two entries on realistic workloads, so the per-packet cost is Python
 frames, not the algorithm. A forward packet therefore costs
-:meth:`PdqSwitchProtocol.process` plus one :meth:`PdqLinkState.on_forward`
-body (Algorithm 2 and the RTT average are inline, and helpers are called
-only when their guard says there is work), and a reverse packet
-``process`` plus one :meth:`PdqLinkState.on_reverse` body.
+:meth:`PdqSwitchProtocol.process`, one :meth:`PdqLinkState.on_forward`
+body (Algorithm 2 and the RTT average are inline) and the flow list's
+expiry scan, and a reverse packet ``process`` plus one
+:meth:`PdqLinkState.on_reverse` body.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import TYPE_CHECKING
 
 from repro.core.comparator import FlowComparator
@@ -69,12 +68,8 @@ class PdqLinkState:
         self.last_accept_time = -_INF
         self.last_accept_fid: int | None = None
         self.last_accept_key = None
-        # flows that did not fit in the list (RCP fallback, §3.3.1);
-        # _outside_min is a conservative lower bound on the oldest
-        # timestamp, so the per-packet expiry check costs one compare
-        # until something could actually be stale
+        # flows that did not fit in the list (RCP fallback, §3.3.1)
         self.outside: dict[int, float] = {}
-        self._outside_min = _INF
         self.pauses = 0
         self.accepts = 0
 
@@ -93,7 +88,6 @@ class PdqLinkState:
 
     # -- Algorithms 1 and 2 -------------------------------------------------------
 
-    # repro: hot
     def on_forward(self, packet: Packet) -> None:
         """Algorithm 1 for one forward packet, with Algorithm 2 inline."""
         header: PdqHeader = packet.sched
@@ -115,18 +109,17 @@ class PdqLinkState:
         rate_controller = self.rate_controller
         if not rate_controller.running:
             rate_controller.start()
-        # entries not refreshed within the horizon lost their TERM; both
-        # bounds are conservative, so each check is one compare until
-        # something could actually be stale
+        # entries not refreshed within the horizon lost their TERM
         horizon = config.entry_expiry_rtts * rtt_avg
-        if now - flows.min_last_update > horizon:
-            for stale in flows.purge_expired(now, horizon):
-                self.protocol.forget(stale, self)
-        cutoff = now - horizon
-        if self._outside_min < cutoff:
-            outside = {f: t for f, t in self.outside.items() if t >= cutoff}
-            self.outside = outside
-            self._outside_min = min(outside.values(), default=_INF)
+        for other in flows.entries:
+            if now - other.last_update > horizon:
+                for stale in flows.purge_expired(now, horizon):
+                    self.protocol.forget(stale, self)
+                break
+        if self.outside:
+            cutoff = now - horizon
+            self.outside = {f: t for f, t in self.outside.items()
+                            if t >= cutoff}
 
         # paused by another switch: drop our state and pass through
         my_id = self.switch_id
@@ -248,8 +241,6 @@ class PdqLinkState:
         flows' reservations, not just committed rates -- a burst of listed
         but not-yet-committed flows still owns the link."""
         self.outside[fid] = now
-        if now < self._outside_min:
-            self._outside_min = now
         my_id = self.switch_id
         listed_rate = 0.0
         for entry in self.flows.entries:
@@ -268,7 +259,6 @@ class PdqLinkState:
 
     # -- Algorithm 3 --------------------------------------------------------------
 
-    # repro: hot
     def on_reverse(self, packet: Packet) -> None:
         """Algorithm 3 for one reverse packet of a flow indexed here."""
         header: PdqHeader = packet.sched
@@ -286,9 +276,8 @@ class PdqLinkState:
             return
         entry.pauseby = pauseby
         if self.config.suppressed_probing:
-            # I_H = max(I_H, X * index); the entry's index is where its key
-            # bisects (keys are unique and owned by the list)
-            floor = self.config.probing_x * bisect_left(flows.keys, entry.key)
+            # I_H = max(I_H, X * index)
+            floor = self.config.probing_x * flows.entries.index(entry)
             if floor > header.inter_probe:
                 header.inter_probe = floor
         entry.rate = header.rate
@@ -339,7 +328,6 @@ class PdqSwitchProtocol:
 
     # -- packet dispatch ----------------------------------------------------------
 
-    # repro: hot
     def process(self, packet: Packet, out_link: Link) -> None:
         header = packet.sched
         if header.__class__ is not PdqHeader:

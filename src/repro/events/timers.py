@@ -8,12 +8,8 @@ Transport protocols need two recurring idioms:
   between firings (PDQ's rate-controller update every 2 RTTs, probe timers
   whose interval is set by Suppressed Probing).
 
-Retransmission timers are pushed back on nearly every ACK, so a naive
-cancel-and-repush would churn the heap once per ACK. :class:`Timer`
-instead keeps the *logical* expiry in a deferred-expiry field: pushing a
-timer back just overwrites the field, and when the stale heap entry fires
-it re-schedules itself at the real expiry -- one heap push per burst of
-push-backs instead of one per push-back, and zero tombstones.
+Restarting a :class:`Timer` cancels its heap entry and pushes a new
+one; the simulator compacts the cancelled tombstones away.
 """
 
 from __future__ import annotations
@@ -26,15 +22,13 @@ from repro.events.simulator import Simulator
 
 
 class Timer:
-    """One-shot, restartable timeout with lazy push-back."""
+    """One-shot, restartable timeout."""
 
     __slots__ = ("_sim", "_callback", "_event", "expiry")
 
     def __init__(self, sim: Simulator, callback: Callable[[], Any]):
         self._sim = sim
         self._callback = callback
-        # the underlying heap entry may lag behind the logical deadline:
-        # _event.time <= expiry always holds while armed
         self._event: Event | None = None
         #: absolute time at which the timer will fire, or None when not
         #: armed (read-only for callers; per-packet transport code tests
@@ -47,25 +41,11 @@ class Timer:
 
     def start(self, delay: float) -> None:
         """(Re)arm the timer ``delay`` seconds from now, replacing any
-        previously armed expiry.
-
-        Pushing the expiry *back* (the retransmission-timer common case)
-        only updates ``expiry``; the heap is untouched until the
-        stale entry fires and re-schedules itself at the real expiry.
-        Pulling the expiry *earlier* cancels and re-pushes.
-        ``TcpSender.on_packet`` writes the push-back branch out on its
-        per-ACK path and calls this method for the rest.
-        """
-        at = self._sim.now + delay
-        event = self._event
-        if event is not None and not event.cancelled and event.time <= at:
-            self.expiry = at  # lazy push-back: no heap traffic
-            self._sim.timer_pushbacks += 1
-            return
-        if event is not None:
-            event.cancel()
-        self.expiry = at
-        self._event = self._sim.schedule_at(at, self._fire)
+        previously armed expiry."""
+        if self._event is not None:
+            self._event.cancel()
+        self.expiry = self._sim.now + delay
+        self._event = self._sim.schedule_at(self.expiry, self._fire)
 
     def cancel(self) -> None:
         self.expiry = None
@@ -74,15 +54,6 @@ class Timer:
             self._event = None
 
     def _fire(self) -> None:
-        deadline = self.expiry
-        if deadline is None:  # cancelled; stale entry only (defensive)
-            self._event = None
-            return
-        if deadline > self._sim.now:
-            # the expiry was pushed back since this entry was scheduled:
-            # chase the real deadline with one fresh entry
-            self._event = self._sim.schedule_at(deadline, self._fire)
-            return
         self._event = None
         self.expiry = None
         self._callback()

@@ -444,7 +444,6 @@ class FlowLevelSimulation:
                 metrics.on_start(spec.fid, spec.arrival)
         return metrics
 
-    # repro: hot
     def _admit(self, stream: FlowStream, waiting: list) -> None:
         """Admission step: register, start and queue every arrival
         inside the next refresh window. :meth:`run` calls it only when

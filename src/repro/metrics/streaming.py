@@ -132,7 +132,6 @@ class StreamingMetricsCollector(MetricsCollector):
 
     # -- event hooks (a hook for an evicted fid lands in _missing) -------------
 
-    # repro: hot
     def register(self, spec: FlowSpec) -> FlowRecord:
         """The base hook and the registration counters, in one frame."""
         fid = spec.fid
@@ -148,7 +147,6 @@ class StreamingMetricsCollector(MetricsCollector):
             self.n_deadline += 1
         return record
 
-    # repro: hot
     def on_complete(self, fid: int, time: float) -> None:
         """The base hook with the completed-flow fold inline: FCT and
         slowdown accumulators, then :meth:`_retire`."""

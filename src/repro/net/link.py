@@ -106,7 +106,6 @@ class Link:
 
     # -- data path ---------------------------------------------------------------
 
-    # repro: hot
     def enqueue(self, packet: Packet) -> bool:
         """Accept a packet for transmission; False means it was dropped
         (tail-drop, or the link is down)."""
@@ -142,7 +141,6 @@ class Link:
         sim._seq += 1
         return True
 
-    # repro: hot
     def _finish(self, packet: Packet) -> None:
         # busy time is charged as it elapses (pro-rated via the property
         # while in flight, folded into the accumulator here), so a

@@ -205,7 +205,6 @@ class Network:
         for spec, record in batch:
             self._start_flow(spec, record)
 
-    # repro: hot
     def _admit_stream(self, stream: FlowStream) -> None:
         """Admission step for an open-system stream (vLLM-scheduler
         style): register and schedule every flow arriving inside the next

@@ -79,7 +79,6 @@ class Node:
 class Switch(Node):
     """Forwards packets along their pinned path."""
 
-    # repro: hot
     def receive(self, packet: Packet, in_link: Link | None) -> None:
         # _forward inlined: switches relay every packet they see, so this
         # is the hottest receive path in the engine (one frame per hop)
@@ -114,7 +113,6 @@ class Host(Node):
 
     # -- outbound ---------------------------------------------------------------
 
-    # repro: hot
     def send(self, packet: Packet) -> bool:
         """Inject a locally-originated packet onto its pinned path."""
         # _forward inlined: every packet a transport originates starts here
@@ -141,7 +139,6 @@ class Host(Node):
 
     # -- inbound -----------------------------------------------------------------
 
-    # repro: hot
     def receive(self, packet: Packet, in_link: Link | None) -> None:
         if packet.dst != self.id:
             # through-traffic: this host is a relay on the packet's path

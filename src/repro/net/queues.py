@@ -44,7 +44,6 @@ class DropTailQueue:
         """Bytes currently waiting (excludes any packet in transmission)."""
         return self._bytes
 
-    # repro: hot
     def offer(self, packet: Packet) -> bool:
         """Append if it fits; returns False (and counts a drop) otherwise."""
         nbytes = self._bytes + packet.size
@@ -58,7 +57,6 @@ class DropTailQueue:
             self.peak_bytes = nbytes
         return True
 
-    # repro: hot
     def pop(self) -> Packet | None:
         """Remove and return the head packet, or None when empty."""
         if not self._q:

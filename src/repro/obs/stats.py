@@ -73,7 +73,6 @@ def harvest_packet_run(net) -> RunStats:
     c = stats.counters
     c["sim.events"] = sim.processed_events
     c["sim.compactions"] = sim.compactions
-    c["sim.timer_pushbacks"] = sim.timer_pushbacks
     c["sim.pending_at_exit"] = sim.pending()
     c["net.packets_sent"] = sum(link.packets_sent for link in net.links)
     c["net.bytes_sent"] = sum(link.bytes_sent for link in net.links)

@@ -216,7 +216,6 @@ class RateBasedSender(EndpointBase):
         )
         self.host.send(packet)
 
-    # repro: hot
     def set_rate(self, rate: float) -> None:
         rate = rate if rate > 0.0 else 0.0  # max(0.0, rate)
         self.rate = rate
@@ -232,7 +231,6 @@ class RateBasedSender(EndpointBase):
     def _pending_data(self) -> bool:
         return bool(self.resend) or self.next_offset < self.size
 
-    # repro: hot
     def _schedule_send(self) -> None:
         if self.closed or self.term_sent or not self.handshake_done:
             return
@@ -252,7 +250,6 @@ class RateBasedSender(EndpointBase):
             at = now
         timer.start(at - now)
 
-    # repro: hot
     def _emit(self) -> None:
         if self.closed or self.term_sent or self.rate <= 0:
             return
@@ -317,8 +314,6 @@ class RateBasedSender(EndpointBase):
         self.process_feedback(packet)
         if first_handshake:
             self._backoff = 1.0
-            # start() replaces the armed expiry in place (lazy push-back:
-            # no cancel/re-push churn on the heap)
             if self.unacked:
                 self._rto_timer.start(self.rtt.rto())
             else:
@@ -327,7 +322,6 @@ class RateBasedSender(EndpointBase):
             return
         self._schedule_send()
 
-    # repro: hot
     def _on_ack(self, packet: Packet) -> None:
         if packet.echo_time >= 0:
             self.rtt.update(self.sim.now - packet.echo_time)
@@ -436,7 +430,6 @@ class AckingReceiver(EndpointBase):
             self.host.unregister_receiver(self.spec.fid)
             self.closed = True
 
-    # repro: hot
     def _on_data(self, packet: Packet) -> None:
         seq = packet.seq
         payload = packet.payload
@@ -455,7 +448,6 @@ class AckingReceiver(EndpointBase):
     def on_complete(self) -> None:
         """Subclass hook (e.g. M-PDQ resequencing notification)."""
 
-    # repro: hot
     def _reply(self, packet: Packet, kind: PacketKind, ack_range=None) -> None:
         ack = Packet(
             self.spec.fid,

@@ -9,8 +9,8 @@ data centers, following Vasudevan et al.).
 Switches are dumb for TCP: no switch protocol is attached.
 
 The per-packet path is flat: an ACK is handled in one frame
-(:meth:`TcpSender.on_packet`, with the RFC 6298 update, the RTO and the
-timer's lazy push-back written out), new data leaves through
+(:meth:`TcpSender.on_packet`, with the RFC 6298 update and the RTO
+written out), new data leaves through
 :meth:`TcpSender._pump` and one :meth:`TcpSender._send_segment` frame per
 segment, and a DATA packet is consumed and acknowledged in
 :meth:`TcpReceiver.on_packet`. Every float operation keeps the operands
@@ -105,7 +105,6 @@ class TcpSender(EndpointBase):
         )
         self.host.send(packet)
 
-    # repro: hot
     def _send_segment(self, offset: int, echo_time: float) -> None:
         """Send the segment starting at ``offset``. ``echo_time`` is the
         send time for new data and -1.0 for a retransmission (Karn's
@@ -126,7 +125,6 @@ class TcpSender(EndpointBase):
         if timer.expiry is None:
             timer.start(self.rtt.rto() * self._backoff)
 
-    # repro: hot
     def _pump(self) -> None:
         """Send as much new data as the window allows."""
         if not self.handshake_done or self.term_sent:
@@ -147,14 +145,12 @@ class TcpSender(EndpointBase):
 
     # -- inbound -----------------------------------------------------------------------------
 
-    # repro: hot
     def on_packet(self, packet: Packet) -> None:
         if self.closed:
             return
         kind = packet.kind
         if kind == _ACK:
-            sim = self.sim
-            now = sim.now
+            now = self.sim.now
             ack = packet.ack_seq
             rtt = self.rtt
             echo = packet.echo_time
@@ -207,18 +203,7 @@ class TcpSender(EndpointBase):
                             delay = rtt.rto_min
                         if not delay < rtt.rto_max:
                             delay = rtt.rto_max
-                    # restart-in-place (Timer.start's lazy push-back): on
-                    # almost every new ACK the fresh expiry sits at or past
-                    # the armed heap entry, so the heap is left untouched
-                    # (one push per RTO burst, not per ACK)
-                    at = now + delay
-                    event = timer._event
-                    if event is not None and not event.cancelled \
-                            and event.time <= at:
-                        timer.expiry = at
-                        sim.timer_pushbacks += 1
-                    else:
-                        timer.start(delay)
+                    timer.start(delay)
                 else:
                     timer.cancel()
             elif ack == snd_una and self.snd_nxt > snd_una:
@@ -298,7 +283,6 @@ class TcpReceiver(AckingReceiver):
         self._got: set[int] = set()
         self._cum = 0  # next expected byte
 
-    # repro: hot
     def on_packet(self, packet: Packet) -> None:
         kind = packet.kind
         if kind == _DATA:

@@ -74,7 +74,6 @@ class FlowStream:
         spec = self._next
         return None if spec is None else spec.arrival
 
-    # repro: hot
     def take_until(self, cutoff: float) -> list[FlowSpec]:
         """Pop every flow arriving at or before ``cutoff`` (engine
         admission windows call this each tick).

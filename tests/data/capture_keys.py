@@ -5,8 +5,9 @@ Every cached result is addressed by a spec key (``ScenarioSpec.key``,
 JSON. ``tests/test_key_corpus.py`` reads each document of
 ``key_corpus.json`` back through ``from_dict`` and checks that it still
 hashes to the key captured here, so any change to canonicalization —
-in ``canonical()``, in ``canonical_json`` or in a callee such as
-``faults.spec.canonical_faults`` — names the documents whose keys moved.
+in ``canonical()``, in ``canonical_json`` or in the fault-event order
+that ``Faults.__post_init__``'s time sort fixes — names the documents
+whose keys moved.
 
 The documents are the inputs a user or a figure module writes, not the
 canonical forms: fault events out of time order, the legacy top-level

@@ -220,6 +220,57 @@ class TestRegistry:
             ).workload.build(None, 1)
 
 
+UNKNOWN_KIND_CASES = [
+    ("topology", "single_rootedd", "single_rooted"),
+    ("workload", "fig4.patern", "fig4.pattern"),
+    ("engine", "packt", "packet"),
+    ("reducer", "tabel", "table"),
+    ("metric", "mean_fctt", "mean_fct"),
+    ("experiment", "fig33", "fig3"),
+]
+
+
+@pytest.mark.parametrize(
+    "registry,typo,suggestion",
+    UNKNOWN_KIND_CASES,
+    ids=[c[0].replace(" ", "-") for c in UNKNOWN_KIND_CASES],
+)
+def test_unknown_kind_hint_across_all_registries(registry, typo, suggestion):
+    """Every registry routes misses through ``unknown_kind`` and offers
+    the close-match fix for a one-character typo."""
+    from repro.campaign.engines import engine_kinds
+    from repro.campaign.registry import build_workload
+    from repro.experiments import api
+    from repro.experiments.reducers import collector_metric, get_reducer
+
+    def trigger():
+        if registry == "topology":
+            build_topology(typo, {})
+        elif registry == "workload":
+            build_workload(typo, None, 1, {})
+        elif registry == "engine":
+            assert typo not in engine_kinds()
+            ScenarioSpec(
+                protocol="TCP",
+                topology=TopologySpec("single_bottleneck",
+                                      {"n_senders": 2}),
+                workload=WorkloadSpec("empty"),
+                engine=typo,
+            )
+        elif registry == "reducer":
+            get_reducer(typo)
+        elif registry == "metric":
+            collector_metric(typo)
+        else:
+            api.get_experiment(typo)
+
+    with pytest.raises(CampaignError) as err:
+        trigger()
+    message = str(err.value)
+    assert f"unknown {registry} kind {typo!r}" in message
+    assert f"Did you mean {suggestion!r}?" in message
+
+
 class TestResultStore:
     def test_roundtrip(self, tmp_path):
         spec = _flow_spec()

@@ -405,22 +405,6 @@ class TestTimer:
         assert fired == [1.0, 2.0, 3.0]
         assert not timer.armed
 
-    def test_lazy_push_back_fires_once_at_final_expiry(self):
-        sim = Simulator()
-        fired = []
-        timer = Timer(sim, lambda: fired.append(sim.now))
-        timer.start(1.0)
-        timer.start(2.0)  # push-back: heap untouched
-        timer.start(3.0)  # push-back again
-        assert timer.expiry == 3.0
-        assert sim.pending() == 1
-        assert sim._tombstones == 0  # no tombstones from push-backs
-        sim.run()
-        assert fired == [3.0]
-        # the stale entry fired once at t=1 and chased straight to the
-        # real deadline: two heap entries total, not one per push-back
-        assert sim.processed_events == 2
-
     def test_pull_earlier_reschedules(self):
         sim = Simulator()
         fired = []
@@ -429,17 +413,6 @@ class TestTimer:
         timer.start(1.0)  # earlier: must cancel and re-push
         sim.run()
         assert fired == [1.0]
-
-    def test_cancel_during_lazy_window_suppresses_fire(self):
-        sim = Simulator()
-        fired = []
-        timer = Timer(sim, lambda: fired.append(sim.now))
-        timer.start(1.0)
-        timer.start(2.0)  # lazy: underlying entry still at t=1
-        timer.cancel()
-        assert not timer.armed
-        sim.run()
-        assert fired == []
 
     def test_push_back_after_fire_rearms(self):
         sim = Simulator()

@@ -6,12 +6,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.config import PdqConfig
 from repro.errors import SimulationError
 from repro.flowsim import D3Model, FlowLevelSimulation, PdqModel, RcpModel
 from repro.flowsim.certify import check_d3, check_max_min, check_pdq
 from repro.flowsim.d3_model import _Shadow
 from repro.flowsim.progress import FlowProgress
 from repro.flowsim.rcp_model import max_min_rates
+from repro.sched.optimal import max_ontime_subset, srpt_mean_fct
 from repro.topology import SingleBottleneck, SingleRootedTree
 from repro.units import GBPS, KBYTE, MBYTE, MSEC
 from repro.workload.flow import FlowSpec
@@ -388,3 +390,81 @@ class TestCrossValidation:
             SingleBottleneck(3), RcpModel(), header_bytes=44
         ).run(flows).mean_fct()
         assert pkt == pytest.approx(flow, rel=0.15)
+
+
+def _pdq_on_one_bottleneck(flows, config):
+    """Run ``flows`` (one sender each) through fluid PDQ on a single
+    bottleneck. Returns the collector, each flow's ``(transfer_start,
+    wire_size)`` as the engine admits it, and the start-up offset
+    (``init_rtts`` round trips) that every flow shares."""
+    engine = FlowLevelSimulation(SingleBottleneck(len(flows)),
+                                 PdqModel(config))
+    admitted = [engine._make_progress(spec) for spec in flows]
+    (rtt,) = {p.rtt for p in admitted}
+    shapes = [(p.transfer_start, p.wire_size) for p in admitted]
+    return engine.run(flows), shapes, engine.init_rtts * rtt
+
+
+class TestSchedulingOracles:
+    """Fluid PDQ on one bottleneck against the single-machine optima of
+    ``repro.sched.optimal`` (the paper's §2 argument)."""
+
+    @given(st.lists(st.tuples(st.floats(0.0, 20 * MSEC),
+                              st.integers(1 * KBYTE, 1 * MBYTE)),
+                    min_size=1, max_size=8))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_basic_without_deadlines_is_srpt(self, shapes):
+        """With no deadlines the comparator orders by expected transfer
+        time, so PDQ(Basic) is preemptive SRPT on (transfer start, wire
+        bytes); every FCT also carries the shared start-up offset."""
+        flows = [FlowSpec(fid=i, src=f"send{i}", dst="recv",
+                          size_bytes=size, arrival=arrival)
+                 for i, (arrival, size) in enumerate(shapes)]
+        metrics, admitted, offset = _pdq_on_one_bottleneck(
+            flows, PdqConfig.basic())
+        assert metrics.completed_count() == len(flows)
+        assert metrics.mean_fct() == pytest.approx(
+            srpt_mean_fct(admitted, 1 * GBPS) + offset, rel=1e-9)
+
+    @given(st.lists(st.tuples(st.integers(1 * KBYTE, 500 * KBYTE),
+                              st.floats(0.1 * MSEC, 10 * MSEC)),
+                    min_size=1, max_size=8))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_full_meets_at_most_moore_hodgson(self, shapes):
+        """No schedule of one machine meets more deadlines than
+        Moore-Hodgson's, and the start-up offset only delays PDQ."""
+        flows = [FlowSpec(fid=i, src=f"send{i}", dst="recv",
+                          size_bytes=size, deadline=deadline)
+                 for i, (size, deadline) in enumerate(shapes)]
+        metrics, admitted, _ = _pdq_on_one_bottleneck(flows,
+                                                      PdqConfig.full())
+        jobs = [(wire * 8.0 / GBPS, spec.deadline)
+                for (_, wire), spec in zip(admitted, flows, strict=True)]
+        on_time = sum(r.met_deadline for r in metrics.all_records())
+        assert on_time <= len(max_ontime_subset(jobs))
+
+    def test_full_meets_moore_hodgson_when_edf_has_slack(self):
+        """Four flows whose EDF schedule leaves each more slack than the
+        start-up offset, and one that cannot finish even alone: PDQ(Full)
+        meets the four and terminates the fifth, as Moore-Hodgson keeps
+        the four."""
+        sizes = [100 * KBYTE, 200 * KBYTE, 50 * KBYTE, 300 * KBYTE,
+                 400 * KBYTE]
+        deadlines = [2 * MSEC, 5 * MSEC, 6 * MSEC, 10 * MSEC, 1 * MSEC]
+        flows = [FlowSpec(fid=i, src=f"send{i}", dst="recv",
+                          size_bytes=size, deadline=deadline)
+                 for i, (size, deadline) in enumerate(zip(sizes, deadlines,
+                                                          strict=True))]
+        metrics, admitted, offset = _pdq_on_one_bottleneck(flows,
+                                                           PdqConfig.full())
+        jobs = [(wire * 8.0 / GBPS, spec.deadline)
+                for (_, wire), spec in zip(admitted, flows, strict=True)]
+        kept = max_ontime_subset(jobs)
+        assert kept == [0, 1, 2, 3]
+        elapsed = 0.0
+        for i in sorted(kept, key=lambda i: jobs[i][1]):
+            elapsed += jobs[i][0]
+            assert jobs[i][1] - elapsed > offset
+        met = [r.spec.fid for r in metrics.all_records() if r.met_deadline]
+        assert met == kept
+        assert metrics.record(4).terminated

@@ -17,7 +17,7 @@ the ``Simulator`` with PDQ: TCP Reno on its own, under wire loss, behind
 12 KB buffers (tail drops, so fast retransmit and NewReno partial ACKs
 run) and across a ``tor0``-``root`` link flap (fault drops and rejected
 flows), plus RCP and D3. ``collector.stats`` is part of the digest, so
-the event, timer push-back and compaction counts are pinned as well.
+the event and compaction counts are pinned as well.
 
 On ``single_rooted`` ECMP never has a choice to make, so a second set
 runs cross-pod flows on the 16-server fat-tree, where every flow's core
