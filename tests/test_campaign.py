@@ -600,6 +600,14 @@ class TestCli:
     def test_run_fig_unknown(self, capsys):
         assert cli_main(["run-fig", "99", "--dry-run"]) == 2
 
+    def test_check_subcommand_is_gone(self, capsys):
+        """The static-analysis subcommand was deleted with its linter; the
+        parser rejects it like any unknown command."""
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["check", "src"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'check'" in capsys.readouterr().err
+
     def test_sweep_dry_run(self, capsys):
         assert cli_main(["sweep", "--dry-run"]) == 0
         out = capsys.readouterr().out

@@ -425,6 +425,52 @@ class TestTimer:
         assert fired == [1.0, 2.0]
 
 
+    def test_cancel_after_push_back_suppresses_fire(self):
+        sim = Simulator()
+        fired = []
+        timer = Timer(sim, lambda: fired.append(sim.now))
+        timer.start(1.0)
+        timer.start(2.0)
+        sim.run(until=1.5)  # past the first expiry, before the second
+        assert fired == []
+        assert timer.expiry == 2.0
+        timer.cancel()
+        sim.run()
+        assert fired == []
+        assert not timer.armed
+
+    def test_restart_to_same_expiry_fires_once(self):
+        sim = Simulator()
+        fired = []
+        timer = Timer(sim, lambda: fired.append(sim.now))
+        timer.start(1.0)
+        timer.start(1.0)
+        sim.run()
+        assert fired == [1.0]
+
+    def test_callback_sees_timer_disarmed(self):
+        sim = Simulator()
+        seen = []
+        timer = Timer(sim, lambda: seen.append((timer.armed, timer.expiry)))
+        timer.start(1.0)
+        sim.run()
+        assert seen == [(False, None)]
+
+    def test_restart_churn_keeps_heap_bounded(self):
+        """Each restart cancels and re-pushes; the tombstones it leaves are
+        compacted away, so the heap holds O(1) entries per live timer."""
+        sim = Simulator()
+        fired = []
+        timer = Timer(sim, lambda: fired.append(sim.now))
+        for i in range(5000):
+            timer.start(1.0 + i * 1e-6)
+        assert sim.compactions >= 1
+        assert len(sim._heap) < 200
+        assert sim.pending() == 1
+        sim.run()
+        assert fired == [1.0 + 4999 * 1e-6]
+
+
 class TestPeriodicTimer:
     def test_fires_repeatedly(self):
         sim = Simulator()

@@ -78,6 +78,25 @@ class TestMutation:
         assert index == 0
         assert [e.fid for e in flows] == [1, 2]
 
+    def test_reposition_to_tail(self):
+        flows = _list()
+        a = flows.admit(1, 0.0, _key(1, tx=0.5))
+        flows.admit(2, 0.0, _key(2, tx=1.0))
+        flows.admit(3, 0.0, _key(3, tx=2.0))
+        index = flows.reposition(a, _key(1, tx=9.0))
+        assert index == 2 == flows.index_of(1)
+        assert [e.fid for e in flows] == [2, 3, 1]
+
+    def test_reposition_in_place_keeps_index(self):
+        flows = _list()
+        flows.admit(1, 0.0, _key(1, tx=1.0))
+        b = flows.admit(2, 0.0, _key(2, tx=2.0))
+        flows.admit(3, 0.0, _key(3, tx=3.0))
+        index = flows.reposition(b, _key(2, tx=2.5))
+        assert index == 1
+        assert [e.fid for e in flows] == [1, 2, 3]
+        assert b.key == _key(2, tx=2.5)
+
     def test_remove(self):
         flows = _list()
         flows.admit(1, 0.0, _key(1))
@@ -93,6 +112,20 @@ class TestMutation:
         stale = flows.purge_expired(now=10.0, horizon=5.0)
         assert stale == [1]
         assert flows.get(2) is not None
+
+    def test_purge_expired_keeps_fresh_entries_in_order(self):
+        flows = _list()
+        for fid, tx in [(1, 1.0), (2, 2.0), (3, 3.0), (4, 4.0)]:
+            flows.admit(fid, now=0.0, key=_key(fid, tx=tx))
+        flows.get(1).last_update = 6.0
+        flows.get(3).last_update = 6.0
+        assert flows.purge_expired(now=6.0, horizon=5.0) == [2, 4]
+        assert [e.fid for e in flows] == [1, 3]
+        assert set(flows.by_fid) == {1, 3}
+        assert flows.index_of(3) == 1
+        # nothing is stale any more: a second pass purges nothing
+        assert flows.purge_expired(now=6.0, horizon=5.0) == []
+        assert [e.fid for e in flows] == [1, 3]
 
     def test_sending_definition(self):
         flows = _list()
@@ -112,3 +145,37 @@ class TestMutation:
             flows.admit(fid, 0.0, _key(fid, tx=tx))
         keys = [e.key for e in flows]
         assert keys == sorted(keys)
+
+    @given(st.lists(st.tuples(st.sampled_from(["admit", "reposition",
+                                               "remove", "purge"]),
+                              st.integers(0, 12),
+                              st.floats(0.001, 100.0)),
+                    min_size=1, max_size=60))
+    def test_property_index_and_lookup_track_every_mutation(self, ops):
+        """With no key array beside it, the list's order, ``by_fid`` and
+        ``index_of`` must agree after any mix of mutations, evictions
+        included."""
+        flows = _list(min_list_capacity=4, hard_flow_limit=4)
+        now = 0.0
+        for op, fid, tx in ops:
+            now += 1.0
+            entry = flows.get(fid)
+            if op == "admit" and entry is None:
+                flows.admit(fid, now, _key(fid, tx=tx))
+            elif op == "reposition" and entry is not None:
+                index = flows.reposition(entry, _key(fid, tx=tx))
+                assert flows.entries[index] is entry
+                entry.last_update = now
+            elif op == "remove":
+                assert flows.remove(fid) == (entry is not None)
+            elif op == "purge":
+                horizon = tx / 10.0
+                expected = [e.fid for e in flows
+                            if now - e.last_update > horizon]
+                assert flows.purge_expired(now, horizon) == expected
+            keys = [e.key for e in flows]
+            assert keys == sorted(keys)
+            assert len(flows) <= flows.capacity
+            assert flows.by_fid == {e.fid: e for e in flows}
+            for i, e in enumerate(flows):
+                assert flows.index_of(e.fid) == i

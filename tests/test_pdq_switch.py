@@ -215,6 +215,22 @@ class TestAlgorithm3:
             max(1.0, 0.2 * 2)
         )
 
+    @pytest.mark.parametrize("fid,index", [(1, 0), (2, 1), (3, 2)])
+    def test_suppressed_probing_floor_is_x_times_index(self, fid, index):
+        net, proto, link = make_env(dampening=False)
+        headers = {}
+        for f, tx in [(1, 1e-3), (2, 2e-3), (3, 3e-3)]:
+            pkt = fwd_packet(f, expected_tx=tx)
+            proto.process(pkt, link)
+            headers[f] = pkt.sched
+        assert proto.state_for(link).flows.index_of(fid) == index
+        header = headers[fid]
+        header.inter_probe = 0.0  # below every floor, so I_H shows it
+        ack = Packet(fid=fid, src=1, dst=0, kind=PacketKind.ACK, size=56,
+                     sched=header)
+        proto.process(ack, link.reverse)
+        assert header.inter_probe == pytest.approx(0.2 * index)
+
     def test_no_suppressed_probing_when_disabled(self):
         net, proto, link = make_env(suppressed_probing=False,
                                     dampening=False)
@@ -284,6 +300,23 @@ class TestPerPacketGuards:
         assert state.flows.get(1) is None
         assert proto.flow_state(1) is None
         assert proto.flow_state(2) is state
+
+    def test_stale_entry_behind_fresh_head_is_purged(self):
+        net, proto, link = make_env(dampening=False)
+        state = proto.state_for(link)
+        proto.process(fwd_packet(1, expected_tx=1e-3), link)
+        proto.process(fwd_packet(2, expected_tx=2e-3), link)
+        # flow 1 (the list head) stays fresh; flow 2 behind it goes stale
+        net.sim.run(until=7e-3)
+        proto.process(fwd_packet(1, kind=PacketKind.DATA, expected_tx=1e-3),
+                      link)
+        assert [e.fid for e in state.flows] == [1, 2]
+        net.sim.run(until=8e-3)
+        proto.process(fwd_packet(1, kind=PacketKind.DATA, expected_tx=1e-3),
+                      link)
+        assert [e.fid for e in state.flows] == [1]
+        assert proto.flow_state(2) is None
+        assert proto.flow_state(1) is state
 
     def test_rcp_fallback_flow_expires_from_outside(self):
         net, proto, link = make_env(min_list_capacity=1, hard_flow_limit=1,
