@@ -16,7 +16,7 @@ setup(
     ),
     package_dir={"": "src"},
     packages=find_packages("src"),
-    python_requires=">=3.9",
+    python_requires=">=3.10",
     install_requires=["numpy", "networkx"],
     entry_points={
         "console_scripts": [

@@ -50,18 +50,3 @@ class FlowComparator:
     def more_critical(self, a: CriticalityKey, b: CriticalityKey) -> bool:
         return a < b
 
-
-class SjfOnlyComparator(FlowComparator):
-    """Ignores deadlines entirely (pure shortest-job-first)."""
-
-    def key(self, fid, deadline, expected_tx, criticality=None):
-        c = criticality if criticality is not None else expected_tx
-        return (0.0, c, fid)
-
-
-class EdfOnlyComparator(FlowComparator):
-    """Pure earliest-deadline-first; ties by flow id only."""
-
-    def key(self, fid, deadline, expected_tx, criticality=None):
-        d = deadline if deadline is not None else _INF
-        return (d, 0.0, fid)

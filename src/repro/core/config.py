@@ -94,6 +94,9 @@ class PdqConfig:
     def __post_init__(self) -> None:
         if self.K < 0:
             raise ValueError(f"K must be >= 0, got {self.K}")
+        if self.pdq_rate_fraction < 0:
+            raise ValueError("pdq_rate_fraction must be >= 0, got "
+                             f"{self.pdq_rate_fraction}")
         if self.capacity_factor < 1:
             raise ValueError("capacity_factor must be >= 1")
         if self.criticality_mode not in ("deadline", "random", "estimate"):

@@ -75,9 +75,6 @@ class PdqFlowList:
     def get(self, fid: int) -> FlowEntry | None:
         return self.by_fid.get(fid)
 
-    def index_of(self, fid: int) -> int:
-        return self.entries.index(self.by_fid[fid])
-
     # -- sizing ----------------------------------------------------------------------
 
     @property

@@ -57,13 +57,6 @@ class PdqRateController:
         self.running = False
         self.capacity = self.r_pdq
 
-    def set_pdq_rate(self, r_pdq: float) -> None:
-        """Reserve capacity for non-PDQ traffic (§3.3.3's multi-protocol
-        slicing)."""
-        if r_pdq < 0:
-            raise ValueError(f"r_pdq must be >= 0, got {r_pdq}")
-        self.r_pdq = r_pdq
-
     # -- internals ---------------------------------------------------------------
 
     def _period(self) -> float:

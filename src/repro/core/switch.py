@@ -8,12 +8,17 @@ state at this switch. Acceptance is two-phase: the forward pass tentatively
 grants a rate in the header, and the reverse pass commits it into switch
 state when no downstream switch pauses the flow.
 
+Algorithm 2's decision -- the grant a flow gets and, when it gets none,
+why -- is the one function :func:`decide`; :class:`PdqLinkState` keeps
+the bookkeeping around it (admission, the list order, the dampening
+window, the counters and the header writes).
+
 Every PDQ packet runs this at every hop, over flow lists that hold about
 two entries on realistic workloads, so the per-packet cost is Python
 frames, not the algorithm. A forward packet therefore costs
 :meth:`PdqSwitchProtocol.process`, one :meth:`PdqLinkState.on_forward`
-body (Algorithm 2 and the RTT average are inline) and the flow list's
-expiry scan, and a reverse packet ``process`` plus one
+body (the RTT average is inline), one :func:`decide` call and the flow
+list's expiry scan, and a reverse packet ``process`` plus one
 :meth:`PdqLinkState.on_reverse` body.
 """
 
@@ -21,9 +26,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.core.comparator import FlowComparator
+from repro.core.comparator import CriticalityKey, FlowComparator
 from repro.core.config import PdqConfig
-from repro.core.flowlist import PdqFlowList
+from repro.core.flowlist import FlowEntry, PdqFlowList
 from repro.core.rate_controller import PdqRateController
 from repro.net.headers import PdqHeader
 from repro.net.link import Link
@@ -45,6 +50,78 @@ _RTT_ALPHA = 0.1
 _RTT_KEEP = 1.0 - _RTT_ALPHA
 _INF = float("inf")
 
+#: the dampening window: when it opened, and the fid and key of the flow
+#: whose tentative accept opened it
+Window = tuple[float, int, CriticalityKey]
+
+
+def decide(entries: list[FlowEntry], index: int, fid: int,
+           key: CriticalityKey, requested: float, sending: bool, now: float,
+           window: Window | None, rtt_avg: float, capacity: float,
+           r_pdq: float, config: PdqConfig) -> tuple[float, str]:
+    """Algorithm 2 (arXiv 1206.2057 §3.3) for the flow at ``entries[index]``.
+
+    Returns ``(grant, cause)``: the rate to write into the header and one
+    of ``"accepted"``; ``"dampened"`` (another flow was accepted inside
+    the window); ``"crumb"`` (the grant is below ``max(min_rate,
+    crumb_fraction * min(r_pdq, requested))``); or ``"no_capacity"``
+    (the more critical flows hold all of ``capacity``). The grant is 0
+    for every cause but ``"accepted"``.
+    """
+    # the bandwidth held by the more critical flows. Nearly-completed
+    # ones fall into the Early-Start budget instead of counting their
+    # rate. One that is sending counts its committed rate; one
+    # tentatively accepted or paused *by this switch* counts its
+    # requested rate -- the switch is holding the link for it (this is
+    # what makes the equilibrium of §4 -- drivers accepted, everyone else
+    # paused -- reachable in O(1) probes instead of through admission
+    # races).
+    allocated = 0.0
+    if index:
+        early_start = config.early_start
+        k = config.K
+        early_start_budget = 0.0
+        for i in range(index):
+            other = entries[i]
+            if early_start and early_start_budget < k:
+                other_rtt = other.rtt if other.rtt > 0 else rtt_avg
+                ratio = (other.expected_tx / other_rtt if other_rtt > 0
+                         else _INF)
+                if ratio < k:
+                    early_start_budget += ratio
+                    continue
+            if other.pauseby is None and other.rate > 0:
+                allocated += other.rate
+            else:
+                allocated += other.requested
+    available = 0.0 if allocated >= capacity else capacity - allocated
+
+    # the builtin min/max spelled out, operands in the same order:
+    # grant = min(available, requested), min_useful = max(min_rate,
+    # crumb_fraction * min(requested, r_pdq))
+    grant = requested if requested < available else available
+    crumb = config.crumb_fraction * (
+        r_pdq if r_pdq < requested else requested)
+    min_useful = crumb if crumb > config.min_rate else config.min_rate
+    # Pause semantics (§2.2/§3.3): flows are paused, never trickled a
+    # sliver -- a paused sender probes every RTT, so pausing *is* the
+    # recovery path when capacity frees up again.
+    if grant < min_useful:
+        return 0.0, ("no_capacity" if allocated >= capacity else "crumb")
+    # Dampening suppresses redundant switching among peers; a flow MORE
+    # critical than the one just accepted is a preemption and must go
+    # through when dampening_preemption_exempt is set, or the most
+    # critical flow starves behind admission races (§4's convergence
+    # argument assumes preemption is never delayed).
+    if config.dampening and not sending and window is not None:
+        opened, window_fid, window_key = window
+        if (window_fid != fid
+                and now - opened < config.dampening_rtts * rtt_avg
+                and not (config.dampening_preemption_exempt
+                         and key < window_key)):
+            return 0.0, "dampened"
+    return grant, "accepted"
+
 
 class PdqLinkState:
     """All PDQ state for one egress link."""
@@ -65,9 +142,11 @@ class PdqLinkState:
         self.rate_controller = PdqRateController(
             protocol.sim, link, config, self.rtt_avg_value
         )
-        self.last_accept_time = -_INF
-        self.last_accept_fid: int | None = None
-        self.last_accept_key = None
+        #: the dampening window, closed (None) when the flow that opened
+        #: it turns out paused: left open it would block genuinely
+        #: acceptable flows for nothing (phantom accepts on multi-hop
+        #: paths otherwise stall convergence badly)
+        self.window: Window | None = None
         # flows that did not fit in the list (RCP fallback, §3.3.1)
         self.outside: dict[int, float] = {}
         self.pauses = 0
@@ -77,19 +156,13 @@ class PdqLinkState:
         """The RTT average, for the rate controller's 2-RTT cadence."""
         return self.rtt_avg
 
-    def _close_dampening_window(self) -> None:
-        """A flow this switch tentatively accepted turned out paused: close
-        the dampening window it opened, or it blocks genuinely acceptable
-        flows for nothing (phantom accepts on multi-hop paths otherwise
-        stall convergence badly)."""
-        self.last_accept_fid = None
-        self.last_accept_time = -_INF
-        self.last_accept_key = None
-
-    # -- Algorithms 1 and 2 -------------------------------------------------------
+    # -- Algorithm 1 --------------------------------------------------------------
 
     def on_forward(self, packet: Packet) -> None:
-        """Algorithm 1 for one forward packet, with Algorithm 2 inline."""
+        """Algorithm 1 for one forward packet: refresh the RTT average,
+        expire stale entries, admit or reposition the flow, then write
+        :func:`decide`'s grant or pause into the header and keep the
+        dampening window."""
         header: PdqHeader = packet.sched
         fid = packet.fid
         now = self.sim.now
@@ -128,8 +201,8 @@ class PdqLinkState:
             if flows.remove(fid):
                 self.protocol.forget(fid, self)
             self.outside.pop(fid, None)
-            if self.last_accept_fid == fid:
-                self._close_dampening_window()
+            if self.window and self.window[1] == fid:
+                self.window = None
             return
 
         deadline = header.deadline
@@ -156,80 +229,24 @@ class PdqLinkState:
         entry.last_update = now
         index = flows.reposition(entry, key)
 
-        # Algorithm 2: the bandwidth held by the more critical flows.
-        # Nearly-completed ones fall into the Early-Start budget instead
-        # of counting their rate. One that is sending counts its
-        # committed rate; one tentatively accepted or paused *by this
-        # switch* counts its requested rate -- the switch is holding the
-        # link for it (this is what makes the equilibrium of §4 --
-        # drivers accepted, everyone else paused -- reachable in O(1)
-        # probes instead of through admission races).
-        allocated = 0.0
-        if index:
-            early_start = config.early_start
-            k = config.K
-            early_start_budget = 0.0
-            entries = flows.entries
-            for i in range(index):
-                other = entries[i]
-                if early_start and early_start_budget < k:
-                    other_rtt = other.rtt if other.rtt > 0 else rtt_avg
-                    ratio = (other.expected_tx / other_rtt if other_rtt > 0
-                             else _INF)
-                    if ratio < k:
-                        early_start_budget += ratio
-                        continue
-                if other.pauseby is None and other.rate > 0:
-                    allocated += other.rate
-                else:
-                    allocated += other.requested
-        capacity = rate_controller.capacity
-        available = 0.0 if allocated >= capacity else capacity - allocated
-
-        # the builtin min/max spelled out, operands in the same order:
-        # grant = min(available, requested), min_useful = max(min_rate,
-        # crumb_fraction * min(requested, r_pdq))
-        grant = requested if requested < available else available
-        r_pdq = rate_controller.r_pdq
-        crumb = config.crumb_fraction * (
-            r_pdq if r_pdq < requested else requested)
-        min_useful = crumb if crumb > config.min_rate else config.min_rate
-        # Pause semantics (§2.2/§3.3): flows are paused, never trickled a
-        # sliver -- a paused sender probes every RTT, so pausing *is* the
-        # recovery path when capacity frees up again.
-        if grant >= min_useful:
-            sending = entry.rate > 0.0 and entry.pauseby is None
-            last_fid = self.last_accept_fid
-            # Dampening suppresses redundant switching among peers; a flow
-            # MORE critical than the one just accepted is a preemption and
-            # must go through when dampening_preemption_exempt is set, or
-            # the most critical flow starves behind admission races (§4's
-            # convergence argument assumes preemption is never delayed).
-            dampened = (
-                config.dampening
-                and not sending
-                and last_fid is not None
-                and last_fid != fid
-                and (now - self.last_accept_time
-                     < config.dampening_rtts * rtt_avg)
-                and not (config.dampening_preemption_exempt
-                         and key < self.last_accept_key)
-            )
-            if not dampened:
-                # start the dampening window once per newly accepted flow;
-                # a tentatively-accepted flow re-confirming every packet
-                # must not keep resetting it, or it locks out
-                # more-critical preempters indefinitely
-                if not sending and last_fid != fid:
-                    self.last_accept_time = now
-                    self.last_accept_fid = fid
-                    self.last_accept_key = key
-                header.pauseby = None
-                header.rate = grant
-                self.accepts += 1
-                return
-        elif self.last_accept_fid == fid:
-            self._close_dampening_window()
+        sending = entry.rate > 0.0 and entry.pauseby is None
+        window = self.window
+        grant, cause = decide(
+            flows.entries, index, fid, key, requested, sending, now, window,
+            rtt_avg, rate_controller.capacity, rate_controller.r_pdq, config)
+        if cause == "accepted":
+            # start the dampening window once per newly accepted flow; a
+            # tentatively-accepted flow re-confirming every packet must not
+            # keep resetting it, or it locks out more-critical preempters
+            # indefinitely
+            if not sending and (window is None or window[1] != fid):
+                self.window = (now, fid, key)
+            header.pauseby = None
+            header.rate = grant
+            self.accepts += 1
+            return
+        if cause != "dampened" and window is not None and window[1] == fid:
+            self.window = None
         header.pauseby = my_id
         header.rate = 0.0
         entry.pauseby = my_id
@@ -269,8 +286,8 @@ class PdqLinkState:
             if pauseby != self.switch_id and flows.remove(fid):
                 self.protocol.forget(fid, self)
             header.rate = 0.0  # a paused flow's committed rate is zero
-            if self.last_accept_fid == fid:
-                self._close_dampening_window()
+            if self.window and self.window[1] == fid:
+                self.window = None
         entry = flows.by_fid.get(fid)
         if entry is None:
             return
@@ -322,9 +339,6 @@ class PdqSwitchProtocol:
     def forget(self, fid: int, state: PdqLinkState) -> None:
         if self._flow_index.get(fid) is state:
             del self._flow_index[fid]
-
-    def flow_state(self, fid: int) -> PdqLinkState | None:
-        return self._flow_index.get(fid)
 
     # -- packet dispatch ----------------------------------------------------------
 

@@ -87,10 +87,6 @@ class Packet:
         self.hop = 0
         self.sent_time = -1.0
 
-    @property
-    def is_forward(self) -> bool:
-        return self.kind in FORWARD_KINDS
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"<Packet {self.kind.name} fid={self.fid} seq={self.seq} "

@@ -2,12 +2,7 @@
 
 from hypothesis import given, strategies as st
 
-from repro.core.comparator import (
-    EdfOnlyComparator,
-    FlowComparator,
-    SjfOnlyComparator,
-    criticality_key,
-)
+from repro.core.comparator import FlowComparator, criticality_key
 
 
 class TestPaperComparator:
@@ -65,16 +60,3 @@ class TestPaperComparator:
         k = criticality_key(1, None, 1.0)
         assert not comparator.more_critical(k, k)
 
-
-class TestAlternativeComparators:
-    def test_sjf_only_ignores_deadlines(self):
-        cmp = SjfOnlyComparator()
-        a = cmp.key(1, deadline=0.001, expected_tx=10.0)
-        b = cmp.key(2, deadline=None, expected_tx=1.0)
-        assert b < a
-
-    def test_edf_only_ignores_size(self):
-        cmp = EdfOnlyComparator()
-        a = cmp.key(1, deadline=2.0, expected_tx=0.001)
-        b = cmp.key(2, deadline=1.0, expected_tx=100.0)
-        assert b < a

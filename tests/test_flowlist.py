@@ -29,7 +29,7 @@ class TestAdmission:
         flows.admit(2, 0.0, _key(2, tx=1.0))
         flows.admit(3, 0.0, _key(3, tx=2.0))
         assert [e.fid for e in flows] == [2, 3, 1]
-        assert flows.index_of(2) == 0
+        assert flows.entries.index(flows.get(2)) == 0
 
     def test_full_list_rejects_less_critical(self):
         flows = _list(min_list_capacity=2, hard_flow_limit=2)
@@ -84,7 +84,7 @@ class TestMutation:
         flows.admit(2, 0.0, _key(2, tx=1.0))
         flows.admit(3, 0.0, _key(3, tx=2.0))
         index = flows.reposition(a, _key(1, tx=9.0))
-        assert index == 2 == flows.index_of(1)
+        assert index == 2 == flows.entries.index(a)
         assert [e.fid for e in flows] == [2, 3, 1]
 
     def test_reposition_in_place_keeps_index(self):
@@ -122,7 +122,7 @@ class TestMutation:
         assert flows.purge_expired(now=6.0, horizon=5.0) == [2, 4]
         assert [e.fid for e in flows] == [1, 3]
         assert set(flows.by_fid) == {1, 3}
-        assert flows.index_of(3) == 1
+        assert flows.entries.index(flows.get(3)) == 1
         # nothing is stale any more: a second pass purges nothing
         assert flows.purge_expired(now=6.0, horizon=5.0) == []
         assert [e.fid for e in flows] == [1, 3]
@@ -153,8 +153,8 @@ class TestMutation:
                     min_size=1, max_size=60))
     def test_property_index_and_lookup_track_every_mutation(self, ops):
         """With no key array beside it, the list's order, ``by_fid`` and
-        ``index_of`` must agree after any mix of mutations, evictions
-        included."""
+        each entry's index must agree after any mix of mutations,
+        evictions included."""
         flows = _list(min_list_capacity=4, hard_flow_limit=4)
         now = 0.0
         for op, fid, tx in ops:
@@ -178,4 +178,4 @@ class TestMutation:
             assert len(flows) <= flows.capacity
             assert flows.by_fid == {e.fid: e for e in flows}
             for i, e in enumerate(flows):
-                assert flows.index_of(e.fid) == i
+                assert flows.entries.index(flows.by_fid[e.fid]) == i

@@ -237,9 +237,3 @@ class TestPacketValidation:
         with pytest.raises(ValueError):
             Packet(fid=0, src=0, dst=1, kind=PacketKind.DATA, size=100,
                    payload=200)
-
-    def test_forward_reverse_classification(self):
-        data = Packet(fid=0, src=0, dst=1, kind=PacketKind.DATA, size=100)
-        ack = Packet(fid=0, src=1, dst=0, kind=PacketKind.ACK, size=40)
-        assert data.is_forward
-        assert not ack.is_forward

@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.core.comparator import criticality_key
 from repro.core.config import PdqConfig
+from repro.core.flowlist import FlowEntry
 from repro.core.stack import PdqStack
+from repro.core.switch import decide
 from repro.net.headers import PdqHeader
 from repro.net.network import Network
 from repro.net.packet import Packet, PacketKind
@@ -34,45 +37,6 @@ class TestAlgorithm1:
         proto.process(pkt, link)
         assert pkt.sched.pauseby is None
         assert pkt.sched.rate == pytest.approx(1 * GBPS)
-
-    def test_second_flow_dampened_in_window(self):
-        net, proto, link = make_env()
-        proto.process(fwd_packet(1, expected_tx=1e-3), link)
-        pkt2 = fwd_packet(2, expected_tx=2e-3)
-        proto.process(pkt2, link)
-        assert pkt2.sched.pauseby == proto.switch_id
-        assert pkt2.sched.rate == 0.0
-
-    def test_flow_paused_when_more_critical_committed(self):
-        net, proto, link = make_env()
-        state = proto.state_for(link)
-        pkt1 = fwd_packet(1, expected_tx=1e-3)
-        proto.process(pkt1, link)
-        # commit flow 1's rate via the reverse path
-        ack1 = Packet(fid=1, src=1, dst=0, kind=PacketKind.ACK, size=56,
-                      sched=pkt1.sched)
-        proto.process(ack1, link.reverse)
-        assert state.flows.get(1).rate == pytest.approx(1 * GBPS)
-        # dampening window over
-        net.sim.run(until=1e-3)
-        pkt2 = fwd_packet(2, expected_tx=2e-3)
-        proto.process(pkt2, link)
-        assert pkt2.sched.pauseby == proto.switch_id
-
-    def test_more_critical_flow_preempts_committed(self):
-        net, proto, link = make_env()
-        pkt1 = fwd_packet(1, expected_tx=2e-3)
-        proto.process(pkt1, link)
-        ack1 = Packet(fid=1, src=1, dst=0, kind=PacketKind.ACK, size=56,
-                      sched=pkt1.sched)
-        proto.process(ack1, link.reverse)
-        net.sim.run(until=1e-3)
-        # a more critical flow gets the full rate (preemption: Algorithm 2
-        # only counts flows more critical than the prober)
-        pkt2 = fwd_packet(2, expected_tx=0.5e-3)
-        proto.process(pkt2, link)
-        assert pkt2.sched.pauseby is None
-        assert pkt2.sched.rate > 0
 
     def test_paused_by_other_switch_removes_state(self):
         net, proto, link = make_env()
@@ -105,64 +69,166 @@ class TestAlgorithm1:
         assert pkt3.sched.pauseby == proto.switch_id
         assert 3 in state.outside
 
-    def test_receiver_limited_rate_clamps_grant(self):
+RTT = 150 * USEC
+
+
+def _flow(fid, expected_tx, rate=0.0, requested=0.0):
+    """A flow-list entry as a forward pass leaves it."""
+    entry = FlowEntry(fid, 0.0)
+    entry.expected_tx = expected_tx
+    entry.rtt = RTT
+    entry.rate = rate
+    entry.requested = requested
+    entry.key = criticality_key(fid, None, expected_tx)
+    return entry
+
+
+def _window(fid, expected_tx):
+    """The window that fid's tentative accept opened at time 0."""
+    return (0.0, fid, criticality_key(fid, None, expected_tx))
+
+
+#: Algorithm 2 (arXiv 1206.2057 §3.3) for a probing flow, fid 0, that
+#: requests ``requested`` on a 1 Gbps link with C = r_PDQ = 1 Gbps and a
+#: 150 us RTT average: (paragraph, config overrides, the other listed
+#: flows, the prober's expected_tx, requested, sending, now, window,
+#: expected grant, expected cause)
+DECIDE_ROWS = [
+    pytest.param(
+        "Algorithm 2: the grant is min(available, requested)",
+        {}, [], 1e-3, 0.2 * GBPS, False, 0.0, None, 0.2 * GBPS, "accepted",
+        id="request-below-available"),
+    pytest.param(
+        "Algorithm 2: a sending flow ahead holds its committed rate",
+        {"early_start": False}, [_flow(1, 0.5e-3, 0.6 * GBPS, 1 * GBPS)],
+        1e-3, 1 * GBPS, False, 0.0, None, 0.4 * GBPS, "accepted",
+        id="committed-rate-held"),
+    pytest.param(
+        "Algorithm 2: a flow ahead accepted but not yet sending holds the "
+        "rate it requested",
+        {"early_start": False}, [_flow(1, 0.5e-3, 0.0, 0.6 * GBPS)],
+        1e-3, 1 * GBPS, False, 0.0, None, 0.4 * GBPS, "accepted",
+        id="tentative-request-held"),
+    pytest.param(
+        "Algorithm 2: only more critical flows count, so a flow preempts a "
+        "less critical sender",
+        {}, [_flow(1, 2e-3, 1 * GBPS, 1 * GBPS)],
+        1e-3, 1 * GBPS, False, 0.0, None, 1 * GBPS, "accepted",
+        id="less-critical-sender-ignored"),
+    pytest.param(
+        "Algorithm 2: the more critical flows hold all of C",
+        {}, [_flow(1, 0.5e-3, 1 * GBPS, 1 * GBPS)],
+        1e-3, 1 * GBPS, False, 0.0, None, 0.0, "no_capacity",
+        id="no-capacity"),
+    pytest.param(
+        "Early Start off (PDQ(Basic)): a nearly completed sender holds its "
+        "rate",
+        {"early_start": False}, [_flow(1, 100 * USEC, 1 * GBPS, 1 * GBPS)],
+        1e-3, 1 * GBPS, False, 0.0, None, 0.0, "no_capacity",
+        id="basic-no-early-start"),
+    pytest.param(
+        "Early Start: a sender with fewer than K RTTs left holds nothing",
+        {"K": 2.0}, [_flow(1, 100 * USEC, 1 * GBPS, 1 * GBPS)],
+        1e-3, 1 * GBPS, False, 0.0, None, 1 * GBPS, "accepted",
+        id="nearly-completed-ignored"),
+    pytest.param(
+        "Early Start: a sender with exactly K RTTs left is not nearly "
+        "completed",
+        {"K": 2.0}, [_flow(1, 2 * RTT, 1 * GBPS, 1 * GBPS)],
+        1e-3, 1 * GBPS, False, 0.0, None, 0.0, "no_capacity",
+        id="k-rtts-left-held"),
+    pytest.param(
+        "Early Start: the budget ignores at most K RTTs of nearly completed "
+        "senders, so the third of three 1-RTT senders holds its rate",
+        {"K": 2.0}, [_flow(f, RTT, 0.33 * GBPS, 1 * GBPS) for f in (1, 2, 3)],
+        1e-3, 1 * GBPS, False, 0.0, None, 0.67 * GBPS, "accepted",
+        id="early-start-budget-exhausted"),
+    pytest.param(
+        "pause semantics (§2.2): a grant below max(min_rate, crumb_fraction "
+        "* min(r_pdq, requested)) is a pause, not a sliver",
+        {}, [_flow(1, 0.5e-3, 0.97 * GBPS, 1 * GBPS)],
+        1e-3, 1 * GBPS, False, 0.0, None, 0.0, "crumb",
+        id="crumb"),
+    pytest.param(
+        "Dampening: a less critical flow inside the window waits",
+        {}, [_flow(1, 1e-3, 0.0, 0.3 * GBPS)],
+        2e-3, 1 * GBPS, False, 0.5 * RTT, _window(1, 1e-3), 0.0, "dampened",
+        id="less-critical-in-window"),
+    pytest.param(
+        "Dampening: without the exemption a more critical flow inside the "
+        "window waits too",
+        {}, [], 1e-3, 1 * GBPS, False, 0.5 * RTT, _window(1, 2e-3),
+        0.0, "dampened",
+        id="more-critical-in-window"),
+    pytest.param(
+        "Dampening: with dampening_preemption_exempt a more critical flow "
+        "inside the window preempts",
+        {"dampening_preemption_exempt": True}, [], 1e-3, 1 * GBPS, False,
+        0.5 * RTT, _window(1, 2e-3), 1 * GBPS, "accepted",
+        id="more-critical-in-window-exempt"),
+    pytest.param(
+        "Dampening: the window lasts dampening_rtts average RTTs",
+        {}, [_flow(1, 1e-3, 0.0, 0.3 * GBPS)],
+        2e-3, 1 * GBPS, False, 1.5 * RTT, _window(1, 1e-3),
+        0.7 * GBPS, "accepted",
+        id="window-expired"),
+    pytest.param(
+        "Dampening: the flow that opened the window re-confirms through it",
+        {}, [], 1e-3, 1 * GBPS, False, 0.5 * RTT, _window(0, 1e-3),
+        1 * GBPS, "accepted",
+        id="own-window"),
+    pytest.param(
+        "Dampening: a sending flow keeps its rate inside the window",
+        {}, [], 2e-3, 1 * GBPS, True, 0.5 * RTT, _window(1, 1e-3),
+        1 * GBPS, "accepted",
+        id="sending-in-window"),
+]
+
+
+@pytest.mark.parametrize(
+    "paragraph,cfg,listed,expected_tx,requested,sending,now,window,"
+    "grant,cause", DECIDE_ROWS)
+def test_decide(paragraph, cfg, listed, expected_tx, requested, sending,
+                now, window, grant, cause):
+    prober = _flow(0, expected_tx, requested=requested)
+    entries = sorted([*listed, prober], key=lambda e: e.key)
+    got_grant, got_cause = decide(
+        entries, entries.index(prober), 0, prober.key, requested, sending,
+        now, window, RTT, 1 * GBPS, 1 * GBPS, PdqConfig.full(**cfg))
+    assert got_cause == cause, paragraph
+    assert got_grant == pytest.approx(grant, rel=1e-9), paragraph
+
+
+class TestDampeningWindow:
+    """The switch keeps the window :func:`decide` reads: a tentative
+    accept opens it once, and a pause of the flow that opened it closes
+    it."""
+
+    def test_a_reconfirming_flow_does_not_reopen_it(self):
         net, proto, link = make_env()
-        pkt = fwd_packet(1, rate=0.2 * GBPS)  # sender/receiver limited
-        proto.process(pkt, link)
-        assert pkt.sched.rate == pytest.approx(0.2 * GBPS)
-
-
-class TestAlgorithm2:
-    """Algorithm 2 runs inside the forward pass; what it computes shows as
-    the rate granted in the header of a less critical flow's packet
-    (dampening off, so the grant is not overridden by a pause)."""
-
-    def test_availbw_subtracts_committed_rates(self):
-        net, proto, link = make_env(early_start=False, dampening=False)
         state = proto.state_for(link)
-        pkt1 = fwd_packet(1, expected_tx=1e-3)
+        proto.process(fwd_packet(1, expected_tx=1e-3), link)
+        assert state.window == _window(1, 1e-3)
+        net.sim.run(until=0.5 * RTT)
+        proto.process(fwd_packet(1, kind=PacketKind.DATA, expected_tx=1e-3),
+                      link)
+        assert state.window == _window(1, 1e-3)
+
+    def test_a_pause_closes_the_window_its_flow_opened(self):
+        net, proto, link = make_env()
+        state = proto.state_for(link)
+        pkt1 = fwd_packet(1, expected_tx=1e-3, rate=0.3 * GBPS)
         proto.process(pkt1, link)
-        state.flows.get(1).rate = 0.6 * GBPS
+        assert state.window[1] == 1
+        pkt1.sched.pauseby = 999  # paused by a downstream switch
+        proto.process(Packet(fid=1, src=1, dst=0, kind=PacketKind.ACK,
+                             size=56, sched=pkt1.sched), link.reverse)
+        assert state.window is None
         pkt2 = fwd_packet(2, expected_tx=2e-3)
         proto.process(pkt2, link)
-        assert state.flows.index_of(2) == 1
         assert pkt2.sched.pauseby is None
-        assert pkt2.sched.rate == pytest.approx(0.4 * GBPS)
-
-    def test_early_start_ignores_nearly_completed(self):
-        net, proto, link = make_env(K=2.0, dampening=False)
-        state = proto.state_for(link)
-        # flow 1 sending, nearly completed (T < K*RTT)
-        pkt1 = fwd_packet(1, expected_tx=100 * USEC, rtt=150 * USEC)
-        proto.process(pkt1, link)
-        state.flows.get(1).rate = 1 * GBPS
-        pkt2 = fwd_packet(2, expected_tx=1e-3)
-        proto.process(pkt2, link)
         assert pkt2.sched.rate == pytest.approx(1 * GBPS)
-
-    def test_early_start_budget_bounded_by_k(self):
-        net, proto, link = make_env(K=2.0, dampening=False)
-        state = proto.state_for(link)
-        # three nearly-completed senders of 1 RTT each: only K=2 fit the
-        # budget; the third contributes its rate
-        for fid in (1, 2, 3):
-            pkt = fwd_packet(fid, expected_tx=150 * USEC, rtt=150 * USEC)
-            proto.process(pkt, link)
-            state.flows.get(fid).rate = 0.33 * GBPS
-        pkt4 = fwd_packet(4, expected_tx=1e-3)
-        proto.process(pkt4, link)
-        assert pkt4.sched.rate == pytest.approx((1 - 0.33) * GBPS, rel=1e-6)
-
-    def test_basic_variant_has_no_early_start(self):
-        net, proto, link = make_env(early_start=False, dampening=False)
-        state = proto.state_for(link)
-        pkt1 = fwd_packet(1, expected_tx=100 * USEC, rtt=150 * USEC)
-        proto.process(pkt1, link)
-        state.flows.get(1).rate = 1 * GBPS
-        pkt2 = fwd_packet(2, expected_tx=1e-3)
-        proto.process(pkt2, link)
-        assert pkt2.sched.pauseby == proto.switch_id
-        assert pkt2.sched.rate == 0.0
+        assert state.window[1] == 2
 
 
 class TestAlgorithm3:
@@ -223,7 +289,8 @@ class TestAlgorithm3:
             pkt = fwd_packet(f, expected_tx=tx)
             proto.process(pkt, link)
             headers[f] = pkt.sched
-        assert proto.state_for(link).flows.index_of(fid) == index
+        flows = proto.state_for(link).flows
+        assert flows.entries.index(flows.by_fid[fid]) == index
         header = headers[fid]
         header.inter_probe = 0.0  # below every floor, so I_H shows it
         ack = Packet(fid=fid, src=1, dst=0, kind=PacketKind.ACK, size=56,
@@ -268,17 +335,15 @@ class TestRateController:
         assert controller.capacity == pytest.approx(link.rate_bps)
 
     def test_r_pdq_slicing(self):
-        net, proto, link = make_env()
+        net, proto, link = make_env(pdq_rate_fraction=0.5)
         controller = proto.state_for(link).rate_controller
-        controller.set_pdq_rate(0.5 * GBPS)
         controller.start()
         net.sim.run(until=2e-3)
         assert controller.capacity == pytest.approx(0.5 * GBPS)
 
     def test_rejects_negative_r_pdq(self):
-        net, proto, link = make_env()
-        with pytest.raises(ValueError):
-            proto.state_for(link).rate_controller.set_pdq_rate(-1.0)
+        with pytest.raises(ValueError, match="pdq_rate_fraction"):
+            make_env(pdq_rate_fraction=-0.5)
 
 
 class TestPerPacketGuards:
@@ -289,7 +354,7 @@ class TestPerPacketGuards:
         net, proto, link = make_env(dampening=False)
         state = proto.state_for(link)
         proto.process(fwd_packet(1, rtt=150 * USEC), link)
-        assert proto.flow_state(1) is state
+        assert proto._flow_index.get(1) is state
         # horizon = entry_expiry_rtts (50) x RTT average (150 us) = 7.5 ms
         net.sim.run(until=7e-3)
         proto.process(fwd_packet(2, rtt=150 * USEC), link)
@@ -298,8 +363,8 @@ class TestPerPacketGuards:
         proto.process(fwd_packet(2, kind=PacketKind.DATA, rtt=150 * USEC),
                       link)
         assert state.flows.get(1) is None
-        assert proto.flow_state(1) is None
-        assert proto.flow_state(2) is state
+        assert 1 not in proto._flow_index
+        assert proto._flow_index.get(2) is state
 
     def test_stale_entry_behind_fresh_head_is_purged(self):
         net, proto, link = make_env(dampening=False)
@@ -315,8 +380,8 @@ class TestPerPacketGuards:
         proto.process(fwd_packet(1, kind=PacketKind.DATA, expected_tx=1e-3),
                       link)
         assert [e.fid for e in state.flows] == [1]
-        assert proto.flow_state(2) is None
-        assert proto.flow_state(1) is state
+        assert 2 not in proto._flow_index
+        assert proto._flow_index.get(1) is state
 
     def test_rcp_fallback_flow_expires_from_outside(self):
         net, proto, link = make_env(min_list_capacity=1, hard_flow_limit=1,
@@ -347,22 +412,6 @@ class TestPerPacketGuards:
                       link)
         assert state.rtt_avg == pytest.approx(
             0.9 * 150 * USEC + 0.1 * 250 * USEC)
-
-    @pytest.mark.parametrize("exempt", [False, True])
-    def test_preemption_exempt_passes_open_dampening_window(self, exempt):
-        net, proto, link = make_env(dampening_preemption_exempt=exempt)
-        proto.process(fwd_packet(1, expected_tx=2e-3), link)  # opens window
-        more_critical = fwd_packet(2, expected_tx=1e-3)
-        proto.process(more_critical, link)
-        less_critical = fwd_packet(3, expected_tx=3e-3)
-        proto.process(less_critical, link)
-        if exempt:
-            assert more_critical.sched.pauseby is None
-            assert more_critical.sched.rate > 0
-        else:
-            assert more_critical.sched.pauseby == proto.switch_id
-        # a less critical flow is dampened either way
-        assert less_critical.sched.pauseby == proto.switch_id
 
     def test_rate_controller_starts_on_first_forward_packet(self):
         net, proto, link = make_env()
