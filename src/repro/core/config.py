@@ -99,6 +99,15 @@ class PdqConfig:
                              f"{self.pdq_rate_fraction}")
         if self.capacity_factor < 1:
             raise ValueError("capacity_factor must be >= 1")
+        if self.hard_flow_limit < 1:
+            raise ValueError("hard_flow_limit must be >= 1, got "
+                             f"{self.hard_flow_limit}")
+        if not self.rate_controller_rtts > 0:
+            raise ValueError("rate_controller_rtts must be > 0, got "
+                             f"{self.rate_controller_rtts}")
+        if not 0 <= self.crumb_fraction <= 1:
+            raise ValueError("crumb_fraction must be in [0, 1], got "
+                             f"{self.crumb_fraction}")
         if self.criticality_mode not in ("deadline", "random", "estimate"):
             raise ValueError(
                 f"unknown criticality_mode {self.criticality_mode!r}"

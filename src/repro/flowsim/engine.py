@@ -15,17 +15,19 @@ batches (a list), open-system arrival processes (a lazy
 docstring states the four rules on which the input shapes could differ.
 
 Hot-path structure: paths are tuples of dense edge ids indexing a flat
-capacity list (no name-tuple hashing); the waiting set is a heap keyed
-on ``transfer_start``; completion ETAs live in a lazy min-heap (entries
-invalidated by a per-flow version bump on rate change — an unchanged
-rate means an unchanged absolute ETA) and deadline boundaries in a
-second lazy heap, so locating the next event does not scan every flow.
-A rate model answers with the flows whose rate it computed (PDQ: only
-the few an event touched); an absent flow keeps its rate, so the rate
-pass touches only those. After a departure the active list is copied
-from the by-fid map, which holds the live flows in promotion order, and
-the fused advance-and-completion pass runs over the persistent sending
-set — a paused flow costs nothing per epoch.
+capacity list, and each distinct path is priced (``max_rate``, RTT)
+once per fault epoch; the waiting set is a heap keyed on
+``transfer_start``; completion ETAs live in a lazy min-heap (an entry
+is stale once its flow's ``eta_version`` moved on and is dropped when
+it reaches the top — an unchanged rate means an unchanged absolute
+ETA) and deadline boundaries in a second lazy heap, so locating the
+next event does not scan every flow. A rate model answers with the
+flows whose rate it computed (PDQ: only the few an event touched); an
+absent flow keeps its rate, and one loop applies the answer, traced or
+not. After a departure the active list is copied from the by-fid map,
+which holds the live flows in promotion order, and the fused
+advance-and-completion pass runs over the sending set (rate > 0) — a
+paused flow costs nothing per epoch.
 Digest pins hold the collector output bit-identical for both input
 shapes, and every rate vector a model answers in those runs is checked
 by :mod:`repro.flowsim.certify`.
@@ -91,7 +93,9 @@ class FlowLevelSimulation:
         #: capacity vector alone, and a streamed flow almost always rides
         #: a path an earlier flow already priced (one entry per distinct
         #: pinned path: host pairs on a tree). Dropped whenever a fault
-        #: epoch rewrites the capacities.
+        #: epoch rewrites the capacities. Measured: pricing every path
+        #: afresh made fluid-stream-rcp's median wall_s 1.15x, slower in
+        #: 9 of 10 pairs.
         self._path_costs: dict[tuple[int, ...], tuple[float, float]] = {}
         self.now = 0.0
         self.recomputations = 0  # allocate() calls
@@ -139,9 +143,13 @@ class FlowLevelSimulation:
             rtt += 2.0 * (_PER_HOP_DELAY + tx_time(self.header_bytes, rate))
         return rtt
 
-    def _price_path(self, path: tuple[int, ...]) -> tuple[float, float]:
-        """``(max_rate, rtt)`` of ``path``, cached until the next fault
-        epoch rewrites the capacities."""
+    def _pinned_path(
+        self, spec: FlowSpec,
+    ) -> tuple[tuple[int, ...], float, float]:
+        """``(path, max_rate, rtt)`` of ``spec`` on the current topology;
+        the path's cost is cached until the next fault epoch rewrites
+        the capacities."""
+        path = self.router.flow_path_ids(spec.fid, spec.src, spec.dst)
         costs = self._path_costs.get(path)
         if costs is None:
             capacities = self.capacities
@@ -149,24 +157,12 @@ class FlowLevelSimulation:
                 min(capacities[eid] for eid in path),
                 self._estimate_rtt(path),
             )
-        return costs
-
-    def _pinned_path(
-        self, spec: FlowSpec,
-    ) -> tuple[tuple[int, ...], float, float]:
-        """``(path, max_rate, rtt)`` of ``spec`` on the current topology."""
-        path = self.router.flow_path_ids(spec.fid, spec.src, spec.dst)
-        return (path, *self._price_path(path))
+        return (path, *costs)
 
     def _make_progress(self, spec: FlowSpec) -> FlowProgress:
         """The per-flow constructor of admission: :meth:`_pinned_path`
-        and the wire size (payload plus per-packet headers), inlined for
-        the common case of an already priced path."""
-        path = self.router.flow_path_ids(spec.fid, spec.src, spec.dst)
-        costs = self._path_costs.get(path)
-        if costs is None:
-            costs = self._price_path(path)
-        max_rate, rtt = costs
+        and the wire size (payload plus per-packet headers)."""
+        path, max_rate, rtt = self._pinned_path(spec)
         size = spec.size_bytes
         return FlowProgress(
             spec, path, max_rate, rtt,
@@ -199,17 +195,21 @@ class FlowLevelSimulation:
            of the stream, and for a list a stable sort, so ties keep
            their input order.
 
-        Each pass first applies due faults and admits the arrivals of
-        the next ``refresh_interval`` window, so a flow is in the waiting
-        heap before simulated time reaches it and memory is O(concurrent
-        flows). An idle engine never jumps past ``deadline``.
+        A pass takes the catch-up step (:meth:`_catch_up`: due faults,
+        then the arrivals of the next ``refresh_interval`` window) when
+        either is due, and again after an idle engine jumps ahead, so a
+        flow is in the waiting heap before simulated time reaches it and
+        memory is O(concurrent flows). An idle engine never jumps past
+        ``deadline``.
 
-        The body is one frame per epoch: promotion, rate application,
-        terminations, the next-event search, the advance and the
-        completion pass are inline. Builtin ``min``/``max`` calls are
-        spelled as the comparisons they make (``b if b < a else a`` is
-        ``min(a, b)``, ties and NaNs included), so every float and every
-        tie resolves as the builtins would (the digest pins hold it).
+        The rest of a pass is inline, one frame per epoch: promotion,
+        one loop applying the model's rates (admission order when a
+        tracer records them), terminations, the next-event search, the
+        advance and the completion pass. Builtin ``min``/``max`` calls
+        are spelled as the comparisons they make (``b if b < a else a``
+        is ``min(a, b)``, ties and NaNs included), so every float and
+        every tie resolves as the builtins would (the digest pins hold
+        it).
         """
         begin_run = getattr(self.model, "begin_run", None)
         if begin_run is not None:
@@ -234,18 +234,16 @@ class FlowLevelSimulation:
         sending = self._sending
         samplers = self.samplers
         refresh = self.refresh_interval
-        faults = self.fault_events
         end = deadline + refresh
         heappush = heapq.heappush
         heappop = heapq.heappop
         # the two external event sources, as times (inf when drained):
-        # the next unadmitted arrival, re-read only after an admission,
-        # and the next fault epoch, re-read only after one is applied
+        # the next unadmitted arrival and the next fault epoch, re-read
+        # only by a catch-up step that admitted or applied one
         arrival = stream.peek_arrival()
         if arrival is None:
             arrival = _INF
-        fault_time = faults[self._fault_idx].time \
-            if self._fault_idx < len(faults) else _INF
+        fault_time = self._next_fault_time()
         budget = (2_000_000 + 64 * self._admitted
                   if max_recomputations is None else max_recomputations)
         now = self.now
@@ -259,19 +257,9 @@ class FlowLevelSimulation:
                     break
                 if arrival > now:
                     self.now = now = arrival
-            # due faults first, so arrivals compute their paths on the
-            # post-fault topology; then the next refresh window's arrivals
-            if fault_time <= now:
-                self._apply_due_faults(waiting, active)
-                fault_time = faults[self._fault_idx].time \
-                    if self._fault_idx < len(faults) else _INF
-            if arrival <= now + refresh:
-                self._admit(stream, waiting)
-                arrival = stream.peek_arrival()
-                if arrival is None:
-                    arrival = _INF
-                if max_recomputations is None:
-                    budget = 2_000_000 + 64 * self._admitted
+            if fault_time <= now or arrival <= now + refresh:
+                arrival, fault_time = self._catch_up(
+                    stream, waiting, active, arrival, fault_time)
             if not active and waiting:
                 # then to the first transfer start, but never past an
                 # unadmitted arrival (its transfer start could come
@@ -284,17 +272,9 @@ class FlowLevelSimulation:
                     break
                 if jump > now:
                     self.now = now = jump
-                if fault_time <= now:
-                    self._apply_due_faults(waiting, active)
-                    fault_time = faults[self._fault_idx].time \
-                        if self._fault_idx < len(faults) else _INF
-                if arrival <= now + refresh:
-                    self._admit(stream, waiting)
-                    arrival = stream.peek_arrival()
-                    if arrival is None:
-                        arrival = _INF
-                    if max_recomputations is None:
-                        budget = 2_000_000 + 64 * self._admitted
+                if fault_time <= now or arrival <= now + refresh:
+                    arrival, fault_time = self._catch_up(
+                        stream, waiting, active, arrival, fault_time)
 
             # promotion: every waiting flow whose transfer has started,
             # in admission order
@@ -317,6 +297,9 @@ class FlowLevelSimulation:
 
             rates = allocate(active, capacities, now)
             self.recomputations += 1
+            if self.recomputations > budget and max_recomputations is None:
+                # the default budget grows with admissions
+                budget = 2_000_000 + 64 * self._admitted
             if self.recomputations > budget:
                 raise ExperimentError(
                     "flow-level simulation did not converge "
@@ -327,41 +310,32 @@ class FlowLevelSimulation:
             # from ``rates`` keeps its rate, pause span and ETA; a flow
             # whose rate changed gets a fresh ETA entry (a constant rate
             # keeps its absolute ETA, so stale entries stay valid until
-            # the next rate change bumps the version)
-            if tracer is None:
-                for fid, rate in rates.items():
-                    flow = by_fid[fid]
-                    if rate <= 0 and flow.paused_since is None:
-                        flow.paused_since = now
-                        self.pauses += 1
-                    elif rate > 0 and flow.paused_since is not None:
-                        flow.waited += now - flow.paused_since
-                        flow.paused_since = None
-                        self.resumes += 1
-                    if rate != flow.rate:
-                        flow.rate = rate
-                        flow.eta_version += 1
-                        if rate > 0:
-                            sending[fid] = flow
-                            heappush(eta_heap, (
-                                now + flow.remaining_wire * 8.0 / rate,
-                                flow.eta_version, fid, flow,
-                            ))
-                        else:
-                            sending.pop(fid, None)
-            else:
-                self._apply_traced_rates(rates, eta_heap)
-            if len(eta_heap) > 64 and len(eta_heap) > 4 * len(active):
-                # models that reshuffle most rates per recomputation (RCP
-                # max-min) strand stale entries below the heap top; compact
-                # so the heap stays O(active). Dropping invalid entries
-                # cannot change the surviving minimum.
-                eta_heap = [
-                    entry for entry in eta_heap
-                    if not entry[3].departed
-                    and entry[1] == entry[3].eta_version
-                ]
-                heapq.heapify(eta_heap)
+            # the next rate change bumps the version). A traced run
+            # visits them in admission order, the order of its events
+            updates = rates.items() if tracer is None else sorted(
+                rates.items(), key=lambda item: by_fid[item[0]].seq)
+            for fid, rate in updates:
+                flow = by_fid[fid]
+                if rate <= 0 and flow.paused_since is None:
+                    flow.paused_since = now
+                    self.pauses += 1
+                elif rate > 0 and flow.paused_since is not None:
+                    flow.waited += now - flow.paused_since
+                    flow.paused_since = None
+                    self.resumes += 1
+                if rate != flow.rate:
+                    if tracer is not None:
+                        tracer.on_rate(fid, now, rate)
+                    flow.rate = rate
+                    flow.eta_version += 1
+                    if rate > 0:
+                        sending[fid] = flow
+                        heappush(eta_heap, (
+                            now + flow.remaining_wire * 8.0 / rate,
+                            flow.eta_version, fid, flow,
+                        ))
+                    else:
+                        sending.pop(fid, None)
             doomed = terminations(active, rates, now)
             if doomed:
                 for fid, reason in doomed:
@@ -444,17 +418,40 @@ class FlowLevelSimulation:
                 metrics.on_start(spec.fid, spec.arrival)
         return metrics
 
+    def _catch_up(self, stream: FlowStream, waiting: list, active: list,
+                  arrival: float, fault_time: float) -> tuple[float, float]:
+        """The step :meth:`run` takes when a fault epoch is due or the
+        next unadmitted ``arrival`` falls inside the next refresh window:
+        due faults first, so arrivals compute their paths on the
+        post-fault topology, then the window's arrivals. Returns the
+        next unadmitted arrival and the next fault epoch (inf when
+        drained)."""
+        now = self.now
+        if fault_time <= now:
+            self._apply_due_faults(waiting, active)
+            fault_time = self._next_fault_time()
+        if arrival <= now + self.refresh_interval:
+            self._admit(stream, waiting)
+            arrival = stream.peek_arrival()
+            if arrival is None:
+                arrival = _INF
+        return arrival, fault_time
+
+    def _next_fault_time(self) -> float:
+        """The time of the next unapplied fault event (inf when none)."""
+        faults = self.fault_events
+        return faults[self._fault_idx].time \
+            if self._fault_idx < len(faults) else _INF
+
     def _admit(self, stream: FlowStream, waiting: list) -> None:
         """Admission step: register, start and queue every arrival
-        inside the next refresh window. :meth:`run` calls it only when
-        the stream's next arrival falls inside that window.
+        inside the next refresh window (:meth:`_catch_up` calls it only
+        when the stream's next arrival falls inside that window).
 
         Under fault injection an arrival may find its endpoints
         partitioned; it is rejected (terminated on arrival) instead of
         crashing the run, matching the packet engine."""
         batch = stream.take_until(self.now + self.refresh_interval)
-        if not batch:
-            return
         if self._lazy:
             self.stream_batches += 1
         register = self.metrics.register
@@ -553,37 +550,3 @@ class FlowLevelSimulation:
         flow.departed = True
         self._by_fid.pop(flow.fid, None)
         self._sending.pop(flow.fid, None)
-
-    def _apply_traced_rates(
-        self, rates: dict[int, float],
-        eta_heap: list[tuple[float, int, int, FlowProgress]],
-    ) -> None:
-        """The rate application of :meth:`run` for a traced run: the
-        same updates, visited in admission order so that trace events
-        are recorded in that order."""
-        now = self.now
-        by_fid = self._by_fid
-        sending = self._sending
-        tracer = self.metrics.tracer
-        for fid, rate in sorted(rates.items(),
-                                key=lambda item: by_fid[item[0]].seq):
-            flow = by_fid[fid]
-            if rate <= 0 and flow.paused_since is None:
-                flow.paused_since = now
-                self.pauses += 1
-            elif rate > 0 and flow.paused_since is not None:
-                flow.waited += now - flow.paused_since
-                flow.paused_since = None
-                self.resumes += 1
-            if rate != flow.rate:
-                tracer.on_rate(fid, now, rate)
-                flow.rate = rate
-                flow.eta_version += 1
-                if rate > 0:
-                    sending[fid] = flow
-                    heapq.heappush(eta_heap, (
-                        flow.completion_eta(now), flow.eta_version,
-                        fid, flow,
-                    ))
-                else:
-                    sending.pop(fid, None)

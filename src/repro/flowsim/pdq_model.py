@@ -355,6 +355,9 @@ class PdqModel:
                 floor = min_rate
             if blocker is not None:
                 # woken: still held below its floor by that edge?
+                # Measured: evaluating every woken flow instead made
+                # fluid-batch-pdq's median wall_s 1.25x, slower in 10 of
+                # 10 pairs
                 cap = capacities[blocker]
                 for other in crossing[blocker]:
                     if not other.key < key:

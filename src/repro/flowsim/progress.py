@@ -66,16 +66,3 @@ class FlowProgress:
     def expected_tx(self) -> float:
         """T: remaining transmission time at the flow's maximal rate."""
         return self.remaining_wire * 8.0 / self.max_rate
-
-    def completion_eta(self, now: float) -> float:
-        if self.rate <= 0:
-            return float("inf")
-        return now + self.remaining_wire * 8.0 / self.rate
-
-    def advance(self, dt: float) -> None:
-        if dt < 0:
-            raise ValueError(f"negative dt {dt}")
-        if self.rate > 0:
-            self.remaining_wire = max(
-                0.0, self.remaining_wire - self.rate * dt / 8.0
-            )

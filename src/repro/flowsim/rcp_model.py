@@ -27,9 +27,7 @@ def max_min_rates(flows: list[FlowProgress],
     Unfrozen flows have all received the same increments, so one scalar
     ``level`` is their common rate; each edge in use carries a count of
     the unfrozen flows crossing it, decremented as flows freeze, next to
-    its residual; and a round whose outcome is already decided -- one
-    flow left, or every flow left capped -- skips the bookkeeping nobody
-    will read. Paths are simple (no edge twice). The answer is certified
+    its residual. Paths are simple (no edge twice). The answer is certified
     by :func:`repro.flowsim.certify.check_max_min`: feasible, and every
     flow below its cap is bottlenecked on a saturated edge.
     """
@@ -37,38 +35,17 @@ def max_min_rates(flows: list[FlowProgress],
     # per edge in use, in first-use order: [unfrozen flows crossing it,
     # residual capacity]
     links: dict[EdgeToken, list] = {}
-    n_flows = len(flows)
-    if n_flows > 1:
-        for flow in flows:
-            rates[flow.fid] = 0.0
-            for edge in flow.path:
-                if edge in links:
-                    links[edge][0] += 1
-                else:
-                    links[edge] = [1, capacities[edge]]
+    for flow in flows:
+        rates[flow.fid] = 0.0
+        for edge in flow.path:
+            if edge in links:
+                links[edge][0] += 1
+            else:
+                links[edge] = [1, capacities[edge]]
     unfrozen = flows
     level = 0.0
 
-    for _ in range(n_flows + len(links) + 1):
-        if len(unfrozen) < 2:
-            if not unfrozen:
-                break
-            # a lone flow is capped at its own maximum, or takes what
-            # is left of its tightest edge whole (offered alone, nothing
-            # has been subtracted yet and ``links`` was never built)
-            flow = unfrozen[0]
-            bottleneck = _INF
-            for edge in flow.path:
-                residual = links[edge][1] if links else capacities[edge]
-                if residual < bottleneck:
-                    bottleneck = residual
-            if bottleneck == _INF:
-                break
-            rates[flow.fid] = (
-                flow.max_rate
-                if flow.max_rate - level <= bottleneck + 1e-9
-                else level + bottleneck)
-            return rates
+    for _ in range(len(flows) + len(links) + 1):
         # the tightest link determines the next increment
         bottleneck_share = _INF
         for crossing, residual in links.values():
@@ -88,11 +65,6 @@ def max_min_rates(flows: list[FlowProgress],
             else:
                 still.append(flow)
         if capped:
-            if not still:
-                # last round: nobody is left to read the residuals
-                for flow in capped:
-                    rates[flow.fid] = flow.max_rate
-                return rates
             for flow in capped:
                 increment = flow.max_rate - level
                 rates[flow.fid] = flow.max_rate

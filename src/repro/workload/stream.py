@@ -78,49 +78,19 @@ class FlowStream:
         """Pop every flow arriving at or before ``cutoff`` (engine
         admission windows call this each tick).
 
-        One pass over the generator with the arrival-order check of
-        :meth:`_advance` inline; the stream is left as the flow-by-flow
-        walk would leave it, also when the check or the generator
-        raises (the last flow handed out is then still the next one)."""
+        If the arrival-order check or the generator raises, the flows
+        popped so far are not counted and the last one handed out is
+        still the next one."""
+        out = []
         spec = self._next
-        if spec is None or not spec.arrival <= cutoff:
-            return []
-        out = [spec]
-        last = self._last_arrival
-        try:
-            for spec in self._it:
-                arrival = spec.arrival
-                if not arrival >= last:
-                    raise WorkloadError(
-                        f"flow stream arrivals must be non-decreasing: "
-                        f"flow {spec.fid} arrives at {arrival} after "
-                        f"{last}"
-                    )
-                last = arrival
-                if arrival <= cutoff:
-                    out.append(spec)
-                    continue
-                self._next = spec
-                self._last_arrival = arrival
-                self.emitted += len(out)
-                return out
-        except BaseException:
-            self._next = out[-1]
-            self._last_arrival = last
-            raise
-        self._next = None
-        self._last_arrival = last
+        while spec is not None and spec.arrival <= cutoff:
+            out.append(spec)
+            self._advance()
+            spec = self._next
         self.emitted += len(out)
         return out
 
     def materialize(self) -> list[FlowSpec]:
         """Drain the remaining flows into a list (tests and closed-batch
         comparisons only — this defeats the memory bound)."""
-        out = []
-        spec = self._next
-        while spec is not None:
-            out.append(spec)
-            self._advance()
-            spec = self._next
-        self.emitted += len(out)
-        return out
+        return self.take_until(float("inf"))

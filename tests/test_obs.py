@@ -237,6 +237,22 @@ class TestTraceOnEngines:
         assert len(completes) == len(collector.completed_records())
         assert any(e["event"] == "rate" for e in collector.trace)
 
+    @pytest.mark.parametrize("protocol", ["PDQ(Full)", "RCP"])
+    def test_fluid_tracing_changes_nothing(self, protocol):
+        """The fluid engine applies rates in one loop, traced or not: a
+        traced run's records and counters equal an untraced run's, and
+        only the ``trace`` key tells them apart."""
+        traced, plain = (
+            run_scenario(_telemetry_spec(
+                protocol=protocol, engine="flow", probes=False,
+                trace=trace, n_flows=12)).to_dict()
+            for trace in (True, False))
+        assert any(e["event"] == "rate" for e in traced.pop("trace"))
+        assert "trace" not in plain
+        assert traced == plain
+        if protocol == "PDQ(Full)":
+            assert plain["stats"]["flows.pauses"] > 0
+
     def test_fluid_preemption_emits_pause_and_resume(self):
         from repro.core.config import PdqConfig
         from repro.flowsim.engine import FlowLevelSimulation

@@ -26,6 +26,7 @@ from repro.flowsim.pdq_model import PdqModel
 from repro.flowsim.progress import FlowProgress
 from repro.metrics.collector import MetricsCollector
 from repro.obs import FlowTracer
+from repro.obs.stats import harvest_fluid_run
 from repro.topology.base import Topology
 from repro.topology.fattree import FatTree
 from repro.topology.random_graph import RandomGraph
@@ -407,6 +408,23 @@ class TestWorkCounters:
         assert any(r.termination_reason for r in collector.all_records())
         assert model.evaluated < model.senders
         assert model.reparked > 0
+
+    def test_exact_work_on_a_fixed_case(self):
+        """The work counters of one small fixed run, exactly: a model
+        change that alters how many flows are evaluated or reparked moves
+        them (without the blocker check every woken flow is evaluated:
+        694 evaluated, 0 reparked)."""
+        rng = random.Random(7)
+        topology = FatTree.for_servers(16)
+        flows = _flows(topology, rng, 120, poisson=True, deadlines=True,
+                       elephant=False)
+        model = PdqModel(PdqConfig.full())
+        sim = FlowLevelSimulation(topology, model)
+        collector = sim.run(flows, deadline=2.0)
+        stats = harvest_fluid_run(sim)
+        assert collector.completed_count() == 117
+        assert (model.evaluated, model.reparked,
+                stats.get("fluid.allocate_calls")) == (356, 336, 244)
 
 
 class TestAgingCountsThePauseOnce:

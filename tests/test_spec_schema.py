@@ -245,6 +245,15 @@ class TestDryRunRejects:
         ("PDQ(Full)", {"K": -1.0}, "options: PDQ(Full): K must be >= 0"),
         ("PDQ(ES)", {"criticality_mode": "edf"},
          "options: PDQ(ES): unknown criticality_mode 'edf'"),
+        # passed the dry run: the first died at its first switch in
+        # PeriodicTimer, the others ran with an empty flow list or a
+        # negative crumb floor
+        ("PDQ(Full)", {"rate_controller_rtts": 0.0},
+         "options: PDQ(Full): rate_controller_rtts must be > 0, got 0.0"),
+        ("PDQ(Full)", {"hard_flow_limit": 0},
+         "options: PDQ(Full): hard_flow_limit must be >= 1, got 0"),
+        ("PDQ(Full)", {"crumb_fraction": -1.0},
+         "options: PDQ(Full): crumb_fraction must be in [0, 1], got -1.0"),
     ])
     def test_pdq_option_value(self, tmp_path, capsys, protocol, options,
                               message):
