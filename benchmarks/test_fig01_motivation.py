@@ -1,6 +1,4 @@
-"""Fig 1 bench: the motivating example's exact numbers."""
-
-import pytest
+"""Fig 1 bench: the motivating example on the fluid engine."""
 
 from benchmarks.conftest import report
 from repro.experiments.api import run_panel
@@ -10,27 +8,30 @@ from repro.experiments.tables import format_table
 
 def test_fig1_motivation(capsys):
     result = run_panel(fig1_panel())
+    paper = result["paper"]
+    completions = result["completions"]
+    misses = result["deadline_misses"]
 
-    rows = [
-        ["fair sharing completions", str(result["paper"]["fair_sharing_completions"]),
-         str(result["fair_sharing_completions"])],
-        ["fair sharing mean FCT", result["paper"]["fair_sharing_mean"],
-         result["fair_sharing_mean"]],
-        ["SJF completions", str(result["paper"]["sjf_completions"]),
-         str(result["sjf_completions"])],
-        ["SJF mean FCT", result["paper"]["sjf_mean"], result["sjf_mean"]],
-        ["EDF deadline misses", result["paper"]["edf_deadline_misses"],
-         result["edf_deadline_misses"]],
-        ["D3 failing arrival orders (of 6)",
-         result["paper"]["d3_failing_orders"], result["d3_failing_orders"]],
-    ]
+    def units(values):
+        return str([round(v, 3) for v in values])
+
+    rows = []
+    for protocol, scheme in (("RCP", "fair sharing"),
+                             ("PDQ(Full)", "SJF/EDF")):
+        rows.append([f"{scheme} ({protocol}) completions",
+                     str(paper[protocol]["completions"]),
+                     units(completions[protocol]["ABC"])])
+        rows.append([f"{scheme} ({protocol}) deadline misses",
+                     paper[protocol]["deadline_misses"],
+                     max(misses[protocol].values())])
+    rows.append(["D3 failing arrival orders (of 6)",
+                 paper["D3"]["failing_orders"],
+                 len(result["d3_failing_orders"])])
     report(capsys, format_table(
         ["quantity", "paper", "measured"], rows,
-        title="Fig 1 -- motivating example (fluid models)",
+        title="Fig 1 -- motivating example (fluid engine, units of 8 ms)",
     ))
 
-    assert result["fair_sharing_completions"] == [3.0, 5.0, 6.0]
-    assert result["sjf_completions"] == [1.0, 3.0, 6.0]
-    assert result["sjf_mean"] == pytest.approx(3.33, abs=0.01)
-    assert result["edf_deadline_misses"] == 0
-    assert result["d3_failing_orders"] == 5
+    assert set(misses["RCP"].values()) == {2}
+    assert set(misses["PDQ(Full)"].values()) == {0}
+    assert len(result["d3_failing_orders"]) == 5

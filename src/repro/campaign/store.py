@@ -176,12 +176,6 @@ class ResultStore:
                     rows.append(row)
         return rows
 
-    def clear_log(self) -> bool:
-        if self.log_path.exists():
-            self.log_path.unlink()
-            return True
-        return False
-
     # -- inspection ---------------------------------------------------------------
 
     def entries(self) -> list[StoreEntry]:

@@ -202,14 +202,3 @@ class Simulator:
         O(1): every heap entry is live except the cancelled tombstones,
         which are counted as they are made and as they leave."""
         return len(self._heap) - self._tombstones
-
-    def peek_time(self) -> float | None:
-        """Timestamp of the next live event, or None if none are queued.
-
-        Cancelled tombstones at the top of the heap are garbage-collected
-        in passing; the set of live events is unchanged."""
-        heap = self._heap
-        while heap and len(heap[0]) == 3 and heap[0][2].cancelled:
-            heappop(heap)
-            self._tombstones -= 1
-        return heap[0][0] if heap else None

@@ -18,8 +18,7 @@ per-panel curves. This module makes that matrix *data*:
 
 Every panel is a grid or a search. In-run time series (fig 6/7's link
 utilization and per-flow throughput) are declarative probes in the
-spec's ``options`` (:mod:`repro.obs.probes`), and an analytic figure
-(fig 1) is a grid of zero cells whose reducer does the arithmetic.
+spec's ``options`` (:mod:`repro.obs.probes`).
 
 Experiments canonicalize to sorted-key JSON with a stable SHA-256
 ``key`` (pinned by tests, like scenario keys), load from user-authored

@@ -23,7 +23,6 @@ from repro.campaign import (
     WorkloadSpec,
     register_workload,
 )
-from repro.campaign.registry import build_topology
 from repro.errors import ExperimentError
 from repro.experiments.api import (
     Experiment,
@@ -50,11 +49,6 @@ def _topo_spec(family: str, n_servers: int) -> TopologySpec:
     if family not in FAMILIES:
         raise ExperimentError(f"unknown topology family {family!r}")
     return TopologySpec(family, {"n_servers": n_servers})
-
-
-def topology_for(family: str, n_servers: int) -> Topology:
-    spec = _topo_spec(family, n_servers)
-    return build_topology(spec.kind, spec.params)
 
 
 def permutation_workload(topology: Topology, flows_per_server: int,

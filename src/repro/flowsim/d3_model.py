@@ -5,9 +5,10 @@ size over time-to-deadline, capped at their maximal rate) on every link of
 their path -- whatever the links still have. Fair-share phase: the leftover
 capacity is split max-min across all flows on top of their reservations.
 
-This reproduces the D3 behaviour PDQ's Fig 1 criticizes: an early-arriving
-flow with a far deadline holds its reservation while a later-arriving
-urgent flow can only get the leftovers. With no deadline flows, the model
+An early-arriving flow with a far deadline holds its reservation while a
+later-arriving urgent flow can only get the leftovers: the D3 behaviour
+PDQ's Fig 1 criticizes, which ``tests/test_experiments.py::TestFig1``
+holds (every deadline met in one arrival order of six). With no deadline flows, the model
 degenerates to RCP's max-min fairness, matching the paper's observation
 that D3 and RCP coincide in the deadline-unconstrained case.
 

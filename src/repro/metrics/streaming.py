@@ -355,7 +355,3 @@ class StreamingMetricsCollector(MetricsCollector):
     def fct_percentile(self, q: float) -> float:
         """Sketch-backed FCT percentile (``q`` in [0, 100])."""
         return self.fct_sketch.quantile(q / 100.0)
-
-    def slowdown_percentile(self, q: float) -> float:
-        """Sketch-backed slowdown percentile (``q`` in [0, 100])."""
-        return self.slowdown_sketch.quantile(q / 100.0)

@@ -102,12 +102,6 @@ class Router:
             ids = self._walk(fid, src, dst)
         return ids
 
-    def hop_count(self, src: str, dst: str) -> int:
-        dist = self._distances(dst)
-        if src not in dist:
-            raise RoutingError(f"no route {src} -> {dst}")
-        return dist[src]
-
     def capacities(self) -> dict[Edge, float]:
         """Directed capacity map for every link in the topology."""
         caps: dict[Edge, float] = {}

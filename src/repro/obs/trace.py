@@ -91,7 +91,9 @@ def write_trace_jsonl(path: str | Path, events: list[dict],
 
 
 def read_trace_jsonl(path: str | Path) -> list[dict]:
-    """Read a JSONL trace back (header lines are skipped)."""
+    """Read back the events of a trace that ``--trace-dir`` (the
+    runner's ``trace_dir``) wrote as ``<key>.jsonl``; header lines are
+    skipped."""
     out: list[dict] = []
     with Path(path).open(encoding="utf-8") as fh:
         for line in fh:

@@ -83,9 +83,6 @@ class Topology:
             self._edge_index = index
         return self._edge_index
 
-    def degree_of(self, name: str) -> int:
-        return len(self.graph.adj[name])
-
     def validate(self) -> None:
         """Sanity checks shared by all topologies."""
         if not self.hosts:

@@ -70,16 +70,6 @@ class BCube(Topology):
     def n_servers(self) -> int:
         return self.n ** (self.k + 1)
 
-    @property
-    def nics_per_server(self) -> int:
-        return self.k + 1
-
-    def parallel_paths(self, src_index: int, dst_index: int) -> list[int]:
-        """Levels at which src and dst addresses differ (each differing digit
-        yields an independent one-switch path when only one digit differs)."""
-        a, b = self.address(src_index), self.address(dst_index)
-        return [self.k - i for i, (x, y) in enumerate(zip(a, b, strict=True)) if x != y]
-
     def disjoint_paths(self, src: str, dst: str) -> list[list[str]]:
         """BCube address-based routing (Guo et al.; used by M-PDQ, §6).
 

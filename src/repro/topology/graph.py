@@ -92,9 +92,6 @@ class Graph:
     def neighbors(self, node: str) -> Iterable[str]:
         return iter(self.adj[node])
 
-    def number_of_nodes(self) -> int:
-        return len(self.nodes)
-
     def number_of_edges(self) -> int:
         return sum(map(len, self.adj.values())) // 2
 

@@ -57,19 +57,3 @@ def vl2_flow_sizes(n: int, rng: SeedLike = None,
         sizes.append(max(1, int(size)))
     return sizes
 
-
-def short_flow_fraction(sizes: Sequence[int],
-                        cutoff: int = SHORT_FLOW_CUTOFF) -> float:
-    """Fraction of flows under the short-flow cutoff (sanity statistic)."""
-    if not sizes:
-        return 0.0
-    return sum(1 for s in sizes if s < cutoff) / len(sizes)
-
-
-def elephant_byte_fraction(sizes: Sequence[int],
-                           cutoff: int = 1 * MBYTE) -> float:
-    """Fraction of bytes carried by flows >= cutoff (sanity statistic)."""
-    total = sum(sizes)
-    if total == 0:
-        return 0.0
-    return sum(s for s in sizes if s >= cutoff) / total

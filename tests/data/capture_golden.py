@@ -4,7 +4,10 @@
   harness that preceded the declarative Experiment API;
   ``tests/test_experiment_api.py`` replays every call as
   ``run_panel(builder(**kwargs))`` and pins byte-identical outputs
-  (after a canonicalizing JSON round-trip, which stringifies dict keys);
+  (after a canonicalizing JSON round-trip, which stringifies dict keys).
+  The ``fig1`` entry was re-captured on purpose when Fig 1 moved from
+  closed-form arithmetic to 18 cells on the fluid engine's RCP, PDQ and
+  D3 models;
 * ``fig3_reducer_pins.json`` pins fig3 a, b, d and e on the flow engine
   as they were when the reducers rebuilt every input per row;
 * ``cli_pins.json`` pins each ``run-fig N --dry-run`` listing and the

@@ -379,7 +379,7 @@ class TestStoreRobustness:
         specs = [_flow_spec(seed=s) for s in (3, 1, 2)]
         store = ResultStore(tmp_path)
         CampaignRunner(store=store).run(specs)
-        store.clear_log()
+        store.log_path.unlink()
         batches = []
         log_outcomes = ResultStore.log_outcomes
         monkeypatch.setattr(

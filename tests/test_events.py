@@ -124,11 +124,13 @@ class TestSimulator:
         # event that just fired; the live counter must not double-count
         sim = Simulator()
         fired = sim.schedule(1.0, lambda: None)
-        sim.schedule(10.0, lambda: None)
+        later = []
+        sim.schedule(10.0, lambda: later.append(sim.now))
         sim.run(until=5.0)
         fired.cancel()
         assert sim.pending() == 1
-        assert sim.peek_time() == 10.0
+        sim.run()
+        assert later == [10.0]
 
     def test_stop_from_periodic_callback_keeps_pending_exact(self):
         from repro.events import PeriodicTimer
@@ -172,7 +174,7 @@ class TestSimulator:
                 event.cancel()
                 event.cancel()
             elif op == 3:
-                sim.peek_time()
+                sim.run(until=sim.now)
             elif op == 4:
                 sim.run(max_events=int(rng.integers(1, 8)))
             elif op == 5 and rng.random() < 0.1:
@@ -186,32 +188,26 @@ class TestSimulator:
         sim.run()
         assert sim.pending() == 0 == len(sim._heap)
 
-    def test_peek_time_skips_cancelled(self):
+    def test_run_collects_tombstones_and_keeps_live_events(self):
         sim = Simulator()
         e1 = sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
-        e1.cancel()
-        assert sim.peek_time() == 2.0
-
-    def test_peek_time_preserves_live_events(self):
-        sim = Simulator()
-        e1 = sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
-        e1.cancel()
         fired = []
-        assert sim.peek_time() == 2.0  # gc of tombstones only
+        sim.schedule(2.0, lambda: fired.append(sim.now))
+        e1.cancel()
         assert sim.pending() == 1
         sim.schedule(1.5, lambda: fired.append(sim.now))
         sim.run()
-        assert fired == [1.5]
+        assert fired == [1.5, 2.0]
+        assert sim.pending() == 0 == len(sim._heap)
 
-    def test_peek_time_empty(self):
+    def test_run_collects_a_lone_tombstone(self):
         sim = Simulator()
-        assert sim.peek_time() is None
         event = sim.schedule(1.0, lambda: None)
         event.cancel()
-        assert sim.peek_time() is None
         assert sim.pending() == 0
+        sim.run()
+        assert len(sim._heap) == 0
+        assert sim.processed_events == 0
 
     def test_not_reentrant(self):
         sim = Simulator()

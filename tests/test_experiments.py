@@ -2,22 +2,23 @@
 
 import pytest
 
+from repro.campaign.registry import build_topology, build_workload
 from repro.experiments import (
     binary_search_max,
     make_stack,
     run_flow_level,
     run_panel,
 )
-from repro.experiments.fig1 import fig1_panel
+from repro.experiments.fig1 import SLACK, fig1_panel
 from repro.experiments.fig3 import fig3a_panel, fig3d_panel
 from repro.experiments.fig4 import pattern_flows
 from repro.experiments.fig5 import vl2_workload
-from repro.experiments.fig8 import permutation_workload, topology_for
+from repro.experiments.fig8 import fct_vs_size_panel, permutation_workload
 from repro.experiments.fig10 import fig10_panel
 from repro.experiments.reducers import normalize
 from repro.experiments.tables import format_table
-from repro.errors import ExperimentError
-from repro.units import KBYTE, MSEC
+from repro.errors import ExperimentError, WorkloadError
+from repro.units import KBYTE, MBYTE, MSEC
 
 
 class TestScenarioHelpers:
@@ -55,15 +56,93 @@ class TestBinarySearch:
             binary_search_max(lambda n: True, lo=0, hi=4)
 
 
+#: Fig 1's fluid closed forms, in units of payload: fair sharing (RCP)
+#: and SJF/EDF (PDQ)
+CLOSED_FORM = {"RCP": [3.0, 5.0, 6.0], "PDQ(Full)": [1.0, 3.0, 6.0]}
+#: the fluid engine charges every 1 444-1 456 B payload packet 44-56 B
+#: of headers (3.0-3.9 %; RCP 44 B, PDQ 56 B) ...
+HEADERS = 0.039
+HEADER_GAP = HEADERS - 0.030
+#: ... and starts data 2 RTTs after arrival: 2 x 102 us on the
+#: send -> sw0 -> recv path, 0.0255 of an 8 ms unit
+START = 0.026
+
+
 class TestFig1:
-    def test_matches_paper_exactly(self):
-        result = run_panel(fig1_panel())
-        assert result["fair_sharing_completions"] == [3.0, 5.0, 6.0]
-        assert result["sjf_completions"] == [1.0, 3.0, 6.0]
-        assert result["fair_sharing_mean"] == pytest.approx(4.67, abs=0.01)
-        assert result["sjf_mean"] == pytest.approx(3.33, abs=0.01)
-        assert result["edf_deadline_misses"] == 0
-        assert result["d3_failing_orders"] == 5
+    """The §2.1 example on the fluid engine's RCP, PDQ and D3 models."""
+
+    @pytest.fixture(scope="class")
+    def result(self):
+        return run_panel(fig1_panel())
+
+    def test_deadline_misses(self, result):
+        misses = result["deadline_misses"]
+        assert misses["D3"] == {"ABC": 0, "ACB": 1, "BAC": 1, "BCA": 1,
+                                "CAB": 2, "CBA": 1}
+        assert set(misses["PDQ(Full)"].values()) == {0}
+        assert set(misses["RCP"].values()) == {2}
+
+    def test_d3_meets_every_deadline_in_one_order_only(self, result):
+        assert len(result["d3_failing_orders"]) == 5
+        assert "ABC" not in result["d3_failing_orders"]
+
+    def test_pdq_and_rcp_do_not_depend_on_the_order(self, result):
+        for protocol in ("RCP", "PDQ(Full)"):
+            per_order = result["completions"][protocol]
+            assert len(per_order) == 6
+            assert len({tuple(c) for c in per_order.values()}) == 1
+
+    def test_completions_match_closed_form(self, result):
+        for protocol, closed in CLOSED_FORM.items():
+            for completions in result["completions"][protocol].values():
+                for got, want in zip(completions, closed, strict=True):
+                    assert want < got <= want * (1 + HEADERS) + START
+
+    def test_every_flow_no_later_under_pdq(self, result):
+        """§2.1: no flow finishes later under SJF than under fair
+        sharing. C, the last flow, finishes when the bottleneck drains
+        under both, so they differ there only by PDQ's larger headers."""
+        pdq = result["completions"]["PDQ(Full)"]["ABC"]
+        rcp = result["completions"]["RCP"]["ABC"]
+        assert pdq[0] < rcp[0] and pdq[1] < rcp[1]
+        assert abs(pdq[2] - rcp[2]) <= CLOSED_FORM["RCP"][2] * HEADER_GAP
+
+
+class TestFig1Workload:
+    """The ``fig1.motivation`` workload kind and the panel over it."""
+
+    @staticmethod
+    def flows(order):
+        topology = build_topology("single_bottleneck", {"n_senders": 3})
+        return build_workload("fig1.motivation", topology, 1,
+                              {"order": order})
+
+    def test_panel_is_eighteen_flow_cells(self):
+        cells = fig1_panel().cells()
+        assert len(cells) == 18
+        assert all(spec.engine == "flow" for _, spec in cells)
+        assert {(c["protocol"], c["workload.order"]) for c, _ in cells} == {
+            (p, o) for p in ("RCP", "PDQ(Full)", "D3")
+            for o in ("ABC", "ACB", "BAC", "BCA", "CAB", "CBA")}
+
+    def test_fid_is_rank_in_order(self):
+        flows = self.flows("CAB")
+        assert [f.fid for f in flows] == [0, 1, 2]
+        assert [f.src for f in flows] == ["send2", "send0", "send1"]
+        assert [f.size_bytes for f in flows] == [3 * MBYTE, MBYTE, 2 * MBYTE]
+        assert all(f.dst == "recv" and f.arrival == 0.0 for f in flows)
+
+    def test_deadlines_are_slack_times_units(self):
+        by_src = {f.src: f for f in self.flows("ABC")}
+        for i, units in enumerate((1, 4, 6)):
+            assert by_src[f"send{i}"].deadline == pytest.approx(
+                units * 8 * MSEC * SLACK)
+
+    @pytest.mark.parametrize("order", ["AB", "ABCA", "AAB", "ABD",
+                                       ["A", "B", "C"]])
+    def test_order_must_be_a_permutation(self, order):
+        with pytest.raises(WorkloadError, match="permutation"):
+            self.flows(order)
 
 
 class TestFig3Reduced:
@@ -113,16 +192,20 @@ class TestFig5Workload:
 
 class TestFig8Helpers:
     def test_topology_families(self):
-        assert topology_for("fattree", 16).stats()["hosts"] == 16
-        assert topology_for("bcube", 16).stats()["hosts"] == 16
-        assert topology_for("jellyfish", 16).stats()["hosts"] >= 16
+        def hosts(family):
+            spec = fct_vs_size_panel(family, sizes=(16,)).base.topology
+            return len(build_topology(spec.kind, spec.params).hosts)
+
+        assert hosts("fattree") == 16
+        assert hosts("bcube") == 16
+        assert hosts("jellyfish") >= 16
 
     def test_unknown_family(self):
         with pytest.raises(ExperimentError):
-            topology_for("torus", 16)
+            fct_vs_size_panel("torus")
 
     def test_permutation_workload_size(self):
-        topo = topology_for("fattree", 16)
+        topo = build_topology("fattree", {"n_servers": 16})
         flows = permutation_workload(topo, flows_per_server=2, seed=1)
         assert len(flows) == 32
 

@@ -434,7 +434,7 @@ class TestCampaignTelemetry:
         store.log_outcome({"key": "k2", "ok": False})
         assert [r["key"] for r in store.read_log()] == ["k1", "k2"]
         assert len(store) == 0  # the .jsonl log is not a store entry
-        assert store.clear_log() is True
+        store.log_path.unlink()
         assert store.read_log() == []
 
     def test_store_entries_expose_stats(self, tmp_path):

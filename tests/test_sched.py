@@ -1,18 +1,11 @@
 """Tests for the reference schedulers and optimal bounds."""
 
-import itertools
 from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.flowsim.certify import pdq_greedy
-from repro.sched.fluid import (
-    d3_fluid_schedule,
-    deadline_misses,
-    fair_sharing_completions,
-    serial_completions,
-)
 from repro.sched.optimal import (
     max_ontime_subset,
     optimal_application_throughput,
@@ -158,38 +151,3 @@ class TestOptimalBounds:
         fifo = total / len(flows)
         assert srpt <= fifo + 1e-9
 
-
-class TestFig1Fluid:
-    def test_fair_sharing_matches_paper(self):
-        assert fair_sharing_completions([1, 2, 3]) == [3.0, 5.0, 6.0]
-
-    def test_sjf_matches_paper(self):
-        assert serial_completions([1, 2, 3], [0, 1, 2]) == [1.0, 3.0, 6.0]
-
-    def test_every_flow_weakly_better_under_sjf(self):
-        """Paper §2.1: under SJF no flow finishes later than under fair
-        sharing (for this example)."""
-        fair = fair_sharing_completions([1, 2, 3])
-        sjf = serial_completions([1, 2, 3], [0, 1, 2])
-        assert all(s <= f for s, f in zip(sjf, fair, strict=True))
-
-    def test_d3_only_edf_order_succeeds(self):
-        flows = [(1.0, 1.0), (2.0, 4.0), (3.0, 6.0)]
-        deadlines = [1.0, 4.0, 6.0]
-        outcomes = {}
-        for order in itertools.permutations(range(3)):
-            completions = d3_fluid_schedule(flows, order)
-            outcomes[order] = deadline_misses(completions, deadlines)
-        assert outcomes[(0, 1, 2)] == 0  # fA;fB;fC (EDF order) works
-        assert sum(1 for m in outcomes.values() if m > 0) == 5
-
-    def test_fair_sharing_deadline_misses_match_paper(self):
-        fair = fair_sharing_completions([1, 2, 3])
-        misses = deadline_misses(dict(enumerate(fair)), [1.0, 4.0, 6.0])
-        assert misses == 2  # fA and fB miss (paper §2.1)
-
-    @given(st.lists(st.floats(0.1, 10.0), min_size=1, max_size=10))
-    @settings(max_examples=50)
-    def test_property_fair_sharing_work_conserving(self, sizes):
-        completions = fair_sharing_completions(sizes)
-        assert max(completions) == pytest.approx(sum(sizes))

@@ -343,8 +343,8 @@ class TestSerialization:
         assert restored.max_fct() == pytest.approx(collector.max_fct())
         assert restored.fct_percentile(95) == pytest.approx(
             collector.fct_percentile(95))
-        assert restored.slowdown_percentile(99) == pytest.approx(
-            collector.slowdown_percentile(99))
+        assert restored.slowdown_sketch.quantile(0.99) == pytest.approx(
+            collector.slowdown_sketch.quantile(0.99))
         # second round trip is stable
         assert restored.to_dict() == collector.to_dict()
 

@@ -36,7 +36,7 @@ class TestSingleRootedTree:
         topo = SingleRootedTree()
         assert len(topo.hosts) == 12
         assert len(topo.switches) == 5  # 4 ToR + root
-        assert topo.graph.number_of_nodes() == 17
+        assert len(topo.graph.nodes) == 17
 
     def test_rack_membership(self):
         topo = SingleRootedTree()
@@ -87,12 +87,11 @@ class TestBCube:
         assert topo.n_servers == 16
         assert len(topo.hosts) == 16
         assert len(topo.switches) == 4 * 8  # (k+1) levels of n^k switches
-        assert topo.nics_per_server == 4
 
     def test_every_host_has_k_plus_1_links(self):
         topo = BCube(2, 3)
         for host in topo.hosts:
-            assert topo.degree_of(host) == 4
+            assert len(topo.graph.adj[host]) == 4
 
     def test_address_roundtrip(self):
         topo = BCube(2, 3)
@@ -102,9 +101,9 @@ class TestBCube:
 
     def test_parallel_paths_count(self):
         topo = BCube(2, 3)
-        # addresses differing in all 4 digits -> 4 one-switch paths
-        assert len(topo.parallel_paths(0, 15)) == 4
-        assert len(topo.parallel_paths(0, 1)) == 1
+        # one disjoint path per differing address digit
+        assert len(topo.disjoint_paths("h0", "h15")) == 4
+        assert len(topo.disjoint_paths("h0", "h1")) == 1
 
     def test_rejects_bad_params(self):
         with pytest.raises(TopologyError):
