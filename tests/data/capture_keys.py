@@ -12,7 +12,10 @@ whose keys moved.
 The documents are the inputs a user or a figure module writes, not the
 canonical forms: fault events out of time order, the legacy top-level
 ``loss`` list, axes given as a mapping, defaults left out. They come
-from three places, drawn with a fixed seed:
+from three places, drawn with a fixed seed, one random stream per
+registered kind and per generated family (:func:`stream`), so a new
+registered cell or a new generated document re-draws only its own
+family:
 
 * the live registries: a sample of the cells of every registered
   experiment and example spec file, every registered panel, and every
@@ -39,6 +42,12 @@ from pathlib import Path
 
 #: the corpus is drawn from this seed (the paper's arXiv number)
 SEED = 12062057
+
+
+def stream(name: str) -> random.Random:
+    """The random stream of one document family: ``SEED`` and the
+    family name (a string seed hashes the same in every process)."""
+    return random.Random(f"{SEED}:{name}")
 
 ROOT = Path(__file__).resolve().parents[2]
 
@@ -149,9 +158,10 @@ def registered_experiments():
     return out
 
 
-def registered_scenarios(rng: random.Random, experiments) -> list[dict]:
+def registered_scenarios(experiments) -> list[dict]:
     """Up to three cells per workload kind, and one per topology kind,
-    sampled from every registered grid and search panel."""
+    sampled from every registered grid and search panel, each kind from
+    its own stream."""
     cells = {}
     for experiment in experiments:
         for panel in experiment.panels:
@@ -163,6 +173,7 @@ def registered_scenarios(rng: random.Random, experiments) -> list[dict]:
         by_kind.setdefault(f"topology:{spec.topology.kind}", []).append(spec)
     docs = []
     for kind in sorted(by_kind):
+        rng = stream(kind)
         specs = by_kind[kind]
         picked = rng.sample(specs, min(len(specs),
                                        1 if kind.startswith("topology:")
@@ -470,27 +481,26 @@ def experiment_documents(rng: random.Random, panels: list[dict]) -> list[dict]:
 
 def documents() -> list[tuple[str, dict]]:
     """``(shape, document)`` for the whole corpus, in a fixed order."""
-    rng = random.Random(SEED)
     experiments = registered_experiments()
     scenarios = [
-        *registered_scenarios(rng, experiments),
-        *topology_documents(rng),
-        *protocol_documents(rng),
-        *pdq_option_documents(rng),
-        *engine_option_documents(rng),
-        *fault_documents(rng),
-        *value_form_documents(rng),
+        *registered_scenarios(experiments),
+        *topology_documents(stream("topology")),
+        *protocol_documents(stream("protocol")),
+        *pdq_option_documents(stream("pdq_option")),
+        *engine_option_documents(stream("engine_option")),
+        *fault_documents(stream("fault")),
+        *value_form_documents(stream("value_form")),
     ]
     registered_panels = [json.loads(json.dumps(p.canonical()))
                          for e in experiments for p in e.panels]
-    panels = panel_documents(rng)
+    panels = panel_documents(stream("panel"))
     out = [(shape, doc) for shape, doc, _ in PINNED]
     out += [("scenario", doc) for doc in scenarios]
     out += [("panel", doc) for doc in registered_panels + panels]
     out += [("experiment", json.loads(json.dumps(e.canonical())))
             for e in experiments]
     out += [("experiment", doc)
-            for doc in experiment_documents(rng, panels)]
+            for doc in experiment_documents(stream("experiment"), panels)]
     return [(shape, copy.deepcopy(doc)) for shape, doc in out]
 
 
