@@ -3,9 +3,9 @@
 * :class:`ScenarioSpec` / :class:`TopologySpec` / :class:`WorkloadSpec` —
   declarative scenario descriptions with stable content-hash keys and
   :func:`expand_grid` parameter sweeps;
-* :mod:`repro.campaign.engines` — engine adapters (``packet`` = ns-2-style
-  Network + transport stacks, ``flow`` = fluid rate models) registered by
-  kind and dispatched by :func:`~repro.campaign.engines.execute_spec`;
+* :func:`~repro.campaign.engines.execute_spec` — runs a spec on its
+  engine (``packet`` = ns-2-style Network + transport stacks, ``flow`` =
+  fluid rate models);
 * :class:`CampaignRunner` — fans scenarios out over worker processes with
   per-scenario timeout, retry, progress reporting and result caching;
 * :class:`ResultStore` — JSON result cache keyed by scenario hash, so
@@ -23,11 +23,7 @@ from repro.campaign.context import (
     run_scenarios,
     use_runner,
 )
-from repro.campaign.engines import (
-    engine_kinds,
-    execute_spec,
-    register_engine,
-)
+from repro.campaign.engines import execute_spec
 from repro.campaign.registry import (
     register_topology,
     register_workload,
@@ -59,10 +55,8 @@ __all__ = [
     "WorkloadSpec",
     "current_runner",
     "default_runner",
-    "engine_kinds",
     "execute_spec",
     "expand_grid",
-    "register_engine",
     "register_topology",
     "register_workload",
     "run_one",

@@ -1,23 +1,21 @@
-"""Engine adapters: the campaign layer's only door into the simulators.
+"""The campaign layer's only door into the simulators.
 
 Every :class:`~repro.campaign.spec.ScenarioSpec` names an *engine* — the
-simulator that executes it. Engines are registered here by kind name,
-exactly like topologies and workloads in :mod:`repro.campaign.registry`,
-so the runner, the result store, and the CLI treat the packet-level
-stack and the fluid flow-level model identically: same spec schema, same
-cache keys, same serialized :class:`~repro.metrics.collector.
-MetricsCollector` payload.
+simulator that executes it, one of :data:`ENGINES`. The runner, the
+result store and the CLI treat both alike: same spec schema, same cache
+keys, same serialized :class:`~repro.metrics.collector.MetricsCollector`
+payload. :func:`execute_spec` builds the spec's topology and workload
+(resolved from their registered kinds) and hands them, with the spec's
+engine options, to one of two runners:
 
-Adapters receive the built topology and workload (resolved from their
-registered kinds) plus the spec's engine options, and return a collector:
+* ``packet`` — :func:`run_packet_level` assembles a
+  :class:`~repro.net.network.Network` with the protocol's transport
+  stack (PDQ/D3/RCP/TCP endpoints and per-switch state) and runs the
+  discrete-event simulator until the flows resolve;
+* ``flow`` — :func:`run_flow_level` pairs the protocol's rate model
+  with the fluid :class:`~repro.flowsim.engine.FlowLevelSimulation`.
 
-* ``packet`` — assembles a :class:`~repro.net.network.Network` with the
-  protocol's transport stack (PDQ/D3/RCP/TCP endpoints and per-switch
-  state) and runs the discrete-event simulator until the flows resolve;
-* ``flow`` — pairs the protocol's rate model with the fluid
-  :class:`~repro.flowsim.engine.FlowLevelSimulation`.
-
-The simulators themselves are imported inside the adapter bodies; at
+The simulators themselves are imported inside the runner bodies; at
 import this module reads only the option schemas (the multipath subflow
 bound, the probe and streaming-metrics readers).
 """
@@ -26,7 +24,7 @@ from __future__ import annotations
 
 import functools
 import importlib
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field, fields
 from typing import Any, TYPE_CHECKING
 
@@ -81,9 +79,9 @@ PROTOCOLS: dict[str, Protocol] = {p.name: p for p in (
 
 @dataclass(frozen=True)
 class EngineOptions:
-    """The options the builtin adapters read, each field the schema of
+    """The options the engine runners read, each field the schema of
     its option (:func:`check_options` reads the ones a spec gives) and
-    its default the adapters'."""
+    its default the runners'."""
 
     n_subflows: int = field(default=3, metadata=within(1, MAX_SUBFLOWS))
     probes: Mapping[str, Any] = field(default_factory=dict,
@@ -93,27 +91,26 @@ class EngineOptions:
         default=False, metadata={"read": read_streaming})
 
 
-#: the options each builtin engine's adapter reads (the fluid engine
-#: splits no flow into subflows); a PDQ protocol also takes every
-#: PdqConfig field
+#: the options each engine reads (the fluid engine splits no flow into
+#: subflows); a PDQ protocol also takes every PdqConfig field
 ENGINE_OPTIONS = {
     "packet": tuple(f.name for f in fields(EngineOptions)),
     "flow": tuple(f.name for f in fields(EngineOptions)
                   if f.name != "n_subflows"),
 }
 
+#: the engines a spec can name, packet first (the spec default)
+ENGINES = tuple(ENGINE_OPTIONS)
+
 
 def check_options(engine: str, protocol: str,
-                  options: Mapping[str, Any]) -> Protocol | None:
+                  options: Mapping[str, Any]) -> Protocol:
     """The protocol's row, once the (engine, protocol, options) triple
     checks out: an unknown protocol, one the engine cannot run, an
     option name outside the pair's vocabulary, or an option value its
     field of :class:`EngineOptions` or ``PdqConfig`` refuses (or
-    :func:`_check_pdq_values`) is a :class:`CampaignError` naming it. A
-    custom engine owns its options: ``None``, unchecked."""
-    allowed = ENGINE_OPTIONS.get(engine)
-    if allowed is None:
-        return None
+    :func:`_check_pdq_values`) is a :class:`CampaignError` naming it."""
+    allowed = ENGINE_OPTIONS[engine]
     row = PROTOCOLS.get(protocol)
     if row is None:
         from repro.campaign.registry import unknown_kind
@@ -165,28 +162,6 @@ def _check_pdq_values(protocol: str, preset: str,
         getattr(PdqConfig, preset)(**pdq)
     except ValueError as exc:
         raise CampaignError(f"options: {protocol}: {exc}") from None
-
-
-#: engine kind -> adapter(spec, topology, flows, options) -> collector
-EngineAdapter = Callable[..., "MetricsCollector"]
-_ENGINES: dict[str, EngineAdapter] = {}
-
-
-def register_engine(kind: str) -> Callable[[EngineAdapter], EngineAdapter]:
-    """Decorator: register an engine adapter under ``kind``."""
-
-    def decorate(adapter: EngineAdapter) -> EngineAdapter:
-        _ENGINES[kind] = adapter
-        return adapter
-
-    return decorate
-
-
-def engine_kinds() -> tuple[str, ...]:
-    """Registered engine kind names (the valid ``ScenarioSpec.engine``
-    values) in registration order — packet first, matching the spec
-    default, then flow, then any custom engines."""
-    return tuple(_ENGINES)
 
 
 # -- protocol factories -------------------------------------------------------------
@@ -321,72 +296,26 @@ def run_flow_level(
     return collector
 
 
-# -- engine adapters ----------------------------------------------------------------
-
-
-def _pop_metrics(spec: "ScenarioSpec",
-                 options: Mapping[str, Any]) -> tuple[dict, Any]:
-    """Split the ``streaming_metrics`` option off and build its collector.
-
-    The option is additive: specs that omit it hash and run exactly as
-    before. When present (``true`` or an options dict), the adapter
-    injects a :class:`~repro.metrics.streaming.StreamingMetricsCollector`
-    seeded from the spec so reservoir sampling is reproducible.
-    """
-    options = dict(options)
-    streaming = options.pop("streaming_metrics", None)
-    if not streaming:
-        return options, None
-    from repro.metrics.streaming import streaming_collector
-
-    return options, streaming_collector(streaming, seed=spec.seed)
-
-
-@register_engine("packet")
-def _packet_adapter(spec: "ScenarioSpec", topology: "Topology",
-                    flows: list["FlowSpec"],
-                    options: Mapping[str, Any]) -> "MetricsCollector":
-    """ns-2-style packet engine: Network + transport endpoints + switches."""
-    options, metrics = _pop_metrics(spec, options)
-    # spec.loss_rules resolves unseeded faults.loss rules to the spec seed
-    return run_packet_level(
-        topology, spec.protocol, flows, loss=spec.loss_rules() or None,
-        faults=spec.fault_events() or None, metrics=metrics,
-        **options
-    )
-
-
-@register_engine("flow")
-def _flow_adapter(spec: "ScenarioSpec", topology: "Topology",
-                  flows: list["FlowSpec"],
-                  options: Mapping[str, Any]) -> "MetricsCollector":
-    """Fluid flow-level engine: rate model + event-driven allocator."""
-    options, metrics = _pop_metrics(spec, options)
-    return run_flow_level(
-        topology, spec.protocol, flows,
-        faults=spec.fault_events() or None, metrics=metrics, **options
-    )
+# -- the spec entry point ------------------------------------------------------------
 
 
 def execute_spec(spec: "ScenarioSpec") -> "MetricsCollector":
     """Run one declarative :class:`~repro.campaign.spec.ScenarioSpec`.
 
     The campaign runner's single entry point into the simulators: builds
-    the topology and workload from their registered kinds, then hands
-    them to the spec's engine adapter. Keyword options ride in
-    ``spec.options`` (``n_subflows`` plus any PDQ config overrides); a
-    spec without ``sim_deadline`` runs at the engine's default horizon —
-    except open-system workloads, which carry their own simulated-time
-    horizon (arrival window plus drain) that becomes the deadline, so
-    the campaign runner's wall-clock budget never races an engine
-    default that a long stream would overrun. The options are checked
-    first, as the dry run checks them (:func:`check_options`).
+    the topology and workload from their registered kinds, then runs
+    them on the spec's engine. Keyword options ride in ``spec.options``
+    (``n_subflows`` plus any PDQ config overrides); a spec without
+    ``sim_deadline`` runs at the engine's default horizon — except
+    open-system workloads, which carry their own simulated-time horizon
+    (arrival window plus drain) that becomes the deadline, so the
+    campaign runner's wall-clock budget never races an engine default
+    that a long stream would overrun. The options are checked first, as
+    the dry run checks them (:func:`check_options`). The
+    ``streaming_metrics`` option, when on, swaps in a
+    :class:`~repro.metrics.streaming.StreamingMetricsCollector` seeded
+    from the spec, so its reservoir sample is reproducible.
     """
-    adapter = _ENGINES.get(spec.engine)
-    if adapter is None:
-        from repro.campaign.registry import unknown_kind
-
-        raise unknown_kind("engine", spec.engine, engine_kinds())
     check_options(spec.engine, spec.protocol, spec.options)
     topology = spec.topology.build()
     flows = spec.workload.build(topology, spec.seed)
@@ -397,4 +326,16 @@ def execute_spec(spec: "ScenarioSpec") -> "MetricsCollector":
         horizon = getattr(flows, "horizon", None)
         if horizon is not None:
             options["sim_deadline"] = horizon
-    return adapter(spec, topology, flows, options)
+    streaming = options.pop("streaming_metrics", None)
+    if streaming:
+        from repro.metrics.streaming import streaming_collector
+
+        options["metrics"] = streaming_collector(streaming, seed=spec.seed)
+    faults = spec.fault_events() or None
+    if spec.engine == "flow":
+        return run_flow_level(topology, spec.protocol, flows, faults=faults,
+                              **options)
+    # spec.loss_rules resolves unseeded faults.loss rules to the spec seed
+    return run_packet_level(topology, spec.protocol, flows,
+                            loss=spec.loss_rules() or None, faults=faults,
+                            **options)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from collections.abc import Mapping, Sequence
 from typing import Any
 
-from repro.campaign.engines import engine_kinds
+from repro.campaign.engines import ENGINES
 from repro.errors import CampaignError
 from repro.faults.spec import Faults
 from repro.schema import POSITIVE, JsonSpec, _document, _plain
@@ -103,8 +103,9 @@ class ScenarioSpec(JsonSpec):
     carries engine options plus, on a PDQ protocol, ``PdqConfig``
     fields (``aging_rate``, ...), as
     :func:`~repro.campaign.engines.check_options` lists them.
-    :meth:`from_dict` reads the retired top-level ``loss`` list of old
-    spec files as an exact-name ``faults.loss`` rule.
+    :meth:`from_dict` refuses the retired top-level ``loss`` list of old
+    spec files, naming the ``faults.loss`` rule that replaces it; a
+    ``null`` there, as :meth:`canonical` writes it, reads as nothing.
     """
 
     protocol: str
@@ -118,10 +119,10 @@ class ScenarioSpec(JsonSpec):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if self.engine not in engine_kinds():
+        if self.engine not in ENGINES:
             from repro.campaign.registry import unknown_kind
 
-            raise unknown_kind("engine", self.engine, engine_kinds())
+            raise unknown_kind("engine", self.engine, ENGINES)
         if self.faults is not None and self.faults.loss \
                 and self.engine != "packet":
             raise CampaignError(
@@ -181,9 +182,11 @@ class ScenarioSpec(JsonSpec):
     @classmethod
     def from_dict(cls, data: Any) -> "ScenarioSpec":
         data = _document(cls, data, extra=("loss",))
-        loss = data.pop("loss", None)
-        if loss is not None:
-            data["faults"] = _legacy_loss_faults(loss, data.get("faults"))
+        if data.pop("loss", None) is not None:
+            raise CampaignError(
+                "loss: the top-level [node_a, node_b, rate, seed] list is "
+                "retired; give the rule as faults.loss [{\"src\": node_a, "
+                "\"dst\": node_b, \"rate\": rate, \"seed\": seed}]")
         return cls(**data)
 
     # -- fault-injection views ------------------------------------------------------
@@ -224,24 +227,6 @@ class ScenarioSpec(JsonSpec):
         # one construction; a whole field given flat wins over its parts
         changes = {**parts, **flat}
         return replace(self, **changes) if changes else self
-
-
-def _legacy_loss_faults(loss: Any, faults: Any) -> dict[str, Any]:
-    """Old spec files and stored results carry Fig 9's retired
-    ``[node_a, node_b, rate, seed]`` loss list: read it as the
-    exact-name, explicitly seeded rule it always ran as, ahead of any
-    ``faults.loss`` rules."""
-    if isinstance(loss, (str, Mapping)) or not isinstance(loss, Sequence) \
-            or len(loss) != 4:
-        raise CampaignError(
-            f"legacy loss must be [node_a, node_b, rate, seed], got {loss!r}"
-        )
-    a, b, rate, seed = loss
-    rule = {"src": a, "dst": b, "rate": rate, "seed": seed}
-    faults = {} if faults is None else faults
-    if not isinstance(faults, Mapping):
-        return faults  # the faults reader names what it is
-    return {**faults, "loss": [rule, *(faults.get("loss") or ())]}
 
 
 def is_labeled_cell(value: Any) -> bool:

@@ -69,12 +69,6 @@ class PdqFlowList:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def __iter__(self):
-        return iter(self.entries)
-
-    def get(self, fid: int) -> FlowEntry | None:
-        return self.by_fid.get(fid)
-
     # -- sizing ----------------------------------------------------------------------
 
     @property

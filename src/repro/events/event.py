@@ -17,7 +17,7 @@ class Event:
     compacted away) by the simulator.
 
     Hot paths that never cancel should use
-    :meth:`~repro.events.simulator.Simulator.call_after`, which skips the
+    :meth:`~repro.events.simulator.Simulator.call_at`, which skips the
     handle allocation entirely.
     """
 

@@ -4,8 +4,7 @@ The heap holds two entry shapes, both ordered by a native ``(time, seq)``
 tuple prefix (``seq`` is unique, so comparisons never reach the payload):
 
 * ``(time, seq, callback, args)`` -- the *typed fast path* used by
-  :meth:`Simulator.call_after` / :meth:`Simulator.call_at`: no handle, no
-  closure, not cancellable. Per-packet work (link transmissions, packet
+  :meth:`Simulator.call_at`: no handle, no closure, not cancellable. Per-packet work (link transmissions, packet
   deliveries) schedules through this shape.
 * ``(time, seq, event)`` -- a cancellable entry whose
   :class:`~repro.events.event.Event` handle carries ``(callback, args)``
@@ -64,22 +63,13 @@ class Simulator:
 
     # -- scheduling ----------------------------------------------------------
 
-    def call_after(self, delay: float, callback: Callable[..., Any],
-                   *args: Any) -> None:
-        """Fast path: run ``callback(*args)`` ``delay`` seconds from now.
+    def call_at(self, time: float, callback: Callable[..., Any],
+                *args: Any) -> None:
+        """Fast path: run ``callback(*args)`` at absolute ``time``.
 
         No handle is returned and the call cannot be cancelled; in
         exchange, nothing is allocated beyond the heap tuple itself.
         """
-        time = self.now + delay
-        if not delay >= 0:  # NaN fails it too
-            raise SimulationError(f"negative or NaN delay {delay}")
-        heappush(self._heap, (time, self._seq, callback, args))
-        self._seq += 1
-
-    def call_at(self, time: float, callback: Callable[..., Any],
-                *args: Any) -> None:
-        """Fast path: run ``callback(*args)`` at absolute ``time``."""
         if not time >= self.now:  # NaN fails it too
             raise SimulationError(
                 f"cannot schedule at {time} before current time {self.now}"

@@ -36,7 +36,6 @@ from collections.abc import Mapping, Sequence
 from typing import Any
 
 from repro.campaign.context import run_scenarios
-from repro.campaign.engines import ENGINE_OPTIONS
 from repro.campaign.registry import (
     bind_params,
     load_experiment_modules,
@@ -567,8 +566,7 @@ def _check_cell(spec: ScenarioSpec, inputs: Inputs) -> None:
         raise CampaignError(
             f"workload kind {spec.workload.kind!r}: {exc}") from None
     validate_events(spec.fault_events(), topology)
-    if spec.engine in ENGINE_OPTIONS:  # a custom engine owns its options
-        check_probe_links(spec.options.get("probes", {}), topology)
+    check_probe_links(spec.options.get("probes", {}), topology)
 
 
 def validate_experiment(experiment: Experiment) -> int:

@@ -24,6 +24,9 @@ class MetricsCollector:
         self.records: dict[int, FlowRecord] = {}
         self._unresolved = 0
         self._observers: list[Callable[[], None]] = []
+        #: called with each new record (the packet engine's flow-rate
+        #: probes take their records here, repro.obs.probes)
+        self.register_observers: list[Callable[[FlowRecord], None]] = []
         #: run counters harvested from the engines (repro.obs.stats)
         self.stats: dict[str, int] = {}
         #: declarative probe series keyed by probe name (repro.obs.probes)
@@ -80,6 +83,8 @@ class MetricsCollector:
         record = FlowRecord(spec=spec)
         self.records[spec.fid] = record
         self._unresolved += 1
+        for observe in self.register_observers:
+            observe(record)
         if self.tracer is not None:
             self.tracer.on_arrival(spec.fid, spec.arrival)
         return record

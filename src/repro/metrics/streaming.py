@@ -7,8 +7,8 @@ million-flow arrival processes of :mod:`repro.workload.open_system`.
 :class:`StreamingMetricsCollector` keeps records only while a flow is
 *live* (registered but unresolved); the moment a flow completes or is
 terminated, its record is folded into constant-space accumulators —
-counts, FCT sum/max, mergeable :class:`~repro.utils.sketch.
-QuantileSketch` ladders for FCT and slowdown — plus a reservoir of full
+counts, FCT sum/max, :class:`~repro.utils.sketch.QuantileSketch`
+ladders for FCT and slowdown — plus a reservoir of full
 records, sampled by Algorithm L (Li 1994, "Reservoir-sampling algorithms
 of time complexity O(n(1+log(N/n)))") with an RNG pinned by the spec
 seed, and then evicted. Peak memory tracks the number of *concurrent*
@@ -56,8 +56,9 @@ class StreamingOptions(JsonSpec):
 
 def read_streaming(value: Any, path: tuple[str, ...]) -> StreamingOptions:
     """The ``streaming_metrics`` option: ``true`` for the defaults, or a
-    :class:`StreamingOptions` mapping. ``{}`` is refused: the adapters
-    read a falsy value as "off"."""
+    :class:`StreamingOptions` mapping. ``{}`` is refused:
+    :func:`~repro.campaign.engines.execute_spec` reads a falsy value as
+    "off"."""
     if value is True:
         return StreamingOptions()
     if not isinstance(value, Mapping):
@@ -140,6 +141,8 @@ class StreamingMetricsCollector(MetricsCollector):
             raise ExperimentError(f"flow {fid} registered twice")
         record = records[fid] = FlowRecord(spec=spec)
         self._unresolved += 1
+        for observe in self.register_observers:
+            observe(record)
         if self.tracer is not None:
             self.tracer.on_arrival(fid, spec.arrival)
         self.n_registered += 1

@@ -129,7 +129,7 @@ class Link:
         if nbytes > queue.peak_bytes:
             queue.peak_bytes = nbytes
         self._transmitting = True
-        # inlined sim.call_after (like the tx-start push in _finish): same
+        # inlined sim.call_at (like the tx-start push in _finish): same
         # heap tuple, same seq ordering, one less Python frame. The tx
         # time keeps the exact expression (size * 8 / rate) so timestamps
         # stay bit-identical to the helper's
@@ -198,13 +198,6 @@ class Link:
         if self._transmitting:
             busy += self.sim.now - self._tx_started
         return busy
-
-    def utilization(self, since: float, now: float, busy_at_since: float) -> float:
-        """Fraction of [since, now] the link spent transmitting, given the
-        ``busy_time`` snapshot taken at ``since``."""
-        if now <= since:
-            return 0.0
-        return (self.busy_time - busy_at_since) / (now - since)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Link {self.name} {self.rate_bps/1e9:.1f}Gbps q={self.queue.bytes}B>"

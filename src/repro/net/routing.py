@@ -87,12 +87,6 @@ class Router:
         self._dist_cache.clear()
         self._templates.clear()
 
-    def flow_path(self, fid: int, src: str, dst: str) -> tuple[Edge, ...]:
-        """Same pinned path as :meth:`flow_path_ids`, as named edges (the
-        packet network's representation)."""
-        edges = self.edges
-        return tuple(edges[eid] for eid in self.flow_path_ids(fid, src, dst))
-
     def flow_path_ids(self, fid: int, src: str, dst: str) -> tuple[int, ...]:
         """Pinned path of flow ``fid`` between two hosts, as dense edge
         ids. A pair with a template returns the same tuple object every
@@ -101,14 +95,6 @@ class Router:
         if ids is None:
             ids = self._walk(fid, src, dst)
         return ids
-
-    def capacities(self) -> dict[Edge, float]:
-        """Directed capacity map for every link in the topology."""
-        caps: dict[Edge, float] = {}
-        for a, b, data in self.topology.graph.edges(data=True):
-            caps[(a, b)] = data["rate_bps"]
-            caps[(b, a)] = data["rate_bps"]
-        return caps
 
     def capacity_vector(self) -> list[float]:
         """Flat capacity list indexed by dense directed-edge id."""

@@ -21,8 +21,15 @@ Probe kinds:
 
 ``flow_rates``
     Per-flow throughput. Packet engine: delivered-byte deltas per
-    interval (goodput). Fluid engine: the allocated rates — which is
-    what "rate" means in that model.
+    interval (goodput), the same with or without ``streaming_metrics``.
+    Fluid engine: the allocated rates — which is what "rate" means in
+    that model.
+
+On the packet engine each probe samples on its own
+:class:`~repro.events.timers.PeriodicTimer` (:class:`PacketLinkProbe`,
+:class:`PacketFlowRateProbe`); the fluid engine has no timers, so its
+probes sample at event boundaries (:class:`FluidLinkProbe`,
+:class:`FluidFlowRateProbe`).
 
 Each probe kind is a :class:`~repro.schema.JsonSpec` dataclass
 (:class:`LinkProbe`, :class:`FlowRatesProbe`), picked by ``kind``: the
@@ -46,6 +53,7 @@ from dataclasses import dataclass, field
 from collections.abc import Mapping
 from typing import Any
 
+from repro.events.timers import PeriodicTimer
 from repro.schema import (
     POSITIVE,
     JsonSpec,
@@ -147,36 +155,76 @@ def _result(probe: Probe, columns: list[str], samples: list[list]) -> dict:
 
 
 class PacketLinkProbe:
-    """Wraps a :class:`~repro.net.monitors.LinkMonitor` on the named link."""
+    """Samples one link every ``interval`` seconds: the fraction of the
+    interval it spent transmitting (``busy_time`` deltas), then its
+    queue occupancy at the sample instant."""
 
     def __init__(self, net, name: str, probe: LinkProbe):
-        from repro.net.monitors import LinkMonitor
-
         self.name = name
         self.probe = probe
-        self.monitor = LinkMonitor(net.sim, net.link_between(*probe.link),
-                                   probe.interval)
-        self.monitor.start()
+        self.sim = net.sim
+        self.link = net.link_between(*probe.link)
+        self.samples: list[list] = []
+        self._busy = self.link.busy_time
+        self._since = self.sim.now
+        PeriodicTimer(self.sim, probe.interval, self._sample).start()
+
+    def _sample(self) -> None:
+        link, now = self.link, self.sim.now
+        busy = link.busy_time
+        utilization = min(1.0, (busy - self._busy) / (now - self._since))
+        self.samples.append(
+            [now, utilization, len(link.queue), link.queue.bytes])
+        self._busy = busy
+        self._since = now
 
     def result(self) -> dict:
-        return _result(self.probe, LINK_COLUMNS,
-                       [list(row) for row in self.monitor.samples])
+        return _result(self.probe, LINK_COLUMNS, self.samples)
 
 
 class PacketFlowRateProbe:
-    """Wraps a :class:`~repro.net.monitors.FlowRateMonitor` (goodput)."""
+    """Samples per-flow goodput every ``interval`` seconds: delivered-byte
+    deltas over the interval (bits/s), read from the run's flow records,
+    the receiver-side view. A flow with no progress in an interval is
+    left out of that sample.
+
+    The probe holds each flow's record from its registration to the
+    first sample after the flow resolves. So a flow's last interval
+    counts when the streaming collector has already evicted its record,
+    and the probe's memory follows the live flows.
+    """
 
     def __init__(self, net, name: str, probe: FlowRatesProbe):
-        from repro.net.monitors import FlowRateMonitor
-
         self.name = name
         self.probe = probe
-        self.monitor = FlowRateMonitor(net.sim, net.metrics, probe.interval)
-        self.monitor.start()
+        self.sim = net.sim
+        self.samples: list[list] = []
+        collector = net.metrics
+        #: fid -> (record, bytes delivered at the last sample)
+        self._held = {fid: (record, record.bytes_delivered)
+                      for fid, record in collector.records.items()}
+        collector.register_observers.append(self._admit)
+        PeriodicTimer(self.sim, probe.interval, self._sample).start()
+
+    def _admit(self, record) -> None:
+        self._held[record.spec.fid] = (record, 0)
+
+    def _sample(self) -> None:
+        held = self._held
+        interval = self.probe.interval
+        rates: dict[str, float] = {}
+        for fid, (record, seen) in list(held.items()):
+            delivered = record.bytes_delivered
+            if delivered > seen:
+                rates[str(fid)] = (delivered - seen) * 8.0 / interval
+            if record.completed or record.terminated:
+                del held[fid]
+            else:
+                held[fid] = (record, delivered)
+        self.samples.append([self.sim.now, rates])
 
     def result(self) -> dict:
-        return _result(self.probe, FLOW_RATE_COLUMNS,
-                       [[t, rates] for t, rates in self.monitor.samples])
+        return _result(self.probe, FLOW_RATE_COLUMNS, self.samples)
 
 
 def attach_packet_probes(net, probes: Any) -> list:

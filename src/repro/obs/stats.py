@@ -3,7 +3,7 @@
 The engines keep plain integer attributes on their own objects (the
 event simulator, links, nodes, the fluid engine, the PDQ rate model) —
 incrementing an int is the only per-event cost, and nothing here runs
-inside a hot loop. At the end of a scenario the campaign adapters call
+inside a hot loop. At the end of a scenario the engine runners call
 :func:`harvest_packet_run` / :func:`harvest_fluid_run` to fold those
 attributes into one flat ``{counter_name: int}`` dict stored on
 ``MetricsCollector.stats``, which serializes through
@@ -37,12 +37,6 @@ class RunStats:
 
     def get(self, name: str, default: int = 0) -> int:
         return self.counters.get(name, default)
-
-    def merge(self, other: "RunStats") -> "RunStats":
-        """Fold another registry in (summing shared names); returns self."""
-        for name, value in other.counters.items():
-            self.inc(name, value)
-        return self
 
     def __bool__(self) -> bool:
         return bool(self.counters)

@@ -51,12 +51,6 @@ class Topology:
             n for n, d in self.graph.nodes(data=True) if d["kind"] == "host"
         )
 
-    @property
-    def switches(self) -> list[str]:
-        return sorted(
-            n for n, d in self.graph.nodes(data=True) if d["kind"] == "switch"
-        )
-
     def directed_edge_index(self) -> dict[tuple[str, str], int]:
         """Dense integer id for every *directed* edge.
 
@@ -93,10 +87,3 @@ class Topology:
             if not data["rate_bps"] > 0:  # NaN fails it too
                 raise TopologyError(
                     f"non-positive or NaN link rate {data['rate_bps']!r}")
-
-    def stats(self) -> dict[str, int]:
-        return {
-            "hosts": len(self.hosts),
-            "switches": len(self.switches),
-            "links": self.graph.number_of_edges(),
-        }

@@ -89,12 +89,6 @@ class Graph:
     def has_edge(self, u: str, v: str) -> bool:
         return u in self.adj and v in self.adj[u]
 
-    def neighbors(self, node: str) -> Iterable[str]:
-        return iter(self.adj[node])
-
-    def number_of_edges(self) -> int:
-        return sum(map(len, self.adj.values())) // 2
-
     def is_connected(self) -> bool:
         """True when a graph walk from the first node reaches every node."""
         if not self.adj:

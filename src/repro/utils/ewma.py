@@ -13,7 +13,7 @@ class Ewma:
     """Plain EWMA: ``value <- (1-alpha)*value + alpha*sample``.
 
     ``default`` is a *fallback*, not a prior: before the first sample,
-    :attr:`value` reads as ``default`` (may be None), and the first
+    :meth:`value_or` reads ``default`` (when not None), and the first
     sample **replaces** it outright rather than decaying it. This is
     deliberate — d3/rcp switches seed ``rtt_avg`` (and the PDQ switch,
     which inlines this update on its per-packet path, its own) with
@@ -32,10 +32,6 @@ class Ewma:
         self.alpha = alpha
         self._value = default
         self.samples = 0
-
-    @property
-    def value(self) -> float | None:
-        return self._value
 
     def update(self, sample: float) -> float:
         """Fold one sample in and return the new average.

@@ -1,4 +1,4 @@
-"""Mergeable streaming quantile sketch (KLL/MRL-style compactors).
+"""Streaming quantile sketch (KLL/MRL-style compactors).
 
 Open-system runs (``repro.workload.open_system``) resolve millions of
 flows; keeping every FCT just to read p99 off the sorted list is exactly
@@ -14,8 +14,7 @@ the same input sequence must serialize to the same bytes on every run
 (result-store payloads are content-hashed). Instead of the randomized
 compaction offset of the published KLL sketch, compactions alternate a
 parity bit, which cancels adjacent compaction biases the same way in
-every run. Merging folds another sketch's levels in pairwise and then
-re-compacts, so sharded runs can be combined without reprocessing.
+every run.
 
 Queries use the definition of :func:`repro.utils.stats.percentile`:
 linear interpolation at rank ``q * (W - 1)`` of the multiset in which
@@ -78,27 +77,6 @@ class QuantileSketch:
         level.clear()
         if len(self.levels[index + 1]) >= self.k:
             self._compact(index + 1)
-
-    def merge(self, other: "QuantileSketch") -> "QuantileSketch":
-        """Fold another sketch in (levels concatenate pairwise, then any
-        overfull level re-compacts); returns self."""
-        self.n += other.n
-        if other.min_value is not None and (
-            self.min_value is None or other.min_value < self.min_value
-        ):
-            self.min_value = other.min_value
-        if other.max_value is not None and (
-            self.max_value is None or other.max_value > self.max_value
-        ):
-            self.max_value = other.max_value
-        while len(self.levels) < len(other.levels):
-            self.levels.append([])
-        for i, level in enumerate(other.levels):
-            self.levels[i].extend(level)
-        for i in range(len(self.levels)):
-            if len(self.levels[i]) >= self.k:
-                self._compact(i)
-        return self
 
     # -- queries -----------------------------------------------------------------
 

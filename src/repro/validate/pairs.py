@@ -39,6 +39,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Mapping, Sequence
 
+# ENGINES is the cross-engine pairing axis: one cell, both engines
+from repro.campaign.engines import ENGINES
 from repro.campaign.spec import ScenarioSpec, TopologySpec, WorkloadSpec
 from repro.errors import ExperimentError
 from repro.experiments.api import (
@@ -54,9 +56,6 @@ from repro.units import KBYTE, MSEC
 VALIDATION_PROTOCOLS = ("PDQ(Full)", "D3", "RCP")
 
 TOPOLOGY = TopologySpec("single_rooted")
-
-#: the cross-engine pairing axis: one cell, both engines
-ENGINES = ("packet", "flow")
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,7 @@ the paper's traffic patterns (§5.2-§5.3), Poisson arrival processes, and
 synthetic stand-ins for the two measured datacenter workloads.
 """
 
-from repro.workload.arrivals import poisson_arrivals, simultaneous_arrivals
+from repro.workload.arrivals import poisson_arrivals
 from repro.workload.deadlines import exponential_deadlines
 from repro.workload.flow import FlowSpec
 from repro.workload.open_system import open_system, vl2_mixture_mean
@@ -31,7 +31,6 @@ __all__ = [
     "pareto_sizes",
     "exponential_deadlines",
     "poisson_arrivals",
-    "simultaneous_arrivals",
     "vl2_flow_sizes",
     "edu1_flow_summaries",
 ]

@@ -2,16 +2,8 @@
 
 from __future__ import annotations
 
-
 from repro.errors import WorkloadError
 from repro.utils.rng import SeedLike, spawn_rng
-
-
-def simultaneous_arrivals(n: int, at: float = 0.0) -> list[float]:
-    """All flows arrive at the same instant (query aggregation, §5.2)."""
-    if n < 0:
-        raise WorkloadError(f"n must be >= 0, got {n}")
-    return [at] * n
 
 
 def poisson_arrivals(rate_per_sec: float, duration: float,

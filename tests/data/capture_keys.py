@@ -10,8 +10,8 @@ that ``Faults.__post_init__``'s time sort fixes — names the documents
 whose keys moved.
 
 The documents are the inputs a user or a figure module writes, not the
-canonical forms: fault events out of time order, the legacy top-level
-``loss`` list, axes given as a mapping, defaults left out. They come
+canonical forms: fault events out of time order, axes given as a
+mapping, defaults left out. They come
 from three places, drawn with a fixed seed, one random stream per
 registered kind and per generated family (:func:`stream`), so a new
 registered cell or a new generated document re-draws only its own
@@ -271,8 +271,8 @@ def _switch(time, action, node="core0_1"):
 
 
 def fault_documents(rng: random.Random) -> list[dict]:
-    """Every fault action, schedules declared out of time order, every
-    loss-rule form, and the legacy top-level ``loss`` list."""
+    """Every fault action, schedules declared out of time order, and
+    every loss-rule form."""
     faults = [
         {"events": [_link(0.002, "link_down")]},
         {"events": [_link(0.004, "link_up"), _link(0.001, "link_down")]},
@@ -306,20 +306,6 @@ def fault_documents(rng: random.Random) -> list[dict]:
         doc["workload"] = {"kind": "fig8.permutation", "params": {
             "flows_per_server": 1, "mean_size": 400000.0}}
         doc["faults"] = fault
-        docs.append(doc)
-    # the retired Fig 9 loss tuple, alone and ahead of faults.loss rules
-    for extra in (None, {"loss": [{"src": "sw*", "dst": "*", "rate": 0.1}]},
-                  {"events": [_switch(0.01, "switch_up", "sw0"),
-                              _switch(0.001, "switch_down", "sw0")]}):
-        doc = base_scenario(rng, "PDQ(Full)")
-        doc["topology"] = {"kind": "single_bottleneck",
-                           "params": {"n_senders": 5}}
-        doc["workload"] = {"kind": "fig9.aggregation",
-                           "params": {"n_flows": 4,
-                                      "deadline_constrained": True}}
-        doc["loss"] = ["sw0", "recv", 0.01, rng.randint(1, 9)]
-        if extra is not None:
-            doc["faults"] = extra
         docs.append(doc)
     return docs
 

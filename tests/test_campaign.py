@@ -208,7 +208,7 @@ class TestRegistry:
     def test_builtin_topologies_build(self):
         assert "single_rooted" in topology_kinds()
         topo = build_topology("fattree", {"n_servers": 16})
-        assert topo.stats()["hosts"] == 16
+        assert len(topo.hosts) == 16
 
     def test_unknown_kinds_rejected(self):
         with pytest.raises(CampaignError):
@@ -238,7 +238,7 @@ UNKNOWN_KIND_CASES = [
 def test_unknown_kind_hint_across_all_registries(registry, typo, suggestion):
     """Every registry routes misses through ``unknown_kind`` and offers
     the close-match fix for a one-character typo."""
-    from repro.campaign.engines import engine_kinds
+    from repro.campaign.engines import ENGINES
     from repro.campaign.registry import build_workload
     from repro.experiments import api
     from repro.experiments.reducers import collector_metric, get_reducer
@@ -249,7 +249,7 @@ def test_unknown_kind_hint_across_all_registries(registry, typo, suggestion):
         elif registry == "workload":
             build_workload(typo, None, 1, {})
         elif registry == "engine":
-            assert typo not in engine_kinds()
+            assert typo not in ENGINES
             ScenarioSpec(
                 protocol="TCP",
                 topology=TopologySpec("single_bottleneck",

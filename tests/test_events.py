@@ -167,7 +167,7 @@ class TestSimulator:
             if op == 0:
                 handles.append(sim.schedule(float(rng.random()), _noop))
             elif op == 1:
-                sim.call_after(float(rng.random()), _noop)
+                sim.call_at(sim.now + float(rng.random()), _noop)
             elif op == 2 and handles:
                 # live, fired or already cancelled: each must be safe
                 event = handles[int(rng.integers(len(handles)))]
@@ -236,12 +236,12 @@ class TestSimulator:
 
 
 class TestTypedFastPath:
-    """call_after/call_at: the no-handle, closure-free scheduling path."""
+    """call_at: the no-handle, closure-free scheduling path."""
 
-    def test_call_after_passes_args(self):
+    def test_call_at_passes_args(self):
         sim = Simulator()
         got = []
-        sim.call_after(0.5, got.append, ("x", 2))
+        sim.call_at(0.5, got.append, ("x", 2))
         sim.run()
         assert got == [("x", 2)]
 
@@ -257,7 +257,7 @@ class TestTypedFastPath:
         # fire strictly in scheduling order regardless of shape
         sim = Simulator()
         fired = []
-        sim.call_after(1.0, fired.append, 0)
+        sim.call_at(1.0, fired.append, 0)
         sim.schedule(1.0, fired.append, 1)
         sim.call_at(1.0, fired.append, 2)
         sim.schedule_at(1.0, fired.append, 3)
@@ -268,24 +268,20 @@ class TestTypedFastPath:
         sim = Simulator()
         fired = []
         sim.call_at(1.0, fired.append, "at")
-        sim.call_after(1.0000001, fired.append, "after")
+        sim.call_at(1.0000001, fired.append, "after")
         sim.run(until=1.0)
         assert fired == ["at"]
         assert sim.now == 1.0
 
-    def test_negative_delay_rejected(self):
-        with pytest.raises(SimulationError):
-            Simulator().call_after(-0.1, lambda: None)
-
     def test_call_at_in_past_rejected(self):
         sim = Simulator()
-        sim.call_after(1.0, lambda: sim.call_at(0.5, lambda: None))
+        sim.call_at(1.0, lambda: sim.call_at(0.5, lambda: None))
         with pytest.raises(SimulationError):
             sim.run()
 
     def test_counts_in_pending(self):
         sim = Simulator()
-        sim.call_after(1.0, lambda: None)
+        sim.call_at(1.0, lambda: None)
         sim.schedule(2.0, lambda: None)
         assert sim.pending() == 2
         sim.run()

@@ -268,41 +268,18 @@ class TestDeterminism:
     def test_exact_rule_run_is_pinned(self):
         pins.assert_pinned("faults", "exact_rule", PINNED["exact_rule"]())
 
-    def test_legacy_loss_list_reads_as_the_exact_rule(self):
-        """Old spec files and store entries carry the retired loss
-        list; it loads as one explicitly seeded exact-name rule, ahead
-        of any ``faults.loss`` rules, and runs to the same digest."""
-        data = {
-            "protocol": "TCP",
-            "topology": {"kind": "single_bottleneck",
-                         "params": {"n_senders": 4}},
-            "workload": {"kind": "fig9.aggregation",
-                         "params": {"n_flows": 4,
-                                    "deadline_constrained": False}},
-            "seed": 1,
-            "loss": ["send0", "sw0", 0.02, 5],
-        }
-        spec = ScenarioSpec.from_dict(data)
-        assert spec.faults.canonical() == {"loss": [
-            {"src": "send0", "dst": "sw0", "rate": 0.02, "seed": 5}]}
-        assert spec.loss_rules() == (LossRule("send0", "sw0", 0.02, 5),)
-        pins.assert_pinned("faults", "exact_rule",
-                           [_four_senders(spec.loss_rules())])
-
-        both = ScenarioSpec.from_dict({**data, "faults": {"loss": [
-            {"src": "sw0", "dst": "recv", "rate": 0.01}]}})
-        assert both.loss_rules() == (LossRule("send0", "sw0", 0.02, 5),
-                                     LossRule("sw0", "recv", 0.01, 1))
-
     @pytest.mark.parametrize("bad", [
         ["send0", "sw0", 0.02],
         "send0,sw0,0.02,5",
         {"a": "send0"},
         ["send0", "sw0", 2.0, 5],
         ["send0", "sw0", 0.02, "five"],
+        ["send0", "sw0", 0.02, 5],
     ])
     def test_malformed_legacy_loss_list_is_rejected(self, bad):
-        with pytest.raises(CampaignError):
+        """The retired top-level loss list, well-formed or not, is an
+        error that names the ``faults.loss`` rule replacing it."""
+        with pytest.raises(CampaignError, match="retired.*faults.loss"):
             ScenarioSpec.from_dict({
                 "protocol": "TCP",
                 "topology": {"kind": "single_bottleneck"},

@@ -20,7 +20,7 @@ class TestAdmission:
         flows = _list()
         entry = flows.admit(1, now=0.0, key=_key(1))
         assert entry is not None
-        assert flows.get(1) is entry
+        assert flows.by_fid.get(1) is entry
         assert len(flows) == 1
 
     def test_sorted_by_criticality(self):
@@ -28,8 +28,8 @@ class TestAdmission:
         flows.admit(1, 0.0, _key(1, tx=3.0))
         flows.admit(2, 0.0, _key(2, tx=1.0))
         flows.admit(3, 0.0, _key(3, tx=2.0))
-        assert [e.fid for e in flows] == [2, 3, 1]
-        assert flows.entries.index(flows.get(2)) == 0
+        assert [e.fid for e in flows.entries] == [2, 3, 1]
+        assert flows.entries.index(flows.by_fid.get(2)) == 0
 
     def test_full_list_rejects_less_critical(self):
         flows = _list(min_list_capacity=2, hard_flow_limit=2)
@@ -44,8 +44,8 @@ class TestAdmission:
         flows.admit(2, 0.0, _key(2, tx=2.0))
         entry = flows.admit(3, 0.0, _key(3, tx=0.5))
         assert entry is not None
-        assert flows.get(2) is None  # evicted
-        assert [e.fid for e in flows] == [3, 1]
+        assert flows.by_fid.get(2) is None  # evicted
+        assert [e.fid for e in flows.entries] == [3, 1]
         assert flows.evictions == 1
 
     def test_capacity_grows_with_kappa(self):
@@ -76,7 +76,7 @@ class TestMutation:
         flows.admit(2, 0.0, _key(2, tx=1.0))
         index = flows.reposition(a, _key(1, tx=0.5))
         assert index == 0
-        assert [e.fid for e in flows] == [1, 2]
+        assert [e.fid for e in flows.entries] == [1, 2]
 
     def test_reposition_to_tail(self):
         flows = _list()
@@ -85,7 +85,7 @@ class TestMutation:
         flows.admit(3, 0.0, _key(3, tx=2.0))
         index = flows.reposition(a, _key(1, tx=9.0))
         assert index == 2 == flows.entries.index(a)
-        assert [e.fid for e in flows] == [2, 3, 1]
+        assert [e.fid for e in flows.entries] == [2, 3, 1]
 
     def test_reposition_in_place_keeps_index(self):
         flows = _list()
@@ -94,7 +94,7 @@ class TestMutation:
         flows.admit(3, 0.0, _key(3, tx=3.0))
         index = flows.reposition(b, _key(2, tx=2.5))
         assert index == 1
-        assert [e.fid for e in flows] == [1, 2, 3]
+        assert [e.fid for e in flows.entries] == [1, 2, 3]
         assert b.key == _key(2, tx=2.5)
 
     def test_remove(self):
@@ -102,7 +102,7 @@ class TestMutation:
         flows.admit(1, 0.0, _key(1))
         assert flows.remove(1)
         assert not flows.remove(1)
-        assert flows.get(1) is None
+        assert flows.by_fid.get(1) is None
 
     def test_purge_expired(self):
         flows = _list()
@@ -111,21 +111,21 @@ class TestMutation:
         entry.last_update = 10.0
         stale = flows.purge_expired(now=10.0, horizon=5.0)
         assert stale == [1]
-        assert flows.get(2) is not None
+        assert flows.by_fid.get(2) is not None
 
     def test_purge_expired_keeps_fresh_entries_in_order(self):
         flows = _list()
         for fid, tx in [(1, 1.0), (2, 2.0), (3, 3.0), (4, 4.0)]:
             flows.admit(fid, now=0.0, key=_key(fid, tx=tx))
-        flows.get(1).last_update = 6.0
-        flows.get(3).last_update = 6.0
+        flows.by_fid.get(1).last_update = 6.0
+        flows.by_fid.get(3).last_update = 6.0
         assert flows.purge_expired(now=6.0, horizon=5.0) == [2, 4]
-        assert [e.fid for e in flows] == [1, 3]
+        assert [e.fid for e in flows.entries] == [1, 3]
         assert set(flows.by_fid) == {1, 3}
-        assert flows.entries.index(flows.get(3)) == 1
+        assert flows.entries.index(flows.by_fid.get(3)) == 1
         # nothing is stale any more: a second pass purges nothing
         assert flows.purge_expired(now=6.0, horizon=5.0) == []
-        assert [e.fid for e in flows] == [1, 3]
+        assert [e.fid for e in flows.entries] == [1, 3]
 
     def test_sending_definition(self):
         flows = _list()
@@ -143,7 +143,7 @@ class TestMutation:
         flows = _list(hard_flow_limit=64, min_list_capacity=64)
         for fid, tx in flows_data:
             flows.admit(fid, 0.0, _key(fid, tx=tx))
-        keys = [e.key for e in flows]
+        keys = [e.key for e in flows.entries]
         assert keys == sorted(keys)
 
     @given(st.lists(st.tuples(st.sampled_from(["admit", "reposition",
@@ -159,7 +159,7 @@ class TestMutation:
         now = 0.0
         for op, fid, tx in ops:
             now += 1.0
-            entry = flows.get(fid)
+            entry = flows.by_fid.get(fid)
             if op == "admit" and entry is None:
                 flows.admit(fid, now, _key(fid, tx=tx))
             elif op == "reposition" and entry is not None:
@@ -170,12 +170,12 @@ class TestMutation:
                 assert flows.remove(fid) == (entry is not None)
             elif op == "purge":
                 horizon = tx / 10.0
-                expected = [e.fid for e in flows
+                expected = [e.fid for e in flows.entries
                             if now - e.last_update > horizon]
                 assert flows.purge_expired(now, horizon) == expected
-            keys = [e.key for e in flows]
+            keys = [e.key for e in flows.entries]
             assert keys == sorted(keys)
             assert len(flows) <= flows.capacity
-            assert flows.by_fid == {e.fid: e for e in flows}
-            for i, e in enumerate(flows):
+            assert flows.by_fid == {e.fid: e for e in flows.entries}
+            for i, e in enumerate(flows.entries):
                 assert flows.entries.index(flows.by_fid[e.fid]) == i

@@ -17,8 +17,8 @@ from itertools import pairwise
 import pytest
 
 import pins
-from repro.campaign import engines, registry
-from repro.campaign.engines import ENGINE_OPTIONS, PROTOCOLS
+from repro.campaign import registry
+from repro.campaign.engines import ENGINE_OPTIONS, ENGINES, PROTOCOLS
 from repro.campaign.spec import ScenarioSpec
 from repro.core.config import PdqConfig
 from repro.errors import ReproError
@@ -135,7 +135,7 @@ def test_corpus_covers_every_registered_name():
     registered = {
         "topology": _library(registry._TOPOLOGIES),
         "workload": _library(registry._WORKLOADS),
-        "engine": _library(engines._ENGINES),
+        "engine": ENGINES,
         "protocol": PROTOCOLS,
         "protocol on the flow engine": [
             name for name, row in PROTOCOLS.items() if row.model],

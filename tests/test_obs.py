@@ -63,12 +63,6 @@ class TestRunStats:
         assert stats.get("missing", 9) == 9
         assert stats and len(stats) == 2
 
-    def test_merge_sums_shared_names(self):
-        a = RunStats({"x": 1, "y": 2})
-        b = RunStats({"y": 3, "z": 4})
-        assert a.merge(b) is a
-        assert a.to_dict() == {"x": 1, "y": 5, "z": 4}
-
     def test_to_dict_sorted_and_round_trips(self):
         stats = RunStats({"z.last": 1, "a.first": 2})
         assert list(stats.to_dict()) == ["a.first", "z.last"]
@@ -158,6 +152,18 @@ class TestProbesOnEngines:
                 assert bps > 0
                 seen_fids.add(fid)
         assert seen_fids, "no flow ever reported a rate"
+
+    def test_packet_rate_probe_does_not_depend_on_streaming_metrics(self):
+        """The streaming collector evicts a flow's record when the flow
+        resolves. The flow-rate probe still counts that flow's last
+        interval, and a flow that resolves before the first sample (flow
+        2 here). A failure means the probe reads only the records the
+        collector still holds."""
+        spec = _telemetry_spec(probes=False, trace=False, n_flows=6)
+        spec = spec.with_(sim_deadline=1.0, **{"options.probes": {
+            "rates": {"kind": "flow_rates", "interval": 0.0005}}})
+        streamed = spec.with_(**{"options.streaming_metrics": True})
+        assert run_scenario(streamed).probes == run_scenario(spec).probes
 
     def test_fluid_queue_columns_are_zero(self):
         collector = run_scenario(_telemetry_spec(engine="flow", trace=False))

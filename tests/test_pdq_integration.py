@@ -192,5 +192,5 @@ class TestFormalProperties:
         state = net.node("sw0").protocol.state_for(
             net.link_between("sw0", "recv")
         )
-        senders = [e.fid for e in state.flows if e.sending]
+        senders = [e.fid for e in state.flows.entries if e.sending]
         assert senders == [0]

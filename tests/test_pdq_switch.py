@@ -41,15 +41,15 @@ class TestAlgorithm1:
     def test_paused_by_other_switch_removes_state(self):
         net, proto, link = make_env()
         proto.process(fwd_packet(1), link)
-        assert proto.state_for(link).flows.get(1) is not None
+        assert proto.state_for(link).flows.by_fid.get(1) is not None
         proto.process(fwd_packet(1, kind=PacketKind.DATA, pauseby=999), link)
-        assert proto.state_for(link).flows.get(1) is None
+        assert proto.state_for(link).flows.by_fid.get(1) is None
 
     def test_term_removes_state(self):
         net, proto, link = make_env()
         proto.process(fwd_packet(1), link)
         proto.process(fwd_packet(1, kind=PacketKind.TERM), link)
-        assert proto.state_for(link).flows.get(1) is None
+        assert proto.state_for(link).flows.by_fid.get(1) is None
 
     def test_rcp_fallback_for_overflow_flows(self):
         net, proto, link = make_env(min_list_capacity=2, hard_flow_limit=2,
@@ -65,7 +65,7 @@ class TestAlgorithm1:
         # the two listed flows hold the whole link, so it is paused.
         pkt3 = fwd_packet(3, expected_tx=5e-3)
         proto.process(pkt3, link)
-        assert state.flows.get(3) is None
+        assert state.flows.by_fid.get(3) is None
         assert pkt3.sched.pauseby == proto.switch_id
         assert 3 in state.outside
 
@@ -239,7 +239,7 @@ class TestAlgorithm3:
         ack = Packet(fid=1, src=1, dst=0, kind=PacketKind.ACK, size=56,
                      sched=pkt.sched)
         proto.process(ack, link.reverse)
-        entry = proto.state_for(link).flows.get(1)
+        entry = proto.state_for(link).flows.by_fid.get(1)
         assert entry.rate == pytest.approx(1 * GBPS)
         assert entry.pauseby is None
 
@@ -253,7 +253,8 @@ class TestAlgorithm3:
                      sched=header)
         proto.process(ack, link.reverse)
         assert header.rate == 0.0
-        assert proto.state_for(link).flows.get(1).pauseby == proto.switch_id
+        entry = proto.state_for(link).flows.by_fid.get(1)
+        assert entry.pauseby == proto.switch_id
 
     def test_reverse_paused_by_other_removes_state(self):
         net, proto, link = make_env()
@@ -264,7 +265,7 @@ class TestAlgorithm3:
         ack = Packet(fid=1, src=1, dst=0, kind=PacketKind.ACK, size=56,
                      sched=header)
         proto.process(ack, link.reverse)
-        assert proto.state_for(link).flows.get(1) is None
+        assert proto.state_for(link).flows.by_fid.get(1) is None
         assert header.rate == 0.0
 
     def test_suppressed_probing_raises_interval_with_index(self):
@@ -358,11 +359,11 @@ class TestPerPacketGuards:
         # horizon = entry_expiry_rtts (50) x RTT average (150 us) = 7.5 ms
         net.sim.run(until=7e-3)
         proto.process(fwd_packet(2, rtt=150 * USEC), link)
-        assert state.flows.get(1) is not None
+        assert state.flows.by_fid.get(1) is not None
         net.sim.run(until=8e-3)
         proto.process(fwd_packet(2, kind=PacketKind.DATA, rtt=150 * USEC),
                       link)
-        assert state.flows.get(1) is None
+        assert state.flows.by_fid.get(1) is None
         assert 1 not in proto._flow_index
         assert proto._flow_index.get(2) is state
 
@@ -375,11 +376,11 @@ class TestPerPacketGuards:
         net.sim.run(until=7e-3)
         proto.process(fwd_packet(1, kind=PacketKind.DATA, expected_tx=1e-3),
                       link)
-        assert [e.fid for e in state.flows] == [1, 2]
+        assert [e.fid for e in state.flows.entries] == [1, 2]
         net.sim.run(until=8e-3)
         proto.process(fwd_packet(1, kind=PacketKind.DATA, expected_tx=1e-3),
                       link)
-        assert [e.fid for e in state.flows] == [1]
+        assert [e.fid for e in state.flows.entries] == [1]
         assert 2 not in proto._flow_index
         assert proto._flow_index.get(1) is state
 
@@ -389,7 +390,7 @@ class TestPerPacketGuards:
         state = proto.state_for(link)
         proto.process(fwd_packet(1, expected_tx=1e-3), link)
         proto.process(fwd_packet(2, expected_tx=5e-3), link)
-        assert state.flows.get(2) is None
+        assert state.flows.by_fid.get(2) is None
         assert 2 in state.outside
         net.sim.run(until=7e-3)
         proto.process(fwd_packet(1, kind=PacketKind.DATA), link)
@@ -397,7 +398,7 @@ class TestPerPacketGuards:
         net.sim.run(until=8e-3)
         proto.process(fwd_packet(1, kind=PacketKind.DATA), link)
         assert state.outside == {}
-        assert state.flows.get(1) is not None
+        assert state.flows.by_fid.get(1) is not None
 
     def test_first_rtt_sample_replaces_default(self):
         net, proto, link = make_env(default_rtt=1e-3)

@@ -208,7 +208,7 @@ class TestNonFiniteInputs:
                 faults=[FaultEvent(math.nan, "link_down", "send0", "sw0")])
 
     @pytest.mark.parametrize(
-        "method", ["call_at", "schedule_at", "call_after", "schedule"])
+        "method", ["call_at", "schedule_at", "schedule"])
     def test_nan_time_or_delay_is_not_scheduled(self, method):
         sim = Simulator()
         with pytest.raises(SimulationError):

@@ -99,44 +99,6 @@ class TestAccuracy:
             self._assert_close_in_rank(sketch, values, q)
 
 
-class TestMerge:
-    def test_merge_matches_single_sketch_rank_error(self):
-        """Ten shard sketches merged answer within the same rank band as
-        the exact distribution — the property the campaign layer needs to
-        aggregate per-scenario sketches."""
-        rng = spawn_rng(9, "test:sketch:merge")
-        values = rng.lognormal(mean=0.0, sigma=1.5, size=40_000).tolist()
-        shards = [QuantileSketch(k=200) for _ in range(10)]
-        for i, v in enumerate(values):
-            shards[i % 10].add(v)
-        merged = shards[0]
-        for other in shards[1:]:
-            merged.merge(other)
-        assert merged.n == len(values)
-        for q in (0.5, 0.95, 0.99):
-            got = merged.quantile(q)
-            lo = _exact(values, max(0.0, q - 0.02))
-            hi = _exact(values, min(1.0, q + 0.02))
-            assert lo <= got <= hi
-
-    def test_merge_empty_is_identity(self):
-        a = QuantileSketch()
-        for v in (1.0, 2.0, 3.0):
-            a.add(v)
-        a.merge(QuantileSketch())
-        assert a.n == 3
-        assert a.quantile(0.5) == 2.0
-
-    def test_merge_preserves_extremes(self):
-        a, b = QuantileSketch(k=8), QuantileSketch(k=8)
-        for i in range(1000):
-            a.add(float(i))
-            b.add(float(i + 500))
-        a.merge(b)
-        assert a.quantile(0.0) == 0.0
-        assert a.quantile(1.0) == 1499.0
-
-
 class TestSpace:
     def test_memory_is_logarithmic_in_n(self):
         """Total retained values grow ~k*log2(n/k), not n."""

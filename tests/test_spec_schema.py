@@ -385,9 +385,6 @@ class TestOptionVocabulary:
         with pytest.raises(CampaignError, match="takes no option"):
             check_options("flow", "RCP", {"criticality_mode": "estimate"})
 
-    def test_custom_engine_is_not_checked(self):
-        assert check_options("test.custom", "anything", {"x": 1}) is None
-
     def test_builders_check_direct_callers(self):
         with pytest.raises(CampaignError, match="did you mean 'aging_rate'"):
             make_model("PDQ(Full)", aging_rat=1.0)

@@ -17,8 +17,8 @@ class TestSingleBottleneck:
     def test_structure(self):
         topo = SingleBottleneck(5)
         assert len(topo.hosts) == 6  # 5 senders + receiver
-        assert len(topo.switches) == 1
-        assert topo.graph.number_of_edges() == 6
+        assert len(topo.graph.nodes) == 6 + 1  # one switch
+        assert len(topo.graph.edges()) == 6
 
     def test_every_sender_two_hops_from_receiver(self):
         topo = SingleBottleneck(3)
@@ -35,8 +35,8 @@ class TestSingleRootedTree:
     def test_paper_default_is_17_nodes(self):
         topo = SingleRootedTree()
         assert len(topo.hosts) == 12
-        assert len(topo.switches) == 5  # 4 ToR + root
-        assert len(topo.graph.nodes) == 17
+        assert len(topo.graph.nodes) == 12 + 5  # 4 ToR + root
+        assert len(topo.graph.edges()) == 16
 
     def test_rack_membership(self):
         topo = SingleRootedTree()
@@ -62,8 +62,8 @@ class TestFatTree:
 
     def test_switch_count_k4(self):
         topo = FatTree(4)
-        # (k/2)^2 core + k pods * (k/2 agg + k/2 edge)
-        assert len(topo.switches) == 4 + 4 * 4
+        # 16 hosts; (k/2)^2 core + k pods * (k/2 agg + k/2 edge)
+        assert len(topo.graph.nodes) == 16 + 4 + 4 * 4
 
     def test_rejects_odd_k(self):
         with pytest.raises(TopologyError):
@@ -86,7 +86,8 @@ class TestBCube:
         topo = BCube(2, 3)
         assert topo.n_servers == 16
         assert len(topo.hosts) == 16
-        assert len(topo.switches) == 4 * 8  # (k+1) levels of n^k switches
+        # (k+1) levels of n^k switches
+        assert len(topo.graph.nodes) == 16 + 4 * 8
 
     def test_every_host_has_k_plus_1_links(self):
         topo = BCube(2, 3)
@@ -117,13 +118,13 @@ class TestJellyfish:
         topo = Jellyfish(n_switches=6, switch_ports=6)
         # default split: 4 network ports, 2 hosts per switch
         assert len(topo.hosts) == 12
-        assert len(topo.switches) == 6
+        assert len(topo.graph.nodes) == 12 + 6
 
     def test_switch_fabric_is_regular(self):
         topo = Jellyfish(n_switches=8, switch_ports=6, seed=3)
-        for s in topo.switches:
+        for s in range(topo.n_switches):
             fabric_degree = sum(
-                1 for nb in topo.graph.neighbors(s)
+                1 for nb in topo.graph.adj[f"sw{s}"]
                 if topo.graph.nodes[nb]["kind"] == "switch"
             )
             assert fabric_degree == topo.network_ports
@@ -142,10 +143,6 @@ class TestJellyfish:
 
 
 class TestTopologyBase:
-    def test_stats(self):
-        stats = SingleRootedTree().stats()
-        assert stats == {"hosts": 12, "switches": 5, "links": 16}
-
     def test_all_rates_positive(self):
         for topo in [SingleBottleneck(3), SingleRootedTree(), FatTree(4),
                      BCube(2, 2), Jellyfish(6, 6)]:

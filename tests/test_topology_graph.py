@@ -66,7 +66,7 @@ def assert_agree(topo, oracle):
                 == list(oracle.edges(host, data=True)))
     for node in oracle.nodes():
         assert len(graph.adj[node]) == oracle.degree[node]
-        assert list(graph.neighbors(node)) == list(oracle.neighbors(node))
+        assert list(graph.adj[node]) == list(oracle.adj[node])
     for u, v in oracle.edges():
         assert graph.has_edge(u, v) and graph.has_edge(v, u)
         assert graph.edges[u, v] is graph.edges[v, u]
@@ -74,7 +74,6 @@ def assert_agree(topo, oracle):
     assert (graph.has_edge(hosts[0], hosts[-1])
             == oracle.has_edge(hosts[0], hosts[-1]))
     assert len(graph.nodes) == oracle.number_of_nodes()
-    assert graph.number_of_edges() == oracle.number_of_edges()
     assert graph.is_connected() == nx.is_connected(oracle)
     assert topo.directed_edge_index() == reference_index(oracle)
 

@@ -20,7 +20,6 @@ class TestEwma:
 
     def test_default_value(self):
         e = Ewma(default=42.0)
-        assert e.value == 42.0
         assert e.value_or(0.0) == 42.0
 
     def test_default_replaced_by_first_sample(self):
@@ -34,9 +33,7 @@ class TestEwma:
         seeded = Ewma(alpha=0.5, default=1_000.0)
         plain = Ewma(alpha=0.5)
         for sample in (10.0, 20.0, 14.0):
-            seeded.update(sample)
-            plain.update(sample)
-        assert seeded.value == plain.value
+            assert seeded.update(sample) == plain.update(sample)
 
     def test_samples_counts_only_real_observations(self):
         e = Ewma(default=42.0)
@@ -55,7 +52,7 @@ class TestEwma:
         e = Ewma(alpha=0.3)
         for s in samples:
             e.update(s)
-        assert min(samples) - 1e-9 <= e.value <= max(samples) + 1e-9
+        assert min(samples) - 1e-9 <= e.value_or(0.0) <= max(samples) + 1e-9
 
 
 class TestRttEstimator:

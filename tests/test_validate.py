@@ -12,7 +12,6 @@ from repro.campaign import (
     ScenarioSpec,
     TopologySpec,
     WorkloadSpec,
-    engine_kinds,
     run_scenario,
     use_runner,
 )
@@ -65,41 +64,6 @@ def _empty_spec(engine="packet"):
         engine=engine,
         sim_deadline=0.5,
     )
-
-
-class TestEngineRegistry:
-    def test_both_engines_registered(self):
-        assert set(engine_kinds()) == {"packet", "flow"}
-
-    def test_spec_validates_against_registry(self):
-        from repro.errors import CampaignError
-
-        with pytest.raises(CampaignError, match="unknown engine"):
-            _single_flow_spec(engine="quantum")
-
-    def test_custom_engine_is_first_class(self):
-        """A registered engine immediately validates in specs and
-        dispatches through execute_spec, like the builtin two."""
-        from repro.campaign.engines import (
-            _ENGINES,
-            execute_spec,
-            register_engine,
-        )
-
-        @register_engine("test.null")
-        def _null_engine(spec, topology, flows, options):
-            collector = MetricsCollector()
-            for flow in flows:
-                collector.register(flow)
-            return collector
-
-        try:
-            spec = _single_flow_spec(engine="test.null")
-            collector = execute_spec(spec)
-            assert len(collector) == 1
-            assert not collector.completed_records()
-        finally:
-            del _ENGINES["test.null"]
 
 
 class TestPacketEngineThroughCampaign:

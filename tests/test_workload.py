@@ -14,7 +14,6 @@ from repro.workload import (
     pareto_sizes,
     poisson_arrivals,
     random_permutation_flows,
-    simultaneous_arrivals,
     staggered_flows,
     stride_flows,
     uniform_sizes,
@@ -91,9 +90,6 @@ class TestDeadlines:
 
 
 class TestArrivals:
-    def test_simultaneous(self):
-        assert simultaneous_arrivals(3, at=1.0) == [1.0, 1.0, 1.0]
-
     def test_poisson_rate(self):
         arrivals = poisson_arrivals(1000.0, 10.0, rng=1)
         assert len(arrivals) == pytest.approx(10_000, rel=0.05)
