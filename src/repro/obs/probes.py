@@ -199,11 +199,9 @@ class PacketFlowRateProbe:
         self.probe = probe
         self.sim = net.sim
         self.samples: list[list] = []
-        collector = net.metrics
         #: fid -> (record, bytes delivered at the last sample)
-        self._held = {fid: (record, record.bytes_delivered)
-                      for fid, record in collector.records.items()}
-        collector.register_observers.append(self._admit)
+        self._held: dict[int, tuple] = {}
+        net.metrics.register_observers.append(self._admit)
         PeriodicTimer(self.sim, probe.interval, self._sample).start()
 
     def _admit(self, record) -> None:
@@ -228,7 +226,8 @@ class PacketFlowRateProbe:
 
 
 def attach_packet_probes(net, probes: Any) -> list:
-    """Instantiate every declared probe on a built (unrun) Network."""
+    """Instantiate every declared probe on a built Network, before its
+    flows launch: the flow-rate probe takes each record as it registers."""
     return [(PacketLinkProbe if isinstance(probe, LinkProbe)
              else PacketFlowRateProbe)(net, name, probe)
             for name, probe in check_probe_links(probes, net.topology)]

@@ -157,7 +157,8 @@ class TestEdgeIndex:
         vector = router.capacity_vector()
         assert len(vector) == 2 * len(topo.graph.edges())
         for (a, b), eid in router.edge_index.items():
-            assert vector[eid] == topo.graph.edges[a, b]["rate_bps"] > 0
+            assert vector[eid] == topo.graph.edges[a, b]["rate_bps"]
+        assert all(rate > 0 for rate in vector)
 
 
 def _random_lookups(topo, n=200, seed=14):
