@@ -273,6 +273,10 @@ class TestTypedFastPath:
         assert fired == ["at"]
         assert sim.now == 1.0
 
+    def test_negative_time_rejected(self):
+        with pytest.raises(SimulationError):
+            Simulator().call_at(-0.1, lambda: None)
+
     def test_call_at_in_past_rejected(self):
         sim = Simulator()
         sim.call_at(1.0, lambda: sim.call_at(0.5, lambda: None))

@@ -275,6 +275,8 @@ class TestDeterminism:
         ["send0", "sw0", 2.0, 5],
         ["send0", "sw0", 0.02, "five"],
         ["send0", "sw0", 0.02, 5],
+        [],
+        0,
     ])
     def test_malformed_legacy_loss_list_is_rejected(self, bad):
         """The retired top-level loss list, well-formed or not, is an
@@ -286,6 +288,20 @@ class TestDeterminism:
                 "workload": {"kind": "fig9.aggregation"},
                 "loss": bad,
             })
+
+    def test_null_legacy_loss_slot_reads_as_no_loss(self):
+        """``canonical()`` still emits ``"loss": null`` and the runner's
+        workers read canonical forms back, so the null slot parses to
+        the spec without it."""
+        doc = {
+            "protocol": "TCP",
+            "topology": {"kind": "single_bottleneck"},
+            "workload": {"kind": "fig9.aggregation"},
+        }
+        spec = ScenarioSpec.from_dict(doc)
+        assert ScenarioSpec.from_dict({**doc, "loss": None}) == spec
+        assert spec.canonical()["loss"] is None
+        assert ScenarioSpec.from_dict(spec.canonical()).key == spec.key
 
     def test_zero_match_rule_is_an_error(self):
         with pytest.raises(FaultError, match="match"):

@@ -165,6 +165,40 @@ class TestProbesOnEngines:
         streamed = spec.with_(**{"options.streaming_metrics": True})
         assert run_scenario(streamed).probes == run_scenario(spec).probes
 
+    def test_packet_rate_probe_lets_go_of_resolved_flows(self, monkeypatch):
+        """A flow's record is held until the first sample after the flow
+        resolves, and no longer: after the run the probe holds only the
+        flows that resolved after its last sample, and its samples plus
+        those flows' unsampled tails add up to every delivered byte."""
+        import repro.obs
+
+        attach = repro.obs.attach_packet_probes
+        seen = []
+
+        def attach_and_keep(net, probes):
+            attached = attach(net, probes)
+            seen.append(attached)
+            return attached
+
+        monkeypatch.setattr(repro.obs, "attach_packet_probes",
+                            attach_and_keep)
+        interval = 0.0005
+        spec = _telemetry_spec(probes=False, trace=False, n_flows=6)
+        collector = run_scenario(spec.with_(sim_deadline=1.0, **{
+            "options.probes": {"rates": {"kind": "flow_rates",
+                                         "interval": interval}}}))
+        [[probe]] = seen
+        last = probe.samples[-1][0]
+        for record, _ in probe._held.values():
+            resolved = record.completion_time or record.termination_time
+            assert resolved is None or resolved > last
+        sampled = sum(bps for _, rates in probe.samples
+                      for bps in rates.values()) * interval / 8
+        tails = sum(record.bytes_delivered - at
+                    for record, at in probe._held.values())
+        delivered = sum(r.bytes_delivered for r in collector.records.values())
+        assert sampled + tails == pytest.approx(delivered)
+
     def test_fluid_queue_columns_are_zero(self):
         collector = run_scenario(_telemetry_spec(engine="flow", trace=False))
         for _, _, qp, qb in collector.probes["bottleneck"]["samples"]:

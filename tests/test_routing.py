@@ -151,6 +151,20 @@ class TestEdgeIndex:
         assert second is not first
         assert len(second) == len(first) + 2
 
+    def test_flow_path_ids_chain_from_src_to_dst(self):
+        """The dense ids of a pinned path name consecutive directed
+        edges of the graph, from the flow's source to its destination."""
+        topo = FatTree(4)
+        router = Router(topo)
+        edge_of = {eid: edge for edge, eid in router.edge_index.items()}
+        src, dst = topo.hosts[0], topo.hosts[-1]
+        for fid in range(6):
+            edges = [edge_of[eid] for eid in router.flow_path_ids(fid, src,
+                                                                   dst)]
+            assert edges[0][0] == src and edges[-1][1] == dst
+            for (_, b), (a, _) in zip(edges, edges[1:]):
+                assert b == a
+
     def test_capacity_vector_matches_the_graph(self):
         topo = FatTree(4)
         router = Router(topo)

@@ -385,6 +385,19 @@ class TestOptionVocabulary:
         with pytest.raises(CampaignError, match="takes no option"):
             check_options("flow", "RCP", {"criticality_mode": "estimate"})
 
+    def test_every_engine_has_an_option_vocabulary(self):
+        from repro.campaign.engines import ENGINE_OPTIONS, ENGINES
+
+        assert tuple(ENGINE_OPTIONS) == ENGINES
+        assert "n_subflows" in ENGINE_OPTIONS["packet"]
+        assert set(ENGINE_OPTIONS["flow"]) \
+            == set(ENGINE_OPTIONS["packet"]) - {"n_subflows"}
+
+    def test_flow_engine_takes_no_n_subflows(self):
+        with pytest.raises(CampaignError, match="RCP on the flow engine "
+                           "takes no option 'n_subflows'"):
+            check_options("flow", "RCP", {"n_subflows": 2})
+
     def test_builders_check_direct_callers(self):
         with pytest.raises(CampaignError, match="did you mean 'aging_rate'"):
             make_model("PDQ(Full)", aging_rat=1.0)

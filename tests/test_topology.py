@@ -143,6 +143,18 @@ class TestJellyfish:
 
 
 class TestTopologyBase:
+    def test_nodes_are_the_hosts_and_the_switches(self):
+        """Every node is a host or a switch, and the ``hosts`` list
+        names each host-kind node once."""
+        for topo in [SingleBottleneck(3), SingleRootedTree(), FatTree(4),
+                     BCube(2, 2), Jellyfish(6, 6)]:
+            nodes = topo.graph.nodes
+            kinds = {nodes[n]["kind"] for n in nodes}
+            assert kinds == {"host", "switch"}
+            assert len(set(topo.hosts)) == len(topo.hosts)
+            assert set(topo.hosts) == {n for n in nodes
+                                       if nodes[n]["kind"] == "host"}
+
     def test_all_rates_positive(self):
         for topo in [SingleBottleneck(3), SingleRootedTree(), FatTree(4),
                      BCube(2, 2), Jellyfish(6, 6)]:

@@ -66,6 +66,74 @@ def _empty_spec(engine="packet"):
     )
 
 
+def _recording_runners(monkeypatch):
+    """Replace both engine runners with stubs that record what
+    execute_spec hands them."""
+    from repro.campaign import engines
+
+    calls = []
+
+    def stub(engine):
+        def run(topology, protocol, flows, **options):
+            calls.append((engine, protocol, flows, options))
+            return MetricsCollector()
+        return run
+
+    monkeypatch.setattr(engines, "run_packet_level", stub("packet"))
+    monkeypatch.setattr(engines, "run_flow_level", stub("flow"))
+    return calls
+
+
+class TestEngineDispatch:
+    """execute_spec runs a spec on the runner its engine names."""
+
+    def test_engines_are_packet_then_flow(self):
+        from repro.campaign import engines
+        from repro.validate import pairs
+
+        assert engines.ENGINES == ("packet", "flow")
+        assert pairs.ENGINES is engines.ENGINES
+        spec = ScenarioSpec(protocol="RCP",
+                            topology=TopologySpec("single_rooted"),
+                            workload=WorkloadSpec("empty"))
+        assert spec.engine == engines.ENGINES[0]
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_execute_spec_calls_the_engine_runner(self, engine, monkeypatch):
+        from repro.campaign.engines import execute_spec
+
+        calls = _recording_runners(monkeypatch)
+        execute_spec(_single_flow_spec(engine=engine))
+        [(ran, protocol, flows, options)] = calls
+        assert (ran, protocol, len(flows)) == (engine, "RCP", 1)
+        assert options["sim_deadline"] == 2.0
+        assert options["faults"] is None
+        # the loss rules are the packet engine's alone
+        assert ("loss" in options) == (engine == "packet")
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_open_workload_horizon_is_the_default_deadline(self, engine,
+                                                           monkeypatch):
+        from repro.campaign.engines import execute_spec
+
+        calls = _recording_runners(monkeypatch)
+        spec = ScenarioSpec(
+            protocol="RCP",
+            topology=TopologySpec("single_rooted"),
+            workload=WorkloadSpec("open_system", {
+                "duration": 0.05, "rate_per_sec": 1000.0,
+                "size_scale": 0.01,
+            }),
+            engine=engine,
+        )
+        execute_spec(spec)
+        execute_spec(spec.with_(sim_deadline=0.2))
+        [(_, _, stream, implicit), (_, _, _, explicit)] = calls
+        assert stream.horizon is not None
+        assert implicit["sim_deadline"] == stream.horizon
+        assert explicit["sim_deadline"] == 0.2
+
+
 class TestPacketEngineThroughCampaign:
     def test_packet_spec_runs_and_serializes(self):
         collector = run_scenario(_single_flow_spec())
